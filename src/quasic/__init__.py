@@ -79,7 +79,6 @@ from .linalg import (
     is_hermitian,
     is_positive_definite,
     mat_exp,
-    mat_mul,
     psd_sqrt,
     trace,
 )

@@ -6,7 +6,9 @@ Three scenarios: ``static`` (time-independent C-operator and metric),
 (lambda, kappa) pair and a JSON-lines verification report, prints one
 PASS/FAIL line per check, and exits 0 when every check passes, 1 when any
 fails, 2 on configuration errors and 3 on numerical failures (defective
-eigensystem or lost positivity where the scenario requires it).
+eigensystem or lost positivity where the scenario requires it, or a
+non-finite sample of a time-dependent scenario, reported after the CSVs and
+the report are written).
 
 CSV columns: t, rho_eig_hi, rho_eig_lo, det_rho, lr_residual,
 quasi_residual, c_sq_residual.  Floats are written with 17 significant
@@ -136,8 +138,12 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
             writer.writerow([_fmt(row[f]) for f in fields])
 
 
+def _pair_name(lam: float, kappa: float) -> str:
+    return f"lambda={lam:g},kappa={kappa:g}"
+
+
 def _tag(name: str, lam: float, kappa: float, sweeping: bool) -> str:
-    return f"{name}[lambda={lam:g},kappa={kappa:g}]" if sweeping else name
+    return f"{name}[{_pair_name(lam, kappa)}]" if sweeping else name
 
 
 def _run_static_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, sweeping: bool):
@@ -215,8 +221,7 @@ def _run_td_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, sweeping
         return PAULI_Z @ rho_at(t)
 
     rows = []
-    max_lr = max_quasi = max_csq = max_det_dev = max_neg = 0.0
-    max_hi = 1.0
+    folds = []
     for t in np.linspace(cfg.t0, cfg.t1, cfg.samples):
         rho = rho_at(t)
         cmat = c_at(t)
@@ -239,12 +244,13 @@ def _run_td_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, sweeping
         # CSV keeps raw residuals; checks normalize by the metric scale,
         # whose hyperbolic growth sets the attainable floating-point floor
         scale = max(1.0, frobenius_norm(rho))
-        max_lr = max(max_lr, lr / scale)
-        max_quasi = max(max_quasi, quasi / scale)
-        max_csq = max(max_csq, c_sq / scale**2)
-        max_det_dev = max(max_det_dev, abs(det_rho - 1.0))
-        max_neg = max(max_neg, -eig_lo)
-        max_hi = max(max_hi, eig_hi)
+        folds.append((lr / scale, quasi / scale, c_sq / scale**2, abs(det_rho - 1.0), -eig_lo, eig_hi))
+    # np.maximum and np.max propagate NaN, so a non-finite sample cannot vanish from a check
+    max_lr, max_quasi, max_csq, max_det_dev, max_neg, max_hi = np.maximum(
+        np.max(folds, axis=0), (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+    ).tolist()
+    n_nonfinite = sum(1 for row in rows if not all(math.isfinite(v) for v in row.values()))
+    report.metadata.setdefault("non_finite_samples", {})[_pair_name(lam, kappa)] = n_nonfinite
 
     report.add(_tag("lr_residual_max", lam, kappa, sweeping), max_lr, cfg.fd_tol)
     report.add(_tag("quasi_hermiticity_max", lam, kappa, sweeping), max_quasi, cfg.fd_tol)
@@ -353,6 +359,11 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     print(f"wrote {report_path}")
     n_fail = sum(1 for c in report.checks if not c.passed)
     print(f"{len(report.checks) - n_fail}/{len(report.checks)} checks passed")
+    non_finite = {pair: n for pair, n in report.metadata.get("non_finite_samples", {}).items() if n}
+    if non_finite:
+        where = "; ".join(f"{n} of {cfg.samples} at {pair}" for pair, n in non_finite.items())
+        print(f"numerical failure: non-finite samples ({where})", file=sys.stderr)
+        return 3
     return 0 if n_fail == 0 else 1
 
 
@@ -366,7 +377,10 @@ def _parse_sweep(text: str) -> list[tuple[float, float]]:
         parts = chunk.split(",")
         if len(parts) != 2:
             raise ValueError(f"bad sweep entry {chunk!r}; expected 'lambda,kappa'")
-        pairs.append((float(parts[0]), float(parts[1])))
+        pair = (float(parts[0]), float(parts[1]))
+        if not all(math.isfinite(x) for x in pair):
+            raise ValueError(f"bad sweep entry {chunk!r}; lambda and kappa must be finite")
+        pairs.append(pair)
     if not pairs:
         raise ValueError("empty sweep")
     return pairs
@@ -420,18 +434,50 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse dest -> option; the tolerance is validated with QUASI_C_TOL
+_FLOAT_OPTIONS = {
+    "omega": "--omega",
+    "lam": "--lambda",
+    "kappa": "--kappa",
+    "hbar": "--hbar",
+    "drive_value": "--drive-value",
+    "amplitude": "--amplitude",
+    "frequency": "--frequency",
+    "t_ref": "--t-ref",
+    "t0": "--t0",
+    "t1": "--t1",
+    "fd_step": "--fd-step",
+}
+
+
 def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> ScenarioConfig:
+    for dest, option in _FLOAT_OPTIONS.items():
+        value = getattr(args, dest)
+        if value is not None and not math.isfinite(value):
+            parser.error(f"{option} must be finite")
     if args.t1 <= args.t0:
         parser.error("--t1 must be greater than --t0")
     if args.samples < 2:
         parser.error("--samples must be at least 2")
     if args.steps_per_sample < 1:
         parser.error("--steps-per-sample must be at least 1")
+    if args.hbar <= 0:
+        parser.error("--hbar must be positive")
+    if args.fd_step <= 0:
+        parser.error("--fd-step must be positive")
     if args.scenario in ("static", "metric-picture") and args.drive != "const":
         parser.error(f"{args.scenario} requires the constant drive")
+    if args.drive == "sin" and args.frequency == 0:
+        parser.error("--frequency must be non-zero for the sine drive")
     tol = args.tol
     if tol is None:
-        tol = float(os.environ.get("QUASI_C_TOL", "1e-10"))
+        text = os.environ.get("QUASI_C_TOL", "1e-10")
+        try:
+            tol = float(text)
+        except ValueError:
+            parser.error(f"QUASI_C_TOL={text!r} is not a number")
+    if not (math.isfinite(tol) and tol > 0):
+        parser.error("the tolerance (--tol or QUASI_C_TOL) must be finite and positive")
     if args.sweep is not None:
         try:
             sweep = _parse_sweep(args.sweep)

@@ -32,11 +32,6 @@ PAULI_Y = _frozen([[0, -1j], [1j, 0]])
 PAULI_Z = _frozen([[1, 0], [0, -1]])
 
 
-def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product a @ b."""
-    return a @ b
-
-
 def adjoint(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return a.conj().T
@@ -149,28 +144,45 @@ def hermitian_eigenvalues_2x2(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[
     return (mid + rad, mid - rad)
 
 
-def mat_exp(a: np.ndarray) -> np.ndarray:
-    """exp(a) by the Cayley-Hamilton closed form.
+def _expm1_pauli(a1, a2, a3) -> np.ndarray:
+    """exp(a1*sigma_x + a2*sigma_y + a3*sigma_z) - I, broadcast over arrays.
 
-    With a = a0*I + a_vec . sigma_vec and r = sqrt(a_vec . a_vec),
-    exp(a) = e^{a0} (cosh(r) I + sinh(r)/r * a_vec . sigma_vec).  cosh and
-    sinh(r)/r are even, so the branch of the complex sqrt is irrelevant.
+    Cayley-Hamilton closed form: with r = sqrt(a1^2 + a2^2 + a3^2),
+    exp = cosh(r) I + sinh(r)/r * a_vec . sigma_vec.  cosh and sinh(r)/r are
+    even, so the branch of the complex sqrt is irrelevant.  Returning the
+    deviation from I, with cosh(r) - 1 = 2 sinh(r/2)^2, keeps its full
+    relative precision for factors close to the identity.  Returns shape
+    (..., 2, 2) for coefficient arrays of shape (...).
     """
+    a1, a2, a3 = (np.asarray(c, dtype=complex) for c in (a1, a2, a3))
+    r = np.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
+    small = np.abs(r) < _SINHC_SWITCH
+    # sinh(r)/r = 1 + r^2/6 + r^4/120 + ... ; six terms leave relative error
+    # far below double precision at the switch point.  The safe divisor keeps
+    # the unused branch of np.where free of 0/0.
+    r2 = r * r
+    series = 1 + r2 / 6 * (1 + r2 / 20 * (1 + r2 / 42 * (1 + r2 / 72 * (1 + r2 / 110))))
+    safe_r = np.where(small, 1.0, r)
+    sinhc = np.where(small, series, np.sinh(safe_r) / safe_r)
+    half = np.sinh(0.5 * r)
+    coshm1 = 2.0 * half * half
+    out = np.empty(r.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = coshm1 + sinhc * a3
+    out[..., 1, 1] = coshm1 - sinhc * a3
+    out[..., 0, 1] = sinhc * (a1 - 1j * a2)
+    out[..., 1, 0] = sinhc * (a1 + 1j * a2)
+    return out
+
+
+def mat_exp(a: np.ndarray) -> np.ndarray:
+    """exp(a) of one 2x2 matrix by the Cayley-Hamilton closed form."""
     a = np.asarray(a, dtype=complex)
-    a0 = 0.5 * (a[0, 0] + a[1, 1])
-    a1 = 0.5 * (a[0, 1] + a[1, 0])
-    a2 = 0.5j * (a[0, 1] - a[1, 0])
-    a3 = 0.5 * (a[0, 0] - a[1, 1])
-    r = np.sqrt(complex(a1 * a1 + a2 * a2 + a3 * a3))
-    if abs(r) < _SINHC_SWITCH:
-        # sinh(r)/r = 1 + r^2/6 + r^4/120 + ... ; six terms leave relative
-        # error far below double precision at the switch point.
-        r2 = r * r
-        sinhc = 1 + r2 / 6 * (1 + r2 / 20 * (1 + r2 / 42 * (1 + r2 / 72 * (1 + r2 / 110))))
-    else:
-        sinhc = np.sinh(r) / r
-    body = np.cosh(r) * IDENTITY + sinhc * (a1 * PAULI_X + a2 * PAULI_Y + a3 * PAULI_Z)
-    return np.exp(a0) * body
+    deviation = _expm1_pauli(
+        0.5 * (a[0, 1] + a[1, 0]),
+        0.5j * (a[0, 1] - a[1, 0]),
+        0.5 * (a[0, 0] - a[1, 1]),
+    )
+    return np.exp(0.5 * (a[0, 0] + a[1, 1])) * (IDENTITY + deviation)
 
 
 def psd_sqrt(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -33,6 +33,10 @@ class ConstantDrive:
     def tau(self, t: float) -> float:
         return self.value
 
+    def tau_array(self, t: np.ndarray) -> np.ndarray:
+        """tau at every entry of a time array."""
+        return np.full(np.shape(t), float(self.value))
+
     def integral(self, t: float) -> float:
         """Integral of tau from t_ref to t."""
         return self.value * (t - self.t_ref)
@@ -56,6 +60,10 @@ class SineDrive:
 
     def tau(self, t: float) -> float:
         return self.amplitude * math.sin(self.frequency * t)
+
+    def tau_array(self, t: np.ndarray) -> np.ndarray:
+        """tau at every entry of a time array."""
+        return self.amplitude * np.sin(self.frequency * np.asarray(t, dtype=float))
 
     def integral(self, t: float) -> float:
         w = self.frequency
@@ -104,6 +112,14 @@ class TabulatedDrive:
     def tau(self, t: float) -> float:
         self._check(t)
         return float(np.interp(t, self.times, self.values))
+
+    def tau_array(self, t: np.ndarray) -> np.ndarray:
+        """tau at every entry of a time array; raises if any lies outside the samples."""
+        t = np.asarray(t, dtype=float)
+        if t.size:
+            self._check(float(t.min()))
+            self._check(float(t.max()))
+        return np.interp(t, self.times, self.values)
 
     def _antiderivative(self, t: float) -> float:
         # exact integral of the linear interpolant from times[0] to t

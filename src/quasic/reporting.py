@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 
@@ -14,7 +15,8 @@ class Check:
 
     @property
     def passed(self) -> bool:
-        return self.value <= self.tolerance
+        """A non-finite value never passes, whatever the tolerance."""
+        return math.isfinite(self.value) and self.value <= self.tolerance
 
 
 @dataclass

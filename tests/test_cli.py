@@ -148,6 +148,10 @@ def test_config_errors_exit_two(tmp_path):
         ["static", "--samples", "1"],
         ["metric-picture", "--drive", "sin"],
         ["full-td", "--sweep", "nonsense"],
+        ["full-td", "--omega", "nan"],
+        ["full-td", "--hbar", "0"],
+        ["full-td", "--drive", "sin", "--frequency", "0"],
+        ["full-td", "--sweep", "2,1;1,inf"],
         ["unknown-scenario"],
     ):
         with pytest.raises(SystemExit) as err:
@@ -159,6 +163,39 @@ def test_tol_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("QUASI_C_TOL", "1e-30")
     code = run(tmp_path, "static")
     assert code == 1  # machine-precision residuals cannot satisfy 1e-30
+
+
+def test_unparsable_tol_env_exits_two(tmp_path, monkeypatch):
+    monkeypatch.setenv("QUASI_C_TOL", "abc")
+    with pytest.raises(SystemExit) as err:
+        run(tmp_path, "static")
+    assert err.value.code == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_samples_exit_three_after_writing_outputs(tmp_path, capsys):
+    # the broken-regime metric overflows long before t = 1000
+    code = run(tmp_path, "full-td", "--lambda", "1", "--kappa", "2", "--t1", "1000", "--samples", "5")
+    assert code == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "lambda=1,kappa=2" in err[0]
+    rows = read_csv(tmp_path / "quasi_c_full-td_1_2.csv")
+    assert len(rows) == 5
+    lines = read_report(tmp_path / "quasi_c_report.jsonl")
+    bad = lines[0]["non_finite_samples"]["lambda=1,kappa=2"]
+    assert bad == sum(1 for r in rows if not all(math.isfinite(float(v)) for v in r.values())) > 0
+    checks = [ln for ln in lines if ln["type"] == "check"]
+    assert len(checks) == 6
+    for name in ("c_squared_identity_max", "det_rho_unit_max_dev", "metric_positive_definite"):
+        check = next(c for c in checks if c["name"] == name)
+        assert check["pass"] is False and not math.isfinite(check["value"])
+    assert lines[-1]["all_pass"] is False
+
+
+def test_finite_run_records_zero_non_finite_samples(tmp_path):
+    assert run(tmp_path, "full-td", "--drive", "sin", "--t1", "2", "--samples", "20") == 0
+    meta = read_report(tmp_path / "quasi_c_report.jsonl")[0]
+    assert meta["non_finite_samples"] == {"lambda=2,kappa=1": 0}
 
 
 def test_emit_figure_data_rejects_static(tmp_path):

@@ -20,7 +20,6 @@ from quasic.linalg import (
     is_hermitian,
     is_positive_definite,
     mat_exp,
-    mat_mul,
     psd_sqrt,
     trace,
 )
@@ -49,13 +48,9 @@ def expm_taylor_oracle(a, terms=40):
 
 
 class TestBasics:
-    def test_identity_product(self):
-        a = random_complex_matrix()
-        assert np.allclose(mat_mul(IDENTITY, a), a)
-
     def test_pauli_products(self):
-        assert np.allclose(mat_mul(PAULI_X, PAULI_Y), 1j * PAULI_Z)
-        assert np.allclose(mat_mul(PAULI_Z, PAULI_Z), IDENTITY)
+        assert np.allclose(PAULI_X @ PAULI_Y, 1j * PAULI_Z)
+        assert np.allclose(PAULI_Z @ PAULI_Z, IDENTITY)
 
     def test_commutators(self):
         a = random_complex_matrix()
