@@ -8,10 +8,19 @@ The pairing conserves <phi|psi> exactly, which is what keeps an evolved
 C-operator involutory.  A classical fixed-step RK4 integrates both equations
 simultaneously; it is deliberately a different code path from the matrix
 exponentials used elsewhere, so the two can cross-validate each other.
+
+Time is an array axis.  For a linear equation one RK4 step is a 2x2 matrix
+built from H at t, t + dt/2 and t + dt; ``tdse_integrate`` builds the
+matrices of RK4_BLOCK steps in one array pass and gets every grid state from
+an inclusive prefix scan of them (Hillis & Steele, CACM 29(12), 1986;
+Blelloch, CMU-CS-90-190, 1990), with each matrix carried as its deviation
+from the identity.  ``phase_alpha`` reuses the metric samples of the
+alignment pass and evaluates alpha_dot on the whole grid at once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -20,7 +29,12 @@ import numpy as np
 
 from .coperator import COperator, Signature, validate_signature
 from .errors import BranchFlipError, DriveRangeError, OffGridError
-from .model import HamiltonianParams, hamiltonian_at
+from .linalg import _matmul2
+from .model import HamiltonianParams, hamiltonian_array
+
+#: Steps whose RK4 matrices are built and scanned as one array (see
+#: tdse_integrate for the memory measurement behind the size).
+RK4_BLOCK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,6 +52,27 @@ class EvolvedState:
         return k
 
 
+def _prefix_scan(deltas: np.ndarray) -> np.ndarray:
+    """Inclusive time-ordered prefix products, as deviations from I, along axis -3.
+
+    out[..., j, :, :] = (I + deltas[..., j]) ... (I + deltas[..., 0]) - I, by
+    Hillis-Steele doubling: after the pass with shift s, entry j holds the
+    product of the factors j-2s+1 .. j, so ceil(log2 n) passes suffice.
+    Factors are carried as deviations, (I + b)(I + a) = I + a + b + b a, as
+    in invariants._ordered_product, so rounding stays relative to each
+    step's small generator and not to 1.
+    """
+    deltas = deltas.copy()
+    n = deltas.shape[-3]
+    shift = 1
+    while shift < n:
+        late, early = deltas[..., shift:, :, :], deltas[..., :-shift, :, :]
+        # the right-hand side is evaluated in full before the slice is written
+        deltas[..., shift:, :, :] = early + late + _matmul2(late, early)
+        shift *= 2
+    return deltas
+
+
 def tdse_integrate(
     p: HamiltonianParams,
     psi0: np.ndarray,
@@ -46,31 +81,62 @@ def tdse_integrate(
     t1: float,
     steps: int,
 ) -> EvolvedState:
-    """RK4 integration of the paired equations; global error O(dt^4)."""
+    """RK4 integration of the paired equations; global error O(dt^4).
+
+    For the linear equation v' = A(t) v, one classical RK4 step from t to
+    t + dt is the matrix M = I + dt/6 (K1 + 2 K2 + 2 K3 + K4) with
+
+        K1 = A(t),  K2 = A_m (I + dt/2 K1),  K3 = A_m (I + dt/2 K2),
+        K4 = A(t + dt) (I + dt K3),           A_m = A(t + dt/2),
+
+    where A = -i H / hbar for right states and -i H^dag / hbar for left
+    states.  Applying M to v is exactly the textbook stage recursion, so this
+    is the same scheme as a per-step loop, up to roundoff.
+
+    For each block of RK4_BLOCK steps the drive is evaluated once on the
+    grid at t, t + dt/2 and t + dt, every step's M - I is built in one array
+    pass, and an inclusive prefix scan of those deviations (see
+    ``_prefix_scan``) gives the product M_j ... M_0 for every step j of the
+    block; applied to the block's first state, it yields every grid state.
+    The block's end state starts the next block.  A block's working arrays
+    take ~1.7 kB per step, so the block size trades peak memory against the
+    fixed cost of a block's ~100 array operations.  On the benchmark's
+    dynamics job (two pairs of 10,000-step runs, 2-CPU VM, numpy 2.4) the
+    peak RSS rose over the per-step loop by 0.45 MB with 256-step blocks,
+    1.0 MB with 512 and 1.8 MB with 1024, while a 10,000-step run took
+    ~27 ms, ~21 ms and ~18 ms (the loop took ~650 ms).
+
+    RK4 is a fourth-order polynomial in dt A, not a product of exponentials,
+    so it stays independent of the midpoint exponential product in
+    ``invariants`` and the two still cross-validate.
+    """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if not p.drive.covers(min(t0, t1), max(t0, t1)):
+    lo, hi = min(t0, t1), max(t0, t1)
+    if not p.drive.covers(lo, hi):
         raise DriveRangeError(f"drive does not cover [{t0}, {t1}]")
     dt = (t1 - t0) / steps
     grid = t0 + dt * np.arange(steps + 1)
-    rights = np.empty((steps + 1, 2), dtype=complex)
-    lefts = np.empty((steps + 1, 2), dtype=complex)
-    rights[0] = np.asarray(psi0, dtype=complex)
-    lefts[0] = np.asarray(phi0, dtype=complex)
+    # axis 0: right states under H, left states under H^dag
+    states = np.empty((2, steps + 1, 2), dtype=complex)
+    states[0, 0] = np.asarray(psi0, dtype=complex)
+    states[1, 0] = np.asarray(phi0, dtype=complex)
     coeff = -1j / p.hbar
-    for k in range(steps):
-        t = grid[k]
-        ha = hamiltonian_at(p, t)
-        hm = hamiltonian_at(p, t + 0.5 * dt)
-        hb = hamiltonian_at(p, t + dt)
-        for states, hs in ((rights, (ha, hm, hb)), (lefts, (ha.conj().T, hm.conj().T, hb.conj().T))):
-            v = states[k]
-            k1 = coeff * (hs[0] @ v)
-            k2 = coeff * (hs[1] @ (v + 0.5 * dt * k1))
-            k3 = coeff * (hs[1] @ (v + 0.5 * dt * k2))
-            k4 = coeff * (hs[2] @ (v + dt * k3))
-            states[k + 1] = v + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return EvolvedState(grid=grid, right_states=rights, left_states=lefts)
+    stage_times = np.array([[0.0], [0.5], [1.0]]) * dt
+    for start in range(0, steps, RK4_BLOCK):
+        stop = min(start + RK4_BLOCK, steps)
+        # t + dt can round past t1; a tabulated drive ending at t1 would reject it
+        a = coeff * hamiltonian_array(p, np.clip(grid[start:stop] + stage_times, lo, hi))
+        # -i H^dag / hbar = -(-i H / hbar)^dag
+        a_a, a_m, a_b = np.stack((a, -a.conj().swapaxes(-1, -2)), axis=1)
+        k1 = a_a
+        k2 = a_m + 0.5 * dt * _matmul2(a_m, k1)
+        k3 = a_m + 0.5 * dt * _matmul2(a_m, k2)
+        k4 = a_b + dt * _matmul2(a_b, k3)
+        prefix = _prefix_scan(dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        v = states[:, start]
+        states[:, start + 1 : stop + 1] = v[:, None] + np.einsum("snij,sj->sni", prefix, v)
+    return EvolvedState(grid=grid, right_states=states[0], left_states=states[1])
 
 
 def c_from_evolution(
@@ -116,6 +182,34 @@ def phase_factor(trace: PhaseTrace, hbar: float = 1.0) -> np.ndarray:
     return np.exp(1j * trace.alpha)
 
 
+def _aligned_trace(
+    state_at: Callable[[float], np.ndarray],
+    rho_at: Callable[[float], np.ndarray],
+    grid: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """aligned_eigenstate_trace, plus the metric samples rho(t) it evaluated."""
+    out = np.empty((len(grid), 2), dtype=complex)
+    rhos = np.empty((len(grid), 2, 2), dtype=complex)
+    prev_norm = 0.0
+    for k, t in enumerate(grid):
+        v = np.asarray(state_at(t), dtype=complex)
+        rho = rhos[k] = rho_at(t)
+        norm_sq = np.real(np.vdot(v, rho @ v))
+        if norm_sq <= 0:
+            raise ValueError("state has non-positive metric norm")
+        v = v / np.sqrt(norm_sq)
+        norm = math.hypot(abs(v[0]), abs(v[1]))
+        if k > 0:
+            ov = np.vdot(out[k - 1], v)
+            rel = abs(ov) / (prev_norm * norm)
+            if rel < 0.5:
+                raise BranchFlipError(f"overlap modulus {rel:.3f} below 0.5 at t={t}")
+            v = v * (np.conj(ov) / abs(ov))
+        out[k] = v
+        prev_norm = norm
+    return out, rhos
+
+
 def aligned_eigenstate_trace(
     state_at: Callable[[float], np.ndarray],
     rho_at: Callable[[float], np.ndarray],
@@ -127,23 +221,7 @@ def aligned_eigenstate_trace(
     rotated so the overlap with the previous sample is positive real.  A
     relative overlap modulus below 0.5 means the provider jumped branches.
     """
-    out = np.empty((len(grid), 2), dtype=complex)
-    for k, t in enumerate(grid):
-        v = np.asarray(state_at(t), dtype=complex)
-        rho = rho_at(t)
-        norm_sq = np.real(np.vdot(v, rho @ v))
-        if norm_sq <= 0:
-            raise ValueError("state has non-positive metric norm")
-        v = v / np.sqrt(norm_sq)
-        if k > 0:
-            prev = out[k - 1]
-            ov = np.vdot(prev, v)
-            rel = abs(ov) / (np.linalg.norm(prev) * np.linalg.norm(v))
-            if rel < 0.5:
-                raise BranchFlipError(f"overlap modulus {rel:.3f} below 0.5 at t={t}")
-            v = v * (np.conj(ov) / abs(ov))
-        out[k] = v
-    return out
+    return _aligned_trace(state_at, rho_at, grid)[0]
 
 
 def phase_alpha(
@@ -161,11 +239,13 @@ def phase_alpha(
     on the aligned trace with second-order finite differences and integrated
     by the trapezoid rule, with alpha(t0) = 0.  The imaginary part of
     alpha_dot must stay negligible (it is reported); alpha itself is real.
+    The metric samples come from the alignment pass, H from one evaluation
+    of the drive on the grid, and alpha_dot from one array pass.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
     grid = np.linspace(t0, t1, steps + 1)
-    states = aligned_eigenstate_trace(state_at, rho_at, grid)
+    states, rhos = _aligned_trace(state_at, rho_at, grid)
     dt = grid[1] - grid[0]
 
     dstates = np.empty_like(states)
@@ -173,14 +253,11 @@ def phase_alpha(
     dstates[0] = (-3.0 * states[0] + 4.0 * states[1] - states[2]) / (2.0 * dt)
     dstates[-1] = (3.0 * states[-1] - 4.0 * states[-2] + states[-3]) / (2.0 * dt)
 
-    alpha_dot = np.empty(len(grid), dtype=complex)
-    for k, t in enumerate(grid):
-        v = states[k]
-        rho = rho_at(t)
-        h = hamiltonian_at(p, t)
-        num = np.vdot(v, rho @ (1j * dstates[k] - (h @ v) / p.hbar))
-        den = np.vdot(v, rho @ v)
-        alpha_dot[k] = num / den
+    h_v = np.einsum("kij,kj->ki", hamiltonian_array(p, grid), states)
+    bras = states.conj()
+    num = np.einsum("ki,kij,kj->k", bras, rhos, 1j * dstates - h_v / p.hbar)
+    den = np.einsum("ki,kij,kj->k", bras, rhos, states)
+    alpha_dot = num / den
     imag_residue = float(np.max(np.abs(alpha_dot.imag)))
     if imag_residue > 1e-3 * max(1.0, float(np.max(np.abs(alpha_dot.real)))):
         raise ArithmeticError(f"alpha_dot has non-negligible imaginary part {imag_residue:.3g}")

@@ -52,7 +52,7 @@ from .errors import (
     NotTemplateError,
     RegimeMismatchError,
 )
-from .linalg import DEFAULT_TOL, IDENTITY, _expm1_pauli, eigen_2x2, frobenius_norm
+from .linalg import DEFAULT_TOL, IDENTITY, _expm1_pauli, _matmul2, eigen_2x2, frobenius_norm
 from .model import (
     HamiltonianParams,
     PauliCoefficients,
@@ -250,12 +250,12 @@ def _ordered_product(deltas: np.ndarray) -> np.ndarray:
     Factors are carried as their deviation from the identity, using
     (I + b)(I + a) = I + (a + b + b a), so that rounding is relative to the
     deviation and not to 1.  Each pass combines neighbours (2j+1, 2j) in one
-    batched matmul and carries an odd last factor over unchanged, so time
+    batched product and carries an odd last factor over unchanged, so time
     order is kept and a stack of n factors needs ceil(log2 n) passes.
     """
     while len(deltas) > 1:
         early, late = deltas[0:-1:2], deltas[1::2]
-        paired = early + late + late @ early
+        paired = early + late + _matmul2(late, early)
         if len(deltas) % 2:
             paired = np.concatenate((paired, deltas[-1:]))
         deltas = paired

@@ -8,6 +8,7 @@ degeneracy detection; they are relative to the matrix scale, floored at 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,14 +91,16 @@ class EigenDecomposition:
 
 def _eigvec(a: np.ndarray, lam: complex, scale: float) -> np.ndarray:
     # Kernel of (a - lam*I) from either row of its adjugate; take the better
-    # conditioned candidate.
-    c1 = np.array([a[0, 1], lam - a[0, 0]], dtype=complex)
-    c2 = np.array([lam - a[1, 1], a[1, 0]], dtype=complex)
-    v = c1 if np.linalg.norm(c1) >= np.linalg.norm(c2) else c2
-    n = np.linalg.norm(v)
+    # conditioned candidate.  Scalar hypot norms: np.linalg.norm costs ~4 us
+    # per 2-vector, which dominated this function.
+    c1 = (complex(a[0, 1]), complex(lam - a[0, 0]))
+    c2 = (complex(lam - a[1, 1]), complex(a[1, 0]))
+    n1 = math.hypot(abs(c1[0]), abs(c1[1]))
+    n2 = math.hypot(abs(c2[0]), abs(c2[1]))
+    v, n = (c1, n1) if n1 >= n2 else (c2, n2)
     if n <= 1e-14 * scale:
         return np.array([1.0, 0.0], dtype=complex)
-    return v / n
+    return np.array(v, dtype=complex) / n
 
 
 def eigen_2x2(a: np.ndarray, tol: float = DEFAULT_TOL) -> EigenDecomposition:
@@ -142,6 +145,23 @@ def hermitian_eigenvalues_2x2(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[
     mid = 0.5 * (p + q)
     rad = float(np.hypot(0.5 * (p - q), abs(a[0, 1])))
     return (mid + rad, mid - rad)
+
+
+def _matmul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks of 2x2 matrices, broadcast over the leading axes.
+
+    The explicit four-entry formula: numpy's matmul loop has a per-matrix
+    overhead that made it ~7x slower on a stack of 1024 complex 2x2
+    matrices (305 us against 43 us, numpy 2.4).
+    """
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out[..., 0, 0] = a00 * b00 + a01 * b10
+    out[..., 0, 1] = a00 * b01 + a01 * b11
+    out[..., 1, 0] = a10 * b00 + a11 * b10
+    out[..., 1, 1] = a10 * b01 + a11 * b11
+    return out
 
 
 def _expm1_pauli(a1, a2, a3) -> np.ndarray:

@@ -201,6 +201,16 @@ def hamiltonian_at(p: HamiltonianParams, t: float) -> np.ndarray:
     return -0.5 * (p.omega * IDENTITY + p.lam * tau * PAULI_Z + 1j * p.kappa * tau * PAULI_X)
 
 
+def hamiltonian_array(p: HamiltonianParams, t: np.ndarray) -> np.ndarray:
+    """hamiltonian_at at every entry of a time array; shape t.shape + (2, 2)."""
+    tau = p.drive.tau_array(t)
+    out = np.empty(tau.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = -0.5 * (p.omega + p.lam * tau)
+    out[..., 1, 1] = -0.5 * (p.omega - p.lam * tau)
+    out[..., 0, 1] = out[..., 1, 0] = -0.5 * (1j * p.kappa * tau)
+    return out
+
+
 def hamiltonian_coefficients(p: HamiltonianParams, t: float) -> PauliCoefficients:
     """Pauli coefficients of H(t): (-omega/2, -i*kappa*tau/2, 0, -lam*tau/2)."""
     tau = p.drive.tau(t)

@@ -1,8 +1,11 @@
 """Paired TDSE integration, evolved C-operators, and the phase integral."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from quasic import evolution
 from quasic.biortho import biortho_system
 from quasic.coperator import MetricForm, c_from_system, closed_form_metric
 from quasic.errors import BranchFlipError, DriveRangeError, OffGridError
@@ -15,7 +18,13 @@ from quasic.evolution import (
 )
 from quasic.invariants import InvariantForm, closed_form_invariant
 from quasic.linalg import IDENTITY, frobenius_norm, mat_exp
-from quasic.model import HamiltonianParams, SineDrive, TabulatedDrive, hamiltonian_at
+from quasic.model import (
+    ConstantDrive,
+    HamiltonianParams,
+    SineDrive,
+    TabulatedDrive,
+    hamiltonian_at,
+)
 
 STATIC = HamiltonianParams(1.0, 2.0, 1.0)
 DRIVEN = HamiltonianParams(1.0, 2.0, 1.0, drive=SineDrive())
@@ -110,6 +119,108 @@ def test_off_grid_rejected():
         ev.index_of(0.005)
 
 
+def rk4_per_step(p, psi0, phi0, t0, t1, steps):
+    """The per-step RK4 loop that the prefix scan replaced, kept as its oracle."""
+    dt = (t1 - t0) / steps
+    grid = t0 + dt * np.arange(steps + 1)
+    rights = np.empty((steps + 1, 2), dtype=complex)
+    lefts = np.empty((steps + 1, 2), dtype=complex)
+    rights[0] = np.asarray(psi0, dtype=complex)
+    lefts[0] = np.asarray(phi0, dtype=complex)
+    coeff = -1j / p.hbar
+    for k in range(steps):
+        t = grid[k]
+        ha = hamiltonian_at(p, t)
+        hm = hamiltonian_at(p, t + 0.5 * dt)
+        hb = hamiltonian_at(p, t + dt)
+        for states, hs in ((rights, (ha, hm, hb)), (lefts, (ha.conj().T, hm.conj().T, hb.conj().T))):
+            v = states[k]
+            k1 = coeff * (hs[0] @ v)
+            k2 = coeff * (hs[1] @ (v + 0.5 * dt * k1))
+            k3 = coeff * (hs[1] @ (v + 0.5 * dt * k2))
+            k4 = coeff * (hs[2] @ (v + dt * k3))
+            states[k + 1] = v + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return grid, rights, lefts
+
+
+def relative_error(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+# the table reaches past [0, 1.5] so the oracle's unclipped stage times stay inside
+TABLE_TIMES = np.linspace(-0.5, 2.0, 26)
+DRIVES = {
+    "sine": SineDrive(amplitude=1.3, frequency=2.0),
+    "constant": ConstantDrive(0.8),
+    "tabulated": TabulatedDrive(times=TABLE_TIMES, values=np.cos(3.0 * TABLE_TIMES) + 0.5),
+}
+PAIRS = {"pt": (2.0, 1.0), "broken": (0.8, 1.7)}
+SPANS = {"forward": (0.0, 1.5), "backward": (1.5, 0.0)}
+
+
+def assert_matches_per_step(p, t0, t1, steps):
+    psi0 = np.array([0.6 + 0.2j, -0.3 + 0.7j])
+    phi0 = np.array([0.4 - 0.5j, 0.9 + 0.1j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ev = tdse_integrate(p, psi0, phi0, t0, t1, steps)
+    grid, rights, lefts = rk4_per_step(p, psi0, phi0, t0, t1, steps)
+    assert np.array_equal(ev.grid, grid)
+    assert relative_error(ev.right_states, rights) <= 1e-12
+    assert relative_error(ev.left_states, lefts) <= 1e-12
+
+
+class TestPrefixScanRK4:
+    """The block prefix scan is the per-step RK4 recursion, up to roundoff."""
+
+    # the family's H(t) commute with each other, so integration tests cannot
+    # see the order of the factors; random matrices can
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 100])
+    def test_prefix_scan_in_time_order(self, n):
+        rng = np.random.default_rng(n)
+        deltas = 0.3 * (rng.standard_normal((2, n, 2, 2)) + 1j * rng.standard_normal((2, n, 2, 2)))
+        got = np.eye(2) + evolution._prefix_scan(deltas)
+        for batch in range(2):
+            expected = np.eye(2, dtype=complex)
+            for j, d in enumerate(deltas[batch]):
+                expected = (np.eye(2) + d) @ expected
+                assert relative_error(got[batch, j], expected) <= 1e-12
+
+    @pytest.mark.parametrize("span", SPANS)
+    @pytest.mark.parametrize("pair", PAIRS)
+    @pytest.mark.parametrize("drive", DRIVES)
+    def test_block_boundaries(self, drive, pair, span, monkeypatch):
+        # a small block puts every boundary case within a cheap oracle run
+        block = 16
+        monkeypatch.setattr(evolution, "RK4_BLOCK", block)
+        p = HamiltonianParams(0.7, *PAIRS[pair], hbar=1.3, drive=DRIVES[drive])
+        for steps in (1, 2, block - 1, block, block + 1, 4 * block + 1):
+            assert_matches_per_step(p, *SPANS[span], steps)
+
+    @pytest.mark.parametrize("span", SPANS)
+    def test_production_block(self, span):
+        p = HamiltonianParams(0.7, *PAIRS["broken"], drive=DRIVES["sine"])
+        block = evolution.RK4_BLOCK
+        for steps in (block - 1, block, block + 1, 4 * block + 1):
+            assert_matches_per_step(p, *SPANS[span], steps)
+
+    def test_tabulated_drive_ending_at_t1(self):
+        grid = np.linspace(0.0, 1.5, 16)
+        p = HamiltonianParams(1.0, 2.0, 1.0, drive=TabulatedDrive(times=grid, values=np.sin(grid)))
+        e1 = np.array([1.0, 0.0], dtype=complex)
+        # with 15 steps, t + dt rounds past 1.5 on the last step forward and
+        # below 0 on the last step backward
+        for t0, t1 in ((0.0, 1.5), (1.5, 0.0)):
+            ev = tdse_integrate(p, e1, e1, t0, t1, 15)
+            assert np.all(np.isfinite(ev.right_states))
+        # a drive ending before t1 still raises: test_integration_outside_tabulated_range
+
+    def test_steps_below_one_rejected(self):
+        e1 = np.array([1.0, 0.0], dtype=complex)
+        with pytest.raises(ValueError):
+            tdse_integrate(STATIC, e1, e1, 0.0, 1.0, 0)
+
+
 def test_integration_outside_tabulated_range():
     grid = np.linspace(0.0, 1.0, 11)
     p = HamiltonianParams(
@@ -174,3 +285,59 @@ class TestPhase:
 
         with pytest.raises(BranchFlipError):
             aligned_eigenstate_trace(jumpy, lambda t: IDENTITY.copy(), np.linspace(0, 1, 11))
+
+
+def phase_alpha_per_sample(state_at, p, rho_at, t0, t1, steps):
+    """The per-sample alpha_dot loop that the array pass replaced, kept as its oracle."""
+    grid = np.linspace(t0, t1, steps + 1)
+    states = aligned_eigenstate_trace(state_at, rho_at, grid)
+    dt = grid[1] - grid[0]
+    dstates = np.empty_like(states)
+    dstates[1:-1] = (states[2:] - states[:-2]) / (2.0 * dt)
+    dstates[0] = (-3.0 * states[0] + 4.0 * states[1] - states[2]) / (2.0 * dt)
+    dstates[-1] = (3.0 * states[-1] - 4.0 * states[-2] + states[-3]) / (2.0 * dt)
+    alpha_dot = np.empty(len(grid), dtype=complex)
+    for k, t in enumerate(grid):
+        v = states[k]
+        rho = rho_at(t)
+        h = hamiltonian_at(p, t)
+        num = np.vdot(v, rho @ (1j * dstates[k] - (h @ v) / p.hbar))
+        den = np.vdot(v, rho @ v)
+        alpha_dot[k] = num / den
+    real = alpha_dot.real
+    alpha = np.concatenate([[0.0], np.cumsum(0.5 * dt * (real[1:] + real[:-1]))])
+    return alpha, float(np.max(np.abs(alpha_dot.imag)))
+
+
+class TestPhaseArrayPass:
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_matches_per_sample_loop(self, pair):
+        p = HamiltonianParams(1.0, *PAIRS[pair], hbar=1.3, drive=SineDrive())
+
+        def state_at(t):
+            return invariant_pairs_at(p, t)[0].right
+
+        def rho_at(t):
+            return closed_form_metric(MetricForm.FULL_TD, p, t).matrix
+
+        trace = phase_alpha(state_at, p, rho_at, 0.0, 1.2, 400)
+        alpha, imag_residue = phase_alpha_per_sample(state_at, p, rho_at, 0.0, 1.2, 400)
+        assert relative_error(trace.alpha, alpha) <= 1e-12
+        assert trace.imag_residue == pytest.approx(imag_residue, rel=1e-12, abs=1e-12)
+
+    def test_steps_below_two_rejected(self):
+        e1 = np.array([1.0, 0.0], dtype=complex)
+        with pytest.raises(ValueError):
+            phase_alpha(lambda t: e1, STATIC, lambda t: IDENTITY.copy(), 0.0, 1.0, 1)
+
+    def test_non_positive_metric_norm_rejected(self):
+        e1 = np.array([1.0, 0.0], dtype=complex)
+        with pytest.raises(ValueError, match="non-positive metric norm"):
+            aligned_eigenstate_trace(lambda t: e1, lambda t: -IDENTITY, np.linspace(0, 1, 5))
+
+    def test_imaginary_alpha_dot_rejected(self):
+        # <v|H v> = -(omega + i kappa)/2 for v = (1, 1)/sqrt(2) and rho = I
+        p = HamiltonianParams(1.0, 0.0, 1.0)
+        v = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+        with pytest.raises(ArithmeticError, match="imaginary part"):
+            phase_alpha(lambda t: v, p, lambda t: IDENTITY.copy(), 0.0, 1.0, 10)

@@ -11,6 +11,8 @@ from quasic.linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    _eigvec,
+    _matmul2,
     adjoint,
     commutator,
     det,
@@ -64,6 +66,13 @@ class TestBasics:
         a = random_complex_matrix()
         assert np.allclose(adjoint(adjoint(a)), a)
 
+    def test_batched_product_matches_matmul(self):
+        a = RNG.standard_normal((3, 7, 2, 2)) + 1j * RNG.standard_normal((3, 7, 2, 2))
+        b = RNG.standard_normal((7, 2, 2)) + 1j * RNG.standard_normal((7, 2, 2))
+        got = _matmul2(a, b)
+        assert got.shape == (3, 7, 2, 2)
+        assert np.abs(got - a @ b).max() <= 1e-14 * np.abs(a @ b).max()
+
     def test_det_trace(self):
         assert det(PAULI_Z) == -1
         assert trace(PAULI_X) == 0
@@ -116,6 +125,25 @@ class TestEigen:
             v = np.column_stack([dec.first.vector, dec.second.vector])
             lam = np.diag([dec.first.value, dec.second.value])
             assert frobenius_norm(v @ lam @ np.linalg.inv(v) - a) <= 1e-10
+
+    def test_eigvec_same_candidate_as_vector_norms(self):
+        # the np.linalg.norm form that the scalar hypot norms replaced
+        def reference(a, lam, scale):
+            c1 = np.array([a[0, 1], lam - a[0, 0]], dtype=complex)
+            c2 = np.array([lam - a[1, 1], a[1, 0]], dtype=complex)
+            v = c1 if np.linalg.norm(c1) >= np.linalg.norm(c2) else c2
+            n = np.linalg.norm(v)
+            if n <= 1e-14 * scale:
+                return np.array([1.0, 0.0], dtype=complex)
+            return v / n
+
+        cases = [(random_complex_matrix(), complex(RNG.standard_normal(), RNG.standard_normal()))
+                 for _ in range(200)]
+        cases += [(IDENTITY, 1.0), (PAULI_Z, 1.0), (np.array([[1.0, 1.0], [0.0, 1.0]]), 1.0)]
+        for a, lam in cases:
+            a = np.asarray(a, dtype=complex)
+            scale = max(1.0, frobenius_norm(a))
+            assert np.abs(_eigvec(a, lam, scale) - reference(a, lam, scale)).max() <= 1e-15
 
     def test_ordering_descending(self):
         a = np.diag([1.0 - 2j, 1.0 + 3j])
