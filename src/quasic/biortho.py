@@ -130,21 +130,20 @@ def _canonical_direction(v: np.ndarray) -> np.ndarray:
     return u
 
 
-def check_left_right_parity_relation(sys: BiorthoSystem, signs: tuple[int, int]) -> float:
+def check_left_right_parity_relation(sys: BiorthoSystem) -> float:
     """Residual of the parity link between left vectors and sigma_z * right.
 
     Returns the largest deviation, over the two pairs, between the
     direction-canonicalized left vector and the direction-canonicalized
-    sign * sigma_z * right vector.  Zero means each left eigenvector is
+    sigma_z * right vector.  Zero means each left eigenvector is
     proportional to the parity image of its right partner, which is the
-    gauge-invariant content of the link.  The requested signs select which
-    published convention the caller is asserting; the per-pair sign of the
-    proportionality itself depends on the normalization gauge (conventions
-    differ between constructions), so the residual is insensitive to it.
+    gauge-invariant content of the link.  The sign of that proportionality
+    depends on the normalization gauge (conventions differ between
+    constructions), and canonicalizing the direction removes it.
     """
     worst = 0.0
-    for pair, sign in zip(sys.pairs, signs):
-        w = sign * (PAULI_Z @ pair.right)
+    for pair in sys.pairs:
+        w = PAULI_Z @ pair.right
         resid = float(np.linalg.norm(_canonical_direction(pair.left) - _canonical_direction(w)))
         worst = max(worst, resid)
     return worst

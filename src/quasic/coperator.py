@@ -18,11 +18,12 @@ import numpy as np
 
 from .biortho import BiorthoSystem, biortho_system, completeness_residual
 from .errors import InvalidSystemError, NotHermitianError
-from .invariants import InvariantForm, closed_form_invariant, lr_residual
+from .invariants import InvariantForm, _real_entries, lr_residual
 from .linalg import (
     DEFAULT_TOL,
     IDENTITY,
     PAULI_Z,
+    _mat2,
     adjoint,
     commutator,
     det,
@@ -219,18 +220,18 @@ def closed_form_metric(
         off = k * mt + 1j * k**2 * mt**2 / 2.0
         rho = np.array([[diag, off], [np.conj(off), diag]], dtype=complex)
         return MetricOperator(matrix=rho, time=t)
-    inv = closed_form_invariant(_METRIC_TO_INVARIANT[form], p, t)
-    return MetricOperator(matrix=PAULI_Z @ inv, time=t)
+    # sigma_z I(t) with I = [[-d, x + iy], [-x + iy, d]]: the second row negated, exactly
+    d, x, y = _real_entries(_METRIC_TO_INVARIANT[form], p, t)
+    return MetricOperator(matrix=_mat2(-d, x + 1j * y, x - 1j * y, -d), time=t)
 
 
-def dyson_map(rho: MetricOperator, construction: DysonConstruction = DysonConstruction.PSD_SQRT) -> DysonMap:
+def dyson_map(rho: MetricOperator) -> DysonMap:
     """Dyson map from a positive-definite metric.
 
     The Hermitian square root is the canonical representative of the
-    eta^dag eta factorization (unique up to left-unitary factors).
+    eta^dag eta factorization (unique up to left-unitary factors); maps
+    with eigenvector rows come from dyson_from_eigenvectors.
     """
-    if construction is not DysonConstruction.PSD_SQRT:
-        raise ValueError("construct eigenvector-row maps with dyson_from_eigenvectors")
     return DysonMap(matrix=psd_sqrt(rho.matrix), construction=DysonConstruction.PSD_SQRT)
 
 

@@ -52,7 +52,7 @@ from .errors import (
     NotTemplateError,
     RegimeMismatchError,
 )
-from .linalg import DEFAULT_TOL, IDENTITY, _expm1_pauli, _matmul2, eigen_2x2, frobenius_norm
+from .linalg import DEFAULT_TOL, IDENTITY, _expm1_pauli, _mat2, _matmul2, eigen_2x2, frobenius_norm
 from .model import (
     HamiltonianParams,
     PauliCoefficients,
@@ -75,13 +75,6 @@ class InvariantForm(Enum):
     SPONTANEOUSLY_BROKEN = "spontaneously-broken"
     EXCEPTIONAL_POINT = "exceptional-point"
     FULL_TD = "full-td"
-
-
-_STATIC_FORMS = {
-    InvariantForm.PT_SYMMETRIC: Regime.PT_SYMMETRIC,
-    InvariantForm.SPONTANEOUSLY_BROKEN: Regime.SPONTANEOUSLY_BROKEN,
-    InvariantForm.EXCEPTIONAL_POINT: Regime.EXCEPTIONAL_POINT,
-}
 
 
 @dataclass(frozen=True)
@@ -118,45 +111,47 @@ def scaled_drive_integral(p: HamiltonianParams, t: float) -> complex:
     return complex(np.sqrt(xi) * p.drive.integral(t))
 
 
-def invariant_coefficients(
-    form: InvariantForm, p: HamiltonianParams, t: float, tol: float = DEFAULT_TOL
-) -> TemplateCoefficients:
-    """Template coefficients of the selected closed-form invariant at time t.
+def _require_regime(form: InvariantForm, p: HamiltonianParams, required: Regime) -> None:
+    if classify_regime(p) is not required:
+        raise RegimeMismatchError(f"{form.value} form requires the {required.value} regime")
 
-    The three drive-independent forms assume tau == 1 and a parameter point
-    inside their regime; the drive-dependent form accepts any non-coalescent
-    parameters and complex intermediate values.
+
+def _template(
+    form: InvariantForm, p: HamiltonianParams, t: float, tol: float
+) -> tuple[complex, complex, complex, complex]:
+    """(xi, delta, gamma_plus, gamma_minus) of the selected closed form at time t.
+
+    The fixed-regime forms test their regime by identity on every call:
+    a lookup in an enum-keyed dict runs Enum.__hash__ in Python, and this
+    is on the path of every sample.
     """
     lam, kap = p.lam, p.kappa
-    if form in _STATIC_FORMS:
-        required = _STATIC_FORMS[form]
-        regime = classify_regime(p)
-        if regime is not required:
-            raise RegimeMismatchError(f"{form.value} form requires the {required.value} regime")
-
     if form is InvariantForm.PT_SYMMETRIC:
+        _require_regime(form, p, Regime.PT_SYMMETRIC)
         xi = math.sqrt(lam**2 - kap**2)
         if xi <= tol:
             raise ExceptionalPointSingularError("xi below tolerance")
         delta = -_SQRT2 * lam - kap * math.sin(xi * t)
         imag = _SQRT2 * kap + lam * math.sin(xi * t)
         real = xi * math.cos(xi * t)
-        return TemplateCoefficients(xi, delta, real + 1j * imag, -real + 1j * imag)
+        return xi, delta, real + 1j * imag, -real + 1j * imag
 
     if form is InvariantForm.SPONTANEOUSLY_BROKEN:
+        _require_regime(form, p, Regime.SPONTANEOUSLY_BROKEN)
         xi = math.sqrt(kap**2 - lam**2)
         if xi <= tol:
             raise ExceptionalPointSingularError("xi below tolerance")
         delta = lam - _SQRT2 * kap * math.cosh(xi * t)
         imag = _SQRT2 * lam * math.cosh(xi * t) - kap
         real = _SQRT2 * xi * math.sinh(xi * t)
-        return TemplateCoefficients(xi, delta, real + 1j * imag, -real + 1j * imag)
+        return xi, delta, real + 1j * imag, -real + 1j * imag
 
     if form is InvariantForm.EXCEPTIONAL_POINT:
+        _require_regime(form, p, Regime.EXCEPTIONAL_POINT)
         delta = -(kap**2) * t**2 / _SQRT2 - kap * t - _SQRT2
         imag = kap**2 * t**2 / _SQRT2 + kap * t
         real = 1.0 + _SQRT2 * kap * t
-        return TemplateCoefficients(1.0, delta, real + 1j * imag, -real + 1j * imag)
+        return 1.0, delta, real + 1j * imag, -real + 1j * imag
 
     # drive-dependent form: xi = kappa^2 - lam^2, hyperbolic in the scaled
     # drive integral, regime-universal through complex intermediates
@@ -170,30 +165,52 @@ def invariant_coefficients(
     delta = lam**2 - kap**2 * cosh
     real = kap * np.sqrt(xi) * np.sinh(mu)
     imag = kap * lam * (cosh - 1.0)
-    return TemplateCoefficients(xi, delta, real + 1j * imag, -real + 1j * imag)
+    return xi, delta, real + 1j * imag, -real + 1j * imag
 
 
-def closed_form_invariant(
+def invariant_coefficients(
     form: InvariantForm, p: HamiltonianParams, t: float, tol: float = DEFAULT_TOL
-) -> np.ndarray:
-    """Matrix of the selected closed-form invariant.
+) -> TemplateCoefficients:
+    """Template coefficients of the selected closed-form invariant at time t.
+
+    The three drive-independent forms assume tau == 1 and a parameter point
+    inside their regime; the drive-dependent form accepts any non-coalescent
+    parameters and complex intermediate values.
+    """
+    return TemplateCoefficients(*_template(form, p, t, tol))
+
+
+def _real_entries(
+    form: InvariantForm, p: HamiltonianParams, t: float, tol: float = DEFAULT_TOL
+) -> tuple[float, float, float]:
+    """(d, x, y) of the closed-form invariant [[-d, x + iy], [-x + iy, d]].
 
     The assembled entry combinations (-delta/xi real, off-diagonal split
     into a shared real and imaginary part) are analytically real; their
     numerical imaginary residue is checked against 1e-10 and then removed
     rather than silently dropped.
     """
-    c = invariant_coefficients(form, p, t, tol=tol)
-    d = complex(c.delta / c.xi)
-    x = complex(0.5 * (c.gamma_plus - c.gamma_minus) / c.xi)
-    y = complex(0.5 * (c.gamma_plus + c.gamma_minus) / (1j * c.xi))
+    xi, delta, gamma_plus, gamma_minus = _template(form, p, t, tol)
+    d = complex(delta / xi)
+    x = complex(0.5 * (gamma_plus - gamma_minus) / xi)
+    y = complex(0.5 * (gamma_plus + gamma_minus) / (1j * xi))
     scale = max(1.0, abs(d), abs(x), abs(y))
     residue = max(abs(d.imag), abs(x.imag), abs(y.imag))
     if residue > 1e-10 * scale:
         raise ArithmeticError(f"analytically real entries lost realness (residue {residue:.3g})")
-    return np.array(
-        [[-d.real, x.real + 1j * y.real], [-x.real + 1j * y.real, d.real]], dtype=complex
-    )
+    return d.real, x.real, y.real
+
+
+def closed_form_invariant(
+    form: InvariantForm, p: HamiltonianParams, t: float, tol: float = DEFAULT_TOL
+) -> np.ndarray:
+    """Matrix [[-d, x + iy], [-x + iy, d]] of the selected closed-form invariant.
+
+    d, x and y are analytically real; ArithmeticError is raised when their
+    numerical imaginary residue exceeds 1e-10 of their scale.
+    """
+    d, x, y = _real_entries(form, p, t, tol)
+    return _mat2(-d, x + 1j * y, -x + 1j * y, d)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,16 @@ Everything is trace/determinant based (quadratic eigenvalues, Cayley-Hamilton
 exponential, explicit Hermitian square root), so there are no iterative
 solvers and no convergence concerns.  Tolerances only enter predicates and
 degeneracy detection; they are relative to the matrix scale, floored at 1.
+
+The per-sample kernels (``frobenius_norm`` of a 2x2 matrix and
+``hermitian_eigenvalues_2x2``) read the four entries as Python scalars:
+numpy's per-call overhead is several microseconds, far more than the
+arithmetic on four numbers.  They keep numpy's order of operations, so
+their results are numpy's to the bit (with OpenBLAS on x86-64; within
+2 ulp wherever a BLAS sums in another order).  Matrix products stay numpy
+``@``: the scalar product formula rounds differently from numpy's 2x2
+complex matmul on most inputs, so it would change the residuals that the
+command line writes.
 """
 
 from __future__ import annotations
@@ -27,6 +37,16 @@ def _frozen(rows) -> np.ndarray:
     return m
 
 
+def _mat2(a00: complex, a01: complex, a10: complex, a11: complex) -> np.ndarray:
+    """The complex 2x2 array [[a00, a01], [a10, a11]] (faster than np.array of nested lists)."""
+    m = np.empty((2, 2), dtype=complex)
+    m[0, 0] = a00
+    m[0, 1] = a01
+    m[1, 0] = a10
+    m[1, 1] = a11
+    return m
+
+
 IDENTITY = _frozen([[1, 0], [0, 1]])
 PAULI_X = _frozen([[0, 1], [1, 0]])
 PAULI_Y = _frozen([[0, -1j], [1j, 0]])
@@ -43,8 +63,29 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
+def _norm4(a00: complex, a01: complex, a10: complex, a11: complex) -> float:
+    """Frobenius norm of [[a00, a01], [a10, a11]] from Python scalars.
+
+    np.linalg.norm of a complex array is sqrt(re.re + im.im), each a dot
+    product over the entries in memory order, which the BLAS accumulates in
+    two lanes: (x0^2 + x2^2) + (x1^2 + x3^2).  Summing in that order gives
+    the same bits for a row-major matrix; summing sequentially does not, on
+    ~14% of random matrices.
+    """
+    re = (a00.real * a00.real + a10.real * a10.real) + (a01.real * a01.real + a11.real * a11.real)
+    im = (a00.imag * a00.imag + a10.imag * a10.imag) + (a01.imag * a01.imag + a11.imag * a11.imag)
+    return math.sqrt(re + im)
+
+
 def frobenius_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
+    a = np.asarray(a)
+    if a.shape != (2, 2):
+        return float(np.linalg.norm(a))
+    (a00, a01), (a10, a11) = a.tolist()
+    if a.strides[0] < a.strides[1]:
+        # column-major (a transpose, e.g. an adjoint): memory order is a00, a10, a01, a11
+        return _norm4(a00, a10, a01, a11)
+    return _norm4(a00, a01, a10, a11)
 
 
 def det(a: np.ndarray) -> complex:
@@ -138,11 +179,17 @@ def hermitian_eigenvalues_2x2(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[
     """Real eigenvalues of a Hermitian matrix, descending."""
     a = np.asarray(a, dtype=complex)
     scale = max(1.0, frobenius_norm(a))
-    if frobenius_norm(a - adjoint(a)) > tol * scale:
+    (a00, a01), (a10, a11) = a.tolist()
+    # a - adjoint(a) entry by entry; numpy stores that difference row-major
+    skew = _norm4(
+        a00 - a00.conjugate(), a01 - a10.conjugate(), a10 - a01.conjugate(), a11 - a11.conjugate()
+    )
+    if skew > tol * scale:
         raise NotHermitianError(f"anti-Hermitian part exceeds tol={tol}")
-    p = a[0, 0].real
-    q = a[1, 1].real
+    p = a00.real
+    q = a11.real
     mid = 0.5 * (p + q)
+    # np.hypot, not math.hypot, whose own algorithm rounds differently
     rad = float(np.hypot(0.5 * (p - q), abs(a[0, 1])))
     return (mid + rad, mid - rad)
 

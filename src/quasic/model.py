@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DriveRangeError
-from .linalg import IDENTITY, PAULI_X, PAULI_Y, PAULI_Z, frobenius_norm
+from .linalg import IDENTITY, PAULI_X, PAULI_Y, PAULI_Z, _mat2, frobenius_norm
 
 REGIME_TOL = 1e-12
 
@@ -197,8 +197,10 @@ def pauli_compose(c: PauliCoefficients) -> np.ndarray:
 
 
 def hamiltonian_at(p: HamiltonianParams, t: float) -> np.ndarray:
+    """H(t), entry by entry with the formula of hamiltonian_array (same bits)."""
     tau = p.drive.tau(t)
-    return -0.5 * (p.omega * IDENTITY + p.lam * tau * PAULI_Z + 1j * p.kappa * tau * PAULI_X)
+    off = -0.5 * (1j * p.kappa * tau)
+    return _mat2(-0.5 * (p.omega + p.lam * tau), off, off, -0.5 * (p.omega - p.lam * tau))
 
 
 def hamiltonian_array(p: HamiltonianParams, t: np.ndarray) -> np.ndarray:

@@ -7,16 +7,43 @@ import math
 from dataclasses import dataclass, field
 
 
+#: Largest scale-derived tolerance a passing check may have.  Tolerances that
+#: grow with the metric scale s (16 eps s^2 for det rho = 1, 64 eps s for
+#: positivity) stop verifying anything: at s ~ 2e7 the det tolerance reaches
+#: 1, and beyond s ~ 8e6 the positivity tolerance exceeds the smaller metric
+#: eigenvalue 1/s, so an indefinite metric would pass.  1e-6 is the loosest
+#: fixed tolerance of the package's checks (propagation consistency); a
+#: scaled tolerance above it verifies less than every fixed one.  The det
+#: tolerance crosses it at s ~ 1.7e4, so a time-dependent run whose
+#: positivity check has become meaningless never exits 0.  The command
+#: line's regular cases stay well below: metric scales up to ~1e3 give
+#: tolerances up to ~4e-9.
+TOLERANCE_CEILING = 1e-6
+
+
 @dataclass(frozen=True)
 class Check:
     name: str
     value: float
     tolerance: float
+    #: the tolerance was derived from the scale of the data (see TOLERANCE_CEILING)
+    scaled: bool = False
+
+    @property
+    def status(self) -> str:
+        """'pass', 'fail', or 'inconclusive': a pass against a scaled tolerance above the ceiling.
+
+        A non-finite value fails whatever the tolerance.
+        """
+        if not (math.isfinite(self.value) and self.value <= self.tolerance):
+            return "fail"
+        if self.scaled and self.tolerance > TOLERANCE_CEILING:
+            return "inconclusive"
+        return "pass"
 
     @property
     def passed(self) -> bool:
-        """A non-finite value never passes, whatever the tolerance."""
-        return math.isfinite(self.value) and self.value <= self.tolerance
+        return self.status == "pass"
 
 
 @dataclass
@@ -24,8 +51,8 @@ class VerificationReport:
     checks: list[Check] = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
-    def add(self, name: str, value: float, tolerance: float) -> Check:
-        check = Check(name=name, value=float(value), tolerance=float(tolerance))
+    def add(self, name: str, value: float, tolerance: float, scaled: bool = False) -> Check:
+        check = Check(name=name, value=float(value), tolerance=float(tolerance), scaled=scaled)
         self.checks.append(check)
         return check
 
@@ -49,6 +76,7 @@ class VerificationReport:
                         "value": c.value,
                         "tolerance": c.tolerance,
                         "pass": c.passed,
+                        "status": c.status,
                     },
                     sort_keys=True,
                 )

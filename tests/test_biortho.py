@@ -114,20 +114,19 @@ def test_completeness_residual_detects_zeroed_left():
 def test_parity_link_hamiltonian():
     p = HamiltonianParams(1.0, 2.0, 1.0)
     sys_h = biortho_system(hamiltonian_at(p, 0.0))
-    assert check_left_right_parity_relation(sys_h, (-1, 1)) < 1e-10
+    assert check_left_right_parity_relation(sys_h) < 1e-10
 
 
 def test_parity_link_invariant():
     p = HamiltonianParams(1.0, 2.0, 1.0)
     inv = closed_form_invariant(InvariantForm.PT_SYMMETRIC, p, 0.8)
     sys_i = biortho_system(inv)
-    assert check_left_right_parity_relation(sys_i, (1, 1)) < 1e-10
+    assert check_left_right_parity_relation(sys_i) < 1e-10
 
 
 def test_parity_link_fails_for_sigma_x():
     sys_x = biortho_system(PAULI_X)
-    for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        assert check_left_right_parity_relation(sys_x, signs) > 0.1
+    assert check_left_right_parity_relation(sys_x) > 0.1
 
 
 def test_gauge_invariance_of_projector_sum():

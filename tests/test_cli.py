@@ -1,12 +1,20 @@
 """Command-line scenarios: outputs, determinism and exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasic.cli import main
+from quasic.reporting import TOLERANCE_CEILING
 
 COLUMNS = ["t", "rho_eig_hi", "rho_eig_lo", "det_rho", "lr_residual", "quasi_residual", "c_sq_residual"]
 
@@ -190,6 +198,76 @@ def test_non_finite_samples_exit_three_after_writing_outputs(tmp_path, capsys):
         check = next(c for c in checks if c["name"] == name)
         assert check["pass"] is False and not math.isfinite(check["value"])
     assert lines[-1]["all_pass"] is False
+
+
+def test_tolerance_scaled_past_the_ceiling_is_inconclusive(tmp_path, capsys):
+    # by t = 30 the broken-regime metric scale is ~5e22: the det and
+    # positivity tolerances (~8.6e30 and ~7e8) would pass anything
+    code = run(tmp_path, "full-td", "--lambda", "1", "--kappa", "2", "--t1", "30", "--samples", "50")
+    assert code == 1
+    out = capsys.readouterr().out
+    checks = {ln["name"]: ln for ln in read_report(tmp_path / "quasi_c_report.jsonl") if ln["type"] == "check"}
+    for name in ("det_rho_unit_max_dev", "metric_positive_definite"):
+        check = checks[name]
+        assert check["status"] == "inconclusive" and check["pass"] is False
+        assert check["value"] <= check["tolerance"] and check["tolerance"] > TOLERANCE_CEILING
+        assert f"[INCONCLUSIVE] {name}:" in out
+    others = [c for name, c in checks.items() if name not in ("det_rho_unit_max_dev", "metric_positive_definite")]
+    assert all(c["status"] == "pass" for c in others)
+    assert "4/6 checks passed (2 inconclusive)" in out
+
+
+# lambda = kappa * (1 + offset): on, next to and across the exceptional point
+_EP_OFFSETS = st.one_of(
+    st.sampled_from([0.0, 1e-13, -1e-13, 1e-11, -1e-11, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3]),
+    st.floats(-0.6, 0.6),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    scenario=st.sampled_from(["static", "metric-picture", "full-td const", "full-td sin"]),
+    omega=st.floats(-3.0, 3.0),
+    kappa=st.floats(0.05, 3.0),
+    offset=_EP_OFFSETS,
+    t1=st.floats(0.05, 40.0),
+    hbar=st.one_of(st.just(1.0), st.floats(0.1, 5.0)),
+)
+def test_exit_code_contract(scenario, omega, kappa, offset, t1, hbar):
+    name, _, drive = scenario.partition(" ")
+    argv = [
+        name,
+        f"--omega={omega!r}",  # '=' keeps negative numbers in exponent form from reading as options
+        f"--lambda={kappa * (1.0 + offset)!r}",
+        f"--kappa={kappa!r}",
+        f"--t1={t1!r}",
+        f"--hbar={hbar!r}",
+        "--samples=5",
+        "--steps-per-sample=2",
+    ]
+    if drive:
+        argv.append(f"--drive={drive}")
+    with tempfile.TemporaryDirectory() as out_dir:
+        sink = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            warnings.simplefilter("ignore", RuntimeWarning)  # overflow on the way to exit 3
+            try:
+                code = main([*argv, f"--out-dir={out_dir}"])
+            except SystemExit as exc:  # argparse reports configuration errors this way
+                code = exc.code
+        assert code in (0, 1, 2, 3), sink.getvalue()
+        path = Path(out_dir) / "quasi_c_report.jsonl"
+        if code == 0:
+            assert path.exists()
+        if not path.exists():
+            return
+        checks = [ln for ln in read_report(path) if ln["type"] == "check"]
+        for check in checks:
+            assert check["pass"] is (check["status"] == "pass")
+            if check["pass"]:
+                assert math.isfinite(check["value"]) and check["tolerance"] <= TOLERANCE_CEILING, check
+        if code == 0:
+            assert checks and all(c["pass"] for c in checks)
 
 
 def test_finite_run_records_zero_non_finite_samples(tmp_path):

@@ -8,7 +8,6 @@ import pytest
 from quasic.biortho import biortho_system
 from quasic.coperator import (
     COperator,
-    DysonConstruction,
     MetricForm,
     c_from_hamiltonian,
     c_from_system,
@@ -328,6 +327,30 @@ class TestClosedFormMetric:
         with pytest.raises(RegimeMismatchError):
             closed_form_metric(MetricForm.PT_SYMMETRIC, HamiltonianParams(1.0, 0.5, 1.0), 0.0)
 
+    @pytest.mark.parametrize("form, inv_form, p", METRIC_CASES)
+    def test_equals_parity_times_invariant_exactly(self, form, inv_form, p):
+        # the metric negates the invariant's second row instead of multiplying
+        # by sigma_z; the entries are equal (==), only the sign of an exact
+        # zero (the off-diagonal at the drive anchor) may differ from the matmul
+        for t in (*np.linspace(-3.0, 7.0, 101), p.drive.t_ref, 0.0):
+            rho = closed_form_metric(form, p, t).matrix
+            assert np.array_equal(rho, PAULI_Z @ closed_form_invariant(inv_form, p, t))
+
+    def test_fixed_regime_forms_check_the_regime(self):
+        points = {
+            Regime.PT_SYMMETRIC: HamiltonianParams(1.0, 2.0, 1.0),
+            Regime.SPONTANEOUSLY_BROKEN: HamiltonianParams(1.0, 0.5, 1.0),
+            Regime.EXCEPTIONAL_POINT: HamiltonianParams(1.0, 1.0, 1.0),
+        }
+        for form_regime in points:
+            form = metric_form_for_regime(form_regime)
+            for regime, p in points.items():
+                if regime is form_regime:
+                    closed_form_metric(form, p, 0.3)
+                else:
+                    with pytest.raises(RegimeMismatchError):
+                        closed_form_metric(form, p, 0.3)
+
 
 class TestDyson:
     def test_identity_metric(self):
@@ -339,7 +362,7 @@ class TestDyson:
     def test_sqrt_map_hermitizes_hamiltonian(self):
         c = c_from_hamiltonian(STATIC_PT, (1, -1))
         rho = metric_from_c(c)
-        eta = dyson_map(rho, DysonConstruction.PSD_SQRT)
+        eta = dyson_map(rho)
         assert np.allclose(adjoint(eta.matrix) @ eta.matrix, rho.matrix, atol=1e-12)
         h = hamiltonian_at(STATIC_PT, 0.0)
         mapped = eta.matrix @ h @ np.linalg.inv(eta.matrix)

@@ -182,6 +182,68 @@ class TestHermitianEigenvalues:
             assert hi * lo == pytest.approx(det(a).real, abs=1e-12)
 
 
+class TestScalarKernels:
+    """The 2x2 kernels that read Python scalars, against the numpy forms they replace."""
+
+    @staticmethod
+    def matrices():
+        for _ in range(300):
+            yield random_complex_matrix()
+        for _ in range(300):
+            # entries spread over 200 decades, so the sum order matters
+            yield random_complex_matrix() * 10.0 ** RNG.uniform(-100, 100, size=(2, 2))
+
+    def test_frobenius_norm_matches_numpy(self):
+        for a in self.matrices():
+            # row-major, column-major (adjoints are transposed views) and a difference
+            for m in (a, adjoint(a), np.asfortranarray(a), a - adjoint(a), a.real):
+                expected = float(np.linalg.norm(m))
+                assert abs(frobenius_norm(m) - expected) <= 2 * math.ulp(expected)
+
+    def test_frobenius_norm_other_shapes_use_numpy(self):
+        for m in (np.arange(3.0), RNG.standard_normal((3, 3)), RNG.standard_normal((2, 2, 2))):
+            assert frobenius_norm(m) == float(np.linalg.norm(m))
+
+    def test_frobenius_norm_non_finite(self):
+        assert frobenius_norm(np.array([[np.inf, 0], [0, 1]], dtype=complex)) == np.inf
+        assert math.isnan(frobenius_norm(np.array([[np.nan, 0], [0, 1]], dtype=complex)))
+
+    def test_hermitian_eigenvalues_match_eigvalsh(self):
+        for a in self.matrices():
+            h = a + adjoint(a)
+            hi, lo = hermitian_eigenvalues_2x2(h)
+            lo_ref, hi_ref = np.linalg.eigvalsh(h)
+            scale = np.linalg.norm(h)
+            assert abs(hi - hi_ref) <= 1e-14 * scale and abs(lo - lo_ref) <= 1e-14 * scale
+            # a column-major view of the same matrix gives the same numbers
+            assert hermitian_eigenvalues_2x2(adjoint(h)) == (hi, lo)
+
+    def test_hermitian_eigenvalues_same_as_numpy_form(self):
+        def reference(a, tol=1e-10):
+            a = np.asarray(a, dtype=complex)
+            scale = max(1.0, float(np.linalg.norm(a)))
+            if float(np.linalg.norm(a - adjoint(a))) > tol * scale:
+                raise NotHermitianError("reference")
+            p, q = a[0, 0].real, a[1, 1].real
+            rad = float(np.hypot(0.5 * (p - q), abs(a[0, 1])))
+            return (0.5 * (p + q) + rad, 0.5 * (p + q) - rad)
+
+        for a in self.matrices():
+            h = a + adjoint(a)
+            assert hermitian_eigenvalues_2x2(h) == reference(h)
+
+    def test_not_hermitian_still_raised(self):
+        for a in self.matrices():
+            h = a + adjoint(a)
+            scale = max(1.0, np.linalg.norm(h))
+            skew = np.array([[0.0, 1.0], [-1.0, 0.0]]) * scale
+            with pytest.raises(NotHermitianError):
+                hermitian_eigenvalues_2x2(h + 1e-6 * skew)
+            with pytest.raises(NotHermitianError):
+                hermitian_eigenvalues_2x2(h + 1e-6j * scale * IDENTITY)
+            hermitian_eigenvalues_2x2(h + 1e-12 * skew)  # within tol * scale
+
+
 class TestMatExp:
     def test_zero(self):
         assert np.allclose(mat_exp(np.zeros((2, 2))), IDENTITY)

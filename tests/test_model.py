@@ -15,6 +15,7 @@ from quasic.model import (
     TabulatedDrive,
     apply_antilinear,
     classify_regime,
+    hamiltonian_array,
     hamiltonian_at,
     hamiltonian_coefficients,
     parity,
@@ -41,6 +42,24 @@ def test_hamiltonian_static_matrix():
 def test_hamiltonian_sine_drive_vanishes_at_zero():
     p = HamiltonianParams(omega=1.0, lam=2.0, kappa=1.0, drive=SineDrive())
     assert np.allclose(hamiltonian_at(p, 0.0), -0.5 * IDENTITY)
+
+
+@pytest.mark.parametrize(
+    "drive",
+    [
+        ConstantDrive(0.7),
+        SineDrive(amplitude=1.3, frequency=0.9),
+        TabulatedDrive(np.linspace(-1.0, 5.0, 13), np.cos(np.linspace(-1.0, 5.0, 13))),
+    ],
+    ids=["constant", "sine", "tabulated"],
+)
+@pytest.mark.parametrize("kappa", [0.8, -0.8, 0.0])
+def test_hamiltonian_at_matches_array_bit_for_bit(drive, kappa):
+    p = HamiltonianParams(0.7, 1.9, kappa, drive=drive)
+    t = np.linspace(0.0, 4.0, 41)  # includes tau(0) = 0 for the sine drive
+    stack = hamiltonian_array(p, t)
+    for k, tk in enumerate(t):
+        assert hamiltonian_at(p, float(tk)).tobytes() == stack[k].tobytes()
 
 
 def test_hamiltonian_coefficients_match_decomposition():
