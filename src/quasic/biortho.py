@@ -10,26 +10,31 @@ Pair ordering: the pair whose right vector has positive parity pseudo-norm
 eigenvalue inside a class).  With this order the (+1, -1) signature weights
 produce the operator whose induced metric sigma_z * C is positive definite
 whenever one exists, for Hamiltonians and invariants alike.
+
+``biortho_system`` runs once per time sample in phase reconstruction, so it
+works on Python scalars: it reads the four entries and runs the eigen
+kernel ``linalg._eigen_scalars`` on them and on their conjugate transpose,
+without building the adjoint array.  The Gram-matrix condition number, the
+sort key and the eigenvalue matching use those scalars too.  The results
+are the numpy form's to the bit: ``np.vdot`` forms the biorthogonal
+overlap and numpy divides the left vector by it, because a scalar sum
+rounds differently from the BLAS, and the condition number of nearly
+parallel eigenvectors comes from numpy's product (see _condition_number).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DefectiveMatrixError, NearlyDefectiveError
-from .linalg import (
-    DEFAULT_TOL,
-    IDENTITY,
-    PAULI_Z,
-    adjoint,
-    eigen_2x2,
-    frobenius_norm,
-    hermitian_eigenvalues_2x2,
-)
+from .linalg import DEFAULT_TOL, IDENTITY, PAULI_Z, _eigen_scalars, frobenius_norm
 
 COND_LIMIT = 1e12
+# smallest Gram eigenvalue below which _condition_number forms numpy's product
+_GRAM_EXACT_BELOW = 1e-12
 
 
 @dataclass(frozen=True)
@@ -45,23 +50,45 @@ class BiorthoSystem:
     source: np.ndarray
 
 
-def _condition_number(v1: np.ndarray, v2: np.ndarray) -> float:
-    v = np.column_stack([v1, v2])
-    hi, lo = hermitian_eigenvalues_2x2(adjoint(v) @ v, tol=1e-8)
-    if lo <= 0:
-        return np.inf
-    return float(np.sqrt(hi / lo))
+def _condition_number(v1: tuple[complex, complex], v2: tuple[complex, complex]) -> float:
+    """sqrt(hi / lo) of the Gram matrix of two unit vectors given as Python complexes.
+
+    lo is at the rounding level once the vectors are parallel to ~1e-8, and
+    then whether the result exceeds COND_LIMIT depends on how the Gram
+    matrix was rounded.  Below _GRAM_EXACT_BELOW it is formed as numpy's
+    BLAS product V^H V, whose fused multiply-adds Python scalars cannot
+    reproduce, so the outcome is the numpy form's to the bit.  Above it the
+    scalar entries, within a few ulp of those, cannot change the outcome.
+    """
+    (x0, x1), (y0, y1) = v1, v2
+    p = (x0.real * x0.real + x0.imag * x0.imag) + (x1.real * x1.real + x1.imag * x1.imag)
+    q = (y0.real * y0.real + y0.imag * y0.imag) + (y1.real * y1.real + y1.imag * y1.imag)
+    g = x0.conjugate() * y0 + x1.conjugate() * y1
+    mid = 0.5 * (p + q)
+    rad = math.hypot(0.5 * (p - q), abs(g))
+    lo = mid - rad
+    if not lo > _GRAM_EXACT_BELOW:
+        w = np.array((v1, v2))
+        (g00, g), (_, g11) = (w.conj() @ w.T).tolist()
+        mid = 0.5 * (g00.real + g11.real)
+        rad = float(np.hypot(0.5 * (g00.real - g11.real), abs(g)))
+        lo = mid - rad
+        if lo <= 0:
+            return math.inf
+    return math.sqrt((mid + rad) / lo)
 
 
-def _order_key(pair: BiorthoPair, tol: float):
-    w = float(np.real(np.vdot(pair.right, PAULI_Z @ pair.right)))
+def _order_key(value: complex, right: tuple[complex, complex], tol: float):
+    x0, x1 = right
+    # parity pseudo-norm <v|sigma_z|v>
+    w = (x0.real * x0.real + x0.imag * x0.imag) - (x1.real * x1.real + x1.imag * x1.imag)
     if w > tol:
         sign_class = 0
     elif w < -tol:
         sign_class = 2
     else:
         sign_class = 1
-    return (sign_class, -pair.eigenvalue.real, -pair.eigenvalue.imag)
+    return (sign_class, -value.real, -value.imag)
 
 
 def biortho_system(a: np.ndarray, tol: float = DEFAULT_TOL) -> BiorthoSystem:
@@ -73,41 +100,43 @@ def biortho_system(a: np.ndarray, tol: float = DEFAULT_TOL) -> BiorthoSystem:
     NearlyDefectiveError when the eigenvector matrix condition exceeds 1e12.
     """
     a = np.asarray(a, dtype=complex)
-    right_dec = eigen_2x2(a, tol=tol)
-    if right_dec.defective:
+    (a00, a01), (a10, a11) = a.tolist()
+    # the adjoint's norm equals a's to the bit: its memory order mirrors a's
+    scale = max(1.0, frobenius_norm(a))
+    right1, right2, defective = _eigen_scalars(a00, a01, a10, a11, scale, tol)
+    if defective:
         raise DefectiveMatrixError("source matrix is defective")
-    cond = _condition_number(right_dec.first.vector, right_dec.second.vector)
+    cond = _condition_number(right1[1], right2[1])
     if cond > COND_LIMIT:
         raise NearlyDefectiveError(f"eigenvector condition {cond:.3g} exceeds {COND_LIMIT:.0e}")
-    left_dec = eigen_2x2(adjoint(a), tol=tol)
-    if left_dec.defective:
+    left1, left2, defective = _eigen_scalars(
+        a00.conjugate(), a10.conjugate(), a01.conjugate(), a11.conjugate(), scale, tol
+    )
+    if defective:
         raise DefectiveMatrixError("adjoint matrix is defective")
 
-    scale = max(1.0, frobenius_norm(a))
-    rights = right_dec.pairs
-    lefts = left_dec.pairs
     # match left eigenvectors by minimal |lam_left - conj(lam_right)| cost
-    straight = abs(lefts[0].value - np.conj(rights[0].value)) + abs(
-        lefts[1].value - np.conj(rights[1].value)
-    )
-    crossed = abs(lefts[1].value - np.conj(rights[0].value)) + abs(
-        lefts[0].value - np.conj(rights[1].value)
-    )
-    if abs(straight - crossed) <= tol * scale and abs(lefts[0].value - lefts[1].value) > tol * scale:
+    r1, r2 = right1[0].conjugate(), right2[0].conjugate()
+    l1, l2 = left1[0], left2[0]
+    straight = abs(l1 - r1) + abs(l2 - r2)
+    crossed = abs(l2 - r1) + abs(l1 - r2)
+    if abs(straight - crossed) <= tol * scale and abs(l1 - l2) > tol * scale:
         raise ValueError("ambiguous left/right eigenvalue pairing")
-    order = (0, 1) if straight <= crossed else (1, 0)
+    lefts = (left1, left2) if straight <= crossed else (left2, left1)
 
     pairs = []
-    for i, j in zip((0, 1), order):
-        right = rights[i].vector
-        raw_left = lefts[j].vector
+    for (value, vector), (_, left_vector) in zip((right1, right2), lefts):
+        right = np.array(vector)
+        raw_left = np.array(left_vector)
+        # np.vdot, not a scalar sum: its BLAS sum rounds differently
         overlap = np.vdot(raw_left, right)
         if abs(overlap) < 1.0 / COND_LIMIT:
             raise NearlyDefectiveError("left/right overlap too small to normalize")
         left = raw_left / np.conj(overlap)
-        pairs.append(BiorthoPair(eigenvalue=rights[i].value, right=right, left=left))
-    pairs.sort(key=lambda pr: _order_key(pr, tol))
-    return BiorthoSystem(pairs=(pairs[0], pairs[1]), source=a)
+        pairs.append((_order_key(value, vector, tol), BiorthoPair(value, right, left)))
+    if pairs[1][0] < pairs[0][0]:
+        pairs.reverse()
+    return BiorthoSystem(pairs=(pairs[0][1], pairs[1][1]), source=a)
 
 
 def completeness_residual(sys: BiorthoSystem) -> float:

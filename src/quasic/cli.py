@@ -24,6 +24,7 @@ import csv
 import math
 import os
 import platform
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -49,6 +50,7 @@ from .errors import QuasiCError
 from .invariants import (
     InvariantForm,
     lr_residual,
+    near_coalescence,
     preset_initial_state,
     time_ordered_propagate,
 )
@@ -64,7 +66,6 @@ from .linalg import (
 from .model import (
     ConstantDrive,
     HamiltonianParams,
-    Regime,
     SineDrive,
     classify_regime,
     hamiltonian_at,
@@ -205,10 +206,9 @@ def _run_static_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, swee
 
 
 def _metric_form(cfg: ScenarioConfig, p: HamiltonianParams) -> MetricForm:
-    regime = classify_regime(p)
     if cfg.scenario == "metric-picture":
-        return metric_form_for_regime(regime)
-    return MetricForm.EP_LIMIT if regime is Regime.EXCEPTIONAL_POINT else MetricForm.FULL_TD
+        return metric_form_for_regime(classify_regime(p))
+    return MetricForm.EP_LIMIT if near_coalescence(p) else MetricForm.FULL_TD
 
 
 def _run_td_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, sweeping: bool):
@@ -392,6 +392,12 @@ def _parse_sweep(text: str) -> list[tuple[float, float]]:
     return pairs
 
 
+# argparse's own negative-number pattern (-1, -1.5, -.5) has no exponent
+# form, so it would read the value of '--omega -1e-3' as an option; no option
+# of these parsers looks like a number, so the wider pattern is unambiguous
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quasi-c",
@@ -404,6 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("full-td", "driven Hamiltonian with the drive-dependent metric"),
     ):
         s = sub.add_parser(name, help=help_text)
+        s._negative_number_matcher = _NEGATIVE_NUMBER
         s.add_argument("--omega", type=float, default=1.0, help="identity coefficient (default 1)")
         s.add_argument("--lambda", dest="lam", type=float, default=2.0, help="sigma_z coefficient (default 2)")
         s.add_argument("--kappa", type=float, default=1.0, help="imaginary sigma_x coefficient (default 1)")

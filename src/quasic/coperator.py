@@ -209,12 +209,12 @@ def closed_form_metric(
     Accepts a MetricForm or a Regime (mapped to the matching fixed-regime
     form).  The smooth-limit form is the coalescence limit of the
     drive-dependent metric and depends only on kappa and the anchored drive
-    integral.
+    integral over hbar.
     """
     if isinstance(form, Regime):
         form = metric_form_for_regime(form)
     if form is MetricForm.EP_LIMIT:
-        mt = p.drive.integral(t)
+        mt = p.drive.integral(t) / p.hbar
         k = p.kappa
         diag = 1.0 + k**2 * mt**2 / 2.0
         off = k * mt + 1j * k**2 * mt**2 / 2.0

@@ -190,22 +190,27 @@ def _aligned_trace(
     """aligned_eigenstate_trace, plus the metric samples rho(t) it evaluated."""
     out = np.empty((len(grid), 2), dtype=complex)
     rhos = np.empty((len(grid), 2, 2), dtype=complex)
+    prev = None
     prev_norm = 0.0
+    # rho @ v and np.vdot stay numpy: their BLAS sums round differently
+    # from a scalar sum on most inputs, and the states must keep their bits
     for k, t in enumerate(grid):
         v = np.asarray(state_at(t), dtype=complex)
         rho = rhos[k] = rho_at(t)
-        norm_sq = np.real(np.vdot(v, rho @ v))
+        norm_sq = np.vdot(v, rho @ v).real
         if norm_sq <= 0:
             raise ValueError("state has non-positive metric norm")
-        v = v / np.sqrt(norm_sq)
-        norm = math.hypot(abs(v[0]), abs(v[1]))
+        v = v / math.sqrt(norm_sq)
+        x0, x1 = v.tolist()
+        norm = math.hypot(abs(x0), abs(x1))
         if k > 0:
-            ov = np.vdot(out[k - 1], v)
-            rel = abs(ov) / (prev_norm * norm)
+            ov = np.vdot(prev, v)
+            modulus = abs(ov)
+            rel = modulus / (prev_norm * norm)
             if rel < 0.5:
                 raise BranchFlipError(f"overlap modulus {rel:.3f} below 0.5 at t={t}")
-            v = v * (np.conj(ov) / abs(ov))
-        out[k] = v
+            v = v * (np.conj(ov) / modulus)
+        out[k] = prev = v
         prev_norm = norm
     return out, rhos
 

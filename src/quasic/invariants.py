@@ -101,14 +101,26 @@ class TemplateCoefficients:
 
 
 def scaled_drive_integral(p: HamiltonianParams, t: float) -> complex:
-    """sqrt(kappa^2 - lam^2) times the anchored drive integral.
+    """sqrt(kappa^2 - lam^2) times the anchored drive integral over hbar.
 
     This is the hyperbolic argument of the drive-dependent closed forms; it
     is imaginary in the real-spectrum regime, real in the broken regime, and
-    the anchored integral makes it vanish at t = t_ref.
+    the anchored integral makes it vanish at t = t_ref.  The invariant
+    equation i hbar dI/dt = [H, I] makes the integral enter divided by hbar.
     """
     xi = complex(p.kappa**2 - p.lam**2)
-    return complex(np.sqrt(xi) * p.drive.integral(t))
+    return complex(np.sqrt(xi) * (p.drive.integral(t) / p.hbar))
+
+
+def near_coalescence(p: HamiltonianParams, tol: float = DEFAULT_TOL) -> bool:
+    """True where the drive-dependent closed forms are singular.
+
+    That is |kappa^2 - lam^2| <= tol * max(1, kappa^2, lam^2), a band that
+    contains classify_regime's exceptional points; inside it the
+    smooth-limit metric (coperator.MetricForm.EP_LIMIT) applies instead.
+    """
+    k2, l2 = p.kappa**2, p.lam**2
+    return abs(k2 - l2) <= tol * max(1.0, k2, l2)
 
 
 def _require_regime(form: InvariantForm, p: HamiltonianParams, required: Regime) -> None:
@@ -123,43 +135,49 @@ def _template(
 
     The fixed-regime forms test their regime by identity on every call:
     a lookup in an enum-keyed dict runs Enum.__hash__ in Python, and this
-    is on the path of every sample.
+    is on the path of every sample.  They solve i hbar dI/dt = [H, I] for a
+    constant H, so time enters as t / hbar, taken as a Python float: callers
+    pass numpy scalars from time grids, whose arithmetic costs several
+    times more.
     """
     lam, kap = p.lam, p.kappa
     if form is InvariantForm.PT_SYMMETRIC:
         _require_regime(form, p, Regime.PT_SYMMETRIC)
+        s = float(t) / p.hbar
         xi = math.sqrt(lam**2 - kap**2)
         if xi <= tol:
             raise ExceptionalPointSingularError("xi below tolerance")
-        delta = -_SQRT2 * lam - kap * math.sin(xi * t)
-        imag = _SQRT2 * kap + lam * math.sin(xi * t)
-        real = xi * math.cos(xi * t)
+        delta = -_SQRT2 * lam - kap * math.sin(xi * s)
+        imag = _SQRT2 * kap + lam * math.sin(xi * s)
+        real = xi * math.cos(xi * s)
         return xi, delta, real + 1j * imag, -real + 1j * imag
 
     if form is InvariantForm.SPONTANEOUSLY_BROKEN:
         _require_regime(form, p, Regime.SPONTANEOUSLY_BROKEN)
+        s = float(t) / p.hbar
         xi = math.sqrt(kap**2 - lam**2)
         if xi <= tol:
             raise ExceptionalPointSingularError("xi below tolerance")
-        delta = lam - _SQRT2 * kap * math.cosh(xi * t)
-        imag = _SQRT2 * lam * math.cosh(xi * t) - kap
-        real = _SQRT2 * xi * math.sinh(xi * t)
+        delta = lam - _SQRT2 * kap * math.cosh(xi * s)
+        imag = _SQRT2 * lam * math.cosh(xi * s) - kap
+        real = _SQRT2 * xi * math.sinh(xi * s)
         return xi, delta, real + 1j * imag, -real + 1j * imag
 
     if form is InvariantForm.EXCEPTIONAL_POINT:
         _require_regime(form, p, Regime.EXCEPTIONAL_POINT)
-        delta = -(kap**2) * t**2 / _SQRT2 - kap * t - _SQRT2
-        imag = kap**2 * t**2 / _SQRT2 + kap * t
-        real = 1.0 + _SQRT2 * kap * t
+        s = float(t) / p.hbar
+        delta = -(kap**2) * s**2 / _SQRT2 - kap * s - _SQRT2
+        imag = kap**2 * s**2 / _SQRT2 + kap * s
+        real = 1.0 + _SQRT2 * kap * s
         return 1.0, delta, real + 1j * imag, -real + 1j * imag
 
     # drive-dependent form: xi = kappa^2 - lam^2, hyperbolic in the scaled
     # drive integral, regime-universal through complex intermediates
-    xi = complex(kap**2 - lam**2)
-    if abs(xi) <= tol * max(1.0, kap**2, lam**2):
+    if near_coalescence(p, tol):
         raise ExceptionalPointSingularError(
             "drive-dependent form is singular at coalescence; use the smooth-limit metric"
         )
+    xi = complex(kap**2 - lam**2)
     mu = scaled_drive_integral(p, t)
     cosh = np.cosh(mu)
     delta = lam**2 - kap**2 * cosh

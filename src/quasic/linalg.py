@@ -5,15 +5,23 @@ exponential, explicit Hermitian square root), so there are no iterative
 solvers and no convergence concerns.  Tolerances only enter predicates and
 degeneracy detection; they are relative to the matrix scale, floored at 1.
 
-The per-sample kernels (``frobenius_norm`` of a 2x2 matrix and
-``hermitian_eigenvalues_2x2``) read the four entries as Python scalars:
-numpy's per-call overhead is several microseconds, far more than the
-arithmetic on four numbers.  They keep numpy's order of operations, so
-their results are numpy's to the bit (with OpenBLAS on x86-64; within
-2 ulp wherever a BLAS sums in another order).  Matrix products stay numpy
-``@``: the scalar product formula rounds differently from numpy's 2x2
-complex matmul on most inputs, so it would change the residuals that the
-command line writes.
+The per-sample kernels (``frobenius_norm`` of a 2x2 matrix,
+``hermitian_eigenvalues_2x2`` and the eigen kernel ``_eigen_scalars``
+behind ``eigen_2x2`` and ``biortho.biortho_system``) read the four entries
+as Python scalars: numpy's per-call overhead is several microseconds,
+far more than the arithmetic on four numbers.  They keep numpy's order of
+operations, so their results are numpy's to the bit (with OpenBLAS on
+x86-64; within 2 ulp wherever a BLAS sums in another order).  Two details
+of numpy are reproduced on purpose.  numpy divides a complex array by a
+float n by multiplying each entry by k = 1/n as ``(re + im*0) * k,
+(im - re*0) * k``; Python's ``complex / float`` divides instead, and its
+``complex * float`` differs in the sign of zero parts.  The discriminant's
+square root stays ``np.sqrt``, because ``cmath.sqrt`` rounds differently
+on some inputs.  Matrix products, ``np.vdot`` and division by a complex
+number stay numpy: the scalar product and dot formulas round differently
+from the BLAS (fused multiply-adds) on most inputs, so they would change
+the residuals that the command line writes and the biorthonormal left
+vectors.
 """
 
 from __future__ import annotations
@@ -130,18 +138,55 @@ class EigenDecomposition:
         return (self.first, self.second)
 
 
-def _eigvec(a: np.ndarray, lam: complex, scale: float) -> np.ndarray:
-    # Kernel of (a - lam*I) from either row of its adjugate; take the better
-    # conditioned candidate.  Scalar hypot norms: np.linalg.norm costs ~4 us
-    # per 2-vector, which dominated this function.
-    c1 = (complex(a[0, 1]), complex(lam - a[0, 0]))
-    c2 = (complex(lam - a[1, 1]), complex(a[1, 0]))
-    n1 = math.hypot(abs(c1[0]), abs(c1[1]))
-    n2 = math.hypot(abs(c2[0]), abs(c2[1]))
-    v, n = (c1, n1) if n1 >= n2 else (c2, n2)
+def _null_vector(a00: complex, a01: complex, a10: complex, a11: complex, lam: complex, scale: float):
+    """Unit vector spanning the kernel of [[a00, a01], [a10, a11]] - lam I, as two Python complexes.
+
+    Either row of the adjugate of (a - lam I) spans the kernel; take the
+    better conditioned one: the first on a tie, the second if the first's
+    norm is NaN.  Below 1e-14 * scale both rows vanish and e_0 is returned.
+    """
+    c0, c1 = a01, lam - a00
+    n = math.hypot(abs(c0), abs(c1))
+    d0, d1 = lam - a11, a10
+    nd = math.hypot(abs(d0), abs(d1))
+    if not n >= nd:
+        c0, c1, n = d0, d1, nd
     if n <= 1e-14 * scale:
-        return np.array([1.0, 0.0], dtype=complex)
-    return np.array(v, dtype=complex) / n
+        return (1 + 0j, 0j)
+    # numpy's complex array / float, to the bit (see the module docstring)
+    k = 1.0 / n
+    return (
+        complex((c0.real + c0.imag * 0.0) * k, (c0.imag - c0.real * 0.0) * k),
+        complex((c1.real + c1.imag * 0.0) * k, (c1.imag - c1.real * 0.0) * k),
+    )
+
+
+def _eigen_scalars(a00: complex, a01: complex, a10: complex, a11: complex, scale: float, tol: float):
+    """Eigensystem of [[a00, a01], [a10, a11]] from Python scalars.
+
+    Returns ``((lam1, v1), (lam2, v2), defective)`` with each v a unit
+    vector as a pair of Python complexes, ordered as in ``eigen_2x2``.  A
+    vanishing discriminant (within tol * scale) gives either a multiple of
+    the identity (canonical vectors, not defective) or a defective matrix
+    (the one eigenpair twice, the same tuple object).
+    """
+    m = 0.5 * (a00 + a11)
+    # np.sqrt, not cmath.sqrt, which rounds differently on some inputs
+    s = complex(np.sqrt(m * m - (a00 * a11 - a01 * a10)))
+    if s.real < 0 or (s.real == 0 and s.imag < 0):
+        s = -s
+    if abs(s) <= tol * scale:
+        # a - m I is stored row-major whatever the layout of a
+        if _norm4(a00 - m, a01, a10, a11 - m) <= tol * scale:
+            return (m, (1 + 0j, 0j)), (m, (0j, 1 + 0j)), False
+        pair = (m, _null_vector(a00, a01, a10, a11, m, scale))
+        return pair, pair, True
+    lam1, lam2 = m + s, m - s
+    return (
+        (lam1, _null_vector(a00, a01, a10, a11, lam1, scale)),
+        (lam2, _null_vector(a00, a01, a10, a11, lam2, scale)),
+        False,
+    )
 
 
 def eigen_2x2(a: np.ndarray, tol: float = DEFAULT_TOL) -> EigenDecomposition:
@@ -154,25 +199,14 @@ def eigen_2x2(a: np.ndarray, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     ``defective`` flag set.
     """
     a = np.asarray(a, dtype=complex)
-    scale = max(1.0, frobenius_norm(a))
-    m = 0.5 * (a[0, 0] + a[1, 1])
-    disc = m * m - det(a)
-    s = np.sqrt(complex(disc))
-    if s.real < 0 or (s.real == 0 and s.imag < 0):
-        s = -s
-    if abs(s) <= tol * scale:
-        if frobenius_norm(a - m * IDENTITY) <= tol * scale:
-            return EigenDecomposition(
-                EigenPair(complex(m), np.array([1.0, 0.0], dtype=complex)),
-                EigenPair(complex(m), np.array([0.0, 1.0], dtype=complex)),
-            )
-        pair = EigenPair(complex(m), _eigvec(a, m, scale))
-        return EigenDecomposition(pair, pair, defective=True)
-    lam1, lam2 = complex(m + s), complex(m - s)
-    return EigenDecomposition(
-        EigenPair(lam1, _eigvec(a, lam1, scale)),
-        EigenPair(lam2, _eigvec(a, lam2, scale)),
+    (a00, a01), (a10, a11) = a.tolist()
+    (lam1, v1), (lam2, v2), defective = _eigen_scalars(
+        a00, a01, a10, a11, max(1.0, frobenius_norm(a)), tol
     )
+    first = EigenPair(lam1, np.array(v1))
+    if defective:
+        return EigenDecomposition(first, first, defective=True)
+    return EigenDecomposition(first, EigenPair(lam2, np.array(v2)))
 
 
 def hermitian_eigenvalues_2x2(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[float, float]:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasic.cli import main
+from quasic.cli import _FLOAT_OPTIONS, build_parser, main
 from quasic.reporting import TOLERANCE_CEILING
 
 COLUMNS = ["t", "rho_eig_hi", "rho_eig_lo", "det_rho", "lr_residual", "quasi_residual", "c_sq_residual"]
@@ -150,6 +150,41 @@ def test_constant_drive_full_td(tmp_path):
     assert all(float(r["rho_eig_lo"]) > 0 for r in rows)
 
 
+@pytest.mark.parametrize("hbar", ["2", "0.5"])
+@pytest.mark.parametrize("scenario,drive", [("metric-picture", "const"), ("full-td", "const"), ("full-td", "sin")])
+def test_closed_forms_follow_hbar(tmp_path, scenario, drive, hbar):
+    # the conservation, quasi-Hermiticity and propagation checks hold only if
+    # the closed forms solve i hbar dI/dt = [H, I]; PT, broken and EP pairs
+    code = run(
+        tmp_path,
+        scenario, "--drive", drive, "--hbar", hbar, "--t1", "2", "--samples", "20", "--sweep", "2,1;1,2;1.5,1.5",
+    )
+    checks = [ln for ln in read_report(tmp_path / "quasi_c_report.jsonl") if ln["type"] == "check"]
+    assert len(checks) == 18
+    assert [c["name"] for c in checks if not c["pass"]] == []
+    assert code == 0
+
+
+@pytest.mark.parametrize("drive", ["const", "sin"])
+def test_full_td_near_coalescence_uses_limit_form(tmp_path, drive):
+    # |lambda - kappa| = 1e-10 is outside classify_regime's exceptional-point
+    # band but inside the band where the drive-dependent form is singular
+    assert run(tmp_path, "full-td", "--drive", drive, "--lambda", "0.1000000001", "--kappa", "0.1") == 0
+
+
+@pytest.mark.parametrize("text", ["-1e-3", "-2E+0", "-.5e1"])
+def test_float_options_take_negative_exponent_form(text):
+    parser = build_parser()
+    for scenario in ("static", "metric-picture", "full-td"):
+        for dest, option in _FLOAT_OPTIONS.items():
+            assert getattr(parser.parse_args([scenario, option, text]), dest) == float(text)
+
+
+def test_negative_exponent_form_end_to_end(tmp_path):
+    assert run(tmp_path, "full-td", "--omega", "-1e-3", "--t0", "-.5e1", "--t1", "2", "--samples", "20") == 0
+    assert read_report(tmp_path / "quasi_c_report.jsonl")[0]["config"]["omega"] == -1e-3
+
+
 def test_config_errors_exit_two(tmp_path):
     for argv in (
         ["static", "--t0", "5", "--t1", "1"],
@@ -237,7 +272,7 @@ def test_exit_code_contract(scenario, omega, kappa, offset, t1, hbar):
     name, _, drive = scenario.partition(" ")
     argv = [
         name,
-        f"--omega={omega!r}",  # '=' keeps negative numbers in exponent form from reading as options
+        f"--omega={omega!r}",
         f"--lambda={kappa * (1.0 + offset)!r}",
         f"--kappa={kappa!r}",
         f"--t1={t1!r}",

@@ -88,11 +88,13 @@ def test_c_from_evolution_at_start_matches_system():
     assert frobenius_norm(c0.matrix - ref.matrix) < 1e-12
 
 
-def test_evolved_c_matches_invariant():
-    pairs = invariant_pairs_at(DRIVEN, 0.0)
-    evs = [tdse_integrate(DRIVEN, pr.right, pr.left, 0.0, 2.0, 6_000) for pr in pairs]
+@pytest.mark.parametrize("hbar", [1.0, 2.0, 0.5])
+def test_evolved_c_matches_invariant(hbar):
+    p = HamiltonianParams(1.0, 2.0, 1.0, hbar=hbar, drive=SineDrive())
+    pairs = invariant_pairs_at(p, 0.0)
+    evs = [tdse_integrate(p, pr.right, pr.left, 0.0, 2.0, 6_000) for pr in pairs]
     c2 = c_from_evolution(evs[0], evs[1], (1, -1), 2.0)
-    target = closed_form_invariant(InvariantForm.FULL_TD, DRIVEN, 2.0)
+    target = closed_form_invariant(InvariantForm.FULL_TD, p, 2.0)
     assert frobenius_norm(c2.matrix - target) < 1e-5
     assert frobenius_norm(c2.matrix @ c2.matrix - IDENTITY) < 1e-6
 
@@ -309,7 +311,36 @@ def phase_alpha_per_sample(state_at, p, rho_at, t0, t1, steps):
     return alpha, float(np.max(np.abs(alpha_dot.imag)))
 
 
+def aligned_trace_numpy_reads(state_at, rho_at, grid):
+    """The alignment loop as it read its numbers through numpy, kept as its oracle."""
+    out = np.empty((len(grid), 2), dtype=complex)
+    for k, t in enumerate(grid):
+        v = np.asarray(state_at(t), dtype=complex)
+        norm_sq = np.real(np.vdot(v, rho_at(t) @ v))
+        v = v / np.sqrt(norm_sq)
+        if k > 0:
+            ov = np.vdot(out[k - 1], v)
+            v = v * (np.conj(ov) / abs(ov))
+        out[k] = v
+    return out
+
+
 class TestPhaseArrayPass:
+    @pytest.mark.parametrize("pair", PAIRS)
+    @pytest.mark.parametrize("hbar", [1.0, 1.3])
+    def test_aligned_trace_same_bits(self, pair, hbar):
+        p = HamiltonianParams(1.0, *PAIRS[pair], hbar=hbar, drive=SineDrive())
+
+        def state_at(t):
+            return invariant_pairs_at(p, t)[0].right
+
+        def rho_at(t):
+            return closed_form_metric(MetricForm.FULL_TD, p, t).matrix
+
+        grid = np.linspace(0.0, 1.2, 401)
+        got = aligned_eigenstate_trace(state_at, rho_at, grid)
+        assert got.tobytes() == aligned_trace_numpy_reads(state_at, rho_at, grid).tobytes()
+
     @pytest.mark.parametrize("pair", PAIRS)
     def test_matches_per_sample_loop(self, pair):
         p = HamiltonianParams(1.0, *PAIRS[pair], hbar=1.3, drive=SineDrive())

@@ -11,8 +11,8 @@ from quasic.linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    _eigvec,
     _matmul2,
+    _null_vector,
     adjoint,
     commutator,
     det,
@@ -126,8 +126,8 @@ class TestEigen:
             lam = np.diag([dec.first.value, dec.second.value])
             assert frobenius_norm(v @ lam @ np.linalg.inv(v) - a) <= 1e-10
 
-    def test_eigvec_same_candidate_as_vector_norms(self):
-        # the np.linalg.norm form that the scalar hypot norms replaced
+    def test_null_vector_same_candidate_as_vector_norms(self):
+        # the np.linalg.norm form of the adjugate-row choice
         def reference(a, lam, scale):
             c1 = np.array([a[0, 1], lam - a[0, 0]], dtype=complex)
             c2 = np.array([lam - a[1, 1], a[1, 0]], dtype=complex)
@@ -143,7 +143,8 @@ class TestEigen:
         for a, lam in cases:
             a = np.asarray(a, dtype=complex)
             scale = max(1.0, frobenius_norm(a))
-            assert np.abs(_eigvec(a, lam, scale) - reference(a, lam, scale)).max() <= 1e-15
+            got = np.array(_null_vector(*a.ravel().tolist(), complex(lam), scale))
+            assert np.abs(got - reference(a, lam, scale)).max() <= 1e-15
 
     def test_ordering_descending(self):
         a = np.diag([1.0 - 2j, 1.0 + 3j])

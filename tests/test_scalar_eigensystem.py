@@ -1,0 +1,257 @@
+"""The scalar eigensystem kernels against the array forms they replaced.
+
+``reference_eigen_2x2`` and ``reference_biortho_system`` are the numpy
+implementations that ``eigen_2x2`` and ``biortho_system`` had before they
+moved onto Python scalars.  Results must agree to the bit (eigenvalues,
+right and left vectors, pair order), and every failure must raise the same
+exception with the same message.
+"""
+
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from quasic import biortho
+from quasic.biortho import COND_LIMIT, BiorthoPair, BiorthoSystem, biortho_system
+from quasic.errors import DefectiveMatrixError, NearlyDefectiveError, QuasiCError
+from quasic.invariants import InvariantForm, closed_form_invariant
+from quasic.linalg import (
+    DEFAULT_TOL,
+    IDENTITY,
+    PAULI_Z,
+    EigenDecomposition,
+    EigenPair,
+    adjoint,
+    det,
+    eigen_2x2,
+    frobenius_norm,
+    hermitian_eigenvalues_2x2,
+)
+from quasic.model import ConstantDrive, HamiltonianParams, SineDrive, hamiltonian_at
+
+RNG = np.random.default_rng(20261018)
+TOLS = (DEFAULT_TOL, 1e-14)  # the default and the tolerance the defect tests use
+
+
+def reference_eigvec(a, lam, scale):
+    c1 = (complex(a[0, 1]), complex(lam - a[0, 0]))
+    c2 = (complex(lam - a[1, 1]), complex(a[1, 0]))
+    n1 = math.hypot(abs(c1[0]), abs(c1[1]))
+    n2 = math.hypot(abs(c2[0]), abs(c2[1]))
+    v, n = (c1, n1) if n1 >= n2 else (c2, n2)
+    if n <= 1e-14 * scale:
+        return np.array([1.0, 0.0], dtype=complex)
+    return np.array(v, dtype=complex) / n
+
+
+def reference_eigen_2x2(a, tol=DEFAULT_TOL):
+    a = np.asarray(a, dtype=complex)
+    scale = max(1.0, frobenius_norm(a))
+    m = 0.5 * (a[0, 0] + a[1, 1])
+    disc = m * m - det(a)
+    s = np.sqrt(complex(disc))
+    if s.real < 0 or (s.real == 0 and s.imag < 0):
+        s = -s
+    if abs(s) <= tol * scale:
+        if frobenius_norm(a - m * IDENTITY) <= tol * scale:
+            return EigenDecomposition(
+                EigenPair(complex(m), np.array([1.0, 0.0], dtype=complex)),
+                EigenPair(complex(m), np.array([0.0, 1.0], dtype=complex)),
+            )
+        pair = EigenPair(complex(m), reference_eigvec(a, m, scale))
+        return EigenDecomposition(pair, pair, defective=True)
+    lam1, lam2 = complex(m + s), complex(m - s)
+    return EigenDecomposition(
+        EigenPair(lam1, reference_eigvec(a, lam1, scale)),
+        EigenPair(lam2, reference_eigvec(a, lam2, scale)),
+    )
+
+
+def reference_condition_number(v1, v2):
+    v = np.column_stack([v1, v2])
+    hi, lo = hermitian_eigenvalues_2x2(adjoint(v) @ v, tol=1e-8)
+    if lo <= 0:
+        return np.inf
+    return float(np.sqrt(hi / lo))
+
+
+def reference_order_key(pair, tol):
+    w = float(np.real(np.vdot(pair.right, PAULI_Z @ pair.right)))
+    if w > tol:
+        sign_class = 0
+    elif w < -tol:
+        sign_class = 2
+    else:
+        sign_class = 1
+    return (sign_class, -pair.eigenvalue.real, -pair.eigenvalue.imag)
+
+
+def reference_biortho_system(a, tol=DEFAULT_TOL, eigen=reference_eigen_2x2):
+    a = np.asarray(a, dtype=complex)
+    right_dec = eigen(a, tol=tol)
+    if right_dec.defective:
+        raise DefectiveMatrixError("source matrix is defective")
+    cond = reference_condition_number(right_dec.first.vector, right_dec.second.vector)
+    if cond > COND_LIMIT:
+        raise NearlyDefectiveError(f"eigenvector condition {cond:.3g} exceeds {COND_LIMIT:.0e}")
+    left_dec = eigen(adjoint(a), tol=tol)
+    if left_dec.defective:
+        raise DefectiveMatrixError("adjoint matrix is defective")
+
+    scale = max(1.0, frobenius_norm(a))
+    rights = right_dec.pairs
+    lefts = left_dec.pairs
+    straight = abs(lefts[0].value - np.conj(rights[0].value)) + abs(
+        lefts[1].value - np.conj(rights[1].value)
+    )
+    crossed = abs(lefts[1].value - np.conj(rights[0].value)) + abs(
+        lefts[0].value - np.conj(rights[1].value)
+    )
+    if abs(straight - crossed) <= tol * scale and abs(lefts[0].value - lefts[1].value) > tol * scale:
+        raise ValueError("ambiguous left/right eigenvalue pairing")
+    order = (0, 1) if straight <= crossed else (1, 0)
+
+    pairs = []
+    for i, j in zip((0, 1), order):
+        right = rights[i].vector
+        raw_left = lefts[j].vector
+        overlap = np.vdot(raw_left, right)
+        if abs(overlap) < 1.0 / COND_LIMIT:
+            raise NearlyDefectiveError("left/right overlap too small to normalize")
+        left = raw_left / np.conj(overlap)
+        pairs.append(BiorthoPair(eigenvalue=rights[i].value, right=right, left=left))
+    pairs.sort(key=lambda pr: reference_order_key(pr, tol))
+    return BiorthoSystem(pairs=(pairs[0], pairs[1]), source=a)
+
+
+def bits(value):
+    return np.complex128(value).tobytes()
+
+
+def eigen_outcome(fn, a, tol):
+    dec = fn(a, tol=tol)
+    return dec.defective, [(bits(pr.value), pr.vector.tobytes()) for pr in dec.pairs]
+
+
+def biortho_outcome(fn, a, tol):
+    try:
+        sys_a = fn(a, tol=tol)
+    except (QuasiCError, ValueError) as exc:
+        return type(exc), str(exc)
+    assert sys_a.source.tobytes() == np.asarray(a, dtype=complex).tobytes()
+    return [(bits(pr.eigenvalue), pr.right.tobytes(), pr.left.tobytes()) for pr in sys_a.pairs]
+
+
+def assert_same(a):
+    # real input, a column-major copy, an adjoint (a transposed view) and a transpose
+    for m in (a, np.asfortranarray(a), adjoint(a), a.T):
+        for tol in TOLS:
+            assert eigen_outcome(eigen_2x2, m, tol) == eigen_outcome(reference_eigen_2x2, m, tol)
+            assert biortho_outcome(biortho_system, m, tol) == biortho_outcome(reference_biortho_system, m, tol)
+
+
+def random_complex():
+    return RNG.standard_normal((2, 2)) + 1j * RNG.standard_normal((2, 2))
+
+
+def test_random_matrices():
+    for _ in range(200):
+        assert_same(random_complex())
+    for _ in range(50):
+        assert_same(RNG.standard_normal((2, 2)))
+
+
+def test_matrices_spread_over_200_decades():
+    for _ in range(200):
+        assert_same(random_complex() * 10.0 ** RNG.uniform(-100, 100, size=(2, 2)))
+
+
+@pytest.mark.parametrize(
+    "form,lam,kappa,drive",
+    [
+        (InvariantForm.FULL_TD, 2.0, 0.7, SineDrive()),
+        (InvariantForm.FULL_TD, 0.7, 1.9, SineDrive()),
+        (InvariantForm.PT_SYMMETRIC, 2.0, 1.0, ConstantDrive()),
+        (InvariantForm.SPONTANEOUSLY_BROKEN, 1.0, 2.0, ConstantDrive()),
+    ],
+)
+def test_invariant_and_hamiltonian_samples(form, lam, kappa, drive):
+    p = HamiltonianParams(1.0, lam, kappa, drive=drive)
+    for t in np.linspace(0.0, 3.0, 60):
+        assert_same(closed_form_invariant(form, p, float(t)))
+        assert_same(hamiltonian_at(p, float(t)))
+
+
+def test_multiples_of_the_identity():
+    for c in (0.0, 1.0, 2.5, -3j, 1e-300, 1e150 + 1e150j):
+        assert_same(c * np.eye(2))
+        assert not eigen_2x2(c * np.eye(2)).defective
+
+
+def test_non_finite_entries():
+    with np.errstate(all="ignore"):
+        for a in (np.full((2, 2), np.nan), np.array([[1.0, 2.0], [3.0, np.nan]]), np.array([[np.nan, 1.0], [np.inf, 0.0]])):
+            assert_same(a)
+
+
+def test_same_exception_on_defective_and_nearly_defective_input():
+    jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
+    coalescent = hamiltonian_at(HamiltonianParams(1.0, 1.0, 1.0), 0.0)
+    tall = np.array([[1.0, 1e13], [0.0, 2.0]])  # eigenvector condition ~1e13
+    for a, tol, expected in (
+        (jordan, DEFAULT_TOL, DefectiveMatrixError),
+        (coalescent, DEFAULT_TOL, DefectiveMatrixError),
+        (tall, 1e-14, NearlyDefectiveError),
+    ):
+        outcome = biortho_outcome(biortho_system, a, tol)
+        assert outcome == biortho_outcome(reference_biortho_system, a, tol)
+        assert outcome[0] is expected
+
+
+def test_same_outcome_on_nearly_parallel_eigenvectors():
+    # eigenvectors parallel to 1e-15 ... 1e-8: the condition estimate is at
+    # the rounding level, so the outcome rests on how the Gram matrix rounds
+    seen = Counter()
+    for _ in range(800):
+        v1, w = random_complex()
+        eps = 10.0 ** RNG.uniform(-15, -8)
+        v = np.column_stack([v1, v1 + eps * w])
+        a = v @ np.diag([1.0, 2.0]) @ np.linalg.inv(v)
+        for tol in TOLS:
+            outcome = biortho_outcome(biortho_system, a, tol)
+            assert outcome == biortho_outcome(reference_biortho_system, a, tol)
+            seen[outcome[1].split()[0] if isinstance(outcome, tuple) else "system"] += 1
+    # every branch ran: a system, the condition guard, the overlap guard, a defect
+    assert {"system", "eigenvector", "left/right", "source"} <= set(seen), seen
+
+
+def test_same_exception_on_ambiguous_pairing(monkeypatch):
+    # Left eigenvalues are computed from conjugated entries, exactly the
+    # conjugates of the right ones, so an ambiguous pairing needs substituted
+    # values: +-i against right eigenvalues +-1 cost the same either way.
+    def on_second_call(eigen, substitute):
+        calls = []
+
+        def wrapped(*args, **kwargs):
+            calls.append(args)
+            result = eigen(*args, **kwargs)
+            return substitute(result) if len(calls) == 2 else result
+
+        return wrapped
+
+    def scalar_values(result):
+        (_, v0), (_, v1), defective = result
+        return (1j, v0), (-1j, v1), defective
+
+    def reference_values(dec):
+        return EigenDecomposition(EigenPair(1j, dec.first.vector), EigenPair(-1j, dec.second.vector))
+
+    monkeypatch.setattr(biortho, "_eigen_scalars", on_second_call(biortho._eigen_scalars, scalar_values))
+    reference_eigen = on_second_call(reference_eigen_2x2, reference_values)
+    outcome = biortho_outcome(biortho_system, PAULI_Z, DEFAULT_TOL)
+    expected = biortho_outcome(
+        lambda a, tol: reference_biortho_system(a, tol=tol, eigen=reference_eigen), PAULI_Z, DEFAULT_TOL
+    )
+    assert outcome == expected == (ValueError, "ambiguous left/right eigenvalue pairing")
