@@ -50,7 +50,6 @@ from .errors import QuasiCError
 from .invariants import (
     InvariantForm,
     lr_residual,
-    near_coalescence,
     preset_initial_state,
     time_ordered_propagate,
 )
@@ -205,15 +204,12 @@ def _run_static_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, swee
     return rows
 
 
-def _metric_form(cfg: ScenarioConfig, p: HamiltonianParams) -> MetricForm:
-    if cfg.scenario == "metric-picture":
-        return metric_form_for_regime(classify_regime(p))
-    return MetricForm.EP_LIMIT if near_coalescence(p) else MetricForm.FULL_TD
-
-
 def _run_td_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, sweeping: bool):
     p = _params(cfg, lam, kappa)
-    form = _metric_form(cfg, p)
+    if cfg.scenario == "metric-picture":
+        form = metric_form_for_regime(classify_regime(p))
+    else:
+        form = MetricForm.FULL_TD
 
     def rho_at(t: float) -> np.ndarray:
         return closed_form_metric(form, p, t).matrix
@@ -270,15 +266,8 @@ def _run_td_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, sweeping
     )
 
     # propagate the preset coefficient vector against the closed form
-    if form is MetricForm.EP_LIMIT:
-        inv_form = InvariantForm.FULL_TD  # preset (0, 0, 1) applies at the limit too
-        start = p.drive.t_ref
-    elif form is MetricForm.FULL_TD:
-        inv_form = InvariantForm.FULL_TD
-        start = p.drive.t_ref
-    else:
-        inv_form = InvariantForm(form.value)
-        start = 0.0
+    inv_form = InvariantForm(form.value)
+    start = p.drive.t_ref if form is MetricForm.FULL_TD else 0.0
     init = preset_initial_state(inv_form, p)
     steps = max(1, cfg.samples * cfg.steps_per_sample)
     final = time_ordered_propagate(p, init, start, cfg.t1, steps)
@@ -393,9 +382,11 @@ def _parse_sweep(text: str) -> list[tuple[float, float]]:
 
 
 # argparse's own negative-number pattern (-1, -1.5, -.5) has no exponent
-# form, so it would read the value of '--omega -1e-3' as an option; no option
-# of these parsers looks like a number, so the wider pattern is unambiguous
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+# form and no lists, so it would read the value of '--omega -1e-3' or
+# '--sweep -1,2;1,-2' as an option; no option of these parsers looks like a
+# number, so the wider pattern is unambiguous
+_NUMBER = r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?"
+_NEGATIVE_NUMBER = re.compile(rf"^-{_NUMBER}([,;][+-]?{_NUMBER})*$")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .biortho import BiorthoSystem, biortho_system, completeness_residual
 from .errors import InvalidSystemError, NotHermitianError
-from .invariants import InvariantForm, _real_entries, lr_residual
+from .invariants import InvariantForm, _drive_entries, _real_entries, lr_residual
 from .linalg import (
     DEFAULT_TOL,
     IDENTITY,
@@ -207,21 +207,17 @@ def closed_form_metric(
     """Published closed-form metric rho(t) = sigma_z * I(t) for the family.
 
     Accepts a MetricForm or a Regime (mapped to the matching fixed-regime
-    form).  The smooth-limit form is the coalescence limit of the
-    drive-dependent metric and depends only on kappa and the anchored drive
-    integral over hbar.
+    form).  The smooth-limit form EP_LIMIT is the drive-dependent kernel
+    evaluated at xi = kappa^2 - lam^2 = 0, its value at coalescence; the
+    drive-dependent form itself is smooth through the exceptional point.
     """
     if isinstance(form, Regime):
         form = metric_form_for_regime(form)
     if form is MetricForm.EP_LIMIT:
-        mt = p.drive.integral(t) / p.hbar
-        k = p.kappa
-        diag = 1.0 + k**2 * mt**2 / 2.0
-        off = k * mt + 1j * k**2 * mt**2 / 2.0
-        rho = np.array([[diag, off], [np.conj(off), diag]], dtype=complex)
-        return MetricOperator(matrix=rho, time=t)
+        d, x, y = _drive_entries(p, t, 0.0)
+    else:
+        d, x, y = _real_entries(_METRIC_TO_INVARIANT[form], p, t)
     # sigma_z I(t) with I = [[-d, x + iy], [-x + iy, d]]: the second row negated, exactly
-    d, x, y = _real_entries(_METRIC_TO_INVARIANT[form], p, t)
     return MetricOperator(matrix=_mat2(-d, x + 1j * y, x - 1j * y, -d), time=t)
 
 

@@ -35,6 +35,9 @@ share the template
     I(t) = (1/xi) [[-delta, gamma_plus], [gamma_minus, delta]]
 
 whose determinant is -1 because delta^2 + gamma_plus*gamma_minus = xi^2.
+closed_form_invariant evaluates the entries of I(t) in real arithmetic; for
+the drive-dependent form they are entire in xi = kappa^2 - lam^2, so only
+the template's 1/xi normalization is singular at the exceptional point.
 """
 
 from __future__ import annotations
@@ -113,11 +116,13 @@ def scaled_drive_integral(p: HamiltonianParams, t: float) -> complex:
 
 
 def near_coalescence(p: HamiltonianParams, tol: float = DEFAULT_TOL) -> bool:
-    """True where the drive-dependent closed forms are singular.
+    """True where the drive-dependent template is singular.
 
     That is |kappa^2 - lam^2| <= tol * max(1, kappa^2, lam^2), a band that
-    contains classify_regime's exceptional points; inside it the
-    smooth-limit metric (coperator.MetricForm.EP_LIMIT) applies instead.
+    contains classify_regime's exceptional points.  Only the template
+    (invariant_coefficients), which divides by xi, is singular there; the
+    entries of closed_form_invariant and the metric are entire in xi and
+    need no guard.
     """
     k2, l2 = p.kappa**2, p.lam**2
     return abs(k2 - l2) <= tol * max(1.0, k2, l2)
@@ -128,17 +133,18 @@ def _require_regime(form: InvariantForm, p: HamiltonianParams, required: Regime)
         raise RegimeMismatchError(f"{form.value} form requires the {required.value} regime")
 
 
-def _template(
+def _fixed_regime_parts(
     form: InvariantForm, p: HamiltonianParams, t: float, tol: float
-) -> tuple[complex, complex, complex, complex]:
-    """(xi, delta, gamma_plus, gamma_minus) of the selected closed form at time t.
+) -> tuple[float, float, float, float]:
+    """(xi, delta, real, imag) of a fixed-regime form at time t.
 
-    The fixed-regime forms test their regime by identity on every call:
-    a lookup in an enum-keyed dict runs Enum.__hash__ in Python, and this
-    is on the path of every sample.  They solve i hbar dI/dt = [H, I] for a
-    constant H, so time enters as t / hbar, taken as a Python float: callers
-    pass numpy scalars from time grids, whose arithmetic costs several
-    times more.
+    The template's off-diagonals are gamma_plus = real + i imag and
+    gamma_minus = -real + i imag.  The forms test their regime by identity
+    on every call: a lookup in an enum-keyed dict runs Enum.__hash__ in
+    Python, and this is on the path of every sample.  They solve
+    i hbar dI/dt = [H, I] for a constant H, so time enters as t / hbar,
+    taken as a Python float: callers pass numpy scalars from time grids,
+    whose arithmetic costs several times more.
     """
     lam, kap = p.lam, p.kappa
     if form is InvariantForm.PT_SYMMETRIC:
@@ -149,8 +155,7 @@ def _template(
             raise ExceptionalPointSingularError("xi below tolerance")
         delta = -_SQRT2 * lam - kap * math.sin(xi * s)
         imag = _SQRT2 * kap + lam * math.sin(xi * s)
-        real = xi * math.cos(xi * s)
-        return xi, delta, real + 1j * imag, -real + 1j * imag
+        return xi, delta, xi * math.cos(xi * s), imag
 
     if form is InvariantForm.SPONTANEOUSLY_BROKEN:
         _require_regime(form, p, Regime.SPONTANEOUSLY_BROKEN)
@@ -160,30 +165,80 @@ def _template(
             raise ExceptionalPointSingularError("xi below tolerance")
         delta = lam - _SQRT2 * kap * math.cosh(xi * s)
         imag = _SQRT2 * lam * math.cosh(xi * s) - kap
-        real = _SQRT2 * xi * math.sinh(xi * s)
-        return xi, delta, real + 1j * imag, -real + 1j * imag
+        return xi, delta, _SQRT2 * xi * math.sinh(xi * s), imag
 
-    if form is InvariantForm.EXCEPTIONAL_POINT:
-        _require_regime(form, p, Regime.EXCEPTIONAL_POINT)
-        s = float(t) / p.hbar
-        delta = -(kap**2) * s**2 / _SQRT2 - kap * s - _SQRT2
-        imag = kap**2 * s**2 / _SQRT2 + kap * s
-        real = 1.0 + _SQRT2 * kap * s
-        return 1.0, delta, real + 1j * imag, -real + 1j * imag
+    _require_regime(form, p, Regime.EXCEPTIONAL_POINT)
+    s = float(t) / p.hbar
+    delta = -(kap**2) * s**2 / _SQRT2 - kap * s - _SQRT2
+    imag = kap**2 * s**2 / _SQRT2 + kap * s
+    return 1.0, delta, 1.0 + _SQRT2 * kap * s, imag
 
-    # drive-dependent form: xi = kappa^2 - lam^2, hyperbolic in the scaled
-    # drive integral, regime-universal through complex intermediates
-    if near_coalescence(p, tol):
-        raise ExceptionalPointSingularError(
-            "drive-dependent form is singular at coalescence; use the smooth-limit metric"
-        )
-    xi = complex(kap**2 - lam**2)
-    mu = scaled_drive_integral(p, t)
-    cosh = np.cosh(mu)
-    delta = lam**2 - kap**2 * cosh
-    real = kap * np.sqrt(xi) * np.sinh(mu)
-    imag = kap * lam * (cosh - 1.0)
-    return xi, delta, real + 1j * imag, -real + 1j * imag
+
+def _sinhc(q: float) -> float:
+    """S(q) = sinh(sqrt q) / sqrt q, continued as sin(sqrt -q) / sqrt -q for q < 0; S(0) = 1.
+
+    S is entire in q, and neither branch cancels.  sinh and sin are numpy
+    ufuncs: they overflow to inf with a RuntimeWarning where math.sinh
+    raises OverflowError, so an overflowing sample reaches the
+    non-finite-sample report instead of aborting the run.
+    """
+    if q > 0.0:
+        r = math.sqrt(q)
+        return float(np.sinh(r)) / r
+    if q < 0.0:
+        r = math.sqrt(-q)
+        return float(np.sin(r)) / r
+    return 1.0
+
+
+def _xi(p: HamiltonianParams) -> float:
+    """kappa^2 - lam^2 as (kappa - lam)(kappa + lam), to ~1 ulp relative even next to coalescence."""
+    return (p.kappa - p.lam) * (p.kappa + p.lam)
+
+
+def _drive_entries(p: HamiltonianParams, t: float, xi: float) -> tuple[float, float, float]:
+    """(d, x, y) of the drive-dependent invariant at time t, for xi = kappa^2 - lam^2.
+
+    With M the anchored drive integral over hbar, mu = sqrt(xi) M and
+    cosh(mu) - 1 = 2 sinh(mu/2)^2, the template entries divided by xi are
+
+        d = -1 - kappa^2 (M^2/2) S(xi M^2/4)^2
+        x = kappa M S(xi M^2)
+        y = kappa lam (M^2/2) S(xi M^2/4)^2
+
+    in real arithmetic, with no division by xi: at xi = 0 they are the
+    coalescence limit, and next to it they keep full precision.  Products
+    are written out, because a float ** 2 raises OverflowError where a
+    product gives inf.
+    """
+    kap = p.kappa
+    m = float(p.drive.integral(t)) / p.hbar
+    mm = m * m
+    s = _sinhc(0.25 * xi * mm)
+    half = 0.5 * mm * s * s
+    return -1.0 - kap * kap * half, kap * m * _sinhc(xi * mm), kap * p.lam * half
+
+
+def _template(
+    form: InvariantForm, p: HamiltonianParams, t: float, tol: float
+) -> tuple[complex, complex, complex, complex]:
+    """(xi, delta, gamma_plus, gamma_minus) of the selected closed form at time t.
+
+    The drive-dependent template is built from its real entries as
+    (xi, xi d, xi (x + iy), xi (-x + iy)).  Its 1/xi normalization is
+    singular at coalescence, so it raises ExceptionalPointSingularError
+    inside the near_coalescence band.
+    """
+    if form is InvariantForm.FULL_TD:
+        if near_coalescence(p, tol):
+            raise ExceptionalPointSingularError(
+                "drive-dependent template is singular at coalescence; use closed_form_invariant"
+            )
+        xi = _xi(p)
+        d, x, y = _drive_entries(p, t, xi)
+        return xi, xi * d, xi * complex(x, y), xi * complex(-x, y)
+    xi, delta, real, imag = _fixed_regime_parts(form, p, t, tol)
+    return xi, delta, complex(real, imag), complex(-real, imag)
 
 
 def invariant_coefficients(
@@ -192,8 +247,8 @@ def invariant_coefficients(
     """Template coefficients of the selected closed-form invariant at time t.
 
     The three drive-independent forms assume tau == 1 and a parameter point
-    inside their regime; the drive-dependent form accepts any non-coalescent
-    parameters and complex intermediate values.
+    inside their regime; the drive-dependent form accepts any parameters
+    outside the near_coalescence band.
     """
     return TemplateCoefficients(*_template(form, p, t, tol))
 
@@ -203,30 +258,21 @@ def _real_entries(
 ) -> tuple[float, float, float]:
     """(d, x, y) of the closed-form invariant [[-d, x + iy], [-x + iy, d]].
 
-    The assembled entry combinations (-delta/xi real, off-diagonal split
-    into a shared real and imaginary part) are analytically real; their
-    numerical imaginary residue is checked against 1e-10 and then removed
-    rather than silently dropped.
+    Real float arithmetic throughout.  The fixed-regime forms divide their
+    template parts by xi (d = delta/xi, x = real/xi, y = imag/xi); the
+    drive-dependent form evaluates its entire closed form, which holds
+    through the exceptional point.
     """
-    xi, delta, gamma_plus, gamma_minus = _template(form, p, t, tol)
-    d = complex(delta / xi)
-    x = complex(0.5 * (gamma_plus - gamma_minus) / xi)
-    y = complex(0.5 * (gamma_plus + gamma_minus) / (1j * xi))
-    scale = max(1.0, abs(d), abs(x), abs(y))
-    residue = max(abs(d.imag), abs(x.imag), abs(y.imag))
-    if residue > 1e-10 * scale:
-        raise ArithmeticError(f"analytically real entries lost realness (residue {residue:.3g})")
-    return d.real, x.real, y.real
+    if form is InvariantForm.FULL_TD:
+        return _drive_entries(p, t, _xi(p))
+    xi, delta, real, imag = _fixed_regime_parts(form, p, t, tol)
+    return delta / xi, real / xi, imag / xi
 
 
 def closed_form_invariant(
     form: InvariantForm, p: HamiltonianParams, t: float, tol: float = DEFAULT_TOL
 ) -> np.ndarray:
-    """Matrix [[-d, x + iy], [-x + iy, d]] of the selected closed-form invariant.
-
-    d, x and y are analytically real; ArithmeticError is raised when their
-    numerical imaginary residue exceeds 1e-10 of their scale.
-    """
+    """Matrix [[-d, x + iy], [-x + iy, d]] of the selected closed-form invariant."""
     d, x, y = _real_entries(form, p, t, tol)
     return _mat2(-d, x + 1j * y, -x + 1j * y, d)
 

@@ -166,10 +166,54 @@ def test_closed_forms_follow_hbar(tmp_path, scenario, drive, hbar):
 
 
 @pytest.mark.parametrize("drive", ["const", "sin"])
-def test_full_td_near_coalescence_uses_limit_form(tmp_path, drive):
+def test_full_td_inside_the_singular_template_band(tmp_path, drive):
     # |lambda - kappa| = 1e-10 is outside classify_regime's exceptional-point
-    # band but inside the band where the drive-dependent form is singular
+    # band but inside the band where the drive-dependent template is
+    # singular; the metric entries are not
     assert run(tmp_path, "full-td", "--drive", drive, "--lambda", "0.1000000001", "--kappa", "0.1") == 0
+
+
+def assert_all_checks_pass(tmp_path, capsys, code, n_checks):
+    checks = [ln for ln in read_report(tmp_path / "quasi_c_report.jsonl") if ln["type"] == "check"]
+    assert [c["name"] for c in checks if not c["pass"]] == []
+    assert len(checks) == n_checks
+    assert f"{n_checks}/{n_checks} checks passed" in capsys.readouterr().out
+    assert code == 0
+
+
+@pytest.mark.parametrize("drive", ["const", "sin"])
+@pytest.mark.parametrize("pair", [("-1", "1"), ("1", "-1"), ("-0.3", "-0.3"), ("2", "-2")])
+def test_full_td_at_opposite_sign_coalescence(tmp_path, capsys, drive, pair):
+    # lambda = -kappa is an exceptional point too; its limit metric carries
+    # kappa * lambda, not kappa^2
+    lam, kappa = pair
+    code = run(
+        tmp_path, "full-td", "--drive", drive, f"--lambda={lam}", f"--kappa={kappa}", "--t1", "5", "--samples", "50"
+    )
+    assert_all_checks_pass(tmp_path, capsys, code, 6)
+
+
+@pytest.mark.parametrize("drive", ["const", "sin"])
+@pytest.mark.parametrize("offset", [0.0, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5])
+def test_full_td_next_to_coalescence(tmp_path, capsys, drive, offset):
+    # xi = kappa^2 - lambda^2 cancels here, so the metric entries must not
+    # divide by it
+    lam = 0.1 * (1.0 + offset)
+    code = run(tmp_path, "full-td", "--drive", drive, "--kappa", "0.1", f"--lambda={lam!r}")
+    assert_all_checks_pass(tmp_path, capsys, code, 6)
+
+
+@pytest.mark.parametrize("text", ["-1,2", "-1,2;1,-2", "-1e-1,2"])
+def test_sweep_takes_lists_that_start_with_a_minus(text):
+    parser = build_parser()
+    for scenario in ("static", "metric-picture", "full-td"):
+        assert parser.parse_args([scenario, "--sweep", text]).sweep == text
+
+
+def test_negative_sweep_end_to_end(tmp_path, capsys):
+    code = run(tmp_path, "full-td", "--sweep", "-1,1;1,2", "--t1", "3", "--samples", "40")
+    assert_all_checks_pass(tmp_path, capsys, code, 12)
+    assert read_report(tmp_path / "quasi_c_report.jsonl")[0]["config"]["pairs"] == [[-1.0, 1.0], [1.0, 2.0]]
 
 
 @pytest.mark.parametrize("text", ["-1e-3", "-2E+0", "-.5e1"])

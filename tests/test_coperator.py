@@ -312,8 +312,9 @@ class TestClosedFormMetric:
                 limit = closed_form_metric(MetricForm.EP_LIMIT, p_ep, t).matrix
                 assert frobenius_norm(near - limit) < 1e-3
 
-    def test_ep_limit_operator_is_conserved(self):
-        p = HamiltonianParams(1.0, 1.0, 1.0, drive=SineDrive())
+    @pytest.mark.parametrize("lam", [1.0, -1.0])
+    def test_ep_limit_operator_is_conserved(self, lam):
+        p = HamiltonianParams(1.0, lam, 1.0, drive=SineDrive())
 
         def c_at(t):
             return PAULI_Z @ closed_form_metric(MetricForm.EP_LIMIT, p, t).matrix
