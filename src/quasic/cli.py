@@ -48,7 +48,6 @@ from .coperator import (
 from .biortho import biortho_system, completeness_residual
 from .errors import QuasiCError
 from .invariants import (
-    InvariantForm,
     lr_residual,
     preset_initial_state,
     time_ordered_propagate,
@@ -83,8 +82,6 @@ _SIGNATURES = {"+-": (1, -1), "-+": (-1, 1), "++": (1, 1), "--": (-1, -1)}
 class ScenarioConfig:
     scenario: str
     omega: float
-    lam: float
-    kappa: float
     hbar: float
     drive_kind: str
     drive_value: float
@@ -266,34 +263,14 @@ def _run_td_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, sweeping
     )
 
     # propagate the preset coefficient vector against the closed form
-    inv_form = InvariantForm(form.value)
     start = p.drive.t_ref if form is MetricForm.FULL_TD else 0.0
-    init = preset_initial_state(inv_form, p)
+    init = preset_initial_state(form, p)
     steps = max(1, cfg.samples * cfg.steps_per_sample)
     final = time_ordered_propagate(p, init, start, cfg.t1, steps)
     target = c_at(cfg.t1)
     prop_err = frobenius_norm(final.matrix() - target) / max(1.0, frobenius_norm(target))
     report.add(_tag("propagation_consistency", lam, kappa, sweeping), prop_err, 1e-6)
     return rows
-
-
-def emit_figure_data(cfg: ScenarioConfig, report: VerificationReport) -> list[Path]:
-    """One CSV of metric-eigenvalue curves per (lambda, kappa) pair.
-
-    Only the time-dependent scenarios produce curve families; the static
-    scenario has its own constant-column writer.
-    """
-    if cfg.scenario == "static":
-        raise ValueError("figure data requires the metric-picture or full-td scenario")
-    sweeping = len(cfg.sweep) > 1
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for lam, kappa in cfg.sweep:
-        rows = _run_td_pair(cfg, lam, kappa, report, sweeping)
-        path = _csv_path(cfg, lam, kappa)
-        _write_csv(path, rows)
-        written.append(path)
-    return written
 
 
 def _report_skeleton(cfg: ScenarioConfig) -> VerificationReport:
@@ -329,17 +306,14 @@ def _report_skeleton(cfg: ScenarioConfig) -> VerificationReport:
 def run_scenario(cfg: ScenarioConfig) -> int:
     started = time.perf_counter()
     report = _report_skeleton(cfg)
-    if cfg.scenario == "static":
-        sweeping = len(cfg.sweep) > 1
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        written = []
-        for lam, kappa in cfg.sweep:
-            rows = _run_static_pair(cfg, lam, kappa, report, sweeping)
-            path = _csv_path(cfg, lam, kappa)
-            _write_csv(path, rows)
-            written.append(path)
-    else:
-        written = emit_figure_data(cfg, report)
+    run_pair = _run_static_pair if cfg.scenario == "static" else _run_td_pair
+    sweeping = len(cfg.sweep) > 1
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    for lam, kappa in cfg.sweep:
+        path = _csv_path(cfg, lam, kappa)
+        _write_csv(path, run_pair(cfg, lam, kappa, report, sweeping))
+        written.append(path)
 
     report.metadata["wall_time_s"] = time.perf_counter() - started
     report_path = cfg.out_dir / f"{cfg.prefix}_report.jsonl"
@@ -492,8 +466,6 @@ def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace)
     return ScenarioConfig(
         scenario=args.scenario,
         omega=args.omega,
-        lam=args.lam,
-        kappa=args.kappa,
         hbar=args.hbar,
         drive_kind=args.drive,
         drive_value=args.drive_value,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .biortho import BiorthoSystem, biortho_system, completeness_residual
 from .errors import InvalidSystemError, NotHermitianError
-from .invariants import InvariantForm, _drive_entries, _real_entries, lr_residual
+from .invariants import InvariantForm, _real_entries, lr_residual
 from .linalg import (
     DEFAULT_TOL,
     IDENTITY,
@@ -175,13 +175,8 @@ def quasi_hermiticity_residual(
     return frobenius_norm(1j * p.hbar * drho - (adjoint(h) @ rho - rho @ h))
 
 
-class MetricForm(Enum):
-    PT_SYMMETRIC = "pt-symmetric"
-    SPONTANEOUSLY_BROKEN = "spontaneously-broken"
-    EXCEPTIONAL_POINT = "exceptional-point"
-    FULL_TD = "full-td"
-    EP_LIMIT = "ep-limit"
-
+#: The metric rho = sigma_z I has one closed form per invariant form.
+MetricForm = InvariantForm
 
 _REGIME_TO_METRIC = {
     Regime.PT_SYMMETRIC: MetricForm.PT_SYMMETRIC,
@@ -189,34 +184,19 @@ _REGIME_TO_METRIC = {
     Regime.EXCEPTIONAL_POINT: MetricForm.EXCEPTIONAL_POINT,
 }
 
-_METRIC_TO_INVARIANT = {
-    MetricForm.PT_SYMMETRIC: InvariantForm.PT_SYMMETRIC,
-    MetricForm.SPONTANEOUSLY_BROKEN: InvariantForm.SPONTANEOUSLY_BROKEN,
-    MetricForm.EXCEPTIONAL_POINT: InvariantForm.EXCEPTIONAL_POINT,
-    MetricForm.FULL_TD: InvariantForm.FULL_TD,
-}
-
 
 def metric_form_for_regime(regime: Regime) -> MetricForm:
     return _REGIME_TO_METRIC[regime]
 
 
-def closed_form_metric(
-    form: MetricForm | Regime, p: HamiltonianParams, t: float
-) -> MetricOperator:
+def closed_form_metric(form: MetricForm, p: HamiltonianParams, t: float) -> MetricOperator:
     """Published closed-form metric rho(t) = sigma_z * I(t) for the family.
 
-    Accepts a MetricForm or a Regime (mapped to the matching fixed-regime
-    form).  The smooth-limit form EP_LIMIT is the drive-dependent kernel
-    evaluated at xi = kappa^2 - lam^2 = 0, its value at coalescence; the
-    drive-dependent form itself is smooth through the exceptional point.
+    I(t) is the closed-form invariant of the same form.  The drive-dependent
+    form FULL_TD holds on and next to the exceptional points lam = +-kappa,
+    where its entries take their coalescence limit.
     """
-    if isinstance(form, Regime):
-        form = metric_form_for_regime(form)
-    if form is MetricForm.EP_LIMIT:
-        d, x, y = _drive_entries(p, t, 0.0)
-    else:
-        d, x, y = _real_entries(_METRIC_TO_INVARIANT[form], p, t)
+    d, x, y = _real_entries(form, p, t)
     # sigma_z I(t) with I = [[-d, x + iy], [-x + iy, d]]: the second row negated, exactly
     return MetricOperator(matrix=_mat2(-d, x + 1j * y, x - 1j * y, -d), time=t)
 

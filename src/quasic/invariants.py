@@ -145,33 +145,43 @@ def _fixed_regime_parts(
     i hbar dI/dt = [H, I] for a constant H, so time enters as t / hbar,
     taken as a Python float: callers pass numpy scalars from time grids,
     whose arithmetic costs several times more.
+
+    The published forms are written for lam, kappa > 0.  The family's
+    symmetries carry them to the other signs: sigma_x H(lam, kappa) sigma_x
+    = H(-lam, kappa), whose invariant -sigma_x I sigma_x has imag negated,
+    and sigma_z H(lam, kappa) sigma_z = H(lam, -kappa), whose invariant
+    sigma_z I sigma_z has real and imag negated.  So the parts are evaluated
+    at (|lam|, |kappa|) and the signs flipped after.
     """
-    lam, kap = p.lam, p.kappa
+    lam, kap = abs(p.lam), abs(p.kappa)
+    s = float(t) / p.hbar
     if form is InvariantForm.PT_SYMMETRIC:
         _require_regime(form, p, Regime.PT_SYMMETRIC)
-        s = float(t) / p.hbar
         xi = math.sqrt(lam**2 - kap**2)
         if xi <= tol:
             raise ExceptionalPointSingularError("xi below tolerance")
         delta = -_SQRT2 * lam - kap * math.sin(xi * s)
+        real = xi * math.cos(xi * s)
         imag = _SQRT2 * kap + lam * math.sin(xi * s)
-        return xi, delta, xi * math.cos(xi * s), imag
-
-    if form is InvariantForm.SPONTANEOUSLY_BROKEN:
+    elif form is InvariantForm.SPONTANEOUSLY_BROKEN:
         _require_regime(form, p, Regime.SPONTANEOUSLY_BROKEN)
-        s = float(t) / p.hbar
         xi = math.sqrt(kap**2 - lam**2)
         if xi <= tol:
             raise ExceptionalPointSingularError("xi below tolerance")
         delta = lam - _SQRT2 * kap * math.cosh(xi * s)
+        real = _SQRT2 * xi * math.sinh(xi * s)
         imag = _SQRT2 * lam * math.cosh(xi * s) - kap
-        return xi, delta, _SQRT2 * xi * math.sinh(xi * s), imag
-
-    _require_regime(form, p, Regime.EXCEPTIONAL_POINT)
-    s = float(t) / p.hbar
-    delta = -(kap**2) * s**2 / _SQRT2 - kap * s - _SQRT2
-    imag = kap**2 * s**2 / _SQRT2 + kap * s
-    return 1.0, delta, 1.0 + _SQRT2 * kap * s, imag
+    else:
+        _require_regime(form, p, Regime.EXCEPTIONAL_POINT)
+        xi = 1.0
+        delta = -(kap**2) * s**2 / _SQRT2 - kap * s - _SQRT2
+        real = 1.0 + _SQRT2 * kap * s
+        imag = kap**2 * s**2 / _SQRT2 + kap * s
+    if p.kappa < 0:
+        real, imag = -real, -imag
+    if p.lam < 0:
+        imag = -imag
+    return xi, delta, real, imag
 
 
 def _sinhc(q: float) -> float:
@@ -295,22 +305,26 @@ def preset_initial_state(form: InvariantForm, p: HamiltonianParams) -> Invariant
 
     The drive-independent forms are anchored at t = 0; the drive-dependent
     form starts where the anchored drive integral vanishes (t = t_ref), at
-    which point the invariant is exactly sigma_z.
+    which point the invariant is exactly sigma_z.  The drive-independent
+    vectors are evaluated at (|lam|, |kappa|) and carried to the other signs
+    as in _fixed_regime_parts: c1 flips for lam < 0, (c1, c2) for kappa < 0.
     """
-    lam, kap = p.lam, p.kappa
+    if form is InvariantForm.FULL_TD:
+        return InvariantState(0.0, np.array([0.0, 0.0, 1.0], dtype=complex), p.drive.t_ref)
+    lam, kap = abs(p.lam), abs(p.kappa)
     if form is InvariantForm.PT_SYMMETRIC:
         xi = math.sqrt(lam**2 - kap**2)
-        vec = np.array([1j * _SQRT2 * kap / xi, 1j, _SQRT2 * lam / xi], dtype=complex)
-        return InvariantState(0.0, vec, 0.0)
-    if form is InvariantForm.SPONTANEOUSLY_BROKEN:
+        c1, c2, c3 = 1j * _SQRT2 * kap / xi, 1j, _SQRT2 * lam / xi
+    elif form is InvariantForm.SPONTANEOUSLY_BROKEN:
         xi = math.sqrt(kap**2 - lam**2)
-        vec = np.array(
-            [1j * (_SQRT2 * lam - kap) / xi, 0.0, (_SQRT2 * kap - lam) / xi], dtype=complex
-        )
-        return InvariantState(0.0, vec, 0.0)
-    if form is InvariantForm.EXCEPTIONAL_POINT:
-        return InvariantState(0.0, np.array([0.0, 1j, _SQRT2], dtype=complex), 0.0)
-    return InvariantState(0.0, np.array([0.0, 0.0, 1.0], dtype=complex), p.drive.t_ref)
+        c1, c2, c3 = 1j * (_SQRT2 * lam - kap) / xi, 0.0, (_SQRT2 * kap - lam) / xi
+    else:
+        c1, c2, c3 = 0.0, 1j, _SQRT2
+    if p.lam < 0:
+        c1 = -c1
+    if p.kappa < 0:
+        c1, c2 = -c1, -c2
+    return InvariantState(0.0, np.array([c1, c2, c3], dtype=complex), 0.0)
 
 
 def coefficient_matrix(h: PauliCoefficients) -> np.ndarray:

@@ -175,10 +175,8 @@ def test_criterion_07_positive_definite_metric():
         for kappa in PARAM_GRID:
             for drive in (ConstantDrive(), SineDrive()):
                 p = HamiltonianParams(1.0, lam, kappa, drive=drive)
-                ep = classify_regime(p) is Regime.EXCEPTIONAL_POINT
-                form = MetricForm.EP_LIMIT if ep else MetricForm.FULL_TD
                 for t in np.linspace(0.0, 10.0, 101):
-                    rho = closed_form_metric(form, p, t)
+                    rho = closed_form_metric(MetricForm.FULL_TD, p, t)
                     hi, lo = rho.eigenvalues()
                     if hi <= 1e6:
                         assert lo > 0.0, (lam, kappa, drive, t, lo)
@@ -199,7 +197,7 @@ def test_criterion_08_smooth_exceptional_limit():
         p_near = HamiltonianParams(1.0, kappa * (1.0 + eps), kappa, drive=SineDrive())
         for t in np.linspace(0.0, 5.0, 11):
             near = closed_form_metric(MetricForm.FULL_TD, p_near, t).matrix
-            limit = closed_form_metric(MetricForm.EP_LIMIT, p_ep, t).matrix
+            limit = closed_form_metric(MetricForm.FULL_TD, p_ep, t).matrix
             assert frobenius_norm(near - limit) <= 1e-3
     print("ACCEPTANCE 8 PASS: metric approaches the coalescence limit smoothly from both sides")
 

@@ -1,16 +1,21 @@
 """Biorthonormal eigensystem construction and its invariants."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
 from quasic.biortho import (
+    COND_LIMIT,
+    _condition_number,
     biortho_system,
     check_left_right_parity_relation,
     completeness_residual,
 )
 from quasic.errors import DefectiveMatrixError, NearlyDefectiveError
 from quasic.invariants import InvariantForm, closed_form_invariant
-from quasic.linalg import IDENTITY, PAULI_X, PAULI_Z, adjoint, frobenius_norm
+from quasic.linalg import IDENTITY, PAULI_X, PAULI_Z, adjoint, eigen_2x2, frobenius_norm
 from quasic.model import HamiltonianParams, hamiltonian_at
 
 RNG = np.random.default_rng(99)
@@ -93,6 +98,53 @@ def test_nearly_defective():
     # parallel to one part in 1e13, tripping the condition guard
     with pytest.raises(NearlyDefectiveError):
         biortho_system(np.array([[1.0, 1e13], [0.0, 2.0]]), tol=1e-14)
+
+
+def mp_condition_number(v1, v2):
+    """sigma_max / sigma_min of the matrix with columns v1, v2, from its Gram matrix at 60 digits."""
+    with mpmath.workdps(60):
+        x, y = [mpmath.mpc(c) for c in v1], [mpmath.mpc(c) for c in v2]
+        p, q = sum(abs(c) ** 2 for c in x), sum(abs(c) ** 2 for c in y)
+        g = sum(mpmath.conj(a) * b for a, b in zip(x, y))
+        mid, rad = (p + q) / 2, mpmath.sqrt(((p - q) / 2) ** 2 + abs(g) ** 2)
+        return float(mpmath.sqrt((mid + rad) / (mid - rad)))
+
+
+def test_condition_number_against_mpmath():
+    # unit vectors at angle 2 / c have condition ~c; det V rounds to a few
+    # eps against |det V| ~ 2 / cond, so the relative error is below 2 eps cond
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(7)
+    for target in 10.0 ** rng.uniform(2.0, 13.0, size=600):
+        z = rng.standard_normal(4)
+        v = np.array([z[0] + 1j * z[1], z[2] + 1j * z[3]])
+        v /= np.linalg.norm(v)
+        w = np.array([-np.conj(v[1]), np.conj(v[0])])
+        u = (math.cos(2.0 / target) * v + math.sin(2.0 / target) * w) * np.exp(2j * np.pi * rng.uniform())
+        v1, v2 = tuple(complex(c) for c in v), tuple(complex(c) for c in u)
+        want, got = mp_condition_number(v1, v2), _condition_number(v1, v2)
+        assert abs(got - want) <= 2.0 * eps * want * want, (want, got)
+        if want <= 5e11:
+            assert got <= COND_LIMIT, (want, got)
+        if want >= 2e12:
+            assert got > COND_LIMIT, (want, got)
+
+
+def test_condition_guard_follows_the_true_condition():
+    # [[1, b], [0, 2]] has eigenvectors (1, 0) and ~(b, 1), condition ~2b
+    raised = passed = 0
+    for b in np.geomspace(50.0, 5e12, 80):
+        a = np.array([[1.0, b], [0.0, 2.0]])
+        dec = eigen_2x2(a, tol=1e-14)
+        cond = mp_condition_number(*(tuple(pr.vector.tolist()) for pr in dec.pairs))
+        if cond <= 5e11:
+            biortho_system(a, tol=1e-14)
+            passed += 1
+        elif cond >= 2e12:
+            with pytest.raises(NearlyDefectiveError, match="eigenvector condition"):
+                biortho_system(a, tol=1e-14)
+            raised += 1
+    assert passed > 50 and raised > 5, (passed, raised)
 
 
 def test_completeness_residual_detects_zeroed_left():

@@ -109,6 +109,28 @@ def test_metric_picture_broken_regime(tmp_path):
     assert all(float(r["rho_eig_lo"]) > 0 for r in rows)
 
 
+@pytest.mark.parametrize("kappa", ["1", "-1"])
+@pytest.mark.parametrize("lam", ["2", "-2", "0.5", "-0.5", "1", "-1"])
+def test_metric_picture_takes_every_sign(tmp_path, capsys, lam, kappa):
+    # the fixed-regime forms are published for lambda, kappa > 0 and carried
+    # to the other signs by the sigma_x and sigma_z symmetries of the family
+    code = run(tmp_path, "metric-picture", f"--lambda={lam}", f"--kappa={kappa}", "--t1", "3", "--samples", "60")
+    assert_all_checks_pass(tmp_path, capsys, code, 6)
+
+
+def test_static_sweep_writes_one_csv_per_pair(tmp_path, capsys):
+    code = run(tmp_path, "static", "--sweep", "2,1;3,1")
+    assert code == 0
+    for lam, kappa in ((2, 1), (3, 1)):
+        assert len(read_csv(tmp_path / f"quasi_c_static_{lam}_{kappa}.csv")) == 200
+    names = [ln["name"] for ln in read_report(tmp_path / "quasi_c_report.jsonl") if ln["type"] == "check"]
+    assert len(names) == 2 * 8
+    for pair in ("lambda=2,kappa=1", "lambda=3,kappa=1"):
+        assert f"c_squared_identity[{pair}]" in names
+        assert sum(name.endswith(f"[{pair}]") for name in names) == 8
+    assert "16/16 checks passed" in capsys.readouterr().out
+
+
 def test_metric_picture_exceptional_point(tmp_path):
     code = run(tmp_path, "metric-picture", "--lambda", "1", "--kappa", "1", "--t1", "4", "--samples", "60")
     assert code == 0
@@ -353,37 +375,6 @@ def test_finite_run_records_zero_non_finite_samples(tmp_path):
     assert run(tmp_path, "full-td", "--drive", "sin", "--t1", "2", "--samples", "20") == 0
     meta = read_report(tmp_path / "quasi_c_report.jsonl")[0]
     assert meta["non_finite_samples"] == {"lambda=2,kappa=1": 0}
-
-
-def test_emit_figure_data_rejects_static(tmp_path):
-    from pathlib import Path
-
-    from quasic.cli import ScenarioConfig, _report_skeleton, emit_figure_data
-
-    cfg = ScenarioConfig(
-        scenario="static",
-        omega=1.0,
-        lam=2.0,
-        kappa=1.0,
-        hbar=1.0,
-        drive_kind="const",
-        drive_value=1.0,
-        amplitude=1.0,
-        frequency=1.0,
-        t_ref=None,
-        t0=0.0,
-        t1=1.0,
-        samples=5,
-        steps_per_sample=2,
-        fd_step=1e-5,
-        signature=(1, -1),
-        tol=1e-10,
-        out_dir=Path(tmp_path),
-        prefix="quasi_c",
-        sweep=[(2.0, 1.0)],
-    )
-    with pytest.raises(ValueError):
-        emit_figure_data(cfg, _report_skeleton(cfg))
 
 
 def test_report_metadata_versions(tmp_path):

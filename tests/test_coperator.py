@@ -51,13 +51,22 @@ SQRT3 = math.sqrt(3.0)
 STATIC_PT = HamiltonianParams(1.0, 2.0, 1.0)
 FULL_SINE = HamiltonianParams(1.0, 2.0, 1.0, drive=SineDrive())
 
-METRIC_CASES = [
+
+def metric_cases(*cases):
+    # MetricForm is InvariantForm; the ids name the metric column MetricForm
+    return [
+        pytest.param(m, i, p, id=f"MetricForm.{m.name}-InvariantForm.{i.name}-p{n}")
+        for n, (m, i, p) in enumerate(cases)
+    ]
+
+
+METRIC_CASES = metric_cases(
     (MetricForm.PT_SYMMETRIC, InvariantForm.PT_SYMMETRIC, HamiltonianParams(1.0, 2.0, 1.0)),
     (MetricForm.SPONTANEOUSLY_BROKEN, InvariantForm.SPONTANEOUSLY_BROKEN, HamiltonianParams(1.0, 0.5, 1.0)),
     (MetricForm.EXCEPTIONAL_POINT, InvariantForm.EXCEPTIONAL_POINT, HamiltonianParams(1.0, 1.0, 1.0)),
     (MetricForm.FULL_TD, InvariantForm.FULL_TD, FULL_SINE),
     (MetricForm.FULL_TD, InvariantForm.FULL_TD, HamiltonianParams(1.0, 0.5, 1.0, drive=ConstantDrive())),
-]
+)
 
 
 class TestCFromSystem:
@@ -260,11 +269,6 @@ class TestClosedFormMetric:
         expected = np.array([[diag, off], [np.conj(off), diag]])
         assert np.abs(rho.matrix - expected).max() < 1e-12
 
-    def test_accepts_regime_argument(self):
-        rho = closed_form_metric(classify_regime(STATIC_PT), STATIC_PT, 0.4)
-        ref = closed_form_metric(MetricForm.PT_SYMMETRIC, STATIC_PT, 0.4)
-        assert np.allclose(rho.matrix, ref.matrix)
-
     def test_form_for_regime_mapping(self):
         assert metric_form_for_regime(Regime.PT_SYMMETRIC) is MetricForm.PT_SYMMETRIC
         assert metric_form_for_regime(Regime.EXCEPTIONAL_POINT) is MetricForm.EXCEPTIONAL_POINT
@@ -309,7 +313,7 @@ class TestClosedFormMetric:
             p_ep = HamiltonianParams(1.0, kappa, kappa, drive=SineDrive())
             for t in (0.0, 1.3, 3.1, 5.0):
                 near = closed_form_metric(MetricForm.FULL_TD, p_near, t).matrix
-                limit = closed_form_metric(MetricForm.EP_LIMIT, p_ep, t).matrix
+                limit = closed_form_metric(MetricForm.FULL_TD, p_ep, t).matrix
                 assert frobenius_norm(near - limit) < 1e-3
 
     @pytest.mark.parametrize("lam", [1.0, -1.0])
@@ -317,7 +321,7 @@ class TestClosedFormMetric:
         p = HamiltonianParams(1.0, lam, 1.0, drive=SineDrive())
 
         def c_at(t):
-            return PAULI_Z @ closed_form_metric(MetricForm.EP_LIMIT, p, t).matrix
+            return PAULI_Z @ closed_form_metric(MetricForm.FULL_TD, p, t).matrix
 
         for t in (0.0, 1.0, 2.9):
             assert lr_residual(c_at, p, t, fd_step=1e-5) < 1e-8

@@ -13,7 +13,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from quasic import biortho
 from quasic.biortho import COND_LIMIT, BiorthoPair, BiorthoSystem, biortho_system
 from quasic.errors import DefectiveMatrixError, NearlyDefectiveError, QuasiCError
 from quasic.invariants import InvariantForm, closed_form_invariant
@@ -71,10 +70,9 @@ def reference_eigen_2x2(a, tol=DEFAULT_TOL):
 
 def reference_condition_number(v1, v2):
     v = np.column_stack([v1, v2])
-    hi, lo = hermitian_eigenvalues_2x2(adjoint(v) @ v, tol=1e-8)
-    if lo <= 0:
-        return np.inf
-    return float(np.sqrt(hi / lo))
+    hi, _ = hermitian_eigenvalues_2x2(adjoint(v) @ v, tol=1e-8)
+    d = abs(det(v))
+    return hi / d if d else np.inf
 
 
 def reference_order_key(pair, tol):
@@ -88,19 +86,18 @@ def reference_order_key(pair, tol):
     return (sign_class, -pair.eigenvalue.real, -pair.eigenvalue.imag)
 
 
-def reference_biortho_system(a, tol=DEFAULT_TOL, eigen=reference_eigen_2x2):
+def reference_biortho_system(a, tol=DEFAULT_TOL):
     a = np.asarray(a, dtype=complex)
-    right_dec = eigen(a, tol=tol)
+    right_dec = reference_eigen_2x2(a, tol=tol)
     if right_dec.defective:
         raise DefectiveMatrixError("source matrix is defective")
     cond = reference_condition_number(right_dec.first.vector, right_dec.second.vector)
     if cond > COND_LIMIT:
         raise NearlyDefectiveError(f"eigenvector condition {cond:.3g} exceeds {COND_LIMIT:.0e}")
-    left_dec = eigen(adjoint(a), tol=tol)
+    left_dec = reference_eigen_2x2(adjoint(a), tol=tol)
     if left_dec.defective:
         raise DefectiveMatrixError("adjoint matrix is defective")
 
-    scale = max(1.0, frobenius_norm(a))
     rights = right_dec.pairs
     lefts = left_dec.pairs
     straight = abs(lefts[0].value - np.conj(rights[0].value)) + abs(
@@ -109,8 +106,6 @@ def reference_biortho_system(a, tol=DEFAULT_TOL, eigen=reference_eigen_2x2):
     crossed = abs(lefts[1].value - np.conj(rights[0].value)) + abs(
         lefts[0].value - np.conj(rights[1].value)
     )
-    if abs(straight - crossed) <= tol * scale and abs(lefts[0].value - lefts[1].value) > tol * scale:
-        raise ValueError("ambiguous left/right eigenvalue pairing")
     order = (0, 1) if straight <= crossed else (1, 0)
 
     pairs = []
@@ -138,7 +133,7 @@ def eigen_outcome(fn, a, tol):
 def biortho_outcome(fn, a, tol):
     try:
         sys_a = fn(a, tol=tol)
-    except (QuasiCError, ValueError) as exc:
+    except QuasiCError as exc:
         return type(exc), str(exc)
     assert sys_a.source.tobytes() == np.asarray(a, dtype=complex).tobytes()
     return [(bits(pr.eigenvalue), pr.right.tobytes(), pr.left.tobytes()) for pr in sys_a.pairs]
@@ -211,8 +206,8 @@ def test_same_exception_on_defective_and_nearly_defective_input():
 
 
 def test_same_outcome_on_nearly_parallel_eigenvectors():
-    # eigenvectors parallel to 1e-15 ... 1e-8: the condition estimate is at
-    # the rounding level, so the outcome rests on how the Gram matrix rounds
+    # eigenvectors parallel to 1e-15 ... 1e-8 before a is rounded, which
+    # leaves the computed eigenvectors of a far less parallel in most draws
     seen = Counter()
     for _ in range(800):
         v1, w = random_complex()
@@ -223,35 +218,7 @@ def test_same_outcome_on_nearly_parallel_eigenvectors():
             outcome = biortho_outcome(biortho_system, a, tol)
             assert outcome == biortho_outcome(reference_biortho_system, a, tol)
             seen[outcome[1].split()[0] if isinstance(outcome, tuple) else "system"] += 1
-    # every branch ran: a system, the condition guard, the overlap guard, a defect
-    assert {"system", "eigenvector", "left/right", "source"} <= set(seen), seen
+    # every branch ran: a system, the condition guard, a defect; the overlap
+    # guard stays behind the condition guard, since the overlap is ~2 / cond
+    assert {"system", "eigenvector", "source"} <= set(seen), seen
 
-
-def test_same_exception_on_ambiguous_pairing(monkeypatch):
-    # Left eigenvalues are computed from conjugated entries, exactly the
-    # conjugates of the right ones, so an ambiguous pairing needs substituted
-    # values: +-i against right eigenvalues +-1 cost the same either way.
-    def on_second_call(eigen, substitute):
-        calls = []
-
-        def wrapped(*args, **kwargs):
-            calls.append(args)
-            result = eigen(*args, **kwargs)
-            return substitute(result) if len(calls) == 2 else result
-
-        return wrapped
-
-    def scalar_values(result):
-        (_, v0), (_, v1), defective = result
-        return (1j, v0), (-1j, v1), defective
-
-    def reference_values(dec):
-        return EigenDecomposition(EigenPair(1j, dec.first.vector), EigenPair(-1j, dec.second.vector))
-
-    monkeypatch.setattr(biortho, "_eigen_scalars", on_second_call(biortho._eigen_scalars, scalar_values))
-    reference_eigen = on_second_call(reference_eigen_2x2, reference_values)
-    outcome = biortho_outcome(biortho_system, PAULI_Z, DEFAULT_TOL)
-    expected = biortho_outcome(
-        lambda a, tol: reference_biortho_system(a, tol=tol, eigen=reference_eigen), PAULI_Z, DEFAULT_TOL
-    )
-    assert outcome == expected == (ValueError, "ambiguous left/right eigenvalue pairing")
