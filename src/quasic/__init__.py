@@ -9,8 +9,6 @@ operators and Dyson maps, and verifies the algebraic constraint suites.
 from .biortho import BiorthoPair, BiorthoSystem, biortho_system, check_left_right_parity_relation, completeness_residual
 from .coperator import (
     COperator,
-    DysonConstruction,
-    DysonMap,
     MetricForm,
     MetricOperator,
     c_from_hamiltonian,
@@ -53,13 +51,11 @@ from .evolution import (
 )
 from .invariants import (
     InvariantForm,
-    InvariantState,
     TemplateCoefficients,
     closed_form_invariant,
     coefficient_matrix,
     invariant_coefficients,
     lr_residual,
-    preset_initial_state,
     scaled_drive_integral,
     signature_normalize,
     time_ordered_propagate,

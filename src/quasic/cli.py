@@ -9,7 +9,9 @@ PASS/FAIL/INCONCLUSIVE line per check, and exits 0 when every check passes,
 tolerance above ``reporting.TOLERANCE_CEILING``), 2 on configuration errors
 and 3 on numerical failures (defective eigensystem or lost positivity where
 the scenario requires it, or a non-finite sample of a time-dependent
-scenario, reported after the CSVs and the report are written).
+scenario, reported after the CSVs and the report are written).  A failure
+that aborts a pair still writes the report, with the checks made so far
+and a ``failure`` record naming the pair, the exception and its message.
 
 CSV columns: t, rho_eig_hi, rho_eig_lo, det_rho, lr_residual,
 quasi_residual, c_sq_residual.  Floats are written with 17 significant
@@ -47,11 +49,7 @@ from .coperator import (
 )
 from .biortho import biortho_system, completeness_residual
 from .errors import QuasiCError
-from .invariants import (
-    lr_residual,
-    preset_initial_state,
-    time_ordered_propagate,
-)
+from .invariants import closed_form_invariant, lr_residual, time_ordered_propagate
 from .linalg import (
     IDENTITY,
     PAULI_Z,
@@ -168,14 +166,14 @@ def _run_static_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, swee
         )
         if eig_lo > 0:
             eta = dyson_map(metric)
-            hmapped = eta.matrix @ h @ np.linalg.inv(eta.matrix)
+            hmapped = eta @ h @ np.linalg.inv(eta)
             report.add(
                 _tag("dyson_sqrt_hermitian_image", lam, kappa, sweeping),
                 frobenius_norm(hmapped - adjoint(hmapped)),
                 cfg.fd_tol,
             )
         rows_eta = dyson_from_eigenvectors(sys_h)
-        diag = rows_eta.matrix @ h @ np.linalg.inv(rows_eta.matrix)
+        diag = rows_eta @ h @ np.linalg.inv(rows_eta)
         report.add(
             _tag("dyson_rows_diagonalizes", lam, kappa, sweeping),
             abs(diag[0, 1]) + abs(diag[1, 0]),
@@ -262,13 +260,12 @@ def _run_td_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, sweeping
         scaled=True,
     )
 
-    # propagate the preset coefficient vector against the closed form
+    # propagate the closed form from its anchor and compare with it at t1
     start = p.drive.t_ref if form is MetricForm.FULL_TD else 0.0
-    init = preset_initial_state(form, p)
     steps = max(1, cfg.samples * cfg.steps_per_sample)
-    final = time_ordered_propagate(p, init, start, cfg.t1, steps)
+    final = time_ordered_propagate(p, closed_form_invariant(form, p, start), start, cfg.t1, steps)
     target = c_at(cfg.t1)
-    prop_err = frobenius_norm(final.matrix() - target) / max(1.0, frobenius_norm(target))
+    prop_err = frobenius_norm(final - target) / max(1.0, frobenius_norm(target))
     report.add(_tag("propagation_consistency", lam, kappa, sweeping), prop_err, 1e-6)
     return rows
 
@@ -310,9 +307,20 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     sweeping = len(cfg.sweep) > 1
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     written = []
+    failure = None
     for lam, kappa in cfg.sweep:
         path = _csv_path(cfg, lam, kappa)
-        _write_csv(path, run_pair(cfg, lam, kappa, report, sweeping))
+        try:
+            # the rows go out of scope once written, so one pair's rows are held at a time
+            _write_csv(path, run_pair(cfg, lam, kappa, report, sweeping))
+        except (QuasiCError, ArithmeticError) as exc:
+            failure = exc
+            report.metadata["failure"] = {
+                "pair": _pair_name(lam, kappa),
+                "exception": type(exc).__name__,
+                "message": str(exc),
+            }
+            break
         written.append(path)
 
     report.metadata["wall_time_s"] = time.perf_counter() - started
@@ -328,6 +336,9 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     n_inconclusive = sum(1 for c in report.checks if c.status == "inconclusive")
     inconclusive = f" ({n_inconclusive} inconclusive)" if n_inconclusive else ""
     print(f"{len(report.checks) - n_fail}/{len(report.checks)} checks passed{inconclusive}")
+    if failure is not None:
+        print(f"numerical failure: {failure}", file=sys.stderr)
+        return 3
     non_finite = {pair: n for pair, n in report.metadata.get("non_finite_samples", {}).items() if n}
     if non_finite:
         where = "; ".join(f"{n} of {cfg.samples} at {pair}" for pair, n in non_finite.items())
@@ -488,12 +499,7 @@ def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace)
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from_args(parser, args)
-    try:
-        return run_scenario(cfg)
-    except (QuasiCError, ArithmeticError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+    return run_scenario(_config_from_args(parser, args))
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ as rho = sigma_z * C and factorizes through a Dyson map as rho = eta^dag eta.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 import numpy as np
@@ -46,14 +45,11 @@ def validate_signature(sig: Signature) -> Signature:
 @dataclass(frozen=True)
 class COperator:
     matrix: np.ndarray
-    signature: Signature
-    time: float | None = None
 
 
 @dataclass(frozen=True)
 class MetricOperator:
     matrix: np.ndarray
-    time: float | None = None
 
     @property
     def det(self) -> float:
@@ -63,23 +59,7 @@ class MetricOperator:
         return hermitian_eigenvalues_2x2(self.matrix, tol=tol)
 
 
-class DysonConstruction(Enum):
-    PSD_SQRT = "psd-sqrt"
-    EIGENVECTOR_ROWS = "eigenvector-rows"
-
-
-@dataclass(frozen=True)
-class DysonMap:
-    matrix: np.ndarray
-    construction: DysonConstruction
-
-
-def c_from_system(
-    sys: BiorthoSystem,
-    signature: Signature,
-    tol: float = DEFAULT_TOL,
-    time: float | None = None,
-) -> COperator:
+def c_from_system(sys: BiorthoSystem, signature: Signature, tol: float = DEFAULT_TOL) -> COperator:
     """Signature-weighted projector sum over a biorthonormal system.
 
     The result is invariant under rescaling any right vector by c with the
@@ -92,7 +72,7 @@ def c_from_system(
     acc = np.zeros((2, 2), dtype=complex)
     for s, pair in zip(signature, sys.pairs):
         acc += s * np.outer(pair.right, np.conj(pair.left))
-    return COperator(matrix=acc, signature=signature, time=time)
+    return COperator(matrix=acc)
 
 
 def involution_residual(c: COperator) -> float:
@@ -139,8 +119,7 @@ def td_constraint_suite(
     forms the antilinear map acts as a time reflection about the drive
     anchor, so that residual vanishes only at reflection-fixed times.
     """
-    matrix = c_at(t)
-    c = COperator(matrix=matrix, signature=(1, -1), time=t)
+    c = COperator(matrix=c_at(t))
     report = VerificationReport(metadata={"suite": "td-constraints", "t": t})
     report.add("c_squared_identity", involution_residual(c), tol)
     report.add("pt_commutation", pt_commutation_residual(c), tol)
@@ -159,7 +138,7 @@ def metric_from_c(c: COperator, tol: float = DEFAULT_TOL) -> MetricOperator:
     resid = frobenius_norm(rho - adjoint(rho))
     if resid > tol * scale:
         raise NotHermitianError(f"sigma_z*C has anti-Hermitian residual {resid:.3g}")
-    return MetricOperator(matrix=0.5 * (rho + adjoint(rho)), time=c.time)
+    return MetricOperator(matrix=0.5 * (rho + adjoint(rho)))
 
 
 def quasi_hermiticity_residual(
@@ -178,15 +157,10 @@ def quasi_hermiticity_residual(
 #: The metric rho = sigma_z I has one closed form per invariant form.
 MetricForm = InvariantForm
 
-_REGIME_TO_METRIC = {
-    Regime.PT_SYMMETRIC: MetricForm.PT_SYMMETRIC,
-    Regime.SPONTANEOUSLY_BROKEN: MetricForm.SPONTANEOUSLY_BROKEN,
-    Regime.EXCEPTIONAL_POINT: MetricForm.EXCEPTIONAL_POINT,
-}
-
 
 def metric_form_for_regime(regime: Regime) -> MetricForm:
-    return _REGIME_TO_METRIC[regime]
+    """The fixed-regime form of a regime; the three regimes share their forms' values."""
+    return MetricForm(regime.value)
 
 
 def closed_form_metric(form: MetricForm, p: HamiltonianParams, t: float) -> MetricOperator:
@@ -198,20 +172,20 @@ def closed_form_metric(form: MetricForm, p: HamiltonianParams, t: float) -> Metr
     """
     d, x, y = _real_entries(form, p, t)
     # sigma_z I(t) with I = [[-d, x + iy], [-x + iy, d]]: the second row negated, exactly
-    return MetricOperator(matrix=_mat2(-d, x + 1j * y, x - 1j * y, -d), time=t)
+    return MetricOperator(matrix=_mat2(-d, x + 1j * y, x - 1j * y, -d))
 
 
-def dyson_map(rho: MetricOperator) -> DysonMap:
+def dyson_map(rho: MetricOperator) -> np.ndarray:
     """Dyson map from a positive-definite metric.
 
     The Hermitian square root is the canonical representative of the
     eta^dag eta factorization (unique up to left-unitary factors); maps
     with eigenvector rows come from dyson_from_eigenvectors.
     """
-    return DysonMap(matrix=psd_sqrt(rho.matrix), construction=DysonConstruction.PSD_SQRT)
+    return psd_sqrt(rho.matrix)
 
 
-def dyson_from_eigenvectors(sys: BiorthoSystem, tol: float = 1e-8) -> DysonMap:
+def dyson_from_eigenvectors(sys: BiorthoSystem, tol: float = 1e-8) -> np.ndarray:
     """Dyson map whose rows are the right eigenvectors (descending eigenvalue).
 
     Its adjoint action diagonalizes the source with the eigenvalues on the
@@ -225,7 +199,7 @@ def dyson_from_eigenvectors(sys: BiorthoSystem, tol: float = 1e-8) -> DysonMap:
     offdiag = abs(transformed[0, 1]) + abs(transformed[1, 0])
     if offdiag > tol * max(1.0, frobenius_norm(sys.source)):
         raise ValueError("eigenvector rows do not diagonalize the source")
-    return DysonMap(matrix=eta, construction=DysonConstruction.EIGENVECTOR_ROWS)
+    return eta
 
 
 def c_from_hamiltonian(
@@ -233,4 +207,4 @@ def c_from_hamiltonian(
 ) -> COperator:
     """Static C-operator of the time-independent member at parameter point p."""
     h = hamiltonian_at(p, t)
-    return c_from_system(biortho_system(h), signature, time=None)
+    return c_from_system(biortho_system(h), signature)

@@ -156,7 +156,7 @@ def c_from_evolution(
     j = minus.index_of(t)
     acc = signature[0] * np.outer(plus.right_states[i], np.conj(plus.left_states[i]))
     acc += signature[1] * np.outer(minus.right_states[j], np.conj(minus.left_states[j]))
-    return COperator(matrix=acc, signature=signature, time=t)
+    return COperator(matrix=acc)
 
 
 class PhaseConvention(Enum):
@@ -173,6 +173,8 @@ class PhaseTrace:
     convention: PhaseConvention
     #: largest |Im(alpha_dot)| encountered; the integrated alpha is real
     imag_residue: float
+    #: the aligned eigenstates on the grid, as aligned_eigenstate_trace returns them
+    states: np.ndarray
 
 
 def phase_factor(trace: PhaseTrace, hbar: float = 1.0) -> np.ndarray:
@@ -245,7 +247,8 @@ def phase_alpha(
     by the trapezoid rule, with alpha(t0) = 0.  The imaginary part of
     alpha_dot must stay negligible (it is reported); alpha itself is real.
     The metric samples come from the alignment pass, H from one evaluation
-    of the drive on the grid, and alpha_dot from one array pass.
+    of the drive on the grid, and alpha_dot from one array pass.  The trace
+    carries the aligned states, so a reconstruction needs no second pass.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
@@ -269,4 +272,4 @@ def phase_alpha(
 
     real = alpha_dot.real
     alpha = np.concatenate([[0.0], np.cumsum(0.5 * dt * (real[1:] + real[:-1]))])
-    return PhaseTrace(grid=grid, alpha=alpha, convention=convention, imag_residue=imag_residue)
+    return PhaseTrace(grid=grid, alpha=alpha, convention=convention, imag_residue=imag_residue, states=states)

@@ -56,15 +56,7 @@ from .errors import (
     RegimeMismatchError,
 )
 from .linalg import DEFAULT_TOL, IDENTITY, _expm1_pauli, _mat2, _matmul2, eigen_2x2, frobenius_norm
-from .model import (
-    HamiltonianParams,
-    PauliCoefficients,
-    Regime,
-    classify_regime,
-    hamiltonian_at,
-    pauli_compose,
-    pauli_decompose,
-)
+from .model import HamiltonianParams, PauliCoefficients, Regime, classify_regime, hamiltonian_at
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -88,15 +80,6 @@ class TemplateCoefficients:
     delta: complex
     gamma_plus: complex
     gamma_minus: complex
-
-    def matrix(self) -> np.ndarray:
-        return (
-            np.array(
-                [[-self.delta, self.gamma_plus], [self.gamma_minus, self.delta]],
-                dtype=complex,
-            )
-            / self.xi
-        )
 
     def signature_identity_residual(self) -> float:
         """|delta^2 + gamma_plus*gamma_minus - xi^2|; zero forces eigenvalues +-1."""
@@ -287,46 +270,6 @@ def closed_form_invariant(
     return _mat2(-d, x + 1j * y, -x + 1j * y, d)
 
 
-@dataclass(frozen=True)
-class InvariantState:
-    """Pauli coefficients (scalar part, 3-vector) of an invariant at a time."""
-
-    iota0: complex
-    iota: np.ndarray
-    time: float
-
-    def matrix(self) -> np.ndarray:
-        v = np.asarray(self.iota, dtype=complex)
-        return pauli_compose(PauliCoefficients(self.iota0, v[0], v[1], v[2]))
-
-
-def preset_initial_state(form: InvariantForm, p: HamiltonianParams) -> InvariantState:
-    """Initial coefficient vector whose propagation reproduces the closed form.
-
-    The drive-independent forms are anchored at t = 0; the drive-dependent
-    form starts where the anchored drive integral vanishes (t = t_ref), at
-    which point the invariant is exactly sigma_z.  The drive-independent
-    vectors are evaluated at (|lam|, |kappa|) and carried to the other signs
-    as in _fixed_regime_parts: c1 flips for lam < 0, (c1, c2) for kappa < 0.
-    """
-    if form is InvariantForm.FULL_TD:
-        return InvariantState(0.0, np.array([0.0, 0.0, 1.0], dtype=complex), p.drive.t_ref)
-    lam, kap = abs(p.lam), abs(p.kappa)
-    if form is InvariantForm.PT_SYMMETRIC:
-        xi = math.sqrt(lam**2 - kap**2)
-        c1, c2, c3 = 1j * _SQRT2 * kap / xi, 1j, _SQRT2 * lam / xi
-    elif form is InvariantForm.SPONTANEOUSLY_BROKEN:
-        xi = math.sqrt(kap**2 - lam**2)
-        c1, c2, c3 = 1j * (_SQRT2 * lam - kap) / xi, 0.0, (_SQRT2 * kap - lam) / xi
-    else:
-        c1, c2, c3 = 0.0, 1j, _SQRT2
-    if p.lam < 0:
-        c1 = -c1
-    if p.kappa < 0:
-        c1, c2 = -c1, -c2
-    return InvariantState(0.0, np.array([c1, c2, c3], dtype=complex), 0.0)
-
-
 def coefficient_matrix(h: PauliCoefficients) -> np.ndarray:
     """The antisymmetric generator M_ij = -eps_ijk h_k of the coefficient ODE."""
     return np.array(
@@ -359,12 +302,12 @@ def _ordered_product(deltas: np.ndarray) -> np.ndarray:
 
 def time_ordered_propagate(
     p: HamiltonianParams,
-    init: InvariantState,
+    init: np.ndarray,
     t0: float,
     t1: float,
     steps: int,
-) -> InvariantState:
-    """Propagate invariant coefficients from t0 to t1 by a midpoint exponential product.
+) -> np.ndarray:
+    """Propagate the 2x2 invariant I(t0) to I(t1) by a midpoint exponential product.
 
     Step k uses the midpoint t_k = t0 + (k + 1/2) dt and the SL(2,C) factor
     U_k = exp(-i dt H_0(t_k) / hbar), where H_0 is the traceless part of H;
@@ -386,8 +329,7 @@ def time_ordered_propagate(
 
     Blocks of 4096 steps keep the working arrays to a few hundred kB.
     Building all 20,000 factors of a typical sweep at once raised peak
-    memory by ~4 MB (over 10%) and saved little time.  The scalar
-    coefficient is constant and copied.
+    memory by ~4 MB (over 10%) and saved little time.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -403,11 +345,8 @@ def time_ordered_propagate(
         tau = p.drive.tau_array(t0 + (k + 0.5) * dt)
         blocks.append(_ordered_product(_expm1_pauli(a1 * tau, 0.0, a3 * tau)))
     prod = IDENTITY + _ordered_product(np.array(blocks))
-    v = np.asarray(init.iota, dtype=complex)
-    traceless = pauli_compose(PauliCoefficients(0.0, v[0], v[1], v[2]))
     adjugate = np.array([[prod[1, 1], -prod[0, 1]], [-prod[1, 0], prod[0, 0]]])
-    out = pauli_decompose(prod @ traceless @ adjugate)
-    return InvariantState(iota0=init.iota0, iota=np.array([out.c1, out.c2, out.c3]), time=t1)
+    return prod @ np.asarray(init, dtype=complex) @ adjugate
 
 
 def lr_residual(

@@ -61,7 +61,8 @@ class VerificationReport:
 
     @property
     def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        """Every check passed, and no ``failure`` aborted the run that made them."""
+        return "failure" not in self.metadata and all(c.passed for c in self.checks)
 
     def json_lines(self) -> list[str]:
         lines = []

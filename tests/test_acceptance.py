@@ -17,7 +17,6 @@ from quasic.coperator import (
     static_constraint_suite,
 )
 from quasic.evolution import (
-    aligned_eigenstate_trace,
     c_from_evolution,
     phase_alpha,
     phase_factor,
@@ -28,7 +27,6 @@ from quasic.invariants import (
     closed_form_invariant,
     invariant_coefficients,
     lr_residual,
-    preset_initial_state,
     scaled_drive_integral,
     time_ordered_propagate,
 )
@@ -91,23 +89,22 @@ def test_criterion_02_static_constraint_triple():
 def test_criterion_03_propagation_matches_closed_forms():
     total_steps = 10_000
     for form, p, t0 in FORM_CASES:
-        state = preset_initial_state(form, p)
+        state = closed_form_invariant(form, p, t0)
         sup = 0.0
         sample_ts = np.linspace(t0, 5.0, 11)
         for a, b in zip(sample_ts, sample_ts[1:]):
             seg = max(1, round(total_steps * (b - a) / (5.0 - t0)))
             state = time_ordered_propagate(p, state, a, b, seg)
-            sup = max(sup, frobenius_norm(state.matrix() - closed_form_invariant(form, p, b)))
+            sup = max(sup, frobenius_norm(state - closed_form_invariant(form, p, b)))
         assert sup <= 1e-6, (form, sup)
     # order-2 confirmation on the genuinely time-ordered case
     p = DRIVEN_PT
-    init = preset_initial_state(InvariantForm.FULL_TD, p)
+    t0 = p.drive.t_ref
+    init = closed_form_invariant(InvariantForm.FULL_TD, p, t0)
     errs = []
     for steps in (total_steps, 2 * total_steps):
-        out = time_ordered_propagate(p, init, init.time, 5.0, steps)
-        errs.append(
-            frobenius_norm(out.matrix() - closed_form_invariant(InvariantForm.FULL_TD, p, 5.0))
-        )
+        out = time_ordered_propagate(p, init, t0, 5.0, steps)
+        errs.append(frobenius_norm(out - closed_form_invariant(InvariantForm.FULL_TD, p, 5.0)))
     ratio = errs[0] / errs[1]
     assert 3.0 <= ratio <= 5.0, ratio
     print(f"ACCEPTANCE 3 PASS: propagation sup-error <= 1e-6 and halving dt gives ratio {ratio:.2f}")
@@ -292,8 +289,7 @@ def test_criterion_11_phase_reconstruction():
     steps = 8_000
     trace = phase_alpha(state_at, p, rho_at, 0.0, 3.0, steps)
     assert trace.imag_residue <= 1e-6
-    states = aligned_eigenstate_trace(state_at, rho_at, trace.grid)
-    reconstructed = states * phase_factor(trace, p.hbar)[:, None]
+    reconstructed = trace.states * phase_factor(trace, p.hbar)[:, None]
     oracle = tdse_integrate(p, reconstructed[0], reconstructed[0], 0.0, 3.0, steps)
     residual = np.abs(reconstructed - oracle.right_states).max()
     assert residual <= 1e-6, residual

@@ -61,6 +61,22 @@ def test_static_exceptional_point_numerical_failure(tmp_path):
     assert run(tmp_path, "static", "--lambda", "1", "--kappa", "1") == 3
 
 
+def test_aborted_run_still_writes_its_report(tmp_path, capsys):
+    # the second pair's Hamiltonian is defective: the run stops there
+    assert run(tmp_path, "static", "--sweep", "2,1;1,1") == 3
+    assert capsys.readouterr().err.strip() == "numerical failure: source matrix is defective"
+    assert [p.name for p in tmp_path.glob("*.csv")] == ["quasi_c_static_2_1.csv"]
+    lines = read_report(tmp_path / "quasi_c_report.jsonl")
+    assert lines[0]["failure"] == {
+        "pair": "lambda=1,kappa=1",
+        "exception": "DefectiveMatrixError",
+        "message": "source matrix is defective",
+    }
+    checks = [ln for ln in lines if ln["type"] == "check"]
+    assert len(checks) == 8 and all(c["name"].endswith("[lambda=2,kappa=1]") and c["pass"] for c in checks)
+    assert lines[-1] == {"type": "summary", "all_pass": False, "n_checks": 8}
+
+
 def test_full_td_figure_degeneracies(tmp_path):
     # grid chosen so pi/2 + n*pi are exact nodes: step pi/100
     code = run(

@@ -90,7 +90,7 @@ class TestCFromSystem:
     def test_equals_invariant(self, _, inv_form, p):
         for t in (0.0, 0.9, 2.7):
             inv = closed_form_invariant(inv_form, p, t)
-            c = c_from_system(biortho_system(inv), (1, -1), time=t)
+            c = c_from_system(biortho_system(inv), (1, -1))
             assert frobenius_norm(c.matrix - inv) < 1e-10
 
     def test_rejects_invalid_system(self):
@@ -135,14 +135,14 @@ class TestStaticSuite:
 
     def test_sigma_y_fails_commutation(self):
         h = hamiltonian_at(STATIC_PT, 0.0)
-        bogus = COperator(matrix=np.array([[0, -1j], [1j, 0]], dtype=complex), signature=(1, -1))
+        bogus = COperator(matrix=np.array([[0, -1j], [1j, 0]], dtype=complex))
         report = static_constraint_suite(bogus, h)
         named = {chk.name: chk for chk in report.checks}
         assert not named["h_commutation"].passed
 
     def test_identity_passes_trivially(self):
         h = hamiltonian_at(STATIC_PT, 0.0)
-        report = static_constraint_suite(COperator(matrix=IDENTITY.copy(), signature=(1, 1)), h)
+        report = static_constraint_suite(COperator(matrix=IDENTITY.copy()), h)
         assert report.all_passed
 
 
@@ -218,7 +218,7 @@ class TestMetric:
         inv = closed_form_invariant(InvariantForm.FULL_TD, FULL_SINE, math.pi / 2)
         c = c_from_system(biortho_system(inv + 0j), (1, -1))
         # at the anchor the invariant is sigma_z itself
-        rho = metric_from_c(COperator(matrix=inv, signature=(1, -1)))
+        rho = metric_from_c(COperator(matrix=inv))
         assert np.allclose(rho.matrix, IDENTITY, atol=1e-12)
         assert np.allclose(c.matrix, PAULI_Z, atol=1e-12)
 
@@ -230,7 +230,7 @@ class TestMetric:
         assert lo < 0 < hi
 
     def test_non_hermitian_product_rejected(self):
-        bogus = COperator(matrix=PAULI_X.copy(), signature=(1, -1))
+        bogus = COperator(matrix=PAULI_X.copy())
         with pytest.raises(NotHermitianError):
             metric_from_c(bogus)
 
@@ -283,7 +283,7 @@ class TestClosedFormMetric:
         # with (+1, -1) weights reproduces sigma_z * closed-form metric
         for t in (0.0, 0.7, 1.9, 4.2):
             inv = closed_form_invariant(inv_form, p, t)
-            c = c_from_system(biortho_system(inv), (1, -1), time=t)
+            c = c_from_system(biortho_system(inv), (1, -1))
             rho = metric_from_c(c)
             ref = closed_form_metric(metric_form, p, t)
             assert frobenius_norm(rho.matrix - ref.matrix) < 1e-8
@@ -362,15 +362,15 @@ class TestDyson:
         from quasic.coperator import MetricOperator
 
         eta = dyson_map(MetricOperator(matrix=IDENTITY.copy()))
-        assert np.allclose(eta.matrix, IDENTITY)
+        assert np.allclose(eta, IDENTITY)
 
     def test_sqrt_map_hermitizes_hamiltonian(self):
         c = c_from_hamiltonian(STATIC_PT, (1, -1))
         rho = metric_from_c(c)
         eta = dyson_map(rho)
-        assert np.allclose(adjoint(eta.matrix) @ eta.matrix, rho.matrix, atol=1e-12)
+        assert np.allclose(adjoint(eta) @ eta, rho.matrix, atol=1e-12)
         h = hamiltonian_at(STATIC_PT, 0.0)
-        mapped = eta.matrix @ h @ np.linalg.inv(eta.matrix)
+        mapped = eta @ h @ np.linalg.inv(eta)
         assert frobenius_norm(mapped - adjoint(mapped)) < 1e-10
         hi, lo = hermitian_eigenvalues_2x2(0.5 * (mapped + adjoint(mapped)))
         assert hi == pytest.approx(-0.5 + SQRT3 / 2, abs=1e-10)
@@ -392,7 +392,7 @@ class TestDyson:
     def test_eigenvector_rows_diagonalize(self):
         h = hamiltonian_at(STATIC_PT, 0.0)
         eta = dyson_from_eigenvectors(biortho_system(h))
-        mapped = eta.matrix @ h @ np.linalg.inv(eta.matrix)
+        mapped = eta @ h @ np.linalg.inv(eta)
         assert abs(mapped[0, 1]) + abs(mapped[1, 0]) < 1e-12
         assert mapped[0, 0] == pytest.approx(-0.5 + SQRT3 / 2, abs=1e-12)
         assert mapped[1, 1] == pytest.approx(-0.5 - SQRT3 / 2, abs=1e-12)

@@ -259,8 +259,7 @@ class TestPhase:
         steps = 3_000
         trace = phase_alpha(state_at, p, rho_at, 0.0, 1.5, steps)
         assert trace.imag_residue < 1e-6
-        states = aligned_eigenstate_trace(state_at, rho_at, trace.grid)
-        rec = states * phase_factor(trace, p.hbar)[:, None]
+        rec = trace.states * phase_factor(trace, p.hbar)[:, None]
         ev = tdse_integrate(p, rec[0], rec[0], 0.0, 1.5, steps)
         err = np.abs(rec - ev.right_states).max()
         assert err < 1e-5
@@ -355,6 +354,20 @@ class TestPhaseArrayPass:
         alpha, imag_residue = phase_alpha_per_sample(state_at, p, rho_at, 0.0, 1.2, 400)
         assert relative_error(trace.alpha, alpha) <= 1e-12
         assert trace.imag_residue == pytest.approx(imag_residue, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_trace_carries_the_aligned_states(self, pair):
+        p = HamiltonianParams(1.0, *PAIRS[pair], hbar=1.3, drive=SineDrive())
+
+        def state_at(t):
+            return invariant_pairs_at(p, t)[0].right
+
+        def rho_at(t):
+            return closed_form_metric(MetricForm.FULL_TD, p, t).matrix
+
+        trace = phase_alpha(state_at, p, rho_at, 0.0, 1.2, 400)
+        again = aligned_eigenstate_trace(state_at, rho_at, trace.grid)
+        assert trace.states.tobytes() == again.tobytes()
 
     def test_steps_below_two_rejected(self):
         e1 = np.array([1.0, 0.0], dtype=complex)

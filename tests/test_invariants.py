@@ -1,5 +1,7 @@
 """Closed-form invariants and the time-ordered coefficient propagator."""
 
+import dataclasses
+import itertools
 import math
 import warnings
 
@@ -14,13 +16,10 @@ from quasic.errors import (
 )
 from quasic.invariants import (
     InvariantForm,
-    InvariantState,
-    TemplateCoefficients,
     closed_form_invariant,
     coefficient_matrix,
     invariant_coefficients,
     lr_residual,
-    preset_initial_state,
     scaled_drive_integral,
     signature_normalize,
     time_ordered_propagate,
@@ -34,6 +33,8 @@ from quasic.model import (
     SineDrive,
     TabulatedDrive,
     hamiltonian_coefficients,
+    pauli_compose,
+    pauli_decompose,
 )
 
 RNG = np.random.default_rng(31)
@@ -55,6 +56,17 @@ FORM_PARAMS = [
 ]
 
 
+def anchor(form, p):
+    """Where propagation starts: the drive anchor t_ref for FULL_TD, t = 0 otherwise."""
+    return p.drive.t_ref if form is InvariantForm.FULL_TD else 0.0
+
+
+def anchored(form, p):
+    """(closed-form invariant at the anchor, anchor time)."""
+    t0 = anchor(form, p)
+    return closed_form_invariant(form, p, t0), t0
+
+
 def expm3_series_oracle(a, terms=60):
     """Plain Taylor sum; adequate for the small step generators used here."""
     acc = np.eye(3, dtype=complex)
@@ -68,11 +80,13 @@ def expm3_series_oracle(a, terms=60):
 def sequential_reference(p, init, t0, t1, steps):
     """The exponential product one step at a time in coefficient space.
 
-    Applies exp((2/hbar) dt M(t_mid)) to the coefficient vector step by step,
-    the scheme time_ordered_propagate must reproduce.  Only the factors are
-    built as one array; their product is taken in a plain sequential loop.
-    The arithmetic is in long double: in double precision the sequential
-    product alone drifts by ~1e-12 over 8193 steps of a constant generator.
+    Applies exp((2/hbar) dt M(t_mid)) to the Pauli coefficient vector of the
+    2x2 invariant init step by step, the scheme time_ordered_propagate must
+    reproduce, and returns the matrix with the constant scalar part of init.
+    Only the factors are built as one array; their product is taken in a
+    plain sequential loop.  The arithmetic is in long double: in double
+    precision the sequential product alone drifts by ~1e-12 over 8193 steps
+    of a constant generator.
     """
     dt = (t1 - t0) / steps
     gens = (2.0 / p.hbar) * dt * np.array(
@@ -84,10 +98,35 @@ def sequential_reference(p, init, t0, t1, steps):
     # series long enough that the first omitted term is below long-double roundoff
     norm = np.abs(gens).sum(axis=2).max()
     terms = next(k for k in range(2, 80) if norm**k / math.factorial(k) < 1e-21)
-    v = np.asarray(init.iota, dtype=np.clongdouble)
+    c = pauli_decompose(init)
+    v = np.array([c.c1, c.c2, c.c3], dtype=np.clongdouble)
     for factor in expm3_series_oracle(gens.astype(np.clongdouble), terms=terms):
         v = factor @ v
-    return v.astype(complex)
+    return pauli_compose(PauliCoefficients(c.c0, *v.astype(complex)))
+
+
+def published_anchor(form, p):
+    """The published invariant at the anchor, composed from its Pauli coefficients.
+
+    (c1, c2, c3) are the coefficients of sigma_x, sigma_y, sigma_z, written
+    for lam, kappa > 0; c1 flips for lam < 0 and (c1, c2) for kappa < 0.
+    """
+    if form is InvariantForm.FULL_TD:
+        return PAULI_Z.copy()
+    lam, kap = abs(p.lam), abs(p.kappa)
+    if form is InvariantForm.PT_SYMMETRIC:
+        xi = math.sqrt(lam**2 - kap**2)
+        c1, c2, c3 = 1j * SQRT2 * kap / xi, 1j, SQRT2 * lam / xi
+    elif form is InvariantForm.SPONTANEOUSLY_BROKEN:
+        xi = math.sqrt(kap**2 - lam**2)
+        c1, c2, c3 = 1j * (SQRT2 * lam - kap) / xi, 0.0, (SQRT2 * kap - lam) / xi
+    else:
+        c1, c2, c3 = 0.0, 1j, SQRT2
+    if p.lam < 0:
+        c1 = -c1
+    if p.kappa < 0:
+        c1, c2 = -c1, -c2
+    return pauli_compose(PauliCoefficients(0.0, c1, c2, c3))
 
 
 class TestCoefficientMatrix:
@@ -139,38 +178,39 @@ class TestOrderedProduct:
 class TestPropagation:
     def test_zero_hamiltonian_is_identity_flow(self):
         p = HamiltonianParams(0.0, 0.0, 0.0)
-        init = InvariantState(0.0, np.array([1.0, 2.0, 3.0], dtype=complex), 0.0)
+        init = pauli_compose(PauliCoefficients(0.5, 1.0, 2.0, 3.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)  # r = 0 in every factor
             out = time_ordered_propagate(p, init, 0.0, 4.0, 57)
-        assert np.allclose(out.iota, init.iota)
-        assert out.iota0 == init.iota0
+        assert np.allclose(out, init)
 
     def test_constant_generator_matches_single_exponential(self):
         p = PT_PARAMS
-        init = preset_initial_state(InvariantForm.PT_SYMMETRIC, p)
+        init = closed_form_invariant(InvariantForm.PT_SYMMETRIC, p, 0.0)
         t1 = 1.7
         out = time_ordered_propagate(p, init, 0.0, t1, 400)
         m = coefficient_matrix(hamiltonian_coefficients(p, 0.0))
-        expected = expm3_series_oracle(2.0 * t1 * m) @ init.iota
-        assert np.abs(out.iota - expected).max() < 1e-12
+        c = pauli_decompose(init)
+        v = expm3_series_oracle(2.0 * t1 * m) @ np.array([c.c1, c.c2, c.c3])
+        expected = pauli_compose(PauliCoefficients(c.c0, *v))
+        assert np.abs(out - expected).max() < 1e-12
 
     @pytest.mark.parametrize("form,p", FORM_PARAMS)
     def test_matches_closed_form(self, form, p):
-        init = preset_initial_state(form, p)
-        t1 = init.time + 2.0
-        out = time_ordered_propagate(p, init, init.time, t1, 4000)
+        init, t0 = anchored(form, p)
+        t1 = t0 + 2.0
+        out = time_ordered_propagate(p, init, t0, t1, 4000)
         target = closed_form_invariant(form, p, t1)
-        assert frobenius_norm(out.matrix() - target) < 1e-7
+        assert frobenius_norm(out - target) < 1e-7
 
     def test_second_order_convergence(self):
         p = FULL_SINE_PARAMS
-        init = preset_initial_state(InvariantForm.FULL_TD, p)
+        init, t0 = anchored(InvariantForm.FULL_TD, p)
         t1 = 5.0
         errs = []
         for steps in (1000, 2000, 4000):
-            out = time_ordered_propagate(p, init, init.time, t1, steps)
-            errs.append(frobenius_norm(out.matrix() - closed_form_invariant(InvariantForm.FULL_TD, p, t1)))
+            out = time_ordered_propagate(p, init, t0, t1, steps)
+            errs.append(frobenius_norm(out - closed_form_invariant(InvariantForm.FULL_TD, p, t1)))
         assert 3.0 < errs[0] / errs[1] < 5.0
         assert 3.0 < errs[1] / errs[2] < 5.0
 
@@ -184,30 +224,29 @@ class TestPropagation:
         ],
     )
     def test_determinant_preserved(self, form, p):
-        state = preset_initial_state(form, p)
+        state, t0 = anchored(form, p)
         for t1 in np.linspace(1.0, 10.0, 10):
-            state = time_ordered_propagate(p, state, state.time, t1, 500)
-            assert abs(det(state.matrix()) + 1.0) < 1e-9
+            state = time_ordered_propagate(p, state, t0, t1, 500)
+            t0 = t1
+            assert abs(det(state) + 1.0) < 1e-9
 
     def test_backward_propagation_inverts(self):
         p = FULL_SINE_PARAMS
-        init = preset_initial_state(InvariantForm.FULL_TD, p)
-        fwd = time_ordered_propagate(p, init, init.time, 4.0, 2000)
-        back = time_ordered_propagate(p, fwd, 4.0, init.time, 2000)
-        assert np.abs(back.iota - init.iota).max() < 1e-8
+        init, t0 = anchored(InvariantForm.FULL_TD, p)
+        fwd = time_ordered_propagate(p, init, t0, 4.0, 2000)
+        back = time_ordered_propagate(p, fwd, 4.0, t0, 2000)
+        assert np.abs(back - init).max() < 1e-8
 
     def test_tabulated_drive_matches_sine_drive(self):
         grid = np.linspace(0.0, 4.0, 8001)
         tab = TabulatedDrive(times=grid, values=np.sin(grid), t_ref=math.pi / 2)
         p_tab = HamiltonianParams(1.0, 2.0, 1.0, drive=tab)
-        init = preset_initial_state(InvariantForm.FULL_TD, p_tab)
-        out_tab = time_ordered_propagate(p_tab, init, init.time, 3.5, 2000)
-        out_ref = time_ordered_propagate(
-            FULL_SINE_PARAMS, init, init.time, 3.5, 2000
-        )
-        assert np.abs(out_tab.iota - out_ref.iota).max() < 1e-6
+        init, t0 = anchored(InvariantForm.FULL_TD, p_tab)
+        out_tab = time_ordered_propagate(p_tab, init, t0, 3.5, 2000)
+        out_ref = time_ordered_propagate(FULL_SINE_PARAMS, init, t0, 3.5, 2000)
+        assert np.abs(out_tab - out_ref).max() < 1e-6
         closed = closed_form_invariant(InvariantForm.FULL_TD, p_tab, 3.5)
-        assert frobenius_norm(out_tab.matrix() - closed) < 1e-6
+        assert frobenius_norm(out_tab - closed) < 1e-6
 
     @pytest.mark.parametrize("forward", [True, False], ids=["forward", "backward"])
     @pytest.mark.parametrize(
@@ -224,7 +263,8 @@ class TestPropagation:
     )
     def test_same_scheme_as_sequential_product(self, drive, lam, kappa, forward):
         p = HamiltonianParams(1.0, lam, kappa, hbar=0.8, drive=drive)
-        init = InvariantState(0.5, np.array([0.3 + 0.1j, 1j, 1.2], dtype=complex), 0.0)
+        # a scalar part of 0.5 rides along: conjugation keeps it
+        init = pauli_compose(PauliCoefficients(0.5, 0.3 + 0.1j, 1j, 1.2))
         t0, t1 = (0.3, 2.3) if forward else (2.3, 0.3)
         # odd tails and both sides of the 4096-step block edges
         for steps in (1, 2, 3, 4095, 4096, 4097, 8193):
@@ -232,28 +272,28 @@ class TestPropagation:
                 warnings.simplefilter("error", RuntimeWarning)  # r = 0 at the EP
                 out = time_ordered_propagate(p, init, t0, t1, steps)
             ref = sequential_reference(p, init, t0, t1, steps)
-            assert np.linalg.norm(out.iota - ref) <= 1e-12 * np.linalg.norm(ref), steps
-            assert out.iota0 == init.iota0 and out.time == t1
+            assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref), steps
 
     def test_propagation_outside_tabulated_range(self):
         grid = np.linspace(0.0, 1.0, 11)
         tab = TabulatedDrive(times=grid, values=np.ones_like(grid))
         p = HamiltonianParams(1.0, 2.0, 1.0, drive=tab)
-        init = InvariantState(0.0, np.array([0.0, 0.0, 1.0], dtype=complex), 0.0)
         with pytest.raises(DriveRangeError):
-            time_ordered_propagate(p, init, 0.0, 2.0, 10)
+            time_ordered_propagate(p, PAULI_Z.copy(), 0.0, 2.0, 10)
 
 
 class TestPresets:
     @pytest.mark.parametrize("form,p", FORM_PARAMS)
     def test_preset_matches_closed_form_at_anchor(self, form, p):
-        init = preset_initial_state(form, p)
-        assert frobenius_norm(init.matrix() - closed_form_invariant(form, p, init.time)) < 1e-12
+        for s_lam, s_kappa in itertools.product((1.0, -1.0), repeat=2):
+            q = dataclasses.replace(p, lam=s_lam * p.lam, kappa=s_kappa * p.kappa)
+            got = closed_form_invariant(form, q, anchor(form, q))
+            assert frobenius_norm(got - published_anchor(form, q)) < 1e-12, (s_lam, s_kappa)
 
     def test_full_td_preset_is_sigma_z(self):
-        init = preset_initial_state(InvariantForm.FULL_TD, FULL_SINE_PARAMS)
-        assert np.allclose(init.matrix(), PAULI_Z)
-        assert init.time == pytest.approx(math.pi / 2)
+        init, t0 = anchored(InvariantForm.FULL_TD, FULL_SINE_PARAMS)
+        assert np.allclose(init, PAULI_Z)
+        assert t0 == pytest.approx(math.pi / 2)
 
 
 class TestClosedForms:
@@ -382,11 +422,3 @@ class TestSignatureNormalize:
             assert vals[0] == pytest.approx(1.0, abs=1e-9)
             assert vals[1] == pytest.approx(-1.0, abs=1e-9)
 
-
-def test_template_coefficients_matrix_layout():
-    c = TemplateCoefficients(2.0, 0.5, 1.0 + 1j, -1.0 + 1j)
-    m = c.matrix()
-    assert m[0, 0] == pytest.approx(-0.25)
-    assert m[0, 1] == pytest.approx((1.0 + 1j) / 2.0)
-    assert m[1, 0] == pytest.approx((-1.0 + 1j) / 2.0)
-    assert m[1, 1] == pytest.approx(0.25)
