@@ -17,12 +17,20 @@ CSV columns: t, rho_eig_hi, rho_eig_lo, det_rho, lr_residual,
 quasi_residual, c_sq_residual.  Floats are written with 17 significant
 digits, so output files are bit-identical across runs of the same
 configuration.
+
+A time-dependent pair samples the closed forms and the two residuals per
+sample, then derives the eigenvalues, det rho, ||C^2 - I||, the folded
+check values and the non-finite count in one array pass; each of its check
+records carries ``argmax_t``, the sample time of the worst value (the first
+non-finite one, if any; t1 for the propagation check).  The metadata
+record's ``stage_s`` holds the wall time of four stages summed over the
+pairs: ``sampling`` (the per-sample loop), ``array_pass``, ``propagation``
+and ``csv_write``; a static pair adds only to ``csv_write``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import platform
@@ -53,11 +61,14 @@ from .invariants import closed_form_invariant, lr_residual, time_ordered_propaga
 from .linalg import (
     IDENTITY,
     PAULI_Z,
+    _max1,
     adjoint,
     commutator,
     det,
+    det_real_stack,
     frobenius_norm,
-    hermitian_eigenvalues_2x2,
+    frobenius_norm_stack,
+    hermitian_eigenvalues_stack,
 )
 from .model import (
     ConstantDrive,
@@ -74,6 +85,12 @@ PANEL_A = ((2.0, 1.0), (3.0, 1.0), (2.0, 1.5))
 PANEL_B = ((1.0, 2.0), (1.0, 3.0), (1.5, 2.0))
 
 _SIGNATURES = {"+-": (1, -1), "-+": (-1, 1), "++": (1, 1), "--": (-1, -1)}
+
+_COLUMNS = ("t", "rho_eig_hi", "rho_eig_lo", "det_rho", "lr_residual", "quasi_residual", "c_sq_residual")
+# the bytes csv.writer wrote for these cells: no quoting, \r\n line ends
+_CSV_HEADER = ",".join(_COLUMNS) + "\r\n"
+_CSV_ROW = ",".join(["%.17g"] * len(_COLUMNS)) + "\r\n"
+_STAGES = ("sampling", "array_pass", "propagation", "csv_write")
 
 
 @dataclass
@@ -116,21 +133,23 @@ def _params(cfg: ScenarioConfig, lam: float, kappa: float) -> HamiltonianParams:
     )
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _csv_path(cfg: ScenarioConfig, lam: float, kappa: float) -> Path:
     return cfg.out_dir / f"{cfg.prefix}_{cfg.scenario}_{lam:g}_{kappa:g}.csv"
 
 
-def _write_csv(path: Path, rows: list[dict]) -> None:
-    fields = ["t", "rho_eig_hi", "rho_eig_lo", "det_rho", "lr_residual", "quasi_residual", "c_sq_residual"]
+def _write_csv(path: Path, columns: np.ndarray) -> None:
+    """Write the (7, samples) column array, one row per sample, in one call."""
+    cells = columns.T.ravel().tolist()
+    text = _CSV_HEADER + (_CSV_ROW * columns.shape[1]) % tuple(cells)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow([_fmt(row[f]) for f in fields])
+        fh.write(text)
+
+
+def _add_stage_time(report: VerificationReport, stage: str, started: float) -> float:
+    """Add the wall time since ``started`` to a stage of ``stage_s``; returns the time now."""
+    now = time.perf_counter()
+    report.metadata["stage_s"][stage] += now - started
+    return now
 
 
 def _pair_name(lam: float, kappa: float) -> str:
@@ -183,20 +202,11 @@ def _run_static_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, swee
     lr = frobenius_norm(commutator(h, c.matrix))
     quasi = frobenius_norm(adjoint(h) @ rho_raw - rho_raw @ h)
     c_sq = involution_residual(c)
-    rows = []
-    for t in np.linspace(cfg.t0, cfg.t1, cfg.samples):
-        rows.append(
-            {
-                "t": float(t),
-                "rho_eig_hi": eig_hi,
-                "rho_eig_lo": eig_lo,
-                "det_rho": float(np.real(det(rho_raw))),
-                "lr_residual": lr,
-                "quasi_residual": quasi,
-                "c_sq_residual": c_sq,
-            }
-        )
-    return rows
+    det_rho = float(np.real(det(rho_raw)))
+    columns = np.empty((len(_COLUMNS), cfg.samples))
+    columns[0] = np.linspace(cfg.t0, cfg.t1, cfg.samples)
+    columns[1:] = np.array([eig_hi, eig_lo, det_rho, lr, quasi, c_sq])[:, None]
+    return columns
 
 
 def _run_td_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, sweeping: bool):
@@ -215,50 +225,57 @@ def _run_td_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, sweeping
         c[1] = -c[1]
         return c
 
-    rows = []
-    folds = []
-    for t in np.linspace(cfg.t0, cfg.t1, cfg.samples):
-        rho = rho_at(t)
-        cmat = c_at(t)
-        eig_hi, eig_lo = hermitian_eigenvalues_2x2(rho, tol=1e-8)
-        det_rho = float(np.real(det(rho)))
-        lr = lr_residual(c_at, p, t, fd_step=cfg.fd_step)
-        quasi = quasi_hermiticity_residual(rho_at, p, t, fd_step=cfg.fd_step)
-        c_sq = frobenius_norm(cmat @ cmat - IDENTITY)
-        rows.append(
-            {
-                "t": float(t),
-                "rho_eig_hi": eig_hi,
-                "rho_eig_lo": eig_lo,
-                "det_rho": det_rho,
-                "lr_residual": lr,
-                "quasi_residual": quasi,
-                "c_sq_residual": c_sq,
-            }
-        )
+    started = time.perf_counter()
+    ts = np.linspace(cfg.t0, cfg.t1, cfg.samples)
+    rho = np.empty((cfg.samples, 2, 2), dtype=complex)
+    cmat = np.empty_like(rho)
+    lr = np.empty(cfg.samples)
+    quasi = np.empty(cfg.samples)
+    for k, t in enumerate(ts):
+        rho[k] = rho_at(t)
+        cmat[k] = c_at(t)
+        lr[k] = lr_residual(c_at, p, t, fd_step=cfg.fd_step)
+        quasi[k] = quasi_hermiticity_residual(rho_at, p, t, fd_step=cfg.fd_step)
+    started = _add_stage_time(report, "sampling", started)
+
+    # non-finite samples are counted and reported below, so the pass does not warn about them
+    with np.errstate(over="ignore", invalid="ignore"):
+        eig_hi, eig_lo = hermitian_eigenvalues_stack(rho, tol=1e-8)
+        det_rho = det_real_stack(rho)
+        c_sq = frobenius_norm_stack(np.matmul(cmat, cmat) - IDENTITY)
+        columns = np.stack((ts, eig_hi, eig_lo, det_rho, lr, quasi, c_sq))
         # CSV keeps raw residuals; checks normalize by the metric scale,
-        # whose hyperbolic growth sets the attainable floating-point floor
-        scale = max(1.0, frobenius_norm(rho))
-        folds.append((lr / scale, quasi / scale, c_sq / scale**2, abs(det_rho - 1.0), -eig_lo, eig_hi))
-    # np.maximum and np.max propagate NaN, so a non-finite sample cannot vanish from a check
+        # whose hyperbolic growth sets the attainable floating-point floor.
+        # Python's scale**2 raised OverflowError where scale * scale is inf;
+        # as the norm is the square root of a finite sum of squares, that
+        # needs a sum within rounding of the largest double.
+        scale = _max1(frobenius_norm_stack(rho))
+        folds = np.stack((lr / scale, quasi / scale, c_sq / (scale * scale), np.abs(det_rho - 1.0), -eig_lo, eig_hi))
+    # np.maximum and np.max propagate NaN, and np.argmax stops at the first
+    # NaN, so a non-finite sample cannot vanish from a check or its location
     max_lr, max_quasi, max_csq, max_det_dev, max_neg, max_hi = np.maximum(
-        np.max(folds, axis=0), (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+        np.max(folds, axis=1), (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
     ).tolist()
-    n_nonfinite = sum(1 for row in rows if not all(math.isfinite(v) for v in row.values()))
+    at_lr, at_quasi, at_csq, at_det, at_neg, _ = ts[np.argmax(folds, axis=1)].tolist()
+    n_nonfinite = int(np.count_nonzero(~np.isfinite(columns).all(axis=0)))
     report.metadata.setdefault("non_finite_samples", {})[_pair_name(lam, kappa)] = n_nonfinite
 
-    report.add(_tag("lr_residual_max", lam, kappa, sweeping), max_lr, cfg.fd_tol)
-    report.add(_tag("quasi_hermiticity_max", lam, kappa, sweeping), max_quasi, cfg.fd_tol)
-    report.add(_tag("c_squared_identity_max", lam, kappa, sweeping), max_csq, cfg.tol)
+    report.add(_tag("lr_residual_max", lam, kappa, sweeping), max_lr, cfg.fd_tol, argmax_t=at_lr)
+    report.add(_tag("quasi_hermiticity_max", lam, kappa, sweeping), max_quasi, cfg.fd_tol, argmax_t=at_quasi)
+    report.add(_tag("c_squared_identity_max", lam, kappa, sweeping), max_csq, cfg.tol, argmax_t=at_csq)
     # det roundoff also grows with the square of the entry scale
     det_tol = max(1e-9, 16.0 * _EPS64 * max_hi**2)
-    report.add(_tag("det_rho_unit_max_dev", lam, kappa, sweeping), max_det_dev, det_tol, scaled=True)
+    report.add(
+        _tag("det_rho_unit_max_dev", lam, kappa, sweeping), max_det_dev, det_tol, scaled=True, argmax_t=at_det
+    )
     report.add(
         _tag("metric_positive_definite", lam, kappa, sweeping),
         max_neg,
         64.0 * _EPS64 * max_hi,
         scaled=True,
+        argmax_t=at_neg,
     )
+    started = _add_stage_time(report, "array_pass", started)
 
     # propagate the closed form from its anchor and compare with it at t1
     start = p.drive.t_ref if form is MetricForm.FULL_TD else 0.0
@@ -266,8 +283,9 @@ def _run_td_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, sweeping
     final = time_ordered_propagate(p, closed_form_invariant(form, p, start), start, cfg.t1, steps)
     target = c_at(cfg.t1)
     prop_err = frobenius_norm(final - target) / max(1.0, frobenius_norm(target))
-    report.add(_tag("propagation_consistency", lam, kappa, sweeping), prop_err, 1e-6)
-    return rows
+    report.add(_tag("propagation_consistency", lam, kappa, sweeping), prop_err, 1e-6, argmax_t=cfg.t1)
+    _add_stage_time(report, "propagation", started)
+    return columns
 
 
 def _report_skeleton(cfg: ScenarioConfig) -> VerificationReport:
@@ -291,6 +309,7 @@ def _report_skeleton(cfg: ScenarioConfig) -> VerificationReport:
                 "tol": cfg.tol,
                 "pairs": [list(pair) for pair in cfg.sweep],
             },
+            "stage_s": dict.fromkeys(_STAGES, 0.0),
             "versions": {
                 "quasic": __version__,
                 "numpy": np.__version__,
@@ -311,8 +330,10 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     for lam, kappa in cfg.sweep:
         path = _csv_path(cfg, lam, kappa)
         try:
-            # the rows go out of scope once written, so one pair's rows are held at a time
-            _write_csv(path, run_pair(cfg, lam, kappa, report, sweeping))
+            columns = run_pair(cfg, lam, kappa, report, sweeping)
+            written_at = time.perf_counter()
+            _write_csv(path, columns)
+            _add_stage_time(report, "csv_write", written_at)
         except (QuasiCError, ArithmeticError) as exc:
             failure = exc
             report.metadata["failure"] = {

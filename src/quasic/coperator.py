@@ -47,9 +47,18 @@ class COperator:
     matrix: np.ndarray
 
 
-@dataclass(frozen=True)
 class MetricOperator:
-    matrix: np.ndarray
+    """A metric rho as its 2x2 matrix.
+
+    A plain slotted class rather than a frozen dataclass: the closed forms
+    build one per evaluation, and a frozen dataclass's ``__init__`` (which
+    sets its field through ``object.__setattr__``) takes about twice as long.
+    """
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        self.matrix = matrix
 
     @property
     def det(self) -> float:
@@ -147,7 +156,14 @@ def quasi_hermiticity_residual(
     t: float,
     fd_step: float = 1e-5,
 ) -> float:
-    """|| i*hbar d(rho)/dt - H(t)^dag rho + rho H(t) || by central differences."""
+    """|| i*hbar d(rho)/dt - H(t)^dag rho + rho H(t) || by central differences.
+
+    Every member of the family has sigma_z H sigma_z = H^dag, so for
+    rho = sigma_z C this defect is sigma_z times the conservation defect
+    i*hbar dC/dt - [H, C] of ``invariants.lr_residual``, entry by entry up
+    to sign, and the two residuals are the same number.  The command line
+    computes and writes both.
+    """
     drho = (rho_at(t + fd_step) - rho_at(t - fd_step)) / (2.0 * fd_step)
     h = hamiltonian_at(p, t)
     rho = rho_at(t)

@@ -28,6 +28,8 @@ class Check:
     tolerance: float
     #: the tolerance was derived from the scale of the data (see TOLERANCE_CEILING)
     scaled: bool = False
+    #: sample time of the worst value (the first non-finite one, if any) of a time series
+    argmax_t: float | None = None
 
     @property
     def status(self) -> str:
@@ -51,8 +53,16 @@ class VerificationReport:
     checks: list[Check] = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
-    def add(self, name: str, value: float, tolerance: float, scaled: bool = False) -> Check:
-        check = Check(name=name, value=float(value), tolerance=float(tolerance), scaled=scaled)
+    def add(
+        self, name: str, value: float, tolerance: float, scaled: bool = False, argmax_t: float | None = None
+    ) -> Check:
+        check = Check(
+            name=name,
+            value=float(value),
+            tolerance=float(tolerance),
+            scaled=scaled,
+            argmax_t=None if argmax_t is None else float(argmax_t),
+        )
         self.checks.append(check)
         return check
 
@@ -69,19 +79,17 @@ class VerificationReport:
         if self.metadata:
             lines.append(json.dumps({"type": "metadata", **self.metadata}, sort_keys=True))
         for c in self.checks:
-            lines.append(
-                json.dumps(
-                    {
-                        "type": "check",
-                        "name": c.name,
-                        "value": c.value,
-                        "tolerance": c.tolerance,
-                        "pass": c.passed,
-                        "status": c.status,
-                    },
-                    sort_keys=True,
-                )
-            )
+            record = {
+                "type": "check",
+                "name": c.name,
+                "value": c.value,
+                "tolerance": c.tolerance,
+                "pass": c.passed,
+                "status": c.status,
+            }
+            if c.argmax_t is not None:
+                record["argmax_t"] = c.argmax_t
+            lines.append(json.dumps(record, sort_keys=True))
         lines.append(
             json.dumps(
                 {"type": "summary", "all_pass": self.all_passed, "n_checks": len(self.checks)},

@@ -9,11 +9,17 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quasic import cli
 from quasic.cli import _FLOAT_OPTIONS, build_parser, main
+from quasic.coperator import MetricForm, closed_form_metric, metric_form_for_regime, quasi_hermiticity_residual
+from quasic.invariants import lr_residual
+from quasic.linalg import IDENTITY, det, frobenius_norm, hermitian_eigenvalues_2x2
+from quasic.model import classify_regime
 from quasic.reporting import TOLERANCE_CEILING
 
 COLUMNS = ["t", "rho_eig_hi", "rho_eig_lo", "det_rho", "lr_residual", "quasi_residual", "c_sq_residual"]
@@ -400,3 +406,146 @@ def test_report_metadata_versions(tmp_path):
     assert "numpy" in meta["versions"]
     assert meta["config"]["scenario"] == "static"
     assert "wall_time_s" not in json.dumps(read_csv(tmp_path / "quasi_c_static_2_1.csv"))
+
+
+def per_sample_td_pair(cfg, lam, kappa):
+    """Reference: the per-sample loop that the array pass of ``_run_td_pair`` replaced.
+
+    Returns the CSV rows and the five folded check values.
+    """
+    p = cli._params(cfg, lam, kappa)
+    if cfg.scenario == "metric-picture":
+        form = metric_form_for_regime(classify_regime(p))
+    else:
+        form = MetricForm.FULL_TD
+
+    def rho_at(t):
+        return closed_form_metric(form, p, t).matrix
+
+    def c_at(t):
+        c = rho_at(t)
+        c[1] = -c[1]
+        return c
+
+    rows = []
+    folds = []
+    for t in np.linspace(cfg.t0, cfg.t1, cfg.samples):
+        rho = rho_at(t)
+        cmat = c_at(t)
+        eig_hi, eig_lo = hermitian_eigenvalues_2x2(rho, tol=1e-8)
+        det_rho = float(np.real(det(rho)))
+        lr = lr_residual(c_at, p, t, fd_step=cfg.fd_step)
+        quasi = quasi_hermiticity_residual(rho_at, p, t, fd_step=cfg.fd_step)
+        c_sq = frobenius_norm(cmat @ cmat - IDENTITY)
+        rows.append([float(t), eig_hi, eig_lo, det_rho, lr, quasi, c_sq])
+        scale = max(1.0, frobenius_norm(rho))
+        folds.append((lr / scale, quasi / scale, c_sq / scale**2, abs(det_rho - 1.0), -eig_lo, eig_hi))
+    max_lr, max_quasi, max_csq, max_det_dev, max_neg, _ = np.maximum(
+        np.max(folds, axis=0), (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+    ).tolist()
+    return rows, [max_lr, max_quasi, max_csq, max_det_dev, max_neg]
+
+
+def bits(values):
+    # repr round-trips every float, so equal reprs are equal bits (NaN payloads aside)
+    return [repr(float(v)) for v in values]
+
+
+# PT-symmetric, broken and coalescent pairs, with every sign
+_ORACLE_RUN = ("--t1=6", "--samples=120", "--sweep=2,1;1,2;1.5,1.5;-2,-1;-1,2;1.5,-1.5")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["full-td", "--drive", "const", *_ORACLE_RUN],
+        ["full-td", "--drive", "sin", *_ORACLE_RUN],
+        ["metric-picture", *_ORACLE_RUN],
+        ["full-td", "--drive", "sin", "--hbar", "1.3", "--omega=-0.7", *_ORACLE_RUN],
+        ["metric-picture", "--hbar", "1.3", *_ORACLE_RUN],
+        # overflows on the way: the non-finite cells must land in the same places
+        ["full-td", "--lambda", "1", "--kappa", "2", "--drive", "const", "--t1", "1000", "--samples", "5"],
+    ],
+    ids=["full-td-const", "full-td-sin", "metric-picture", "full-td-sin-hbar", "metric-picture-hbar", "overflow"],
+)
+def test_array_pass_matches_the_per_sample_loop(argv):
+    parser = build_parser()
+    cfg = cli._config_from_args(parser, parser.parse_args(argv))
+    for lam, kappa in cfg.sweep:
+        report = cli._report_skeleton(cfg)
+        columns = cli._run_td_pair(cfg, lam, kappa, report, False)
+        rows, folded = per_sample_td_pair(cfg, lam, kappa)
+        assert columns.shape == (len(COLUMNS), cfg.samples)
+        assert [bits(row) for row in columns.T] == [bits(row) for row in rows]
+        assert bits(c.value for c in report.checks[:5]) == bits(folded)
+        n_nonfinite = sum(1 for row in rows if not all(math.isfinite(v) for v in row))
+        assert report.metadata["non_finite_samples"] == {cli._pair_name(lam, kappa): n_nonfinite}
+        assert (n_nonfinite > 0) == (cfg.t1 == 1000)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["full-td", "--drive", "sin", "--sweep=2,1;-1,2;1.5,-1.5", "--t1", "4"],
+        ["full-td", "--drive", "const", "--omega=-2", "--hbar", "1.6", "--sweep=-2,-1;1,-2;-1.5,-1.5", "--t1", "4"],
+        ["metric-picture", "--hbar", "1.7", "--sweep=-2,1;1,-2;1.5,1.5", "--t1", "4"],
+        ["metric-picture", "--omega", "3", "--sweep=2,-1;-1,-2;-1.5,1.5", "--t1", "4"],
+    ],
+)
+def test_residual_columns_are_one_number(tmp_path, argv):
+    # sigma_z H sigma_z = H^dag for every member of the family and rho = sigma_z C,
+    # so the quasi-Hermiticity defect of rho is sigma_z times the conservation
+    # defect of C, entry by entry up to sign
+    assert run(tmp_path, *argv, "--samples", "100") == 0
+    paths = sorted(tmp_path.glob("*.csv"))
+    assert len(paths) == 3
+    for path in paths:
+        rows = read_csv(path)
+        assert len(rows) == 100
+        assert all(r["lr_residual"] == r["quasi_residual"] for r in rows)
+
+
+def test_checks_locate_their_worst_sample(tmp_path):
+    # the broken-regime metric grows from t = 0 on, so its smaller eigenvalue
+    # is smallest at t1: positivity is closest to failing there
+    assert run(tmp_path, "metric-picture", "--lambda", "1", "--kappa", "2", "--t1", "4", "--samples", "60") == 0
+    rows = read_csv(tmp_path / "quasi_c_metric-picture_1_2.csv")
+    times = [float(r["t"]) for r in rows]
+    checks = {ln["name"]: ln for ln in read_report(tmp_path / "quasi_c_report.jsonl") if ln["type"] == "check"}
+    assert checks["metric_positive_definite"]["argmax_t"] == 4.0
+    assert checks["propagation_consistency"]["argmax_t"] == 4.0
+    dev = [abs(float(r["det_rho"]) - 1.0) for r in rows]
+    assert checks["det_rho_unit_max_dev"]["argmax_t"] == times[dev.index(max(dev))]
+    assert all(c["argmax_t"] in times for c in checks.values())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_worst_sample_of_a_non_finite_check_is_the_first_non_finite_one(tmp_path):
+    # samples at t = 0, 250, ..., 1000; the metric has overflowed by t = 250
+    assert run(tmp_path, "full-td", "--lambda", "1", "--kappa", "2", "--t1", "1000", "--samples", "5") == 3
+    rows = read_csv(tmp_path / "quasi_c_full-td_1_2.csv")
+    first_bad = next(float(r["t"]) for r in rows if not math.isfinite(float(r["c_sq_residual"])))
+    assert first_bad == 250.0
+    checks = {ln["name"]: ln for ln in read_report(tmp_path / "quasi_c_report.jsonl") if ln["type"] == "check"}
+    assert checks["c_squared_identity_max"]["argmax_t"] == first_bad
+    assert checks["propagation_consistency"]["argmax_t"] == 1000.0
+
+
+def test_static_checks_carry_no_sample_time(tmp_path):
+    assert run(tmp_path, "static") == 0
+    checks = [ln for ln in read_report(tmp_path / "quasi_c_report.jsonl") if ln["type"] == "check"]
+    assert checks and all("argmax_t" not in c for c in checks)
+
+
+@pytest.mark.parametrize("scenario", ["static", "metric-picture", "full-td"])
+def test_report_records_stage_times(tmp_path, scenario):
+    assert run(tmp_path, scenario, "--sweep", "2,1;1,2" if scenario != "static" else "2,1;3,1", "--t1", "3", "--samples", "30") == 0
+    stages = read_report(tmp_path / "quasi_c_report.jsonl")[0]["stage_s"]
+    assert list(stages) == ["array_pass", "csv_write", "propagation", "sampling"]  # sorted by json.dumps
+    assert all(math.isfinite(v) and v >= 0.0 for v in stages.values())
+    assert stages["csv_write"] > 0.0
+    if scenario == "static":
+        assert stages["sampling"] == stages["array_pass"] == stages["propagation"] == 0.0
+    else:
+        assert min(stages.values()) > 0.0

@@ -16,9 +16,12 @@ from quasic.linalg import (
     adjoint,
     commutator,
     det,
+    det_real_stack,
     eigen_2x2,
     frobenius_norm,
+    frobenius_norm_stack,
     hermitian_eigenvalues_2x2,
+    hermitian_eigenvalues_stack,
     is_hermitian,
     is_positive_definite,
     mat_exp,
@@ -243,6 +246,47 @@ class TestScalarKernels:
             with pytest.raises(NotHermitianError):
                 hermitian_eigenvalues_2x2(h + 1e-6j * scale * IDENTITY)
             hermitian_eigenvalues_2x2(h + 1e-12 * skew)  # within tol * scale
+
+
+class TestStackedKernels:
+    """The (..., 2, 2) kernels give each matrix the scalar kernels' bits."""
+
+    @staticmethod
+    def stack():
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((2000, 2, 2)) + 1j * rng.standard_normal((2000, 2, 2))
+        # half the entries spread over 100 decades, so the sum order matters
+        a[1000:] *= 10.0 ** rng.uniform(-50, 50, size=(1000, 2, 2))
+        return a
+
+    def test_frobenius_norm_and_det(self):
+        a = self.stack()
+        assert frobenius_norm_stack(a).tolist() == [frobenius_norm(m) for m in a]
+        assert det_real_stack(a).tolist() == [float(np.real(det(m))) for m in a]
+        # C^2 - I of a stack by batched matmul, as the command line forms it
+        squares = frobenius_norm_stack(np.matmul(a, a) - IDENTITY)
+        assert squares.tolist() == [frobenius_norm(m @ m - IDENTITY) for m in a]
+
+    def test_hermitian_eigenvalues(self):
+        a = self.stack()
+        h = a + a.conj().swapaxes(-1, -2)
+        hi, lo = hermitian_eigenvalues_stack(h, tol=1e-8)
+        assert list(zip(hi.tolist(), lo.tolist())) == [hermitian_eigenvalues_2x2(m, tol=1e-8) for m in h]
+
+    def test_not_hermitian_raises_the_scalar_error(self):
+        h = np.array([IDENTITY, PAULI_X, np.array([[0.0, 1.0], [0.0, 0.0]])], dtype=complex)
+        with pytest.raises(NotHermitianError) as scalar:
+            hermitian_eigenvalues_2x2(h[2], tol=1e-8)
+        with pytest.raises(NotHermitianError) as stacked:
+            hermitian_eigenvalues_stack(h, tol=1e-8)
+        assert str(stacked.value) == str(scalar.value)
+
+    def test_non_finite_entries(self):
+        h = np.array([[[np.inf, 0], [0, 1]], [[np.nan, 0], [0, 1]], [[1, 0], [0, 1]]], dtype=complex)
+        with np.errstate(invalid="ignore"):
+            hi, lo = hermitian_eigenvalues_stack(h)
+        for k, m in enumerate(h):
+            assert [repr(hi[k]), repr(lo[k])] == [repr(np.float64(v)) for v in hermitian_eigenvalues_2x2(m)]
 
 
 class TestMatExp:

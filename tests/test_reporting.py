@@ -32,10 +32,13 @@ def test_json_lines_carry_the_status():
     report = VerificationReport()
     report.add("a", 0.0, 1.0)
     report.add("b", 2.0, 1.0)
-    report.add("c", 0.0, 1.0, scaled=True)
+    report.add("c", 0.0, 1.0, scaled=True, argmax_t=2.5)
     records = [json.loads(line) for line in report.json_lines()]
-    assert [(r["status"], r["pass"]) for r in records if r["type"] == "check"] == [
+    checks = [r for r in records if r["type"] == "check"]
+    assert [(r["status"], r["pass"]) for r in checks] == [
         ("pass", True),
         ("fail", False),
         ("inconclusive", False),
     ]
+    # only a check of a time series locates its worst sample
+    assert [r.get("argmax_t") for r in checks] == [None, None, 2.5]
