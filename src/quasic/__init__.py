@@ -29,7 +29,6 @@ from .errors import (
     BranchFlipError,
     DefectiveMatrixError,
     DriveRangeError,
-    ExceptionalPointSingularError,
     InvalidSystemError,
     NearlyDefectiveError,
     NotHermitianError,
@@ -51,10 +50,8 @@ from .evolution import (
 )
 from .invariants import (
     InvariantForm,
-    TemplateCoefficients,
     closed_form_invariant,
     coefficient_matrix,
-    invariant_coefficients,
     lr_residual,
     scaled_drive_integral,
     signature_normalize,

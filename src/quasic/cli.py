@@ -477,6 +477,8 @@ def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace)
         parser.error("--fd-step must be positive")
     if args.scenario in ("static", "metric-picture") and args.drive != "const":
         parser.error(f"{args.scenario} requires the constant drive")
+    if args.scenario == "metric-picture" and args.drive_value != 1.0:
+        parser.error("metric-picture requires the drive value 1: its closed forms assume tau == 1")
     if args.drive == "sin" and args.frequency == 0:
         parser.error("--frequency must be non-zero for the sine drive")
     tol = args.tol

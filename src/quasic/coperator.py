@@ -182,9 +182,11 @@ def metric_form_for_regime(regime: Regime) -> MetricForm:
 def closed_form_metric(form: MetricForm, p: HamiltonianParams, t: float) -> MetricOperator:
     """Published closed-form metric rho(t) = sigma_z * I(t) for the family.
 
-    I(t) is the closed-form invariant of the same form.  The drive-dependent
-    form FULL_TD holds on and next to the exceptional points lam = +-kappa,
-    where its entries take their coalescence limit.
+    I(t) is the closed-form invariant of the same form.  The three
+    drive-independent forms assume tau == 1 and a parameter point inside
+    their regime.  The drive-dependent form FULL_TD holds on and next to the
+    exceptional points lam = +-kappa, where its entries take their
+    coalescence limit.
     """
     d, x, y = _real_entries(form, p, t)
     # sigma_z I(t) with I = [[-d, x + iy], [-x + iy, d]]: the second row negated, exactly

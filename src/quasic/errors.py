@@ -29,10 +29,6 @@ class RegimeMismatchError(QuasiCError):
     """Closed form evaluated with parameters outside its validity regime."""
 
 
-class ExceptionalPointSingularError(QuasiCError):
-    """Closed form with a 1/xi prefactor evaluated where xi is below tolerance."""
-
-
 class NotTemplateError(QuasiCError):
     """Matrix eigenvalues are not a (+a, -a) pair, so it cannot be sign-normalized."""
 

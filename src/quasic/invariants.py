@@ -30,31 +30,25 @@ block's dozen batched products cost far less than one Python iteration per
 step.
 
 Four closed-form solutions serve as cross-validation oracles.  All four
-share the template
+have the form
 
-    I(t) = (1/xi) [[-delta, gamma_plus], [gamma_minus, delta]]
+    I(t) = [[-d, x + iy], [-x + iy, d]]
 
-whose determinant is -1 because delta^2 + gamma_plus*gamma_minus = xi^2.
-closed_form_invariant evaluates the entries of I(t) in real arithmetic; for
-the drive-dependent form they are entire in xi = kappa^2 - lam^2, so only
-the template's 1/xi normalization is singular at the exceptional point.
+with real entries and d^2 - x^2 - y^2 = 1, so det I = -1 and the
+eigenvalues are +-1.  closed_form_invariant evaluates the entries in real
+arithmetic; for the drive-dependent form they are entire in
+xi = kappa^2 - lam^2 and hold through the exceptional point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DriveRangeError,
-    ExceptionalPointSingularError,
-    NotTemplateError,
-    RegimeMismatchError,
-)
+from .errors import DriveRangeError, NotTemplateError, RegimeMismatchError
 from .linalg import DEFAULT_TOL, IDENTITY, _expm1_pauli, _mat2, _matmul2, eigen_2x2, frobenius_norm
 from .model import HamiltonianParams, PauliCoefficients, Regime, classify_regime, hamiltonian_at
 
@@ -72,20 +66,6 @@ class InvariantForm(Enum):
     FULL_TD = "full-td"
 
 
-@dataclass(frozen=True)
-class TemplateCoefficients:
-    """Entries of the traceless invariant template (possibly complex)."""
-
-    xi: complex
-    delta: complex
-    gamma_plus: complex
-    gamma_minus: complex
-
-    def signature_identity_residual(self) -> float:
-        """|delta^2 + gamma_plus*gamma_minus - xi^2|; zero forces eigenvalues +-1."""
-        return abs(self.delta**2 + self.gamma_plus * self.gamma_minus - self.xi**2)
-
-
 def scaled_drive_integral(p: HamiltonianParams, t: float) -> complex:
     """sqrt(kappa^2 - lam^2) times the anchored drive integral over hbar.
 
@@ -98,73 +78,9 @@ def scaled_drive_integral(p: HamiltonianParams, t: float) -> complex:
     return complex(np.sqrt(xi) * (p.drive.integral(t) / p.hbar))
 
 
-def near_coalescence(p: HamiltonianParams, tol: float = DEFAULT_TOL) -> bool:
-    """True where the drive-dependent template is singular.
-
-    That is |kappa^2 - lam^2| <= tol * max(1, kappa^2, lam^2), a band that
-    contains classify_regime's exceptional points.  Only the template
-    (invariant_coefficients), which divides by xi, is singular there; the
-    entries of closed_form_invariant and the metric are entire in xi and
-    need no guard.
-    """
-    k2, l2 = p.kappa**2, p.lam**2
-    return abs(k2 - l2) <= tol * max(1.0, k2, l2)
-
-
 def _require_regime(form: InvariantForm, p: HamiltonianParams, required: Regime) -> None:
     if classify_regime(p) is not required:
         raise RegimeMismatchError(f"{form.value} form requires the {required.value} regime")
-
-
-def _fixed_regime_parts(
-    form: InvariantForm, p: HamiltonianParams, t: float, tol: float
-) -> tuple[float, float, float, float]:
-    """(xi, delta, real, imag) of a fixed-regime form at time t.
-
-    The template's off-diagonals are gamma_plus = real + i imag and
-    gamma_minus = -real + i imag.  The forms test their regime by identity
-    on every call: a lookup in an enum-keyed dict runs Enum.__hash__ in
-    Python, and this is on the path of every sample.  They solve
-    i hbar dI/dt = [H, I] for a constant H, so time enters as t / hbar,
-    taken as a Python float: callers pass numpy scalars from time grids,
-    whose arithmetic costs several times more.
-
-    The published forms are written for lam, kappa > 0.  The family's
-    symmetries carry them to the other signs: sigma_x H(lam, kappa) sigma_x
-    = H(-lam, kappa), whose invariant -sigma_x I sigma_x has imag negated,
-    and sigma_z H(lam, kappa) sigma_z = H(lam, -kappa), whose invariant
-    sigma_z I sigma_z has real and imag negated.  So the parts are evaluated
-    at (|lam|, |kappa|) and the signs flipped after.
-    """
-    lam, kap = abs(p.lam), abs(p.kappa)
-    s = float(t) / p.hbar
-    if form is InvariantForm.PT_SYMMETRIC:
-        _require_regime(form, p, Regime.PT_SYMMETRIC)
-        xi = math.sqrt(lam**2 - kap**2)
-        if xi <= tol:
-            raise ExceptionalPointSingularError("xi below tolerance")
-        delta = -_SQRT2 * lam - kap * math.sin(xi * s)
-        real = xi * math.cos(xi * s)
-        imag = _SQRT2 * kap + lam * math.sin(xi * s)
-    elif form is InvariantForm.SPONTANEOUSLY_BROKEN:
-        _require_regime(form, p, Regime.SPONTANEOUSLY_BROKEN)
-        xi = math.sqrt(kap**2 - lam**2)
-        if xi <= tol:
-            raise ExceptionalPointSingularError("xi below tolerance")
-        delta = lam - _SQRT2 * kap * math.cosh(xi * s)
-        real = _SQRT2 * xi * math.sinh(xi * s)
-        imag = _SQRT2 * lam * math.cosh(xi * s) - kap
-    else:
-        _require_regime(form, p, Regime.EXCEPTIONAL_POINT)
-        xi = 1.0
-        delta = -(kap**2) * s**2 / _SQRT2 - kap * s - _SQRT2
-        real = 1.0 + _SQRT2 * kap * s
-        imag = kap**2 * s**2 / _SQRT2 + kap * s
-    if p.kappa < 0:
-        real, imag = -real, -imag
-    if p.lam < 0:
-        imag = -imag
-    return xi, delta, real, imag
 
 
 def _sinhc(q: float) -> float:
@@ -193,7 +109,7 @@ def _drive_entries(p: HamiltonianParams, t: float, xi: float) -> tuple[float, fl
     """(d, x, y) of the drive-dependent invariant at time t, for xi = kappa^2 - lam^2.
 
     With M the anchored drive integral over hbar, mu = sqrt(xi) M and
-    cosh(mu) - 1 = 2 sinh(mu/2)^2, the template entries divided by xi are
+    cosh(mu) - 1 = 2 sinh(mu/2)^2, the published entries divided by xi are
 
         d = -1 - kappa^2 (M^2/2) S(xi M^2/4)^2
         x = kappa M S(xi M^2)
@@ -212,61 +128,71 @@ def _drive_entries(p: HamiltonianParams, t: float, xi: float) -> tuple[float, fl
     return -1.0 - kap * kap * half, kap * m * _sinhc(xi * mm), kap * p.lam * half
 
 
-def _template(
-    form: InvariantForm, p: HamiltonianParams, t: float, tol: float
-) -> tuple[complex, complex, complex, complex]:
-    """(xi, delta, gamma_plus, gamma_minus) of the selected closed form at time t.
+def _real_entries(form: InvariantForm, p: HamiltonianParams, t: float) -> tuple[float, float, float]:
+    """(d, x, y) of the closed-form invariant [[-d, x + iy], [-x + iy, d]] at time t.
 
-    The drive-dependent template is built from its real entries as
-    (xi, xi d, xi (x + iy), xi (-x + iy)).  Its 1/xi normalization is
-    singular at coalescence, so it raises ExceptionalPointSingularError
-    inside the near_coalescence band.
-    """
-    if form is InvariantForm.FULL_TD:
-        if near_coalescence(p, tol):
-            raise ExceptionalPointSingularError(
-                "drive-dependent template is singular at coalescence; use closed_form_invariant"
-            )
-        xi = _xi(p)
-        d, x, y = _drive_entries(p, t, xi)
-        return xi, xi * d, xi * complex(x, y), xi * complex(-x, y)
-    xi, delta, real, imag = _fixed_regime_parts(form, p, t, tol)
-    return xi, delta, complex(real, imag), complex(-real, imag)
+    Real float arithmetic throughout.  The drive-dependent form evaluates its
+    entire closed form, which holds through the exceptional point.
 
+    The fixed-regime forms give their published parts (xi, delta, real,
+    imag), and d = delta/xi, x = real/xi, y = imag/xi.  They test their
+    regime by identity on every call: a lookup in an enum-keyed dict runs
+    Enum.__hash__ in Python, and this is on the path of every sample.  They
+    solve i hbar dI/dt = [H, I] for a constant H, so time enters as t / hbar,
+    taken as a Python float: callers pass numpy scalars from time grids,
+    whose arithmetic costs several times more.
 
-def invariant_coefficients(
-    form: InvariantForm, p: HamiltonianParams, t: float, tol: float = DEFAULT_TOL
-) -> TemplateCoefficients:
-    """Template coefficients of the selected closed-form invariant at time t.
+    The parts are published for lam, kappa > 0.  The family's symmetries
+    carry them to the other signs: sigma_x H(lam, kappa) sigma_x
+    = H(-lam, kappa), whose invariant -sigma_x I sigma_x has imag negated,
+    and sigma_z H(lam, kappa) sigma_z = H(lam, -kappa), whose invariant
+    sigma_z I sigma_z has real and imag negated.  So the parts are evaluated
+    at (|lam|, |kappa|) and the signs flipped before the division.
 
-    The three drive-independent forms assume tau == 1 and a parameter point
-    inside their regime; the drive-dependent form accepts any parameters
-    outside the near_coalescence band.
-    """
-    return TemplateCoefficients(*_template(form, p, t, tol))
-
-
-def _real_entries(
-    form: InvariantForm, p: HamiltonianParams, t: float, tol: float = DEFAULT_TOL
-) -> tuple[float, float, float]:
-    """(d, x, y) of the closed-form invariant [[-d, x + iy], [-x + iy, d]].
-
-    Real float arithmetic throughout.  The fixed-regime forms divide their
-    template parts by xi (d = delta/xi, x = real/xi, y = imag/xi); the
-    drive-dependent form evaluates its entire closed form, which holds
-    through the exceptional point.
+    Outside classify_regime's exceptional-point band
+    ||lam| - |kappa|| > 1e-12, so the PT and broken forms divide by
+    xi > 1e-12, a normal double.  Within a relative 1e-8 or so of
+    lam = +-kappa the entries grow like 1/xi and det I = -1 is left to
+    cancellation between them, so the forms lose digits; the drive-dependent
+    form is the one that holds there.
     """
     if form is InvariantForm.FULL_TD:
         return _drive_entries(p, t, _xi(p))
-    xi, delta, real, imag = _fixed_regime_parts(form, p, t, tol)
+    lam, kap = abs(p.lam), abs(p.kappa)
+    s = float(t) / p.hbar
+    if form is InvariantForm.PT_SYMMETRIC:
+        _require_regime(form, p, Regime.PT_SYMMETRIC)
+        xi = math.sqrt(lam**2 - kap**2)
+        delta = -_SQRT2 * lam - kap * math.sin(xi * s)
+        real = xi * math.cos(xi * s)
+        imag = _SQRT2 * kap + lam * math.sin(xi * s)
+    elif form is InvariantForm.SPONTANEOUSLY_BROKEN:
+        _require_regime(form, p, Regime.SPONTANEOUSLY_BROKEN)
+        xi = math.sqrt(kap**2 - lam**2)
+        delta = lam - _SQRT2 * kap * math.cosh(xi * s)
+        real = _SQRT2 * xi * math.sinh(xi * s)
+        imag = _SQRT2 * lam * math.cosh(xi * s) - kap
+    else:
+        _require_regime(form, p, Regime.EXCEPTIONAL_POINT)
+        xi = 1.0
+        delta = -(kap**2) * s**2 / _SQRT2 - kap * s - _SQRT2
+        real = 1.0 + _SQRT2 * kap * s
+        imag = kap**2 * s**2 / _SQRT2 + kap * s
+    if p.kappa < 0:
+        real, imag = -real, -imag
+    if p.lam < 0:
+        imag = -imag
     return delta / xi, real / xi, imag / xi
 
 
-def closed_form_invariant(
-    form: InvariantForm, p: HamiltonianParams, t: float, tol: float = DEFAULT_TOL
-) -> np.ndarray:
-    """Matrix [[-d, x + iy], [-x + iy, d]] of the selected closed-form invariant."""
-    d, x, y = _real_entries(form, p, t, tol)
+def closed_form_invariant(form: InvariantForm, p: HamiltonianParams, t: float) -> np.ndarray:
+    """Matrix [[-d, x + iy], [-x + iy, d]] of the selected closed-form invariant.
+
+    The three drive-independent forms assume tau == 1 and a parameter point
+    inside their regime (RegimeMismatchError otherwise); the drive-dependent
+    form FULL_TD accepts any parameters and drive.
+    """
+    d, x, y = _real_entries(form, p, t)
     return _mat2(-d, x + 1j * y, -x + 1j * y, d)
 
 

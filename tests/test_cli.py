@@ -140,6 +140,14 @@ def test_metric_picture_takes_every_sign(tmp_path, capsys, lam, kappa):
     assert_all_checks_pass(tmp_path, capsys, code, 6)
 
 
+@pytest.mark.parametrize("lam,kappa", [("5e-11", "0"), ("0", "5e-11")])
+def test_metric_picture_at_tiny_scale(tmp_path, capsys, lam, kappa):
+    # xi = 5e-11 is far outside classify_regime's exceptional-point band, and
+    # the fixed-regime forms keep det = -1 there
+    code = run(tmp_path, "metric-picture", "--lambda", lam, "--kappa", kappa)
+    assert_all_checks_pass(tmp_path, capsys, code, 6)
+
+
 def test_static_sweep_writes_one_csv_per_pair(tmp_path, capsys):
     code = run(tmp_path, "static", "--sweep", "2,1;3,1")
     assert code == 0
@@ -210,10 +218,10 @@ def test_closed_forms_follow_hbar(tmp_path, scenario, drive, hbar):
 
 
 @pytest.mark.parametrize("drive", ["const", "sin"])
-def test_full_td_inside_the_singular_template_band(tmp_path, drive):
-    # |lambda - kappa| = 1e-10 is outside classify_regime's exceptional-point
-    # band but inside the band where the drive-dependent template is
-    # singular; the metric entries are not
+def test_full_td_just_outside_the_exceptional_point_band(tmp_path, drive):
+    # |lambda - kappa| = 1e-10 is just outside classify_regime's
+    # exceptional-point band; the drive-dependent entries are entire in
+    # kappa^2 - lambda^2 and keep full precision there
     assert run(tmp_path, "full-td", "--drive", drive, "--lambda", "0.1000000001", "--kappa", "0.1") == 0
 
 
@@ -278,6 +286,7 @@ def test_config_errors_exit_two(tmp_path):
         ["static", "--t0", "5", "--t1", "1"],
         ["static", "--samples", "1"],
         ["metric-picture", "--drive", "sin"],
+        ["metric-picture", "--drive-value", "2"],
         ["full-td", "--sweep", "nonsense"],
         ["full-td", "--omega", "nan"],
         ["full-td", "--hbar", "0"],

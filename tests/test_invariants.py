@@ -8,23 +8,17 @@ import warnings
 import numpy as np
 import pytest
 
-from quasic.errors import (
-    DriveRangeError,
-    ExceptionalPointSingularError,
-    NotTemplateError,
-    RegimeMismatchError,
-)
+from quasic.errors import DriveRangeError, NotTemplateError, RegimeMismatchError
 from quasic.invariants import (
     InvariantForm,
     closed_form_invariant,
     coefficient_matrix,
-    invariant_coefficients,
     lr_residual,
     scaled_drive_integral,
     signature_normalize,
     time_ordered_propagate,
 )
-from quasic.invariants import _ordered_product
+from quasic.invariants import _ordered_product, _real_entries
 from quasic.linalg import PAULI_Z, adjoint, det, frobenius_norm
 from quasic.model import (
     ConstantDrive,
@@ -296,6 +290,32 @@ class TestPresets:
         assert t0 == pytest.approx(math.pi / 2)
 
 
+def assert_unit_signature(form, p, times):
+    """det I = -1 and d^2 - x^2 - y^2 = 1 for the real entries, each within 1e-9."""
+    for t in times:
+        d, x, y = _real_entries(form, p, t)
+        assert abs(d * d - x * x - y * y - 1.0) < 1e-9, (form, p, t)
+        assert abs(det(closed_form_invariant(form, p, t)) + 1.0) < 1e-9, (form, p, t)
+
+
+# PT and broken pairs with entries from 1e-14 to 10 and every sign.
+# classify_regime's band is 1e-12 wide at small scales, so the larger entry
+# starts at 3e-12; below xi = 1e-10 the forms once raised.  Time enters as
+# t / hbar, and hbar = 5 * scale keeps xi t / hbar below 2 for t <= 10.
+SCALED_PAIRS = [
+    (form, HamiltonianParams(1.0, scale * lam, scale * kappa, hbar=5.0 * scale))
+    for scale in (3e-12, 5e-11, 1e-10, 1e-6, 1.0, 10.0)
+    for form, lam, kappa in (
+        (InvariantForm.PT_SYMMETRIC, 1.0, 0.0),
+        (InvariantForm.PT_SYMMETRIC, -1.0, 0.5),
+        (InvariantForm.PT_SYMMETRIC, 1.0, -0.005),
+        (InvariantForm.SPONTANEOUSLY_BROKEN, 0.0, -1.0),
+        (InvariantForm.SPONTANEOUSLY_BROKEN, 0.5, 1.0),
+        (InvariantForm.SPONTANEOUSLY_BROKEN, -0.005, -1.0),
+    )
+]
+
+
 class TestClosedForms:
     @pytest.mark.parametrize(
         "form,p",
@@ -305,30 +325,24 @@ class TestClosedForms:
             (InvariantForm.EXCEPTIONAL_POINT, EP_PARAMS),
             (InvariantForm.FULL_TD, FULL_SINE_PARAMS),
             (InvariantForm.FULL_TD, HamiltonianParams(1.0, 1.0, 1.2, drive=ConstantDrive())),
+            # hbar = 10/3 spans the same xi t / hbar as t <= 3 at hbar = 1
+            (InvariantForm.SPONTANEOUSLY_BROKEN, dataclasses.replace(BROKEN_PARAMS, hbar=10.0 / 3.0)),
+            (InvariantForm.FULL_TD, dataclasses.replace(FULL_CONST_PARAMS, hbar=10.0 / 3.0)),
+            *SCALED_PAIRS,
         ],
     )
     def test_det_is_minus_one(self, form, p):
         # entry scale stays below ~1e3 for these parameters, so the 1e-9
         # bound is meaningful in double precision over the whole window
-        for t in np.linspace(0.0, 10.0, 41):
-            assert abs(det(closed_form_invariant(form, p, t)) + 1.0) < 1e-9
+        assert_unit_signature(form, p, np.linspace(0.0, 10.0, 41))
 
-    @pytest.mark.parametrize("form,p", FORM_PARAMS)
-    def test_template_identity(self, form, p):
-        # delta^2 + gamma_plus*gamma_minus = xi^2 forces eigenvalues +-1
-        for t in np.linspace(0.0, 3.0, 7):
-            c = invariant_coefficients(form, p, t)
-            assert c.signature_identity_residual() < 1e-9 * max(1.0, abs(c.xi) ** 2)
-
-    def test_template_identity_over_parameter_grid(self):
+    def test_det_is_minus_one_over_parameter_grid(self):
         for lam in (0.5, 1.0, 2.0):
             for kappa in (0.5, 1.0, 2.0):
                 if abs(lam) == abs(kappa):
                     continue
                 p = HamiltonianParams(1.0, lam, kappa, drive=SineDrive())
-                for t in (0.0, 0.7, 1.5, 3.0):
-                    c = invariant_coefficients(InvariantForm.FULL_TD, p, t)
-                    assert c.signature_identity_residual() < 1e-9 * max(1.0, abs(c.xi) ** 2)
+                assert_unit_signature(InvariantForm.FULL_TD, p, (0.0, 0.7, 1.5, 3.0))
 
     def test_full_td_at_zero_drive_integral_is_sigma_z(self):
         got = closed_form_invariant(InvariantForm.FULL_TD, FULL_SINE_PARAMS, math.pi / 2)
@@ -353,15 +367,11 @@ class TestClosedForms:
 
     def test_regime_mismatch(self):
         with pytest.raises(RegimeMismatchError):
-            invariant_coefficients(InvariantForm.PT_SYMMETRIC, BROKEN_PARAMS, 0.0)
+            closed_form_invariant(InvariantForm.PT_SYMMETRIC, BROKEN_PARAMS, 0.0)
         with pytest.raises(RegimeMismatchError):
-            invariant_coefficients(InvariantForm.SPONTANEOUSLY_BROKEN, PT_PARAMS, 0.0)
+            closed_form_invariant(InvariantForm.SPONTANEOUSLY_BROKEN, PT_PARAMS, 0.0)
         with pytest.raises(RegimeMismatchError):
-            invariant_coefficients(InvariantForm.EXCEPTIONAL_POINT, PT_PARAMS, 0.0)
-
-    def test_full_td_singular_at_coalescence(self):
-        with pytest.raises(ExceptionalPointSingularError):
-            invariant_coefficients(InvariantForm.FULL_TD, EP_PARAMS, 1.0)
+            closed_form_invariant(InvariantForm.EXCEPTIONAL_POINT, PT_PARAMS, 0.0)
 
 
 class TestLrResidual:

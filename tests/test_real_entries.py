@@ -17,23 +17,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasic.errors import ExceptionalPointSingularError
 from quasic.invariants import InvariantForm, _real_entries, _require_regime
-from quasic.linalg import DEFAULT_TOL
 from quasic.model import ConstantDrive, HamiltonianParams, Regime, SineDrive, classify_regime
 
 _SQRT2 = math.sqrt(2.0)
 
 
-def reference_fixed_template(form, p, t, tol):
+def reference_fixed_template(form, p, t):
     """The template at (|lam|, |kappa|); reference_real_entries flips its signs."""
     lam, kap = abs(p.lam), abs(p.kappa)
     if form is InvariantForm.PT_SYMMETRIC:
         _require_regime(form, p, Regime.PT_SYMMETRIC)
         s = float(t) / p.hbar
         xi = math.sqrt(lam**2 - kap**2)
-        if xi <= tol:
-            raise ExceptionalPointSingularError("xi below tolerance")
         delta = -_SQRT2 * lam - kap * math.sin(xi * s)
         imag = _SQRT2 * kap + lam * math.sin(xi * s)
         real = xi * math.cos(xi * s)
@@ -42,8 +38,6 @@ def reference_fixed_template(form, p, t, tol):
         _require_regime(form, p, Regime.SPONTANEOUSLY_BROKEN)
         s = float(t) / p.hbar
         xi = math.sqrt(kap**2 - lam**2)
-        if xi <= tol:
-            raise ExceptionalPointSingularError("xi below tolerance")
         delta = lam - _SQRT2 * kap * math.cosh(xi * s)
         imag = _SQRT2 * lam * math.cosh(xi * s) - kap
         real = _SQRT2 * xi * math.sinh(xi * s)
@@ -56,8 +50,8 @@ def reference_fixed_template(form, p, t, tol):
     return 1.0, delta, real + 1j * imag, -real + 1j * imag
 
 
-def reference_real_entries(form, p, t, tol=DEFAULT_TOL):
-    xi, delta, gamma_plus, gamma_minus = reference_fixed_template(form, p, t, tol)
+def reference_real_entries(form, p, t):
+    xi, delta, gamma_plus, gamma_minus = reference_fixed_template(form, p, t)
     d = complex(delta / xi)
     x = complex(0.5 * (gamma_plus - gamma_minus) / xi)
     y = complex(0.5 * (gamma_plus + gamma_minus) / (1j * xi))
@@ -94,12 +88,7 @@ def test_fixed_regime_entries_same_bits(hbar):
                 p = HamiltonianParams(1.0, lam_, kappa_, hbar=hbar)
                 form = _FIXED_FORMS[classify_regime(p)]
                 for t in _TIMES:
-                    try:
-                        want = np.array(reference_real_entries(form, p, t))
-                    except ExceptionalPointSingularError:
-                        with pytest.raises(ExceptionalPointSingularError):
-                            _real_entries(form, p, t)
-                        continue
+                    want = np.array(reference_real_entries(form, p, t))
                     got = np.array(_real_entries(form, p, t))
                     assert got.tobytes() == want.tobytes(), (form, lam_, kappa_, t, hbar)
                     checked[form] += 1
