@@ -336,6 +336,14 @@ class TestClosedForms:
         # bound is meaningful in double precision over the whole window
         assert_unit_signature(form, p, np.linspace(0.0, 10.0, 41))
 
+    @pytest.mark.parametrize("form,p", FORM_PARAMS)
+    def test_template_identity(self, form, p):
+        # [[a, b], [c, -a]] with a^2 + b c = 1 has eigenvalues +-1
+        for t in np.linspace(0.0, 3.0, 7):
+            m = closed_form_invariant(form, p, t)
+            assert m[0, 0] + m[1, 1] == 0.0, (form, p, t)
+            assert abs(m[0, 0] ** 2 + m[0, 1] * m[1, 0] - 1.0) < 1e-9, (form, p, t)
+
     def test_det_is_minus_one_over_parameter_grid(self):
         for lam in (0.5, 1.0, 2.0):
             for kappa in (0.5, 1.0, 2.0):
