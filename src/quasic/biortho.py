@@ -11,14 +11,17 @@ eigenvalue inside a class).  With this order the (+1, -1) signature weights
 produce the operator whose induced metric sigma_z * C is positive definite
 whenever one exists, for Hamiltonians and invariants alike.
 
-``biortho_system`` runs once per time sample in phase reconstruction, so it
-works on Python scalars: it reads the four entries and runs the eigen
-kernel ``linalg._eigen_scalars`` on them and on their conjugate transpose,
+``biortho_system`` takes one matrix or an (N, 2, 2) stack.  One matrix
+goes through Python scalars, since its callers run it once per sample or
+once per run: it reads the four entries and runs the eigen kernel
+``linalg._eigen_scalars`` on them and on their conjugate transpose,
 without building the adjoint array.  The eigenvector condition number, the
 sort key and the eigenvalue matching use those scalars too.  The results
 are the numpy form's to the bit: ``np.vdot`` forms the biorthogonal
 overlap and numpy divides the left vector by it, because a scalar sum
-rounds differently from the BLAS.
+rounds differently from the BLAS.  A stack, such as the closed-form
+invariant on a time grid in phase reconstruction, takes the same steps and
+tests per sample as array passes (``_biortho_stack``), to within a few ulp.
 """
 
 from __future__ import annotations
@@ -29,14 +32,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DefectiveMatrixError, NearlyDefectiveError
-from .linalg import DEFAULT_TOL, IDENTITY, PAULI_Z, _eigen_scalars, frobenius_norm
+from .linalg import (
+    DEFAULT_TOL,
+    IDENTITY,
+    PAULI_Z,
+    _eigen_scalars,
+    _eigen_stack,
+    _max1,
+    frobenius_norm,
+    frobenius_norm_stack,
+)
 
 COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
 class BiorthoPair:
-    eigenvalue: complex
+    """One eigenvalue with its right and left vectors.
+
+    A complex and two (2,) arrays; for a stack of N matrices, an (N,) array
+    and two (N, 2) arrays.
+    """
+
+    eigenvalue: complex | np.ndarray
     right: np.ndarray
     left: np.ndarray
 
@@ -86,8 +104,13 @@ def biortho_system(a: np.ndarray, tol: float = DEFAULT_TOL) -> BiorthoSystem:
     from that of ``a``'s adjoint, matched by eigenvalue conjugation.  Raises
     DefectiveMatrixError at a coalescent (non-diagonalizable) point and
     NearlyDefectiveError when the eigenvector matrix condition exceeds 1e12.
+
+    ``a`` is one 2x2 matrix, or an (N, 2, 2) stack whose system has pairs
+    of (N,) eigenvalues and (N, 2) vectors (see ``_biortho_stack``).
     """
     a = np.asarray(a, dtype=complex)
+    if a.ndim == 3:
+        return _biortho_stack(a, tol)
     (a00, a01), (a10, a11) = a.tolist()
     # the adjoint's norm equals a's to the bit: its memory order mirrors a's
     scale = max(1.0, frobenius_norm(a))
@@ -125,6 +148,82 @@ def biortho_system(a: np.ndarray, tol: float = DEFAULT_TOL) -> BiorthoSystem:
     if pairs[1][0] < pairs[0][0]:
         pairs.reverse()
     return BiorthoSystem(pairs=(pairs[0][1], pairs[1][1]), source=a)
+
+
+def _biortho_stack(a: np.ndarray, tol: float) -> BiorthoSystem:
+    """biortho_system of each matrix of an (N, 2, 2) stack, in one array pass.
+
+    Every sample goes through the scalar path's steps and tests: the eigen
+    kernel on the matrix and on its adjoint (``linalg._eigen_stack``), the
+    condition number, the matching of left to right by eigenvalue, the
+    overlap guard and the pair order.  The results agree with the scalar
+    path's to a few ulp, in the same pair order, since numpy's hypot, abs
+    and complex arithmetic round differently from Python's.  If any sample
+    fails, the exception is the one the scalar path raises on the first
+    failing sample, and its message names that sample's index.
+    """
+    with np.errstate(all="ignore"):
+        scale = _max1(frobenius_norm_stack(a))
+        (value1, right1), (value2, right2), source_defective = _eigen_stack(a, scale, tol)
+        cond = _condition_stack(right1, right2)
+        (conj1, raw1), (conj2, raw2), adjoint_defective = _eigen_stack(
+            a.conj().swapaxes(-1, -2), scale, tol
+        )
+        r1, r2 = value1.conj(), value2.conj()
+        straight = np.abs(conj1 - r1) + np.abs(conj2 - r2)
+        crossed = np.abs(conj2 - r1) + np.abs(conj1 - r2)
+        keep = (straight <= crossed)[:, None]
+        raw1, raw2 = np.where(keep, raw1, raw2), np.where(keep, raw2, raw1)
+        overlap1 = np.einsum("ki,ki->k", raw1.conj(), right1)
+        overlap2 = np.einsum("ki,ki->k", raw2.conj(), right2)
+        thin = (np.abs(overlap1) < 1.0 / COND_LIMIT) | (np.abs(overlap2) < 1.0 / COND_LIMIT)
+        left1 = raw1 / overlap1.conj()[:, None]
+        left2 = raw2 / overlap2.conj()[:, None]
+
+    ill = cond > COND_LIMIT
+    failed = source_defective | ill | adjoint_defective | thin
+    if failed.any():
+        k = int(np.argmax(failed))
+        if source_defective[k]:
+            raise DefectiveMatrixError(f"source matrix is defective at sample {k}")
+        if ill[k]:
+            raise NearlyDefectiveError(
+                f"eigenvector condition {cond[k]:.3g} exceeds {COND_LIMIT:.0e} at sample {k}"
+            )
+        if adjoint_defective[k]:
+            raise DefectiveMatrixError(f"adjoint matrix is defective at sample {k}")
+        raise NearlyDefectiveError(f"left/right overlap too small to normalize at sample {k}")
+
+    # the order key (sign class, -Re value, -Im value) of each pair, compared as a tuple
+    class1, class2 = _sign_class(right1, tol), _sign_class(right2, tol)
+    swap = (class2 < class1) | (
+        (class2 == class1)
+        & ((value2.real > value1.real) | ((value2.real == value1.real) & (value2.imag > value1.imag)))
+    )
+    column = swap[:, None]
+    pairs = (
+        BiorthoPair(np.where(swap, value2, value1), np.where(column, right2, right1), np.where(column, left2, left1)),
+        BiorthoPair(np.where(swap, value1, value2), np.where(column, right1, right2), np.where(column, left1, left2)),
+    )
+    return BiorthoSystem(pairs=pairs, source=a)
+
+
+def _condition_stack(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """``_condition_number`` of each pair of rows of two (N, 2) arrays."""
+    x0, x1, y0, y1 = v1[:, 0], v1[:, 1], v2[:, 0], v2[:, 1]
+    p = (x0.real * x0.real + x0.imag * x0.imag) + (x1.real * x1.real + x1.imag * x1.imag)
+    q = (y0.real * y0.real + y0.imag * y0.imag) + (y1.real * y1.real + y1.imag * y1.imag)
+    g = x0.conj() * y0 + x1.conj() * y1
+    hi = 0.5 * (p + q) + np.hypot(0.5 * (p - q), np.abs(g))
+    det = np.abs(x0 * y1 - x1 * y0)
+    return np.divide(hi, det, out=np.full_like(hi, np.inf), where=det != 0)
+
+
+def _sign_class(right: np.ndarray, tol: float) -> np.ndarray:
+    """The sign class of ``_order_key`` for each row of an (N, 2) array."""
+    x0, x1 = right[:, 0], right[:, 1]
+    w = (x0.real * x0.real + x0.imag * x0.imag) - (x1.real * x1.real + x1.imag * x1.imag)
+    return np.where(w > tol, 0, np.where(w < -tol, 2, 1))
 
 
 def completeness_residual(sys: BiorthoSystem) -> float:

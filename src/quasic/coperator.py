@@ -23,6 +23,7 @@ from .linalg import (
     IDENTITY,
     PAULI_Z,
     _mat2,
+    _mat2_stack,
     adjoint,
     commutator,
     det,
@@ -48,7 +49,7 @@ class COperator:
 
 
 class MetricOperator:
-    """A metric rho as its 2x2 matrix.
+    """A metric rho as its 2x2 matrix, or an (N, 2, 2) stack of them.
 
     A plain slotted class rather than a frozen dataclass: the closed forms
     build one per evaluation, and a frozen dataclass's ``__init__`` (which
@@ -179,18 +180,25 @@ def metric_form_for_regime(regime: Regime) -> MetricForm:
     return MetricForm(regime.value)
 
 
-def closed_form_metric(form: MetricForm, p: HamiltonianParams, t: float) -> MetricOperator:
+def closed_form_metric(form: MetricForm, p: HamiltonianParams, t: float | np.ndarray) -> MetricOperator:
     """Published closed-form metric rho(t) = sigma_z * I(t) for the family.
 
-    I(t) is the closed-form invariant of the same form.  The three
-    drive-independent forms assume tau == 1 and a parameter point inside
-    their regime.  The drive-dependent form FULL_TD holds on and next to the
-    exceptional points lam = +-kappa, where its entries take their
-    coalescence limit.
+    I(t) is the closed-form invariant of the same form.  t is a float, or a
+    time array of shape (N,), for which ``matrix`` is the (N, 2, 2) stack
+    of the metrics at its entries (``det`` and ``eigenvalues`` then do not
+    apply).  The three drive-independent forms assume tau == 1 and a
+    parameter point inside their regime.  The drive-dependent form FULL_TD
+    holds on and next to the exceptional points lam = +-kappa, where its
+    entries take their coalescence limit.
     """
-    d, x, y = _real_entries(form, p, t)
     # sigma_z I(t) with I = [[-d, x + iy], [-x + iy, d]]: the second row negated, exactly
-    return MetricOperator(matrix=_mat2(-d, x + 1j * y, x - 1j * y, -d))
+    if isinstance(t, np.ndarray):
+        d, x, y = _real_entries(form, p, t, stack=True)
+        iy = 1j * y
+        return MetricOperator(_mat2_stack(-d, x + iy, x - iy, -d))
+    d, x, y = _real_entries(form, p, t)
+    iy = 1j * y
+    return MetricOperator(_mat2(-d, x + iy, x - iy, -d))
 
 
 def dyson_map(rho: MetricOperator) -> np.ndarray:

@@ -14,13 +14,22 @@ built from H at t, t + dt/2 and t + dt; ``tdse_integrate`` builds the
 matrices of RK4_BLOCK steps in one array pass and gets every grid state from
 an inclusive prefix scan of them (Hillis & Steele, CACM 29(12), 1986;
 Blelloch, CMU-CS-90-190, 1990), with each matrix carried as its deviation
-from the identity.  ``phase_alpha`` reuses the metric samples of the
-alignment pass and evaluates alpha_dot on the whole grid at once.
+from the identity.
+
+Phase reconstruction takes its eigenstates and metrics from two callbacks,
+``state_at`` and ``rho_at``, and calls each once, with the whole time grid
+as an array of shape (N,).  ``state_at(grid)`` returns the (N, 2) states
+and ``rho_at(grid)`` the (N, 2, 2) metrics; a provider that returns one
+(2,) state or one 2x2 metric for all times is broadcast.  The closed forms
+(``closed_form_invariant``, ``closed_form_metric``) and ``biortho_system``
+accept the grid and return such stacks, so a provider written for one time
+t, such as ``biortho_system(closed_form_invariant(form, p, t)).pairs[0].right``,
+serves the whole grid unchanged.  The alignment that fixes the gauge of the
+samples and ``phase_alpha``'s alpha_dot are array passes over the grid.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -185,56 +194,66 @@ def phase_factor(trace: PhaseTrace, hbar: float = 1.0) -> np.ndarray:
 
 
 def _aligned_trace(
-    state_at: Callable[[float], np.ndarray],
-    rho_at: Callable[[float], np.ndarray],
+    state_at: Callable[[np.ndarray], np.ndarray],
+    rho_at: Callable[[np.ndarray], np.ndarray],
     grid: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """aligned_eigenstate_trace, plus the metric samples rho(t) it evaluated."""
-    out = np.empty((len(grid), 2), dtype=complex)
-    rhos = np.empty((len(grid), 2, 2), dtype=complex)
-    prev = None
-    prev_norm = 0.0
-    # rho @ v and np.vdot stay numpy: their BLAS sums round differently
-    # from a scalar sum on most inputs, and the states must keep their bits
-    for k, t in enumerate(grid):
-        v = np.asarray(state_at(t), dtype=complex)
-        rho = rhos[k] = rho_at(t)
-        norm_sq = np.vdot(v, rho @ v).real
-        if norm_sq <= 0:
-            raise ValueError("state has non-positive metric norm")
-        v = v / math.sqrt(norm_sq)
-        x0, x1 = v.tolist()
-        norm = math.hypot(abs(x0), abs(x1))
-        if k > 0:
-            ov = np.vdot(prev, v)
-            modulus = abs(ov)
-            rel = modulus / (prev_norm * norm)
-            if rel < 0.5:
-                raise BranchFlipError(f"overlap modulus {rel:.3f} below 0.5 at t={t}")
-            v = v * (np.conj(ov) / modulus)
-        out[k] = prev = v
-        prev_norm = norm
-    return out, rhos
+    """aligned_eigenstate_trace, plus the metric samples rho(t) it evaluated.
+
+    One call of each provider on the whole grid; the rest are array passes.
+    Sample k is v_k / sqrt(<v_k|rho_k v_k>) times the running product of
+    conj(o_j) / |o_j| over j <= k, where o_j = <v_{j-1}|v_j> of the
+    normalized samples: rotating each sample so that its overlap with the
+    rotated previous one is positive real is a cumulative product of unit
+    overlap phases, the discrete parallel transport of Berry-phase numerics
+    (Resta, J. Phys.: Condens. Matter 12, R107 (2000)).  The tests are
+    written so that NaN fails them.
+    """
+    n = len(grid)
+    states = np.broadcast_to(np.asarray(state_at(grid), dtype=complex), (n, 2))
+    rhos = np.broadcast_to(np.asarray(rho_at(grid), dtype=complex), (n, 2, 2))
+    norm_sq = np.einsum("ki,kij,kj->k", states.conj(), rhos, states).real
+    bad = ~((norm_sq > 0) & (norm_sq < np.inf))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"state has non-positive metric norm {norm_sq[k]:.3g} at t={grid[k]}")
+    states = states / np.sqrt(norm_sq)[:, None]
+    ov = np.einsum("ki,ki->k", states[:-1].conj(), states[1:])
+    modulus = np.abs(ov)
+    norms = np.hypot(np.abs(states[:, 0]), np.abs(states[:, 1]))
+    rel = modulus / (norms[:-1] * norms[1:])
+    flips = ~(rel >= 0.5)
+    if flips.any():
+        k = int(np.argmax(flips))
+        raise BranchFlipError(f"overlap modulus {rel[k]:.3f} below 0.5 at t={grid[k + 1]}")
+    phase = np.ones(n, dtype=complex)
+    np.cumprod(ov.conj() / modulus, out=phase[1:])
+    return states * phase[:, None], rhos
 
 
 def aligned_eigenstate_trace(
-    state_at: Callable[[float], np.ndarray],
-    rho_at: Callable[[float], np.ndarray],
+    state_at: Callable[[np.ndarray], np.ndarray],
+    rho_at: Callable[[np.ndarray], np.ndarray],
     grid: np.ndarray,
 ) -> np.ndarray:
     """Sample an eigenstate provider into a smooth, metric-normalized trace.
 
-    Each sample is scaled to unit metric norm <v|rho v> = 1 and its phase is
-    rotated so the overlap with the previous sample is positive real.  A
-    relative overlap modulus below 0.5 means the provider jumped branches.
+    The providers are called once each, on the whole grid: ``state_at``
+    returns the (N, 2) states and ``rho_at`` the (N, 2, 2) metrics, or one
+    state or metric for every sample, which is broadcast.  Each sample is
+    scaled to unit metric norm <v|rho v> = 1 and its phase is rotated so the
+    overlap with the previous sample is positive real.  A metric norm that
+    is not positive and finite raises ValueError, and a relative overlap
+    modulus below 0.5 (or NaN) means the provider jumped branches and raises
+    BranchFlipError; both name the sample time.
     """
     return _aligned_trace(state_at, rho_at, grid)[0]
 
 
 def phase_alpha(
-    state_at: Callable[[float], np.ndarray],
+    state_at: Callable[[np.ndarray], np.ndarray],
     p: HamiltonianParams,
-    rho_at: Callable[[float], np.ndarray],
+    rho_at: Callable[[np.ndarray], np.ndarray],
     t0: float,
     t1: float,
     steps: int,
@@ -246,6 +265,9 @@ def phase_alpha(
     on the aligned trace with second-order finite differences and integrated
     by the trapezoid rule, with alpha(t0) = 0.  The imaginary part of
     alpha_dot must stay negligible (it is reported); alpha itself is real.
+    ``state_at`` and ``rho_at`` follow aligned_eigenstate_trace's contract:
+    each is called once, with the grid np.linspace(t0, t1, steps + 1), and
+    returns (N, 2) states and (N, 2, 2) metrics (or one of each, broadcast).
     The metric samples come from the alignment pass, H from one evaluation
     of the drive on the grid, and alpha_dot from one array pass.  The trace
     carries the aligned states, so a reconstruction needs no second pass.

@@ -37,7 +37,9 @@ have the form
 with real entries and d^2 - x^2 - y^2 = 1, so det I = -1 and the
 eigenvalues are +-1.  closed_form_invariant evaluates the entries in real
 arithmetic; for the drive-dependent form they are entire in
-xi = kappa^2 - lam^2 and hold through the exceptional point.
+xi = kappa^2 - lam^2 and hold through the exceptional point.  It takes a
+float t or a time array, for which it returns the (N, 2, 2) stack in one
+array pass.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DriveRangeError, NotTemplateError, RegimeMismatchError
-from .linalg import DEFAULT_TOL, IDENTITY, _expm1_pauli, _mat2, _matmul2, eigen_2x2, frobenius_norm
+from .linalg import DEFAULT_TOL, IDENTITY, _expm1_pauli, _mat2, _mat2_stack, _matmul2, eigen_2x2, frobenius_norm
 from .model import HamiltonianParams, PauliCoefficients, Regime, classify_regime, hamiltonian_at
 
 _SQRT2 = math.sqrt(2.0)
@@ -74,8 +76,7 @@ def scaled_drive_integral(p: HamiltonianParams, t: float) -> complex:
     the anchored integral makes it vanish at t = t_ref.  The invariant
     equation i hbar dI/dt = [H, I] makes the integral enter divided by hbar.
     """
-    xi = complex(p.kappa**2 - p.lam**2)
-    return complex(np.sqrt(xi) * (p.drive.integral(t) / p.hbar))
+    return complex(np.sqrt(complex(_xi(p))) * (p.drive.integral(t) / p.hbar))
 
 
 def _require_regime(form: InvariantForm, p: HamiltonianParams, required: Regime) -> None:
@@ -89,7 +90,8 @@ def _sinhc(q: float) -> float:
     S is entire in q, and neither branch cancels.  sinh and sin are numpy
     ufuncs: they overflow to inf with a RuntimeWarning where math.sinh
     raises OverflowError, so an overflowing sample reaches the
-    non-finite-sample report instead of aborting the run.
+    non-finite-sample report instead of aborting the run.  A NaN q gives 1,
+    as neither branch is taken.
     """
     if q > 0.0:
         r = math.sqrt(q)
@@ -100,47 +102,77 @@ def _sinhc(q: float) -> float:
     return 1.0
 
 
+def _sinhc_array(q: np.ndarray) -> np.ndarray:
+    """_sinhc at every entry of an array, with its bits.
+
+    np.sqrt and math.sqrt both round correctly, and an element of an array
+    gets the same bits from np.sinh and np.sin as a numpy scalar does.
+    Each branch is evaluated on its own entries only, so the unused branch
+    cannot overflow.
+    """
+    out = np.ones_like(q)
+    pos, neg = q > 0.0, q < 0.0
+    r = np.sqrt(q[pos])
+    out[pos] = np.sinh(r) / r
+    r = np.sqrt(-q[neg])
+    out[neg] = np.sin(r) / r
+    return out
+
+
 def _xi(p: HamiltonianParams) -> float:
     """kappa^2 - lam^2 as (kappa - lam)(kappa + lam), to ~1 ulp relative even next to coalescence."""
     return (p.kappa - p.lam) * (p.kappa + p.lam)
 
 
-def _drive_entries(p: HamiltonianParams, t: float, xi: float) -> tuple[float, float, float]:
-    """(d, x, y) of the drive-dependent invariant at time t, for xi = kappa^2 - lam^2.
+def _drive_entries(p: HamiltonianParams, m, sinhc) -> tuple:
+    """(d, x, y) of the drive-dependent invariant, given m, the anchored drive integral over hbar.
 
-    With M the anchored drive integral over hbar, mu = sqrt(xi) M and
+    m is a float or an array of them, and sinhc the matching _sinhc or
+    _sinhc_array.  With xi = kappa^2 - lam^2, mu = sqrt(xi) m and
     cosh(mu) - 1 = 2 sinh(mu/2)^2, the published entries divided by xi are
 
-        d = -1 - kappa^2 (M^2/2) S(xi M^2/4)^2
-        x = kappa M S(xi M^2)
-        y = kappa lam (M^2/2) S(xi M^2/4)^2
+        d = -1 - kappa^2 (m^2/2) S(xi m^2/4)^2
+        x = kappa m S(xi m^2)
+        y = kappa lam (m^2/2) S(xi m^2/4)^2
 
     in real arithmetic, with no division by xi: at xi = 0 they are the
     coalescence limit, and next to it they keep full precision.  Products
     are written out, because a float ** 2 raises OverflowError where a
     product gives inf.
     """
-    kap = p.kappa
-    m = float(p.drive.integral(t)) / p.hbar
+    kap, lam = p.kappa, p.lam
+    # _xi(p), written out: a call costs more than the product on the per-sample path
+    xi = (kap - lam) * (kap + lam)
     mm = m * m
-    s = _sinhc(0.25 * xi * mm)
+    s = sinhc(0.25 * xi * mm)
     half = 0.5 * mm * s * s
-    return -1.0 - kap * kap * half, kap * m * _sinhc(xi * mm), kap * p.lam * half
+    return -1.0 - kap * kap * half, kap * m * sinhc(xi * mm), kap * lam * half
 
 
-def _real_entries(form: InvariantForm, p: HamiltonianParams, t: float) -> tuple[float, float, float]:
+def _real_entries(form: InvariantForm, p: HamiltonianParams, t: float | np.ndarray, stack: bool = False) -> tuple:
     """(d, x, y) of the closed-form invariant [[-d, x + iy], [-x + iy, d]] at time t.
 
-    Real float arithmetic throughout.  The drive-dependent form evaluates its
-    entire closed form, which holds through the exceptional point.
+    t is a float, or with ``stack`` a time array, for which d, x and y are
+    arrays of its shape.  The public callers test isinstance(t, np.ndarray)
+    once and pass the result: on the per-sample path of the command line
+    every further test costs time.  Real float arithmetic throughout.  The
+    drive-dependent form evaluates its entire closed form, which holds
+    through the exceptional point; on an array it is the same formula
+    through the drive's integral_array and _sinhc_array, with the scalar
+    path's bits for the constant and sine drives.
 
     The fixed-regime forms give their published parts (xi, delta, real,
     imag), and d = delta/xi, x = real/xi, y = imag/xi.  They test their
-    regime by identity on every call: a lookup in an enum-keyed dict runs
+    regime by identity once per call, for a float or a whole array: a lookup in an enum-keyed dict runs
     Enum.__hash__ in Python, and this is on the path of every sample.  They
     solve i hbar dI/dt = [H, I] for a constant H, so time enters as t / hbar,
     taken as a Python float: callers pass numpy scalars from time grids,
-    whose arithmetic costs several times more.
+    whose arithmetic costs several times more.  A float goes through
+    math.sin and its kin, an array through the numpy ufuncs, whose cosh and
+    sinh differ from math's by up to 1 ulp.  The sums carry that ulp of
+    their largest term, so an array entry is the scalar one to within a few
+    ulp of |d| >= 1 (measured: 3, and 6 at a relative 1e-9 from
+    coalescence, where the terms exceed |d|).
 
     The parts are published for lam, kappa > 0.  The family's symmetries
     carry them to the other signs: sigma_x H(lam, kappa) sigma_x
@@ -157,21 +189,29 @@ def _real_entries(form: InvariantForm, p: HamiltonianParams, t: float) -> tuple[
     form is the one that holds there.
     """
     if form is InvariantForm.FULL_TD:
-        return _drive_entries(p, t, _xi(p))
+        if stack:
+            return _drive_entries(p, p.drive.integral_array(t) / p.hbar, _sinhc_array)
+        # a float, not a numpy scalar, so that the drive's arithmetic runs on Python floats (same bits)
+        return _drive_entries(p, p.drive.integral(float(t)) / p.hbar, _sinhc)
     lam, kap = abs(p.lam), abs(p.kappa)
-    s = float(t) / p.hbar
+    if stack:
+        fn, s = np, np.asarray(t, dtype=float) / p.hbar
+    else:
+        fn, s = math, float(t) / p.hbar
     if form is InvariantForm.PT_SYMMETRIC:
         _require_regime(form, p, Regime.PT_SYMMETRIC)
         xi = math.sqrt(lam**2 - kap**2)
-        delta = -_SQRT2 * lam - kap * math.sin(xi * s)
-        real = xi * math.cos(xi * s)
-        imag = _SQRT2 * kap + lam * math.sin(xi * s)
+        sin = fn.sin(xi * s)
+        delta = -_SQRT2 * lam - kap * sin
+        real = xi * fn.cos(xi * s)
+        imag = _SQRT2 * kap + lam * sin
     elif form is InvariantForm.SPONTANEOUSLY_BROKEN:
         _require_regime(form, p, Regime.SPONTANEOUSLY_BROKEN)
         xi = math.sqrt(kap**2 - lam**2)
-        delta = lam - _SQRT2 * kap * math.cosh(xi * s)
-        real = _SQRT2 * xi * math.sinh(xi * s)
-        imag = _SQRT2 * lam * math.cosh(xi * s) - kap
+        cosh = fn.cosh(xi * s)
+        delta = lam - _SQRT2 * kap * cosh
+        real = _SQRT2 * xi * fn.sinh(xi * s)
+        imag = _SQRT2 * lam * cosh - kap
     else:
         _require_regime(form, p, Regime.EXCEPTIONAL_POINT)
         xi = 1.0
@@ -185,15 +225,22 @@ def _real_entries(form: InvariantForm, p: HamiltonianParams, t: float) -> tuple[
     return delta / xi, real / xi, imag / xi
 
 
-def closed_form_invariant(form: InvariantForm, p: HamiltonianParams, t: float) -> np.ndarray:
+def closed_form_invariant(form: InvariantForm, p: HamiltonianParams, t: float | np.ndarray) -> np.ndarray:
     """Matrix [[-d, x + iy], [-x + iy, d]] of the selected closed-form invariant.
 
-    The three drive-independent forms assume tau == 1 and a parameter point
-    inside their regime (RegimeMismatchError otherwise); the drive-dependent
-    form FULL_TD accepts any parameters and drive.
+    t is a float, giving a 2x2 matrix, or a time array of shape (N,), giving
+    the (N, 2, 2) stack of the matrices at its entries.  The three
+    drive-independent forms assume tau == 1 and a parameter point inside
+    their regime (RegimeMismatchError otherwise); the drive-dependent form
+    FULL_TD accepts any parameters and drive.
     """
+    if isinstance(t, np.ndarray):
+        d, x, y = _real_entries(form, p, t, stack=True)
+        iy = 1j * y
+        return _mat2_stack(-d, x + iy, -x + iy, d)
     d, x, y = _real_entries(form, p, t)
-    return _mat2(-d, x + 1j * y, -x + 1j * y, d)
+    iy = 1j * y
+    return _mat2(-d, x + iy, -x + iy, d)
 
 
 def coefficient_matrix(h: PauliCoefficients) -> np.ndarray:

@@ -38,6 +38,13 @@ arithmetic, (a00.re a11.re - a00.im a11.im) - (a01.re a10.re - a01.im
 a10.im), which is what the scalar product computes.  Norms sum in
 ``_norm4``'s order, (x00^2 + x10^2) + (x01^2 + x11^2), over the real
 parts and then the imaginary parts.
+
+``_eigen_stack`` is ``_eigen_scalars`` on each matrix of a stack, with the
+same tests per matrix.  Its complex products and hypot are numpy's, so it
+agrees with the scalar kernel to a few ulp, not to the bit: bit equality
+would need the real-arithmetic rewrite above for every complex product,
+and its callers (phase reconstruction on a time grid) need only the
+accuracy.
 """
 
 from __future__ import annotations
@@ -68,6 +75,16 @@ def _mat2(a00: complex, a01: complex, a10: complex, a11: complex) -> np.ndarray:
     m[0, 1] = a01
     m[1, 0] = a10
     m[1, 1] = a11
+    return m
+
+
+def _mat2_stack(a00, a01, a10, a11) -> np.ndarray:
+    """The complex (..., 2, 2) stack of [[a00, a01], [a10, a11]] from arrays of entries."""
+    m = np.empty(np.shape(a00) + (2, 2), dtype=complex)
+    m[..., 0, 0] = a00
+    m[..., 0, 1] = a01
+    m[..., 1, 0] = a10
+    m[..., 1, 1] = a11
     return m
 
 
@@ -218,6 +235,46 @@ def _eigen_scalars(a00: complex, a01: complex, a10: complex, a11: complex, scale
         (lam2, _null_vector(a00, a01, a10, a11, lam2, scale)),
         False,
     )
+
+
+def _null_vector_stack(a: np.ndarray, lam: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """``_null_vector`` for each matrix of an (N, 2, 2) stack and its lam: an (N, 2) array.
+
+    The same choices per matrix (the first adjugate row on a tie, the second
+    if the first's norm is NaN, e_0 below 1e-14 * scale), with numpy's
+    hypot and complex arithmetic in place of Python's, so within a few ulp.
+    """
+    first = np.stack((a[:, 0, 1], lam - a[:, 0, 0]), axis=-1)
+    second = np.stack((lam - a[:, 1, 1], a[:, 1, 0]), axis=-1)
+    n = np.hypot(np.abs(first[:, 0]), np.abs(first[:, 1]))
+    nd = np.hypot(np.abs(second[:, 0]), np.abs(second[:, 1]))
+    pick = n >= nd
+    rows = np.where(pick[:, None], first, second)
+    n = np.where(pick, n, nd)
+    tiny = n <= 1e-14 * scale
+    return np.where(tiny[:, None], np.array([1.0, 0.0]), rows * (1.0 / np.where(tiny, 1.0, n))[:, None])
+
+
+def _eigen_stack(a: np.ndarray, scale: np.ndarray, tol: float):
+    """``_eigen_scalars`` of each matrix of an (N, 2, 2) stack.
+
+    Returns ``((lam1, v1), (lam2, v2), defective)`` with (N,) eigenvalue
+    arrays, (N, 2) unit vectors and an (N,) mask, each sample decided by
+    the scalar kernel's tests.  Callers run it under np.errstate: like the
+    scalar kernel's Python arithmetic, it must stay silent on non-finite
+    entries.
+    """
+    a00, a01, a10, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]
+    m = 0.5 * (a00 + a11)
+    s = np.sqrt(m * m - (a00 * a11 - a01 * a10))
+    s = np.where((s.real < 0) | ((s.real == 0) & (s.imag < 0)), -s, s)
+    coalescent = np.abs(s) <= tol * scale
+    identity = coalescent & (frobenius_norm_stack(a - m[:, None, None] * IDENTITY) <= tol * scale)
+    s = np.where(coalescent, 0.0, s)
+    lam1, lam2 = m + s, m - s
+    v1 = np.where(identity[:, None], np.array([1.0, 0.0]), _null_vector_stack(a, lam1, scale))
+    v2 = np.where(identity[:, None], np.array([0.0, 1.0]), _null_vector_stack(a, lam2, scale))
+    return (lam1, v1), (lam2, v2), coalescent & ~identity
 
 
 def eigen_2x2(a: np.ndarray, tol: float = DEFAULT_TOL) -> EigenDecomposition:

@@ -41,6 +41,10 @@ class ConstantDrive:
         """Integral of tau from t_ref to t."""
         return self.value * (t - self.t_ref)
 
+    def integral_array(self, t: np.ndarray) -> np.ndarray:
+        """integral at every entry of a time array, with the same bits."""
+        return self.value * (np.asarray(t, dtype=float) - self.t_ref)
+
     def covers(self, t0: float, t1: float) -> bool:
         return True
 
@@ -68,6 +72,11 @@ class SineDrive:
     def integral(self, t: float) -> float:
         w = self.frequency
         return self.amplitude * (math.cos(w * self.t_ref) - math.cos(w * t)) / w
+
+    def integral_array(self, t: np.ndarray) -> np.ndarray:
+        """integral at every entry of a time array; np.cos gives math.cos's bits."""
+        w = self.frequency
+        return self.amplitude * (math.cos(w * self.t_ref) - np.cos(w * np.asarray(t, dtype=float))) / w
 
     def covers(self, t0: float, t1: float) -> bool:
         return True
@@ -113,27 +122,32 @@ class TabulatedDrive:
         self._check(t)
         return float(np.interp(t, self.times, self.values))
 
-    def tau_array(self, t: np.ndarray) -> np.ndarray:
-        """tau at every entry of a time array; raises if any lies outside the samples."""
-        t = np.asarray(t, dtype=float)
+    def _check_array(self, t: np.ndarray) -> None:
         if t.size:
             self._check(float(t.min()))
             self._check(float(t.max()))
+
+    def tau_array(self, t: np.ndarray) -> np.ndarray:
+        """tau at every entry of a time array; raises if any lies outside the samples."""
+        t = np.asarray(t, dtype=float)
+        self._check_array(t)
         return np.interp(t, self.times, self.values)
 
-    def _antiderivative(self, t: float) -> float:
-        # exact integral of the linear interpolant from times[0] to t
-        self._check(t)
-        k = int(np.searchsorted(self.times, t, side="right")) - 1
-        k = min(k, self.times.size - 2)
-        dt = t - self.times[k]
-        v_t = self.values[k] + (self.values[k + 1] - self.values[k]) * dt / (
-            self.times[k + 1] - self.times[k]
-        )
-        return float(self._cumulative[k] + 0.5 * (self.values[k] + v_t) * dt)
+    def _antiderivative(self, t: np.ndarray) -> np.ndarray:
+        # exact integral of the linear interpolant from times[0] to each entry of t
+        self._check_array(t)
+        k = np.minimum(np.searchsorted(self.times, t, side="right") - 1, self.times.size - 2)
+        t_k, v_k = self.times[k], self.values[k]
+        dt = t - t_k
+        v_t = v_k + (self.values[k + 1] - v_k) * dt / (self.times[k + 1] - t_k)
+        return self._cumulative[k] + 0.5 * (v_k + v_t) * dt
 
     def integral(self, t: float) -> float:
-        return self._antiderivative(t) - self._antiderivative(self.t_ref)
+        return float(self.integral_array(t))
+
+    def integral_array(self, t: np.ndarray) -> np.ndarray:
+        """integral at every entry of a time array; raises if any lies outside the samples."""
+        return self._antiderivative(np.asarray(t, dtype=float)) - self._antiderivative(np.asarray(self.t_ref))
 
     def covers(self, t0: float, t1: float) -> bool:
         return self.times[0] <= t0 and t1 <= self.times[-1]

@@ -14,9 +14,9 @@ from quasic.biortho import (
     completeness_residual,
 )
 from quasic.errors import DefectiveMatrixError, NearlyDefectiveError
-from quasic.invariants import InvariantForm, closed_form_invariant
+from quasic.invariants import InvariantForm, _real_entries, closed_form_invariant
 from quasic.linalg import IDENTITY, PAULI_X, PAULI_Z, adjoint, eigen_2x2, frobenius_norm
-from quasic.model import HamiltonianParams, hamiltonian_at
+from quasic.model import HamiltonianParams, SineDrive, hamiltonian_at
 
 RNG = np.random.default_rng(99)
 
@@ -212,3 +212,93 @@ def test_pair_order_puts_positive_parity_norm_first():
         sum(s * np.outer(pr.right, np.conj(pr.left)) for s, pr in zip((1, 1), sys_h.pairs)),
         IDENTITY,
     )
+
+
+EPS = np.finfo(float).eps
+
+
+def assert_slices_match_scalar(stack, tol=1e-10):
+    """Every slice of the stacked system is the scalar system of that matrix, to a few ulp, in its pair order."""
+    sys_stack = biortho_system(stack, tol=tol)
+    n = len(stack)
+    assert sys_stack.source.shape == (n, 2, 2)
+    for pair in sys_stack.pairs:
+        assert pair.eigenvalue.shape == (n,) and pair.right.shape == pair.left.shape == (n, 2)
+    for k, a in enumerate(stack):
+        scale = max(1.0, frobenius_norm(a))
+        for got, want in zip(sys_stack.pairs, biortho_system(a, tol=tol).pairs):
+            # a swapped pair order would differ by the eigenvalue gap
+            assert abs(got.eigenvalue[k] - want.eigenvalue) <= 8 * EPS * scale
+            assert np.abs(got.right[k] - want.right).max() <= 16 * EPS
+            assert np.abs(got.left[k] - want.left).max() <= 16 * EPS * max(1.0, np.linalg.norm(want.left))
+
+
+class TestStackedSystem:
+    def test_random_matrices(self):
+        stack = np.array([random_diagonalizable() for _ in range(2000)])
+        assert_slices_match_scalar(stack)
+        # scaled up to 1e100; below norm 1 the tolerance floor makes most matrices defective
+        assert_slices_match_scalar(stack * 10.0 ** RNG.uniform(0, 100, size=(2000, 1, 1)))
+
+    @pytest.mark.parametrize("lam,kappa", [(2.0, 0.7), (0.7, 1.9), (-1.3, 0.5)])
+    def test_invariant_time_stacks(self, lam, kappa):
+        p = HamiltonianParams(1.0, lam, kappa, hbar=1.3, drive=SineDrive())
+        grid = np.linspace(0.0, 3.0, 3001)
+        assert_slices_match_scalar(closed_form_invariant(InvariantForm.FULL_TD, p, grid))
+
+    @pytest.mark.parametrize("lam,kappa", [(2.0, 0.7), (0.7, 1.9)])
+    def test_invariant_stack_against_closed_form_eigenvectors(self, lam, kappa):
+        # I = [[-d, x + iy], [-x + iy, d]] has the eigenvalue +1 with right vector
+        # v = (1 - d, -x + iy) and left vector u = (1 - d, x - iy) / (2 (1 - d)), <u|v> = 1
+        p = HamiltonianParams(1.0, lam, kappa, drive=SineDrive())
+        grid = np.linspace(0.0, 3.0, 601)
+        d, x, y = _real_entries(InvariantForm.FULL_TD, p, grid, stack=True)
+        v = np.stack((1.0 - d, -x + 1j * y), axis=-1)
+        u = np.stack((1.0 - d, x - 1j * y), axis=-1) / (2.0 * (1.0 - d))[:, None]
+        first, second = biortho_system(closed_form_invariant(InvariantForm.FULL_TD, p, grid)).pairs
+        plus = (np.abs(first.eigenvalue - 1.0) < 1e-12)[:, None]
+        assert np.all(plus | (np.abs(second.eigenvalue - 1.0) < 1e-12)[:, None])
+        right, left = np.where(plus, first.right, second.right), np.where(plus, first.left, second.left)
+        # the system's pair is (c v, u / conj(c)) for the c with |c v| = 1
+        c = right[:, 0] / v[:, 0]
+        assert np.abs(np.abs(c) * np.linalg.norm(v, axis=1) - 1.0).max() <= 1e-15
+        assert np.abs(right - c[:, None] * v).max() <= 1e-15
+        assert np.abs(left - u / c.conj()[:, None]).max() <= 1e-14 * np.abs(u / c.conj()[:, None]).max()
+
+    def test_special_slices(self):
+        # multiples of the identity, Hermitian and real matrices, a stack of one
+        h = hamiltonian_at(HamiltonianParams(1.0, 2.0, 1.0), 0.0)
+        stack = np.array([2.5 * IDENTITY, -3j * IDENTITY, PAULI_Z, PAULI_X, h])
+        assert_slices_match_scalar(stack)
+        assert_slices_match_scalar(stack[:1])
+
+    def test_non_finite_slices_pass_through(self):
+        # the scalar path returns a NaN system for a NaN matrix; so does its slice
+        stack = np.array([PAULI_Z, np.full((2, 2), np.nan), PAULI_X]).astype(complex)
+        sys_stack = biortho_system(stack)
+        assert np.isnan(sys_stack.pairs[0].right[1]).all()
+        for k in (0, 2):
+            for got, want in zip(sys_stack.pairs, biortho_system(stack[k]).pairs):
+                assert np.abs(got.right[k] - want.right).max() <= 16 * EPS
+
+    @pytest.mark.parametrize(
+        "bad,tol,expected,message",
+        [
+            (np.array([[1.0, 1.0], [0.0, 1.0]]), 1e-10, DefectiveMatrixError, "source matrix is defective"),
+            (hamiltonian_at(HamiltonianParams(1.0, 1.0, 1.0), 0.0), 1e-10, DefectiveMatrixError, "source matrix is defective"),
+            (np.array([[1.0, 1e13], [0.0, 2.0]]), 1e-14, NearlyDefectiveError, "eigenvector condition"),
+        ],
+    )
+    def test_a_failing_slice_raises_the_scalar_exception(self, bad, tol, expected, message):
+        with pytest.raises(expected) as scalar:
+            biortho_system(bad, tol=tol)
+        assert type(scalar.value) is expected
+        good = np.array([random_diagonalizable() for _ in range(6)])
+        for k in (0, 3, 6):
+            stack = np.insert(good, k, bad, axis=0)
+            with pytest.raises(expected, match=f"{message}.* at sample {k}$"):
+                biortho_system(stack, tol=tol)
+        # the first failing sample is the one named
+        stack = np.concatenate((good[:2], [bad], good[2:4], [bad]))
+        with pytest.raises(expected, match="at sample 2$"):
+            biortho_system(stack, tol=tol)

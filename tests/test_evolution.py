@@ -282,7 +282,7 @@ class TestPhase:
         e2 = np.array([0.0, 1.0], dtype=complex)
 
         def jumpy(t):
-            return e1 if t < 0.5 else e2
+            return np.where((t < 0.5)[:, None], e1, e2)
 
         with pytest.raises(BranchFlipError):
             aligned_eigenstate_trace(jumpy, lambda t: IDENTITY.copy(), np.linspace(0, 1, 11))
@@ -311,7 +311,7 @@ def phase_alpha_per_sample(state_at, p, rho_at, t0, t1, steps):
 
 
 def aligned_trace_numpy_reads(state_at, rho_at, grid):
-    """The alignment loop as it read its numbers through numpy, kept as its oracle."""
+    """The per-sample alignment loop that the array pass replaced, kept as its oracle."""
     out = np.empty((len(grid), 2), dtype=complex)
     for k, t in enumerate(grid):
         v = np.asarray(state_at(t), dtype=complex)
@@ -338,7 +338,7 @@ class TestPhaseArrayPass:
 
         grid = np.linspace(0.0, 1.2, 401)
         got = aligned_eigenstate_trace(state_at, rho_at, grid)
-        assert got.tobytes() == aligned_trace_numpy_reads(state_at, rho_at, grid).tobytes()
+        assert np.abs(got - aligned_trace_numpy_reads(state_at, rho_at, grid)).max() <= 1e-12
 
     @pytest.mark.parametrize("pair", PAIRS)
     def test_matches_per_sample_loop(self, pair):
@@ -378,6 +378,53 @@ class TestPhaseArrayPass:
         e1 = np.array([1.0, 0.0], dtype=complex)
         with pytest.raises(ValueError, match="non-positive metric norm"):
             aligned_eigenstate_trace(lambda t: e1, lambda t: -IDENTITY, np.linspace(0, 1, 5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        grid = np.linspace(0.0, 1.0, 11)
+        e1 = np.array([1.0, 0.0], dtype=complex)
+
+        def state_at(t):
+            return np.where((t == grid[4])[:, None], np.array([bad, 1.0]), e1)
+
+        def rho_at(t):
+            rho = np.broadcast_to(IDENTITY, (len(t), 2, 2)).copy()
+            rho[7] = bad
+            return rho
+
+        for states, metrics in ((state_at, lambda t: IDENTITY), (lambda t: e1, rho_at)):
+            t_bad = grid[4] if states is state_at else grid[7]
+            with pytest.raises(ValueError, match=f"non-positive metric norm .* at t={t_bad}$"):
+                aligned_eigenstate_trace(states, metrics, grid)
+            with pytest.raises(ValueError, match=f"at t={t_bad}$"):
+                phase_alpha(states, STATIC, metrics, 0.0, 1.0, 10)
+
+    def test_branch_flip_names_its_sample_time(self):
+        grid = np.linspace(0.0, 1.0, 11)
+
+        def rotating(t):
+            return np.stack((np.cos(t), np.sin(t)), axis=-1).astype(complex)
+
+        aligned_eigenstate_trace(rotating, lambda t: IDENTITY, grid)
+        # the state turns by 1.6 rad between the samples at 0.5 and 0.6
+        with pytest.raises(BranchFlipError, match=f"at t={grid[6]}$"):
+            aligned_eigenstate_trace(lambda t: rotating(np.where(t > 0.55, t + 1.5, t)), lambda t: IDENTITY, grid)
+
+    def test_providers_called_once_with_the_grid(self):
+        p = HamiltonianParams(1.0, 2.0, 0.7, drive=SineDrive())
+        seen = []
+
+        def state_at(t):
+            seen.append(("state", t))
+            return invariant_pairs_at(p, t)[0].right
+
+        def rho_at(t):
+            seen.append(("rho", t))
+            return closed_form_metric(MetricForm.FULL_TD, p, t).matrix
+
+        trace = phase_alpha(state_at, p, rho_at, 0.0, 1.0, 50)
+        assert [name for name, _ in seen] == ["state", "rho"]
+        assert all(t is trace.grid for _, t in seen)
 
     def test_imaginary_alpha_dot_rejected(self):
         # <v|H v> = -(omega + i kappa)/2 for v = (1, 1)/sqrt(2) and rho = I

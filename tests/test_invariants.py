@@ -5,6 +5,7 @@ import itertools
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,6 +19,8 @@ from quasic.invariants import (
     signature_normalize,
     time_ordered_propagate,
 )
+from quasic import invariants
+from quasic.coperator import closed_form_metric
 from quasic.invariants import _ordered_product, _real_entries
 from quasic.linalg import PAULI_Z, adjoint, det, frobenius_norm
 from quasic.model import (
@@ -373,6 +376,17 @@ class TestClosedForms:
         mu_broken = scaled_drive_integral(HamiltonianParams(1.0, 0.5, 1.0, drive=ConstantDrive()), 1.0)
         assert abs(mu_broken.imag) < 1e-15 and mu_broken.real > 0.1
 
+    def test_scaled_drive_integral_next_to_coalescence(self):
+        # kappa^2 - lam^2 formed directly cancels here to a relative 1.1e-5
+        p = HamiltonianParams(1.0, 0.7 * (1.0 + 1e-12), 0.7, hbar=1.3, drive=SineDrive())
+        for t in (0.3, 2.0, 7.5):
+            got = scaled_drive_integral(p, t)
+            with mpmath.workdps(40):
+                lam, kap = mpmath.mpf(p.lam), mpmath.mpf(p.kappa)
+                integral = mpmath.mpf(p.drive.integral(t)) / mpmath.mpf(p.hbar)
+                exact = mpmath.sqrt(mpmath.mpc(kap * kap - lam * lam)) * integral
+                assert abs(got - complex(exact)) <= 4 * np.finfo(float).eps * abs(complex(exact))
+
     def test_regime_mismatch(self):
         with pytest.raises(RegimeMismatchError):
             closed_form_invariant(InvariantForm.PT_SYMMETRIC, BROKEN_PARAMS, 0.0)
@@ -380,6 +394,102 @@ class TestClosedForms:
             closed_form_invariant(InvariantForm.SPONTANEOUSLY_BROKEN, PT_PARAMS, 0.0)
         with pytest.raises(RegimeMismatchError):
             closed_form_invariant(InvariantForm.EXCEPTIONAL_POINT, PT_PARAMS, 0.0)
+
+
+ARRAY_TIMES = np.concatenate((np.linspace(-3.0, 10.0, 1301), [0.0, 1e-300, 30.0]))
+TABLE_TIMES = np.linspace(-4.0, 31.0, 71)
+ARRAY_DRIVES = {
+    "constant": ConstantDrive(),
+    "constant-offset": ConstantDrive(0.7, t_ref=0.3),
+    "sine": SineDrive(),
+    "sine-fast": SineDrive(amplitude=1.3, frequency=2.0),
+    "tabulated": TabulatedDrive(times=TABLE_TIMES, values=np.cos(TABLE_TIMES) + 0.3, t_ref=0.5),
+}
+# PT, broken, coalescent and next-to-coalescent pairs with every sign
+ARRAY_PAIRS = [(2.0, 0.7), (0.7, 1.9), (1.0, 1.0), (-1.3, 0.5), (0.5, -1.3), (-0.7, -0.7), (0.7 * (1 + 1e-12), 0.7)]
+FIXED_ARRAY_CASES = [
+    (InvariantForm.PT_SYMMETRIC, (2.0, 0.7)),
+    (InvariantForm.PT_SYMMETRIC, (-2.0, -0.7)),
+    (InvariantForm.PT_SYMMETRIC, (1.0 + 1e-9, 1.0)),
+    (InvariantForm.PT_SYMMETRIC, (1e-3, 0.0)),
+    (InvariantForm.SPONTANEOUSLY_BROKEN, (0.7, 1.9)),
+    (InvariantForm.SPONTANEOUSLY_BROKEN, (-0.7, 1.9)),
+    (InvariantForm.SPONTANEOUSLY_BROKEN, (1.0, -(1.0 + 1e-9))),
+    (InvariantForm.SPONTANEOUSLY_BROKEN, (0.0, 0.3)),
+    (InvariantForm.EXCEPTIONAL_POINT, (1.0, 1.0)),
+    (InvariantForm.EXCEPTIONAL_POINT, (-2.5, 2.5)),
+]
+
+
+def per_sample(fn, times):
+    return np.array([fn(t) for t in times])
+
+
+class TestTimeArrays:
+    """A time array gives, element by element, the closed forms of its entries."""
+
+    # the tabulated drive's integral is its integral_array on one time
+    @pytest.mark.parametrize("drive", ["constant", "constant-offset", "sine", "sine-fast"])
+    def test_integral_array_same_bits(self, drive):
+        d = ARRAY_DRIVES[drive]
+        times = ARRAY_TIMES
+        got = d.integral_array(times)
+        assert got.shape == times.shape
+        assert got.tobytes() == per_sample(d.integral, times).tobytes()
+
+    def test_tabulated_integral_array_keeps_its_range_check(self):
+        d = ARRAY_DRIVES["tabulated"]
+        for outside in (-4.5, 31.5):
+            with pytest.raises(DriveRangeError):
+                d.integral_array(np.array([0.0, outside, 1.0]))
+        assert d.integral_array(np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("hbar", [1.0, 1.3])
+    @pytest.mark.parametrize("drive", ARRAY_DRIVES)
+    def test_full_td_same_bits(self, drive, hbar):
+        times = np.clip(ARRAY_TIMES, -4.0, 31.0)
+        for lam, kappa in ARRAY_PAIRS:
+            p = HamiltonianParams(1.0, lam, kappa, hbar=hbar, drive=ARRAY_DRIVES[drive])
+            invariant = closed_form_invariant(InvariantForm.FULL_TD, p, times)
+            assert invariant.shape == (times.size, 2, 2)
+            expected = per_sample(lambda t: closed_form_invariant(InvariantForm.FULL_TD, p, t), times)
+            assert invariant.tobytes() == expected.tobytes()
+            metric = closed_form_metric(InvariantForm.FULL_TD, p, times).matrix
+            expected = per_sample(lambda t: closed_form_metric(InvariantForm.FULL_TD, p, t).matrix, times)
+            assert metric.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("hbar", [1.0, 1.3, 0.37])
+    @pytest.mark.parametrize("form,pair", FIXED_ARRAY_CASES)
+    def test_fixed_regime_forms_within_a_few_ulp(self, form, pair, hbar):
+        # numpy's cosh and sinh differ from math's by up to 1 ulp, and the
+        # sums that form the entries carry that ulp of their largest term;
+        # |d| >= 1 bounds every entry (d^2 = 1 + x^2 + y^2) and, outside
+        # cancellation, the terms: measured up to 6 ulp of |d| at a relative
+        # 1e-9 from coalescence, 3 elsewhere
+        p = HamiltonianParams(1.0, *pair, hbar=hbar)
+        invariant = closed_form_invariant(form, p, ARRAY_TIMES)
+        expected = per_sample(lambda t: closed_form_invariant(form, p, t), ARRAY_TIMES)
+        scale = np.spacing(np.abs(expected[:, 0, 0].real))[:, None, None]
+        assert np.all(np.abs(invariant - expected) <= 8 * scale)
+        metric = closed_form_metric(form, p, ARRAY_TIMES).matrix
+        expected = per_sample(lambda t: closed_form_metric(form, p, t).matrix, ARRAY_TIMES)
+        assert np.all(np.abs(metric - expected) <= 8 * scale)
+
+    @pytest.mark.parametrize("form,p", FORM_PARAMS)
+    def test_regime_checked_once_per_call(self, form, p, monkeypatch):
+        calls = []
+        classify = invariants.classify_regime
+        monkeypatch.setattr(invariants, "classify_regime", lambda q: calls.append(q) or classify(q))
+        closed_form_invariant(form, p, np.linspace(0.0, 3.0, 500))
+        closed_form_metric(form, p, np.linspace(0.0, 3.0, 500))
+        assert len(calls) == (0 if form is InvariantForm.FULL_TD else 2)
+
+    def test_regime_mismatch_on_arrays(self):
+        times = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(RegimeMismatchError):
+            closed_form_invariant(InvariantForm.PT_SYMMETRIC, BROKEN_PARAMS, times)
+        with pytest.raises(RegimeMismatchError):
+            closed_form_metric(InvariantForm.EXCEPTIONAL_POINT, PT_PARAMS, times)
 
 
 class TestLrResidual:
