@@ -3,15 +3,14 @@
 Builds time-independent and time-dependent C-operators from biorthonormal
 eigensystems, realizes the time-dependent ones as Lewis-Riesenfeld
 invariants via time-ordered exponentials, derives positive-definite metric
-operators and Dyson maps, and verifies the algebraic constraint suites.
+operators and Dyson maps, and verifies the identities they satisfy.
 """
 
-from .biortho import BiorthoPair, BiorthoSystem, biortho_system, check_left_right_parity_relation, completeness_residual
+from .biortho import BiorthoPair, BiorthoSystem, biortho_system, completeness_residual
 from .coperator import (
     COperator,
     MetricForm,
     MetricOperator,
-    c_from_hamiltonian,
     c_from_system,
     closed_form_metric,
     dyson_from_eigenvectors,
@@ -19,11 +18,9 @@ from .coperator import (
     involution_residual,
     metric_form_for_regime,
     metric_from_c,
-    parity_pseudo_hermiticity_residual,
     pt_commutation_residual,
     quasi_hermiticity_residual,
     static_constraint_suite,
-    td_constraint_suite,
 )
 from .errors import (
     BranchFlipError,
@@ -33,14 +30,12 @@ from .errors import (
     NearlyDefectiveError,
     NotHermitianError,
     NotPositiveDefiniteError,
-    NotTemplateError,
     OffGridError,
     QuasiCError,
     RegimeMismatchError,
 )
 from .evolution import (
     EvolvedState,
-    PhaseConvention,
     PhaseTrace,
     aligned_eigenstate_trace,
     c_from_evolution,
@@ -54,7 +49,6 @@ from .invariants import (
     coefficient_matrix,
     lr_residual,
     scaled_drive_integral,
-    signature_normalize,
     time_ordered_propagate,
 )
 from .linalg import (
@@ -69,14 +63,10 @@ from .linalg import (
     eigen_2x2,
     frobenius_norm,
     hermitian_eigenvalues_2x2,
-    is_hermitian,
-    is_positive_definite,
     mat_exp,
     psd_sqrt,
-    trace,
 )
 from .model import (
-    AntilinearOp,
     ConstantDrive,
     Drive,
     HamiltonianParams,
@@ -84,15 +74,11 @@ from .model import (
     Regime,
     SineDrive,
     TabulatedDrive,
-    apply_antilinear,
     classify_regime,
     hamiltonian_at,
     hamiltonian_coefficients,
-    parity,
     pauli_compose,
     pauli_decompose,
-    pt_operator,
-    pt_symmetry_residual,
 )
 from .reporting import Check, VerificationReport
 

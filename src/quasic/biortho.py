@@ -35,7 +35,6 @@ from .errors import DefectiveMatrixError, NearlyDefectiveError
 from .linalg import (
     DEFAULT_TOL,
     IDENTITY,
-    PAULI_Z,
     _eigen_scalars,
     _eigen_stack,
     _max1,
@@ -233,33 +232,3 @@ def completeness_residual(sys: BiorthoSystem) -> float:
         acc += np.outer(pair.right, np.conj(pair.left))
     return frobenius_norm(acc - IDENTITY)
 
-
-def _canonical_direction(v: np.ndarray) -> np.ndarray:
-    # unit norm, first component above threshold rotated to positive real
-    n = np.linalg.norm(v)
-    if n == 0:
-        return v.astype(complex)
-    u = v / n
-    for comp in u:
-        if abs(comp) > 1e-12:
-            return u * (np.conj(comp) / abs(comp))
-    return u
-
-
-def check_left_right_parity_relation(sys: BiorthoSystem) -> float:
-    """Residual of the parity link between left vectors and sigma_z * right.
-
-    Returns the largest deviation, over the two pairs, between the
-    direction-canonicalized left vector and the direction-canonicalized
-    sigma_z * right vector.  Zero means each left eigenvector is
-    proportional to the parity image of its right partner, which is the
-    gauge-invariant content of the link.  The sign of that proportionality
-    depends on the normalization gauge (conventions differ between
-    constructions), and canonicalizing the direction removes it.
-    """
-    worst = 0.0
-    for pair in sys.pairs:
-        w = PAULI_Z @ pair.right
-        resid = float(np.linalg.norm(_canonical_direction(pair.left) - _canonical_direction(w)))
-        worst = max(worst, resid)
-    return worst

@@ -7,9 +7,10 @@ Three scenarios: ``static`` (time-independent C-operator and metric),
 PASS/FAIL/INCONCLUSIVE line per check, and exits 0 when every check passes,
 1 when any fails or is inconclusive (a pass against a scale-derived
 tolerance above ``reporting.TOLERANCE_CEILING``), 2 on configuration errors
-and 3 on numerical failures (defective eigensystem or lost positivity where
-the scenario requires it, or a non-finite sample of a time-dependent
-scenario, reported after the CSVs and the report are written).  A failure
+and 3 on numerical failures (defective eigensystem, eigenvector rows that do
+not diagonalize H, or lost positivity where the scenario requires it, or a
+non-finite sample of a time-dependent scenario, reported after the CSVs
+and the report are written).  A failure
 that aborts a pair still writes the report, with the checks made so far
 and a ``failure`` record naming the pair, the exception and its message.
 

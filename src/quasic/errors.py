@@ -29,12 +29,8 @@ class RegimeMismatchError(QuasiCError):
     """Closed form evaluated with parameters outside its validity regime."""
 
 
-class NotTemplateError(QuasiCError):
-    """Matrix eigenvalues are not a (+a, -a) pair, so it cannot be sign-normalized."""
-
-
 class InvalidSystemError(QuasiCError):
-    """Biorthonormal system fails its completeness requirement."""
+    """Biorthonormal system is incomplete, or its eigenvector rows do not diagonalize its source."""
 
 
 class OffGridError(QuasiCError):

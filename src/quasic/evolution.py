@@ -31,7 +31,6 @@ samples and ``phase_alpha``'s alpha_dot are array passes over the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 import numpy as np
@@ -168,18 +167,10 @@ def c_from_evolution(
     return COperator(matrix=acc)
 
 
-class PhaseConvention(Enum):
-    #: reconstruction factor exp(i*alpha)
-    EXP_I_ALPHA = "exp-i-alpha"
-    #: reconstruction factor exp(i*hbar*alpha)
-    EXP_I_HBAR_ALPHA = "exp-i-hbar-alpha"
-
-
 @dataclass(frozen=True, eq=False)
 class PhaseTrace:
     grid: np.ndarray
     alpha: np.ndarray
-    convention: PhaseConvention
     #: largest |Im(alpha_dot)| encountered; the integrated alpha is real
     imag_residue: float
     #: the aligned eigenstates on the grid, as aligned_eigenstate_trace returns them
@@ -187,9 +178,10 @@ class PhaseTrace:
 
 
 def phase_factor(trace: PhaseTrace, hbar: float = 1.0) -> np.ndarray:
-    """Reconstruction factors e^{i alpha} or e^{i hbar alpha} on the grid."""
-    if trace.convention is PhaseConvention.EXP_I_HBAR_ALPHA:
-        return np.exp(1j * hbar * trace.alpha)
+    """Reconstruction factors e^{i alpha} on the grid.
+
+    ``hbar`` has no effect: alpha already carries the 1/hbar of alpha_dot.
+    """
     return np.exp(1j * trace.alpha)
 
 
@@ -257,7 +249,6 @@ def phase_alpha(
     t0: float,
     t1: float,
     steps: int,
-    convention: PhaseConvention = PhaseConvention.EXP_I_ALPHA,
 ) -> PhaseTrace:
     """Accumulated phase relating an invariant eigenstate to the dynamics.
 
@@ -294,4 +285,4 @@ def phase_alpha(
 
     real = alpha_dot.real
     alpha = np.concatenate([[0.0], np.cumsum(0.5 * dt * (real[1:] + real[:-1]))])
-    return PhaseTrace(grid=grid, alpha=alpha, convention=convention, imag_residue=imag_residue, states=states)
+    return PhaseTrace(grid=grid, alpha=alpha, imag_residue=imag_residue, states=states)

@@ -50,8 +50,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DriveRangeError, NotTemplateError, RegimeMismatchError
-from .linalg import DEFAULT_TOL, IDENTITY, _expm1_pauli, _mat2, _mat2_stack, _matmul2, eigen_2x2, frobenius_norm
+from .errors import DriveRangeError, RegimeMismatchError
+from .linalg import IDENTITY, _expm1_pauli, _mat2, _mat2_stack, _matmul2, frobenius_norm
 from .model import HamiltonianParams, PauliCoefficients, Regime, classify_regime, hamiltonian_at
 
 _SQRT2 = math.sqrt(2.0)
@@ -337,19 +337,3 @@ def lr_residual(
     m = invariant_at(t)
     return frobenius_norm(1j * p.hbar * di - (h @ m - m @ h))
 
-
-def signature_normalize(i: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Rescale a matrix with eigenvalues {+a, -a} so they become {+1, -1}.
-
-    Idempotent on already-normalized input; raises NotTemplateError when the
-    spectrum is not an opposite pair.
-    """
-    i = np.asarray(i, dtype=complex)
-    dec = eigen_2x2(i, tol=tol)
-    scale = max(1.0, frobenius_norm(i))
-    if dec.defective:
-        raise NotTemplateError("defective matrix")
-    a, b = dec.first.value, dec.second.value
-    if abs(a + b) > tol * scale or abs(a) <= tol * scale:
-        raise NotTemplateError(f"eigenvalues {a}, {b} are not an opposite pair")
-    return i / a

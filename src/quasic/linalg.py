@@ -148,23 +148,6 @@ def det_real_stack(a: np.ndarray) -> np.ndarray:
     return (a00.real * a11.real - a00.imag * a11.imag) - (a01.real * a10.real - a01.imag * a10.imag)
 
 
-def trace(a: np.ndarray) -> complex:
-    return complex(a[0, 0] + a[1, 1])
-
-
-def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    scale = max(1.0, frobenius_norm(a))
-    return frobenius_norm(a - adjoint(a)) <= tol * scale
-
-
-def is_positive_definite(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Hermitian with both eigenvalues > tol."""
-    if not is_hermitian(a, tol):
-        return False
-    _, lo = hermitian_eigenvalues_2x2(a, tol=tol)
-    return lo > tol
-
-
 @dataclass(frozen=True)
 class EigenPair:
     """One eigenvalue with a unit-norm right eigenvector."""
@@ -397,15 +380,16 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
     return np.exp(0.5 * (a[0, 0] + a[1, 1])) * (IDENTITY + deviation)
 
 
-def psd_sqrt(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def psd_sqrt(a: np.ndarray) -> np.ndarray:
     """Hermitian positive-definite square root.
 
     Uses the 2x2 identity sqrt(A) = (A + sqrt(det A) I) / sqrt(tr A + 2 sqrt(det A)).
+    Hermiticity and positivity are tested at DEFAULT_TOL.
     """
     a = np.asarray(a, dtype=complex)
-    hi, lo = hermitian_eigenvalues_2x2(a, tol=tol)
-    if lo <= tol:
-        raise NotPositiveDefiniteError(f"eigenvalue {lo} <= tol={tol}")
+    hi, lo = hermitian_eigenvalues_2x2(a)
+    if lo <= DEFAULT_TOL:
+        raise NotPositiveDefiniteError(f"eigenvalue {lo} <= tol={DEFAULT_TOL}")
     s = np.sqrt(hi * lo)
     h = 0.5 * (a + adjoint(a))
     return (h + s * IDENTITY) / np.sqrt(hi + lo + 2.0 * s)

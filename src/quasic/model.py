@@ -1,4 +1,4 @@
-"""Two-level model family, drives, Pauli decomposition and parity operators.
+"""Two-level model family, drives, Pauli decomposition and regime classification.
 
 The Hamiltonian family is
 
@@ -6,7 +6,8 @@ The Hamiltonian family is
 
 with real omega, lam, kappa and a real scalar drive tau(t).  tau == 1
 recovers the time-independent member.  Every H in the family commutes with
-the antilinear parity-conjugation symmetry sigma_z * K.
+the antilinear parity-conjugation symmetry sigma_z * K, which
+``coperator.pt_commutation_residual`` checks in its linear form.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import DriveRangeError
-from .linalg import IDENTITY, PAULI_X, PAULI_Y, PAULI_Z, _mat2, frobenius_norm
+from .linalg import IDENTITY, PAULI_X, PAULI_Y, PAULI_Z, _mat2
 
+#: Relative band around |lam| = |kappa| that classify_regime calls the exceptional point.
 REGIME_TOL = 1e-12
 
 
@@ -178,10 +180,10 @@ class Regime(Enum):
     EXCEPTIONAL_POINT = "exceptional-point"
 
 
-def classify_regime(p: HamiltonianParams, tol: float = REGIME_TOL) -> Regime:
-    """|lam| > |kappa|: real spectrum; < : conjugate pair; = : coalescence."""
+def classify_regime(p: HamiltonianParams) -> Regime:
+    """|lam| > |kappa|: real spectrum; < : conjugate pair; = (within REGIME_TOL): coalescence."""
     la, ka = abs(p.lam), abs(p.kappa)
-    if abs(la - ka) <= tol * max(la, ka, 1.0):
+    if abs(la - ka) <= REGIME_TOL * max(la, ka, 1.0):
         return Regime.EXCEPTIONAL_POINT
     return Regime.PT_SYMMETRIC if la > ka else Regime.SPONTANEOUSLY_BROKEN
 
@@ -237,32 +239,3 @@ def hamiltonian_coefficients(p: HamiltonianParams, t: float) -> PauliCoefficient
         c3=-0.5 * p.lam * tau,
     )
 
-
-def parity() -> np.ndarray:
-    """The parity operator sigma_z: Hermitian, involutory, indefinite."""
-    return PAULI_Z.copy()
-
-
-@dataclass(frozen=True)
-class AntilinearOp:
-    """Linear part followed by componentwise complex conjugation."""
-
-    linear_part: np.ndarray
-
-
-def pt_operator() -> AntilinearOp:
-    return AntilinearOp(linear_part=PAULI_Z.copy())
-
-
-def apply_antilinear(op: AntilinearOp, v: np.ndarray) -> np.ndarray:
-    return op.linear_part @ np.conj(v)
-
-
-def pt_symmetry_residual(p: HamiltonianParams, t: float = 0.0) -> float:
-    """Norm of sigma_z conj(H) sigma_z - H.
-
-    Vanishing is the linear restatement of H commuting with the antilinear
-    parity-conjugation operator; it holds for every member of the family.
-    """
-    h = hamiltonian_at(p, t)
-    return frobenius_norm(PAULI_Z @ np.conj(h) @ PAULI_Z - h)

@@ -66,9 +66,6 @@ class VerificationReport:
         self.checks.append(check)
         return check
 
-    def extend(self, other: "VerificationReport") -> None:
-        self.checks.extend(other.checks)
-
     @property
     def all_passed(self) -> bool:
         """Every check passed, and no ``failure`` aborted the run that made them."""

@@ -10,7 +10,6 @@ from quasic.biortho import (
     COND_LIMIT,
     _condition_number,
     biortho_system,
-    check_left_right_parity_relation,
     completeness_residual,
 )
 from quasic.errors import DefectiveMatrixError, NearlyDefectiveError
@@ -161,24 +160,6 @@ def test_completeness_residual_detects_zeroed_left():
         source=sys_z.source,
     )
     assert completeness_residual(broken) == pytest.approx(1.0)
-
-
-def test_parity_link_hamiltonian():
-    p = HamiltonianParams(1.0, 2.0, 1.0)
-    sys_h = biortho_system(hamiltonian_at(p, 0.0))
-    assert check_left_right_parity_relation(sys_h) < 1e-10
-
-
-def test_parity_link_invariant():
-    p = HamiltonianParams(1.0, 2.0, 1.0)
-    inv = closed_form_invariant(InvariantForm.PT_SYMMETRIC, p, 0.8)
-    sys_i = biortho_system(inv)
-    assert check_left_right_parity_relation(sys_i) < 1e-10
-
-
-def test_parity_link_fails_for_sigma_x():
-    sys_x = biortho_system(PAULI_X)
-    assert check_left_right_parity_relation(sys_x) > 0.1
 
 
 def test_gauge_invariance_of_projector_sum():

@@ -83,6 +83,20 @@ def test_aborted_run_still_writes_its_report(tmp_path, capsys):
     assert lines[-1] == {"type": "summary", "all_pass": False, "n_checks": 8}
 
 
+def test_dyson_rows_that_do_not_diagonalize_exit_three(tmp_path, capsys):
+    # next to coalescence the right eigenvectors pass the condition test but
+    # their rows leave an off-diagonal weight above the Dyson map's tolerance
+    argv = ["static", "--omega", "11.863386814711015"]
+    argv += ["--lambda=-0.00012663226103022261", "--kappa=-0.0001266322610300509"]
+    assert run(tmp_path, *argv) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip() == "numerical failure: eigenvector rows do not diagonalize the source"
+    lines = read_report(tmp_path / "quasi_c_report.jsonl")
+    assert lines[0]["failure"]["exception"] == "InvalidSystemError"
+    assert lines[-1]["all_pass"] is False
+
+
 def test_full_td_figure_degeneracies(tmp_path):
     # grid chosen so pi/2 + n*pi are exact nodes: step pi/100
     code = run(

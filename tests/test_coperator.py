@@ -1,25 +1,24 @@
-"""C-operator construction, constraint suites, metrics and Dyson maps."""
+"""C-operator construction, constraint residuals, metrics and Dyson maps."""
 
 import math
 
 import numpy as np
 import pytest
 
-from quasic.biortho import biortho_system
+from quasic.biortho import BiorthoPair, biortho_system, completeness_residual
 from quasic.coperator import (
     COperator,
     MetricForm,
-    c_from_hamiltonian,
     c_from_system,
     closed_form_metric,
     dyson_from_eigenvectors,
     dyson_map,
+    involution_residual,
     metric_form_for_regime,
     metric_from_c,
-    parity_pseudo_hermiticity_residual,
+    pt_commutation_residual,
     quasi_hermiticity_residual,
     static_constraint_suite,
-    td_constraint_suite,
 )
 from quasic.errors import (
     InvalidSystemError,
@@ -71,7 +70,7 @@ METRIC_CASES = metric_cases(
 
 class TestCFromSystem:
     def test_published_static_form(self):
-        c = c_from_hamiltonian(STATIC_PT, (1, -1))
+        c = c_from_system(biortho_system(hamiltonian_at(STATIC_PT, 0.0)), (1, -1))
         expected = np.array([[2.0, 1j], [1j, -2.0]]) / SQRT3
         assert np.abs(c.matrix - expected).max() < 1e-10
 
@@ -114,15 +113,31 @@ class TestCFromSystem:
         with pytest.raises(ValueError):
             c_from_system(sys_h, (1, 0))
 
-    def test_pseudo_hermiticity(self):
-        c = c_from_hamiltonian(STATIC_PT, (1, -1))
-        assert parity_pseudo_hermiticity_residual(c) < 1e-10
+    def test_completeness_boundary(self):
+        # a system is accepted up to a completeness residual of 1e-8: scaling
+        # one left vector by 1 + d moves the residual by d |left| (|right| = 1)
+        sys_h = biortho_system(hamiltonian_at(STATIC_PT, 0.0))
+        first, second = sys_h.pairs
+
+        def with_residual(target):
+            d = target / np.linalg.norm(first.left)
+            scaled = BiorthoPair(first.eigenvalue, first.right, (1.0 + d) * first.left)
+            return type(sys_h)(pairs=(scaled, second), source=sys_h.source)
+
+        accepted = with_residual(5e-9)
+        assert 4e-9 < completeness_residual(accepted) < 6e-9
+        c = c_from_system(accepted, (1, -1))
+        assert involution_residual(c) < 1e-7
+        rejected = with_residual(2e-8)
+        assert 1.5e-8 < completeness_residual(rejected) < 2.5e-8
+        with pytest.raises(InvalidSystemError):
+            c_from_system(rejected, (1, -1))
 
 
 class TestStaticSuite:
     def test_published_case_passes(self):
         h = hamiltonian_at(STATIC_PT, 0.0)
-        c = c_from_hamiltonian(STATIC_PT, (1, -1))
+        c = c_from_system(biortho_system(hamiltonian_at(STATIC_PT, 0.0)), (1, -1))
         report = static_constraint_suite(c, h)
         assert report.all_passed
         assert {chk.name for chk in report.checks} == {
@@ -147,6 +162,8 @@ class TestStaticSuite:
 
 
 class TestTdSuite:
+    """The time-dependent constraints: C^2 = I, the antilinear commutation and conservation."""
+
     def test_full_td_invariant_involution_and_conservation(self):
         p = FULL_SINE
 
@@ -154,10 +171,8 @@ class TestTdSuite:
             return closed_form_invariant(InvariantForm.FULL_TD, p, t)
 
         for t in (0.0, 1.1, 3.6, 5.0):
-            report = td_constraint_suite(c_at, p, t, fd_step=1e-5)
-            named = {chk.name: chk for chk in report.checks}
-            assert named["c_squared_identity"].passed
-            assert named["conservation"].passed
+            assert involution_residual(COperator(matrix=c_at(t))) <= 1e-10
+            assert lr_residual(c_at, p, t, fd_step=1e-5) <= 1e-8
 
     def test_antilinear_commutation_is_a_time_reflection(self):
         # sigma_z conj(.) sigma_z negates the real off-diagonal part of the
@@ -168,44 +183,44 @@ class TestTdSuite:
         def c_at(t):
             return closed_form_invariant(InvariantForm.FULL_TD, p, t)
 
-        at_anchor = td_constraint_suite(c_at, p, math.pi / 2, fd_step=1e-5)
-        assert at_anchor.all_passed
-        away = td_constraint_suite(c_at, p, 1.1, fd_step=1e-5)
-        named = {chk.name: chk for chk in away.checks}
+        anchor = math.pi / 2
+        assert involution_residual(COperator(matrix=c_at(anchor))) <= 1e-10
+        assert pt_commutation_residual(c_at(anchor)) <= 1e-10
+        assert lr_residual(c_at, p, anchor, fd_step=1e-5) <= 1e-8
+        away = pt_commutation_residual(c_at(1.1))
         x = float(np.real(c_at(1.1)[0, 1]))
-        assert named["pt_commutation"].value == pytest.approx(2.0 * SQRT2 * abs(x), rel=1e-10)
-        assert not named["pt_commutation"].passed
+        assert away == pytest.approx(2.0 * SQRT2 * abs(x), rel=1e-10)
+        assert away > 1e-10
 
     def test_family_static_c_stays_conserved_under_drive(self):
         # the drive rescales the same traceless direction, so the static
         # C-operator commutes with H(t) for every tau
         p = FULL_SINE
-        static_c = c_from_hamiltonian(STATIC_PT, (1, -1)).matrix
-        report = td_constraint_suite(lambda t: static_c, p, 1.0, fd_step=1e-5)
-        named = {chk.name: chk for chk in report.checks}
-        assert named["conservation"].passed
+        static_c = c_from_system(biortho_system(hamiltonian_at(STATIC_PT, 0.0)), (1, -1)).matrix
+        assert lr_residual(lambda t: static_c, p, 1.0, fd_step=1e-5) <= 1e-8
 
     def test_parity_operator_not_conserved_under_drive(self):
         p = FULL_SINE
-        report = td_constraint_suite(lambda t: PAULI_Z.copy(), p, 1.0, fd_step=1e-5)
-        named = {chk.name: chk for chk in report.checks}
-        assert named["c_squared_identity"].passed
-        assert named["pt_commutation"].passed
-        assert not named["conservation"].passed
+        assert involution_residual(COperator(matrix=PAULI_Z)) <= 1e-10
+        assert pt_commutation_residual(PAULI_Z) <= 1e-10
+        conservation = lr_residual(lambda t: PAULI_Z.copy(), p, 1.0, fd_step=1e-5)
+        assert conservation > 1e-8
         # residual equals ||tau(t) * sigma_y||
         expected = abs(math.sin(1.0)) * SQRT2
-        assert named["conservation"].value == pytest.approx(expected, rel=1e-6)
+        assert conservation == pytest.approx(expected, rel=1e-6)
 
     def test_plus_minus_identity_trivial(self):
         p = FULL_SINE
         for sign in (1.0, -1.0):
-            report = td_constraint_suite(lambda t: sign * IDENTITY, p, 0.7)
-            assert report.all_passed
+            c = sign * IDENTITY
+            assert involution_residual(COperator(matrix=c)) <= 1e-10
+            assert pt_commutation_residual(c) <= 1e-10
+            assert lr_residual(lambda t: c, p, 0.7) <= 1e-8
 
 
 class TestMetric:
     def test_static_metric_matrix_and_eigenvalues(self):
-        c = c_from_hamiltonian(STATIC_PT, (1, -1))
+        c = c_from_system(biortho_system(hamiltonian_at(STATIC_PT, 0.0)), (1, -1))
         rho = metric_from_c(c)
         expected = np.array([[2.0, 1j], [-1j, 2.0]]) / SQRT3
         assert np.abs(rho.matrix - expected).max() < 1e-10
@@ -246,7 +261,7 @@ class TestQuasiHermiticity:
             assert quasi_hermiticity_residual(rho_at, p, t, fd_step=1e-5) < 1e-8
 
     def test_static_relation(self):
-        c = c_from_hamiltonian(STATIC_PT, (1, -1))
+        c = c_from_system(biortho_system(hamiltonian_at(STATIC_PT, 0.0)), (1, -1))
         rho = metric_from_c(c).matrix
         h = hamiltonian_at(STATIC_PT, 0.0)
         assert frobenius_norm(adjoint(h) @ rho - rho @ h) < 1e-10
@@ -365,7 +380,7 @@ class TestDyson:
         assert np.allclose(eta, IDENTITY)
 
     def test_sqrt_map_hermitizes_hamiltonian(self):
-        c = c_from_hamiltonian(STATIC_PT, (1, -1))
+        c = c_from_system(biortho_system(hamiltonian_at(STATIC_PT, 0.0)), (1, -1))
         rho = metric_from_c(c)
         eta = dyson_map(rho)
         assert np.allclose(adjoint(eta) @ eta, rho.matrix, atol=1e-12)

@@ -9,14 +9,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from quasic.errors import DriveRangeError, NotTemplateError, RegimeMismatchError
+from quasic.errors import DriveRangeError, RegimeMismatchError
 from quasic.invariants import (
     InvariantForm,
     closed_form_invariant,
     coefficient_matrix,
     lr_residual,
     scaled_drive_integral,
-    signature_normalize,
     time_ordered_propagate,
 )
 from quasic import invariants
@@ -525,28 +524,4 @@ class TestLrResidual:
         coarse = lr_residual(inv_at, p, 1.3, fd_step=2e-3)
         fine = lr_residual(inv_at, p, 1.3, fd_step=1e-3)
         assert 3.0 < coarse / fine < 5.0
-
-
-class TestSignatureNormalize:
-    def test_scaled_sigma_z(self):
-        assert np.allclose(signature_normalize(3.0 * PAULI_Z), PAULI_Z)
-
-    @pytest.mark.parametrize("form,p", FORM_PARAMS)
-    def test_closed_forms_already_normalized(self, form, p):
-        m = closed_form_invariant(form, p, 1.1)
-        assert frobenius_norm(signature_normalize(m) - m) < 1e-12
-
-    def test_rejects_identity(self):
-        with pytest.raises(NotTemplateError):
-            signature_normalize(np.eye(2, dtype=complex))
-
-    def test_random_opposite_pair_family(self):
-        for _ in range(20):
-            a = RNG.standard_normal() + 1j * RNG.standard_normal()
-            g = RNG.standard_normal((2, 2)) + 1j * RNG.standard_normal((2, 2))
-            m = g @ np.diag([a, -a]) @ np.linalg.inv(g)
-            normd = signature_normalize(m)
-            vals = sorted(np.linalg.eigvals(normd), key=lambda z: -z.real)
-            assert vals[0] == pytest.approx(1.0, abs=1e-9)
-            assert vals[1] == pytest.approx(-1.0, abs=1e-9)
 

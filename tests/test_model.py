@@ -1,28 +1,25 @@
-"""Hamiltonian family, drives, Pauli decomposition and parity symmetry."""
+"""Hamiltonian family, drives, Pauli decomposition and parity-conjugation symmetry."""
 
 import math
 
 import numpy as np
 import pytest
 
+from quasic.coperator import pt_commutation_residual
 from quasic.errors import DriveRangeError
-from quasic.linalg import IDENTITY, PAULI_X, PAULI_Y, PAULI_Z, frobenius_norm
+from quasic.linalg import IDENTITY, PAULI_X, PAULI_Y, frobenius_norm
 from quasic.model import (
     ConstantDrive,
     HamiltonianParams,
     Regime,
     SineDrive,
     TabulatedDrive,
-    apply_antilinear,
     classify_regime,
     hamiltonian_array,
     hamiltonian_at,
     hamiltonian_coefficients,
-    parity,
     pauli_compose,
     pauli_decompose,
-    pt_operator,
-    pt_symmetry_residual,
 )
 
 RNG = np.random.default_rng(7)
@@ -102,26 +99,7 @@ def test_classify_regime_sign_flip_invariance():
         assert a is b
 
 
-def test_parity_involution():
-    assert np.allclose(parity() @ parity(), IDENTITY)
-
-
-def test_antilinear_application():
-    pt = pt_operator()
-    e1 = np.array([1.0, 0.0], dtype=complex)
-    e2 = np.array([0.0, 1.0], dtype=complex)
-    assert np.allclose(apply_antilinear(pt, e1), e1)
-    assert np.allclose(apply_antilinear(pt, 1j * e2), 1j * e2)
-
-
-def test_antilinear_applied_twice_is_identity():
-    pt = pt_operator()
-    for _ in range(20):
-        v = RNG.standard_normal(2) + 1j * RNG.standard_normal(2)
-        assert np.allclose(apply_antilinear(pt, apply_antilinear(pt, v)), v)
-
-
-def test_pt_symmetry_residual_vanishes_for_family():
+def test_pt_commutation_residual_vanishes_for_family():
     for lam, kappa, drive in [
         (2.0, 1.0, ConstantDrive()),
         (1.0, 2.0, ConstantDrive()),
@@ -130,21 +108,17 @@ def test_pt_symmetry_residual_vanishes_for_family():
     ]:
         p = HamiltonianParams(1.0, lam, kappa, drive=drive)
         for t in (0.0, 0.7, 2.3):
-            assert pt_symmetry_residual(p, t) < 1e-12
+            assert pt_commutation_residual(hamiltonian_at(p, t)) < 1e-12
 
 
-def test_pt_symmetry_residual_detects_real_sigma_x_term():
+def test_pt_commutation_residual_detects_real_sigma_x_term():
     # the symmetric span is real combinations of I, sigma_y, sigma_z and
     # i*sigma_x; a real sigma_x admixture breaks the antilinear symmetry
     # while a real sigma_y one does not
     p = HamiltonianParams(1.0, 2.0, 1.0)
     h = hamiltonian_at(p, 0.0)
-    broken = h + 0.1 * PAULI_X
-    resid = frobenius_norm(PAULI_Z @ np.conj(broken) @ PAULI_Z - broken)
-    assert resid > 0.1
-    still_symmetric = h + 0.1 * PAULI_Y
-    resid = frobenius_norm(PAULI_Z @ np.conj(still_symmetric) @ PAULI_Z - still_symmetric)
-    assert resid < 1e-14
+    assert pt_commutation_residual(h + 0.1 * PAULI_X) > 0.1
+    assert pt_commutation_residual(h + 0.1 * PAULI_Y) < 1e-14
 
 
 def test_params_validation():
