@@ -162,6 +162,43 @@ def test_completeness_residual_detects_zeroed_left():
     assert completeness_residual(broken) == pytest.approx(1.0)
 
 
+def parity_link_residual(sys):
+    """Largest distance, over the pairs, between the unit directions of left and sigma_z * right.
+
+    Each direction is rotated so that its first component above 1e-12 is
+    positive real, which removes the gauge-dependent phase of the link.
+    """
+
+    def direction(v):
+        u = v / np.linalg.norm(v)
+        lead = next(comp for comp in u if abs(comp) > 1e-12)
+        return u * (np.conj(lead) / abs(lead))
+
+    return max(
+        float(np.linalg.norm(direction(pair.left) - direction(PAULI_Z @ pair.right)))
+        for pair in sys.pairs
+    )
+
+
+def test_parity_link_hamiltonian():
+    # a parity-pseudo-Hermitian source has each left vector along sigma_z * right
+    p = HamiltonianParams(1.0, 2.0, 1.0)
+    sys_h = biortho_system(hamiltonian_at(p, 0.0))
+    assert parity_link_residual(sys_h) < 1e-10
+
+
+def test_parity_link_invariant():
+    p = HamiltonianParams(1.0, 2.0, 1.0)
+    inv = closed_form_invariant(InvariantForm.PT_SYMMETRIC, p, 0.8)
+    sys_i = biortho_system(inv)
+    assert parity_link_residual(sys_i) < 1e-10
+
+
+def test_parity_link_fails_for_sigma_x():
+    sys_x = biortho_system(PAULI_X)
+    assert parity_link_residual(sys_x) > 0.1
+
+
 def test_gauge_invariance_of_projector_sum():
     p = HamiltonianParams(1.0, 2.0, 1.0)
     sys_h = biortho_system(hamiltonian_at(p, 0.0))

@@ -113,6 +113,11 @@ class TestCFromSystem:
         with pytest.raises(ValueError):
             c_from_system(sys_h, (1, 0))
 
+    def test_pseudo_hermiticity(self):
+        # sigma_z C^dag sigma_z = C, i.e. rho = sigma_z C is Hermitian
+        c = c_from_system(biortho_system(hamiltonian_at(STATIC_PT, 0.0)), (1, -1))
+        assert frobenius_norm(PAULI_Z @ adjoint(c.matrix) @ PAULI_Z - c.matrix) < 1e-10
+
     def test_completeness_boundary(self):
         # a system is accepted up to a completeness residual of 1e-8: scaling
         # one left vector by 1 + d moves the residual by d |left| (|right| = 1)

@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from quasic.errors import DriveRangeError, RegimeMismatchError
+from quasic.errors import DriveRangeError, NotPositiveDefiniteError, RegimeMismatchError
 from quasic.invariants import (
     InvariantForm,
     closed_form_invariant,
@@ -19,7 +19,8 @@ from quasic.invariants import (
     time_ordered_propagate,
 )
 from quasic import invariants
-from quasic.coperator import closed_form_metric
+from quasic.biortho import biortho_system
+from quasic.coperator import c_from_system, closed_form_metric, dyson_map, metric_from_c
 from quasic.invariants import _ordered_product, _real_entries
 from quasic.linalg import PAULI_Z, adjoint, det, frobenius_norm
 from quasic.model import (
@@ -525,3 +526,39 @@ class TestLrResidual:
         fine = lr_residual(inv_at, p, 1.3, fd_step=1e-3)
         assert 3.0 < coarse / fine < 5.0
 
+
+def signature_normalized(m):
+    """C-operator of m: each eigenvalue replaced by the sign of its real part."""
+    sys_m = biortho_system(m)
+    signature = tuple(1 if pair.eigenvalue.real > 0 else -1 for pair in sys_m.pairs)
+    return c_from_system(sys_m, signature).matrix
+
+
+class TestSignatureNormalize:
+    """The signature-weighted projector sum maps a spectrum {+a, -a} to {+1, -1}."""
+
+    def test_scaled_sigma_z(self):
+        assert np.allclose(signature_normalized(3.0 * PAULI_Z), PAULI_Z)
+
+    @pytest.mark.parametrize("form,p", FORM_PARAMS)
+    def test_closed_forms_already_normalized(self, form, p):
+        m = closed_form_invariant(form, p, 1.1)
+        assert frobenius_norm(signature_normalized(m) - m) < 1e-12
+
+    def test_rejects_identity(self):
+        # the identity has no opposite pair: its projector sum is I itself,
+        # whose metric sigma_z is indefinite and has no Dyson map
+        c = c_from_system(biortho_system(np.eye(2, dtype=complex)), (1, 1))
+        assert np.allclose(c.matrix, np.eye(2))
+        with pytest.raises(NotPositiveDefiniteError):
+            dyson_map(metric_from_c(c))
+
+    def test_random_opposite_pair_family(self):
+        for _ in range(20):
+            a = RNG.standard_normal() + 1j * RNG.standard_normal()
+            g = RNG.standard_normal((2, 2)) + 1j * RNG.standard_normal((2, 2))
+            m = g @ np.diag([a, -a]) @ np.linalg.inv(g)
+            normd = signature_normalized(m)
+            vals = sorted(np.linalg.eigvals(normd), key=lambda z: -z.real)
+            assert vals[0] == pytest.approx(1.0, abs=1e-9)
+            assert vals[1] == pytest.approx(-1.0, abs=1e-9)

@@ -73,8 +73,23 @@ class TestBasics:
         assert got.shape == (3, 7, 2, 2)
         assert np.abs(got - a @ b).max() <= 1e-14 * np.abs(a @ b).max()
 
-    def test_det(self):
+    def test_det_trace(self):
         assert det(PAULI_Z) == -1
+        # the trace is the sum of the eigenvalues
+        dec = eigen_2x2(PAULI_X)
+        assert dec.first.value + dec.second.value == 0
+
+    def test_predicates(self):
+        # Hermiticity and positivity are tested where a routine requires them
+        assert hermitian_eigenvalues_2x2(PAULI_Y) == pytest.approx((1.0, -1.0), abs=1e-15)
+        with pytest.raises(NotHermitianError):
+            hermitian_eigenvalues_2x2(1j * PAULI_Y)
+        s = psd_sqrt(np.diag([2.0, 0.5]).astype(complex))
+        assert np.allclose(s, np.diag([math.sqrt(2.0), math.sqrt(0.5)]))
+        with pytest.raises(NotPositiveDefiniteError):
+            psd_sqrt(PAULI_Z)
+        with pytest.raises(NotHermitianError):
+            psd_sqrt(1j * PAULI_Y)
 
 
 class TestEigen:

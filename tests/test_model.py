@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from quasic.coperator import pt_commutation_residual
+from quasic.biortho import biortho_system
+from quasic.coperator import c_from_system, metric_from_c, pt_commutation_residual
 from quasic.errors import DriveRangeError
-from quasic.linalg import IDENTITY, PAULI_X, PAULI_Y, frobenius_norm
+from quasic.linalg import IDENTITY, PAULI_X, PAULI_Y, PAULI_Z, frobenius_norm
 from quasic.model import (
     ConstantDrive,
     HamiltonianParams,
@@ -99,7 +100,35 @@ def test_classify_regime_sign_flip_invariance():
         assert a is b
 
 
-def test_pt_commutation_residual_vanishes_for_family():
+def test_parity_involution():
+    # the parity sigma_z squares to I, so rho = sigma_z C gives C back as sigma_z rho
+    assert np.allclose(PAULI_Z @ PAULI_Z, IDENTITY)
+    for lam, kappa in [(2.0, 1.0), (3.0, -0.5)]:
+        h = hamiltonian_at(HamiltonianParams(1.0, lam, kappa), 0.0)
+        c = c_from_system(biortho_system(h), (1, -1))
+        assert np.allclose(PAULI_Z @ metric_from_c(c).matrix, c.matrix, atol=1e-12)
+
+
+def test_antilinear_application():
+    # sigma_z K fixes I, sigma_y, sigma_z and i*sigma_x and negates their
+    # i-multiples, so the residual of a negated one is 2 ||sigma||
+    for fixed in (IDENTITY, 1j * PAULI_X, PAULI_Y, PAULI_Z):
+        assert pt_commutation_residual(fixed) == 0.0
+        assert pt_commutation_residual(1j * fixed) == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-15)
+
+
+def test_antilinear_applied_twice_is_identity():
+    # A -> sigma_z conj(A) sigma_z is an involution: A and its image have the
+    # same residual, and their mean commutes with sigma_z K
+    for _ in range(20):
+        a = RNG.standard_normal((2, 2)) + 1j * RNG.standard_normal((2, 2))
+        image = PAULI_Z @ np.conj(a) @ PAULI_Z
+        assert np.allclose(PAULI_Z @ np.conj(image) @ PAULI_Z, a)
+        assert pt_commutation_residual(image) == pytest.approx(pt_commutation_residual(a), rel=1e-14)
+        assert pt_commutation_residual(0.5 * (a + image)) < 1e-14
+
+
+def test_pt_symmetry_residual_vanishes_for_family():
     for lam, kappa, drive in [
         (2.0, 1.0, ConstantDrive()),
         (1.0, 2.0, ConstantDrive()),
@@ -111,7 +140,7 @@ def test_pt_commutation_residual_vanishes_for_family():
             assert pt_commutation_residual(hamiltonian_at(p, t)) < 1e-12
 
 
-def test_pt_commutation_residual_detects_real_sigma_x_term():
+def test_pt_symmetry_residual_detects_real_sigma_x_term():
     # the symmetric span is real combinations of I, sigma_y, sigma_z and
     # i*sigma_x; a real sigma_x admixture breaks the antilinear symmetry
     # while a real sigma_y one does not
