@@ -5,9 +5,13 @@ Right states evolve under H(t), left states under H(t)^dag:
     i*hbar d|psi>/dt = H(t) |psi>,      i*hbar d|phi>/dt = H(t)^dag |phi>.
 
 The pairing conserves <phi|psi> exactly, which is what keeps an evolved
-C-operator involutory.  A classical fixed-step RK4 integrates both equations
-simultaneously; it is deliberately a different code path from the matrix
-exponentials used elsewhere, so the two can cross-validate each other.
+C-operator involutory.  Every H of the family satisfies H^dag = sigma_z H
+sigma_z, the parity intertwining relation H^dag P = P H, so the left
+propagator is sigma_z U sigma_z for the right propagator U: a classical
+fixed-step RK4 propagates psi and sigma_z phi with one propagator for H,
+and sigma_z maps the second back to phi.  RK4 is deliberately a different
+code path from the matrix exponentials used elsewhere, so the two can
+cross-validate each other.
 
 Time is an array axis.  For a linear equation one RK4 step is a 2x2 matrix
 built from H at t, t + dt/2 and t + dt; ``tdse_integrate`` builds the
@@ -30,6 +34,7 @@ samples and ``phase_alpha``'s alpha_dot are array passes over the grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,7 +47,7 @@ from .model import HamiltonianParams, hamiltonian_array
 
 #: Steps whose RK4 matrices are built and scanned as one array (see
 #: tdse_integrate for the memory measurement behind the size).
-RK4_BLOCK = 256
+RK4_BLOCK = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,8 +59,10 @@ class EvolvedState:
     left_states: np.ndarray
 
     def index_of(self, t: float) -> int:
+        """Index of the grid node at t; OffGridError unless t is one (NaN and inf are not)."""
         k = int(np.argmin(np.abs(self.grid - t)))
-        if abs(self.grid[k] - t) > 1e-9 * max(1.0, abs(t)):
+        # written so that NaN fails; an infinite t would pass with an infinite tolerance
+        if not (math.isfinite(t) and abs(self.grid[k] - t) <= 1e-9 * max(1.0, abs(t))):
             raise OffGridError(f"t={t} is not a grid node")
         return k
 
@@ -97,22 +104,34 @@ def tdse_integrate(
         K1 = A(t),  K2 = A_m (I + dt/2 K1),  K3 = A_m (I + dt/2 K2),
         K4 = A(t + dt) (I + dt K3),           A_m = A(t + dt/2),
 
-    where A = -i H / hbar for right states and -i H^dag / hbar for left
-    states.  Applying M to v is exactly the textbook stage recursion, so this
-    is the same scheme as a per-step loop, up to roundoff.
+    where A = -i H / hbar.  Applying M to v is exactly the textbook stage
+    recursion, so this is the same scheme as a per-step loop, up to roundoff.
+
+    Left states evolve under A_L = -i H^dag / hbar, and the shortcut rests on
+    H^dag = sigma_z H sigma_z holding exactly for every H of the family
+    (``tests/test_model.py`` checks it entry for entry).  Then A_L = sigma_z
+    A sigma_z, and the RK4 matrix of A_L is sigma_z M sigma_z: the same
+    entries with the off-diagonal signs flipped, since every product and
+    sum of the recursion is sign-symmetric.  So one stack of M for H is
+    built and scanned and applied to psi0 and sigma_z phi0, and flipping
+    the sign of the second component of the latter gives the left states.
+    Sign flips are exact: at equal RK4_BLOCK both state arrays equal those
+    of a second scan for H^dag.
 
     For each block of RK4_BLOCK steps the drive is evaluated once on the
     grid at t, t + dt/2 and t + dt, every step's M - I is built in one array
     pass, and an inclusive prefix scan of those deviations (see
     ``_prefix_scan``) gives the product M_j ... M_0 for every step j of the
-    block; applied to the block's first state, it yields every grid state.
-    The block's end state starts the next block.  A block's working arrays
-    take ~1.7 kB per step, so the block size trades peak memory against the
-    fixed cost of a block's ~100 array operations.  On the benchmark's
-    dynamics job (two pairs of 10,000-step runs, 2-CPU VM, numpy 2.4) the
-    peak RSS rose over the per-step loop by 0.45 MB with 256-step blocks,
-    1.0 MB with 512 and 1.8 MB with 1024, while a 10,000-step run took
-    ~27 ms, ~21 ms and ~18 ms (the loop took ~650 ms).
+    block; applied to the block's first states, it yields every grid state.
+    The block's end states start the next block.  A block's working arrays
+    take ~0.65 kB per step (tracemalloc peak above the output arrays), so
+    the block size trades peak memory against the fixed cost of a block's
+    ~100 array operations.  On the benchmark's dynamics job (two pairs of
+    10,000-step runs; ``bench/run.py --workload dynamics --seconds 10``,
+    median of three alternating rounds, 2-CPU VM, numpy 2.4), ``run_s`` /
+    ``peak_rss_mb`` read 0.091 / 39.62 with 256-step blocks, 0.075 / 39.63
+    with 512, 0.068 / 39.58 with 1024 and 0.067 / 40.25 with 2048, against
+    0.131 / 39.62 for the two-sided scan in 256-step blocks.
 
     RK4 is a fourth-order polynomial in dt A, not a product of exponentials,
     so it stays independent of the midpoint exponential product in
@@ -120,30 +139,34 @@ def tdse_integrate(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    psi0 = np.asarray(psi0, dtype=complex)
+    phi0 = np.asarray(phi0, dtype=complex)
+    for name, v in (("psi0", psi0), ("phi0", phi0)):
+        if v.shape != (2,) or not np.isfinite(v).all():
+            raise ValueError(f"{name} must be a finite state of shape (2,)")
     lo, hi = min(t0, t1), max(t0, t1)
     if not p.drive.covers(lo, hi):
         raise DriveRangeError(f"drive does not cover [{t0}, {t1}]")
     dt = (t1 - t0) / steps
     grid = t0 + dt * np.arange(steps + 1)
-    # axis 0: right states under H, left states under H^dag
+    # axis 0: psi under H, and sigma_z phi under H, which sigma_z maps to phi under H^dag
     states = np.empty((2, steps + 1, 2), dtype=complex)
-    states[0, 0] = np.asarray(psi0, dtype=complex)
-    states[1, 0] = np.asarray(phi0, dtype=complex)
+    states[0, 0] = psi0
+    states[1, 0] = phi0[0], -phi0[1]
     coeff = -1j / p.hbar
     stage_times = np.array([[0.0], [0.5], [1.0]]) * dt
     for start in range(0, steps, RK4_BLOCK):
         stop = min(start + RK4_BLOCK, steps)
         # t + dt can round past t1; a tabulated drive ending at t1 would reject it
-        a = coeff * hamiltonian_array(p, np.clip(grid[start:stop] + stage_times, lo, hi))
-        # -i H^dag / hbar = -(-i H / hbar)^dag
-        a_a, a_m, a_b = np.stack((a, -a.conj().swapaxes(-1, -2)), axis=1)
+        a_a, a_m, a_b = coeff * hamiltonian_array(p, np.clip(grid[start:stop] + stage_times, lo, hi))
         k1 = a_a
         k2 = a_m + 0.5 * dt * _matmul2(a_m, k1)
         k3 = a_m + 0.5 * dt * _matmul2(a_m, k2)
         k4 = a_b + dt * _matmul2(a_b, k3)
         prefix = _prefix_scan(dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         v = states[:, start]
-        states[:, start + 1 : stop + 1] = v[:, None] + np.einsum("snij,sj->sni", prefix, v)
+        states[:, start + 1 : stop + 1] = v[:, None] + np.einsum("nij,sj->sni", prefix, v)
+    np.negative(states[1, :, 1], out=states[1, :, 1])
     return EvolvedState(grid=grid, right_states=states[0], left_states=states[1])
 
 

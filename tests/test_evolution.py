@@ -17,12 +17,13 @@ from quasic.evolution import (
     tdse_integrate,
 )
 from quasic.invariants import InvariantForm, closed_form_invariant
-from quasic.linalg import IDENTITY, frobenius_norm, mat_exp
+from quasic.linalg import IDENTITY, _matmul2, frobenius_norm, mat_exp
 from quasic.model import (
     ConstantDrive,
     HamiltonianParams,
     SineDrive,
     TabulatedDrive,
+    hamiltonian_array,
     hamiltonian_at,
 )
 
@@ -119,6 +120,16 @@ def test_off_grid_rejected():
     ev = tdse_integrate(DRIVEN, pairs[0].right, pairs[0].left, 0.0, 1.0, 100)
     with pytest.raises(OffGridError):
         ev.index_of(0.005)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_non_finite_time_is_off_grid(t):
+    pairs = invariant_pairs_at(DRIVEN, 0.0)
+    ev = tdse_integrate(DRIVEN, pairs[0].right, pairs[0].left, 0.0, 1.0, 100)
+    with pytest.raises(OffGridError):
+        ev.index_of(t)
+    with pytest.raises(OffGridError):
+        c_from_evolution(ev, ev, (1, -1), t)
 
 
 def rk4_per_step(p, psi0, phi0, t0, t1, steps):
@@ -221,6 +232,77 @@ class TestPrefixScanRK4:
         e1 = np.array([1.0, 0.0], dtype=complex)
         with pytest.raises(ValueError):
             tdse_integrate(STATIC, e1, e1, 0.0, 1.0, 0)
+
+
+def reference_two_sided_tdse(p, psi0, phi0, t0, t1, steps, block):
+    """The two-sided block scan that the parity shortcut replaced, kept as its oracle.
+
+    It builds and scans a second stack of RK4 matrices for the left states,
+    from -i H^dag / hbar, beside the stack for H.
+    """
+    lo, hi = min(t0, t1), max(t0, t1)
+    dt = (t1 - t0) / steps
+    grid = t0 + dt * np.arange(steps + 1)
+    states = np.empty((2, steps + 1, 2), dtype=complex)
+    states[0, 0] = np.asarray(psi0, dtype=complex)
+    states[1, 0] = np.asarray(phi0, dtype=complex)
+    coeff = -1j / p.hbar
+    stage_times = np.array([[0.0], [0.5], [1.0]]) * dt
+    for start in range(0, steps, block):
+        stop = min(start + block, steps)
+        a = coeff * hamiltonian_array(p, np.clip(grid[start:stop] + stage_times, lo, hi))
+        a_a, a_m, a_b = np.stack((a, -a.conj().swapaxes(-1, -2)), axis=1)
+        k1 = a_a
+        k2 = a_m + 0.5 * dt * _matmul2(a_m, k1)
+        k3 = a_m + 0.5 * dt * _matmul2(a_m, k2)
+        k4 = a_b + dt * _matmul2(a_b, k3)
+        prefix = evolution._prefix_scan(dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        v = states[:, start]
+        states[:, start + 1 : stop + 1] = v[:, None] + np.einsum("snij,sj->sni", prefix, v)
+    return grid, states[0], states[1]
+
+
+class TestParityShortcut:
+    """Left states as sigma_z U sigma_z phi0 are the two-sided scan's, to the bit."""
+
+    @pytest.mark.parametrize("hbar", [1.0, 1.3])
+    @pytest.mark.parametrize("span", SPANS)
+    @pytest.mark.parametrize("pair", PAIRS)
+    @pytest.mark.parametrize("drive", DRIVES)
+    @pytest.mark.parametrize("block", [16, evolution.RK4_BLOCK])
+    def test_same_bits_as_two_sided_scan(self, block, drive, pair, span, hbar, monkeypatch):
+        monkeypatch.setattr(evolution, "RK4_BLOCK", block)
+        p = HamiltonianParams(0.7, *PAIRS[pair], hbar=hbar, drive=DRIVES[drive])
+        psi0 = np.array([0.6 + 0.2j, -0.3 + 0.7j])
+        phi0 = np.array([0.4 - 0.5j, 0.9 + 0.1j])
+        for steps in (1, 2, block - 1, block, block + 1, 4 * block + 1):
+            ev = tdse_integrate(p, psi0, phi0, *SPANS[span], steps)
+            grid, rights, lefts = reference_two_sided_tdse(p, psi0, phi0, *SPANS[span], steps, block)
+            assert np.array_equal(ev.grid, grid)
+            assert np.array_equal(ev.right_states, rights)
+            assert np.array_equal(ev.left_states, lefts)
+
+    def test_initial_states_left_untouched(self):
+        # the left column is flipped in place on the states array, never on the input
+        psi0 = np.array([0.6 + 0.2j, -0.3 + 0.7j])
+        keep = psi0.copy()
+        ev = tdse_integrate(DRIVEN, psi0, psi0, 0.0, 1.0, 10)
+        assert np.array_equal(psi0, keep)
+        assert np.array_equal(ev.right_states[0], keep)
+        assert np.array_equal(ev.left_states[0], keep)
+
+
+@pytest.mark.parametrize("which", ["psi0", "phi0"])
+@pytest.mark.parametrize(
+    "bad",
+    [1.0, [1.0], [1.0, 0.0, 0.0], [[1.0, 0.0]], [np.nan, 0.0], [1.0, np.inf], [0.0, complex(np.nan, 1.0)]],
+    ids=["scalar", "length-1", "length-3", "row", "nan", "inf", "complex-nan"],
+)
+def test_bad_initial_state_rejected(which, bad):
+    e1 = np.array([1.0, 0.0], dtype=complex)
+    states = {"psi0": e1, "phi0": e1, which: bad}
+    with pytest.raises(ValueError, match=f"{which} must be a finite state of shape"):
+        tdse_integrate(STATIC, states["psi0"], states["phi0"], 0.0, 1.0, 4)
 
 
 def test_integration_outside_tabulated_range():

@@ -60,6 +60,28 @@ def test_hamiltonian_at_matches_array_bit_for_bit(drive, kappa):
         assert hamiltonian_at(p, float(tk)).tobytes() == stack[k].tobytes()
 
 
+@pytest.mark.parametrize(
+    "drive",
+    [
+        ConstantDrive(0.7),
+        SineDrive(amplitude=1.3, frequency=0.9),
+        TabulatedDrive(np.linspace(-1.0, 5.0, 13), np.cos(np.linspace(-1.0, 5.0, 13))),
+    ],
+    ids=["constant", "sine", "tabulated"],
+)
+@pytest.mark.parametrize("lam, kappa", [(1.9, 0.8), (-1.9, 0.8), (0.6, -2.1), (-0.6, -2.1), (1.9, 0.0)])
+@pytest.mark.parametrize("hbar", [1.0, 1.3, 0.2])
+def test_adjoint_is_parity_conjugate_exactly(drive, lam, kappa, hbar):
+    # H^dag = sigma_z H sigma_z entry for entry, with no rounding (a zero
+    # imaginary part may differ in sign, which array_equal ignores): the paired
+    # evolution gets its left states from the right propagator through it
+    p = HamiltonianParams(0.7, lam, kappa, hbar=hbar, drive=drive)
+    t = np.array([[0.0], [0.5], [1.0]]) * 0.01 + np.linspace(0.0, 4.0, 41)  # RK4 stage times
+    h = hamiltonian_array(p, t)
+    assert h.shape == (3, 41, 2, 2)
+    assert np.array_equal(h.conj().swapaxes(-1, -2), PAULI_Z @ h @ PAULI_Z)
+
+
 def test_hamiltonian_coefficients_match_decomposition():
     p = HamiltonianParams(omega=1.0, lam=2.0, kappa=1.0)
     c = hamiltonian_coefficients(p, 0.0)
