@@ -18,7 +18,11 @@ built from H at t, t + dt/2 and t + dt; ``tdse_integrate`` builds the
 matrices of RK4_BLOCK steps in one array pass and gets every grid state from
 an inclusive prefix scan of them (Hillis & Steele, CACM 29(12), 1986;
 Blelloch, CMU-CS-90-190, 1990), with each matrix carried as its deviation
-from the identity.
+from the identity.  The eigenpairs of an evolved C(t) = sum_n s_n
+|psi_n(t)><phi_n(t)| all evolve under the same H(t) on the same grid, so
+they share one propagator: the scanned stacks of the last propagator are
+kept, and a call that repeats its p (the same object), t0, t1, steps and
+RK4_BLOCK only applies them to its own initial states.
 
 Phase reconstruction takes its eigenstates and metrics from two callbacks,
 ``state_at`` and ``rho_at``, and calls each once, with the whole time grid
@@ -35,6 +39,7 @@ samples and ``phase_alpha``'s alpha_dot are array passes over the grid.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -59,12 +64,29 @@ class EvolvedState:
     left_states: np.ndarray
 
     def index_of(self, t: float) -> int:
-        """Index of the grid node at t; OffGridError unless t is one (NaN and inf are not)."""
-        k = int(np.argmin(np.abs(self.grid - t)))
-        # written so that NaN fails; an infinite t would pass with an infinite tolerance
-        if not (math.isfinite(t) and abs(self.grid[k] - t) <= 1e-9 * max(1.0, abs(t))):
+        """Index of the grid node at t; OffGridError unless t is one (NaN and inf are not).
+
+        The grid is uniform, so the nearest node is estimated from its end
+        points, and the nearest of that node and its two neighbours (the
+        first on a tie, as an argmin over the whole grid takes) absorbs the
+        rounding of the estimate.  A constant grid (t0 == t1) gives node 0.
+        """
+        # an infinite t would pass with an infinite tolerance
+        if not math.isfinite(t):
             raise OffGridError(f"t={t} is not a grid node")
-        return k
+        grid = self.grid
+        last = len(grid) - 1
+        first, span = float(grid[0]), float(grid[-1] - grid[0])
+        # a NaN estimate (from a NaN grid) is not > 0 and falls to node 0
+        x = min((t - first) / span * last, last) if span else 0.0
+        k = int(round(x)) if x > 0 else 0
+        lo = max(k - 1, 0)
+        window = grid[lo : k + 2].tolist()
+        j = min(range(len(window)), key=lambda i: abs(window[i] - t))
+        # written so that NaN fails
+        if not abs(window[j] - t) <= 1e-9 * max(1.0, abs(t)):
+            raise OffGridError(f"t={t} is not a grid node")
+        return lo + j
 
 
 def _prefix_scan(deltas: np.ndarray) -> np.ndarray:
@@ -86,6 +108,49 @@ def _prefix_scan(deltas: np.ndarray) -> np.ndarray:
         deltas[..., shift:, :, :] = early + late + _matmul2(late, early)
         shift *= 2
     return deltas
+
+
+#: The last propagator _rk4_prefixes built, as (p, (t0 and t1 bits, steps,
+#: block), prefix stacks); None when empty.  One tuple, replaced whole.
+_last_propagator: tuple | None = None
+
+
+def _rk4_prefixes(p: HamiltonianParams, t0: float, t1: float, steps: int, block: int) -> np.ndarray:
+    """Per-block prefix stacks of the RK4 propagator for H, as one read-only array.
+
+    Row k of the (steps, 2, 2) result is M_k ... M_s - I for step k of the
+    grid t0 + (t1 - t0)/steps * k, where s is the first step of k's block of
+    ``block`` steps.  One array rather than one per block keeps the peak
+    memory lower.  The last propagator is kept, keyed on p by identity (the
+    entry holds a reference, so its id is not reused), on the bits of t0 and
+    t1 (so -0.0 and 0.0 differ), on steps and on block; a repeated call
+    returns the same stacks without evaluating the drive.
+    """
+    global _last_propagator
+    key = (struct.pack("<2d", t0, t1), steps, block)
+    last = _last_propagator
+    if last is not None and last[0] is p and last[1] == key:
+        return last[2]
+    # the old stacks would only add to the peak memory of the build
+    _last_propagator = None
+    lo, hi = min(t0, t1), max(t0, t1)
+    dt = (t1 - t0) / steps
+    grid = t0 + dt * np.arange(steps + 1)
+    coeff = -1j / p.hbar
+    stage_times = np.array([[0.0], [0.5], [1.0]]) * dt
+    stacks = np.empty((steps, 2, 2), dtype=complex)
+    for start in range(0, steps, block):
+        stop = min(start + block, steps)
+        # t + dt can round past t1; a tabulated drive ending at t1 would reject it
+        a_a, a_m, a_b = coeff * hamiltonian_array(p, np.clip(grid[start:stop] + stage_times, lo, hi))
+        k1 = a_a
+        k2 = a_m + 0.5 * dt * _matmul2(a_m, k1)
+        k3 = a_m + 0.5 * dt * _matmul2(a_m, k2)
+        k4 = a_b + dt * _matmul2(a_b, k3)
+        stacks[start:stop] = _prefix_scan(dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    stacks.setflags(write=False)
+    _last_propagator = (p, key, stacks)
+    return stacks
 
 
 def tdse_integrate(
@@ -133,39 +198,52 @@ def tdse_integrate(
     with 512, 0.068 / 39.58 with 1024 and 0.067 / 40.25 with 2048, against
     0.131 / 39.62 for the two-sided scan in 256-step blocks.
 
+    The eigenpairs of one C(t) evolve under the same H(t) on the same grid,
+    so they share the scanned stacks.  ``_rk4_prefixes`` keeps the last
+    propagator it built, keyed on p by identity, on the bits of t0 and t1,
+    on steps and on RK4_BLOCK.  A call that repeats all five skips the drive
+    evaluation, the RK4 build and the scan, and applies the kept stacks to
+    its own initial states, with the bits of a cold call.  t0 and t1 are
+    read as floats, so the bits compared are the bits computed with.  The
+    argument checks run before the lookup, so a repeated call still rejects
+    bad input.  The kept entry holds 64 B per step, as much as the state arrays
+    a call returns (0.64 MB at 10,000 steps).  On the dynamics job the +-
+    eigenpairs repeat their propagator, 20,000 of its 46,000 steps (10
+    alternating pairs of ``bench/run.py --workload dynamics --seconds 40``,
+    medians; same machine as above):
+
+        =================  =======  ===========
+        stacks             run_s    peak_rss_mb
+        =================  =======  ===========
+        scanned per call   0.0628   39.50
+        last one kept      0.0445   40.18
+        =================  =======  ===========
+
     RK4 is a fourth-order polynomial in dt A, not a product of exponentials,
     so it stays independent of the midpoint exponential product in
     ``invariants`` and the two still cross-validate.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    t0, t1 = float(t0), float(t1)
     psi0 = np.asarray(psi0, dtype=complex)
     phi0 = np.asarray(phi0, dtype=complex)
     for name, v in (("psi0", psi0), ("phi0", phi0)):
         if v.shape != (2,) or not np.isfinite(v).all():
             raise ValueError(f"{name} must be a finite state of shape (2,)")
-    lo, hi = min(t0, t1), max(t0, t1)
-    if not p.drive.covers(lo, hi):
+    if not p.drive.covers(min(t0, t1), max(t0, t1)):
         raise DriveRangeError(f"drive does not cover [{t0}, {t1}]")
-    dt = (t1 - t0) / steps
-    grid = t0 + dt * np.arange(steps + 1)
+    block = RK4_BLOCK
+    stacks = _rk4_prefixes(p, t0, t1, steps, block)
+    grid = t0 + (t1 - t0) / steps * np.arange(steps + 1)
     # axis 0: psi under H, and sigma_z phi under H, which sigma_z maps to phi under H^dag
     states = np.empty((2, steps + 1, 2), dtype=complex)
     states[0, 0] = psi0
     states[1, 0] = phi0[0], -phi0[1]
-    coeff = -1j / p.hbar
-    stage_times = np.array([[0.0], [0.5], [1.0]]) * dt
-    for start in range(0, steps, RK4_BLOCK):
-        stop = min(start + RK4_BLOCK, steps)
-        # t + dt can round past t1; a tabulated drive ending at t1 would reject it
-        a_a, a_m, a_b = coeff * hamiltonian_array(p, np.clip(grid[start:stop] + stage_times, lo, hi))
-        k1 = a_a
-        k2 = a_m + 0.5 * dt * _matmul2(a_m, k1)
-        k3 = a_m + 0.5 * dt * _matmul2(a_m, k2)
-        k4 = a_b + dt * _matmul2(a_b, k3)
-        prefix = _prefix_scan(dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    for start in range(0, steps, block):
+        stop = min(start + block, steps)
         v = states[:, start]
-        states[:, start + 1 : stop + 1] = v[:, None] + np.einsum("nij,sj->sni", prefix, v)
+        states[:, start + 1 : stop + 1] = v[:, None] + np.einsum("nij,sj->sni", stacks[start:stop], v)
     np.negative(states[1, :, 1], out=states[1, :, 1])
     return EvolvedState(grid=grid, right_states=states[0], left_states=states[1])
 

@@ -89,7 +89,9 @@ class TabulatedDrive:
     """Sampled drive; linear interpolation, trapezoid antiderivative.
 
     Samples must be strictly increasing in t.  Evaluation or integration
-    outside the sampled range raises DriveRangeError.
+    outside the sampled range raises DriveRangeError.  The drive keeps
+    read-only copies of the samples, so a later write into the caller's
+    arrays changes neither tau nor its antiderivative.
     """
 
     times: np.ndarray
@@ -98,8 +100,8 @@ class TabulatedDrive:
     _cumulative: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        times = np.array(self.times, dtype=float)
+        values = np.array(self.values, dtype=float)
         if times.ndim != 1 or times.shape != values.shape or times.size < 2:
             raise ValueError("need matching 1-d arrays with at least two samples")
         if not np.all(np.diff(times) > 0):
@@ -112,6 +114,8 @@ class TabulatedDrive:
             raise ValueError("t_ref outside the sampled range")
         seg = 0.5 * (values[1:] + values[:-1]) * np.diff(times)
         cum = np.concatenate([[0.0], np.cumsum(seg)])
+        for array in (times, values, cum):
+            array.setflags(write=False)
         object.__setattr__(self, "_cumulative", cum)
 
     def _check(self, t: float) -> None:

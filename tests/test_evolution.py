@@ -1,6 +1,9 @@
 """Paired TDSE integration, evolved C-operators, and the phase integral."""
 
+import gc
+import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from quasic.biortho import biortho_system
 from quasic.coperator import MetricForm, c_from_system, closed_form_metric
 from quasic.errors import BranchFlipError, DriveRangeError, OffGridError
 from quasic.evolution import (
+    EvolvedState,
     aligned_eigenstate_trace,
     c_from_evolution,
     phase_alpha,
@@ -290,6 +294,180 @@ class TestParityShortcut:
         assert np.array_equal(psi0, keep)
         assert np.array_equal(ev.right_states[0], keep)
         assert np.array_equal(ev.left_states[0], keep)
+
+
+def cold_tdse(p, psi0, phi0, t0, t1, steps):
+    """tdse_integrate with the propagator cache emptied first."""
+    evolution._last_propagator = None
+    return tdse_integrate(p, psi0, phi0, t0, t1, steps)
+
+
+def assert_same_bits(ev, ref):
+    for name in ("grid", "right_states", "left_states"):
+        got, want = getattr(ev, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), name
+
+
+PSI_A, PHI_A = np.array([0.6 + 0.2j, -0.3 + 0.7j]), np.array([0.4 - 0.5j, 0.9 + 0.1j])
+PSI_B, PHI_B = np.array([-0.1 + 0.8j, 0.5 - 0.2j]), np.array([0.7 + 0.3j, -0.2 - 0.6j])
+
+
+class TestPropagatorCache:
+    """A repeated propagator is scanned once; every result keeps a cold call's bits."""
+
+    @pytest.mark.parametrize("hbar", [1.0, 1.3])
+    @pytest.mark.parametrize("span", SPANS)
+    @pytest.mark.parametrize("pair", PAIRS)
+    @pytest.mark.parametrize("drive", DRIVES)
+    @pytest.mark.parametrize("block", [16, evolution.RK4_BLOCK])
+    def test_hit_has_cold_bits(self, block, drive, pair, span, hbar, monkeypatch):
+        monkeypatch.setattr(evolution, "RK4_BLOCK", block)
+        p = HamiltonianParams(0.7, *PAIRS[pair], hbar=hbar, drive=DRIVES[drive])
+        for steps in (1, block + 1, 4 * block + 1):
+            tdse_integrate(p, PSI_A, PHI_A, *SPANS[span], steps)
+            entry = evolution._last_propagator
+            hit = tdse_integrate(p, PSI_B, PHI_B, *SPANS[span], steps)
+            assert evolution._last_propagator is entry
+            assert_same_bits(hit, cold_tdse(p, PSI_B, PHI_B, *SPANS[span], steps))
+
+    def test_hit_builds_nothing(self, monkeypatch):
+        tdse_integrate(DRIVEN, PSI_A, PHI_A, 0.0, 1.5, 100)
+
+        def forbidden(*args):
+            raise AssertionError("a hit rebuilt the propagator")
+
+        monkeypatch.setattr(evolution, "hamiltonian_array", forbidden)
+        monkeypatch.setattr(evolution, "_prefix_scan", forbidden)
+        hit = tdse_integrate(DRIVEN, PSI_B, PHI_B, 0.0, 1.5, 100)
+        monkeypatch.undo()
+        assert_same_bits(hit, cold_tdse(DRIVEN, PSI_B, PHI_B, 0.0, 1.5, 100))
+
+    @pytest.mark.parametrize(
+        "change",
+        ["equal-p", "t0", "t1", "signed-zero-t0", "signed-zero-t1", "steps", "block"],
+    )
+    def test_changed_key_misses(self, change, monkeypatch):
+        p = HamiltonianParams(0.7, 0.8, 1.7, hbar=1.3, drive=SineDrive(amplitude=1.3, frequency=2.0))
+        first = {"signed-zero-t0": (-0.0, 1.5, 65), "signed-zero-t1": (1.5, -0.0, 65)}.get(change, (0.0, 1.5, 65))
+        second = {
+            "t0": (0.25, 1.5, 65),
+            "t1": (0.0, 1.25, 65),
+            "signed-zero-t0": (0.0, 1.5, 65),
+            "signed-zero-t1": (1.5, 0.0, 65),
+            "steps": (0.0, 1.5, 64),
+        }.get(change, first)
+        tdse_integrate(p, PSI_A, PHI_A, *first)
+        entry = evolution._last_propagator
+        if change == "equal-p":
+            p = HamiltonianParams(p.omega, p.lam, p.kappa, hbar=p.hbar, drive=p.drive)
+        if change == "block":
+            monkeypatch.setattr(evolution, "RK4_BLOCK", 16)
+        miss = tdse_integrate(p, PSI_B, PHI_B, *second)
+        assert evolution._last_propagator is not entry
+        assert_same_bits(miss, cold_tdse(p, PSI_B, PHI_B, *second))
+
+    def test_hit_still_rejects_bad_initial_states(self):
+        tdse_integrate(STATIC, PSI_A, PHI_A, 0.0, 1.0, 4)
+        for bad in ([np.nan, 0.0], [1.0, 0.0, 0.0], 1.0):
+            with pytest.raises(ValueError, match="psi0 must be a finite state of shape"):
+                tdse_integrate(STATIC, bad, PHI_A, 0.0, 1.0, 4)
+            with pytest.raises(ValueError, match="phi0 must be a finite state of shape"):
+                tdse_integrate(STATIC, PSI_A, bad, 0.0, 1.0, 4)
+
+    def test_hit_still_rejects_uncovered_range(self):
+        # an entry for a drive that covers [0, 2], planted under one that covers [0, 1]
+        times = np.linspace(0.0, 2.0, 21)
+        wide = HamiltonianParams(1.0, 2.0, 1.0, drive=TabulatedDrive(times=times, values=np.cos(times)))
+        narrow = HamiltonianParams(1.0, 2.0, 1.0, drive=TabulatedDrive(times=times[:11], values=np.cos(times[:11])))
+        tdse_integrate(wide, PSI_A, PHI_A, 0.0, 2.0, 10)
+        evolution._last_propagator = (narrow,) + evolution._last_propagator[1:]
+        with pytest.raises(DriveRangeError):
+            tdse_integrate(narrow, PSI_A, PHI_A, 0.0, 2.0, 10)
+
+    def test_written_results_do_not_reach_the_next_call(self):
+        ev = tdse_integrate(DRIVEN, PSI_A, PHI_A, 0.0, 1.5, 40)
+        for array in (ev.grid, ev.right_states, ev.left_states):
+            array[...] = 7.0
+        again = tdse_integrate(DRIVEN, PSI_A, PHI_A, 0.0, 1.5, 40)
+        assert_same_bits(again, cold_tdse(DRIVEN, PSI_A, PHI_A, 0.0, 1.5, 40))
+
+    def test_cached_stacks_are_read_only(self):
+        tdse_integrate(DRIVEN, PSI_A, PHI_A, 0.0, 1.5, 40)
+        with pytest.raises(ValueError, match="read-only"):
+            evolution._last_propagator[-1][0, 0, 0] = 0.0
+
+    def test_miss_releases_the_old_entry_before_building(self, monkeypatch):
+        tdse_integrate(DRIVEN, PSI_A, PHI_A, 0.0, 1.5, 40)
+        held = []
+        scan = evolution._prefix_scan
+
+        def watching_scan(deltas):
+            held.append(evolution._last_propagator)
+            return scan(deltas)
+
+        monkeypatch.setattr(evolution, "_prefix_scan", watching_scan)
+        tdse_integrate(DRIVEN, PSI_A, PHI_A, 0.0, 1.5, 41)
+        assert held == [None]
+
+    def test_one_entry_retained(self):
+        first = HamiltonianParams(1.0, 2.0, 1.0, drive=SineDrive())
+        released = weakref.ref(first)
+        tdse_integrate(first, PSI_A, PHI_A, 0.0, 1.5, 300)
+        entry = evolution._last_propagator
+        assert entry[0] is first and len(entry[-1]) == 300
+        del first, entry
+        tdse_integrate(DRIVEN, PSI_A, PHI_A, 0.0, 1.5, 40)
+        gc.collect()
+        assert released() is None
+        assert evolution._last_propagator[0] is DRIVEN
+        assert len(evolution._last_propagator[-1]) == 40
+
+
+def index_of_by_argmin(ev, t):
+    """The whole-grid argmin lookup that the arithmetic one replaced, kept as its oracle."""
+    k = int(np.argmin(np.abs(ev.grid - t)))
+    if not (math.isfinite(t) and abs(ev.grid[k] - t) <= 1e-9 * max(1.0, abs(t))):
+        raise OffGridError(f"t={t} is not a grid node")
+    return k
+
+
+def lookup(index_of, ev, t):
+    try:
+        return index_of(ev, t)
+    except OffGridError:
+        return "off-grid"
+
+
+class TestIndexOf:
+    """The arithmetic node lookup agrees with the argmin over the whole grid."""
+
+    @pytest.mark.parametrize("nodes", [2, 11, 10_001])
+    # on the dense span the tolerance band holds many nodes, so ties and rounding decide
+    @pytest.mark.parametrize(
+        "span",
+        [(-2.5, 0.7), (0.7, -2.5), (1.2, 1.2), (1e6, 1e6 + 1e-3)],
+        ids=["forward", "backward", "degenerate", "dense"],
+    )
+    def test_agrees_with_argmin(self, span, nodes):
+        ev = tdse_integrate(STATIC, PSI_A, PHI_A, *span, nodes - 1)
+        grid = ev.grid
+        tol = 1e-9 * np.maximum(1.0, np.abs(grid))
+        between = np.concatenate([0.5 * (grid[1:] + grid[:-1]), [grid[0] - 1.0, grid[-1] + 1.0, -1e300, 1e300]])
+        probes = np.concatenate([grid - tol, grid, grid + tol, between])
+        # the ends of the tolerance band, from inside and from outside
+        ends = np.concatenate([grid[[0, 1, -2, -1]] + f * tol[[0, 1, -2, -1]] for f in (-1.01, -0.99, 0.99, 1.01)])
+        for t in np.unique(np.concatenate([probes, ends])).tolist():
+            assert lookup(EvolvedState.index_of, ev, t) == lookup(index_of_by_argmin, ev, t), t
+        for k in (0, nodes // 2, nodes - 1):
+            assert ev.index_of(float(grid[k])) == (0 if span[0] == span[1] else k)
+
+    @pytest.mark.parametrize("span", [(-2.5, 0.7), (0.7, -2.5), (1.2, 1.2)], ids=["forward", "backward", "degenerate"])
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_raises(self, span, t):
+        ev = tdse_integrate(STATIC, PSI_A, PHI_A, *span, 10)
+        with pytest.raises(OffGridError):
+            ev.index_of(t)
 
 
 @pytest.mark.parametrize("which", ["psi0", "phi0"])

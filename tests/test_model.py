@@ -230,3 +230,18 @@ class TestDrives:
         const = ConstantDrive()
         for t in (0.0, 2.2, 5.0):
             assert tab.integral(t) == pytest.approx(const.integral(t), abs=1e-12)
+
+    def test_tabulated_keeps_its_own_samples(self):
+        # np.asarray would alias a float64 input: tau would follow a later write
+        # while the antiderivative kept the stale cumulative sums
+        times = np.linspace(0.0, 1.0, 11)
+        values = np.ones_like(times)
+        tab = TabulatedDrive(times=times, values=values)
+        times[:] = np.linspace(0.0, 2.0, 11)
+        values[:] = 3.0
+        assert tab.tau(0.5) == 1.0
+        assert tab.integral(1.0) == pytest.approx(1.0, abs=1e-15)
+        assert not tab.covers(0.0, 2.0)
+        for array in (tab.times, tab.values, tab._cumulative):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
