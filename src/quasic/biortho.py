@@ -11,17 +11,15 @@ eigenvalue inside a class).  With this order the (+1, -1) signature weights
 produce the operator whose induced metric sigma_z * C is positive definite
 whenever one exists, for Hamiltonians and invariants alike.
 
-``biortho_system`` takes one matrix or an (N, 2, 2) stack.  One matrix
-goes through Python scalars, since its callers run it once per sample or
-once per run: it reads the four entries and runs the eigen kernel
-``linalg._eigen_scalars`` on them and on their conjugate transpose,
-without building the adjoint array.  The eigenvector condition number, the
-sort key and the eigenvalue matching use those scalars too.  The results
-are the numpy form's to the bit: ``np.vdot`` forms the biorthogonal
-overlap and numpy divides the left vector by it, because a scalar sum
-rounds differently from the BLAS.  A stack, such as the closed-form
-invariant on a time grid in phase reconstruction, takes the same steps and
-tests per sample as array passes (``_biortho_stack``), to within a few ulp.
+``biortho_system`` takes one matrix or an (N, 2, 2) stack.  One matrix,
+built once per run, takes plain numpy steps: ``linalg.eigen_2x2`` of the
+matrix and of its adjoint, the eigenvector condition number from the Gram
+matrix, the matching of left to right by eigenvalue, ``np.vdot`` for the
+biorthogonal overlap, and the sign class of ``_sign_class`` for the pair
+order.  A stack, such as the closed-form invariant on a time grid in phase
+reconstruction, takes the same steps and tests per sample as array passes
+(``_biortho_stack``), to within a few ulp: numpy's array products, ``abs``
+and hypot round differently from its scalar ones.
 """
 
 from __future__ import annotations
@@ -35,11 +33,14 @@ from .errors import DefectiveMatrixError, NearlyDefectiveError
 from .linalg import (
     DEFAULT_TOL,
     IDENTITY,
-    _eigen_scalars,
     _eigen_stack,
     _max1,
+    adjoint,
+    det,
+    eigen_2x2,
     frobenius_norm,
     frobenius_norm_stack,
+    hermitian_eigenvalues_2x2,
 )
 
 COND_LIMIT = 1e12
@@ -64,7 +65,7 @@ class BiorthoSystem:
     source: np.ndarray
 
 
-def _condition_number(v1: tuple[complex, complex], v2: tuple[complex, complex]) -> float:
+def _condition_number(v1: np.ndarray, v2: np.ndarray) -> float:
     """Condition number hi / |det V| of the matrix V whose columns are v1 and v2.
 
     hi, the larger eigenvalue of the Gram matrix V^H V, is the squared
@@ -74,26 +75,10 @@ def _condition_number(v1: tuple[complex, complex], v2: tuple[complex, complex]) 
     where the Gram matrix's smaller eigenvalue cancels to rounding noise
     from a condition of ~1e8 on.
     """
-    (x0, x1), (y0, y1) = v1, v2
-    p = (x0.real * x0.real + x0.imag * x0.imag) + (x1.real * x1.real + x1.imag * x1.imag)
-    q = (y0.real * y0.real + y0.imag * y0.imag) + (y1.real * y1.real + y1.imag * y1.imag)
-    g = x0.conjugate() * y0 + x1.conjugate() * y1
-    hi = 0.5 * (p + q) + math.hypot(0.5 * (p - q), abs(g))
-    det = abs(x0 * y1 - x1 * y0)
-    return hi / det if det else math.inf
-
-
-def _order_key(value: complex, right: tuple[complex, complex], tol: float):
-    x0, x1 = right
-    # parity pseudo-norm <v|sigma_z|v>
-    w = (x0.real * x0.real + x0.imag * x0.imag) - (x1.real * x1.real + x1.imag * x1.imag)
-    if w > tol:
-        sign_class = 0
-    elif w < -tol:
-        sign_class = 2
-    else:
-        sign_class = 1
-    return (sign_class, -value.real, -value.imag)
+    v = np.column_stack([v1, v2])
+    hi, _ = hermitian_eigenvalues_2x2(adjoint(v) @ v, tol=1e-8)
+    d = abs(det(v))
+    return hi / d if d else math.inf
 
 
 def biortho_system(a: np.ndarray, tol: float = DEFAULT_TOL) -> BiorthoSystem:
@@ -110,55 +95,46 @@ def biortho_system(a: np.ndarray, tol: float = DEFAULT_TOL) -> BiorthoSystem:
     a = np.asarray(a, dtype=complex)
     if a.ndim == 3:
         return _biortho_stack(a, tol)
-    (a00, a01), (a10, a11) = a.tolist()
-    # the adjoint's norm equals a's to the bit: its memory order mirrors a's
-    scale = max(1.0, frobenius_norm(a))
-    right1, right2, defective = _eigen_scalars(a00, a01, a10, a11, scale, tol)
-    if defective:
+    right = eigen_2x2(a, tol)
+    if right.defective:
         raise DefectiveMatrixError("source matrix is defective")
-    cond = _condition_number(right1[1], right2[1])
+    cond = _condition_number(right.first.vector, right.second.vector)
     if cond > COND_LIMIT:
         raise NearlyDefectiveError(f"eigenvector condition {cond:.3g} exceeds {COND_LIMIT:.0e}")
-    left1, left2, defective = _eigen_scalars(
-        a00.conjugate(), a10.conjugate(), a01.conjugate(), a11.conjugate(), scale, tol
-    )
-    if defective:
+    left = eigen_2x2(adjoint(a), tol)
+    if left.defective:
         raise DefectiveMatrixError("adjoint matrix is defective")
 
     # match left eigenvectors by minimal |lam_left - conj(lam_right)| cost; the
     # left eigenvalues are the exact conjugates of the right ones, so one
     # matching costs 0 and the other twice the eigenvalue gap
-    r1, r2 = right1[0].conjugate(), right2[0].conjugate()
-    l1, l2 = left1[0], left2[0]
+    r1, r2 = right.first.value.conjugate(), right.second.value.conjugate()
+    l1, l2 = left.first.value, left.second.value
     straight = abs(l1 - r1) + abs(l2 - r2)
     crossed = abs(l2 - r1) + abs(l1 - r2)
-    lefts = (left1, left2) if straight <= crossed else (left2, left1)
+    lefts = left.pairs if straight <= crossed else (left.second, left.first)
 
     pairs = []
-    for (value, vector), (_, left_vector) in zip((right1, right2), lefts):
-        right = np.array(vector)
-        raw_left = np.array(left_vector)
-        # np.vdot, not a scalar sum: its BLAS sum rounds differently
-        overlap = np.vdot(raw_left, right)
-        if abs(overlap) < 1.0 / COND_LIMIT:
-            raise NearlyDefectiveError("left/right overlap too small to normalize")
-        left = raw_left / np.conj(overlap)
-        pairs.append((_order_key(value, vector, tol), BiorthoPair(value, right, left)))
-    if pairs[1][0] < pairs[0][0]:
-        pairs.reverse()
-    return BiorthoSystem(pairs=(pairs[0][1], pairs[1][1]), source=a)
+    for r, raw in zip(right.pairs, lefts):
+        # raw.vector is orthogonal to the other right vector, so for unit vectors
+        # |overlap| = |det V| = hi / cond >= 1 / COND_LIMIT: the condition guard bounds it
+        overlap = np.vdot(raw.vector, r.vector)
+        pairs.append(BiorthoPair(r.value, r.vector, raw.vector / np.conj(overlap)))
+    # sign class, then descending eigenvalue
+    pairs.sort(key=lambda pr: (int(_sign_class(pr.right, tol)), -pr.eigenvalue.real, -pr.eigenvalue.imag))
+    return BiorthoSystem(pairs=tuple(pairs), source=a)
 
 
 def _biortho_stack(a: np.ndarray, tol: float) -> BiorthoSystem:
     """biortho_system of each matrix of an (N, 2, 2) stack, in one array pass.
 
-    Every sample goes through the scalar path's steps and tests: the eigen
-    kernel on the matrix and on its adjoint (``linalg._eigen_stack``), the
-    condition number, the matching of left to right by eigenvalue, the
-    overlap guard and the pair order.  The results agree with the scalar
-    path's to a few ulp, in the same pair order, since numpy's hypot, abs
-    and complex arithmetic round differently from Python's.  If any sample
-    fails, the exception is the one the scalar path raises on the first
+    Every sample goes through the single-matrix path's steps and tests: the
+    eigen kernel on the matrix and on its adjoint (``linalg._eigen_stack``),
+    the condition number, the matching of left to right by eigenvalue and
+    the pair order.  The results agree with the single-matrix path's to a few
+    ulp, in the same pair order, since numpy's array hypot, abs and complex
+    products round differently from its scalar ones.  If any sample fails,
+    the exception is the one the single-matrix path raises on the first
     failing sample, and its message names that sample's index.
     """
     with np.errstate(all="ignore"):
@@ -175,12 +151,11 @@ def _biortho_stack(a: np.ndarray, tol: float) -> BiorthoSystem:
         raw1, raw2 = np.where(keep, raw1, raw2), np.where(keep, raw2, raw1)
         overlap1 = np.einsum("ki,ki->k", raw1.conj(), right1)
         overlap2 = np.einsum("ki,ki->k", raw2.conj(), right2)
-        thin = (np.abs(overlap1) < 1.0 / COND_LIMIT) | (np.abs(overlap2) < 1.0 / COND_LIMIT)
         left1 = raw1 / overlap1.conj()[:, None]
         left2 = raw2 / overlap2.conj()[:, None]
 
     ill = cond > COND_LIMIT
-    failed = source_defective | ill | adjoint_defective | thin
+    failed = source_defective | ill | adjoint_defective
     if failed.any():
         k = int(np.argmax(failed))
         if source_defective[k]:
@@ -189,9 +164,7 @@ def _biortho_stack(a: np.ndarray, tol: float) -> BiorthoSystem:
             raise NearlyDefectiveError(
                 f"eigenvector condition {cond[k]:.3g} exceeds {COND_LIMIT:.0e} at sample {k}"
             )
-        if adjoint_defective[k]:
-            raise DefectiveMatrixError(f"adjoint matrix is defective at sample {k}")
-        raise NearlyDefectiveError(f"left/right overlap too small to normalize at sample {k}")
+        raise DefectiveMatrixError(f"adjoint matrix is defective at sample {k}")
 
     # the order key (sign class, -Re value, -Im value) of each pair, compared as a tuple
     class1, class2 = _sign_class(right1, tol), _sign_class(right2, tol)
@@ -208,7 +181,7 @@ def _biortho_stack(a: np.ndarray, tol: float) -> BiorthoSystem:
 
 
 def _condition_stack(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """``_condition_number`` of each pair of rows of two (N, 2) arrays."""
+    """``_condition_number`` of each pair of rows of two (N, 2) arrays, to a few ulp."""
     x0, x1, y0, y1 = v1[:, 0], v1[:, 1], v2[:, 0], v2[:, 1]
     p = (x0.real * x0.real + x0.imag * x0.imag) + (x1.real * x1.real + x1.imag * x1.imag)
     q = (y0.real * y0.real + y0.imag * y0.imag) + (y1.real * y1.real + y1.imag * y1.imag)
@@ -219,8 +192,12 @@ def _condition_stack(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
 
 
 def _sign_class(right: np.ndarray, tol: float) -> np.ndarray:
-    """The sign class of ``_order_key`` for each row of an (N, 2) array."""
-    x0, x1 = right[:, 0], right[:, 1]
+    """Sign class of the parity pseudo-norm w = <v|sigma_z|v> of each v of a (..., 2) array.
+
+    0 for w > tol, 2 for w < -tol and 1 in between: the first key of the
+    pair order.
+    """
+    x0, x1 = right[..., 0], right[..., 1]
     w = (x0.real * x0.real + x0.imag * x0.imag) - (x1.real * x1.real + x1.imag * x1.imag)
     return np.where(w > tol, 0, np.where(w < -tol, 2, 1))
 

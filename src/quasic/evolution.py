@@ -226,6 +226,8 @@ def tdse_integrate(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     t0, t1 = float(t0), float(t1)
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t0 and t1 must be finite, got {t0} and {t1}")
     psi0 = np.asarray(psi0, dtype=complex)
     phi0 = np.asarray(phi0, dtype=complex)
     for name, v in (("psi0", psi0), ("phi0", phi0)):

@@ -306,6 +306,8 @@ def time_ordered_propagate(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t0 and t1 must be finite, got {t0} and {t1}")
     if not p.drive.covers(min(t0, t1), max(t0, t1)):
         raise DriveRangeError(f"drive does not cover [{t0}, {t1}]")
     dt = (t1 - t0) / steps

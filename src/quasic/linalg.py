@@ -5,31 +5,24 @@ exponential, explicit Hermitian square root), so there are no iterative
 solvers and no convergence concerns.  Tolerances only enter predicates and
 degeneracy detection; they are relative to the matrix scale, floored at 1.
 
-The per-sample kernels (``frobenius_norm`` of a 2x2 matrix,
-``hermitian_eigenvalues_2x2`` and the eigen kernel ``_eigen_scalars``
-behind ``eigen_2x2`` and ``biortho.biortho_system``) read the four entries
-as Python scalars: numpy's per-call overhead is several microseconds,
-far more than the arithmetic on four numbers.  They keep numpy's order of
-operations, so their results are numpy's to the bit (with OpenBLAS on
-x86-64; within 2 ulp wherever a BLAS sums in another order).  Two details
-of numpy are reproduced on purpose.  numpy divides a complex array by a
-float n by multiplying each entry by k = 1/n as ``(re + im*0) * k,
-(im - re*0) * k``; Python's ``complex / float`` divides instead, and its
-``complex * float`` differs in the sign of zero parts.  The discriminant's
-square root stays ``np.sqrt``, because ``cmath.sqrt`` rounds differently
-on some inputs.  Matrix products, ``np.vdot`` and division by a complex
-number stay numpy: the scalar product and dot formulas round differently
-from the BLAS (fused multiply-adds) on most inputs, so they would change
-the residuals that the command line writes and the biorthonormal left
-vectors.
+``frobenius_norm`` of a 2x2 matrix, which the command line calls per
+sample, reads the four entries as Python scalars: numpy's per-call
+overhead is several microseconds, far more than the arithmetic on four
+numbers.  It keeps numpy's order of summation, so its results are numpy's
+to the bit (with OpenBLAS on x86-64; within 2 ulp wherever a BLAS sums in
+another order).  The single-matrix eigen kernels run a few times per run,
+not per sample, and are plain numpy: ``eigen_2x2`` forms the eigenvalues
+from numpy scalars and divides the better adjugate row (chosen by
+``math.hypot``) as a numpy array, and ``hermitian_eigenvalues_2x2`` is
+``hermitian_eigenvalues_stack`` of the one matrix.
 
 The stacked kernels (``frobenius_norm_stack``,
 ``hermitian_eigenvalues_stack``, ``det_real_stack``) take (..., 2, 2)
-arrays and give, element by element, the bits of the scalar kernels on
-each matrix.  Four measured facts (numpy 2.4, 20,000 random complex 2x2
-inputs each) decide how they are written.  Batched ``np.matmul`` equals
-the per-matrix ``a @ b`` (0 of 20,000 differ), so C^2 of a stack is one
-``np.matmul``.  ``np.abs`` of a complex array differs from the scalar
+arrays and give, element by element, the bits of ``frobenius_norm``,
+``det`` and numpy's scalar ``abs`` on each matrix.  Four measured facts
+(numpy 2.4, 20,000 random complex 2x2 inputs each) decide how they are
+written.  Batched ``np.matmul`` equals the per-matrix ``a @ b`` (0 of
+20,000 differ), so C^2 of a stack is one ``np.matmul``.  ``np.abs`` of a complex array differs from the scalar
 ``abs`` of a numpy complex on 7,025 of 20,000 inputs, while
 ``np.hypot(z.real, z.imag)`` matches it.  Complex multiplication of
 arrays differs from numpy's scalar complex multiplication on 8,711 of
@@ -39,12 +32,12 @@ a10.im), which is what the scalar product computes.  Norms sum in
 ``_norm4``'s order, (x00^2 + x10^2) + (x01^2 + x11^2), over the real
 parts and then the imaginary parts.
 
-``_eigen_stack`` is ``_eigen_scalars`` on each matrix of a stack, with the
-same tests per matrix.  Its complex products and hypot are numpy's, so it
-agrees with the scalar kernel to a few ulp, not to the bit: bit equality
-would need the real-arithmetic rewrite above for every complex product,
-and its callers (phase reconstruction on a time grid) need only the
-accuracy.
+``_eigen_stack`` is ``eigen_2x2`` on each matrix of a stack, with the
+same tests per matrix.  Its complex products and hypot are numpy's array
+forms, so it agrees with ``eigen_2x2`` to a few ulp, not to the bit: bit
+equality would need the real-arithmetic rewrite above for every complex
+product, and its callers (phase reconstruction on a time grid) need only
+the accuracy.
 """
 
 from __future__ import annotations
@@ -169,63 +162,31 @@ class EigenDecomposition:
         return (self.first, self.second)
 
 
-def _null_vector(a00: complex, a01: complex, a10: complex, a11: complex, lam: complex, scale: float):
-    """Unit vector spanning the kernel of [[a00, a01], [a10, a11]] - lam I, as two Python complexes.
+def _null_vector(a: np.ndarray, lam: complex, scale: float) -> np.ndarray:
+    """Unit vector spanning the kernel of a - lam I.
 
     Either row of the adjugate of (a - lam I) spans the kernel; take the
     better conditioned one: the first on a tie, the second if the first's
     norm is NaN.  Below 1e-14 * scale both rows vanish and e_0 is returned.
     """
-    c0, c1 = a01, lam - a00
+    c0, c1 = complex(a[0, 1]), complex(lam - a[0, 0])
     n = math.hypot(abs(c0), abs(c1))
-    d0, d1 = lam - a11, a10
+    d0, d1 = complex(lam - a[1, 1]), complex(a[1, 0])
     nd = math.hypot(abs(d0), abs(d1))
     if not n >= nd:
         c0, c1, n = d0, d1, nd
     if n <= 1e-14 * scale:
-        return (1 + 0j, 0j)
-    # numpy's complex array / float, to the bit (see the module docstring)
-    k = 1.0 / n
-    return (
-        complex((c0.real + c0.imag * 0.0) * k, (c0.imag - c0.real * 0.0) * k),
-        complex((c1.real + c1.imag * 0.0) * k, (c1.imag - c1.real * 0.0) * k),
-    )
-
-
-def _eigen_scalars(a00: complex, a01: complex, a10: complex, a11: complex, scale: float, tol: float):
-    """Eigensystem of [[a00, a01], [a10, a11]] from Python scalars.
-
-    Returns ``((lam1, v1), (lam2, v2), defective)`` with each v a unit
-    vector as a pair of Python complexes, ordered as in ``eigen_2x2``.  A
-    vanishing discriminant (within tol * scale) gives either a multiple of
-    the identity (canonical vectors, not defective) or a defective matrix
-    (the one eigenpair twice, the same tuple object).
-    """
-    m = 0.5 * (a00 + a11)
-    # np.sqrt, not cmath.sqrt, which rounds differently on some inputs
-    s = complex(np.sqrt(m * m - (a00 * a11 - a01 * a10)))
-    if s.real < 0 or (s.real == 0 and s.imag < 0):
-        s = -s
-    if abs(s) <= tol * scale:
-        # a - m I is stored row-major whatever the layout of a
-        if _norm4(a00 - m, a01, a10, a11 - m) <= tol * scale:
-            return (m, (1 + 0j, 0j)), (m, (0j, 1 + 0j)), False
-        pair = (m, _null_vector(a00, a01, a10, a11, m, scale))
-        return pair, pair, True
-    lam1, lam2 = m + s, m - s
-    return (
-        (lam1, _null_vector(a00, a01, a10, a11, lam1, scale)),
-        (lam2, _null_vector(a00, a01, a10, a11, lam2, scale)),
-        False,
-    )
+        return np.array([1.0, 0.0], dtype=complex)
+    return np.array([c0, c1]) / n
 
 
 def _null_vector_stack(a: np.ndarray, lam: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """``_null_vector`` for each matrix of an (N, 2, 2) stack and its lam: an (N, 2) array.
 
     The same choices per matrix (the first adjugate row on a tie, the second
-    if the first's norm is NaN, e_0 below 1e-14 * scale), with numpy's
-    hypot and complex arithmetic in place of Python's, so within a few ulp.
+    if the first's norm is NaN, e_0 below 1e-14 * scale), with ``np.hypot``
+    and ``np.abs`` of arrays in place of ``math.hypot`` and the scalar
+    ``abs``, so within a few ulp.
     """
     first = np.stack((a[:, 0, 1], lam - a[:, 0, 0]), axis=-1)
     second = np.stack((lam - a[:, 1, 1], a[:, 1, 0]), axis=-1)
@@ -239,13 +200,12 @@ def _null_vector_stack(a: np.ndarray, lam: np.ndarray, scale: np.ndarray) -> np.
 
 
 def _eigen_stack(a: np.ndarray, scale: np.ndarray, tol: float):
-    """``_eigen_scalars`` of each matrix of an (N, 2, 2) stack.
+    """``eigen_2x2`` of each matrix of an (N, 2, 2) stack.
 
     Returns ``((lam1, v1), (lam2, v2), defective)`` with (N,) eigenvalue
     arrays, (N, 2) unit vectors and an (N,) mask, each sample decided by
-    the scalar kernel's tests.  Callers run it under np.errstate: like the
-    scalar kernel's Python arithmetic, it must stay silent on non-finite
-    entries.
+    ``eigen_2x2``'s tests.  Callers run it under np.errstate, so that it
+    stays silent on non-finite entries.
     """
     a00, a01, a10, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]
     m = 0.5 * (a00 + a11)
@@ -270,33 +230,23 @@ def eigen_2x2(a: np.ndarray, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     ``defective`` flag set.
     """
     a = np.asarray(a, dtype=complex)
-    (a00, a01), (a10, a11) = a.tolist()
-    (lam1, v1), (lam2, v2), defective = _eigen_scalars(
-        a00, a01, a10, a11, max(1.0, frobenius_norm(a)), tol
-    )
-    first = EigenPair(lam1, np.array(v1))
-    if defective:
-        return EigenDecomposition(first, first, defective=True)
-    return EigenDecomposition(first, EigenPair(lam2, np.array(v2)))
-
-
-def hermitian_eigenvalues_2x2(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[float, float]:
-    """Real eigenvalues of a Hermitian matrix, descending."""
-    a = np.asarray(a, dtype=complex)
     scale = max(1.0, frobenius_norm(a))
-    (a00, a01), (a10, a11) = a.tolist()
-    # a - adjoint(a) entry by entry; numpy stores that difference row-major
-    skew = _norm4(
-        a00 - a00.conjugate(), a01 - a10.conjugate(), a10 - a01.conjugate(), a11 - a11.conjugate()
+    m = 0.5 * (a[0, 0] + a[1, 1])
+    s = np.sqrt(complex(m * m - det(a)))
+    if s.real < 0 or (s.real == 0 and s.imag < 0):
+        s = -s
+    if abs(s) <= tol * scale:
+        if frobenius_norm(a - m * IDENTITY) <= tol * scale:
+            return EigenDecomposition(
+                EigenPair(complex(m), np.array([1.0, 0.0], dtype=complex)),
+                EigenPair(complex(m), np.array([0.0, 1.0], dtype=complex)),
+            )
+        pair = EigenPair(complex(m), _null_vector(a, m, scale))
+        return EigenDecomposition(pair, pair, defective=True)
+    lam1, lam2 = complex(m + s), complex(m - s)
+    return EigenDecomposition(
+        EigenPair(lam1, _null_vector(a, lam1, scale)), EigenPair(lam2, _null_vector(a, lam2, scale))
     )
-    if skew > tol * scale:
-        raise NotHermitianError(f"anti-Hermitian part exceeds tol={tol}")
-    p = a00.real
-    q = a11.real
-    mid = 0.5 * (p + q)
-    # np.hypot, not math.hypot, whose own algorithm rounds differently
-    rad = float(np.hypot(0.5 * (p - q), abs(a[0, 1])))
-    return (mid + rad, mid - rad)
 
 
 def _max1(x: np.ndarray) -> np.ndarray:
@@ -305,10 +255,10 @@ def _max1(x: np.ndarray) -> np.ndarray:
 
 
 def hermitian_eigenvalues_stack(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """``hermitian_eigenvalues_2x2`` of each matrix of a (..., 2, 2) stack: (hi, lo) arrays.
+    """Real eigenvalues of each Hermitian matrix of a (..., 2, 2) stack: (hi, lo) arrays.
 
-    Raises the scalar kernel's NotHermitianError if any matrix fails its
-    Hermiticity test.
+    Raises NotHermitianError if the anti-Hermitian part of any matrix
+    exceeds tol times its scale, max(1, ||a||).
     """
     scale = _max1(frobenius_norm_stack(a))
     skew = frobenius_norm_stack(a - a.conj().swapaxes(-1, -2))
@@ -320,6 +270,14 @@ def hermitian_eigenvalues_stack(a: np.ndarray, tol: float = DEFAULT_TOL) -> tupl
     a01 = a[..., 0, 1]
     rad = np.hypot(0.5 * (p - q), np.hypot(a01.real, a01.imag))
     return mid + rad, mid - rad
+
+
+def hermitian_eigenvalues_2x2(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[float, float]:
+    """Real eigenvalues of a Hermitian matrix, descending: ``hermitian_eigenvalues_stack`` of the one matrix."""
+    # silent on non-finite entries
+    with np.errstate(invalid="ignore", over="ignore"):
+        hi, lo = hermitian_eigenvalues_stack(np.asarray(a, dtype=complex), tol)
+    return float(hi), float(lo)
 
 
 def _matmul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -146,6 +146,32 @@ def test_condition_guard_follows_the_true_condition():
     assert passed > 50 and raised > 5, (passed, raised)
 
 
+def test_condition_guard_bounds_the_overlap():
+    # the raw left vector of a pair is orthogonal to the other right vector, so
+    # for unit vectors |<left_raw|right>| = |det V| = hi / cond >= 1 / cond: every
+    # system the condition guard lets through has ||left_n|| = 1 / |overlap| <= cond
+    rng = np.random.default_rng(2026)
+    mats = [np.array([[1.0, b], [0.0, 2.0]]) for b in np.geomspace(50.0, 5e12, 200)]
+    for _ in range(1000):
+        # eigenvectors parallel to 1e-15 ... 1e-8 before a is rounded
+        v1, w = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        v = np.column_stack([v1, v1 + 10.0 ** rng.uniform(-15, -8) * w])
+        mats.append(v @ np.diag([1.0, 2.0]) @ np.linalg.inv(v))
+    worst = {"single": 0.0, "stacked": 0.0}
+    for a in mats:
+        for tol in (1e-10, 1e-14):
+            for path, m in (("single", a), ("stacked", a[None])):
+                try:
+                    sys_a = biortho_system(m, tol=tol)
+                except DefectiveMatrixError:  # NearlyDefectiveError included
+                    continue
+                norm = max(float(np.linalg.norm(pair.left)) for pair in sys_a.pairs)
+                assert norm <= COND_LIMIT, (path, a, tol)
+                worst[path] = max(worst[path], norm)
+    # both paths built systems right up to the condition guard
+    assert min(worst.values()) > 1e11, worst
+
+
 def test_completeness_residual_detects_zeroed_left():
     sys_z = biortho_system(PAULI_Z)
     broken = type(sys_z)(

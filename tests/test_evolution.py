@@ -483,6 +483,36 @@ def test_bad_initial_state_rejected(which, bad):
         tdse_integrate(STATIC, states["psi0"], states["phi0"], 0.0, 1.0, 4)
 
 
+NON_FINITE_SPANS = {
+    "nan-t0": (np.nan, 1.0),
+    "nan-t1": (0.0, np.nan),
+    "inf-t0": (np.inf, 1.0),
+    "inf-t1": (0.0, np.inf),
+    "-inf-t0": (-np.inf, 1.0),
+    "-inf-t1": (0.0, -np.inf),
+}
+
+
+@pytest.mark.parametrize("span", NON_FINITE_SPANS)
+@pytest.mark.parametrize("drive", ["constant", "sine"])
+def test_non_finite_times_rejected(drive, span, monkeypatch):
+    # both drives cover every range, so only the time check stands in the way
+    p = HamiltonianParams(1.0, 2.0, 1.0, drive=DRIVES[drive])
+    t0, t1 = NON_FINITE_SPANS[span]
+    with pytest.raises(ValueError, match="t0 and t1 must be finite"):
+        cold_tdse(p, PSI_A, PHI_A, t0, t1, 10)
+    # an entry for the same p stays in place
+    tdse_integrate(p, PSI_A, PHI_A, 0.0, 1.0, 10)
+    entry = evolution._last_propagator
+    with pytest.raises(ValueError, match="t0 and t1 must be finite"):
+        tdse_integrate(p, PSI_A, PHI_A, t0, t1, 10)
+    assert evolution._last_propagator is entry
+    # the check runs before the lookup: a lookup that always hits changes nothing
+    monkeypatch.setattr(evolution, "_rk4_prefixes", lambda *args: entry[-1])
+    with pytest.raises(ValueError, match="t0 and t1 must be finite"):
+        tdse_integrate(p, PSI_A, PHI_A, t0, t1, 10)
+
+
 def test_integration_outside_tabulated_range():
     grid = np.linspace(0.0, 1.0, 11)
     p = HamiltonianParams(

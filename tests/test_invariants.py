@@ -271,6 +271,17 @@ class TestPropagation:
             ref = sequential_reference(p, init, t0, t1, steps)
             assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref), steps
 
+    @pytest.mark.parametrize(
+        "span",
+        [(np.nan, 1.0), (0.0, np.nan), (np.inf, 1.0), (0.0, np.inf), (-np.inf, 1.0), (0.0, -np.inf)],
+        ids=["nan-t0", "nan-t1", "inf-t0", "inf-t1", "-inf-t0", "-inf-t1"],
+    )
+    @pytest.mark.parametrize("drive", [ConstantDrive(0.8), SineDrive()], ids=["constant", "sine"])
+    def test_non_finite_times_rejected(self, drive, span):
+        p = HamiltonianParams(1.0, 2.0, 1.0, drive=drive)
+        with pytest.raises(ValueError, match="t0 and t1 must be finite"):
+            time_ordered_propagate(p, PAULI_Z.copy(), *span, 10)
+
     def test_propagation_outside_tabulated_range(self):
         grid = np.linspace(0.0, 1.0, 11)
         tab = TabulatedDrive(times=grid, values=np.ones_like(grid))

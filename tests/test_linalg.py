@@ -150,7 +150,7 @@ class TestEigen:
         for a, lam in cases:
             a = np.asarray(a, dtype=complex)
             scale = max(1.0, frobenius_norm(a))
-            got = np.array(_null_vector(*a.ravel().tolist(), complex(lam), scale))
+            got = _null_vector(a, complex(lam), scale)
             assert np.abs(got - reference(a, lam, scale)).max() <= 1e-15
 
     def test_ordering_descending(self):

@@ -1,10 +1,13 @@
-"""The scalar eigensystem kernels against the array forms they replaced.
+"""The single-matrix eigensystem kernels against their numpy references.
 
-``reference_eigen_2x2`` and ``reference_biortho_system`` are the numpy
-implementations that ``eigen_2x2`` and ``biortho_system`` had before they
-moved onto Python scalars.  Results must agree to the bit (eigenvalues,
-right and left vectors, pair order), and every failure must raise the same
-exception with the same message.
+``reference_eigen_2x2`` and ``reference_biortho_system`` write out, step
+by step, the numpy form of ``eigen_2x2`` and ``biortho_system`` on one
+matrix.  The reference keeps the left/right overlap guard that the package
+dropped, because the condition guard bounds the overlap below
+(``tests/test_biortho.py::test_condition_guard_bounds_the_overlap``).
+Results must agree to the bit (eigenvalues, right and left vectors, pair
+order), and every failure must raise the same exception with the same
+message.
 """
 
 import math
