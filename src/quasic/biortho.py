@@ -1,9 +1,11 @@
 """Biorthonormal left/right eigensystems of non-Hermitian 2x2 matrices.
 
 Construction convention: right vectors carry unit Euclidean norm and the
-left vector of each pair absorbs the whole biorthogonal scale, so that
-<left|right> = 1 exactly.  Any quantity assembled from |right><left| pairs
-is invariant under the residual rescaling freedom.
+left vectors are their dual basis, the conjugated rows of V^-1 for
+V = [right1 right2], so each left vector absorbs the whole biorthogonal
+scale and <left_m|right_n> = delta_mn up to rounding.  Any quantity
+assembled from |right><left| pairs is invariant under the residual
+rescaling freedom.
 
 Pair ordering: the pair whose right vector has positive parity pseudo-norm
 <v|sigma_z|v> comes first (sign classes +, 0, - in that order; descending
@@ -13,13 +15,15 @@ whenever one exists, for Hamiltonians and invariants alike.
 
 ``biortho_system`` takes one matrix or an (N, 2, 2) stack.  One matrix,
 built once per run, takes plain numpy steps: ``linalg.eigen_2x2`` of the
-matrix and of its adjoint, the eigenvector condition number from the Gram
-matrix, the matching of left to right by eigenvalue, ``np.vdot`` for the
-biorthogonal overlap, and the sign class of ``_sign_class`` for the pair
-order.  A stack, such as the closed-form invariant on a time grid in phase
-reconstruction, takes the same steps and tests per sample as array passes
-(``_biortho_stack``), to within a few ulp: numpy's array products, ``abs``
-and hypot round differently from its scalar ones.
+matrix, det V, the eigenvector condition number from the Gram matrix and
+det V, the left vectors from V^-1 = adj(V) / det V, and the sign class of
+``_sign_class`` for the pair order.  One eigensolve suffices: the adjoint's
+eigenvectors are the dual basis up to scale.  Since V V^-1 is formed
+directly, the completeness residual stays at ~eps * cond.  A stack, such
+as the closed-form invariant on a time grid in phase reconstruction, takes
+the same steps and tests per sample as array passes (``_biortho_stack``),
+to within a few ulp: numpy's array products, ``abs`` and hypot round
+differently from its scalar ones.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ class BiorthoSystem:
     source: np.ndarray
 
 
-def _condition_number(v1: np.ndarray, v2: np.ndarray) -> float:
+def _condition_number(v1: np.ndarray, v2: np.ndarray, d: complex | None = None) -> float:
     """Condition number hi / |det V| of the matrix V whose columns are v1 and v2.
 
     hi, the larger eigenvalue of the Gram matrix V^H V, is the squared
@@ -73,21 +77,22 @@ def _condition_number(v1: np.ndarray, v2: np.ndarray) -> float:
     ratio is the largest over the smallest.  det V = x0 y1 - x1 y0 loses
     only ~eps * cond of relative accuracy as the vectors turn parallel,
     where the Gram matrix's smaller eigenvalue cancels to rounding noise
-    from a condition of ~1e8 on.
+    from a condition of ~1e8 on.  ``d`` is det V when the caller has it.
     """
     v = np.column_stack([v1, v2])
     hi, _ = hermitian_eigenvalues_2x2(adjoint(v) @ v, tol=1e-8)
-    d = abs(det(v))
+    d = abs(det(v) if d is None else d)
     return hi / d if d else math.inf
 
 
 def biortho_system(a: np.ndarray, tol: float = DEFAULT_TOL) -> BiorthoSystem:
     """Build the biorthonormal eigensystem of a diagonalizable matrix.
 
-    Right vectors come from the eigendecomposition of ``a``, left vectors
-    from that of ``a``'s adjoint, matched by eigenvalue conjugation.  Raises
-    DefectiveMatrixError at a coalescent (non-diagonalizable) point and
-    NearlyDefectiveError when the eigenvector matrix condition exceeds 1e12.
+    Right vectors come from the eigendecomposition of ``a``; the left
+    vectors are their dual basis, the conjugated rows of V^-1 = adj(V) / det V
+    for V = [right1 right2].  Raises DefectiveMatrixError at a coalescent
+    (non-diagonalizable) point and NearlyDefectiveError when the
+    eigenvector matrix condition exceeds 1e12.
 
     ``a`` is one 2x2 matrix, or an (N, 2, 2) stack whose system has pairs
     of (N,) eigenvalues and (N, 2) vectors (see ``_biortho_stack``).
@@ -98,28 +103,16 @@ def biortho_system(a: np.ndarray, tol: float = DEFAULT_TOL) -> BiorthoSystem:
     right = eigen_2x2(a, tol)
     if right.defective:
         raise DefectiveMatrixError("source matrix is defective")
-    cond = _condition_number(right.first.vector, right.second.vector)
+    r1, r2 = right.first.vector, right.second.vector
+    d = complex(r1[0] * r2[1] - r2[0] * r1[1])
+    cond = _condition_number(r1, r2, d)
     if cond > COND_LIMIT:
         raise NearlyDefectiveError(f"eigenvector condition {cond:.3g} exceeds {COND_LIMIT:.0e}")
-    left = eigen_2x2(adjoint(a), tol)
-    if left.defective:
-        raise DefectiveMatrixError("adjoint matrix is defective")
-
-    # match left eigenvectors by minimal |lam_left - conj(lam_right)| cost; the
-    # left eigenvalues are the exact conjugates of the right ones, so one
-    # matching costs 0 and the other twice the eigenvalue gap
-    r1, r2 = right.first.value.conjugate(), right.second.value.conjugate()
-    l1, l2 = left.first.value, left.second.value
-    straight = abs(l1 - r1) + abs(l2 - r2)
-    crossed = abs(l2 - r1) + abs(l1 - r2)
-    lefts = left.pairs if straight <= crossed else (left.second, left.first)
-
-    pairs = []
-    for r, raw in zip(right.pairs, lefts):
-        # raw.vector is orthogonal to the other right vector, so for unit vectors
-        # |overlap| = |det V| = hi / cond >= 1 / COND_LIMIT: the condition guard bounds it
-        overlap = np.vdot(raw.vector, r.vector)
-        pairs.append(BiorthoPair(r.value, r.vector, raw.vector / np.conj(overlap)))
+    # for unit right vectors ||left_n|| = 1 / |det V| <= hi / |det V| = cond <= COND_LIMIT
+    pairs = [
+        BiorthoPair(right.first.value, r1, (np.array([r2[1], -r2[0]]) / d).conj()),
+        BiorthoPair(right.second.value, r2, (np.array([-r1[1], r1[0]]) / d).conj()),
+    ]
     # sign class, then descending eigenvalue
     pairs.sort(key=lambda pr: (int(_sign_class(pr.right, tol)), -pr.eigenvalue.real, -pr.eigenvalue.imag))
     return BiorthoSystem(pairs=tuple(pairs), source=a)
@@ -129,42 +122,29 @@ def _biortho_stack(a: np.ndarray, tol: float) -> BiorthoSystem:
     """biortho_system of each matrix of an (N, 2, 2) stack, in one array pass.
 
     Every sample goes through the single-matrix path's steps and tests: the
-    eigen kernel on the matrix and on its adjoint (``linalg._eigen_stack``),
-    the condition number, the matching of left to right by eigenvalue and
-    the pair order.  The results agree with the single-matrix path's to a few
-    ulp, in the same pair order, since numpy's array hypot, abs and complex
-    products round differently from its scalar ones.  If any sample fails,
-    the exception is the one the single-matrix path raises on the first
-    failing sample, and its message names that sample's index.
+    eigen kernel (``linalg._eigen_stack``), det V and the condition number,
+    the left vectors from adj(V) / det V and the pair order.  The results
+    agree with the single-matrix path's to a few ulp, in the same pair
+    order, since numpy's array hypot, abs and complex products round
+    differently from its scalar ones.  If any sample fails, the exception
+    is the one the single-matrix path raises on the first failing sample,
+    and its message names that sample's index.
     """
     with np.errstate(all="ignore"):
         scale = _max1(frobenius_norm_stack(a))
-        (value1, right1), (value2, right2), source_defective = _eigen_stack(a, scale, tol)
-        cond = _condition_stack(right1, right2)
-        (conj1, raw1), (conj2, raw2), adjoint_defective = _eigen_stack(
-            a.conj().swapaxes(-1, -2), scale, tol
-        )
-        r1, r2 = value1.conj(), value2.conj()
-        straight = np.abs(conj1 - r1) + np.abs(conj2 - r2)
-        crossed = np.abs(conj2 - r1) + np.abs(conj1 - r2)
-        keep = (straight <= crossed)[:, None]
-        raw1, raw2 = np.where(keep, raw1, raw2), np.where(keep, raw2, raw1)
-        overlap1 = np.einsum("ki,ki->k", raw1.conj(), right1)
-        overlap2 = np.einsum("ki,ki->k", raw2.conj(), right2)
-        left1 = raw1 / overlap1.conj()[:, None]
-        left2 = raw2 / overlap2.conj()[:, None]
+        (value1, right1), (value2, right2), defective = _eigen_stack(a, scale, tol)
+        d = right1[:, 0] * right2[:, 1] - right2[:, 0] * right1[:, 1]
+        cond = _condition_stack(right1, right2, d)
+        left1 = (np.stack((right2[:, 1], -right2[:, 0]), axis=-1) / d[:, None]).conj()
+        left2 = (np.stack((-right1[:, 1], right1[:, 0]), axis=-1) / d[:, None]).conj()
 
     ill = cond > COND_LIMIT
-    failed = source_defective | ill | adjoint_defective
+    failed = defective | ill
     if failed.any():
         k = int(np.argmax(failed))
-        if source_defective[k]:
+        if defective[k]:
             raise DefectiveMatrixError(f"source matrix is defective at sample {k}")
-        if ill[k]:
-            raise NearlyDefectiveError(
-                f"eigenvector condition {cond[k]:.3g} exceeds {COND_LIMIT:.0e} at sample {k}"
-            )
-        raise DefectiveMatrixError(f"adjoint matrix is defective at sample {k}")
+        raise NearlyDefectiveError(f"eigenvector condition {cond[k]:.3g} exceeds {COND_LIMIT:.0e} at sample {k}")
 
     # the order key (sign class, -Re value, -Im value) of each pair, compared as a tuple
     class1, class2 = _sign_class(right1, tol), _sign_class(right2, tol)
@@ -180,15 +160,15 @@ def _biortho_stack(a: np.ndarray, tol: float) -> BiorthoSystem:
     return BiorthoSystem(pairs=pairs, source=a)
 
 
-def _condition_stack(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """``_condition_number`` of each pair of rows of two (N, 2) arrays, to a few ulp."""
+def _condition_stack(v1: np.ndarray, v2: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``_condition_number`` of each pair of rows of two (N, 2) arrays and their det V, to a few ulp."""
     x0, x1, y0, y1 = v1[:, 0], v1[:, 1], v2[:, 0], v2[:, 1]
     p = (x0.real * x0.real + x0.imag * x0.imag) + (x1.real * x1.real + x1.imag * x1.imag)
     q = (y0.real * y0.real + y0.imag * y0.imag) + (y1.real * y1.real + y1.imag * y1.imag)
     g = x0.conj() * y0 + x1.conj() * y1
     hi = 0.5 * (p + q) + np.hypot(0.5 * (p - q), np.abs(g))
-    det = np.abs(x0 * y1 - x1 * y0)
-    return np.divide(hi, det, out=np.full_like(hi, np.inf), where=det != 0)
+    d = np.abs(d)
+    return np.divide(hi, d, out=np.full_like(hi, np.inf), where=d != 0)
 
 
 def _sign_class(right: np.ndarray, tol: float) -> np.ndarray:

@@ -75,7 +75,6 @@ from .model import (
     ConstantDrive,
     HamiltonianParams,
     SineDrive,
-    classify_regime,
     hamiltonian_at,
 )
 from .reporting import VerificationReport
@@ -213,7 +212,7 @@ def _run_static_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, swee
 def _run_td_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, sweeping: bool):
     p = _params(cfg, lam, kappa)
     if cfg.scenario == "metric-picture":
-        form = metric_form_for_regime(classify_regime(p))
+        form = metric_form_for_regime(p.regime)
     else:
         form = MetricForm.FULL_TD
 

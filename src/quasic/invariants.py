@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import DriveRangeError, RegimeMismatchError
 from .linalg import IDENTITY, _expm1_pauli, _mat2, _mat2_stack, _matmul2, frobenius_norm
-from .model import HamiltonianParams, PauliCoefficients, Regime, classify_regime, hamiltonian_at
+from .model import HamiltonianParams, PauliCoefficients, Regime, hamiltonian_at
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -80,7 +80,7 @@ def scaled_drive_integral(p: HamiltonianParams, t: float) -> complex:
 
 
 def _require_regime(form: InvariantForm, p: HamiltonianParams, required: Regime) -> None:
-    if classify_regime(p) is not required:
+    if p.regime is not required:
         raise RegimeMismatchError(f"{form.value} form requires the {required.value} regime")
 
 

@@ -169,6 +169,8 @@ class HamiltonianParams:
     kappa: float
     hbar: float = 1.0
     drive: Drive = ConstantDrive()
+    #: classify_regime of lam and kappa, fixed for the parameter set and computed once
+    regime: Regime = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.hbar > 0):
@@ -176,6 +178,7 @@ class HamiltonianParams:
         for name in ("omega", "lam", "kappa", "hbar"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        object.__setattr__(self, "regime", classify_regime(self))
 
 
 class Regime(Enum):

@@ -8,6 +8,8 @@ import pytest
 
 from quasic.biortho import (
     COND_LIMIT,
+    BiorthoPair,
+    BiorthoSystem,
     _condition_number,
     biortho_system,
     completeness_residual,
@@ -147,9 +149,10 @@ def test_condition_guard_follows_the_true_condition():
 
 
 def test_condition_guard_bounds_the_overlap():
-    # the raw left vector of a pair is orthogonal to the other right vector, so
-    # for unit vectors |<left_raw|right>| = |det V| = hi / cond >= 1 / cond: every
-    # system the condition guard lets through has ||left_n|| = 1 / |overlap| <= cond
+    # left_n is the conjugate of row n of V^-1 = adj(V) / det V, and a row of adj(V)
+    # is the other right vector, so for unit vectors ||left_n|| = 1 / |det V| =
+    # cond / hi <= cond: every system the condition guard lets through has
+    # ||left_n|| <= COND_LIMIT
     rng = np.random.default_rng(2026)
     mats = [np.array([[1.0, b], [0.0, 2.0]]) for b in np.geomspace(50.0, 5e12, 200)]
     for _ in range(1000):
@@ -168,6 +171,36 @@ def test_condition_guard_bounds_the_overlap():
                 norm = max(float(np.linalg.norm(pair.left)) for pair in sys_a.pairs)
                 assert norm <= COND_LIMIT, (path, a, tol)
                 worst[path] = max(worst[path], norm)
+    # both paths built systems right up to the condition guard
+    assert min(worst.values()) > 1e11, worst
+
+
+def test_completeness_residual_follows_the_condition():
+    # sum_n |right_n><left_n| = V V^-1 with V^-1 = adj(V) / det V formed directly,
+    # so each entry rounds at ~eps times |x0 y1| / |det V| <= cond; a left vector
+    # from a second eigensolve, normalized by its overlap, reaches ~eps * cond^2
+    rng = np.random.default_rng(2026)
+    mats = [np.array([[1.0, b], [0.0, 2.0]]) for b in np.geomspace(50.0, 5e12, 200)]
+    for _ in range(400):
+        # eigenvectors parallel to 1e-15 ... 1e-8 before a is rounded
+        v1, w = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        v = np.column_stack([v1, v1 + 10.0 ** rng.uniform(-15, -8) * w])
+        mats.append(v @ np.diag([1.0, 2.0]) @ np.linalg.inv(v))
+    eps = np.finfo(float).eps
+    worst = {"single": 0.0, "stacked": 0.0}
+    for a in mats:
+        for tol in (1e-10, 1e-14):
+            for path, m in (("single", a), ("stacked", a[None])):
+                try:
+                    sys_a = biortho_system(m, tol=tol)
+                except DefectiveMatrixError:  # NearlyDefectiveError included
+                    continue
+                if path == "stacked":
+                    pairs = tuple(BiorthoPair(pr.eigenvalue[0], pr.right[0], pr.left[0]) for pr in sys_a.pairs)
+                    sys_a = BiorthoSystem(pairs=pairs, source=a)
+                cond = mp_condition_number(*(tuple(pr.right.tolist()) for pr in sys_a.pairs))
+                assert completeness_residual(sys_a) <= 2.0 * eps * cond, (path, a, tol, cond)
+                worst[path] = max(worst[path], cond)
     # both paths built systems right up to the condition guard
     assert min(worst.values()) > 1e11, worst
 

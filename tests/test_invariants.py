@@ -18,7 +18,7 @@ from quasic.invariants import (
     scaled_drive_integral,
     time_ordered_propagate,
 )
-from quasic import invariants
+from quasic import model
 from quasic.biortho import biortho_system
 from quasic.coperator import c_from_system, closed_form_metric, dyson_map, metric_from_c
 from quasic.invariants import _ordered_product, _real_entries
@@ -488,12 +488,20 @@ class TestTimeArrays:
 
     @pytest.mark.parametrize("form,p", FORM_PARAMS)
     def test_regime_checked_once_per_call(self, form, p, monkeypatch):
+        # the regime is classified once, when the parameter set is built, and
+        # never while the closed forms are evaluated
         calls = []
-        classify = invariants.classify_regime
-        monkeypatch.setattr(invariants, "classify_regime", lambda q: calls.append(q) or classify(q))
-        closed_form_invariant(form, p, np.linspace(0.0, 3.0, 500))
-        closed_form_metric(form, p, np.linspace(0.0, 3.0, 500))
-        assert len(calls) == (0 if form is InvariantForm.FULL_TD else 2)
+        classify = model.classify_regime
+        monkeypatch.setattr(model, "classify_regime", lambda q: calls.append(q) or classify(q))
+        for t in (np.linspace(0.0, 3.0, 500), 0.7):
+            closed_form_invariant(form, p, t)
+            closed_form_metric(form, p, t)
+        assert calls == []
+        q = dataclasses.replace(p)
+        assert calls == [q] and q.regime is p.regime
+        closed_form_invariant(form, q, np.linspace(0.0, 3.0, 500))
+        closed_form_metric(form, q, 0.7)
+        assert len(calls) == 1
 
     def test_regime_mismatch_on_arrays(self):
         times = np.linspace(0.0, 1.0, 5)

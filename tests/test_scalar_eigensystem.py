@@ -2,8 +2,10 @@
 
 ``reference_eigen_2x2`` and ``reference_biortho_system`` write out, step
 by step, the numpy form of ``eigen_2x2`` and ``biortho_system`` on one
-matrix.  The reference keeps the left/right overlap guard that the package
-dropped, because the condition guard bounds the overlap below
+matrix, with the left vectors as the conjugated rows of V^-1 =
+adj(V) / det V for the right vectors V = [right1 right2].  Neither needs a
+guard on the left vectors' size: for unit right vectors ||left_n|| =
+1 / |det V| <= cond, which the condition guard bounds
 (``tests/test_biortho.py::test_condition_guard_bounds_the_overlap``).
 Results must agree to the bit (eigenvalues, right and left vectors, pair
 order), and every failure must raise the same exception with the same
@@ -94,32 +96,18 @@ def reference_biortho_system(a, tol=DEFAULT_TOL):
     right_dec = reference_eigen_2x2(a, tol=tol)
     if right_dec.defective:
         raise DefectiveMatrixError("source matrix is defective")
+    v = np.column_stack([right_dec.first.vector, right_dec.second.vector])
+    det_v = det(v)
     cond = reference_condition_number(right_dec.first.vector, right_dec.second.vector)
     if cond > COND_LIMIT:
         raise NearlyDefectiveError(f"eigenvector condition {cond:.3g} exceeds {COND_LIMIT:.0e}")
-    left_dec = reference_eigen_2x2(adjoint(a), tol=tol)
-    if left_dec.defective:
-        raise DefectiveMatrixError("adjoint matrix is defective")
 
-    rights = right_dec.pairs
-    lefts = left_dec.pairs
-    straight = abs(lefts[0].value - np.conj(rights[0].value)) + abs(
-        lefts[1].value - np.conj(rights[1].value)
-    )
-    crossed = abs(lefts[1].value - np.conj(rights[0].value)) + abs(
-        lefts[0].value - np.conj(rights[1].value)
-    )
-    order = (0, 1) if straight <= crossed else (1, 0)
-
+    # V^-1 = adj(V) / det V; left vector n is the conjugate of row n
+    adj = np.array([[v[1, 1], -v[0, 1]], [-v[1, 0], v[0, 0]]])
     pairs = []
-    for i, j in zip((0, 1), order):
-        right = rights[i].vector
-        raw_left = lefts[j].vector
-        overlap = np.vdot(raw_left, right)
-        if abs(overlap) < 1.0 / COND_LIMIT:
-            raise NearlyDefectiveError("left/right overlap too small to normalize")
-        left = raw_left / np.conj(overlap)
-        pairs.append(BiorthoPair(eigenvalue=rights[i].value, right=right, left=left))
+    for n, pair in enumerate(right_dec.pairs):
+        left = np.conj(adj[n] / det_v)
+        pairs.append(BiorthoPair(eigenvalue=pair.value, right=pair.vector, left=left))
     pairs.sort(key=lambda pr: reference_order_key(pr, tol))
     return BiorthoSystem(pairs=(pairs[0], pairs[1]), source=a)
 
@@ -221,7 +209,6 @@ def test_same_outcome_on_nearly_parallel_eigenvectors():
             outcome = biortho_outcome(biortho_system, a, tol)
             assert outcome == biortho_outcome(reference_biortho_system, a, tol)
             seen[outcome[1].split()[0] if isinstance(outcome, tuple) else "system"] += 1
-    # every branch ran: a system, the condition guard, a defect; the overlap
-    # guard stays behind the condition guard, since the overlap is ~2 / cond
+    # every branch ran: a system, the condition guard, a defect
     assert {"system", "eigenvector", "source"} <= set(seen), seen
 
