@@ -12,7 +12,9 @@ not diagonalize H, or lost positivity where the scenario requires it, or a
 non-finite sample of a time-dependent scenario, reported after the CSVs
 and the report are written).  A failure
 that aborts a pair still writes the report, with the checks made so far
-and a ``failure`` record naming the pair, the exception and its message.
+and a ``failure`` record naming the pair, the stage it aborted in, the
+exception and its message.  The report's summary record carries the exit
+code.
 
 CSV columns: t, rho_eig_hi, rho_eig_lo, det_rho, lr_residual,
 quasi_residual, c_sq_residual.  Floats are written with 17 significant
@@ -24,9 +26,10 @@ sample, then derives the eigenvalues, det rho, ||C^2 - I||, the folded
 check values and the non-finite count in one array pass; each of its check
 records carries ``argmax_t``, the sample time of the worst value (the first
 non-finite one, if any; t1 for the propagation check).  The metadata
-record's ``stage_s`` holds the wall time of four stages summed over the
-pairs: ``sampling`` (the per-sample loop), ``array_pass``, ``propagation``
-and ``csv_write``; a static pair adds only to ``csv_write``.
+record's ``stage_s`` holds the wall time of five stages summed over the
+pairs: ``static_checks`` (the whole of a static pair before its CSV),
+``sampling`` (the per-sample loop), ``array_pass``, ``propagation`` and
+``csv_write``.  A stage that aborts adds the time up to its failure.
 """
 
 from __future__ import annotations
@@ -90,7 +93,7 @@ _COLUMNS = ("t", "rho_eig_hi", "rho_eig_lo", "det_rho", "lr_residual", "quasi_re
 # the bytes csv.writer wrote for these cells: no quoting, \r\n line ends
 _CSV_HEADER = ",".join(_COLUMNS) + "\r\n"
 _CSV_ROW = ",".join(["%.17g"] * len(_COLUMNS)) + "\r\n"
-_STAGES = ("sampling", "array_pass", "propagation", "csv_write")
+_STAGES = ("static_checks", "sampling", "array_pass", "propagation", "csv_write")
 
 
 @dataclass
@@ -145,11 +148,20 @@ def _write_csv(path: Path, columns: np.ndarray) -> None:
         fh.write(text)
 
 
-def _add_stage_time(report: VerificationReport, stage: str, started: float) -> float:
-    """Add the wall time since ``started`` to a stage of ``stage_s``; returns the time now."""
-    now = time.perf_counter()
-    report.metadata["stage_s"][stage] += now - started
-    return now
+class _StageClock:
+    """Wall time per stage into a report's ``stage_s``; ``current`` names the stage in progress."""
+
+    def __init__(self, report: VerificationReport):
+        self._stage_s = report.metadata["stage_s"]
+        self.current: str | None = None
+        self._started = 0.0
+
+    def enter(self, stage: str | None) -> None:
+        """End the stage in progress, adding its time, and start ``stage`` (None: none)."""
+        now = time.perf_counter()
+        if self.current is not None:
+            self._stage_s[self.current] += now - self._started
+        self.current, self._started = stage, now
 
 
 def _pair_name(lam: float, kappa: float) -> str:
@@ -160,7 +172,8 @@ def _tag(name: str, lam: float, kappa: float, sweeping: bool) -> str:
     return f"{name}[{_pair_name(lam, kappa)}]" if sweeping else name
 
 
-def _run_static_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, sweeping: bool):
+def _run_static_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, sweeping: bool, clock: _StageClock):
+    clock.enter("static_checks")
     p = _params(cfg, lam, kappa)
     h = hamiltonian_at(p, cfg.t0)
     sys_h = biortho_system(h)
@@ -209,7 +222,8 @@ def _run_static_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, swee
     return columns
 
 
-def _run_td_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, sweeping: bool):
+def _run_td_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, sweeping: bool, clock: _StageClock):
+    clock.enter("sampling")
     p = _params(cfg, lam, kappa)
     if cfg.scenario == "metric-picture":
         form = metric_form_for_regime(p.regime)
@@ -225,7 +239,6 @@ def _run_td_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, sweeping
         c[1] = -c[1]
         return c
 
-    started = time.perf_counter()
     ts = np.linspace(cfg.t0, cfg.t1, cfg.samples)
     rho = np.empty((cfg.samples, 2, 2), dtype=complex)
     cmat = np.empty_like(rho)
@@ -236,7 +249,7 @@ def _run_td_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, sweeping
         cmat[k] = c_at(t)
         lr[k] = lr_residual(c_at, p, t, fd_step=cfg.fd_step)
         quasi[k] = quasi_hermiticity_residual(rho_at, p, t, fd_step=cfg.fd_step)
-    started = _add_stage_time(report, "sampling", started)
+    clock.enter("array_pass")
 
     # non-finite samples are counted and reported below, so the pass does not warn about them
     with np.errstate(over="ignore", invalid="ignore"):
@@ -275,7 +288,7 @@ def _run_td_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, sweeping
         scaled=True,
         argmax_t=at_neg,
     )
-    started = _add_stage_time(report, "array_pass", started)
+    clock.enter("propagation")
 
     # propagate the closed form from its anchor and compare with it at t1
     start = p.drive.t_ref if form is MetricForm.FULL_TD else 0.0
@@ -284,7 +297,6 @@ def _run_td_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, sweeping
     target = c_at(cfg.t1)
     prop_err = frobenius_norm(final - target) / max(1.0, frobenius_norm(target))
     report.add(_tag("propagation_consistency", lam, kappa, sweeping), prop_err, 1e-6, argmax_t=cfg.t1)
-    _add_stage_time(report, "propagation", started)
     return columns
 
 
@@ -325,25 +337,34 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     run_pair = _run_static_pair if cfg.scenario == "static" else _run_td_pair
     sweeping = len(cfg.sweep) > 1
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    clock = _StageClock(report)
     written = []
     failure = None
     for lam, kappa in cfg.sweep:
         path = _csv_path(cfg, lam, kappa)
         try:
-            columns = run_pair(cfg, lam, kappa, report, sweeping)
-            written_at = time.perf_counter()
+            columns = run_pair(cfg, lam, kappa, report, sweeping, clock)
+            clock.enter("csv_write")
             _write_csv(path, columns)
-            _add_stage_time(report, "csv_write", written_at)
         except (QuasiCError, ArithmeticError) as exc:
             failure = exc
             report.metadata["failure"] = {
                 "pair": _pair_name(lam, kappa),
+                "stage": clock.current,
                 "exception": type(exc).__name__,
                 "message": str(exc),
             }
             break
+        finally:
+            clock.enter(None)
         written.append(path)
 
+    n_fail = sum(1 for c in report.checks if not c.passed)
+    non_finite = {pair: n for pair, n in report.metadata.get("non_finite_samples", {}).items() if n}
+    if failure is not None or non_finite:
+        report.exit_code = 3
+    else:
+        report.exit_code = 0 if n_fail == 0 else 1
     report.metadata["wall_time_s"] = time.perf_counter() - started
     report_path = cfg.out_dir / f"{cfg.prefix}_report.jsonl"
     report.write_jsonl(report_path)
@@ -353,19 +374,15 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     for path in written:
         print(f"wrote {path}")
     print(f"wrote {report_path}")
-    n_fail = sum(1 for c in report.checks if not c.passed)
     n_inconclusive = sum(1 for c in report.checks if c.status == "inconclusive")
     inconclusive = f" ({n_inconclusive} inconclusive)" if n_inconclusive else ""
     print(f"{len(report.checks) - n_fail}/{len(report.checks)} checks passed{inconclusive}")
     if failure is not None:
         print(f"numerical failure: {failure}", file=sys.stderr)
-        return 3
-    non_finite = {pair: n for pair, n in report.metadata.get("non_finite_samples", {}).items() if n}
-    if non_finite:
+    elif non_finite:
         where = "; ".join(f"{n} of {cfg.samples} at {pair}" for pair, n in non_finite.items())
         print(f"numerical failure: non-finite samples ({where})", file=sys.stderr)
-        return 3
-    return 0 if n_fail == 0 else 1
+    return report.exit_code
 
 
 def _parse_sweep(text: str) -> list[tuple[float, float]]:

@@ -13,16 +13,20 @@ and sigma_z maps the second back to phi.  RK4 is deliberately a different
 code path from the matrix exponentials used elsewhere, so the two can
 cross-validate each other.
 
-Time is an array axis.  For a linear equation one RK4 step is a 2x2 matrix
-built from H at t, t + dt/2 and t + dt; ``tdse_integrate`` builds the
-matrices of RK4_BLOCK steps in one array pass and gets every grid state from
-an inclusive prefix scan of them (Hillis & Steele, CACM 29(12), 1986;
-Blelloch, CMU-CS-90-190, 1990), with each matrix carried as its deviation
-from the identity.  The eigenpairs of an evolved C(t) = sum_n s_n
-|psi_n(t)><phi_n(t)| all evolve under the same H(t) on the same grid, so
-they share one propagator: the scanned stacks of the last propagator are
-kept, and a call that repeats its p (the same object), t0, t1, steps and
-RK4_BLOCK only applies them to its own initial states.
+Time is an array axis, and the propagator lives in the family's algebra.
+Every H of the family is -1/2 (omega I + tau(t) K) with one fixed K = lam
+sigma_z + i kappa sigma_x and K^2 = (lam - kappa)(lam + kappa) I, so every
+RK4 step matrix, and every product of them, is x I + y K for two complex
+coordinates (x, y).  ``tdse_integrate`` builds the coordinates of RK4_BLOCK
+steps in one array pass from the drive alone and gets every grid state from
+an inclusive prefix scan of them in that commutative algebra (Hillis &
+Steele, CACM 29(12), 1986; Blelloch, CMU-CS-90-190, 1990), with each step
+carried as its deviation from the identity.  The eigenpairs of an evolved
+C(t) = sum_n s_n |psi_n(t)><phi_n(t)| all evolve under the same H(t) on the
+same grid, so they share one propagator: the scanned coordinates of the
+last propagator are kept, 32 B per step, and a call that repeats its p (the
+same object), t0, t1, steps and RK4_BLOCK only applies them to its own
+initial states.
 
 Phase reconstruction takes its eigenstates and metrics from two callbacks,
 ``state_at`` and ``rho_at``, and calls each once, with the whole time grid
@@ -47,12 +51,11 @@ import numpy as np
 
 from .coperator import COperator, Signature, validate_signature
 from .errors import BranchFlipError, DriveRangeError, OffGridError
-from .linalg import _matmul2
 from .model import HamiltonianParams, hamiltonian_array
 
-#: Steps whose RK4 matrices are built and scanned as one array (see
-#: tdse_integrate for the memory measurement behind the size).
-RK4_BLOCK = 1024
+#: Steps whose RK4 coordinates are built and scanned as one array (see
+#: tdse_integrate for the measurements behind the size).
+RK4_BLOCK = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,65 +92,86 @@ class EvolvedState:
         return lo + j
 
 
-def _prefix_scan(deltas: np.ndarray) -> np.ndarray:
-    """Inclusive time-ordered prefix products, as deviations from I, along axis -3.
+def _span_product(a: np.ndarray, b: np.ndarray, q: float) -> np.ndarray:
+    """a b in span{I, K}, K^2 = q I, for coordinates (x, y) of x I + y K on axis 0.
 
-    out[..., j, :, :] = (I + deltas[..., j]) ... (I + deltas[..., 0]) - I, by
+    (x1 I + y1 K)(x2 I + y2 K) = (x1 x2 + q y1 y2) I + (x1 y2 + y1 x2) K; the
+    product is commutative, to the bit.
+    """
+    ab = a[0] * b
+    # (y1 y2, y1 x2), then q y1 y2
+    swapped = a[1] * b[::-1]
+    swapped[0] *= q
+    return ab + swapped
+
+
+def _prefix_scan(deltas: np.ndarray, q: float) -> np.ndarray:
+    """Inclusive time-ordered prefix products in span{I, K}, as deviations from I, along the last axis.
+
+    deltas[:, ..., j] holds the coordinates (x, y) of d_j = x I + y K, with
+    K^2 = q I, and out[:, ..., j] those of (I + d_j) ... (I + d_0) - I.
     Hillis-Steele doubling: after the pass with shift s, entry j holds the
     product of the factors j-2s+1 .. j, so ceil(log2 n) passes suffice.
-    Factors are carried as deviations, (I + b)(I + a) = I + a + b + b a, as
+    Factors are carried as deviations, (I + l)(I + e) = I + e + l + l e, as
     in invariants._ordered_product, so rounding stays relative to each
     step's small generator and not to 1.
     """
     deltas = deltas.copy()
-    n = deltas.shape[-3]
+    n = deltas.shape[-1]
     shift = 1
     while shift < n:
-        late, early = deltas[..., shift:, :, :], deltas[..., :-shift, :, :]
+        late, early = deltas[..., shift:], deltas[..., :-shift]
         # the right-hand side is evaluated in full before the slice is written
-        deltas[..., shift:, :, :] = early + late + _matmul2(late, early)
+        deltas[..., shift:] = early + late + _span_product(late, early, q)
         shift *= 2
     return deltas
 
 
 #: The last propagator _rk4_prefixes built, as (p, (t0 and t1 bits, steps,
-#: block), prefix stacks); None when empty.  One tuple, replaced whole.
+#: block), prefix stack); None when empty.  One tuple, replaced whole.
 _last_propagator: tuple | None = None
 
 
 def _rk4_prefixes(p: HamiltonianParams, t0: float, t1: float, steps: int, block: int) -> np.ndarray:
-    """Per-block prefix stacks of the RK4 propagator for H, as one read-only array.
+    """Per-block prefix products of the RK4 propagator for H, as one read-only (steps, 2) array.
 
-    Row k of the (steps, 2, 2) result is M_k ... M_s - I for step k of the
-    grid t0 + (t1 - t0)/steps * k, where s is the first step of k's block of
-    ``block`` steps.  One array rather than one per block keeps the peak
-    memory lower.  The last propagator is kept, keyed on p by identity (the
-    entry holds a reference, so its id is not reused), on the bits of t0 and
-    t1 (so -0.0 and 0.0 differ), on steps and on block; a repeated call
-    returns the same stacks without evaluating the drive.
+    Row k holds the coordinates (x, y) of M_k ... M_s - I = x I + y K for
+    step k of the grid t0 + (t1 - t0)/steps * k, where s is the first step
+    of k's block of ``block`` steps and K = lam sigma_z + i kappa sigma_x.
+    One array rather than one per block keeps the peak memory lower.  The
+    last propagator is kept, keyed on p by identity (the entry holds a
+    reference, so its id is not reused), on the bits of t0 and t1 (so -0.0
+    and 0.0 differ), on steps and on block; a repeated call returns the same
+    array without evaluating the drive.
     """
     global _last_propagator
     key = (struct.pack("<2d", t0, t1), steps, block)
     last = _last_propagator
     if last is not None and last[0] is p and last[1] == key:
         return last[2]
-    # the old stacks would only add to the peak memory of the build
+    # the old array would only add to the peak memory of the build
     _last_propagator = None
     lo, hi = min(t0, t1), max(t0, t1)
     dt = (t1 - t0) / steps
     grid = t0 + dt * np.arange(steps + 1)
-    coeff = -1j / p.hbar
+    # A = -i H / hbar = alpha I + beta(t) K, and K^2 = q I in _xi's factored form
+    coeff = 0.5j / p.hbar
+    q = (p.lam - p.kappa) * (p.lam + p.kappa)
     stage_times = np.array([[0.0], [0.5], [1.0]]) * dt
-    stacks = np.empty((steps, 2, 2), dtype=complex)
+    stacks = np.empty((steps, 2), dtype=complex)
     for start in range(0, steps, block):
         stop = min(start + block, steps)
+        # coordinates (alpha, beta) of A at t, t + dt/2 and t + dt, shape (2, 3, n)
+        a = np.empty((2, 3, stop - start), dtype=complex)
+        a[0] = coeff * p.omega
         # t + dt can round past t1; a tabulated drive ending at t1 would reject it
-        a_a, a_m, a_b = coeff * hamiltonian_array(p, np.clip(grid[start:stop] + stage_times, lo, hi))
+        a[1] = coeff * p.drive.tau_array(np.clip(grid[start:stop] + stage_times, lo, hi))
+        a_a, a_m, a_b = a[:, 0], a[:, 1], a[:, 2]
         k1 = a_a
-        k2 = a_m + 0.5 * dt * _matmul2(a_m, k1)
-        k3 = a_m + 0.5 * dt * _matmul2(a_m, k2)
-        k4 = a_b + dt * _matmul2(a_b, k3)
-        stacks[start:stop] = _prefix_scan(dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        k2 = a_m + 0.5 * dt * _span_product(a_m, k1, q)
+        k3 = a_m + 0.5 * dt * _span_product(a_m, k2, q)
+        k4 = a_b + dt * _span_product(a_b, k3, q)
+        stacks[start:stop] = _prefix_scan(dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), q).T
     stacks.setflags(write=False)
     _last_propagator = (p, key, stacks)
     return stacks
@@ -172,52 +196,67 @@ def tdse_integrate(
     where A = -i H / hbar.  Applying M to v is exactly the textbook stage
     recursion, so this is the same scheme as a per-step loop, up to roundoff.
 
+    Every H of the family is -1/2 (omega I + tau(t) K) with one fixed K =
+    lam sigma_z + i kappa sigma_x, and K^2 = q I with q = (lam - kappa)(lam
+    + kappa).  So A(t) = alpha I + beta(t) K with alpha = i omega / (2 hbar)
+    and beta = i tau / (2 hbar), and every stage, every M and every product
+    of them lies in the commutative algebra span{I, K}, where
+
+        (x1 I + y1 K)(x2 I + y2 K) = (x1 x2 + q y1 y2) I + (x1 y2 + y1 x2) K.
+
+    Each M - I and each prefix product is carried as its two coordinates
+    (x, y), not as a 2x2 matrix; the drive is the only input that varies
+    with t.  At the exceptional point q = 0 and K is nilpotent; nothing
+    divides by q, so the same arithmetic holds there.
+
     Left states evolve under A_L = -i H^dag / hbar, and the shortcut rests on
     H^dag = sigma_z H sigma_z holding exactly for every H of the family
-    (``tests/test_model.py`` checks it entry for entry).  Then A_L = sigma_z
-    A sigma_z, and the RK4 matrix of A_L is sigma_z M sigma_z: the same
-    entries with the off-diagonal signs flipped, since every product and
-    sum of the recursion is sign-symmetric.  So one stack of M for H is
-    built and scanned and applied to psi0 and sigma_z phi0, and flipping
-    the sign of the second component of the latter gives the left states.
-    Sign flips are exact: at equal RK4_BLOCK both state arrays equal those
-    of a second scan for H^dag.
+    (``tests/test_model.py`` checks it entry for entry): sigma_z K sigma_z =
+    K^dag, so the RK4 matrix of A_L is x I + y K^dag = sigma_z M sigma_z
+    with the same coordinates.  The propagator for H is applied to psi0 and
+    sigma_z phi0, and flipping the sign of the second component of the
+    latter gives the left states.  Sign flips are exact: at equal RK4_BLOCK
+    both state arrays equal those of the same coordinates applied with K to
+    psi0 and with K^dag to phi0.
 
     For each block of RK4_BLOCK steps the drive is evaluated once on the
-    grid at t, t + dt/2 and t + dt, every step's M - I is built in one array
-    pass, and an inclusive prefix scan of those deviations (see
-    ``_prefix_scan``) gives the product M_j ... M_0 for every step j of the
-    block; applied to the block's first states, it yields every grid state.
-    The block's end states start the next block.  A block's working arrays
-    take ~0.65 kB per step (tracemalloc peak above the output arrays), so
-    the block size trades peak memory against the fixed cost of a block's
-    ~100 array operations.  On the benchmark's dynamics job (two pairs of
-    10,000-step runs; ``bench/run.py --workload dynamics --seconds 10``,
-    median of three alternating rounds, 2-CPU VM, numpy 2.4), ``run_s`` /
-    ``peak_rss_mb`` read 0.091 / 39.62 with 256-step blocks, 0.075 / 39.63
-    with 512, 0.068 / 39.58 with 1024 and 0.067 / 40.25 with 2048, against
-    0.131 / 39.62 for the two-sided scan in 256-step blocks.
+    grid at t, t + dt/2 and t + dt, every step's coordinates of M - I are
+    built in one array pass, and an inclusive prefix scan of those
+    deviations (see ``_prefix_scan``) gives the coordinates of M_j ... M_0
+    for every step j of the block.  Applied to a block's first state v they
+    give every state of the block as v + (x v + y K v), with K v formed once
+    per block.  The block's end states start the next block.  A scan pass is
+    seven array operations on the (2, n) coordinates, where the 2x2 matrix
+    form took nineteen on (n, 2, 2) stacks.  The block size trades the
+    log2(block) passes of the scan against the fixed cost of a block's array
+    operations.
+    On the benchmark's dynamics job (two pairs of 10,000-step runs;
+    ``bench/run.py --workload dynamics --seconds 10``, seeds 1-3, medians of
+    three alternating rounds, 2-CPU VM, numpy 2.4):
+
+        ==========  =======  ===========
+        RK4_BLOCK   run_s    peak_rss_mb
+        ==========  =======  ===========
+        512         0.0346   39.29
+        1024        0.0306   39.15
+        2048        0.0283   39.15
+        4096        0.0278   39.85
+        ==========  =======  ===========
+
+    2048 is the largest block that does not raise the peak memory.
 
     The eigenpairs of one C(t) evolve under the same H(t) on the same grid,
-    so they share the scanned stacks.  ``_rk4_prefixes`` keeps the last
+    so they share the scanned coordinates.  ``_rk4_prefixes`` keeps the last
     propagator it built, keyed on p by identity, on the bits of t0 and t1,
     on steps and on RK4_BLOCK.  A call that repeats all five skips the drive
-    evaluation, the RK4 build and the scan, and applies the kept stacks to
+    evaluation, the RK4 build and the scan, and applies the kept array to
     its own initial states, with the bits of a cold call.  t0 and t1 are
     read as floats, so the bits compared are the bits computed with.  The
     argument checks run before the lookup, so a repeated call still rejects
-    bad input.  The kept entry holds 64 B per step, as much as the state arrays
-    a call returns (0.64 MB at 10,000 steps).  On the dynamics job the +-
-    eigenpairs repeat their propagator, 20,000 of its 46,000 steps (10
-    alternating pairs of ``bench/run.py --workload dynamics --seconds 40``,
-    medians; same machine as above):
-
-        =================  =======  ===========
-        stacks             run_s    peak_rss_mb
-        =================  =======  ===========
-        scanned per call   0.0628   39.50
-        last one kept      0.0445   40.18
-        =================  =======  ===========
+    bad input.  The kept entry holds 32 B per step, half as much as the
+    state arrays a call returns (0.32 MB at 10,000 steps).  On the dynamics
+    job the +- eigenpairs repeat their propagator, 20,000 of its 46,000
+    steps.
 
     RK4 is a fourth-order polynomial in dt A, not a product of exponentials,
     so it stays independent of the midpoint exponential product in
@@ -242,10 +281,16 @@ def tdse_integrate(
     states = np.empty((2, steps + 1, 2), dtype=complex)
     states[0, 0] = psi0
     states[1, 0] = phi0[0], -phi0[1]
+    ik = 1j * p.kappa
     for start in range(0, steps, block):
         stop = min(start + block, steps)
         v = states[:, start]
-        states[:, start + 1 : stop + 1] = v[:, None] + np.einsum("nij,sj->sni", stacks[start:stop], v)
+        # K v, with K = lam sigma_z + i kappa sigma_x
+        kv = np.stack((p.lam * v[:, 0] + ik * v[:, 1], ik * v[:, 0] - p.lam * v[:, 1]), axis=-1)
+        x, y = stacks[start:stop].T
+        # axes (side, component, step), so every operation runs along the steps
+        v, kv = v[..., None], kv[..., None]
+        states[:, start + 1 : stop + 1] = (v + (x * v + y * kv)).transpose(0, 2, 1)
     np.negative(states[1, :, 1], out=states[1, :, 1])
     return EvolvedState(grid=grid, right_states=states[0], left_states=states[1])
 
@@ -365,9 +410,16 @@ def phase_alpha(
     The metric samples come from the alignment pass, H from one evaluation
     of the drive on the grid, and alpha_dot from one array pass.  The trace
     carries the aligned states, so a reconstruction needs no second pass.
+    t0 == t1 (a grid of one repeated time, with no derivative) raises
+    ValueError before either provider is called, and so does a t0 or t1
+    that is not finite.  A non-finite alpha_dot raises ArithmeticError that
+    names its first sample time.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
+    # written so that NaN fails
+    if not (math.isfinite(t0) and math.isfinite(t1) and t0 != t1):
+        raise ValueError(f"t0 and t1 must be finite and distinct, got {t0} and {t1}")
     grid = np.linspace(t0, t1, steps + 1)
     states, rhos = _aligned_trace(state_at, rho_at, grid)
     dt = grid[1] - grid[0]
@@ -382,8 +434,12 @@ def phase_alpha(
     num = np.einsum("ki,kij,kj->k", bras, rhos, 1j * dstates - h_v / p.hbar)
     den = np.einsum("ki,kij,kj->k", bras, rhos, states)
     alpha_dot = num / den
+    bad = ~np.isfinite(alpha_dot)
+    if bad.any():
+        raise ArithmeticError(f"alpha_dot is not finite at t={grid[int(np.argmax(bad))]}")
     imag_residue = float(np.max(np.abs(alpha_dot.imag)))
-    if imag_residue > 1e-3 * max(1.0, float(np.max(np.abs(alpha_dot.real)))):
+    # written so that NaN fails
+    if not imag_residue <= 1e-3 * max(1.0, float(np.max(np.abs(alpha_dot.real)))):
         raise ArithmeticError(f"alpha_dot has non-negligible imaginary part {imag_residue:.3g}")
 
     real = alpha_dot.real

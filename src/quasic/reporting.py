@@ -52,6 +52,8 @@ class Check:
 class VerificationReport:
     checks: list[Check] = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
+    #: the exit code of the run that made the report, once known; the summary record carries it
+    exit_code: int | None = None
 
     def add(
         self, name: str, value: float, tolerance: float, scaled: bool = False, argmax_t: float | None = None
@@ -87,12 +89,10 @@ class VerificationReport:
             if c.argmax_t is not None:
                 record["argmax_t"] = c.argmax_t
             lines.append(json.dumps(record, sort_keys=True))
-        lines.append(
-            json.dumps(
-                {"type": "summary", "all_pass": self.all_passed, "n_checks": len(self.checks)},
-                sort_keys=True,
-            )
-        )
+        summary = {"type": "summary", "all_pass": self.all_passed, "n_checks": len(self.checks)}
+        if self.exit_code is not None:
+            summary["exit_code"] = self.exit_code
+        lines.append(json.dumps(summary, sort_keys=True))
         return lines
 
     def write_jsonl(self, path) -> None:

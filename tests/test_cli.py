@@ -75,12 +75,64 @@ def test_aborted_run_still_writes_its_report(tmp_path, capsys):
     lines = read_report(tmp_path / "quasi_c_report.jsonl")
     assert lines[0]["failure"] == {
         "pair": "lambda=1,kappa=1",
+        "stage": "static_checks",
         "exception": "DefectiveMatrixError",
         "message": "source matrix is defective",
     }
     checks = [ln for ln in lines if ln["type"] == "check"]
     assert len(checks) == 8 and all(c["name"].endswith("[lambda=2,kappa=1]") and c["pass"] for c in checks)
-    assert lines[-1] == {"type": "summary", "all_pass": False, "n_checks": 8}
+    assert lines[-1] == {"type": "summary", "all_pass": False, "n_checks": 8, "exit_code": 3}
+
+
+class _Planted(ArithmeticError):
+    pass
+
+
+@pytest.mark.parametrize(
+    "stage, name",
+    [
+        ("sampling", "closed_form_metric"),
+        ("array_pass", "hermitian_eigenvalues_stack"),
+        ("propagation", "time_ordered_propagate"),
+        ("csv_write", "_write_csv"),
+    ],
+)
+def test_aborted_time_dependent_run_names_its_stage(tmp_path, capsys, monkeypatch, stage, name):
+    def planted(*args, **kwargs):
+        raise _Planted(f"planted in {stage}")
+
+    monkeypatch.setattr(cli, name, planted)
+    assert run(tmp_path, "full-td", "--drive", "sin", "--lambda", "2", "--kappa", "1", "--t1", "2") == 3
+    assert capsys.readouterr().err.strip() == f"numerical failure: planted in {stage}"
+    assert list(tmp_path.glob("*.csv")) == []
+    lines = read_report(tmp_path / "quasi_c_report.jsonl")
+    assert lines[0]["failure"] == {
+        "pair": "lambda=2,kappa=1",
+        "stage": stage,
+        "exception": "_Planted",
+        "message": f"planted in {stage}",
+    }
+    # the stages before the failing one ran to their end
+    order = ["sampling", "array_pass", "propagation", "csv_write"]
+    assert all(lines[0]["stage_s"][done] > 0.0 for done in order[: order.index(stage)])
+    assert lines[-1]["all_pass"] is False and lines[-1]["exit_code"] == 3
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_run_reports_exit_code_three(tmp_path, capsys):
+    # samples at t = 0, 250, ..., 1000; the metric has overflowed by t = 250:
+    # the run is not aborted, so there is no failure record
+    assert run(tmp_path, "full-td", "--lambda", "1", "--kappa", "2", "--t1", "1000", "--samples", "5") == 3
+    assert capsys.readouterr().err.strip() == "numerical failure: non-finite samples (4 of 5 at lambda=1,kappa=2)"
+    lines = read_report(tmp_path / "quasi_c_report.jsonl")
+    assert "failure" not in lines[0]
+    assert lines[-1] == {"type": "summary", "all_pass": False, "n_checks": 6, "exit_code": 3}
+
+
+@pytest.mark.parametrize("argv, code", [(["static"], 0), (["static", "--lambda", "1", "--kappa", "2"], 1)])
+def test_summary_carries_the_exit_code(tmp_path, argv, code):
+    assert run(tmp_path, *argv) == code
+    assert read_report(tmp_path / "quasi_c_report.jsonl")[-1]["exit_code"] == code
 
 
 def test_dyson_rows_that_do_not_diagonalize_exit_three(tmp_path, capsys):
@@ -497,7 +549,7 @@ def test_array_pass_matches_the_per_sample_loop(argv):
     cfg = cli._config_from_args(parser, parser.parse_args(argv))
     for lam, kappa in cfg.sweep:
         report = cli._report_skeleton(cfg)
-        columns = cli._run_td_pair(cfg, lam, kappa, report, False)
+        columns = cli._run_td_pair(cfg, lam, kappa, report, False, cli._StageClock(report))
         rows, folded = per_sample_td_pair(cfg, lam, kappa)
         assert columns.shape == (len(COLUMNS), cfg.samples)
         assert [bits(row) for row in columns.T] == [bits(row) for row in rows]
@@ -565,10 +617,13 @@ def test_static_checks_carry_no_sample_time(tmp_path):
 def test_report_records_stage_times(tmp_path, scenario):
     assert run(tmp_path, scenario, "--sweep", "2,1;1,2" if scenario != "static" else "2,1;3,1", "--t1", "3", "--samples", "30") == 0
     stages = read_report(tmp_path / "quasi_c_report.jsonl")[0]["stage_s"]
-    assert list(stages) == ["array_pass", "csv_write", "propagation", "sampling"]  # sorted by json.dumps
+    # sorted by json.dumps
+    assert list(stages) == ["array_pass", "csv_write", "propagation", "sampling", "static_checks"]
     assert all(math.isfinite(v) and v >= 0.0 for v in stages.values())
     assert stages["csv_write"] > 0.0
     if scenario == "static":
         assert stages["sampling"] == stages["array_pass"] == stages["propagation"] == 0.0
+        assert stages["static_checks"] > 0.0
     else:
-        assert min(stages.values()) > 0.0
+        assert stages["static_checks"] == 0.0
+        assert min(v for k, v in stages.items() if k != "static_checks") > 0.0

@@ -21,13 +21,12 @@ from quasic.evolution import (
     tdse_integrate,
 )
 from quasic.invariants import InvariantForm, closed_form_invariant
-from quasic.linalg import IDENTITY, _matmul2, frobenius_norm, mat_exp
+from quasic.linalg import IDENTITY, frobenius_norm, mat_exp
 from quasic.model import (
     ConstantDrive,
     HamiltonianParams,
     SineDrive,
     TabulatedDrive,
-    hamiltonian_array,
     hamiltonian_at,
 )
 
@@ -172,6 +171,12 @@ DRIVES = {
     "tabulated": TabulatedDrive(times=TABLE_TIMES, values=np.cos(3.0 * TABLE_TIMES) + 0.5),
 }
 PAIRS = {"pt": (2.0, 1.0), "broken": (0.8, 1.7)}
+EDGE_PAIRS = {
+    "ep": (1.1, 1.1),
+    "near-ep": (1.1, 1.1 * (1.0 + 1e-9)),
+    "negative-lambda": (-2.0, 1.0),
+    "negative-kappa": (0.8, -1.7),
+}
 SPANS = {"forward": (0.0, 1.5), "backward": (1.5, 0.0)}
 
 
@@ -190,18 +195,26 @@ def assert_matches_per_step(p, t0, t1, steps):
 class TestPrefixScanRK4:
     """The block prefix scan is the per-step RK4 recursion, up to roundoff."""
 
-    # the family's H(t) commute with each other, so integration tests cannot
-    # see the order of the factors; random matrices can
+    # factors I + x I + y K with random coordinates and K^2 = q I, multiplied
+    # out as 2x2 matrices in time order; q = 0 makes K nilpotent
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 100])
     def test_prefix_scan_in_time_order(self, n):
         rng = np.random.default_rng(n)
-        deltas = 0.3 * (rng.standard_normal((2, n, 2, 2)) + 1j * rng.standard_normal((2, n, 2, 2)))
-        got = np.eye(2) + evolution._prefix_scan(deltas)
-        for batch in range(2):
-            expected = np.eye(2, dtype=complex)
-            for j, d in enumerate(deltas[batch]):
-                expected = (np.eye(2) + d) @ expected
-                assert relative_error(got[batch, j], expected) <= 1e-12
+        for lam, kappa in ((1.3, 0.4), (0.4, 1.3), (0.9, 0.9), (-0.7, 0.7)):
+            q = (lam - kappa) * (lam + kappa)
+            k = np.array([[lam, 1j * kappa], [1j * kappa, -lam]])
+            # axis 0 holds (x, y), axis 1 two independent batches, axis 2 time
+            deltas = 0.3 * (rng.standard_normal((2, 2, n)) + 1j * rng.standard_normal((2, 2, n)))
+            keep = deltas.copy()
+            got_x, got_y = evolution._prefix_scan(deltas, q)
+            assert np.array_equal(deltas, keep)
+            x, y = deltas
+            for batch in range(2):
+                expected = np.eye(2, dtype=complex)
+                for j in range(n):
+                    expected = (np.eye(2) + x[batch, j] * np.eye(2) + y[batch, j] * k) @ expected
+                    got = np.eye(2) + got_x[batch, j] * np.eye(2) + got_y[batch, j] * k
+                    assert relative_error(got, expected) <= 1e-12
 
     @pytest.mark.parametrize("span", SPANS)
     @pytest.mark.parametrize("pair", PAIRS)
@@ -213,6 +226,18 @@ class TestPrefixScanRK4:
         p = HamiltonianParams(0.7, *PAIRS[pair], hbar=1.3, drive=DRIVES[drive])
         for steps in (1, 2, block - 1, block, block + 1, 4 * block + 1):
             assert_matches_per_step(p, *SPANS[span], steps)
+
+    # q = (lam - kappa)(lam + kappa) = 0 makes K nilpotent; next to it q is
+    # ~1e-9 of lam^2; the signs of lam and kappa enter K, not q
+    @pytest.mark.parametrize("pair", EDGE_PAIRS)
+    @pytest.mark.parametrize("drive", DRIVES)
+    def test_edge_pairs(self, drive, pair, monkeypatch):
+        block = 16
+        monkeypatch.setattr(evolution, "RK4_BLOCK", block)
+        p = HamiltonianParams(0.7, *EDGE_PAIRS[pair], hbar=1.3, drive=DRIVES[drive])
+        for span in SPANS.values():
+            for steps in (1, block + 1, 4 * block + 1):
+                assert_matches_per_step(p, *span, steps)
 
     @pytest.mark.parametrize("span", SPANS)
     def test_production_block(self, span):
@@ -241,33 +266,46 @@ class TestPrefixScanRK4:
 def reference_two_sided_tdse(p, psi0, phi0, t0, t1, steps, block):
     """The two-sided block scan that the parity shortcut replaced, kept as its oracle.
 
-    It builds and scans a second stack of RK4 matrices for the left states,
-    from -i H^dag / hbar, beside the stack for H.
+    Right states evolve under A = alpha I + beta K and left states under
+    A_L = -i H^dag / hbar = alpha I + beta K^dag.  K^dag^2 = K^2 = q I, so each
+    side builds and scans its own coordinates in its own algebra and applies
+    them with its own K: psi0 with K, and phi0 with K^dag directly, without
+    sigma_z.
     """
     lo, hi = min(t0, t1), max(t0, t1)
     dt = (t1 - t0) / steps
     grid = t0 + dt * np.arange(steps + 1)
-    states = np.empty((2, steps + 1, 2), dtype=complex)
-    states[0, 0] = np.asarray(psi0, dtype=complex)
-    states[1, 0] = np.asarray(phi0, dtype=complex)
-    coeff = -1j / p.hbar
+    coeff = 0.5j / p.hbar
+    q = (p.lam - p.kappa) * (p.lam + p.kappa)
     stage_times = np.array([[0.0], [0.5], [1.0]]) * dt
-    for start in range(0, steps, block):
-        stop = min(start + block, steps)
-        a = coeff * hamiltonian_array(p, np.clip(grid[start:stop] + stage_times, lo, hi))
-        a_a, a_m, a_b = np.stack((a, -a.conj().swapaxes(-1, -2)), axis=1)
-        k1 = a_a
-        k2 = a_m + 0.5 * dt * _matmul2(a_m, k1)
-        k3 = a_m + 0.5 * dt * _matmul2(a_m, k2)
-        k4 = a_b + dt * _matmul2(a_b, k3)
-        prefix = evolution._prefix_scan(dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        v = states[:, start]
-        states[:, start + 1 : stop + 1] = v[:, None] + np.einsum("snij,sj->sni", prefix, v)
-    return grid, states[0], states[1]
+    alpha = coeff * p.omega
+    sides = []
+    # K^dag = lam sigma_z - i kappa sigma_x; -i H^dag / hbar = coeff (omega I + tau K^dag)
+    for v0, kappa in ((psi0, p.kappa), (phi0, -p.kappa)):
+        states = np.empty((steps + 1, 2), dtype=complex)
+        states[0] = np.asarray(v0, dtype=complex)
+        for start in range(0, steps, block):
+            stop = min(start + block, steps)
+            b_a, b_m, b_b = coeff * p.drive.tau_array(np.clip(grid[start:stop] + stage_times, lo, hi))
+            x1, y1 = alpha, b_a
+            x2 = alpha + 0.5 * dt * (alpha * x1 + q * (b_m * y1))
+            y2 = b_m + 0.5 * dt * (alpha * y1 + b_m * x1)
+            x3 = alpha + 0.5 * dt * (alpha * x2 + q * (b_m * y2))
+            y3 = b_m + 0.5 * dt * (alpha * y2 + b_m * x2)
+            x4 = alpha + dt * (alpha * x3 + q * (b_b * y3))
+            y4 = b_b + dt * (alpha * y3 + b_b * x3)
+            x, y = evolution._prefix_scan(
+                np.stack((dt / 6.0 * (x1 + 2.0 * x2 + 2.0 * x3 + x4), dt / 6.0 * (y1 + 2.0 * y2 + 2.0 * y3 + y4))), q
+            )
+            v = states[start]
+            kv = np.array([p.lam * v[0] + 1j * kappa * v[1], 1j * kappa * v[0] - p.lam * v[1]])
+            states[start + 1 : stop + 1] = v + (x[:, None] * v + y[:, None] * kv)
+        sides.append(states)
+    return grid, sides[0], sides[1]
 
 
 class TestParityShortcut:
-    """Left states as sigma_z U sigma_z phi0 are the two-sided scan's, to the bit."""
+    """Left states as sigma_z U sigma_z phi0 are those of the propagator in span{I, K^dag}, to the bit."""
 
     @pytest.mark.parametrize("hbar", [1.0, 1.3])
     @pytest.mark.parametrize("span", SPANS)
@@ -337,7 +375,8 @@ class TestPropagatorCache:
         def forbidden(*args):
             raise AssertionError("a hit rebuilt the propagator")
 
-        monkeypatch.setattr(evolution, "hamiltonian_array", forbidden)
+        monkeypatch.setattr(SineDrive, "tau_array", forbidden)
+        monkeypatch.setattr(evolution, "_span_product", forbidden)
         monkeypatch.setattr(evolution, "_prefix_scan", forbidden)
         hit = tdse_integrate(DRIVEN, PSI_B, PHI_B, 0.0, 1.5, 100)
         monkeypatch.undo()
@@ -395,16 +434,16 @@ class TestPropagatorCache:
     def test_cached_stacks_are_read_only(self):
         tdse_integrate(DRIVEN, PSI_A, PHI_A, 0.0, 1.5, 40)
         with pytest.raises(ValueError, match="read-only"):
-            evolution._last_propagator[-1][0, 0, 0] = 0.0
+            evolution._last_propagator[-1][0, 0] = 0.0
 
     def test_miss_releases_the_old_entry_before_building(self, monkeypatch):
         tdse_integrate(DRIVEN, PSI_A, PHI_A, 0.0, 1.5, 40)
         held = []
         scan = evolution._prefix_scan
 
-        def watching_scan(deltas):
+        def watching_scan(*args):
             held.append(evolution._last_propagator)
-            return scan(deltas)
+            return scan(*args)
 
         monkeypatch.setattr(evolution, "_prefix_scan", watching_scan)
         tdse_integrate(DRIVEN, PSI_A, PHI_A, 0.0, 1.5, 41)
@@ -415,13 +454,14 @@ class TestPropagatorCache:
         released = weakref.ref(first)
         tdse_integrate(first, PSI_A, PHI_A, 0.0, 1.5, 300)
         entry = evolution._last_propagator
-        assert entry[0] is first and len(entry[-1]) == 300
+        # two complex coordinates, 32 B, per step
+        assert entry[0] is first and entry[-1].shape == (300, 2) and entry[-1].nbytes == 32 * 300
         del first, entry
         tdse_integrate(DRIVEN, PSI_A, PHI_A, 0.0, 1.5, 40)
         gc.collect()
         assert released() is None
         assert evolution._last_propagator[0] is DRIVEN
-        assert len(evolution._last_propagator[-1]) == 40
+        assert evolution._last_propagator[-1].shape == (40, 2)
 
 
 def index_of_by_argmin(ev, t):
@@ -663,6 +703,33 @@ class TestPhaseArrayPass:
         e1 = np.array([1.0, 0.0], dtype=complex)
         with pytest.raises(ValueError):
             phase_alpha(lambda t: e1, STATIC, lambda t: IDENTITY.copy(), 0.0, 1.0, 1)
+
+    @pytest.mark.parametrize("t0, t1", [(0.7, 0.7), (-0.0, 0.0), (np.nan, 1.0), (0.0, np.inf)])
+    def test_degenerate_span_rejected_before_the_providers(self, t0, t1):
+        # with t0 == t1 the grid spacing is 0 and alpha_dot is 0/0
+        called = []
+
+        def provider(t):
+            called.append(t)
+            return IDENTITY.copy()
+
+        with pytest.raises(ValueError, match="t0 and t1 must be finite and distinct"):
+            phase_alpha(provider, STATIC, provider, t0, t1, 10)
+        assert called == []
+
+    def test_non_finite_alpha_dot_rejected(self):
+        # a NaN drive sample passes the alignment (the providers are finite)
+        # and makes H, and so alpha_dot, NaN on part of the grid
+        times = np.linspace(-0.5, 1.5, 9)
+        p = HamiltonianParams(1.0, 2.0, 1.0, drive=TabulatedDrive(times=times, values=np.where(times >= 1.0, np.nan, 1.0)))
+        e1 = np.array([1.0, 0.0], dtype=complex)
+        # np.interp gives NaN from the first grid time past the last finite sample, 0.75
+        first = np.linspace(0.0, 1.0, 41)[31]
+        with pytest.raises(ArithmeticError, match=f"alpha_dot is not finite at t={first}$"):
+            phase_alpha(lambda t: e1, p, lambda t: IDENTITY.copy(), 0.0, 1.0, 40)
+        # the finite part of the same drive passes
+        trace = phase_alpha(lambda t: e1, p, lambda t: IDENTITY.copy(), 0.0, 0.75, 40)
+        assert np.isfinite(trace.alpha).all() and trace.imag_residue == 0.0
 
     def test_non_positive_metric_norm_rejected(self):
         e1 = np.array([1.0, 0.0], dtype=complex)

@@ -82,6 +82,30 @@ def test_adjoint_is_parity_conjugate_exactly(drive, lam, kappa, hbar):
     assert np.array_equal(h.conj().swapaxes(-1, -2), PAULI_Z @ h @ PAULI_Z)
 
 
+@pytest.mark.parametrize(
+    "drive",
+    [
+        ConstantDrive(0.7),
+        SineDrive(amplitude=1.3, frequency=0.9),
+        TabulatedDrive(np.linspace(-1.0, 5.0, 13), np.cos(np.linspace(-1.0, 5.0, 13))),
+    ],
+    ids=["constant", "sine", "tabulated"],
+)
+@pytest.mark.parametrize("lam, kappa", [(1.9, 0.8), (-1.9, 0.8), (0.6, -2.1), (-0.6, -2.1), (1.9, 0.0), (1.1, 1.1)])
+def test_hamiltonian_is_in_the_span_of_identity_and_one_fixed_k(drive, lam, kappa):
+    # H(t) = -1/2 (omega I + tau(t) K) with K = lam sigma_z + i kappa sigma_x
+    # entry for entry, with no rounding (a zero imaginary part may differ in
+    # sign, which array_equal ignores), and K^2 = (lam - kappa)(lam + kappa) I:
+    # the RK4 propagator computes in span{I, K} on these two facts
+    p = HamiltonianParams(0.7, lam, kappa, drive=drive)
+    t = np.array([[0.0], [0.5], [1.0]]) * 0.01 + np.linspace(0.0, 4.0, 41)  # RK4 stage times
+    k = lam * PAULI_Z + 1j * kappa * PAULI_X
+    tau = drive.tau_array(t)[..., None, None]
+    assert np.array_equal(hamiltonian_array(p, t), -0.5 * (p.omega * IDENTITY + tau * k))
+    q = (lam - kappa) * (lam + kappa)
+    assert np.abs(k @ k - q * IDENTITY).max() <= 4.0 * np.finfo(float).eps * (lam * lam + kappa * kappa)
+
+
 def test_hamiltonian_coefficients_match_decomposition():
     p = HamiltonianParams(omega=1.0, lam=2.0, kappa=1.0)
     c = hamiltonian_coefficients(p, 0.0)
