@@ -112,9 +112,8 @@ def _prefix_scan(deltas: np.ndarray, q: float) -> np.ndarray:
     K^2 = q I, and out[:, ..., j] those of (I + d_j) ... (I + d_0) - I.
     Hillis-Steele doubling: after the pass with shift s, entry j holds the
     product of the factors j-2s+1 .. j, so ceil(log2 n) passes suffice.
-    Factors are carried as deviations, (I + l)(I + e) = I + e + l + l e, as
-    in invariants._ordered_product, so rounding stays relative to each
-    step's small generator and not to 1.
+    Factors are carried as deviations, (I + l)(I + e) = I + e + l + l e, so
+    rounding stays relative to each step's small generator and not to 1.
     """
     deltas = deltas.copy()
     n = deltas.shape[-1]

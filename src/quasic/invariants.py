@@ -11,23 +11,29 @@ same flow is conjugation, I(t) = U(t) I(t0) U(t)^-1, by the time-ordered
 exponential U of -i H_0 / hbar, where H_0 is the traceless part of H; U lies
 in SL(2,C).
 
-The production integrator is the midpoint exponential product, the
-second-order Magnus scheme (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
-(2009)).  Step k samples H at t_k = t0 + (k + 1/2) dt and
-contributes the closed-form 2x2 factor U_k = exp(-i dt H_0(t_k) / hbar).
-Conjugating by exp(X) is exponentiating ad X (Ad exp = exp ad), and
-ad(-i dt H_0 / hbar) acts on the coefficient vector as (2/hbar) dt M(t_k),
-so conjugation by U_k is exactly the 3x3 step exp((2/hbar) M(t_k) dt): the
-same discrete scheme as a product of coefficient-space exponentials, exactly
-group-preserving (the determinant of the realized invariant is conserved to
-roundoff).  Time is an array axis: the factors of PROPAGATION_BLOCK steps are
-built in one pass and multiplied by pairwise batched products, the reduction
-half of a parallel prefix (Blelloch, CMU-CS-90-190, 1990).  Factors are
-carried as their deviation from the identity, so a step's small generator
-keeps its full relative precision.  Fixed-size blocks bound the working
-arrays, so peak memory does not grow with the step count, while each
-block's dozen batched products cost far less than one Python iteration per
-step.
+Every H of the family is -1/2 (omega I + tau(t) K) with one fixed
+K = lam sigma_z + i kappa sigma_x, so the traceless parts H_0(t) =
+-tau(t) K / 2 commute at all times and the Magnus series of U stops after
+its first term (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)):
+U(t) = exp(i K int_t0^t tau / (2 hbar)).  The production integrator is the
+midpoint exponential product, the second-order Magnus scheme.  Step k
+samples H at t_k = t0 + (k + 1/2) dt and contributes the factor
+U_k = exp(-i dt H_0(t_k) / hbar).  Conjugating by exp(X) is exponentiating
+ad X (Ad exp = exp ad), and ad(-i dt H_0 / hbar) acts on the coefficient
+vector as (2/hbar) dt M(t_k), so conjugation by U_k is exactly the 3x3 step
+exp((2/hbar) M(t_k) dt).  As the factors commute, their product is one
+exponential of dt sum_k tau(t_k) times the fixed generator: the scheme is
+the midpoint quadrature of the drive integral, one closed-form SL(2,C)
+exponential and one group conjugation, and time_ordered_propagate evaluates
+it in that form.  The determinant of the realized invariant is conserved to
+roundoff.
+
+The command line's propagation_consistency check compares that result with
+the closed form at t1.  Since the factors commute, it cannot test their time
+order; what it cross-checks is the midpoint quadrature of tau together with
+the exponential and the conjugation, against the closed-form entries, which
+are built from the drive's exact antiderivative drive.integral in real
+arithmetic.  The two agree to the quadrature's O(dt^2) error.
 
 Four closed-form solutions serve as cross-validation oracles.  All four
 have the form
@@ -51,13 +57,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import DriveRangeError, RegimeMismatchError
-from .linalg import IDENTITY, _expm1_pauli, _mat2, _mat2_stack, _matmul2, frobenius_norm
+from .linalg import IDENTITY, _expm1_pauli, _mat2, _mat2_stack, frobenius_norm
 from .model import HamiltonianParams, PauliCoefficients, Regime, hamiltonian_at
 
 _SQRT2 = math.sqrt(2.0)
 
-#: Steps whose factors are built and multiplied as one array (see
-#: time_ordered_propagate for the memory measurement behind the size).
+#: Steps whose drive samples are evaluated and summed as one array.
 PROPAGATION_BLOCK = 4096
 
 
@@ -255,24 +260,6 @@ def coefficient_matrix(h: PauliCoefficients) -> np.ndarray:
     )
 
 
-def _ordered_product(deltas: np.ndarray) -> np.ndarray:
-    """P - I for P = (I + deltas[n-1]) ... (I + deltas[0]), by pairwise batched products.
-
-    Factors are carried as their deviation from the identity, using
-    (I + b)(I + a) = I + (a + b + b a), so that rounding is relative to the
-    deviation and not to 1.  Each pass combines neighbours (2j+1, 2j) in one
-    batched product and carries an odd last factor over unchanged, so time
-    order is kept and a stack of n factors needs ceil(log2 n) passes.
-    """
-    while len(deltas) > 1:
-        early, late = deltas[0:-1:2], deltas[1::2]
-        paired = early + late + _matmul2(late, early)
-        if len(deltas) % 2:
-            paired = np.concatenate((paired, deltas[-1:]))
-        deltas = paired
-    return deltas[0]
-
-
 def time_ordered_propagate(
     p: HamiltonianParams,
     init: np.ndarray,
@@ -280,29 +267,26 @@ def time_ordered_propagate(
     t1: float,
     steps: int,
 ) -> np.ndarray:
-    """Propagate the 2x2 invariant I(t0) to I(t1) by a midpoint exponential product.
+    """Propagate the 2x2 invariant I(t0) to I(t1) by the midpoint exponential product.
 
     Step k uses the midpoint t_k = t0 + (k + 1/2) dt and the SL(2,C) factor
     U_k = exp(-i dt H_0(t_k) / hbar), where H_0 is the traceless part of H;
     conjugation by U_k is the coefficient step exp((2/hbar) M(t_k) dt) of
-    the module docstring, so this is the same second-order scheme.
+    the module docstring, so this is the second-order Magnus scheme.  With
+    -i dt H_0(t) / hbar = tau(t) (a1 sigma_x + a3 sigma_z) for fixed a1, a3,
+    the factors commute, and their product P = U_{N-1} ... U_0 is the one
+    exponential exp(S (a1 sigma_x + a3 sigma_z)) with S = sum_k tau(t_k).
+    S is summed PROPAGATION_BLOCK midpoints at a time (np.sum sums a block
+    pairwise, math.fsum adds the block sums exactly), so peak memory does not
+    grow with the step count, and P comes from one Cayley-Hamilton
+    exponential, with no per-step rounding to accumulate.  ``steps`` sets
+    the quadrature and so the O(dt^2) error; it costs one drive sample per
+    step and nothing more.
 
-    For each block of PROPAGATION_BLOCK steps the drive is evaluated once on
-    the midpoint array, the deviations U_k - I come from one array pass of
-    the Cayley-Hamilton closed form, and pairwise batched products reduce
-    them; the block products are reduced the same way into
-    P = U_{N-1} ... U_0.  Multiplying the rounded factors U_k instead would
-    round each step relative to 1 rather than to its generator: on 4000
-    steps of a constant broken-regime H, where the scheme is exact, that
-    leaves up to ~1e-12 of error against ~1e-15 for the deviations.  The result is
-    I(t1) = P I(t0) P^-1 with P^-1 = adj(P), exact because det U_k = 1.
-    Dividing by the computed det(P) would lose accuracy: in the broken
-    regime the entries of P grow hyperbolically and the cancellation in
-    det(P) costs more digits than the product itself.
-
-    Blocks of 4096 steps keep the working arrays to a few hundred kB.
-    Building all 20,000 factors of a typical sweep at once raised peak
-    memory by ~4 MB (over 10%) and saved little time.
+    The result is I(t1) = P I(t0) P^-1 with P^-1 = adj(P), exact because
+    det P = 1.  Dividing by the computed det(P) would lose accuracy: in the
+    broken regime the entries of P grow hyperbolically and the cancellation
+    in det(P) costs more digits than P itself.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -311,15 +295,14 @@ def time_ordered_propagate(
     if not p.drive.covers(min(t0, t1), max(t0, t1)):
         raise DriveRangeError(f"drive does not cover [{t0}, {t1}]")
     dt = (t1 - t0) / steps
+    tau_sum = math.fsum(
+        np.sum(p.drive.tau_array(t0 + (np.arange(start, min(start + PROPAGATION_BLOCK, steps)) + 0.5) * dt))
+        for start in range(0, steps, PROPAGATION_BLOCK)
+    )
     # -i dt H_0(t) / hbar = tau(t) (a1 sigma_x + a3 sigma_z)
     a1 = -0.5 * dt * p.kappa / p.hbar
     a3 = 0.5j * dt * p.lam / p.hbar
-    blocks = []
-    for start in range(0, steps, PROPAGATION_BLOCK):
-        k = np.arange(start, min(start + PROPAGATION_BLOCK, steps))
-        tau = p.drive.tau_array(t0 + (k + 0.5) * dt)
-        blocks.append(_ordered_product(_expm1_pauli(a1 * tau, 0.0, a3 * tau)))
-    prod = IDENTITY + _ordered_product(np.array(blocks))
+    prod = IDENTITY + _expm1_pauli(a1 * tau_sum, 0.0, a3 * tau_sum)
     adjugate = np.array([[prod[1, 1], -prod[0, 1]], [-prod[1, 0], prod[0, 0]]])
     return prod @ np.asarray(init, dtype=complex) @ adjugate
 

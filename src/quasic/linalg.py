@@ -280,23 +280,6 @@ def hermitian_eigenvalues_2x2(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[
     return float(hi), float(lo)
 
 
-def _matmul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for stacks of 2x2 matrices, broadcast over the leading axes.
-
-    The explicit four-entry formula: numpy's matmul loop has a per-matrix
-    overhead that made it ~7x slower on a stack of 1024 complex 2x2
-    matrices (305 us against 43 us, numpy 2.4).
-    """
-    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
-    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    out[..., 0, 0] = a00 * b00 + a01 * b10
-    out[..., 0, 1] = a00 * b01 + a01 * b11
-    out[..., 1, 0] = a10 * b00 + a11 * b10
-    out[..., 1, 1] = a10 * b01 + a11 * b11
-    return out
-
-
 def _expm1_pauli(a1, a2, a3) -> np.ndarray:
     """exp(a1*sigma_x + a2*sigma_y + a3*sigma_z) - I, broadcast over arrays.
 

@@ -88,10 +88,10 @@ class SineDrive:
 class TabulatedDrive:
     """Sampled drive; linear interpolation, trapezoid antiderivative.
 
-    Samples must be strictly increasing in t.  Evaluation or integration
-    outside the sampled range raises DriveRangeError.  The drive keeps
-    read-only copies of the samples, so a later write into the caller's
-    arrays changes neither tau nor its antiderivative.
+    Samples must be finite and strictly increasing in t.  Evaluation or
+    integration outside the sampled range raises DriveRangeError.  The drive
+    keeps read-only copies of the samples, so a later write into the
+    caller's arrays changes neither tau nor its antiderivative.
     """
 
     times: np.ndarray
@@ -104,6 +104,8 @@ class TabulatedDrive:
         values = np.array(self.values, dtype=float)
         if times.ndim != 1 or times.shape != values.shape or times.size < 2:
             raise ValueError("need matching 1-d arrays with at least two samples")
+        if not (np.isfinite(times).all() and np.isfinite(values).all()):
+            raise ValueError("sample times and values must be finite")
         if not np.all(np.diff(times) > 0):
             raise ValueError("sample times must be strictly increasing")
         object.__setattr__(self, "times", times)

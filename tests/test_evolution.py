@@ -718,12 +718,16 @@ class TestPhaseArrayPass:
         assert called == []
 
     def test_non_finite_alpha_dot_rejected(self):
-        # a NaN drive sample passes the alignment (the providers are finite)
-        # and makes H, and so alpha_dot, NaN on part of the grid
-        times = np.linspace(-0.5, 1.5, 9)
-        p = HamiltonianParams(1.0, 2.0, 1.0, drive=TabulatedDrive(times=times, values=np.where(times >= 1.0, np.nan, 1.0)))
+        # a drive that is NaN past t = 0.75 passes the alignment (the
+        # providers are finite) and makes H, and so alpha_dot, NaN on part of
+        # the grid; TabulatedDrive refuses NaN samples, so a stub plants it
+        class NanTailDrive:
+            def tau_array(self, t):
+                return np.where(np.asarray(t) > 0.75, np.nan, 1.0)
+
+        p = HamiltonianParams(1.0, 2.0, 1.0, drive=NanTailDrive())
         e1 = np.array([1.0, 0.0], dtype=complex)
-        # np.interp gives NaN from the first grid time past the last finite sample, 0.75
+        # the first grid time past 0.75
         first = np.linspace(0.0, 1.0, 41)[31]
         with pytest.raises(ArithmeticError, match=f"alpha_dot is not finite at t={first}$"):
             phase_alpha(lambda t: e1, p, lambda t: IDENTITY.copy(), 0.0, 1.0, 40)

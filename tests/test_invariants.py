@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -21,7 +22,7 @@ from quasic.invariants import (
 from quasic import model
 from quasic.biortho import biortho_system
 from quasic.coperator import c_from_system, closed_form_metric, dyson_map, metric_from_c
-from quasic.invariants import _ordered_product, _real_entries
+from quasic.invariants import _real_entries
 from quasic.linalg import PAULI_Z, adjoint, det, frobenius_norm
 from quasic.model import (
     ConstantDrive,
@@ -150,28 +151,6 @@ class TestCoefficientMatrix:
             assert frobenius_norm(m + m.T) < 1e-15
 
 
-class TestOrderedProduct:
-    # the family's H(t) commute with each other, so propagation tests cannot
-    # see the order of the factors; random matrices can
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 100])
-    def test_matches_sequential_product_in_time_order(self, n):
-        deltas = RNG.standard_normal((n, 2, 2)) + 1j * RNG.standard_normal((n, 2, 2))
-        expected = np.eye(2, dtype=complex)
-        for d in deltas:
-            expected = (np.eye(2) + d) @ expected
-        got = np.eye(2) + _ordered_product(deltas)
-        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
-
-    def test_keeps_relative_precision_near_the_identity(self):
-        # 10^4 identical rotations by 1e-9: the product's deviation from I is
-        # exp(1e-5 * i sigma_z) - I, which a product of the rounded factors
-        # I + delta misses by ~2e-9 relative
-        deltas = np.broadcast_to(np.diag([np.expm1(1e-9j), np.expm1(-1e-9j)]), (10_000, 2, 2))
-        got = _ordered_product(np.array(deltas))
-        expected = np.diag([np.expm1(1e-5j), np.expm1(-1e-5j)])
-        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
-
-
 class TestPropagation:
     def test_zero_hamiltonian_is_identity_flow(self):
         p = HamiltonianParams(0.0, 0.0, 0.0)
@@ -270,6 +249,29 @@ class TestPropagation:
                 out = time_ordered_propagate(p, init, t0, t1, steps)
             ref = sequential_reference(p, init, t0, t1, steps)
             assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref), steps
+
+    @pytest.mark.parametrize(
+        "lam,kappa", [(2.0, 1.0), (0.5, 1.0), (1.0, 1.0)], ids=["pt", "broken", "ep"]
+    )
+    def test_constant_drive_result_does_not_depend_on_steps(self, lam, kappa):
+        # for a constant drive the midpoint scheme is exact at any step count
+        p = HamiltonianParams(1.0, lam, kappa, hbar=0.8, drive=ConstantDrive(0.8))
+        init = pauli_compose(PauliCoefficients(0.5, 0.3 + 0.1j, 1j, 1.2))
+        ref = time_ordered_propagate(p, init, 0.3, 2.3, 1)
+        for steps in (7, 4097):
+            out = time_ordered_propagate(p, init, 0.3, 2.3, steps)
+            assert np.linalg.norm(out - ref) <= 1e-14 * np.linalg.norm(ref), steps
+
+    def test_peak_memory_does_not_grow_with_steps(self):
+        # 10^6 steps: one array over all midpoints would take 8 MB per float array
+        init = closed_form_invariant(InvariantForm.FULL_TD, FULL_SINE_PARAMS, math.pi / 2)
+        tracemalloc.start()
+        try:
+            time_ordered_propagate(FULL_SINE_PARAMS, init, math.pi / 2, 10.0, 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize(
         "span",

@@ -11,7 +11,6 @@ from quasic.linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    _matmul2,
     _null_vector,
     adjoint,
     commutator,
@@ -65,13 +64,6 @@ class TestBasics:
         assert np.allclose(adjoint(PAULI_Z), PAULI_Z)
         a = random_complex_matrix()
         assert np.allclose(adjoint(adjoint(a)), a)
-
-    def test_batched_product_matches_matmul(self):
-        a = RNG.standard_normal((3, 7, 2, 2)) + 1j * RNG.standard_normal((3, 7, 2, 2))
-        b = RNG.standard_normal((7, 2, 2)) + 1j * RNG.standard_normal((7, 2, 2))
-        got = _matmul2(a, b)
-        assert got.shape == (3, 7, 2, 2)
-        assert np.abs(got - a @ b).max() <= 1e-14 * np.abs(a @ b).max()
 
     def test_det_trace(self):
         assert det(PAULI_Z) == -1

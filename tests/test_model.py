@@ -241,6 +241,14 @@ class TestDrives:
         with pytest.raises(ValueError):
             TabulatedDrive(times=np.array([0.0, 0.0, 1.0]), values=np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", ["times", "values"])
+    def test_tabulated_requires_finite_samples(self, where, bad):
+        samples = {"times": np.linspace(0.0, 1.0, 5), "values": np.ones(5)}
+        samples[where][-1 if where == "times" else 2] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            TabulatedDrive(**samples)
+
     def test_tabulated_integral_additivity(self):
         grid = np.linspace(0.0, 3.0, 301)
         tab = TabulatedDrive(times=grid, values=grid**2)
