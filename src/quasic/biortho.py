@@ -23,7 +23,13 @@ directly, the completeness residual stays at ~eps * cond.  A stack, such
 as the closed-form invariant on a time grid in phase reconstruction, takes
 the same steps and tests per sample as array passes (``_biortho_stack``),
 to within a few ulp: numpy's array products, ``abs`` and hypot round
-differently from its scalar ones.
+differently from its scalar ones.  The squared moduli of the right vectors'
+components are formed once and serve both the condition number and the
+sign class.  The pair order is applied before the left vectors are formed:
+only the samples whose pairs change order are exchanged, in place, and det
+V changes sign with them (exactly), so on a time grid whose order never
+changes, as for the invariants of phase reconstruction, ordering costs one
+mask test and no copies.
 """
 
 from __future__ import annotations
@@ -114,16 +120,18 @@ def biortho_system(a: np.ndarray, tol: float = DEFAULT_TOL) -> BiorthoSystem:
         BiorthoPair(right.second.value, r2, (np.array([-r1[1], r1[0]]) / d).conj()),
     ]
     # sign class, then descending eigenvalue
-    pairs.sort(key=lambda pr: (int(_sign_class(pr.right, tol)), -pr.eigenvalue.real, -pr.eigenvalue.imag))
+    pairs.sort(
+        key=lambda pr: (int(_sign_class(_squared_moduli(pr.right), tol)), -pr.eigenvalue.real, -pr.eigenvalue.imag)
+    )
     return BiorthoSystem(pairs=tuple(pairs), source=a)
 
 
 def _biortho_stack(a: np.ndarray, tol: float) -> BiorthoSystem:
-    """biortho_system of each matrix of an (N, 2, 2) stack, in one array pass.
+    """biortho_system of each matrix of an (N, 2, 2) stack, in array passes.
 
     Every sample goes through the single-matrix path's steps and tests: the
     eigen kernel (``linalg._eigen_stack``), det V and the condition number,
-    the left vectors from adj(V) / det V and the pair order.  The results
+    the pair order, and the left vectors from adj(V) / det V.  The results
     agree with the single-matrix path's to a few ulp, in the same pair
     order, since numpy's array hypot, abs and complex products round
     differently from its scalar ones.  If any sample fails, the exception
@@ -134,9 +142,8 @@ def _biortho_stack(a: np.ndarray, tol: float) -> BiorthoSystem:
         scale = _max1(frobenius_norm_stack(a))
         (value1, right1), (value2, right2), defective = _eigen_stack(a, scale, tol)
         d = right1[:, 0] * right2[:, 1] - right2[:, 0] * right1[:, 1]
-        cond = _condition_stack(right1, right2, d)
-        left1 = (np.stack((right2[:, 1], -right2[:, 0]), axis=-1) / d[:, None]).conj()
-        left2 = (np.stack((-right1[:, 1], right1[:, 0]), axis=-1) / d[:, None]).conj()
+        sq1, sq2 = _squared_moduli(right1), _squared_moduli(right2)
+        cond = _condition_stack(right1, right2, sq1, sq2, d)
 
     ill = cond > COND_LIMIT
     failed = defective | ill
@@ -147,38 +154,54 @@ def _biortho_stack(a: np.ndarray, tol: float) -> BiorthoSystem:
         raise NearlyDefectiveError(f"eigenvector condition {cond[k]:.3g} exceeds {COND_LIMIT:.0e} at sample {k}")
 
     # the order key (sign class, -Re value, -Im value) of each pair, compared as a tuple
-    class1, class2 = _sign_class(right1, tol), _sign_class(right2, tol)
+    class1, class2 = _sign_class(sq1, tol), _sign_class(sq2, tol)
     swap = (class2 < class1) | (
         (class2 == class1)
         & ((value2.real > value1.real) | ((value2.real == value1.real) & (value2.imag > value1.imag)))
     )
-    column = swap[:, None]
-    pairs = (
-        BiorthoPair(np.where(swap, value2, value1), np.where(column, right2, right1), np.where(column, left2, left1)),
-        BiorthoPair(np.where(swap, value1, value2), np.where(column, right1, right2), np.where(column, left1, left2)),
-    )
-    return BiorthoSystem(pairs=pairs, source=a)
+    if swap.any():
+        for first, second in ((value1, value2), (right1, right2)):
+            first[swap], second[swap] = second[swap], first[swap]
+        np.negative(d, out=d, where=swap)
+    with np.errstate(all="ignore"):
+        # left vector n is the conjugate of row n of V^-1 = adj(V) / det V
+        left1, left2 = _dual_row(right2[:, 1], -right2[:, 0], d), _dual_row(-right1[:, 1], right1[:, 0], d)
+    return BiorthoSystem(pairs=(BiorthoPair(value1, right1, left1), BiorthoPair(value2, right2, left2)), source=a)
 
 
-def _condition_stack(v1: np.ndarray, v2: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """``_condition_number`` of each pair of rows of two (N, 2) arrays and their det V, to a few ulp."""
-    x0, x1, y0, y1 = v1[:, 0], v1[:, 1], v2[:, 0], v2[:, 1]
-    p = (x0.real * x0.real + x0.imag * x0.imag) + (x1.real * x1.real + x1.imag * x1.imag)
-    q = (y0.real * y0.real + y0.imag * y0.imag) + (y1.real * y1.real + y1.imag * y1.imag)
-    g = x0.conj() * y0 + x1.conj() * y1
+def _dual_row(x0: np.ndarray, x1: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The (N, 2) array of conj(x0 / d), conj(x1 / d)."""
+    out = np.empty(d.shape + (2,), dtype=complex)
+    np.divide(x0, d, out=out[:, 0])
+    np.divide(x1, d, out=out[:, 1])
+    return np.conjugate(out, out=out)
+
+
+def _squared_moduli(v: np.ndarray) -> np.ndarray:
+    """|x0|^2 and |x1|^2 of each v of a (..., 2) array, in real arithmetic."""
+    return v.real * v.real + v.imag * v.imag
+
+
+def _condition_stack(v1: np.ndarray, v2: np.ndarray, sq1: np.ndarray, sq2: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``_condition_number`` of each pair of rows of two (N, 2) arrays, to a few ulp.
+
+    sq1 and sq2 are their ``_squared_moduli`` and d their det V.
+    """
+    p = sq1[:, 0] + sq1[:, 1]
+    q = sq2[:, 0] + sq2[:, 1]
+    g = v1[:, 0].conj() * v2[:, 0] + v1[:, 1].conj() * v2[:, 1]
     hi = 0.5 * (p + q) + np.hypot(0.5 * (p - q), np.abs(g))
     d = np.abs(d)
     return np.divide(hi, d, out=np.full_like(hi, np.inf), where=d != 0)
 
 
-def _sign_class(right: np.ndarray, tol: float) -> np.ndarray:
-    """Sign class of the parity pseudo-norm w = <v|sigma_z|v> of each v of a (..., 2) array.
+def _sign_class(sq: np.ndarray, tol: float) -> np.ndarray:
+    """Sign class of the parity pseudo-norm w = <v|sigma_z|v> = |x0|^2 - |x1|^2 from ``_squared_moduli``.
 
     0 for w > tol, 2 for w < -tol and 1 in between: the first key of the
     pair order.
     """
-    x0, x1 = right[..., 0], right[..., 1]
-    w = (x0.real * x0.real + x0.imag * x0.imag) - (x1.real * x1.real + x1.imag * x1.imag)
+    w = sq[..., 0] - sq[..., 1]
     return np.where(w > tol, 0, np.where(w < -tol, 2, 1))
 
 

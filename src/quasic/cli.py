@@ -168,8 +168,14 @@ def _pair_name(lam: float, kappa: float) -> str:
     return f"lambda={lam:g},kappa={kappa:g}"
 
 
-def _tag(name: str, lam: float, kappa: float, sweeping: bool) -> str:
-    return f"{name}[{_pair_name(lam, kappa)}]" if sweeping else name
+def _pair_checks(report: VerificationReport, lam: float, kappa: float, sweeping: bool):
+    """report.add for one pair's checks: the name tagged with the pair when sweeping, and the pair as a field."""
+
+    def add(name: str, value: float, tolerance: float, **fields) -> None:
+        tagged = f"{name}[{_pair_name(lam, kappa)}]" if sweeping else name
+        report.add(tagged, value, tolerance, pair=(lam, kappa), **fields)
+
+    return add
 
 
 def _run_static_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, sweeping: bool, clock: _StageClock):
@@ -177,40 +183,28 @@ def _run_static_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, swee
     p = _params(cfg, lam, kappa)
     h = hamiltonian_at(p, cfg.t0)
     sys_h = biortho_system(h)
-    report.add(_tag("completeness", lam, kappa, sweeping), completeness_residual(sys_h), cfg.tol)
+    add = _pair_checks(report, lam, kappa, sweeping)
+    add("completeness", completeness_residual(sys_h), cfg.tol)
     c = c_from_system(sys_h, cfg.signature)
     suite = static_constraint_suite(c, h, tol=cfg.tol)
     for check in suite.checks:
-        report.add(_tag(check.name, lam, kappa, sweeping), check.value, check.tolerance)
+        add(check.name, check.value, check.tolerance)
 
     rho_raw = PAULI_Z @ c.matrix
     herm = frobenius_norm(rho_raw - adjoint(rho_raw))
-    report.add(_tag("metric_hermiticity", lam, kappa, sweeping), herm, cfg.tol)
+    add("metric_hermiticity", herm, cfg.tol)
     eig_hi = eig_lo = float("nan")
     if herm <= cfg.tol:
         metric = metric_from_c(c, tol=cfg.tol)
         eig_hi, eig_lo = metric.eigenvalues()
-        report.add(
-            _tag("metric_positive_definite", lam, kappa, sweeping),
-            -eig_lo,
-            64.0 * _EPS64 * max(1.0, abs(eig_hi)),
-            scaled=True,
-        )
+        add("metric_positive_definite", -eig_lo, 64.0 * _EPS64 * max(1.0, abs(eig_hi)), scaled=True)
         if eig_lo > 0:
             eta = dyson_map(metric)
             hmapped = eta @ h @ np.linalg.inv(eta)
-            report.add(
-                _tag("dyson_sqrt_hermitian_image", lam, kappa, sweeping),
-                frobenius_norm(hmapped - adjoint(hmapped)),
-                cfg.fd_tol,
-            )
+            add("dyson_sqrt_hermitian_image", frobenius_norm(hmapped - adjoint(hmapped)), cfg.fd_tol)
         rows_eta = dyson_from_eigenvectors(sys_h)
         diag = rows_eta @ h @ np.linalg.inv(rows_eta)
-        report.add(
-            _tag("dyson_rows_diagonalizes", lam, kappa, sweeping),
-            abs(diag[0, 1]) + abs(diag[1, 0]),
-            cfg.fd_tol,
-        )
+        add("dyson_rows_diagonalizes", abs(diag[0, 1]) + abs(diag[1, 0]), cfg.fd_tol)
 
     lr = frobenius_norm(commutator(h, c.matrix))
     quasi = frobenius_norm(adjoint(h) @ rho_raw - rho_raw @ h)
@@ -270,24 +264,18 @@ def _run_td_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, sweeping
         np.max(folds, axis=1), (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
     ).tolist()
     at_lr, at_quasi, at_csq, at_det, at_neg, _ = ts[np.argmax(folds, axis=1)].tolist()
+    bad_lr, bad_quasi, bad_csq, bad_det, bad_neg, _ = np.count_nonzero(~np.isfinite(folds), axis=1).tolist()
     n_nonfinite = int(np.count_nonzero(~np.isfinite(columns).all(axis=0)))
     report.metadata.setdefault("non_finite_samples", {})[_pair_name(lam, kappa)] = n_nonfinite
 
-    report.add(_tag("lr_residual_max", lam, kappa, sweeping), max_lr, cfg.fd_tol, argmax_t=at_lr)
-    report.add(_tag("quasi_hermiticity_max", lam, kappa, sweeping), max_quasi, cfg.fd_tol, argmax_t=at_quasi)
-    report.add(_tag("c_squared_identity_max", lam, kappa, sweeping), max_csq, cfg.tol, argmax_t=at_csq)
+    add = _pair_checks(report, lam, kappa, sweeping)
+    add("lr_residual_max", max_lr, cfg.fd_tol, argmax_t=at_lr, n_nonfinite=bad_lr)
+    add("quasi_hermiticity_max", max_quasi, cfg.fd_tol, argmax_t=at_quasi, n_nonfinite=bad_quasi)
+    add("c_squared_identity_max", max_csq, cfg.tol, argmax_t=at_csq, n_nonfinite=bad_csq)
     # det roundoff also grows with the square of the entry scale
     det_tol = max(1e-9, 16.0 * _EPS64 * max_hi**2)
-    report.add(
-        _tag("det_rho_unit_max_dev", lam, kappa, sweeping), max_det_dev, det_tol, scaled=True, argmax_t=at_det
-    )
-    report.add(
-        _tag("metric_positive_definite", lam, kappa, sweeping),
-        max_neg,
-        64.0 * _EPS64 * max_hi,
-        scaled=True,
-        argmax_t=at_neg,
-    )
+    add("det_rho_unit_max_dev", max_det_dev, det_tol, scaled=True, argmax_t=at_det, n_nonfinite=bad_det)
+    add("metric_positive_definite", max_neg, 64.0 * _EPS64 * max_hi, scaled=True, argmax_t=at_neg, n_nonfinite=bad_neg)
     clock.enter("propagation")
 
     # propagate the closed form from its anchor and compare with it at t1
@@ -296,7 +284,7 @@ def _run_td_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, sweeping
     final = time_ordered_propagate(p, closed_form_invariant(form, p, start), start, cfg.t1, steps)
     target = c_at(cfg.t1)
     prop_err = frobenius_norm(final - target) / max(1.0, frobenius_norm(target))
-    report.add(_tag("propagation_consistency", lam, kappa, sweeping), prop_err, 1e-6, argmax_t=cfg.t1)
+    add("propagation_consistency", prop_err, 1e-6, argmax_t=cfg.t1)
     return columns
 
 

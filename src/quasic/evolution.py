@@ -38,6 +38,12 @@ accept the grid and return such stacks, so a provider written for one time
 t, such as ``biortho_system(closed_form_invariant(form, p, t)).pairs[0].right``,
 serves the whole grid unchanged.  The alignment that fixes the gauge of the
 samples and ``phase_alpha``'s alpha_dot are array passes over the grid.
+The three metric forms they take, the metric norm <v|rho v> and alpha_dot's
+numerator and denominator, are written out entry by entry over (N,) arrays
+(``_metric_form``): at N = 3001 numpy's three-operand einsum takes 0.14 ms
+and the entry-wise form 0.04 ms (best of 300, 2-CPU VM, numpy 2.4).  H v
+comes from the drive alone, as -1/2 (omega v + tau K v), without building
+the (N, 2, 2) Hamiltonian stack.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ import numpy as np
 
 from .coperator import COperator, Signature, validate_signature
 from .errors import BranchFlipError, DriveRangeError, OffGridError
-from .model import HamiltonianParams, hamiltonian_array
+from .model import HamiltonianParams
 
 #: Steps whose RK4 coordinates are built and scanned as one array (see
 #: tdse_integrate for the measurements behind the size).
@@ -332,6 +338,20 @@ def phase_factor(trace: PhaseTrace, hbar: float = 1.0) -> np.ndarray:
     return np.exp(1j * trace.alpha)
 
 
+def _metric_form(bras: np.ndarray, rhos: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """<u_k| rho_k |v_k> for each k, from the (N, 2) bras conj(u), (N, 2, 2) rho and (N, 2) kets v.
+
+    Written out entry by entry, bra_0 (rho_00 v_0 + rho_01 v_1) + bra_1
+    (rho_10 v_0 + rho_11 v_1), over (N,) arrays.  Silent on non-finite
+    entries, which the callers test for and report with their sample time.
+    """
+    v0, v1 = kets[:, 0], kets[:, 1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        row0 = rhos[:, 0, 0] * v0 + rhos[:, 0, 1] * v1
+        row1 = rhos[:, 1, 0] * v0 + rhos[:, 1, 1] * v1
+        return bras[:, 0] * row0 + bras[:, 1] * row1
+
+
 def _aligned_trace(
     state_at: Callable[[np.ndarray], np.ndarray],
     rho_at: Callable[[np.ndarray], np.ndarray],
@@ -351,7 +371,7 @@ def _aligned_trace(
     n = len(grid)
     states = np.broadcast_to(np.asarray(state_at(grid), dtype=complex), (n, 2))
     rhos = np.broadcast_to(np.asarray(rho_at(grid), dtype=complex), (n, 2, 2))
-    norm_sq = np.einsum("ki,kij,kj->k", states.conj(), rhos, states).real
+    norm_sq = _metric_form(states.conj(), rhos, states).real
     bad = ~((norm_sq > 0) & (norm_sq < np.inf))
     if bad.any():
         k = int(np.argmax(bad))
@@ -406,7 +426,7 @@ def phase_alpha(
     ``state_at`` and ``rho_at`` follow aligned_eigenstate_trace's contract:
     each is called once, with the grid np.linspace(t0, t1, steps + 1), and
     returns (N, 2) states and (N, 2, 2) metrics (or one of each, broadcast).
-    The metric samples come from the alignment pass, H from one evaluation
+    The metric samples come from the alignment pass, H v from one evaluation
     of the drive on the grid, and alpha_dot from one array pass.  The trace
     carries the aligned states, so a reconstruction needs no second pass.
     t0 == t1 (a grid of one repeated time, with no derivative) raises
@@ -428,11 +448,16 @@ def phase_alpha(
     dstates[0] = (-3.0 * states[0] + 4.0 * states[1] - states[2]) / (2.0 * dt)
     dstates[-1] = (3.0 * states[-1] - 4.0 * states[-2] + states[-3]) / (2.0 * dt)
 
-    h_v = np.einsum("kij,kj->ki", hamiltonian_array(p, grid), states)
+    # H v = -1/2 (omega v + tau K v) with K = lam sigma_z + i kappa sigma_x
+    tau = p.drive.tau_array(grid)
+    ik = 1j * p.kappa
+    kv = np.empty_like(states)
+    kv[:, 0] = p.lam * states[:, 0] + ik * states[:, 1]
+    kv[:, 1] = ik * states[:, 0] - p.lam * states[:, 1]
+    # i dv/dt - H v / hbar
+    ket = 1j * dstates + (0.5 / p.hbar) * (p.omega * states + tau[:, None] * kv)
     bras = states.conj()
-    num = np.einsum("ki,kij,kj->k", bras, rhos, 1j * dstates - h_v / p.hbar)
-    den = np.einsum("ki,kij,kj->k", bras, rhos, states)
-    alpha_dot = num / den
+    alpha_dot = _metric_form(bras, rhos, ket) / _metric_form(bras, rhos, states)
     bad = ~np.isfinite(alpha_dot)
     if bad.any():
         raise ArithmeticError(f"alpha_dot is not finite at t={grid[int(np.argmax(bad))]}")

@@ -14,7 +14,14 @@ another order).  The single-matrix eigen kernels run a few times per run,
 not per sample, and are plain numpy: ``eigen_2x2`` forms the eigenvalues
 from numpy scalars and divides the better adjugate row (chosen by
 ``math.hypot``) as a numpy array, and ``hermitian_eigenvalues_2x2`` is
-``hermitian_eigenvalues_stack`` of the one matrix.
+``hermitian_eigenvalues_stack`` of the one matrix.  The eigenvalues are
+m +- s with m the half trace and s^2 = ((a00 - a11)/2)^2 + a01 a10, the
+discriminant m^2 - det written without the trace.  Formed as m*m - det it
+cancels against m when m dwarfs the traceless part (a Hamiltonian with a
+large omega next to coalescence): the rounding of m^2, ~eps m^2, then
+swamps s^2 (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+ed., SIAM 2002, ch. 1-2).  The shift-invariant form rounds relative to its
+two terms only.
 
 The stacked kernels (``frobenius_norm_stack``,
 ``hermitian_eigenvalues_stack``, ``det_real_stack``) take (..., 2, 2)
@@ -37,7 +44,10 @@ same tests per matrix.  Its complex products and hypot are numpy's array
 forms, so it agrees with ``eigen_2x2`` to a few ulp, not to the bit: bit
 equality would need the real-arithmetic rewrite above for every complex
 product, and its callers (phase reconstruction on a time grid) need only
-the accuracy.
+the accuracy.  It is written for few array passes: the scalar-multiple
+test runs only on the samples found coalescent, each null vector takes its
+adjugate row one component at a time with one select, and the moduli of
+a01 and a10, which both eigenvalues' rows share, are taken once.
 """
 
 from __future__ import annotations
@@ -180,59 +190,70 @@ def _null_vector(a: np.ndarray, lam: complex, scale: float) -> np.ndarray:
     return np.array([c0, c1]) / n
 
 
-def _null_vector_stack(a: np.ndarray, lam: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """``_null_vector`` for each matrix of an (N, 2, 2) stack and its lam: an (N, 2) array.
-
-    The same choices per matrix (the first adjugate row on a tie, the second
-    if the first's norm is NaN, e_0 below 1e-14 * scale), with ``np.hypot``
-    and ``np.abs`` of arrays in place of ``math.hypot`` and the scalar
-    ``abs``, so within a few ulp.
-    """
-    first = np.stack((a[:, 0, 1], lam - a[:, 0, 0]), axis=-1)
-    second = np.stack((lam - a[:, 1, 1], a[:, 1, 0]), axis=-1)
-    n = np.hypot(np.abs(first[:, 0]), np.abs(first[:, 1]))
-    nd = np.hypot(np.abs(second[:, 0]), np.abs(second[:, 1]))
-    pick = n >= nd
-    rows = np.where(pick[:, None], first, second)
-    n = np.where(pick, n, nd)
-    tiny = n <= 1e-14 * scale
-    return np.where(tiny[:, None], np.array([1.0, 0.0]), rows * (1.0 / np.where(tiny, 1.0, n))[:, None])
-
-
 def _eigen_stack(a: np.ndarray, scale: np.ndarray, tol: float):
     """``eigen_2x2`` of each matrix of an (N, 2, 2) stack.
 
     Returns ``((lam1, v1), (lam2, v2), defective)`` with (N,) eigenvalue
     arrays, (N, 2) unit vectors and an (N,) mask, each sample decided by
-    ``eigen_2x2``'s tests.  Callers run it under np.errstate, so that it
+    ``eigen_2x2``'s tests: coalescence, the scalar-multiple test (run only
+    on the coalescent samples), and ``_null_vector``'s choice of adjugate
+    row (the first on a tie, the second if the first's norm is NaN, e_0
+    below 1e-14 * scale).  Callers run it under np.errstate, so that it
     stays silent on non-finite entries.
     """
     a00, a01, a10, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]
     m = 0.5 * (a00 + a11)
-    s = np.sqrt(m * m - (a00 * a11 - a01 * a10))
-    s = np.where((s.real < 0) | ((s.real == 0) & (s.imag < 0)), -s, s)
-    coalescent = np.abs(s) <= tol * scale
-    identity = coalescent & (frobenius_norm_stack(a - m[:, None, None] * IDENTITY) <= tol * scale)
-    s = np.where(coalescent, 0.0, s)
-    lam1, lam2 = m + s, m - s
-    v1 = np.where(identity[:, None], np.array([1.0, 0.0]), _null_vector_stack(a, lam1, scale))
-    v2 = np.where(identity[:, None], np.array([0.0, 1.0]), _null_vector_stack(a, lam2, scale))
+    half = 0.5 * (a00 - a11)
+    s = np.sqrt(half * half + a01 * a10)
+    np.negative(s, out=s, where=(s.real < 0) | ((s.real == 0) & (s.imag < 0)))
+    limit = tol * scale
+    coalescent = np.abs(s) <= limit
+    identity = np.zeros_like(coalescent)
+    if coalescent.any():
+        k = np.flatnonzero(coalescent)
+        identity[k] = frobenius_norm_stack(a[k] - m[k, None, None] * IDENTITY) <= limit[k]
+        s[k] = 0.0
+    abs01, abs10 = np.abs(a01), np.abs(a10)
+    tiny = 1e-14 * scale
+    pairs = []
+    for lam in (m + s, m - s):
+        # adjugate rows (a01, lam - a00) and (lam - a11, a10) of a - lam I
+        c1, d0 = lam - a00, lam - a11
+        n = np.hypot(abs01, np.abs(c1))
+        nd = np.hypot(np.abs(d0), abs10)
+        pick = n >= nd
+        n = np.where(pick, n, nd)
+        inv = 1.0 / n
+        v = np.empty(lam.shape + (2,), dtype=complex)
+        np.multiply(np.where(pick, a01, d0), inv, out=v[:, 0])
+        np.multiply(np.where(pick, c1, a10), inv, out=v[:, 1])
+        small = n <= tiny
+        if small.any():
+            v[small] = 1.0, 0.0
+        pairs.append((lam, v))
+    (lam1, v1), (lam2, v2) = pairs
+    if identity.any():
+        v1[identity] = 1.0, 0.0
+        v2[identity] = 0.0, 1.0
     return (lam1, v1), (lam2, v2), coalescent & ~identity
 
 
 def eigen_2x2(a: np.ndarray, tol: float = DEFAULT_TOL) -> EigenDecomposition:
-    """Closed-form eigendecomposition via the trace/determinant quadratic.
+    """Closed-form eigendecomposition: eigenvalues m +- s of the characteristic quadratic.
 
-    Pairs are ordered by descending (Re, Im) of the eigenvalue.  When the
-    discriminant vanishes within tol the matrix is either a multiple of the
-    identity (two canonical eigenvectors, not defective) or defective, in
-    which case the single eigenvalue/eigenvector is returned with the
+    m is the half trace and s^2 = ((a00 - a11)/2)^2 + a01 a10, which does not
+    cancel against m (see the module docstring).  Pairs are ordered by
+    descending (Re, Im) of the eigenvalue.  When the discriminant vanishes
+    within tol the matrix is either a multiple of the identity (two
+    canonical eigenvectors, not defective) or defective, in which case the
+    single eigenvalue/eigenvector is returned with the
     ``defective`` flag set.
     """
     a = np.asarray(a, dtype=complex)
     scale = max(1.0, frobenius_norm(a))
     m = 0.5 * (a[0, 0] + a[1, 1])
-    s = np.sqrt(complex(m * m - det(a)))
+    half = 0.5 * (a[0, 0] - a[1, 1])
+    s = np.sqrt(complex(half * half + a[0, 1] * a[1, 0]))
     if s.real < 0 or (s.real == 0 and s.imag < 0):
         s = -s
     if abs(s) <= tol * scale:

@@ -30,6 +30,10 @@ class Check:
     scaled: bool = False
     #: sample time of the worst value (the first non-finite one, if any) of a time series
     argmax_t: float | None = None
+    #: the (lambda, kappa) pair the check was run for, if any
+    pair: tuple[float, float] | None = None
+    #: how many samples of the checked quantity were not finite (0 or 1 for a single value)
+    n_nonfinite: int = 0
 
     @property
     def status(self) -> str:
@@ -56,14 +60,25 @@ class VerificationReport:
     exit_code: int | None = None
 
     def add(
-        self, name: str, value: float, tolerance: float, scaled: bool = False, argmax_t: float | None = None
+        self,
+        name: str,
+        value: float,
+        tolerance: float,
+        scaled: bool = False,
+        argmax_t: float | None = None,
+        pair: tuple[float, float] | None = None,
+        n_nonfinite: int | None = None,
     ) -> Check:
+        """Record a check; ``n_nonfinite`` defaults to that of the single ``value``."""
+        value = float(value)
         check = Check(
             name=name,
-            value=float(value),
+            value=value,
             tolerance=float(tolerance),
             scaled=scaled,
             argmax_t=None if argmax_t is None else float(argmax_t),
+            pair=None if pair is None else (float(pair[0]), float(pair[1])),
+            n_nonfinite=int(not math.isfinite(value)) if n_nonfinite is None else int(n_nonfinite),
         )
         self.checks.append(check)
         return check
@@ -85,6 +100,8 @@ class VerificationReport:
                 "tolerance": c.tolerance,
                 "pass": c.passed,
                 "status": c.status,
+                "pair": None if c.pair is None else list(c.pair),
+                "n_nonfinite": c.n_nonfinite,
             }
             if c.argmax_t is not None:
                 record["argmax_t"] = c.argmax_t

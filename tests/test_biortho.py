@@ -349,6 +349,26 @@ class TestStackedSystem:
         assert_slices_match_scalar(stack)
         assert_slices_match_scalar(stack[:1])
 
+    @pytest.mark.parametrize("lam,kappa", [(2.0, 0.7), (0.7, 1.9)])
+    def test_identity_swapped_and_nan_slices_in_an_invariant_stack(self, lam, kappa):
+        # multiples of the identity are the only coalescent slices (their
+        # scalar-multiple test runs on that subset alone), -sigma_z is the
+        # only slice whose pairs change order, and a NaN matrix passes through
+        p = HamiltonianParams(1.0, lam, kappa, hbar=1.3, drive=SineDrive())
+        stack = closed_form_invariant(InvariantForm.FULL_TD, p, np.linspace(0.0, 3.0, 3001))
+        inserts = {0: 2.5 * IDENTITY, 17: np.full((2, 2), np.nan), 1500: -3j * IDENTITY, 1501: -PAULI_Z}
+        inserts.update({2999: np.full((2, 2), np.nan), 3000: 0.0 * IDENTITY, 3003: -PAULI_Z})
+        for k, a in sorted(inserts.items()):
+            stack = np.insert(stack, k, a, axis=0)
+        nan = [k for k, a in inserts.items() if np.isnan(a).any()]
+        sys_stack = biortho_system(stack)
+        for pair in sys_stack.pairs:
+            assert np.isnan(pair.eigenvalue[nan]).all() and np.isnan(pair.right[nan]).all()
+        finite = np.delete(np.arange(len(stack)), nan)
+        assert_slices_match_scalar(stack[finite])
+        # -sigma_z: eigenvalue 1 has right vector e_1 (class 2), so the pair of -1 and e_0 leads
+        assert sys_stack.pairs[0].eigenvalue[1501] == -1.0 and sys_stack.pairs[1].eigenvalue[1501] == 1.0
+
     def test_non_finite_slices_pass_through(self):
         # the scalar path returns a NaN system for a NaN matrix; so does its slice
         stack = np.array([PAULI_Z, np.full((2, 2), np.nan), PAULI_X]).astype(complex)

@@ -135,17 +135,19 @@ def test_summary_carries_the_exit_code(tmp_path, argv, code):
     assert read_report(tmp_path / "quasi_c_report.jsonl")[-1]["exit_code"] == code
 
 
-def test_dyson_rows_that_do_not_diagonalize_exit_three(tmp_path, capsys):
-    # next to coalescence the right eigenvectors pass the condition test but
-    # their rows leave an off-diagonal weight above the Dyson map's tolerance
+def test_hamiltonian_next_to_coalescence_exits_three_as_defective(tmp_path, capsys):
+    # the exact eigenvalue split sqrt(lam^2 - kappa^2) is 2.09e-10, below
+    # tol x scale = 1.2e-9; a discriminant formed as m*m - det cancelled
+    # against omega / 2, split the eigenvalues by 1.69e-7 and let the run
+    # fail later, on the Dyson rows, for rounding in the kernel
     argv = ["static", "--omega", "11.863386814711015"]
     argv += ["--lambda=-0.00012663226103022261", "--kappa=-0.0001266322610300509"]
     assert run(tmp_path, *argv) == 3
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.strip() == "numerical failure: eigenvector rows do not diagonalize the source"
+    assert err.strip() == "numerical failure: source matrix is defective"
     lines = read_report(tmp_path / "quasi_c_report.jsonl")
-    assert lines[0]["failure"]["exception"] == "InvalidSystemError"
+    assert lines[0]["failure"]["exception"] == "DefectiveMatrixError"
     assert lines[-1]["all_pass"] is False
 
 
@@ -486,7 +488,8 @@ def test_report_metadata_versions(tmp_path):
 def per_sample_td_pair(cfg, lam, kappa):
     """Reference: the per-sample loop that the array pass of ``_run_td_pair`` replaced.
 
-    Returns the CSV rows and the five folded check values.
+    Returns the CSV rows, the five folded check values and, for each, how
+    many of its per-sample values are not finite.
     """
     p = cli._params(cfg, lam, kappa)
     if cfg.scenario == "metric-picture":
@@ -518,7 +521,8 @@ def per_sample_td_pair(cfg, lam, kappa):
     max_lr, max_quasi, max_csq, max_det_dev, max_neg, _ = np.maximum(
         np.max(folds, axis=0), (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
     ).tolist()
-    return rows, [max_lr, max_quasi, max_csq, max_det_dev, max_neg]
+    non_finite = [sum(1 for fold in folds if not math.isfinite(fold[j])) for j in range(5)]
+    return rows, [max_lr, max_quasi, max_csq, max_det_dev, max_neg], non_finite
 
 
 def bits(values):
@@ -550,10 +554,12 @@ def test_array_pass_matches_the_per_sample_loop(argv):
     for lam, kappa in cfg.sweep:
         report = cli._report_skeleton(cfg)
         columns = cli._run_td_pair(cfg, lam, kappa, report, False, cli._StageClock(report))
-        rows, folded = per_sample_td_pair(cfg, lam, kappa)
+        rows, folded, non_finite = per_sample_td_pair(cfg, lam, kappa)
         assert columns.shape == (len(COLUMNS), cfg.samples)
         assert [bits(row) for row in columns.T] == [bits(row) for row in rows]
         assert bits(c.value for c in report.checks[:5]) == bits(folded)
+        assert [c.n_nonfinite for c in report.checks[:5]] == non_finite
+        assert all(c.pair == (lam, kappa) for c in report.checks)
         n_nonfinite = sum(1 for row in rows if not all(math.isfinite(v) for v in row))
         assert report.metadata["non_finite_samples"] == {cli._pair_name(lam, kappa): n_nonfinite}
         assert (n_nonfinite > 0) == (cfg.t1 == 1000)
@@ -605,6 +611,43 @@ def test_worst_sample_of_a_non_finite_check_is_the_first_non_finite_one(tmp_path
     checks = {ln["name"]: ln for ln in read_report(tmp_path / "quasi_c_report.jsonl") if ln["type"] == "check"}
     assert checks["c_squared_identity_max"]["argmax_t"] == first_bad
     assert checks["propagation_consistency"]["argmax_t"] == 1000.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["static", "--sweep", "2,1;3,1;1,2"], 1),
+        # the broken-regime metric overflows by t = 250: 4 of 5 samples
+        (["full-td", "--sweep", "2,1;1,2", "--t1", "1000", "--samples", "5"], 3),
+    ],
+)
+def test_check_records_carry_their_pair_and_non_finite_count(tmp_path, argv, code):
+    assert run(tmp_path, *argv) == code
+    lines = read_report(tmp_path / "quasi_c_report.jsonl")
+    checks = [ln for ln in lines if ln["type"] == "check"]
+    pairs = [tuple(pair) for pair in lines[0]["config"]["pairs"]]
+    assert {tuple(c["pair"]) for c in checks} == set(pairs)
+    for check in checks:
+        lam, kappa = check["pair"]
+        assert check["name"].endswith(f"[lambda={lam:g},kappa={kappa:g}]")
+        # a fold propagates NaN and inf, so a count above 0 is a non-finite value
+        assert type(check["n_nonfinite"]) is int
+        assert (check["n_nonfinite"] > 0) == (not math.isfinite(check["value"]))
+    counts = {c["name"].split("[")[0]: c["n_nonfinite"] for c in checks if c["pair"] == [1.0, 2.0]}
+    if argv[0] == "full-td":
+        # -eig_lo is still finite at t = 250, where the other folds are not
+        assert counts == {
+            "lr_residual_max": 4,
+            "quasi_hermiticity_max": 4,
+            "c_squared_identity_max": 4,
+            "det_rho_unit_max_dev": 4,
+            "metric_positive_definite": 3,
+            "propagation_consistency": 1,
+        }
+        assert lines[0]["non_finite_samples"] == {"lambda=2,kappa=1": 0, "lambda=1,kappa=2": 4}
+    else:
+        assert set(counts.values()) == {0}
 
 
 def test_static_checks_carry_no_sample_time(tmp_path):

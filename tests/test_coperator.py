@@ -416,3 +416,13 @@ class TestDyson:
         assert abs(mapped[0, 1]) + abs(mapped[1, 0]) < 1e-12
         assert mapped[0, 0] == pytest.approx(-0.5 + SQRT3 / 2, abs=1e-12)
         assert mapped[1, 1] == pytest.approx(-0.5 - SQRT3 / 2, abs=1e-12)
+
+    def test_eigenvector_rows_that_do_not_diagonalize_raise(self):
+        # turning one right vector by 1e-6 rad leaves an off-diagonal weight
+        # of ~1e-6 |lam1 - lam2| after the similarity, above SYSTEM_TOL
+        sys_h = biortho_system(hamiltonian_at(STATIC_PT, 0.0))
+        first, second = sys_h.pairs
+        turned = math.cos(1e-6) * first.right + math.sin(1e-6) * second.right
+        tilted = type(sys_h)(pairs=(BiorthoPair(first.eigenvalue, turned, first.left), second), source=sys_h.source)
+        with pytest.raises(InvalidSystemError, match="^eigenvector rows do not diagonalize the source$"):
+            dyson_from_eigenvectors(tilted)

@@ -27,6 +27,7 @@ from quasic.model import (
     HamiltonianParams,
     SineDrive,
     TabulatedDrive,
+    hamiltonian_array,
     hamiltonian_at,
 )
 
@@ -640,6 +641,26 @@ def phase_alpha_per_sample(state_at, p, rho_at, t0, t1, steps):
     return alpha, float(np.max(np.abs(alpha_dot.imag)))
 
 
+def phase_alpha_einsum(state_at, p, rho_at, t0, t1, steps):
+    """alpha_dot by einsum over hamiltonian_array, the array form the entry-wise pass replaced."""
+    grid = np.linspace(t0, t1, steps + 1)
+    states = aligned_eigenstate_trace(state_at, rho_at, grid)
+    rhos = np.broadcast_to(np.asarray(rho_at(grid), dtype=complex), (len(grid), 2, 2))
+    dt = grid[1] - grid[0]
+    dstates = np.empty_like(states)
+    dstates[1:-1] = (states[2:] - states[:-2]) / (2.0 * dt)
+    dstates[0] = (-3.0 * states[0] + 4.0 * states[1] - states[2]) / (2.0 * dt)
+    dstates[-1] = (3.0 * states[-1] - 4.0 * states[-2] + states[-3]) / (2.0 * dt)
+    h_v = np.einsum("kij,kj->ki", hamiltonian_array(p, grid), states)
+    bras = states.conj()
+    num = np.einsum("ki,kij,kj->k", bras, rhos, 1j * dstates - h_v / p.hbar)
+    den = np.einsum("ki,kij,kj->k", bras, rhos, states)
+    alpha_dot = num / den
+    real = alpha_dot.real
+    alpha = np.concatenate([[0.0], np.cumsum(0.5 * dt * (real[1:] + real[:-1]))])
+    return alpha, float(np.max(np.abs(alpha_dot.imag)))
+
+
 def aligned_trace_numpy_reads(state_at, rho_at, grid):
     """The per-sample alignment loop that the array pass replaced, kept as its oracle."""
     out = np.empty((len(grid), 2), dtype=complex)
@@ -682,6 +703,22 @@ class TestPhaseArrayPass:
 
         trace = phase_alpha(state_at, p, rho_at, 0.0, 1.2, 400)
         alpha, imag_residue = phase_alpha_per_sample(state_at, p, rho_at, 0.0, 1.2, 400)
+        assert relative_error(trace.alpha, alpha) <= 1e-12
+        assert trace.imag_residue == pytest.approx(imag_residue, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    @pytest.mark.parametrize("hbar", [1.0, 1.3])
+    def test_matches_the_einsum_pass(self, pair, hbar):
+        p = HamiltonianParams(0.8, *PAIRS[pair], hbar=hbar, drive=SineDrive())
+
+        def state_at(t):
+            return invariant_pairs_at(p, t)[1].right
+
+        def rho_at(t):
+            return closed_form_metric(MetricForm.FULL_TD, p, t).matrix
+
+        trace = phase_alpha(state_at, p, rho_at, 0.0, 3.0, 3000)
+        alpha, imag_residue = phase_alpha_einsum(state_at, p, rho_at, 0.0, 3.0, 3000)
         assert relative_error(trace.alpha, alpha) <= 1e-12
         assert trace.imag_residue == pytest.approx(imag_residue, rel=1e-12, abs=1e-12)
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,6 +12,7 @@ from quasic.linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    _eigen_stack,
     _null_vector,
     adjoint,
     commutator,
@@ -24,6 +26,7 @@ from quasic.linalg import (
     mat_exp,
     psd_sqrt,
 )
+from quasic.model import HamiltonianParams, hamiltonian_at
 
 RNG = np.random.default_rng(20240817)
 
@@ -161,6 +164,47 @@ class TestEigen:
         dec = eigen_2x2(h)
         assert dec.defective
         assert dec.first.value == pytest.approx(-0.5)
+
+    def test_split_next_to_coalescence_against_mpmath(self):
+        # H = -1/2 [[omega + lam, i kappa], [i kappa, omega - lam]] with |lam| within
+        # 1e-16 .. 1e-2 of |kappa| and omega up to 1e3 |kappa|.  The split 2 s of
+        # the computed eigenvalues m +- s must follow the exact split of the
+        # rounded entries: s^2 = ((a00 - a11)/2)^2 + a01 a10 rounds relative to
+        # its two terms, not to m^2, so the error bound does not grow with omega
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(11)
+        matrices, exact = [], []
+        for _ in range(400):
+            kappa = 10.0 ** rng.uniform(-5, 0) * rng.choice((-1.0, 1.0))
+            lam = kappa * (1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-16, -2))
+            omega = abs(kappa) * 10.0 ** rng.uniform(0, 3)
+            h = hamiltonian_at(HamiltonianParams(omega, lam, kappa), 0.0)
+            with mpmath.workdps(50):
+                a00, a01, a10, a11 = (mpmath.mpc(complex(z)) for z in h.ravel())
+                s = mpmath.sqrt(((a00 - a11) / 2) ** 2 + a01 * a10)
+            matrices.append(h)
+            exact.append((complex(s), float(abs((a00 - a11) / 2) ** 2 + abs(a01 * a10))))
+        scale = np.maximum(1.0, frobenius_norm_stack(np.array(matrices)))
+        seen = {True: 0, False: 0}
+        for tol in (1e-10, 1e-15):
+            with np.errstate(all="ignore"):
+                (stack1, _), (stack2, _), stack_defective = _eigen_stack(np.array(matrices), scale, tol)
+            for k, (h, (s, terms)) in enumerate(zip(matrices, exact)):
+                dec = eigen_2x2(h, tol=tol)
+                assert dec.defective == stack_defective[k]
+                limit = tol * scale[k]
+                if abs(s) <= 0.5 * limit:
+                    assert dec.defective
+                elif abs(s) >= 2.0 * limit:
+                    assert not dec.defective
+                    m = abs(0.5 * (h[0, 0] + h[1, 1]))
+                    bound = 4.0 * eps * (m + terms / abs(s))
+                    for lam1, lam2 in ((dec.first.value, dec.second.value), (stack1[k], stack2[k])):
+                        split = lam1 - lam2
+                        assert abs(split - 2.0 * s) <= bound or abs(split + 2.0 * s) <= bound, (h, s)
+                seen[dec.defective] += 1
+        # both sides of the coalescence test ran
+        assert min(seen.values()) > 50, seen
 
 
 class TestHermitianEigenvalues:

@@ -9,7 +9,8 @@ from quasic.reporting import TOLERANCE_CEILING, VerificationReport
 def test_non_finite_value_never_passes():
     report = VerificationReport()
     for value, tolerance in ((math.nan, 1.0), (math.inf, math.inf), (-math.inf, 1.0), (math.nan, math.nan)):
-        assert not report.add("x", value, tolerance).passed
+        check = report.add("x", value, tolerance)
+        assert not check.passed and check.n_nonfinite == 1
     assert report.add("finite", 0.5, 1.0).passed
     assert not report.all_passed
 
@@ -32,7 +33,7 @@ def test_json_lines_carry_the_status():
     report = VerificationReport()
     report.add("a", 0.0, 1.0)
     report.add("b", 2.0, 1.0)
-    report.add("c", 0.0, 1.0, scaled=True, argmax_t=2.5)
+    report.add("c", 0.0, 1.0, scaled=True, argmax_t=2.5, pair=(2, 1), n_nonfinite=0)
     records = [json.loads(line) for line in report.json_lines()]
     checks = [r for r in records if r["type"] == "check"]
     assert [(r["status"], r["pass"]) for r in checks] == [
@@ -42,3 +43,5 @@ def test_json_lines_carry_the_status():
     ]
     # only a check of a time series locates its worst sample
     assert [r.get("argmax_t") for r in checks] == [None, None, 2.5]
+    # every check record names its pair (null outside a run) and its non-finite count
+    assert [(r["pair"], r["n_nonfinite"]) for r in checks] == [(None, 0), (None, 0), ([2.0, 1.0], 0)]

@@ -54,7 +54,10 @@ def reference_eigen_2x2(a, tol=DEFAULT_TOL):
     a = np.asarray(a, dtype=complex)
     scale = max(1.0, frobenius_norm(a))
     m = 0.5 * (a[0, 0] + a[1, 1])
-    disc = m * m - det(a)
+    # the discriminant ((a00 - a11)/2)^2 + a01 a10 = m^2 - det a, written
+    # without the trace so that it does not cancel against m
+    half = 0.5 * (a[0, 0] - a[1, 1])
+    disc = half * half + a[0, 1] * a[1, 0]
     s = np.sqrt(complex(disc))
     if s.real < 0 or (s.real == 0 and s.imag < 0):
         s = -s
@@ -199,16 +202,22 @@ def test_same_exception_on_defective_and_nearly_defective_input():
 def test_same_outcome_on_nearly_parallel_eigenvectors():
     # eigenvectors parallel to 1e-15 ... 1e-8 before a is rounded, which
     # leaves the computed eigenvectors of a far less parallel in most draws
-    seen = Counter()
+    draws = []
     for _ in range(800):
         v1, w = random_complex()
         eps = 10.0 ** RNG.uniform(-15, -8)
         v = np.column_stack([v1, v1 + eps * w])
-        a = v @ np.diag([1.0, 2.0]) @ np.linalg.inv(v)
+        draws.append(v @ np.diag([1.0, 2.0]) @ np.linalg.inv(v))
+    # the draws above that the condition guard used to catch are coalescent
+    # under the exact discriminant; [[1, b], [0, 2]] has eigenvectors (1, 0)
+    # and ~(b, 1), condition ~2b, and its eigenvalues stay distinct at tol
+    # 1e-14 up to b ~ 5e13
+    draws += [np.array([[1.0, b], [0.0, 2.0]]) for b in 10.0 ** RNG.uniform(11, 13.5, size=50)]
+    seen = Counter()
+    for a in draws:
         for tol in TOLS:
             outcome = biortho_outcome(biortho_system, a, tol)
             assert outcome == biortho_outcome(reference_biortho_system, a, tol)
             seen[outcome[1].split()[0] if isinstance(outcome, tuple) else "system"] += 1
     # every branch ran: a system, the condition guard, a defect
     assert {"system", "eigenvector", "source"} <= set(seen), seen
-
