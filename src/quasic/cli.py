@@ -502,6 +502,13 @@ def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace)
             parser.error(str(exc))
     else:
         sweep = [(args.lam, args.kappa)]
+    # the CSV file and the report tag name a pair by its :g digits
+    named: dict[str, tuple[float, float]] = {}
+    for pair in sweep:
+        name = _pair_name(*pair)
+        if name in named:
+            parser.error(f"sweep pairs {named[name]} and {pair} share the name {name} and would write one CSV file")
+        named[name] = pair
     return ScenarioConfig(
         scenario=args.scenario,
         omega=args.omega,

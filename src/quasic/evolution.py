@@ -38,9 +38,9 @@ accept the grid and return such stacks, so a provider written for one time
 t, such as ``biortho_system(closed_form_invariant(form, p, t)).pairs[0].right``,
 serves the whole grid unchanged.  The alignment that fixes the gauge of the
 samples and ``phase_alpha``'s alpha_dot are array passes over the grid.
-The three metric forms they take, the metric norm <v|rho v> and alpha_dot's
-numerator and denominator, are written out entry by entry over (N,) arrays
-(``_metric_form``): at N = 3001 numpy's three-operand einsum takes 0.14 ms
+The two metric forms they take, the metric norm <v|rho v> and alpha_dot
+(over states of unit metric norm, so it has no denominator), are written
+out entry by entry over (N,) arrays (``_metric_form``): at N = 3001 numpy's three-operand einsum takes 0.14 ms
 and the entry-wise form 0.04 ms (best of 300, 2-CPU VM, numpy 2.4).  H v
 comes from the drive alone, as -1/2 (omega v + tau K v), without building
 the (N, 2, 2) Hamiltonian stack.
@@ -420,8 +420,10 @@ def phase_alpha(
     """Accumulated phase relating an invariant eigenstate to the dynamics.
 
     alpha_dot(t) = <v| rho (i d/dt - H/hbar) |v> / <v| rho |v> is evaluated
-    on the aligned trace with second-order finite differences and integrated
-    by the trapezoid rule, with alpha(t0) = 0.  The imaginary part of
+    on the aligned trace, whose states the alignment has scaled to metric
+    norm <v| rho |v> = 1, so alpha_dot is the numerator alone.  It is
+    evaluated with second-order finite differences and integrated by the
+    trapezoid rule, with alpha(t0) = 0.  The imaginary part of
     alpha_dot must stay negligible (it is reported); alpha itself is real.
     ``state_at`` and ``rho_at`` follow aligned_eigenstate_trace's contract:
     each is called once, with the grid np.linspace(t0, t1, steps + 1), and
@@ -457,7 +459,7 @@ def phase_alpha(
     # i dv/dt - H v / hbar
     ket = 1j * dstates + (0.5 / p.hbar) * (p.omega * states + tau[:, None] * kv)
     bras = states.conj()
-    alpha_dot = _metric_form(bras, rhos, ket) / _metric_form(bras, rhos, states)
+    alpha_dot = _metric_form(bras, rhos, ket)
     bad = ~np.isfinite(alpha_dot)
     if bad.any():
         raise ArithmeticError(f"alpha_dot is not finite at t={grid[int(np.argmax(bad))]}")

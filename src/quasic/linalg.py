@@ -10,18 +10,7 @@ sample, reads the four entries as Python scalars: numpy's per-call
 overhead is several microseconds, far more than the arithmetic on four
 numbers.  It keeps numpy's order of summation, so its results are numpy's
 to the bit (with OpenBLAS on x86-64; within 2 ulp wherever a BLAS sums in
-another order).  The single-matrix eigen kernels run a few times per run,
-not per sample, and are plain numpy: ``eigen_2x2`` forms the eigenvalues
-from numpy scalars and divides the better adjugate row (chosen by
-``math.hypot``) as a numpy array, and ``hermitian_eigenvalues_2x2`` is
-``hermitian_eigenvalues_stack`` of the one matrix.  The eigenvalues are
-m +- s with m the half trace and s^2 = ((a00 - a11)/2)^2 + a01 a10, the
-discriminant m^2 - det written without the trace.  Formed as m*m - det it
-cancels against m when m dwarfs the traceless part (a Hamiltonian with a
-large omega next to coalescence): the rounding of m^2, ~eps m^2, then
-swamps s^2 (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
-ed., SIAM 2002, ch. 1-2).  The shift-invariant form rounds relative to its
-two terms only.
+another order).
 
 The stacked kernels (``frobenius_norm_stack``,
 ``hermitian_eigenvalues_stack``, ``det_real_stack``) take (..., 2, 2)
@@ -39,15 +28,20 @@ a10.im), which is what the scalar product computes.  Norms sum in
 ``_norm4``'s order, (x00^2 + x10^2) + (x01^2 + x11^2), over the real
 parts and then the imaginary parts.
 
-``_eigen_stack`` is ``eigen_2x2`` on each matrix of a stack, with the
-same tests per matrix.  Its complex products and hypot are numpy's array
-forms, so it agrees with ``eigen_2x2`` to a few ulp, not to the bit: bit
-equality would need the real-arithmetic rewrite above for every complex
-product, and its callers (phase reconstruction on a time grid) need only
-the accuracy.  It is written for few array passes: the scalar-multiple
-test runs only on the samples found coalescent, each null vector takes its
-adjugate row one component at a time with one select, and the moduli of
-a01 and a10, which both eigenvalues' rows share, are taken once.
+There is one eigen kernel of each kind, and it is stacked: a single
+matrix is a stack of one.  ``eigen_2x2`` is ``_eigen_stack`` of the one
+matrix and ``hermitian_eigenvalues_2x2`` is ``hermitian_eigenvalues_stack``
+of it.  The eigenvalues are m +- s with m the half trace and s^2 =
+((a00 - a11)/2)^2 + a01 a10, the discriminant m^2 - det written without
+the trace.  Formed as m*m - det it cancels against m when m dwarfs the
+traceless part (a Hamiltonian with a large omega next to coalescence):
+the rounding of m^2, ~eps m^2, then swamps s^2 (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2nd ed., SIAM 2002, ch. 1-2).  The
+shift-invariant form rounds relative to its two terms only.
+``_eigen_stack`` is written for few array passes: the scalar-multiple
+test runs only on the samples found coalescent, each null vector takes
+its adjugate row one component at a time with one select, and the moduli
+of a01 and a10, which both eigenvalues' rows share, are taken once.
 """
 
 from __future__ import annotations
@@ -172,65 +166,59 @@ class EigenDecomposition:
         return (self.first, self.second)
 
 
-def _null_vector(a: np.ndarray, lam: complex, scale: float) -> np.ndarray:
-    """Unit vector spanning the kernel of a - lam I.
-
-    Either row of the adjugate of (a - lam I) spans the kernel; take the
-    better conditioned one: the first on a tie, the second if the first's
-    norm is NaN.  Below 1e-14 * scale both rows vanish and e_0 is returned.
-    """
-    c0, c1 = complex(a[0, 1]), complex(lam - a[0, 0])
-    n = math.hypot(abs(c0), abs(c1))
-    d0, d1 = complex(lam - a[1, 1]), complex(a[1, 0])
-    nd = math.hypot(abs(d0), abs(d1))
-    if not n >= nd:
-        c0, c1, n = d0, d1, nd
-    if n <= 1e-14 * scale:
-        return np.array([1.0, 0.0], dtype=complex)
-    return np.array([c0, c1]) / n
+def _max1(x: np.ndarray) -> np.ndarray:
+    """Python's max(1.0, x) element by element: a NaN gives 1, as it does there."""
+    return np.where(x > 1.0, x, 1.0)
 
 
-def _eigen_stack(a: np.ndarray, scale: np.ndarray, tol: float):
-    """``eigen_2x2`` of each matrix of an (N, 2, 2) stack.
+def _eigen_stack(a: np.ndarray, tol: float):
+    """Closed-form eigensystems of each matrix of an (N, 2, 2) stack.
 
     Returns ``((lam1, v1), (lam2, v2), defective)`` with (N,) eigenvalue
-    arrays, (N, 2) unit vectors and an (N,) mask, each sample decided by
-    ``eigen_2x2``'s tests: coalescence, the scalar-multiple test (run only
-    on the coalescent samples), and ``_null_vector``'s choice of adjugate
-    row (the first on a tie, the second if the first's norm is NaN, e_0
-    below 1e-14 * scale).  Callers run it under np.errstate, so that it
-    stays silent on non-finite entries.
+    arrays, (N, 2) unit right vectors and an (N,) mask.  The eigenvalues
+    are m +- s with s in the right half-plane (Re s > 0, or Re s = 0 and
+    Im s >= 0), so lam1 has the larger (Re, Im).  Each sample with
+    |s| <= tol * scale, scale = max(1, ||a||), is coalescent: a multiple
+    of the identity within the same bound gets the canonical vectors e_0
+    and e_1, and any other coalescent sample is defective, with lam1 = lam2
+    = m and v1 = v2.  Each vector is the better-normed adjugate row of
+    a - lam I, (a01, lam - a00) or (lam - a11, a10): the first on a tie,
+    the second if the first's norm is NaN, and e_0 when both norms are
+    below 1e-14 * scale.  Silent on non-finite entries, which give NaN
+    samples.
     """
     a00, a01, a10, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]
-    m = 0.5 * (a00 + a11)
-    half = 0.5 * (a00 - a11)
-    s = np.sqrt(half * half + a01 * a10)
-    np.negative(s, out=s, where=(s.real < 0) | ((s.real == 0) & (s.imag < 0)))
-    limit = tol * scale
-    coalescent = np.abs(s) <= limit
-    identity = np.zeros_like(coalescent)
-    if coalescent.any():
-        k = np.flatnonzero(coalescent)
-        identity[k] = frobenius_norm_stack(a[k] - m[k, None, None] * IDENTITY) <= limit[k]
-        s[k] = 0.0
-    abs01, abs10 = np.abs(a01), np.abs(a10)
-    tiny = 1e-14 * scale
-    pairs = []
-    for lam in (m + s, m - s):
-        # adjugate rows (a01, lam - a00) and (lam - a11, a10) of a - lam I
-        c1, d0 = lam - a00, lam - a11
-        n = np.hypot(abs01, np.abs(c1))
-        nd = np.hypot(np.abs(d0), abs10)
-        pick = n >= nd
-        n = np.where(pick, n, nd)
-        inv = 1.0 / n
-        v = np.empty(lam.shape + (2,), dtype=complex)
-        np.multiply(np.where(pick, a01, d0), inv, out=v[:, 0])
-        np.multiply(np.where(pick, c1, a10), inv, out=v[:, 1])
-        small = n <= tiny
-        if small.any():
-            v[small] = 1.0, 0.0
-        pairs.append((lam, v))
+    with np.errstate(all="ignore"):
+        scale = _max1(frobenius_norm_stack(a))
+        m = 0.5 * (a00 + a11)
+        half = 0.5 * (a00 - a11)
+        s = np.sqrt(half * half + a01 * a10)
+        np.negative(s, out=s, where=(s.real < 0) | ((s.real == 0) & (s.imag < 0)))
+        limit = tol * scale
+        coalescent = np.abs(s) <= limit
+        identity = np.zeros_like(coalescent)
+        if coalescent.any():
+            k = np.flatnonzero(coalescent)
+            identity[k] = frobenius_norm_stack(a[k] - m[k, None, None] * IDENTITY) <= limit[k]
+            s[k] = 0.0
+        abs01, abs10 = np.abs(a01), np.abs(a10)
+        tiny = 1e-14 * scale
+        pairs = []
+        for lam in (m + s, m - s):
+            # adjugate rows (a01, lam - a00) and (lam - a11, a10) of a - lam I
+            c1, d0 = lam - a00, lam - a11
+            n = np.hypot(abs01, np.abs(c1))
+            nd = np.hypot(np.abs(d0), abs10)
+            pick = n >= nd
+            n = np.where(pick, n, nd)
+            inv = 1.0 / n
+            v = np.empty(lam.shape + (2,), dtype=complex)
+            np.multiply(np.where(pick, a01, d0), inv, out=v[:, 0])
+            np.multiply(np.where(pick, c1, a10), inv, out=v[:, 1])
+            small = n <= tiny
+            if small.any():
+                v[small] = 1.0, 0.0
+            pairs.append((lam, v))
     (lam1, v1), (lam2, v2) = pairs
     if identity.any():
         v1[identity] = 1.0, 0.0
@@ -239,40 +227,19 @@ def _eigen_stack(a: np.ndarray, scale: np.ndarray, tol: float):
 
 
 def eigen_2x2(a: np.ndarray, tol: float = DEFAULT_TOL) -> EigenDecomposition:
-    """Closed-form eigendecomposition: eigenvalues m +- s of the characteristic quadratic.
+    """Closed-form eigendecomposition of one matrix: ``_eigen_stack`` on a stack of one.
 
-    m is the half trace and s^2 = ((a00 - a11)/2)^2 + a01 a10, which does not
-    cancel against m (see the module docstring).  Pairs are ordered by
-    descending (Re, Im) of the eigenvalue.  When the discriminant vanishes
-    within tol the matrix is either a multiple of the identity (two
-    canonical eigenvectors, not defective) or defective, in which case the
-    single eigenvalue/eigenvector is returned with the
-    ``defective`` flag set.
+    Pairs are ordered by descending (Re, Im) of the eigenvalue.  When the
+    discriminant vanishes within tol the matrix is either a multiple of the
+    identity (two canonical eigenvectors, not defective) or defective, in
+    which case the single eigenvalue/eigenvector is returned as both pairs
+    with the ``defective`` flag set.
     """
-    a = np.asarray(a, dtype=complex)
-    scale = max(1.0, frobenius_norm(a))
-    m = 0.5 * (a[0, 0] + a[1, 1])
-    half = 0.5 * (a[0, 0] - a[1, 1])
-    s = np.sqrt(complex(half * half + a[0, 1] * a[1, 0]))
-    if s.real < 0 or (s.real == 0 and s.imag < 0):
-        s = -s
-    if abs(s) <= tol * scale:
-        if frobenius_norm(a - m * IDENTITY) <= tol * scale:
-            return EigenDecomposition(
-                EigenPair(complex(m), np.array([1.0, 0.0], dtype=complex)),
-                EigenPair(complex(m), np.array([0.0, 1.0], dtype=complex)),
-            )
-        pair = EigenPair(complex(m), _null_vector(a, m, scale))
-        return EigenDecomposition(pair, pair, defective=True)
-    lam1, lam2 = complex(m + s), complex(m - s)
-    return EigenDecomposition(
-        EigenPair(lam1, _null_vector(a, lam1, scale)), EigenPair(lam2, _null_vector(a, lam2, scale))
-    )
-
-
-def _max1(x: np.ndarray) -> np.ndarray:
-    """Python's max(1.0, x) element by element: a NaN gives 1, as it does there."""
-    return np.where(x > 1.0, x, 1.0)
+    (lam1, v1), (lam2, v2), defective = _eigen_stack(np.asarray(a, dtype=complex)[None], tol)
+    first = EigenPair(complex(lam1[0]), v1[0])
+    if defective[0]:
+        return EigenDecomposition(first, first, defective=True)
+    return EigenDecomposition(first, EigenPair(complex(lam2[0]), v2[0]))
 
 
 def hermitian_eigenvalues_stack(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -8,9 +8,8 @@ import pytest
 
 from quasic.biortho import (
     COND_LIMIT,
-    BiorthoPair,
-    BiorthoSystem,
-    _condition_number,
+    _condition_stack,
+    _squared_moduli,
     biortho_system,
     completeness_residual,
 )
@@ -18,6 +17,7 @@ from quasic.errors import DefectiveMatrixError, NearlyDefectiveError
 from quasic.invariants import InvariantForm, _real_entries, closed_form_invariant
 from quasic.linalg import IDENTITY, PAULI_X, PAULI_Z, adjoint, eigen_2x2, frobenius_norm
 from quasic.model import HamiltonianParams, SineDrive, hamiltonian_at
+from test_scalar_eigensystem import reference_biortho_system
 
 RNG = np.random.default_rng(99)
 
@@ -116,14 +116,19 @@ def test_condition_number_against_mpmath():
     # eps against |det V| ~ 2 / cond, so the relative error is below 2 eps cond
     eps = np.finfo(float).eps
     rng = np.random.default_rng(7)
-    for target in 10.0 ** rng.uniform(2.0, 13.0, size=600):
+    targets = 10.0 ** rng.uniform(2.0, 13.0, size=600)
+    v1, v2 = np.empty((600, 2), dtype=complex), np.empty((600, 2), dtype=complex)
+    for k, target in enumerate(targets):
         z = rng.standard_normal(4)
         v = np.array([z[0] + 1j * z[1], z[2] + 1j * z[3]])
         v /= np.linalg.norm(v)
         w = np.array([-np.conj(v[1]), np.conj(v[0])])
-        u = (math.cos(2.0 / target) * v + math.sin(2.0 / target) * w) * np.exp(2j * np.pi * rng.uniform())
-        v1, v2 = tuple(complex(c) for c in v), tuple(complex(c) for c in u)
-        want, got = mp_condition_number(v1, v2), _condition_number(v1, v2)
+        v1[k] = v
+        v2[k] = (math.cos(2.0 / target) * v + math.sin(2.0 / target) * w) * np.exp(2j * np.pi * rng.uniform())
+    d = v1[:, 0] * v2[:, 1] - v2[:, 0] * v1[:, 1]
+    cond = _condition_stack(v1, v2, _squared_moduli(v1), _squared_moduli(v2), d)
+    for x, y, got in zip(v1, v2, cond):
+        want = mp_condition_number(tuple(x.tolist()), tuple(y.tolist()))
         assert abs(got - want) <= 2.0 * eps * want * want, (want, got)
         if want <= 5e11:
             assert got <= COND_LIMIT, (want, got)
@@ -160,19 +165,18 @@ def test_condition_guard_bounds_the_overlap():
         v1, w = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         v = np.column_stack([v1, v1 + 10.0 ** rng.uniform(-15, -8) * w])
         mats.append(v @ np.diag([1.0, 2.0]) @ np.linalg.inv(v))
-    worst = {"single": 0.0, "stacked": 0.0}
+    worst = 0.0
     for a in mats:
         for tol in (1e-10, 1e-14):
-            for path, m in (("single", a), ("stacked", a[None])):
-                try:
-                    sys_a = biortho_system(m, tol=tol)
-                except DefectiveMatrixError:  # NearlyDefectiveError included
-                    continue
-                norm = max(float(np.linalg.norm(pair.left)) for pair in sys_a.pairs)
-                assert norm <= COND_LIMIT, (path, a, tol)
-                worst[path] = max(worst[path], norm)
-    # both paths built systems right up to the condition guard
-    assert min(worst.values()) > 1e11, worst
+            try:
+                sys_a = biortho_system(a, tol=tol)
+            except DefectiveMatrixError:  # NearlyDefectiveError included
+                continue
+            norm = max(float(np.linalg.norm(pair.left)) for pair in sys_a.pairs)
+            assert norm <= COND_LIMIT, (a, tol)
+            worst = max(worst, norm)
+    # systems were built right up to the condition guard
+    assert worst > 1e11, worst
 
 
 def test_completeness_residual_follows_the_condition():
@@ -187,22 +191,18 @@ def test_completeness_residual_follows_the_condition():
         v = np.column_stack([v1, v1 + 10.0 ** rng.uniform(-15, -8) * w])
         mats.append(v @ np.diag([1.0, 2.0]) @ np.linalg.inv(v))
     eps = np.finfo(float).eps
-    worst = {"single": 0.0, "stacked": 0.0}
+    worst = 0.0
     for a in mats:
         for tol in (1e-10, 1e-14):
-            for path, m in (("single", a), ("stacked", a[None])):
-                try:
-                    sys_a = biortho_system(m, tol=tol)
-                except DefectiveMatrixError:  # NearlyDefectiveError included
-                    continue
-                if path == "stacked":
-                    pairs = tuple(BiorthoPair(pr.eigenvalue[0], pr.right[0], pr.left[0]) for pr in sys_a.pairs)
-                    sys_a = BiorthoSystem(pairs=pairs, source=a)
-                cond = mp_condition_number(*(tuple(pr.right.tolist()) for pr in sys_a.pairs))
-                assert completeness_residual(sys_a) <= 2.0 * eps * cond, (path, a, tol, cond)
-                worst[path] = max(worst[path], cond)
-    # both paths built systems right up to the condition guard
-    assert min(worst.values()) > 1e11, worst
+            try:
+                sys_a = biortho_system(a, tol=tol)
+            except DefectiveMatrixError:  # NearlyDefectiveError included
+                continue
+            cond = mp_condition_number(*(tuple(pr.right.tolist()) for pr in sys_a.pairs))
+            assert completeness_residual(sys_a) <= 2.0 * eps * cond, (a, tol, cond)
+            worst = max(worst, cond)
+    # systems were built right up to the condition guard
+    assert worst > 1e11, worst
 
 
 def test_completeness_residual_detects_zeroed_left():
@@ -294,8 +294,8 @@ def test_pair_order_puts_positive_parity_norm_first():
 EPS = np.finfo(float).eps
 
 
-def assert_slices_match_scalar(stack, tol=1e-10):
-    """Every slice of the stacked system is the scalar system of that matrix, to a few ulp, in its pair order."""
+def assert_slices_match_reference(stack, tol=1e-10):
+    """Every slice of the stacked system is the numpy-scalar reference system of that matrix, to a few ulp, in its pair order."""
     sys_stack = biortho_system(stack, tol=tol)
     n = len(stack)
     assert sys_stack.source.shape == (n, 2, 2)
@@ -303,7 +303,7 @@ def assert_slices_match_scalar(stack, tol=1e-10):
         assert pair.eigenvalue.shape == (n,) and pair.right.shape == pair.left.shape == (n, 2)
     for k, a in enumerate(stack):
         scale = max(1.0, frobenius_norm(a))
-        for got, want in zip(sys_stack.pairs, biortho_system(a, tol=tol).pairs):
+        for got, want in zip(sys_stack.pairs, reference_biortho_system(a, tol=tol).pairs):
             # a swapped pair order would differ by the eigenvalue gap
             assert abs(got.eigenvalue[k] - want.eigenvalue) <= 8 * EPS * scale
             assert np.abs(got.right[k] - want.right).max() <= 16 * EPS
@@ -313,15 +313,15 @@ def assert_slices_match_scalar(stack, tol=1e-10):
 class TestStackedSystem:
     def test_random_matrices(self):
         stack = np.array([random_diagonalizable() for _ in range(2000)])
-        assert_slices_match_scalar(stack)
+        assert_slices_match_reference(stack)
         # scaled up to 1e100; below norm 1 the tolerance floor makes most matrices defective
-        assert_slices_match_scalar(stack * 10.0 ** RNG.uniform(0, 100, size=(2000, 1, 1)))
+        assert_slices_match_reference(stack * 10.0 ** RNG.uniform(0, 100, size=(2000, 1, 1)))
 
     @pytest.mark.parametrize("lam,kappa", [(2.0, 0.7), (0.7, 1.9), (-1.3, 0.5)])
     def test_invariant_time_stacks(self, lam, kappa):
         p = HamiltonianParams(1.0, lam, kappa, hbar=1.3, drive=SineDrive())
         grid = np.linspace(0.0, 3.0, 3001)
-        assert_slices_match_scalar(closed_form_invariant(InvariantForm.FULL_TD, p, grid))
+        assert_slices_match_reference(closed_form_invariant(InvariantForm.FULL_TD, p, grid))
 
     @pytest.mark.parametrize("lam,kappa", [(2.0, 0.7), (0.7, 1.9)])
     def test_invariant_stack_against_closed_form_eigenvectors(self, lam, kappa):
@@ -346,8 +346,8 @@ class TestStackedSystem:
         # multiples of the identity, Hermitian and real matrices, a stack of one
         h = hamiltonian_at(HamiltonianParams(1.0, 2.0, 1.0), 0.0)
         stack = np.array([2.5 * IDENTITY, -3j * IDENTITY, PAULI_Z, PAULI_X, h])
-        assert_slices_match_scalar(stack)
-        assert_slices_match_scalar(stack[:1])
+        assert_slices_match_reference(stack)
+        assert_slices_match_reference(stack[:1])
 
     @pytest.mark.parametrize("lam,kappa", [(2.0, 0.7), (0.7, 1.9)])
     def test_identity_swapped_and_nan_slices_in_an_invariant_stack(self, lam, kappa):
@@ -365,17 +365,17 @@ class TestStackedSystem:
         for pair in sys_stack.pairs:
             assert np.isnan(pair.eigenvalue[nan]).all() and np.isnan(pair.right[nan]).all()
         finite = np.delete(np.arange(len(stack)), nan)
-        assert_slices_match_scalar(stack[finite])
+        assert_slices_match_reference(stack[finite])
         # -sigma_z: eigenvalue 1 has right vector e_1 (class 2), so the pair of -1 and e_0 leads
         assert sys_stack.pairs[0].eigenvalue[1501] == -1.0 and sys_stack.pairs[1].eigenvalue[1501] == 1.0
 
     def test_non_finite_slices_pass_through(self):
-        # the scalar path returns a NaN system for a NaN matrix; so does its slice
+        # the reference returns a NaN system for a NaN matrix; so does its slice
         stack = np.array([PAULI_Z, np.full((2, 2), np.nan), PAULI_X]).astype(complex)
         sys_stack = biortho_system(stack)
         assert np.isnan(sys_stack.pairs[0].right[1]).all()
         for k in (0, 2):
-            for got, want in zip(sys_stack.pairs, biortho_system(stack[k]).pairs):
+            for got, want in zip(sys_stack.pairs, reference_biortho_system(stack[k]).pairs):
                 assert np.abs(got.right[k] - want.right).max() <= 16 * EPS
 
     @pytest.mark.parametrize(
@@ -387,9 +387,13 @@ class TestStackedSystem:
         ],
     )
     def test_a_failing_slice_raises_the_scalar_exception(self, bad, tol, expected, message):
-        with pytest.raises(expected) as scalar:
+        # one matrix: the reference's exception, whose message names no sample
+        with pytest.raises(expected) as single:
             biortho_system(bad, tol=tol)
-        assert type(scalar.value) is expected
+        with pytest.raises(expected) as reference:
+            reference_biortho_system(bad, tol=tol)
+        assert type(single.value) is type(reference.value) is expected
+        assert str(single.value) == str(reference.value) and str(single.value).startswith(message)
         good = np.array([random_diagonalizable() for _ in range(6)])
         for k in (0, 3, 6):
             stack = np.insert(good, k, bad, axis=0)

@@ -367,6 +367,26 @@ def test_config_errors_exit_two(tmp_path):
         assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "sweep,pairs",
+    [
+        ("2.0000001,1;2.0000002,1", "(2.0000001, 1.0) and (2.0000002, 1.0)"),
+        ("2,1;3,1;2,1", "(2.0, 1.0) and (2.0, 1.0)"),
+        ("1e-7,1;1.0000001e-7,1", "(1e-07, 1.0) and (1.0000001e-07, 1.0)"),
+    ],
+)
+def test_sweep_pairs_with_one_file_name_exit_two(tmp_path, capsys, sweep, pairs):
+    # the CSV file and the report tag name a pair by its :g digits; two pairs
+    # with the same name would overwrite one CSV, so the sweep is refused
+    # before anything is written
+    for scenario in ("static", "full-td"):
+        with pytest.raises(SystemExit) as err:
+            run(tmp_path, scenario, "--sweep", sweep)
+        assert err.value.code == 2
+        assert f"sweep pairs {pairs} share the name" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_tol_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("QUASI_C_TOL", "1e-30")
     code = run(tmp_path, "static")

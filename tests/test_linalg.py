@@ -13,7 +13,6 @@ from quasic.linalg import (
     PAULI_Y,
     PAULI_Z,
     _eigen_stack,
-    _null_vector,
     adjoint,
     commutator,
     det,
@@ -128,8 +127,8 @@ class TestEigen:
             lam = np.diag([dec.first.value, dec.second.value])
             assert frobenius_norm(v @ lam @ np.linalg.inv(v) - a) <= 1e-10
 
-    def test_null_vector_same_candidate_as_vector_norms(self):
-        # the np.linalg.norm form of the adjugate-row choice
+    def test_vectors_are_the_better_normed_adjugate_row(self):
+        # the np.linalg.norm form of the adjugate-row choice, at each computed eigenvalue
         def reference(a, lam, scale):
             c1 = np.array([a[0, 1], lam - a[0, 0]], dtype=complex)
             c2 = np.array([lam - a[1, 1], a[1, 0]], dtype=complex)
@@ -139,14 +138,13 @@ class TestEigen:
                 return np.array([1.0, 0.0], dtype=complex)
             return v / n
 
-        cases = [(random_complex_matrix(), complex(RNG.standard_normal(), RNG.standard_normal()))
-                 for _ in range(200)]
-        cases += [(IDENTITY, 1.0), (PAULI_Z, 1.0), (np.array([[1.0, 1.0], [0.0, 1.0]]), 1.0)]
-        for a, lam in cases:
+        cases = [random_complex_matrix() for _ in range(200)]
+        cases += [PAULI_Z, PAULI_X, np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[0.0, 0.0], [1.0, 0.0]])]
+        for a in cases:
             a = np.asarray(a, dtype=complex)
             scale = max(1.0, frobenius_norm(a))
-            got = _null_vector(a, complex(lam), scale)
-            assert np.abs(got - reference(a, lam, scale)).max() <= 1e-15
+            for pair in eigen_2x2(a).pairs:
+                assert np.abs(pair.vector - reference(a, pair.value, scale)).max() <= 1e-15
 
     def test_ordering_descending(self):
         a = np.diag([1.0 - 2j, 1.0 + 3j])
@@ -187,8 +185,7 @@ class TestEigen:
         scale = np.maximum(1.0, frobenius_norm_stack(np.array(matrices)))
         seen = {True: 0, False: 0}
         for tol in (1e-10, 1e-15):
-            with np.errstate(all="ignore"):
-                (stack1, _), (stack2, _), stack_defective = _eigen_stack(np.array(matrices), scale, tol)
+            (stack1, _), (stack2, _), stack_defective = _eigen_stack(np.array(matrices), tol)
             for k, (h, (s, terms)) in enumerate(zip(matrices, exact)):
                 dec = eigen_2x2(h, tol=tol)
                 assert dec.defective == stack_defective[k]

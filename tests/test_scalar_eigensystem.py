@@ -1,15 +1,17 @@
-"""The single-matrix eigensystem kernels against their numpy references.
+"""The eigensystem kernels against independent numpy-scalar references.
 
-``reference_eigen_2x2`` and ``reference_biortho_system`` write out, step
-by step, the numpy form of ``eigen_2x2`` and ``biortho_system`` on one
-matrix, with the left vectors as the conjugated rows of V^-1 =
-adj(V) / det V for the right vectors V = [right1 right2].  Neither needs a
-guard on the left vectors' size: for unit right vectors ||left_n|| =
-1 / |det V| <= cond, which the condition guard bounds
+``eigen_2x2`` and ``biortho_system`` run the stacked kernels on a stack of
+one.  ``reference_eigen_2x2`` and ``reference_biortho_system`` write out,
+step by step and on numpy scalars, the same closed forms for one matrix,
+with the left vectors as the conjugated rows of V^-1 = adj(V) / det V for
+the right vectors V = [right1 right2].  Neither needs a guard on the left
+vectors' size: for unit right vectors ||left_n|| = 1 / |det V| <= cond,
+which the condition guard bounds
 (``tests/test_biortho.py::test_condition_guard_bounds_the_overlap``).
-Results must agree to the bit (eigenvalues, right and left vectors, pair
-order), and every failure must raise the same exception with the same
-message.
+numpy's array and scalar complex products, ``abs`` and hypot round
+differently, so results agree to rounding, not to the bit
+(``assert_close``), in the same pair order, and every failure raises the
+same exception with the same message.
 """
 
 import math
@@ -115,30 +117,82 @@ def reference_biortho_system(a, tol=DEFAULT_TOL):
     return BiorthoSystem(pairs=(pairs[0], pairs[1]), source=a)
 
 
-def bits(value):
-    return np.complex128(value).tobytes()
+EPS = np.finfo(float).eps
 
 
 def eigen_outcome(fn, a, tol):
     dec = fn(a, tol=tol)
-    return dec.defective, [(bits(pr.value), pr.vector.tobytes()) for pr in dec.pairs]
+    return dec.defective, [(pr.value, pr.vector, None) for pr in dec.pairs]
 
 
 def biortho_outcome(fn, a, tol):
+    """(type, message) of the exception raised, or the pairs as (eigenvalue, right, left) triples."""
     try:
         sys_a = fn(a, tol=tol)
     except QuasiCError as exc:
         return type(exc), str(exc)
     assert sys_a.source.tobytes() == np.asarray(a, dtype=complex).tobytes()
-    return [(bits(pr.eigenvalue), pr.right.tobytes(), pr.left.tobytes()) for pr in sys_a.pairs]
+    return [(pr.eigenvalue, pr.right, pr.left) for pr in sys_a.pairs]
+
+
+def assert_close(got, want, a):
+    """Pairs ``got`` equal ``want`` to rounding, in the same order.
+
+    Each is a list of (eigenvalue, right, left or None).  The bounds, with
+    the worst ratio measured over this module's inputs (and 6,000 further
+    near-parallel draws) in brackets:
+    - eigenvalue: 8 eps (scale + t / |s|), with t = |(a00 - a11)/2|^2 +
+      |a01 a10| the terms of the discriminant and s the half split.  The
+      discriminant rounds relative to its terms, and its square root
+      divides that error by 2 |s| [3.4].
+    - right vector, after removing its phase: 4 eps cond [1.6].  Where the
+      two adjugate rows tie in norm within rounding (the parity-symmetric
+      Hamiltonians), the two kernels can pick different rows, which are
+      different phases of one vector.
+    - left vector, rotated by the same phase: 16 cond (eps + dr) ||left||,
+      with dr the right vectors' difference: det V ~ 1 / cond carries it,
+      and its own rounding [4.0].
+    A non-finite result must be non-finite in the same entries.
+    """
+    scale = max(1.0, frobenius_norm(a))
+    half = 0.5 * (a[0, 0] - a[1, 1])
+    terms = abs(half) ** 2 + abs(a[0, 1] * a[1, 0])
+    (value1, right1, _), (value2, right2, _) = want
+    if not all(np.isfinite(x).all() for pair in want for x in pair if x is not None):
+        for got_pair, want_pair in zip(got, want):
+            for x, y in zip(got_pair, want_pair):
+                assert x is None or (np.isfinite(x) == np.isfinite(y)).all(), (a, got, want)
+        return
+    split = abs(value1 - value2) / 2
+    cond = reference_condition_number(right1, right2)
+    for (value, right, left), (want_value, want_right, want_left) in zip(got, want):
+        assert abs(value - want_value) <= 8 * EPS * (scale + (terms / split if split else 0.0)), (a, got, want)
+        overlap = np.vdot(want_right, right)
+        phase = overlap / abs(overlap)
+        dr = np.abs(right - phase * want_right).max()
+        assert dr <= 4 * EPS * cond, (a, got, want)
+        if left is not None:
+            bound = 16 * cond * (EPS + dr) * np.linalg.norm(want_left)
+            assert np.abs(left - phase * want_left).max() <= bound, (a, got, want)
+
+
+def assert_same_outcome(got, want, a):
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert not isinstance(got, tuple), (a, got, want)
+        assert_close(got, want, a)
 
 
 def assert_same(a):
     # real input, a column-major copy, an adjoint (a transposed view) and a transpose
     for m in (a, np.asfortranarray(a), adjoint(a), a.T):
         for tol in TOLS:
-            assert eigen_outcome(eigen_2x2, m, tol) == eigen_outcome(reference_eigen_2x2, m, tol)
-            assert biortho_outcome(biortho_system, m, tol) == biortho_outcome(reference_biortho_system, m, tol)
+            defective, pairs = eigen_outcome(eigen_2x2, m, tol)
+            want_defective, want_pairs = eigen_outcome(reference_eigen_2x2, m, tol)
+            assert defective == want_defective
+            assert_close(pairs, want_pairs, m)
+            assert_same_outcome(biortho_outcome(biortho_system, m, tol), biortho_outcome(reference_biortho_system, m, tol), m)
 
 
 def random_complex():
@@ -199,6 +253,19 @@ def test_same_exception_on_defective_and_nearly_defective_input():
         assert outcome[0] is expected
 
 
+def at_the_coalescence_threshold(a, tol):
+    """|s^2| within the rounding of the discriminant's terms of the coalescence threshold (tol scale)^2.
+
+    s^2 = ((a00 - a11)/2)^2 + a01 a10 rounds relative to its terms, so the
+    kernel and the reference can reach different verdicts only inside the
+    band ||s^2| - (tol scale)^2| <= eps (|(a00 - a11)/2|^2 + |a01 a10|).
+    """
+    half = 0.5 * (a[0, 0] - a[1, 1])
+    disc = half * half + a[0, 1] * a[1, 0]
+    scale = max(1.0, frobenius_norm(a))
+    return abs(abs(disc) - (tol * scale) ** 2) <= EPS * (abs(half) ** 2 + abs(a[0, 1] * a[1, 0]))
+
+
 def test_same_outcome_on_nearly_parallel_eigenvectors():
     # eigenvectors parallel to 1e-15 ... 1e-8 before a is rounded, which
     # leaves the computed eigenvectors of a far less parallel in most draws
@@ -214,10 +281,22 @@ def test_same_outcome_on_nearly_parallel_eigenvectors():
     # 1e-14 up to b ~ 5e13
     draws += [np.array([[1.0, b], [0.0, 2.0]]) for b in 10.0 ** RNG.uniform(11, 13.5, size=50)]
     seen = Counter()
+    flips = 0
     for a in draws:
         for tol in TOLS:
             outcome = biortho_outcome(biortho_system, a, tol)
-            assert outcome == biortho_outcome(reference_biortho_system, a, tol)
-            seen[outcome[1].split()[0] if isinstance(outcome, tuple) else "system"] += 1
+            want = biortho_outcome(reference_biortho_system, a, tol)
+            if isinstance(outcome, tuple) != isinstance(want, tuple) or (
+                isinstance(want, tuple) and outcome[0] is not want[0]
+            ):
+                # a different coalescence verdict, allowed only where the
+                # discriminant meets the threshold within its rounding
+                assert at_the_coalescence_threshold(a, tol), (a, tol, outcome, want)
+                flips += 1
+                continue
+            assert_same_outcome(outcome, want, a)
+            seen[want[1].split()[0] if isinstance(want, tuple) else "system"] += 1
     # every branch ran: a system, the condition guard, a defect
     assert {"system", "eigenvector", "source"} <= set(seen), seen
+    # the threshold band holds a minority of the draws
+    assert flips < 0.2 * len(draws) * len(TOLS), (flips, seen)
