@@ -14,13 +14,11 @@ from .coperator import (
     c_from_system,
     closed_form_metric,
     dyson_from_eigenvectors,
-    dyson_map,
     involution_residual,
     metric_form_for_regime,
     metric_from_c,
     pt_commutation_residual,
     quasi_hermiticity_residual,
-    static_constraint_suite,
 )
 from .errors import (
     BranchFlipError,

@@ -19,7 +19,8 @@ code.
 CSV columns: t, rho_eig_hi, rho_eig_lo, det_rho, lr_residual,
 quasi_residual, c_sq_residual.  Floats are written with 17 significant
 digits, so output files are bit-identical across runs of the same
-configuration.
+configuration.  A static pair repeats one row; its lr_residual and
+c_sq_residual are its h_commutation and c_squared_identity check values.
 
 A time-dependent pair samples the closed forms and the two residuals per
 sample, then derives the eigenvalues, det rho, ||C^2 - I||, the folded
@@ -41,7 +42,7 @@ import platform
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -52,12 +53,11 @@ from .coperator import (
     c_from_system,
     closed_form_metric,
     dyson_from_eigenvectors,
-    dyson_map,
     involution_residual,
     metric_form_for_regime,
     metric_from_c,
+    pt_commutation_residual,
     quasi_hermiticity_residual,
-    static_constraint_suite,
 )
 from .biortho import biortho_system, completeness_residual
 from .errors import QuasiCError
@@ -73,6 +73,7 @@ from .linalg import (
     frobenius_norm,
     frobenius_norm_stack,
     hermitian_eigenvalues_stack,
+    psd_sqrt,
 )
 from .model import (
     ConstantDrive,
@@ -98,10 +99,15 @@ _STAGES = ("static_checks", "sampling", "array_pass", "propagation", "csv_write"
 
 @dataclass
 class ScenarioConfig:
+    """A run's options under the parser's names; ``pairs`` resolves --lambda, --kappa and --sweep.
+
+    The report's metadata echoes every field but ``out_dir`` and ``prefix``.
+    """
+
     scenario: str
     omega: float
     hbar: float
-    drive_kind: str
+    drive: str
     drive_value: float
     amplitude: float
     frequency: float
@@ -115,7 +121,7 @@ class ScenarioConfig:
     tol: float
     out_dir: Path
     prefix: str
-    sweep: list[tuple[float, float]]
+    pairs: list[tuple[float, float]]
 
     @property
     def fd_tol(self) -> float:
@@ -123,7 +129,7 @@ class ScenarioConfig:
 
 
 def _drive(cfg: ScenarioConfig):
-    if cfg.drive_kind == "sin":
+    if cfg.drive == "sin":
         t_ref = math.pi / 2 / cfg.frequency if cfg.t_ref is None else cfg.t_ref
         return SineDrive(amplitude=cfg.amplitude, frequency=cfg.frequency, t_ref=t_ref)
     t_ref = 0.0 if cfg.t_ref is None else cfg.t_ref
@@ -186,9 +192,11 @@ def _run_static_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, swee
     add = _pair_checks(report, lam, kappa, sweeping)
     add("completeness", completeness_residual(sys_h), cfg.tol)
     c = c_from_system(sys_h, cfg.signature)
-    suite = static_constraint_suite(c, h, tol=cfg.tol)
-    for check in suite.checks:
-        add(check.name, check.value, check.tolerance)
+    c_sq = involution_residual(c)
+    lr = frobenius_norm(commutator(h, c.matrix))
+    add("c_squared_identity", c_sq, cfg.tol)
+    add("pt_commutation", pt_commutation_residual(c.matrix), cfg.tol)
+    add("h_commutation", lr, cfg.tol)
 
     rho_raw = PAULI_Z @ c.matrix
     herm = frobenius_norm(rho_raw - adjoint(rho_raw))
@@ -199,16 +207,14 @@ def _run_static_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, swee
         eig_hi, eig_lo = metric.eigenvalues()
         add("metric_positive_definite", -eig_lo, 64.0 * _EPS64 * max(1.0, abs(eig_hi)), scaled=True)
         if eig_lo > 0:
-            eta = dyson_map(metric)
+            eta = psd_sqrt(metric.matrix)
             hmapped = eta @ h @ np.linalg.inv(eta)
             add("dyson_sqrt_hermitian_image", frobenius_norm(hmapped - adjoint(hmapped)), cfg.fd_tol)
         rows_eta = dyson_from_eigenvectors(sys_h)
         diag = rows_eta @ h @ np.linalg.inv(rows_eta)
         add("dyson_rows_diagonalizes", abs(diag[0, 1]) + abs(diag[1, 0]), cfg.fd_tol)
 
-    lr = frobenius_norm(commutator(h, c.matrix))
     quasi = frobenius_norm(adjoint(h) @ rho_raw - rho_raw @ h)
-    c_sq = involution_residual(c)
     det_rho = float(np.real(det(rho_raw)))
     columns = np.empty((len(_COLUMNS), cfg.samples))
     columns[0] = np.linspace(cfg.t0, cfg.t1, cfg.samples)
@@ -291,24 +297,7 @@ def _run_td_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, sweeping
 def _report_skeleton(cfg: ScenarioConfig) -> VerificationReport:
     return VerificationReport(
         metadata={
-            "config": {
-                "scenario": cfg.scenario,
-                "omega": cfg.omega,
-                "hbar": cfg.hbar,
-                "drive": cfg.drive_kind,
-                "drive_value": cfg.drive_value,
-                "amplitude": cfg.amplitude,
-                "frequency": cfg.frequency,
-                "t_ref": cfg.t_ref,
-                "t0": cfg.t0,
-                "t1": cfg.t1,
-                "samples": cfg.samples,
-                "steps_per_sample": cfg.steps_per_sample,
-                "fd_step": cfg.fd_step,
-                "signature": list(cfg.signature),
-                "tol": cfg.tol,
-                "pairs": [list(pair) for pair in cfg.sweep],
-            },
+            "config": {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in ("out_dir", "prefix")},
             "stage_s": dict.fromkeys(_STAGES, 0.0),
             "versions": {
                 "quasic": __version__,
@@ -323,12 +312,12 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     started = time.perf_counter()
     report = _report_skeleton(cfg)
     run_pair = _run_static_pair if cfg.scenario == "static" else _run_td_pair
-    sweeping = len(cfg.sweep) > 1
+    sweeping = len(cfg.pairs) > 1
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     clock = _StageClock(report)
     written = []
     failure = None
-    for lam, kappa in cfg.sweep:
+    for lam, kappa in cfg.pairs:
         path = _csv_path(cfg, lam, kappa)
         try:
             columns = run_pair(cfg, lam, kappa, report, sweeping, clock)
@@ -400,6 +389,17 @@ _NUMBER = r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?"
 _NEGATIVE_NUMBER = re.compile(rf"^-{_NUMBER}([,;][+-]?{_NUMBER})*$")
 
 
+def _finite_float(text: str) -> float:
+    """Type of the float options but --tol (checked with QUASI_C_TOL); argparse names the option it refuses."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, not {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quasi-c",
@@ -413,25 +413,25 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         s = sub.add_parser(name, help=help_text)
         s._negative_number_matcher = _NEGATIVE_NUMBER
-        s.add_argument("--omega", type=float, default=1.0, help="identity coefficient (default 1)")
-        s.add_argument("--lambda", dest="lam", type=float, default=2.0, help="sigma_z coefficient (default 2)")
-        s.add_argument("--kappa", type=float, default=1.0, help="imaginary sigma_x coefficient (default 1)")
-        s.add_argument("--hbar", type=float, default=1.0)
+        s.add_argument("--omega", type=_finite_float, default=1.0, help="identity coefficient (default 1)")
+        s.add_argument("--lambda", dest="lam", type=_finite_float, default=2.0, help="sigma_z coefficient (default 2)")
+        s.add_argument("--kappa", type=_finite_float, default=1.0, help="imaginary sigma_x coefficient (default 1)")
+        s.add_argument("--hbar", type=_finite_float, default=1.0)
         s.add_argument("--drive", choices=("const", "sin"), default="const")
-        s.add_argument("--drive-value", type=float, default=1.0, help="constant drive value")
-        s.add_argument("--amplitude", type=float, default=1.0, help="sine drive amplitude")
-        s.add_argument("--frequency", type=float, default=1.0, help="sine drive angular frequency")
+        s.add_argument("--drive-value", type=_finite_float, default=1.0, help="constant drive value")
+        s.add_argument("--amplitude", type=_finite_float, default=1.0, help="sine drive amplitude")
+        s.add_argument("--frequency", type=_finite_float, default=1.0, help="sine drive angular frequency")
         s.add_argument(
             "--t-ref",
-            type=float,
+            type=_finite_float,
             default=None,
             help="antiderivative anchor (default: pi/2/frequency for sin, 0 for const)",
         )
-        s.add_argument("--t0", type=float, default=0.0)
-        s.add_argument("--t1", type=float, default=10.0)
+        s.add_argument("--t0", type=_finite_float, default=0.0)
+        s.add_argument("--t1", type=_finite_float, default=10.0)
         s.add_argument("--samples", type=int, default=200)
         s.add_argument("--steps-per-sample", type=int, default=20)
-        s.add_argument("--fd-step", type=float, default=1e-5)
+        s.add_argument("--fd-step", type=_finite_float, default=1e-5)
         s.add_argument("--signature", choices=sorted(_SIGNATURES), default="+-")
         s.add_argument(
             "--tol",
@@ -449,29 +449,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# argparse dest -> option; the tolerance is validated with QUASI_C_TOL
-_FLOAT_OPTIONS = {
-    "omega": "--omega",
-    "lam": "--lambda",
-    "kappa": "--kappa",
-    "hbar": "--hbar",
-    "drive_value": "--drive-value",
-    "amplitude": "--amplitude",
-    "frequency": "--frequency",
-    "t_ref": "--t-ref",
-    "t0": "--t0",
-    "t1": "--t1",
-    "fd_step": "--fd-step",
-}
-
-
 def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> ScenarioConfig:
-    for dest, option in _FLOAT_OPTIONS.items():
-        value = getattr(args, dest)
-        if value is not None and not math.isfinite(value):
-            parser.error(f"{option} must be finite")
     if args.t1 <= args.t0:
         parser.error("--t1 must be greater than --t0")
+    if not math.isfinite(args.t1 - args.t0):
+        parser.error("the time window --t1 - --t0 must be finite")
     if args.samples < 2:
         parser.error("--samples must be at least 2")
     if args.steps_per_sample < 1:
@@ -497,38 +479,22 @@ def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace)
         parser.error("the tolerance (--tol or QUASI_C_TOL) must be finite and positive")
     if args.sweep is not None:
         try:
-            sweep = _parse_sweep(args.sweep)
+            pairs = _parse_sweep(args.sweep)
         except ValueError as exc:
             parser.error(str(exc))
     else:
-        sweep = [(args.lam, args.kappa)]
+        pairs = [(args.lam, args.kappa)]
     # the CSV file and the report tag name a pair by its :g digits
     named: dict[str, tuple[float, float]] = {}
-    for pair in sweep:
+    for pair in pairs:
         name = _pair_name(*pair)
         if name in named:
             parser.error(f"sweep pairs {named[name]} and {pair} share the name {name} and would write one CSV file")
         named[name] = pair
-    return ScenarioConfig(
-        scenario=args.scenario,
-        omega=args.omega,
-        hbar=args.hbar,
-        drive_kind=args.drive,
-        drive_value=args.drive_value,
-        amplitude=args.amplitude,
-        frequency=args.frequency,
-        t_ref=args.t_ref,
-        t0=args.t0,
-        t1=args.t1,
-        samples=args.samples,
-        steps_per_sample=args.steps_per_sample,
-        fd_step=args.fd_step,
-        signature=_SIGNATURES[args.signature],
-        tol=tol,
-        out_dir=args.out_dir,
-        prefix=args.prefix,
-        sweep=sweep,
-    )
+    options = vars(args) | {"signature": _SIGNATURES[args.signature], "tol": tol, "pairs": pairs}
+    for dest in ("lam", "kappa", "sweep"):  # resolved into pairs
+        del options[dest]
+    return ScenarioConfig(**options)
 
 
 def main(argv: list[str] | None = None) -> int:

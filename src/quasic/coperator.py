@@ -1,12 +1,15 @@
-"""C-operators, the static constraint suite, metric operators and Dyson maps.
+"""C-operators, their constraint residuals, metric operators and Dyson maps.
 
 A C-operator is the signature-weighted sum of biorthonormal projectors,
-C = sum_n s_n |right_n><left_n| with s_n = +-1.  It squares to the identity,
-commutes with the antilinear parity-conjugation symmetry, and in the
-time-dependent setting is conserved in the Heisenberg sense, i.e. it solves
-the same equation as a Lewis-Riesenfeld invariant
-(``invariants.lr_residual``).  The metric is recovered as rho = sigma_z * C
-and factorizes through a Dyson map as rho = eta^dag eta.
+C = sum_n s_n |right_n><left_n| with s_n = +-1.  It squares to the identity
+(``involution_residual``), commutes with the antilinear parity-conjugation
+symmetry (``pt_commutation_residual``), and in the time-dependent setting
+is conserved in the Heisenberg sense, i.e. it solves the same equation as a
+Lewis-Riesenfeld invariant (``invariants.lr_residual``).  The metric is
+recovered as rho = sigma_z * C and factorizes through a Dyson map as
+rho = eta^dag eta: ``linalg.psd_sqrt`` of a positive-definite metric gives
+the Hermitian map, ``dyson_from_eigenvectors`` the one whose rows are the
+right eigenvectors.
 """
 
 from __future__ import annotations
@@ -26,14 +29,11 @@ from .linalg import (
     _mat2,
     _mat2_stack,
     adjoint,
-    commutator,
     det,
     frobenius_norm,
     hermitian_eigenvalues_2x2,
-    psd_sqrt,
 )
 from .model import HamiltonianParams, Regime, hamiltonian_at
-from .reporting import VerificationReport
 
 Signature = tuple[int, int]
 
@@ -107,20 +107,6 @@ def pt_commutation_residual(a: np.ndarray) -> float:
     return frobenius_norm(PAULI_Z @ np.conj(a) @ PAULI_Z - a)
 
 
-def static_constraint_suite(
-    c: COperator, h: np.ndarray, tol: float = DEFAULT_TOL
-) -> VerificationReport:
-    """The three constraints of the time-independent theory.
-
-    C^2 = I, commutation with the antilinear symmetry, and [H, C] = 0.
-    """
-    report = VerificationReport(metadata={"suite": "static-constraints"})
-    report.add("c_squared_identity", involution_residual(c), tol)
-    report.add("pt_commutation", pt_commutation_residual(c.matrix), tol)
-    report.add("h_commutation", frobenius_norm(commutator(h, c.matrix)), tol)
-    return report
-
-
 def metric_from_c(c: COperator, tol: float = DEFAULT_TOL) -> MetricOperator:
     """rho = sigma_z * C; Hermiticity is required, positivity only reported.
 
@@ -183,16 +169,6 @@ def closed_form_metric(form: MetricForm, p: HamiltonianParams, t: float | np.nda
     d, x, y = _real_entries(form, p, t)
     iy = 1j * y
     return MetricOperator(_mat2(-d, x + iy, x - iy, -d))
-
-
-def dyson_map(rho: MetricOperator) -> np.ndarray:
-    """Dyson map from a positive-definite metric.
-
-    The Hermitian square root is the canonical representative of the
-    eta^dag eta factorization (unique up to left-unitary factors); maps
-    with eigenvector rows come from dyson_from_eigenvectors.
-    """
-    return psd_sqrt(rho.matrix)
 
 
 def dyson_from_eigenvectors(sys: BiorthoSystem) -> np.ndarray:

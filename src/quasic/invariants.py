@@ -206,9 +206,12 @@ def _real_entries(form: InvariantForm, p: HamiltonianParams, t: float | np.ndarr
     if form is InvariantForm.PT_SYMMETRIC:
         _require_regime(form, p, Regime.PT_SYMMETRIC)
         xi = math.sqrt(lam**2 - kap**2)
-        sin = fn.sin(xi * s)
+        try:
+            sin, cos = fn.sin(xi * s), fn.cos(xi * s)
+        except ValueError:  # math.sin of an infinite phase: NaN, as np.sin gives
+            sin = cos = math.nan
         delta = -_SQRT2 * lam - kap * sin
-        real = xi * fn.cos(xi * s)
+        real = xi * cos
         imag = _SQRT2 * kap + lam * sin
     elif form is InvariantForm.SPONTANEOUSLY_BROKEN:
         _require_regime(form, p, Regime.SPONTANEOUSLY_BROKEN)

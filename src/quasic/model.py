@@ -65,7 +65,10 @@ class SineDrive:
     t_ref: float = math.pi / 2
 
     def tau(self, t: float) -> float:
-        return self.amplitude * math.sin(self.frequency * t)
+        try:
+            return self.amplitude * math.sin(self.frequency * t)
+        except ValueError:  # math.sin of an infinite argument: NaN, as np.sin gives
+            return math.nan
 
     def tau_array(self, t: np.ndarray) -> np.ndarray:
         """tau at every entry of a time array."""
@@ -73,7 +76,10 @@ class SineDrive:
 
     def integral(self, t: float) -> float:
         w = self.frequency
-        return self.amplitude * (math.cos(w * self.t_ref) - math.cos(w * t)) / w
+        try:
+            return self.amplitude * (math.cos(w * self.t_ref) - math.cos(w * t)) / w
+        except ValueError:  # math.cos of an infinite argument: NaN, as np.cos gives
+            return math.nan
 
     def integral_array(self, t: np.ndarray) -> np.ndarray:
         """integral at every entry of a time array; np.cos gives math.cos's bits."""

@@ -1,5 +1,6 @@
 """Command-line scenarios: outputs, determinism and exit codes."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasic import cli
-from quasic.cli import _FLOAT_OPTIONS, build_parser, main
+from quasic.cli import build_parser, main
 from quasic.coperator import MetricForm, closed_form_metric, metric_form_for_regime, quasi_hermiticity_residual
 from quasic.invariants import lr_residual
 from quasic.linalg import IDENTITY, det, frobenius_norm, hermitian_eigenvalues_2x2
@@ -40,19 +41,47 @@ def run(tmp_path, *argv):
     return main([*argv, "--out-dir", str(tmp_path)])
 
 
-def test_static_scenario_passes(tmp_path):
-    code = run(tmp_path, "static", "--omega", "1", "--lambda", "2", "--kappa", "1", "--signature", "+-")
-    assert code == 0
+def _float_options():
+    """(dest, option string) of every float option; the three scenarios take the same options."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(a.dest, a.option_strings[0]) for a in sub.choices["full-td"]._actions if a.type in (float, cli._finite_float)]
+
+
+FLOAT_OPTIONS = _float_options()
+
+_STATIC_CHECKS = ["completeness", "c_squared_identity", "pt_commutation", "h_commutation", "metric_hermiticity"]
+
+
+@pytest.mark.parametrize(
+    "lam, kappa, signature, code, later_checks",
+    [
+        ("2", "1", "+-", 0, ["metric_positive_definite", "dyson_sqrt_hermitian_image", "dyson_rows_diagonalizes"]),
+        # ||[H, C]|| is not 0 here, so the bit-equality below compares rounded values
+        ("2", "1.5", "+-", 0, ["metric_positive_definite", "dyson_sqrt_hermitian_image", "dyson_rows_diagonalizes"]),
+        # broken regime: sigma_z C is not Hermitian, so there is no metric to check
+        ("1", "2", "+-", 1, []),
+        # C = I: the metric sigma_z is indefinite and has no square-root Dyson map
+        ("2", "1", "++", 1, ["metric_positive_definite", "dyson_rows_diagonalizes"]),
+    ],
+)
+def test_static_scenario_passes(tmp_path, lam, kappa, signature, code, later_checks):
+    assert run(tmp_path, "static", "--omega", "1", "--lambda", lam, "--kappa", kappa, "--signature", signature) == code
     lines = read_report(tmp_path / "quasi_c_report.jsonl")
     kinds = {ln["type"] for ln in lines}
     assert kinds == {"metadata", "check", "summary"}
     checks = {ln["name"]: ln for ln in lines if ln["type"] == "check"}
-    for name in ("c_squared_identity", "pt_commutation", "h_commutation"):
+    assert list(checks) == _STATIC_CHECKS + later_checks
+    for name in ("c_squared_identity", "h_commutation"):
         assert checks[name]["pass"] is True
-    assert lines[-1]["all_pass"] is True
-    rows = read_csv(tmp_path / "quasi_c_static_2_1.csv")
+    assert checks["pt_commutation"]["pass"] is (lam == "2")
+    assert lines[-1]["all_pass"] is (code == 0)
+    rows = read_csv(tmp_path / f"quasi_c_static_{lam}_{kappa}.csv")
     assert list(rows[0].keys()) == COLUMNS
-    assert float(rows[0]["rho_eig_hi"]) == pytest.approx(3.0 / math.sqrt(3.0), abs=1e-12)
+    # the residual columns are the check values, bit for bit
+    assert bits(r["lr_residual"] for r in rows) == bits([checks["h_commutation"]["value"]] * len(rows))
+    assert bits(r["c_sq_residual"] for r in rows) == bits([checks["c_squared_identity"]["value"]] * len(rows))
+    if (lam, kappa, signature) == ("2", "1", "+-"):
+        assert float(rows[0]["rho_eig_hi"]) == pytest.approx(3.0 / math.sqrt(3.0), abs=1e-12)
 
 
 def test_static_broken_regime_reports_failures(tmp_path):
@@ -119,11 +148,22 @@ def test_aborted_time_dependent_run_names_its_stage(tmp_path, capsys, monkeypatc
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_run_reports_exit_code_three(tmp_path, capsys):
-    # samples at t = 0, 250, ..., 1000; the metric has overflowed by t = 250:
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        # samples at t = 0, 250, ..., 1000; the metric has overflowed by t = 250
+        (["full-td", "--lambda", "1", "--kappa", "2", "--t1", "1000", "--samples", "5"], "4 of 5 at lambda=1,kappa=2"),
+        # the phase xi t of the fixed-regime form overflows to inf at t1
+        (["metric-picture", "--lambda", "3", "--kappa", "1", "--t1", "1e308", "--samples", "3"], "1 of 3 at lambda=3,kappa=1"),
+        # the sine drive's phase frequency * t overflows to inf at t = 5e307 and t1
+        (["full-td", "--drive", "sin", "--frequency", "10", "--t1", "1e308", "--samples", "3"], "2 of 3 at lambda=2,kappa=1"),
+    ],
+)
+def test_non_finite_run_reports_exit_code_three(tmp_path, capsys, argv, where):
     # the run is not aborted, so there is no failure record
-    assert run(tmp_path, "full-td", "--lambda", "1", "--kappa", "2", "--t1", "1000", "--samples", "5") == 3
-    assert capsys.readouterr().err.strip() == "numerical failure: non-finite samples (4 of 5 at lambda=1,kappa=2)"
+    assert run(tmp_path, *argv) == 3
+    assert capsys.readouterr().err.strip() == f"numerical failure: non-finite samples ({where})"
+    assert len(list(tmp_path.glob("*.csv"))) == 1
     lines = read_report(tmp_path / "quasi_c_report.jsonl")
     assert "failure" not in lines[0]
     assert lines[-1] == {"type": "summary", "all_pass": False, "n_checks": 6, "exit_code": 3}
@@ -340,7 +380,7 @@ def test_negative_sweep_end_to_end(tmp_path, capsys):
 def test_float_options_take_negative_exponent_form(text):
     parser = build_parser()
     for scenario in ("static", "metric-picture", "full-td"):
-        for dest, option in _FLOAT_OPTIONS.items():
+        for dest, option in FLOAT_OPTIONS:
             assert getattr(parser.parse_args([scenario, option, text]), dest) == float(text)
 
 
@@ -360,11 +400,23 @@ def test_config_errors_exit_two(tmp_path):
         ["full-td", "--hbar", "0"],
         ["full-td", "--drive", "sin", "--frequency", "0"],
         ["full-td", "--sweep", "2,1;1,inf"],
+        # finite ends whose difference overflows
+        ["full-td", "--drive", "sin", "--t0=-1e308", "--t1", "1e308", "--samples", "3"],
         ["unknown-scenario"],
     ):
         with pytest.raises(SystemExit) as err:
             main([*argv, "--out-dir", str(tmp_path)] if argv[0] != "unknown-scenario" else argv)
         assert err.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("option", [option for _, option in FLOAT_OPTIONS])
+def test_non_finite_float_options_exit_two(tmp_path, capsys, option, value):
+    with pytest.raises(SystemExit) as err:
+        run(tmp_path, "full-td", f"{option}={value}")
+    assert err.value.code == 2
+    assert option in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -571,7 +623,7 @@ _ORACLE_RUN = ("--t1=6", "--samples=120", "--sweep=2,1;1,2;1.5,1.5;-2,-1;-1,2;1.
 def test_array_pass_matches_the_per_sample_loop(argv):
     parser = build_parser()
     cfg = cli._config_from_args(parser, parser.parse_args(argv))
-    for lam, kappa in cfg.sweep:
+    for lam, kappa in cfg.pairs:
         report = cli._report_skeleton(cfg)
         columns = cli._run_td_pair(cfg, lam, kappa, report, False, cli._StageClock(report))
         rows, folded, non_finite = per_sample_td_pair(cfg, lam, kappa)

@@ -21,9 +21,9 @@ from quasic.invariants import (
 )
 from quasic import model
 from quasic.biortho import biortho_system
-from quasic.coperator import c_from_system, closed_form_metric, dyson_map, metric_from_c
+from quasic.coperator import c_from_system, closed_form_metric, metric_from_c
 from quasic.invariants import _real_entries
-from quasic.linalg import PAULI_Z, adjoint, det, frobenius_norm
+from quasic.linalg import PAULI_Z, adjoint, det, frobenius_norm, psd_sqrt
 from quasic.model import (
     ConstantDrive,
     HamiltonianParams,
@@ -572,7 +572,7 @@ class TestSignatureNormalize:
         c = c_from_system(biortho_system(np.eye(2, dtype=complex)), (1, 1))
         assert np.allclose(c.matrix, np.eye(2))
         with pytest.raises(NotPositiveDefiniteError):
-            dyson_map(metric_from_c(c))
+            psd_sqrt(metric_from_c(c).matrix)
 
     def test_random_opposite_pair_family(self):
         for _ in range(20):
