@@ -14,7 +14,7 @@ and the report are written).  A failure
 that aborts a pair still writes the report, with the checks made so far
 and a ``failure`` record naming the pair, the stage it aborted in, the
 exception and its message.  The report's summary record carries the exit
-code.
+code, and a closed standard output (a reader that quit) does not change it.
 
 CSV columns: t, rho_eig_hi, rho_eig_lo, det_rho, lr_residual,
 quasi_residual, c_sq_residual.  Floats are written with 17 significant
@@ -279,7 +279,7 @@ def _run_td_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, sweeping
     add("quasi_hermiticity_max", max_quasi, cfg.fd_tol, argmax_t=at_quasi, n_nonfinite=bad_quasi)
     add("c_squared_identity_max", max_csq, cfg.tol, argmax_t=at_csq, n_nonfinite=bad_csq)
     # det roundoff also grows with the square of the entry scale
-    det_tol = max(1e-9, 16.0 * _EPS64 * max_hi**2)
+    det_tol = max(1e-9, 16.0 * _EPS64 * max_hi * max_hi)
     add("det_rho_unit_max_dev", max_det_dev, det_tol, scaled=True, argmax_t=at_det, n_nonfinite=bad_det)
     add("metric_positive_definite", max_neg, 64.0 * _EPS64 * max_hi, scaled=True, argmax_t=at_neg, n_nonfinite=bad_neg)
     clock.enter("propagation")
@@ -346,14 +346,17 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     report_path = cfg.out_dir / f"{cfg.prefix}_report.jsonl"
     report.write_jsonl(report_path)
 
-    for check in report.checks:
-        print(f"[{check.status.upper()}] {check.name}: {check.value:.3e} (tol {check.tolerance:.3e})")
-    for path in written:
-        print(f"wrote {path}")
-    print(f"wrote {report_path}")
+    lines = [f"[{c.status.upper()}] {c.name}: {c.value:.3e} (tol {c.tolerance:.3e})" for c in report.checks]
+    lines += [f"wrote {path}" for path in (*written, report_path)]
     n_inconclusive = sum(1 for c in report.checks if c.status == "inconclusive")
     inconclusive = f" ({n_inconclusive} inconclusive)" if n_inconclusive else ""
-    print(f"{len(report.checks) - n_fail}/{len(report.checks)} checks passed{inconclusive}")
+    lines.append(f"{len(report.checks) - n_fail}/{len(report.checks)} checks passed{inconclusive}")
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:
+        # outputs and exit code stand; os.devnull takes the flush at exit (Python's SIGPIPE recipe)
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
     if failure is not None:
         print(f"numerical failure: {failure}", file=sys.stderr)
     elif non_finite:

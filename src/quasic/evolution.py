@@ -18,15 +18,12 @@ Every H of the family is -1/2 (omega I + tau(t) K) with one fixed K = lam
 sigma_z + i kappa sigma_x and K^2 = (lam - kappa)(lam + kappa) I, so every
 RK4 step matrix, and every product of them, is x I + y K for two complex
 coordinates (x, y).  ``tdse_integrate`` builds the coordinates of RK4_BLOCK
-steps in one array pass from the drive alone and gets every grid state from
-an inclusive prefix scan of them in that commutative algebra (Hillis &
-Steele, CACM 29(12), 1986; Blelloch, CMU-CS-90-190, 1990), with each step
-carried as its deviation from the identity.  The eigenpairs of an evolved
-C(t) = sum_n s_n |psi_n(t)><phi_n(t)| all evolve under the same H(t) on the
-same grid, so they share one propagator: the scanned coordinates of the
-last propagator are kept, 32 B per step, and a call that repeats its p (the
-same object), t0, t1, steps and RK4_BLOCK only applies them to its own
-initial states.
+steps from the drive alone and gets every grid state from an inclusive
+prefix scan of them in that commutative algebra (Hillis & Steele, CACM
+29(12), 1986; Blelloch, CMU-CS-90-190, 1990), with each step carried as its
+deviation from the identity.  The eigenpairs of an evolved C(t) = sum_n s_n
+|psi_n(t)><phi_n(t)| share H(t) and the grid, so the last propagator is
+kept for the next call (see ``tdse_integrate``).
 
 Phase reconstruction takes its eigenstates and metrics from two callbacks,
 ``state_at`` and ``rho_at``, and calls each once, with the whole time grid
@@ -98,19 +95,6 @@ class EvolvedState:
         return lo + j
 
 
-def _span_product(a: np.ndarray, b: np.ndarray, q: float) -> np.ndarray:
-    """a b in span{I, K}, K^2 = q I, for coordinates (x, y) of x I + y K on axis 0.
-
-    (x1 I + y1 K)(x2 I + y2 K) = (x1 x2 + q y1 y2) I + (x1 y2 + y1 x2) K; the
-    product is commutative, to the bit.
-    """
-    ab = a[0] * b
-    # (y1 y2, y1 x2), then q y1 y2
-    swapped = a[1] * b[::-1]
-    swapped[0] *= q
-    return ab + swapped
-
-
 def _prefix_scan(deltas: np.ndarray, q: float) -> np.ndarray:
     """Inclusive time-ordered prefix products in span{I, K}, as deviations from I, along the last axis.
 
@@ -120,16 +104,23 @@ def _prefix_scan(deltas: np.ndarray, q: float) -> np.ndarray:
     product of the factors j-2s+1 .. j, so ceil(log2 n) passes suffice.
     Factors are carried as deviations, (I + l)(I + e) = I + e + l + l e, so
     rounding stays relative to each step's small generator and not to 1.
+    A pass writes to the other of two buffers; l e = l_x e + l_y (q e_y, e_x).
     """
-    deltas = deltas.copy()
-    n = deltas.shape[-1]
+    src, dst, work = deltas.copy(), np.empty_like(deltas), np.empty_like(deltas)
     shift = 1
-    while shift < n:
-        late, early = deltas[..., shift:], deltas[..., :-shift]
-        # the right-hand side is evaluated in full before the slice is written
-        deltas[..., shift:] = early + late + _span_product(late, early, q)
+    while shift < deltas.shape[-1]:
+        late, early, out, tmp = src[..., shift:], src[..., :-shift], dst[..., shift:], work[..., shift:]
+        np.multiply(late[0], early, out=out)
+        np.multiply(late[1], early[::-1], out=tmp)
+        tmp[0] *= q
+        out += tmp
+        # (e + l) + l e, in this order: e + (l + l e) rounds differently
+        np.add(early, late, out=tmp)
+        out += tmp
+        dst[..., :shift] = src[..., :shift]
+        src, dst = dst, src
         shift *= 2
-    return deltas
+    return src
 
 
 #: The last propagator _rk4_prefixes built, as (p, (t0 and t1 bits, steps,
@@ -138,9 +129,9 @@ _last_propagator: tuple | None = None
 
 
 def _rk4_prefixes(p: HamiltonianParams, t0: float, t1: float, steps: int, block: int) -> np.ndarray:
-    """Per-block prefix products of the RK4 propagator for H, as one read-only (steps, 2) array.
+    """Per-block prefix products of the RK4 propagator for H, as one read-only (2, steps) array.
 
-    Row k holds the coordinates (x, y) of M_k ... M_s - I = x I + y K for
+    Column k holds the coordinates (x, y) of M_k ... M_s - I = x I + y K for
     step k of the grid t0 + (t1 - t0)/steps * k, where s is the first step
     of k's block of ``block`` steps and K = lam sigma_z + i kappa sigma_x.
     One array rather than one per block keeps the peak memory lower.  The
@@ -158,25 +149,25 @@ def _rk4_prefixes(p: HamiltonianParams, t0: float, t1: float, steps: int, block:
     _last_propagator = None
     lo, hi = min(t0, t1), max(t0, t1)
     dt = (t1 - t0) / steps
+    half, sixth = 0.5 * dt, dt / 6.0
     grid = t0 + dt * np.arange(steps + 1)
     # A = -i H / hbar = alpha I + beta(t) K, and K^2 = q I in _xi's factored form
     coeff = 0.5j / p.hbar
+    alpha = coeff * p.omega
     q = (p.lam - p.kappa) * (p.lam + p.kappa)
     stage_times = np.array([[0.0], [0.5], [1.0]]) * dt
-    stacks = np.empty((steps, 2), dtype=complex)
+    stacks = np.empty((2, steps), dtype=complex)
     for start in range(0, steps, block):
         stop = min(start + block, steps)
-        # coordinates (alpha, beta) of A at t, t + dt/2 and t + dt, shape (2, 3, n)
-        a = np.empty((2, 3, stop - start), dtype=complex)
-        a[0] = coeff * p.omega
         # t + dt can round past t1; a tabulated drive ending at t1 would reject it
-        a[1] = coeff * p.drive.tau_array(np.clip(grid[start:stop] + stage_times, lo, hi))
-        a_a, a_m, a_b = a[:, 0], a[:, 1], a[:, 2]
-        k1 = a_a
-        k2 = a_m + 0.5 * dt * _span_product(a_m, k1, q)
-        k3 = a_m + 0.5 * dt * _span_product(a_m, k2, q)
-        k4 = a_b + dt * _span_product(a_b, k3, q)
-        stacks[start:stop] = _prefix_scan(dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), q).T
+        b_a, b_m, b_b = coeff * p.drive.tau_array(np.clip(grid[start:stop] + stage_times, lo, hi))
+        # K_j = x_j I + y_j K from beta at t, t + dt/2 and t + dt: K1 = (alpha, b_a), and each
+        # A (I + h K_j), h = dt/2 or dt, is written out in the algebra, every product in one operand order
+        x2, y2 = alpha + half * (alpha * alpha + b_m * b_a * q), b_m + half * (alpha * b_a + b_m * alpha)
+        x3, y3 = alpha + half * (alpha * x2 + b_m * y2 * q), b_m + half * (alpha * y2 + b_m * x2)
+        x4, y4 = alpha + dt * (alpha * x3 + b_b * y3 * q), b_b + dt * (alpha * y3 + b_b * x3)
+        deltas = np.stack((sixth * (alpha + 2.0 * x2 + 2.0 * x3 + x4), sixth * (b_a + 2.0 * y2 + 2.0 * y3 + y4)))
+        stacks[:, start:stop] = _prefix_scan(deltas, q)
     stacks.setflags(write=False)
     _last_propagator = (p, key, stacks)
     return stacks
@@ -226,15 +217,17 @@ def tdse_integrate(
 
     For each block of RK4_BLOCK steps the drive is evaluated once on the
     grid at t, t + dt/2 and t + dt, every step's coordinates of M - I are
-    built in one array pass, and an inclusive prefix scan of those
-    deviations (see ``_prefix_scan``) gives the coordinates of M_j ... M_0
-    for every step j of the block.  Applied to a block's first state v they
-    give every state of the block as v + (x v + y K v), with K v formed once
-    per block.  The block's end states start the next block.  A scan pass is
-    seven array operations on the (2, n) coordinates, where the 2x2 matrix
-    form took nineteen on (n, 2, 2) stacks.  The block size trades the
-    log2(block) passes of the scan against the fixed cost of a block's array
-    operations.
+    built from those (n,) rows with alpha one complex scalar, and a prefix
+    scan of them (see ``_prefix_scan``) gives the coordinates of M_j ... M_0
+    for every step j of the block, kept as one contiguous (2, steps) array.
+    Applied to a block's first state v they give the block's states as
+    v + (x v + y K v), one (side, component) column at a time, with K v
+    formed once per block; its end states start the next block.  A scan
+    pass is six array operations into preallocated (2, n) buffers.  numpy's
+    complex multiply rounds through fused multiply-adds, so a b and b a can
+    differ in the last bit: every product keeps one operand order.  The
+    block size trades the log2(block) scan passes against the fixed cost of
+    a block's array operations, and it groups the scan, so it sets the bits.
     On the benchmark's dynamics job (two pairs of 10,000-step runs;
     ``bench/run.py --workload dynamics --seconds 10``, seeds 1-3, medians of
     three alternating rounds, 2-CPU VM, numpy 2.4):
@@ -242,10 +235,10 @@ def tdse_integrate(
         ==========  =======  ===========
         RK4_BLOCK   run_s    peak_rss_mb
         ==========  =======  ===========
-        512         0.0346   39.29
-        1024        0.0306   39.15
-        2048        0.0283   39.15
-        4096        0.0278   39.85
+        512         0.0319   38.95
+        1024        0.0263   38.91
+        2048        0.0246   38.91
+        4096        0.0207   39.08
         ==========  =======  ===========
 
     2048 is the largest block that does not raise the peak memory.
@@ -258,10 +251,9 @@ def tdse_integrate(
     its own initial states, with the bits of a cold call.  t0 and t1 are
     read as floats, so the bits compared are the bits computed with.  The
     argument checks run before the lookup, so a repeated call still rejects
-    bad input.  The kept entry holds 32 B per step, half as much as the
-    state arrays a call returns (0.32 MB at 10,000 steps).  On the dynamics
-    job the +- eigenpairs repeat their propagator, 20,000 of its 46,000
-    steps.
+    bad input.  The kept entry holds 32 B per step, half the returned state
+    arrays.  On the dynamics job the +- eigenpairs repeat their propagator,
+    20,000 of its 46,000 steps.
 
     RK4 is a fourth-order polynomial in dt A, not a product of exponentials,
     so it stays independent of the midpoint exponential product in
@@ -272,8 +264,7 @@ def tdse_integrate(
     t0, t1 = float(t0), float(t1)
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError(f"t0 and t1 must be finite, got {t0} and {t1}")
-    psi0 = np.asarray(psi0, dtype=complex)
-    phi0 = np.asarray(phi0, dtype=complex)
+    psi0, phi0 = np.asarray(psi0, dtype=complex), np.asarray(phi0, dtype=complex)
     for name, v in (("psi0", psi0), ("phi0", phi0)):
         if v.shape != (2,) or not np.isfinite(v).all():
             raise ValueError(f"{name} must be a finite state of shape (2,)")
@@ -292,10 +283,12 @@ def tdse_integrate(
         v = states[:, start]
         # K v, with K = lam sigma_z + i kappa sigma_x
         kv = np.stack((p.lam * v[:, 0] + ik * v[:, 1], ik * v[:, 0] - p.lam * v[:, 1]), axis=-1)
-        x, y = stacks[start:stop].T
-        # axes (side, component, step), so every operation runs along the steps
-        v, kv = v[..., None], kv[..., None]
-        states[:, start + 1 : stop + 1] = (v + (x * v + y * kv)).transpose(0, 2, 1)
+        x, y = stacks[:, start:stop]
+        # v + (x v + y K v), one (side, component) column at a time
+        for side, comp in np.ndindex(2, 2):
+            out = np.multiply(x, v[side, comp], out=states[side, start + 1 : stop + 1, comp])
+            out += y * kv[side, comp]
+            out += v[side, comp]
     np.negative(states[1, :, 1], out=states[1, :, 1])
     return EvolvedState(grid=grid, right_states=states[0], left_states=states[1])
 

@@ -205,7 +205,7 @@ def _real_entries(form: InvariantForm, p: HamiltonianParams, t: float | np.ndarr
         fn, s = math, float(t) / p.hbar
     if form is InvariantForm.PT_SYMMETRIC:
         _require_regime(form, p, Regime.PT_SYMMETRIC)
-        xi = math.sqrt(lam**2 - kap**2)
+        xi = math.sqrt(lam * lam - kap * kap)
         try:
             sin, cos = fn.sin(xi * s), fn.cos(xi * s)
         except ValueError:  # math.sin of an infinite phase: NaN, as np.sin gives
@@ -215,17 +215,20 @@ def _real_entries(form: InvariantForm, p: HamiltonianParams, t: float | np.ndarr
         imag = _SQRT2 * kap + lam * sin
     elif form is InvariantForm.SPONTANEOUSLY_BROKEN:
         _require_regime(form, p, Regime.SPONTANEOUSLY_BROKEN)
-        xi = math.sqrt(kap**2 - lam**2)
-        cosh = fn.cosh(xi * s)
+        xi = math.sqrt(kap * kap - lam * lam)
+        try:
+            cosh, sinh = fn.cosh(xi * s), fn.sinh(xi * s)
+        except OverflowError:  # math.cosh and math.sinh of a huge phase: inf, as np.cosh gives
+            cosh, sinh = math.inf, math.copysign(math.inf, s)
         delta = lam - _SQRT2 * kap * cosh
-        real = _SQRT2 * xi * fn.sinh(xi * s)
+        real = _SQRT2 * xi * sinh
         imag = _SQRT2 * lam * cosh - kap
     else:
         _require_regime(form, p, Regime.EXCEPTIONAL_POINT)
         xi = 1.0
-        delta = -(kap**2) * s**2 / _SQRT2 - kap * s - _SQRT2
+        delta = -(kap * kap) * (s * s) / _SQRT2 - kap * s - _SQRT2
         real = 1.0 + _SQRT2 * kap * s
-        imag = kap**2 * s**2 / _SQRT2 + kap * s
+        imag = kap * kap * (s * s) / _SQRT2 + kap * s
     if p.kappa < 0:
         real, imag = -real, -imag
     if p.lam < 0:

@@ -6,6 +6,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -155,6 +158,12 @@ def test_aborted_time_dependent_run_names_its_stage(tmp_path, capsys, monkeypatc
         (["full-td", "--lambda", "1", "--kappa", "2", "--t1", "1000", "--samples", "5"], "4 of 5 at lambda=1,kappa=2"),
         # the phase xi t of the fixed-regime form overflows to inf at t1
         (["metric-picture", "--lambda", "3", "--kappa", "1", "--t1", "1e308", "--samples", "3"], "1 of 3 at lambda=3,kappa=1"),
+        # the broken form's cosh and sinh of the phase overflow at t = 5e307 and t1
+        (["metric-picture", "--lambda", "1", "--kappa", "3", "--t1", "1e308", "--samples", "3"], "2 of 3 at lambda=1,kappa=3"),
+        # the exceptional-point form's s * s overflows at t = 5e307 and t1
+        (["metric-picture", "--lambda", "1", "--kappa", "1", "--t1", "1e308", "--samples", "3"], "2 of 3 at lambda=1,kappa=1"),
+        # the largest metric eigenvalue, ~1e245, is finite but its square, in the det tolerance, is not
+        (["metric-picture", "--lambda", "1", "--kappa", "3", "--t1", "200", "--samples", "5"], "3 of 5 at lambda=1,kappa=3"),
         # the sine drive's phase frequency * t overflows to inf at t = 5e307 and t1
         (["full-td", "--drive", "sin", "--frequency", "10", "--t1", "1e308", "--samples", "3"], "2 of 3 at lambda=2,kappa=1"),
     ],
@@ -173,6 +182,34 @@ def test_non_finite_run_reports_exit_code_three(tmp_path, capsys, argv, where):
 def test_summary_carries_the_exit_code(tmp_path, argv, code):
     assert run(tmp_path, *argv) == code
     assert read_report(tmp_path / "quasi_c_report.jsonl")[-1]["exit_code"] == code
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["static", "--sweep", "panel-a"], 0),
+        (["static", "--lambda", "1", "--kappa", "2"], 1),
+        (["static", "--lambda", "1", "--kappa", "1"], 3),
+    ],
+)
+def test_closed_stdout_keeps_the_exit_code(tmp_path, argv, code):
+    # the read end is closed before the run starts, so every write to stdout fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "quasic.cli", *argv, "--out-dir", str(tmp_path)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == code
+    assert read_report(tmp_path / "quasi_c_report.jsonl")[-1]["exit_code"] == code
+    assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr
+    # a numerical failure still says so on stderr
+    assert ("numerical failure" in done.stderr) == (code == 3)
 
 
 def test_hamiltonian_next_to_coalescence_exits_three_as_defective(tmp_path, capsys):

@@ -21,7 +21,7 @@ from quasic.evolution import (
     tdse_integrate,
 )
 from quasic.invariants import InvariantForm, closed_form_invariant
-from quasic.linalg import IDENTITY, frobenius_norm, mat_exp
+from quasic.linalg import IDENTITY, _expm1_pauli, frobenius_norm, mat_exp
 from quasic.model import (
     ConstantDrive,
     HamiltonianParams,
@@ -71,6 +71,59 @@ def test_rk4_order():
     for steps in (40, 80, 160, 320):
         ev = tdse_integrate(STATIC, psi0, phi0, 0.0, 2.0, steps)
         errs.append(np.linalg.norm(ev.right_states[-1] - exact))
+    for a, b in zip(errs, errs[1:]):
+        assert 8.0 < a / b < 32.0
+
+
+def exact_driven_states(p, psi0, phi0, grid):
+    """Right and left states of the exact propagator on the grid from grid[0].
+
+    Every H(t) of the family is -1/2 (omega I + tau(t) K), and the H(t)
+    commute, so U(t) = e^{i omega (t - t0) / 2 hbar} exp(c K) with K = lam
+    sigma_z + i kappa sigma_x and c = i (S(t) - S(t0)) / 2 hbar, S the
+    drive's antiderivative.  Left states evolve under H^dag = sigma_z H
+    sigma_z, so under sigma_z U sigma_z.
+    """
+    t0 = float(grid[0])
+    c = 1j * (np.array([p.drive.integral(float(t)) for t in grid]) - p.drive.integral(t0)) / (2.0 * p.hbar)
+    phase = np.exp(1j * p.omega * (grid - t0) / (2.0 * p.hbar))
+    u = phase[:, None, None] * (IDENTITY + _expm1_pauli(1j * p.kappa * c, 0.0, p.lam * c))
+    sz = np.diag([1.0, -1.0])
+    return u @ psi0, sz @ u @ sz @ phi0
+
+
+# PT-symmetric and broken, with a sine drive
+EXACT_PAIRS = [(2.0, 0.7), (0.7, 2.0)]
+
+
+@pytest.mark.parametrize("omega, hbar", [(1.0, 1.0), (0.7, 1.3)])
+@pytest.mark.parametrize("lam, kappa", EXACT_PAIRS)
+def test_driven_rk4_matches_exact_propagator(lam, kappa, omega, hbar):
+    p = HamiltonianParams(omega, lam, kappa, hbar=hbar, drive=SineDrive())
+    psi0 = np.array([0.6 + 0.2j, -0.3 + 0.7j])
+    phi0 = np.array([0.4 - 0.5j, 0.9 + 0.1j])
+    for steps in (3_000, 10_000):
+        dt = 3.0 / steps
+        ev = tdse_integrate(p, psi0, phi0, 0.0, 3.0, steps)
+        rights, lefts = exact_driven_states(p, psi0, phi0, ev.grid)
+        # global RK4 error C dt^4 plus a roundoff floor: measured C <= 0.05
+        # over these four cases (4.7e-14 at 3,000 steps), and <= 1.1e-15 at
+        # 10,000 steps, where roundoff dominates
+        bound = 0.25 * dt**4 + 20 * np.finfo(float).eps
+        assert relative_error(ev.right_states, rights) <= bound, steps
+        assert relative_error(ev.left_states, lefts) <= bound, steps
+
+
+@pytest.mark.parametrize("lam, kappa", EXACT_PAIRS)
+def test_driven_rk4_order(lam, kappa):
+    p = HamiltonianParams(1.0, lam, kappa, drive=SineDrive())
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+    phi0 = np.array([0.0, 1.0], dtype=complex)
+    errs = []
+    for steps in (40, 80, 160, 320):
+        ev = tdse_integrate(p, psi0, phi0, 0.0, 3.0, steps)
+        rights, lefts = exact_driven_states(p, psi0, phi0, ev.grid)
+        errs.append(max(np.abs(ev.right_states - rights).max(), np.abs(ev.left_states - lefts).max()))
     for a, b in zip(errs, errs[1:]):
         assert 8.0 < a / b < 32.0
 
@@ -377,7 +430,6 @@ class TestPropagatorCache:
             raise AssertionError("a hit rebuilt the propagator")
 
         monkeypatch.setattr(SineDrive, "tau_array", forbidden)
-        monkeypatch.setattr(evolution, "_span_product", forbidden)
         monkeypatch.setattr(evolution, "_prefix_scan", forbidden)
         hit = tdse_integrate(DRIVEN, PSI_B, PHI_B, 0.0, 1.5, 100)
         monkeypatch.undo()
@@ -455,14 +507,15 @@ class TestPropagatorCache:
         released = weakref.ref(first)
         tdse_integrate(first, PSI_A, PHI_A, 0.0, 1.5, 300)
         entry = evolution._last_propagator
-        # two complex coordinates, 32 B, per step
-        assert entry[0] is first and entry[-1].shape == (300, 2) and entry[-1].nbytes == 32 * 300
+        # two contiguous rows of complex coordinates, 32 B per step
+        assert entry[0] is first and entry[-1].shape == (2, 300) and entry[-1].nbytes == 32 * 300
+        assert entry[-1].flags.c_contiguous
         del first, entry
         tdse_integrate(DRIVEN, PSI_A, PHI_A, 0.0, 1.5, 40)
         gc.collect()
         assert released() is None
         assert evolution._last_propagator[0] is DRIVEN
-        assert evolution._last_propagator[-1].shape == (40, 2)
+        assert evolution._last_propagator[-1].shape == (2, 40)
 
 
 def index_of_by_argmin(ev, t):

@@ -151,3 +151,26 @@ def test_drive_dependent_entries_match_mpmath_template(
     for g, w in zip(got, want):
         assert abs(mpmath.mpf(g) - w) <= 1e-13 * scale, (band, p.lam, p.kappa, drive, t, hbar, got, want)
 
+
+@pytest.mark.parametrize(
+    "lam, kappa",
+    [(1.0, 3.0), (-1.0, -3.0), (1.0, 1.0), (-1.0, 1.0)],  # broken, and the exceptional point
+)
+def test_fixed_regime_overflow_gives_the_array_path_values(lam, kappa):
+    # math.cosh raises OverflowError past a phase of ~710, and a float ** 2
+    # past 1.3e154; the scalar path must give inf or NaN there, as the
+    # numpy array path does, so that a run reports non-finite samples
+    p = HamiltonianParams(1.0, lam, kappa)
+    form = _FIXED_FORMS[classify_regime(p)]
+    times = [1e3, -1e3, 1e200, -1e200, 5e307, -5e307, 1e308]
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = np.array(_real_entries(form, p, np.array(times), stack=True))
+    for k, t in enumerate(times):
+        got = np.array(_real_entries(form, p, t))
+        want = stacked[:, k]
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), finite), (t, got, want)
+        assert np.array_equal(got[~finite], want[~finite], equal_nan=True), (t, got, want)
+        assert np.allclose(got[finite], want[finite], rtol=1e-14, atol=0.0), (t, got, want)
+    # the last time, 1e308, overflows on every pair
+    assert not np.isfinite(got).all()
