@@ -46,7 +46,6 @@ from .invariants import (
     closed_form_invariant,
     coefficient_matrix,
     lr_residual,
-    scaled_drive_integral,
     time_ordered_propagate,
 )
 from .linalg import (
@@ -75,8 +74,6 @@ from .model import (
     classify_regime,
     hamiltonian_at,
     hamiltonian_coefficients,
-    pauli_compose,
-    pauli_decompose,
 )
 from .reporting import Check, VerificationReport
 

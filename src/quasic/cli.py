@@ -72,6 +72,7 @@ from .linalg import (
     det_real_stack,
     frobenius_norm,
     frobenius_norm_stack,
+    hermitian_eigenvalues_2x2,
     hermitian_eigenvalues_stack,
     psd_sqrt,
 )
@@ -101,6 +102,8 @@ _STAGES = ("static_checks", "sampling", "array_pass", "propagation", "csv_write"
 class ScenarioConfig:
     """A run's options under the parser's names; ``pairs`` resolves --lambda, --kappa and --sweep.
 
+    ``t_ref`` is the resolved drive anchor: --t-ref, or its default for the drive.
+
     The report's metadata echoes every field but ``out_dir`` and ``prefix``.
     """
 
@@ -111,7 +114,7 @@ class ScenarioConfig:
     drive_value: float
     amplitude: float
     frequency: float
-    t_ref: float | None
+    t_ref: float
     t0: float
     t1: float
     samples: int
@@ -130,10 +133,8 @@ class ScenarioConfig:
 
 def _drive(cfg: ScenarioConfig):
     if cfg.drive == "sin":
-        t_ref = math.pi / 2 / cfg.frequency if cfg.t_ref is None else cfg.t_ref
-        return SineDrive(amplitude=cfg.amplitude, frequency=cfg.frequency, t_ref=t_ref)
-    t_ref = 0.0 if cfg.t_ref is None else cfg.t_ref
-    return ConstantDrive(value=cfg.drive_value, t_ref=t_ref)
+        return SineDrive(amplitude=cfg.amplitude, frequency=cfg.frequency, t_ref=cfg.t_ref)
+    return ConstantDrive(value=cfg.drive_value, t_ref=cfg.t_ref)
 
 
 def _params(cfg: ScenarioConfig, lam: float, kappa: float) -> HamiltonianParams:
@@ -204,7 +205,7 @@ def _run_static_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, swee
     eig_hi = eig_lo = float("nan")
     if herm <= cfg.tol:
         metric = metric_from_c(c, tol=cfg.tol)
-        eig_hi, eig_lo = metric.eigenvalues()
+        eig_hi, eig_lo = hermitian_eigenvalues_2x2(metric.matrix, tol=1e-8)
         add("metric_positive_definite", -eig_lo, 64.0 * _EPS64 * max(1.0, abs(eig_hi)), scaled=True)
         if eig_lo > 0:
             eta = psd_sqrt(metric.matrix)
@@ -471,6 +472,12 @@ def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace)
         parser.error("metric-picture requires the drive value 1: its closed forms assume tau == 1")
     if args.drive == "sin" and args.frequency == 0:
         parser.error("--frequency must be non-zero for the sine drive")
+    t_ref = args.t_ref
+    if t_ref is None:
+        t_ref = math.pi / 2 / args.frequency if args.drive == "sin" else 0.0
+    # t1 is finite, so this also refuses an infinite anchor (pi/2 over a subnormal frequency)
+    if not math.isfinite(args.t1 - t_ref):
+        parser.error(f"the drive anchor --t-ref ({t_ref:g}) and the window --t1 - --t-ref must be finite")
     tol = args.tol
     if tol is None:
         text = os.environ.get("QUASI_C_TOL", "1e-10")
@@ -494,7 +501,7 @@ def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace)
         if name in named:
             parser.error(f"sweep pairs {named[name]} and {pair} share the name {name} and would write one CSV file")
         named[name] = pair
-    options = vars(args) | {"signature": _SIGNATURES[args.signature], "tol": tol, "pairs": pairs}
+    options = vars(args) | {"t_ref": t_ref, "signature": _SIGNATURES[args.signature], "tol": tol, "pairs": pairs}
     for dest in ("lam", "kappa", "sweep"):  # resolved into pairs
         del options[dest]
     return ScenarioConfig(**options)

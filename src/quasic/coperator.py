@@ -29,9 +29,7 @@ from .linalg import (
     _mat2,
     _mat2_stack,
     adjoint,
-    det,
     frobenius_norm,
-    hermitian_eigenvalues_2x2,
 )
 from .model import HamiltonianParams, Regime, hamiltonian_at
 
@@ -55,7 +53,7 @@ class COperator:
 
 
 class MetricOperator:
-    """A metric rho as its 2x2 matrix, or an (N, 2, 2) stack of them.
+    """A metric rho as its 2x2 matrix, or an (N, 2, 2) stack of them, in ``matrix``, its one field.
 
     A plain slotted class rather than a frozen dataclass: the closed forms
     build one per evaluation, and a frozen dataclass's ``__init__`` (which
@@ -66,14 +64,6 @@ class MetricOperator:
 
     def __init__(self, matrix: np.ndarray) -> None:
         self.matrix = matrix
-
-    @property
-    def det(self) -> float:
-        return float(np.real(det(self.matrix)))
-
-    def eigenvalues(self) -> tuple[float, float]:
-        """Descending eigenvalues; a relative anti-Hermitian part above 1e-8 raises NotHermitianError."""
-        return hermitian_eigenvalues_2x2(self.matrix, tol=1e-8)
 
 
 def c_from_system(sys: BiorthoSystem, signature: Signature) -> COperator:
@@ -155,11 +145,10 @@ def closed_form_metric(form: MetricForm, p: HamiltonianParams, t: float | np.nda
 
     I(t) is the closed-form invariant of the same form.  t is a float, or a
     time array of shape (N,), for which ``matrix`` is the (N, 2, 2) stack
-    of the metrics at its entries (``det`` and ``eigenvalues`` then do not
-    apply).  The three drive-independent forms assume tau == 1 and a
-    parameter point inside their regime.  The drive-dependent form FULL_TD
-    holds on and next to the exceptional points lam = +-kappa, where its
-    entries take their coalescence limit.
+    of the metrics at its entries.  The three drive-independent forms
+    assume tau == 1 and a parameter point inside their regime.  The
+    drive-dependent form FULL_TD holds on and next to the exceptional
+    points lam = +-kappa, where its entries take their coalescence limit.
     """
     # sigma_z I(t) with I = [[-d, x + iy], [-x + iy, d]]: the second row negated, exactly
     if isinstance(t, np.ndarray):

@@ -151,7 +151,7 @@ def _rk4_prefixes(p: HamiltonianParams, t0: float, t1: float, steps: int, block:
     dt = (t1 - t0) / steps
     half, sixth = 0.5 * dt, dt / 6.0
     grid = t0 + dt * np.arange(steps + 1)
-    # A = -i H / hbar = alpha I + beta(t) K, and K^2 = q I in _xi's factored form
+    # A = -i H / hbar = alpha I + beta(t) K, and K^2 = q I, factored to ~1 ulp relative next to coalescence
     coeff = 0.5j / p.hbar
     alpha = coeff * p.omega
     q = (p.lam - p.kappa) * (p.lam + p.kappa)

@@ -8,9 +8,10 @@ degeneracy detection; they are relative to the matrix scale, floored at 1.
 ``frobenius_norm`` of a 2x2 matrix, which the command line calls per
 sample, reads the four entries as Python scalars: numpy's per-call
 overhead is several microseconds, far more than the arithmetic on four
-numbers.  It keeps numpy's order of summation, so its results are numpy's
-to the bit (with OpenBLAS on x86-64; within 2 ulp wherever a BLAS sums in
-another order).
+numbers.  It keeps numpy's order of summation over a row-major matrix, so
+its results are numpy's on the C-contiguous copy to the bit (with OpenBLAS
+on x86-64; within 2 ulp wherever a BLAS sums in another order), whatever
+the memory layout of its argument.
 
 The stacked kernels (``frobenius_norm_stack``,
 ``hermitian_eigenvalues_stack``, ``det_real_stack``) take (..., 2, 2)
@@ -120,14 +121,11 @@ def frobenius_norm(a: np.ndarray) -> float:
     if a.shape != (2, 2):
         return float(np.linalg.norm(a))
     (a00, a01), (a10, a11) = a.tolist()
-    if a.strides[0] < a.strides[1]:
-        # column-major (a transpose, e.g. an adjoint): memory order is a00, a10, a01, a11
-        return _norm4(a00, a10, a01, a11)
     return _norm4(a00, a01, a10, a11)
 
 
 def frobenius_norm_stack(a: np.ndarray) -> np.ndarray:
-    """Frobenius norms of a (..., 2, 2) stack, each equal to ``frobenius_norm`` of a row-major matrix."""
+    """Frobenius norms of a (..., 2, 2) stack, each equal to ``frobenius_norm`` of its matrix."""
     sq_re = a.real * a.real
     sq_im = a.imag * a.imag
     re = (sq_re[..., 0, 0] + sq_re[..., 1, 0]) + (sq_re[..., 0, 1] + sq_re[..., 1, 1])

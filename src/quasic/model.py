@@ -1,4 +1,4 @@
-"""Two-level model family, drives, Pauli decomposition and regime classification.
+"""Two-level model family, drives and regime classification.
 
 The Hamiltonian family is
 
@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DriveRangeError
-from .linalg import IDENTITY, PAULI_X, PAULI_Y, PAULI_Z, _mat2
+from .linalg import _mat2
 
 #: Relative band around |lam| = |kappa| that classify_regime calls the exceptional point.
 REGIME_TOL = 1e-12
@@ -211,20 +211,6 @@ class PauliCoefficients:
     c1: complex
     c2: complex
     c3: complex
-
-
-def pauli_decompose(a: np.ndarray) -> PauliCoefficients:
-    a = np.asarray(a, dtype=complex)
-    return PauliCoefficients(
-        c0=0.5 * (a[0, 0] + a[1, 1]),
-        c1=0.5 * (a[0, 1] + a[1, 0]),
-        c2=0.5j * (a[0, 1] - a[1, 0]),
-        c3=0.5 * (a[0, 0] - a[1, 1]),
-    )
-
-
-def pauli_compose(c: PauliCoefficients) -> np.ndarray:
-    return c.c0 * IDENTITY + c.c1 * PAULI_X + c.c2 * PAULI_Y + c.c3 * PAULI_Z
 
 
 def hamiltonian_at(p: HamiltonianParams, t: float) -> np.ndarray:

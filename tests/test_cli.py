@@ -439,6 +439,10 @@ def test_config_errors_exit_two(tmp_path):
         ["full-td", "--sweep", "2,1;1,inf"],
         # finite ends whose difference overflows
         ["full-td", "--drive", "sin", "--t0=-1e308", "--t1", "1e308", "--samples", "3"],
+        # a drive anchor that overflows (the default pi/2/frequency), or whose window to t1 does
+        ["full-td", "--drive", "sin", "--frequency", "1e-310"],
+        ["full-td", "--drive", "sin", "--frequency=-1e-310"],
+        ["full-td", "--drive", "sin", "--t-ref=-1e308", "--t1", "1e308"],
         ["unknown-scenario"],
     ):
         with pytest.raises(SystemExit) as err:
@@ -454,6 +458,19 @@ def test_non_finite_float_options_exit_two(tmp_path, capsys, option, value):
     assert err.value.code == 2
     assert option in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, t_ref",
+    [
+        (["--drive", "sin", "--frequency", "2"], math.pi / 4),
+        (["--drive", "sin", "--t-ref", "0.3"], 0.3),
+        (["--drive", "const"], 0.0),
+    ],
+)
+def test_config_echo_shows_the_resolved_anchor(tmp_path, argv, t_ref):
+    assert run(tmp_path, "full-td", *argv, "--t1", "2", "--samples", "20") == 0
+    assert read_report(tmp_path / "quasi_c_report.jsonl")[0]["config"]["t_ref"] == t_ref
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,89 @@
+"""Detection power: faults planted in the closed forms that a run must fail.
+
+A PASS means something only if a wrong closed form fails.  Each case patches
+``invariants._drive_entries``, the entries (d, x, y) of the drive-dependent
+invariant, and runs ``full-td --drive sin --t1 10 --samples 2000`` in
+process, on the PT-symmetric pair (2, 1) and the broken pair (1, 2).  The
+fault is planted in every closed form of the run: the sampled ones and the
+anchor of the propagation check.  Two fault classes, scaled by 1 + eps:
+
+- the drive integral m.  That is the invariant of a time-rescaled H, so
+  det I = -1 and C^2 = I still hold, and only the two derivative residuals
+  (``lr_residual_max``, ``quasi_hermiticity_max``) can see it.  They catch
+  it from eps = 1e-7 on the PT pair and 1e-8 on the broken pair.  The PT
+  run with m scaled by 1 + 1e-8 passes every check: its central-difference
+  residuals read 9.9e-9 against their tolerance of 1e-8 (1.1e-10 with no
+  fault).  That is the blind spot that derivative residuals at roundoff
+  should close.
+- the entry x.  It breaks d^2 - x^2 - y^2 = 1, so C^2 = I fails on the PT
+  pair (``c_squared_identity_max``) from eps = 1e-9, and det rho = 1 on the
+  broken pair (``det_rho_unit_max_dev``) from eps = 1e-10.
+
+Each smallest caught eps is pinned with exit 1 at it and one decade above
+it, with the check that catches it.  A change that raises a threshold fails
+here; one that lowers it may move the pin down.
+"""
+
+import json
+
+import pytest
+
+from quasic import invariants
+from quasic.cli import main
+
+PT_PAIR = (2.0, 1.0)
+BROKEN_PAIR = (1.0, 2.0)
+DERIVATIVE_CHECKS = ("lr_residual_max", "quasi_hermiticity_max")
+
+_drive_entries = invariants._drive_entries
+
+
+def scale_drive_integral(eps):
+    def fault(p, m, sinhc):
+        return _drive_entries(p, m * (1.0 + eps), sinhc)
+
+    return fault
+
+
+def scale_entry_x(eps):
+    def fault(p, m, sinhc):
+        d, x, y = _drive_entries(p, m, sinhc)
+        return d, x * (1.0 + eps), y
+
+    return fault
+
+
+def run(tmp_path, pair):
+    """Exit code and names of the failed checks of the full-td run on one pair."""
+    lam, kappa = pair
+    code = main(
+        [
+            "full-td", "--drive", "sin", "--t1", "10", "--samples", "2000",
+            f"--lambda={lam!r}", f"--kappa={kappa!r}", "--out-dir", str(tmp_path),
+        ]
+    )
+    records = [json.loads(line) for line in (tmp_path / "quasi_c_report.jsonl").read_text().splitlines()]
+    return code, {r["name"] for r in records if r["type"] == "check" and not r["pass"]}
+
+
+@pytest.mark.parametrize("pair", [PT_PAIR, BROKEN_PAIR], ids=["pt", "broken"])
+def test_unfaulted_run_passes(tmp_path, pair):
+    assert run(tmp_path, pair) == (0, set())
+
+
+# (pair, fault, smallest eps caught, checks that catch it there)
+THRESHOLDS = [
+    pytest.param(PT_PAIR, scale_drive_integral, 1e-7, DERIVATIVE_CHECKS, id="pt-drive-integral"),
+    pytest.param(BROKEN_PAIR, scale_drive_integral, 1e-8, DERIVATIVE_CHECKS, id="broken-drive-integral"),
+    pytest.param(PT_PAIR, scale_entry_x, 1e-9, ("c_squared_identity_max",), id="pt-entry-x"),
+    pytest.param(BROKEN_PAIR, scale_entry_x, 1e-10, ("det_rho_unit_max_dev",), id="broken-entry-x"),
+]
+
+
+@pytest.mark.parametrize("decades", [0, 1], ids=["at-threshold", "decade-above"])
+@pytest.mark.parametrize("pair, fault, eps, catching", THRESHOLDS)
+def test_planted_fault_fails(tmp_path, monkeypatch, pair, fault, eps, catching, decades):
+    monkeypatch.setattr(invariants, "_drive_entries", fault(eps * 10.0**decades))
+    code, failed = run(tmp_path, pair)
+    assert code == 1
+    assert set(catching) <= failed, failed

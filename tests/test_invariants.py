@@ -6,7 +6,6 @@ import math
 import tracemalloc
 import warnings
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -16,14 +15,13 @@ from quasic.invariants import (
     closed_form_invariant,
     coefficient_matrix,
     lr_residual,
-    scaled_drive_integral,
     time_ordered_propagate,
 )
 from quasic import model
 from quasic.biortho import biortho_system
 from quasic.coperator import c_from_system, closed_form_metric, metric_from_c
 from quasic.invariants import _real_entries
-from quasic.linalg import PAULI_Z, adjoint, det, frobenius_norm, psd_sqrt
+from quasic.linalg import IDENTITY, PAULI_X, PAULI_Y, PAULI_Z, adjoint, det, frobenius_norm, psd_sqrt
 from quasic.model import (
     ConstantDrive,
     HamiltonianParams,
@@ -31,8 +29,6 @@ from quasic.model import (
     SineDrive,
     TabulatedDrive,
     hamiltonian_coefficients,
-    pauli_compose,
-    pauli_decompose,
 )
 
 RNG = np.random.default_rng(31)
@@ -63,6 +59,20 @@ def anchored(form, p):
     """(closed-form invariant at the anchor, anchor time)."""
     t0 = anchor(form, p)
     return closed_form_invariant(form, p, t0), t0
+
+
+def pauli_decompose(a):
+    """The coefficients of a = c0 I + c1 sigma_x + c2 sigma_y + c3 sigma_z."""
+    return PauliCoefficients(
+        c0=0.5 * (a[0, 0] + a[1, 1]),
+        c1=0.5 * (a[0, 1] + a[1, 0]),
+        c2=0.5j * (a[0, 1] - a[1, 0]),
+        c3=0.5 * (a[0, 0] - a[1, 1]),
+    )
+
+
+def pauli_compose(c):
+    return c.c0 * IDENTITY + c.c1 * PAULI_X + c.c2 * PAULI_Y + c.c3 * PAULI_Z
 
 
 def expm3_series_oracle(a, terms=60):
@@ -382,23 +392,6 @@ class TestClosedForms:
             for t in np.linspace(0.0, 5.0, 11):
                 j = closed_form_invariant(InvariantForm.FULL_TD, p, t)
                 assert frobenius_norm(PAULI_Z @ adjoint(j) @ PAULI_Z - j) < 1e-10
-
-    def test_scaled_drive_integral_regimes(self):
-        mu_pt = scaled_drive_integral(FULL_SINE_PARAMS, 1.0)
-        assert abs(mu_pt.real) < 1e-15 and abs(mu_pt.imag) > 0.1
-        mu_broken = scaled_drive_integral(HamiltonianParams(1.0, 0.5, 1.0, drive=ConstantDrive()), 1.0)
-        assert abs(mu_broken.imag) < 1e-15 and mu_broken.real > 0.1
-
-    def test_scaled_drive_integral_next_to_coalescence(self):
-        # kappa^2 - lam^2 formed directly cancels here to a relative 1.1e-5
-        p = HamiltonianParams(1.0, 0.7 * (1.0 + 1e-12), 0.7, hbar=1.3, drive=SineDrive())
-        for t in (0.3, 2.0, 7.5):
-            got = scaled_drive_integral(p, t)
-            with mpmath.workdps(40):
-                lam, kap = mpmath.mpf(p.lam), mpmath.mpf(p.kappa)
-                integral = mpmath.mpf(p.drive.integral(t)) / mpmath.mpf(p.hbar)
-                exact = mpmath.sqrt(mpmath.mpc(kap * kap - lam * lam)) * integral
-                assert abs(got - complex(exact)) <= 4 * np.finfo(float).eps * abs(complex(exact))
 
     def test_regime_mismatch(self):
         with pytest.raises(RegimeMismatchError):

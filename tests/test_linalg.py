@@ -238,8 +238,14 @@ class TestScalarKernels:
         for a in self.matrices():
             # row-major, column-major (adjoints are transposed views) and a difference
             for m in (a, adjoint(a), np.asfortranarray(a), a - adjoint(a), a.real):
-                expected = float(np.linalg.norm(m))
+                expected = float(np.linalg.norm(np.ascontiguousarray(m)))
                 assert abs(frobenius_norm(m) - expected) <= 2 * math.ulp(expected)
+
+    def test_frobenius_norm_ignores_memory_layout(self):
+        # a transposed view sums like its row-major copy, so the bits cannot depend on the layout
+        for a in self.matrices():
+            for m in (a.T, adjoint(a), np.asfortranarray(a)):
+                assert frobenius_norm(m) == frobenius_norm(np.ascontiguousarray(m))
 
     def test_frobenius_norm_other_shapes_use_numpy(self):
         for m in (np.arange(3.0), RNG.standard_normal((3, 3)), RNG.standard_normal((2, 2, 2))):

@@ -1,4 +1,4 @@
-"""Hamiltonian family, drives, Pauli decomposition and parity-conjugation symmetry."""
+"""Hamiltonian family, drives, Pauli coefficients and parity-conjugation symmetry."""
 
 import math
 
@@ -8,7 +8,7 @@ import pytest
 from quasic.biortho import biortho_system
 from quasic.coperator import c_from_system, metric_from_c, pt_commutation_residual
 from quasic.errors import DriveRangeError
-from quasic.linalg import IDENTITY, PAULI_X, PAULI_Y, PAULI_Z, frobenius_norm
+from quasic.linalg import IDENTITY, PAULI_X, PAULI_Y, PAULI_Z
 from quasic.model import (
     ConstantDrive,
     HamiltonianParams,
@@ -19,8 +19,6 @@ from quasic.model import (
     hamiltonian_array,
     hamiltonian_at,
     hamiltonian_coefficients,
-    pauli_compose,
-    pauli_decompose,
 )
 
 RNG = np.random.default_rng(7)
@@ -113,15 +111,8 @@ def test_hamiltonian_coefficients_match_decomposition():
     assert c.c1 == -0.5j
     assert c.c2 == 0.0
     assert c.c3 == -1.0
-    d = pauli_decompose(hamiltonian_at(p, 0.0))
-    assert (d.c0, d.c1, d.c2, d.c3) == pytest.approx((c.c0, c.c1, c.c2, c.c3))
-
-
-def test_pauli_round_trip():
-    assert pauli_decompose(PAULI_X).c1 == 1.0
-    for _ in range(50):
-        a = RNG.standard_normal((2, 2)) + 1j * RNG.standard_normal((2, 2))
-        assert frobenius_norm(pauli_compose(pauli_decompose(a)) - a) < 1e-14
+    composed = c.c0 * IDENTITY + c.c1 * PAULI_X + c.c2 * PAULI_Y + c.c3 * PAULI_Z
+    assert np.array_equal(composed, hamiltonian_at(p, 0.0))
 
 
 @pytest.mark.parametrize(
