@@ -23,7 +23,6 @@ from .coperator import (
 from .errors import (
     BranchFlipError,
     DefectiveMatrixError,
-    DriveRangeError,
     InvalidSystemError,
     NearlyDefectiveError,
     NotHermitianError,
@@ -70,7 +69,6 @@ from .model import (
     PauliCoefficients,
     Regime,
     SineDrive,
-    TabulatedDrive,
     classify_regime,
     hamiltonian_at,
     hamiltonian_coefficients,

@@ -9,8 +9,8 @@ PASS/FAIL/INCONCLUSIVE line per check, and exits 0 when every check passes,
 tolerance above ``reporting.TOLERANCE_CEILING``), 2 on configuration errors
 and 3 on numerical failures (defective eigensystem, eigenvector rows that do
 not diagonalize H, or lost positivity where the scenario requires it, or a
-non-finite sample of a time-dependent scenario, reported after the CSVs
-and the report are written).  A failure
+non-finite sample or propagated invariant of a time-dependent scenario,
+reported after the CSVs and the report are written).  A failure
 that aborts a pair still writes the report, with the checks made so far
 and a ``failure`` record naming the pair, the stage it aborted in, the
 exception and its message.  The report's summary record carries the exit
@@ -119,7 +119,6 @@ class ScenarioConfig:
     t1: float
     samples: int
     steps_per_sample: int
-    fd_step: float
     signature: tuple[int, int]
     tol: float
     out_dir: Path
@@ -245,15 +244,15 @@ def _run_td_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, sweeping
     cmat = np.empty_like(rho)
     lr = np.empty(cfg.samples)
     quasi = np.empty(cfg.samples)
-    for k, t in enumerate(ts):
-        rho[k] = rho_at(t)
-        cmat[k] = c_at(t)
-        lr[k] = lr_residual(c_at, p, t, fd_step=cfg.fd_step)
-        quasi[k] = quasi_hermiticity_residual(rho_at, p, t, fd_step=cfg.fd_step)
-    clock.enter("array_pass")
+    # non-finite samples are counted and reported below, so no stage warns about them
+    with np.errstate(all="ignore"):
+        for k, t in enumerate(ts):
+            rho[k] = rho_at(t)
+            cmat[k] = c_at(t)
+            lr[k] = lr_residual(c_at, p, t)
+            quasi[k] = quasi_hermiticity_residual(rho_at, p, t)
+        clock.enter("array_pass")
 
-    # non-finite samples are counted and reported below, so the pass does not warn about them
-    with np.errstate(over="ignore", invalid="ignore"):
         eig_hi, eig_lo = hermitian_eigenvalues_stack(rho, tol=1e-8)
         det_rho = det_real_stack(rho)
         c_sq = frobenius_norm_stack(np.matmul(cmat, cmat) - IDENTITY)
@@ -288,9 +287,10 @@ def _run_td_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, sweeping
     # propagate the closed form from its anchor and compare with it at t1
     start = p.drive.t_ref if form is MetricForm.FULL_TD else 0.0
     steps = max(1, cfg.samples * cfg.steps_per_sample)
-    final = time_ordered_propagate(p, closed_form_invariant(form, p, start), start, cfg.t1, steps)
-    target = c_at(cfg.t1)
-    prop_err = frobenius_norm(final - target) / max(1.0, frobenius_norm(target))
+    with np.errstate(all="ignore"):
+        final = time_ordered_propagate(p, closed_form_invariant(form, p, start), start, cfg.t1, steps)
+        target = c_at(cfg.t1)
+        prop_err = frobenius_norm(final - target) / max(1.0, frobenius_norm(target))
     add("propagation_consistency", prop_err, 1e-6, argmax_t=cfg.t1)
     return columns
 
@@ -339,7 +339,11 @@ def run_scenario(cfg: ScenarioConfig) -> int:
 
     n_fail = sum(1 for c in report.checks if not c.passed)
     non_finite = {pair: n for pair, n in report.metadata.get("non_finite_samples", {}).items() if n}
-    if failure is not None or non_finite:
+    # t1 is a sample, so the one check that can be non-finite with finite samples is the propagation's
+    td_checks = () if cfg.scenario == "static" else report.checks
+    diverged = list(dict.fromkeys(_pair_name(*c.pair) for c in td_checks if c.n_nonfinite))
+    diverged = [pair for pair in diverged if pair not in non_finite]
+    if failure is not None or non_finite or diverged:
         report.exit_code = 3
     else:
         report.exit_code = 0 if n_fail == 0 else 1
@@ -360,9 +364,11 @@ def run_scenario(cfg: ScenarioConfig) -> int:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
     if failure is not None:
         print(f"numerical failure: {failure}", file=sys.stderr)
-    elif non_finite:
+    elif non_finite or diverged:
         where = "; ".join(f"{n} of {cfg.samples} at {pair}" for pair, n in non_finite.items())
-        print(f"numerical failure: non-finite samples ({where})", file=sys.stderr)
+        problems = [f"non-finite samples ({where})"] if non_finite else []
+        problems += [f"non-finite propagated invariant at {pair}" for pair in diverged]
+        print(f"numerical failure: {'; '.join(problems)}", file=sys.stderr)
     return report.exit_code
 
 
@@ -435,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--t1", type=_finite_float, default=10.0)
         s.add_argument("--samples", type=int, default=200)
         s.add_argument("--steps-per-sample", type=int, default=20)
-        s.add_argument("--fd-step", type=_finite_float, default=1e-5)
         s.add_argument("--signature", choices=sorted(_SIGNATURES), default="+-")
         s.add_argument(
             "--tol",
@@ -464,8 +469,6 @@ def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace)
         parser.error("--steps-per-sample must be at least 1")
     if args.hbar <= 0:
         parser.error("--hbar must be positive")
-    if args.fd_step <= 0:
-        parser.error("--fd-step must be positive")
     if args.scenario in ("static", "metric-picture") and args.drive != "const":
         parser.error(f"{args.scenario} requires the constant drive")
     if args.scenario == "metric-picture" and args.drive_value != 1.0:

@@ -21,10 +21,6 @@ class NearlyDefectiveError(DefectiveMatrixError):
     """Eigenvector matrix condition number exceeds the safe threshold."""
 
 
-class DriveRangeError(QuasiCError):
-    """Drive evaluated or integrated outside its tabulated range."""
-
-
 class RegimeMismatchError(QuasiCError):
     """Closed form evaluated with parameters outside its validity regime."""
 

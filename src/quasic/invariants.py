@@ -56,7 +56,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DriveRangeError, RegimeMismatchError
+from .errors import RegimeMismatchError
 from .linalg import IDENTITY, _expm1_pauli, _mat2, _mat2_stack, frobenius_norm
 from .model import HamiltonianParams, PauliCoefficients, Regime, hamiltonian_at
 
@@ -282,8 +282,6 @@ def time_ordered_propagate(
         raise ValueError("steps must be >= 1")
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError(f"t0 and t1 must be finite, got {t0} and {t1}")
-    if not p.drive.covers(min(t0, t1), max(t0, t1)):
-        raise DriveRangeError(f"drive does not cover [{t0}, {t1}]")
     dt = (t1 - t0) / steps
     tau_sum = math.fsum(
         np.sum(p.drive.tau_array(t0 + (np.arange(start, min(start + PROPAGATION_BLOCK, steps)) + 0.5) * dt))

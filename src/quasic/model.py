@@ -18,7 +18,6 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DriveRangeError
 from .linalg import _mat2
 
 #: Relative band around |lam| = |kappa| that classify_regime calls the exceptional point.
@@ -46,9 +45,6 @@ class ConstantDrive:
     def integral_array(self, t: np.ndarray) -> np.ndarray:
         """integral at every entry of a time array, with the same bits."""
         return self.value * (np.asarray(t, dtype=float) - self.t_ref)
-
-    def covers(self, t0: float, t1: float) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
@@ -86,88 +82,8 @@ class SineDrive:
         w = self.frequency
         return self.amplitude * (math.cos(w * self.t_ref) - np.cos(w * np.asarray(t, dtype=float))) / w
 
-    def covers(self, t0: float, t1: float) -> bool:
-        return True
 
-
-@dataclass(frozen=True, eq=False)
-class TabulatedDrive:
-    """Sampled drive; linear interpolation, trapezoid antiderivative.
-
-    Samples must be finite and strictly increasing in t.  Evaluation or
-    integration outside the sampled range raises DriveRangeError.  The drive
-    keeps read-only copies of the samples, so a later write into the
-    caller's arrays changes neither tau nor its antiderivative.
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-    t_ref: float | None = None
-    _cumulative: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        times = np.array(self.times, dtype=float)
-        values = np.array(self.values, dtype=float)
-        if times.ndim != 1 or times.shape != values.shape or times.size < 2:
-            raise ValueError("need matching 1-d arrays with at least two samples")
-        if not (np.isfinite(times).all() and np.isfinite(values).all()):
-            raise ValueError("sample times and values must be finite")
-        if not np.all(np.diff(times) > 0):
-            raise ValueError("sample times must be strictly increasing")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        if self.t_ref is None:
-            object.__setattr__(self, "t_ref", float(times[0]))
-        if not self.covers(self.t_ref, self.t_ref):
-            raise ValueError("t_ref outside the sampled range")
-        seg = 0.5 * (values[1:] + values[:-1]) * np.diff(times)
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
-        for array in (times, values, cum):
-            array.setflags(write=False)
-        object.__setattr__(self, "_cumulative", cum)
-
-    def _check(self, t: float) -> None:
-        if t < self.times[0] or t > self.times[-1]:
-            raise DriveRangeError(
-                f"t={t} outside tabulated range [{self.times[0]}, {self.times[-1]}]"
-            )
-
-    def tau(self, t: float) -> float:
-        self._check(t)
-        return float(np.interp(t, self.times, self.values))
-
-    def _check_array(self, t: np.ndarray) -> None:
-        if t.size:
-            self._check(float(t.min()))
-            self._check(float(t.max()))
-
-    def tau_array(self, t: np.ndarray) -> np.ndarray:
-        """tau at every entry of a time array; raises if any lies outside the samples."""
-        t = np.asarray(t, dtype=float)
-        self._check_array(t)
-        return np.interp(t, self.times, self.values)
-
-    def _antiderivative(self, t: np.ndarray) -> np.ndarray:
-        # exact integral of the linear interpolant from times[0] to each entry of t
-        self._check_array(t)
-        k = np.minimum(np.searchsorted(self.times, t, side="right") - 1, self.times.size - 2)
-        t_k, v_k = self.times[k], self.values[k]
-        dt = t - t_k
-        v_t = v_k + (self.values[k + 1] - v_k) * dt / (self.times[k + 1] - t_k)
-        return self._cumulative[k] + 0.5 * (v_k + v_t) * dt
-
-    def integral(self, t: float) -> float:
-        return float(self.integral_array(t))
-
-    def integral_array(self, t: np.ndarray) -> np.ndarray:
-        """integral at every entry of a time array; raises if any lies outside the samples."""
-        return self._antiderivative(np.asarray(t, dtype=float)) - self._antiderivative(np.asarray(self.t_ref))
-
-    def covers(self, t0: float, t1: float) -> bool:
-        return self.times[0] <= t0 and t1 <= self.times[-1]
-
-
-Drive = ConstantDrive | SineDrive | TabulatedDrive
+Drive = ConstantDrive | SineDrive
 
 
 @dataclass(frozen=True)

@@ -150,32 +150,49 @@ def test_aborted_time_dependent_run_names_its_stage(tmp_path, capsys, monkeypatc
     assert lines[-1]["all_pass"] is False and lines[-1]["exit_code"] == 3
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
-    "argv, where",
+    "argv, message",
     [
         # samples at t = 0, 250, ..., 1000; the metric has overflowed by t = 250
-        (["full-td", "--lambda", "1", "--kappa", "2", "--t1", "1000", "--samples", "5"], "4 of 5 at lambda=1,kappa=2"),
+        (["full-td", "--lambda", "1", "--kappa", "2", "--t1", "1000", "--samples", "5"], "non-finite samples (4 of 5 at lambda=1,kappa=2)"),
         # the phase xi t of the fixed-regime form overflows to inf at t1
-        (["metric-picture", "--lambda", "3", "--kappa", "1", "--t1", "1e308", "--samples", "3"], "1 of 3 at lambda=3,kappa=1"),
+        (["metric-picture", "--lambda", "3", "--kappa", "1", "--t1", "1e308", "--samples", "3"], "non-finite samples (1 of 3 at lambda=3,kappa=1)"),
         # the broken form's cosh and sinh of the phase overflow at t = 5e307 and t1
-        (["metric-picture", "--lambda", "1", "--kappa", "3", "--t1", "1e308", "--samples", "3"], "2 of 3 at lambda=1,kappa=3"),
+        (["metric-picture", "--lambda", "1", "--kappa", "3", "--t1", "1e308", "--samples", "3"], "non-finite samples (2 of 3 at lambda=1,kappa=3)"),
         # the exceptional-point form's s * s overflows at t = 5e307 and t1
-        (["metric-picture", "--lambda", "1", "--kappa", "1", "--t1", "1e308", "--samples", "3"], "2 of 3 at lambda=1,kappa=1"),
+        (["metric-picture", "--lambda", "1", "--kappa", "1", "--t1", "1e308", "--samples", "3"], "non-finite samples (2 of 3 at lambda=1,kappa=1)"),
         # the largest metric eigenvalue, ~1e245, is finite but its square, in the det tolerance, is not
-        (["metric-picture", "--lambda", "1", "--kappa", "3", "--t1", "200", "--samples", "5"], "3 of 5 at lambda=1,kappa=3"),
+        (["metric-picture", "--lambda", "1", "--kappa", "3", "--t1", "200", "--samples", "5"], "non-finite samples (3 of 5 at lambda=1,kappa=3)"),
         # the sine drive's phase frequency * t overflows to inf at t = 5e307 and t1
-        (["full-td", "--drive", "sin", "--frequency", "10", "--t1", "1e308", "--samples", "3"], "2 of 3 at lambda=2,kappa=1"),
+        (["full-td", "--drive", "sin", "--frequency", "10", "--t1", "1e308", "--samples", "3"], "non-finite samples (2 of 3 at lambda=2,kappa=1)"),
+        # every closed form overflows at hbar = 1e-300; Tier-1 turns any RuntimeWarning into an error
+        (["full-td", "--hbar", "1e-300", "--samples", "5"], "non-finite samples (5 of 5 at lambda=2,kappa=1)"),
+        # finite samples, but the propagation from the anchor -1e200 to t1 overflows
+        (["full-td", "--drive", "sin", "--t-ref=-1e200"], "non-finite propagated invariant at lambda=2,kappa=1"),
     ],
 )
-def test_non_finite_run_reports_exit_code_three(tmp_path, capsys, argv, where):
+def test_non_finite_run_reports_exit_code_three(tmp_path, capsys, argv, message):
     # the run is not aborted, so there is no failure record
     assert run(tmp_path, *argv) == 3
-    assert capsys.readouterr().err.strip() == f"numerical failure: non-finite samples ({where})"
+    assert capsys.readouterr().err.strip() == f"numerical failure: {message}"
     assert len(list(tmp_path.glob("*.csv"))) == 1
     lines = read_report(tmp_path / "quasi_c_report.jsonl")
     assert "failure" not in lines[0]
     assert lines[-1] == {"type": "summary", "all_pass": False, "n_checks": 6, "exit_code": 3}
+
+
+def test_non_finite_propagated_invariants_are_named_per_pair(tmp_path, capsys):
+    # every sample of both pairs is finite; each propagation from the anchor -1e200 overflows
+    assert run(tmp_path, "full-td", "--drive", "sin", "--t-ref=-1e200", "--sweep", "2,1;1,2", "--samples", "5") == 3
+    pairs = ("lambda=2,kappa=1", "lambda=1,kappa=2")
+    expected = "; ".join(f"non-finite propagated invariant at {pair}" for pair in pairs)
+    assert capsys.readouterr().err.strip() == f"numerical failure: {expected}"
+    assert len(list(tmp_path.glob("*.csv"))) == 2
+    lines = read_report(tmp_path / "quasi_c_report.jsonl")
+    assert lines[0]["non_finite_samples"] == dict.fromkeys(pairs, 0)
+    bad = [c["name"] for c in lines if c["type"] == "check" and c["n_nonfinite"]]
+    assert bad == [f"propagation_consistency[{pair}]" for pair in pairs]
+    assert lines[-1]["exit_code"] == 3
 
 
 @pytest.mark.parametrize("argv, code", [(["static"], 0), (["static", "--lambda", "1", "--kappa", "2"], 1)])
@@ -506,7 +523,6 @@ def test_unparsable_tol_env_exits_two(tmp_path, monkeypatch):
     assert err.value.code == 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_samples_exit_three_after_writing_outputs(tmp_path, capsys):
     # the broken-regime metric overflows long before t = 1000
     code = run(tmp_path, "full-td", "--lambda", "1", "--kappa", "2", "--t1", "1000", "--samples", "5")
@@ -638,8 +654,8 @@ def per_sample_td_pair(cfg, lam, kappa):
         cmat = c_at(t)
         eig_hi, eig_lo = hermitian_eigenvalues_2x2(rho, tol=1e-8)
         det_rho = float(np.real(det(rho)))
-        lr = lr_residual(c_at, p, t, fd_step=cfg.fd_step)
-        quasi = quasi_hermiticity_residual(rho_at, p, t, fd_step=cfg.fd_step)
+        lr = lr_residual(c_at, p, t)
+        quasi = quasi_hermiticity_residual(rho_at, p, t)
         c_sq = frobenius_norm(cmat @ cmat - IDENTITY)
         rows.append([float(t), eig_hi, eig_lo, det_rho, lr, quasi, c_sq])
         scale = max(1.0, frobenius_norm(rho))
@@ -660,6 +676,7 @@ def bits(values):
 _ORACLE_RUN = ("--t1=6", "--samples=120", "--sweep=2,1;1,2;1.5,1.5;-2,-1;-1,2;1.5,-1.5")
 
 
+# the reference loop, not the command line, warns on the overflow case
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "argv",
@@ -727,7 +744,6 @@ def test_checks_locate_their_worst_sample(tmp_path):
     assert all(c["argmax_t"] in times for c in checks.values())
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_worst_sample_of_a_non_finite_check_is_the_first_non_finite_one(tmp_path):
     # samples at t = 0, 250, ..., 1000; the metric has overflowed by t = 250
     assert run(tmp_path, "full-td", "--lambda", "1", "--kappa", "2", "--t1", "1000", "--samples", "5") == 3
@@ -739,7 +755,6 @@ def test_worst_sample_of_a_non_finite_check_is_the_first_non_finite_one(tmp_path
     assert checks["propagation_consistency"]["argmax_t"] == 1000.0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "argv, code",
     [

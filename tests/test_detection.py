@@ -5,7 +5,7 @@ A PASS means something only if a wrong closed form fails.  Each case patches
 invariant, and runs ``full-td --drive sin --t1 10 --samples 2000`` in
 process, on the PT-symmetric pair (2, 1) and the broken pair (1, 2).  The
 fault is planted in every closed form of the run: the sampled ones and the
-anchor of the propagation check.  Two fault classes, scaled by 1 + eps:
+anchor of the propagation check.  Four fault classes, scaled by 1 + eps:
 
 - the drive integral m.  That is the invariant of a time-rescaled H, so
   det I = -1 and C^2 = I still hold, and only the two derivative residuals
@@ -15,9 +15,18 @@ anchor of the propagation check.  Two fault classes, scaled by 1 + eps:
   residuals read 9.9e-9 against their tolerance of 1e-8 (1.1e-10 with no
   fault).  That is the blind spot that derivative residuals at roundoff
   should close.
-- the entry x.  It breaks d^2 - x^2 - y^2 = 1, so C^2 = I fails on the PT
-  pair (``c_squared_identity_max``) from eps = 1e-9, and det rho = 1 on the
-  broken pair (``det_rho_unit_max_dev``) from eps = 1e-10.
+- each of the entries d, x and y.  Each breaks d^2 - x^2 - y^2 = 1, so the
+  algebraic checks, C^2 = I (``c_squared_identity_max``) and det rho = 1
+  (``det_rho_unit_max_dev``), catch it before the derivative residuals do:
+
+  - d from eps = 1e-10 on both pairs: C^2 = I on the PT pair, both checks
+    on the broken pair;
+  - x from 1e-9 on the PT pair (C^2 = I) and 1e-10 on the broken pair
+    (det rho = 1);
+  - y from 1e-9 on both pairs: both checks on the PT pair, det rho = 1 on
+    the broken pair.
+
+  One decade below each of these thresholds every check passes.
 
 Each smallest caught eps is pinned with exit 1 at it and one decade above
 it, with the check that catches it.  A change that raises a threshold fails
@@ -34,6 +43,7 @@ from quasic.cli import main
 PT_PAIR = (2.0, 1.0)
 BROKEN_PAIR = (1.0, 2.0)
 DERIVATIVE_CHECKS = ("lr_residual_max", "quasi_hermiticity_max")
+ALGEBRAIC_CHECKS = ("c_squared_identity_max", "det_rho_unit_max_dev")
 
 _drive_entries = invariants._drive_entries
 
@@ -45,12 +55,21 @@ def scale_drive_integral(eps):
     return fault
 
 
-def scale_entry_x(eps):
-    def fault(p, m, sinhc):
-        d, x, y = _drive_entries(p, m, sinhc)
-        return d, x * (1.0 + eps), y
+def scale_entry(index):
+    """Fault class that scales entry ``index`` of (d, x, y) by 1 + eps."""
 
-    return fault
+    def scaled(eps):
+        def fault(p, m, sinhc):
+            entries = list(_drive_entries(p, m, sinhc))
+            entries[index] = entries[index] * (1.0 + eps)
+            return tuple(entries)
+
+        return fault
+
+    return scaled
+
+
+scale_entry_d, scale_entry_x, scale_entry_y = (scale_entry(index) for index in range(3))
 
 
 def run(tmp_path, pair):
@@ -77,6 +96,10 @@ THRESHOLDS = [
     pytest.param(BROKEN_PAIR, scale_drive_integral, 1e-8, DERIVATIVE_CHECKS, id="broken-drive-integral"),
     pytest.param(PT_PAIR, scale_entry_x, 1e-9, ("c_squared_identity_max",), id="pt-entry-x"),
     pytest.param(BROKEN_PAIR, scale_entry_x, 1e-10, ("det_rho_unit_max_dev",), id="broken-entry-x"),
+    pytest.param(PT_PAIR, scale_entry_y, 1e-9, ALGEBRAIC_CHECKS, id="pt-entry-y"),
+    pytest.param(BROKEN_PAIR, scale_entry_y, 1e-9, ("det_rho_unit_max_dev",), id="broken-entry-y"),
+    pytest.param(PT_PAIR, scale_entry_d, 1e-10, ("c_squared_identity_max",), id="pt-entry-d"),
+    pytest.param(BROKEN_PAIR, scale_entry_d, 1e-10, ALGEBRAIC_CHECKS, id="broken-entry-d"),
 ]
 
 

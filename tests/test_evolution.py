@@ -11,7 +11,7 @@ import pytest
 from quasic import evolution
 from quasic.biortho import biortho_system
 from quasic.coperator import MetricForm, c_from_system, closed_form_metric
-from quasic.errors import BranchFlipError, DriveRangeError, OffGridError
+from quasic.errors import BranchFlipError, OffGridError
 from quasic.evolution import (
     EvolvedState,
     aligned_eigenstate_trace,
@@ -26,7 +26,6 @@ from quasic.model import (
     ConstantDrive,
     HamiltonianParams,
     SineDrive,
-    TabulatedDrive,
     hamiltonian_array,
     hamiltonian_at,
 )
@@ -217,12 +216,9 @@ def relative_error(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
 
 
-# the table reaches past [0, 1.5] so the oracle's unclipped stage times stay inside
-TABLE_TIMES = np.linspace(-0.5, 2.0, 26)
 DRIVES = {
     "sine": SineDrive(amplitude=1.3, frequency=2.0),
     "constant": ConstantDrive(0.8),
-    "tabulated": TabulatedDrive(times=TABLE_TIMES, values=np.cos(3.0 * TABLE_TIMES) + 0.5),
 }
 PAIRS = {"pt": (2.0, 1.0), "broken": (0.8, 1.7)}
 EDGE_PAIRS = {
@@ -300,17 +296,6 @@ class TestPrefixScanRK4:
         for steps in (block - 1, block, block + 1, 4 * block + 1):
             assert_matches_per_step(p, *SPANS[span], steps)
 
-    def test_tabulated_drive_ending_at_t1(self):
-        grid = np.linspace(0.0, 1.5, 16)
-        p = HamiltonianParams(1.0, 2.0, 1.0, drive=TabulatedDrive(times=grid, values=np.sin(grid)))
-        e1 = np.array([1.0, 0.0], dtype=complex)
-        # with 15 steps, t + dt rounds past 1.5 on the last step forward and
-        # below 0 on the last step backward
-        for t0, t1 in ((0.0, 1.5), (1.5, 0.0)):
-            ev = tdse_integrate(p, e1, e1, t0, t1, 15)
-            assert np.all(np.isfinite(ev.right_states))
-        # a drive ending before t1 still raises: test_integration_outside_tabulated_range
-
     def test_steps_below_one_rejected(self):
         e1 = np.array([1.0, 0.0], dtype=complex)
         with pytest.raises(ValueError):
@@ -326,7 +311,6 @@ def reference_two_sided_tdse(p, psi0, phi0, t0, t1, steps, block):
     them with its own K: psi0 with K, and phi0 with K^dag directly, without
     sigma_z.
     """
-    lo, hi = min(t0, t1), max(t0, t1)
     dt = (t1 - t0) / steps
     grid = t0 + dt * np.arange(steps + 1)
     coeff = 0.5j / p.hbar
@@ -340,7 +324,7 @@ def reference_two_sided_tdse(p, psi0, phi0, t0, t1, steps, block):
         states[0] = np.asarray(v0, dtype=complex)
         for start in range(0, steps, block):
             stop = min(start + block, steps)
-            b_a, b_m, b_b = coeff * p.drive.tau_array(np.clip(grid[start:stop] + stage_times, lo, hi))
+            b_a, b_m, b_b = coeff * p.drive.tau_array(grid[start:stop] + stage_times)
             x1, y1 = alpha, b_a
             x2 = alpha + 0.5 * dt * (alpha * x1 + q * (b_m * y1))
             y2 = b_m + 0.5 * dt * (alpha * y1 + b_m * x1)
@@ -466,16 +450,6 @@ class TestPropagatorCache:
                 tdse_integrate(STATIC, bad, PHI_A, 0.0, 1.0, 4)
             with pytest.raises(ValueError, match="phi0 must be a finite state of shape"):
                 tdse_integrate(STATIC, PSI_A, bad, 0.0, 1.0, 4)
-
-    def test_hit_still_rejects_uncovered_range(self):
-        # an entry for a drive that covers [0, 2], planted under one that covers [0, 1]
-        times = np.linspace(0.0, 2.0, 21)
-        wide = HamiltonianParams(1.0, 2.0, 1.0, drive=TabulatedDrive(times=times, values=np.cos(times)))
-        narrow = HamiltonianParams(1.0, 2.0, 1.0, drive=TabulatedDrive(times=times[:11], values=np.cos(times[:11])))
-        tdse_integrate(wide, PSI_A, PHI_A, 0.0, 2.0, 10)
-        evolution._last_propagator = (narrow,) + evolution._last_propagator[1:]
-        with pytest.raises(DriveRangeError):
-            tdse_integrate(narrow, PSI_A, PHI_A, 0.0, 2.0, 10)
 
     def test_written_results_do_not_reach_the_next_call(self):
         ev = tdse_integrate(DRIVEN, PSI_A, PHI_A, 0.0, 1.5, 40)
@@ -605,16 +579,6 @@ def test_non_finite_times_rejected(drive, span, monkeypatch):
     monkeypatch.setattr(evolution, "_rk4_prefixes", lambda *args: entry[-1])
     with pytest.raises(ValueError, match="t0 and t1 must be finite"):
         tdse_integrate(p, PSI_A, PHI_A, t0, t1, 10)
-
-
-def test_integration_outside_tabulated_range():
-    grid = np.linspace(0.0, 1.0, 11)
-    p = HamiltonianParams(
-        1.0, 2.0, 1.0, drive=TabulatedDrive(times=grid, values=np.ones_like(grid))
-    )
-    e1 = np.array([1.0, 0.0], dtype=complex)
-    with pytest.raises(DriveRangeError):
-        tdse_integrate(p, e1, e1, 0.0, 2.0, 10)
 
 
 class TestPhase:
@@ -810,7 +774,8 @@ class TestPhaseArrayPass:
     def test_non_finite_alpha_dot_rejected(self):
         # a drive that is NaN past t = 0.75 passes the alignment (the
         # providers are finite) and makes H, and so alpha_dot, NaN on part of
-        # the grid; TabulatedDrive refuses NaN samples, so a stub plants it
+        # the grid; the constant and sine drives are finite there, so a stub
+        # plants it
         class NanTailDrive:
             def tau_array(self, t):
                 return np.where(np.asarray(t) > 0.75, np.nan, 1.0)

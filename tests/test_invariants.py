@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from quasic.errors import DriveRangeError, NotPositiveDefiniteError, RegimeMismatchError
+from quasic.errors import NotPositiveDefiniteError, RegimeMismatchError
 from quasic.invariants import (
     InvariantForm,
     closed_form_invariant,
@@ -27,7 +27,6 @@ from quasic.model import (
     HamiltonianParams,
     PauliCoefficients,
     SineDrive,
-    TabulatedDrive,
     hamiltonian_coefficients,
 )
 
@@ -223,29 +222,14 @@ class TestPropagation:
         back = time_ordered_propagate(p, fwd, 4.0, t0, 2000)
         assert np.abs(back - init).max() < 1e-8
 
-    def test_tabulated_drive_matches_sine_drive(self):
-        grid = np.linspace(0.0, 4.0, 8001)
-        tab = TabulatedDrive(times=grid, values=np.sin(grid), t_ref=math.pi / 2)
-        p_tab = HamiltonianParams(1.0, 2.0, 1.0, drive=tab)
-        init, t0 = anchored(InvariantForm.FULL_TD, p_tab)
-        out_tab = time_ordered_propagate(p_tab, init, t0, 3.5, 2000)
-        out_ref = time_ordered_propagate(FULL_SINE_PARAMS, init, t0, 3.5, 2000)
-        assert np.abs(out_tab - out_ref).max() < 1e-6
-        closed = closed_form_invariant(InvariantForm.FULL_TD, p_tab, 3.5)
-        assert frobenius_norm(out_tab - closed) < 1e-6
-
     @pytest.mark.parametrize("forward", [True, False], ids=["forward", "backward"])
     @pytest.mark.parametrize(
         "lam,kappa", [(2.0, 1.0), (0.5, 1.0), (1.0, 1.0)], ids=["pt", "broken", "ep"]
     )
     @pytest.mark.parametrize(
         "drive",
-        [
-            SineDrive(),
-            ConstantDrive(),
-            TabulatedDrive(times=np.linspace(0.0, 3.0, 61), values=np.cos(np.linspace(0.0, 3.0, 61))),
-        ],
-        ids=["sine", "constant", "tabulated"],
+        [SineDrive(), ConstantDrive()],
+        ids=["sine", "constant"],
     )
     def test_same_scheme_as_sequential_product(self, drive, lam, kappa, forward):
         p = HamiltonianParams(1.0, lam, kappa, hbar=0.8, drive=drive)
@@ -293,14 +277,6 @@ class TestPropagation:
         p = HamiltonianParams(1.0, 2.0, 1.0, drive=drive)
         with pytest.raises(ValueError, match="t0 and t1 must be finite"):
             time_ordered_propagate(p, PAULI_Z.copy(), *span, 10)
-
-    def test_propagation_outside_tabulated_range(self):
-        grid = np.linspace(0.0, 1.0, 11)
-        tab = TabulatedDrive(times=grid, values=np.ones_like(grid))
-        p = HamiltonianParams(1.0, 2.0, 1.0, drive=tab)
-        with pytest.raises(DriveRangeError):
-            time_ordered_propagate(p, PAULI_Z.copy(), 0.0, 2.0, 10)
-
 
 class TestPresets:
     @pytest.mark.parametrize("form,p", FORM_PARAMS)
@@ -403,13 +379,11 @@ class TestClosedForms:
 
 
 ARRAY_TIMES = np.concatenate((np.linspace(-3.0, 10.0, 1301), [0.0, 1e-300, 30.0]))
-TABLE_TIMES = np.linspace(-4.0, 31.0, 71)
 ARRAY_DRIVES = {
     "constant": ConstantDrive(),
     "constant-offset": ConstantDrive(0.7, t_ref=0.3),
     "sine": SineDrive(),
     "sine-fast": SineDrive(amplitude=1.3, frequency=2.0),
-    "tabulated": TabulatedDrive(times=TABLE_TIMES, values=np.cos(TABLE_TIMES) + 0.3, t_ref=0.5),
 }
 # PT, broken, coalescent and next-to-coalescent pairs with every sign
 ARRAY_PAIRS = [(2.0, 0.7), (0.7, 1.9), (1.0, 1.0), (-1.3, 0.5), (0.5, -1.3), (-0.7, -0.7), (0.7 * (1 + 1e-12), 0.7)]
@@ -434,8 +408,7 @@ def per_sample(fn, times):
 class TestTimeArrays:
     """A time array gives, element by element, the closed forms of its entries."""
 
-    # the tabulated drive's integral is its integral_array on one time
-    @pytest.mark.parametrize("drive", ["constant", "constant-offset", "sine", "sine-fast"])
+    @pytest.mark.parametrize("drive", ARRAY_DRIVES)
     def test_integral_array_same_bits(self, drive):
         d = ARRAY_DRIVES[drive]
         times = ARRAY_TIMES
@@ -443,17 +416,10 @@ class TestTimeArrays:
         assert got.shape == times.shape
         assert got.tobytes() == per_sample(d.integral, times).tobytes()
 
-    def test_tabulated_integral_array_keeps_its_range_check(self):
-        d = ARRAY_DRIVES["tabulated"]
-        for outside in (-4.5, 31.5):
-            with pytest.raises(DriveRangeError):
-                d.integral_array(np.array([0.0, outside, 1.0]))
-        assert d.integral_array(np.array([])).shape == (0,)
-
     @pytest.mark.parametrize("hbar", [1.0, 1.3])
     @pytest.mark.parametrize("drive", ARRAY_DRIVES)
     def test_full_td_same_bits(self, drive, hbar):
-        times = np.clip(ARRAY_TIMES, -4.0, 31.0)
+        times = ARRAY_TIMES
         for lam, kappa in ARRAY_PAIRS:
             p = HamiltonianParams(1.0, lam, kappa, hbar=hbar, drive=ARRAY_DRIVES[drive])
             invariant = closed_form_invariant(InvariantForm.FULL_TD, p, times)

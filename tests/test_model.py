@@ -7,14 +7,12 @@ import pytest
 
 from quasic.biortho import biortho_system
 from quasic.coperator import c_from_system, metric_from_c, pt_commutation_residual
-from quasic.errors import DriveRangeError
 from quasic.linalg import IDENTITY, PAULI_X, PAULI_Y, PAULI_Z
 from quasic.model import (
     ConstantDrive,
     HamiltonianParams,
     Regime,
     SineDrive,
-    TabulatedDrive,
     classify_regime,
     hamiltonian_array,
     hamiltonian_at,
@@ -45,9 +43,8 @@ def test_hamiltonian_sine_drive_vanishes_at_zero():
     [
         ConstantDrive(0.7),
         SineDrive(amplitude=1.3, frequency=0.9),
-        TabulatedDrive(np.linspace(-1.0, 5.0, 13), np.cos(np.linspace(-1.0, 5.0, 13))),
     ],
-    ids=["constant", "sine", "tabulated"],
+    ids=["constant", "sine"],
 )
 @pytest.mark.parametrize("kappa", [0.8, -0.8, 0.0])
 def test_hamiltonian_at_matches_array_bit_for_bit(drive, kappa):
@@ -63,9 +60,8 @@ def test_hamiltonian_at_matches_array_bit_for_bit(drive, kappa):
     [
         ConstantDrive(0.7),
         SineDrive(amplitude=1.3, frequency=0.9),
-        TabulatedDrive(np.linspace(-1.0, 5.0, 13), np.cos(np.linspace(-1.0, 5.0, 13))),
     ],
-    ids=["constant", "sine", "tabulated"],
+    ids=["constant", "sine"],
 )
 @pytest.mark.parametrize("lam, kappa", [(1.9, 0.8), (-1.9, 0.8), (0.6, -2.1), (-0.6, -2.1), (1.9, 0.0)])
 @pytest.mark.parametrize("hbar", [1.0, 1.3, 0.2])
@@ -85,9 +81,8 @@ def test_adjoint_is_parity_conjugate_exactly(drive, lam, kappa, hbar):
     [
         ConstantDrive(0.7),
         SineDrive(amplitude=1.3, frequency=0.9),
-        TabulatedDrive(np.linspace(-1.0, 5.0, 13), np.cos(np.linspace(-1.0, 5.0, 13))),
     ],
-    ids=["constant", "sine", "tabulated"],
+    ids=["constant", "sine"],
 )
 @pytest.mark.parametrize("lam, kappa", [(1.9, 0.8), (-1.9, 0.8), (0.6, -2.1), (-0.6, -2.1), (1.9, 0.0), (1.1, 1.1)])
 def test_hamiltonian_is_in_the_span_of_identity_and_one_fixed_k(drive, lam, kappa):
@@ -213,58 +208,3 @@ class TestDrives:
             quad = np.trapezoid([d.tau(s) for s in grid], grid)
             assert d.integral(t) == pytest.approx(quad, abs=1e-7)
 
-    def test_tabulated_matches_sine(self):
-        grid = np.linspace(0.0, 6.0, 4001)
-        tab = TabulatedDrive(times=grid, values=np.sin(grid), t_ref=math.pi / 2)
-        ref = SineDrive()
-        for t in (0.1, 1.3, 2.7, 5.9):
-            assert tab.tau(t) == pytest.approx(ref.tau(t), abs=1e-6)
-            assert tab.integral(t) == pytest.approx(ref.integral(t), abs=1e-6)
-
-    def test_tabulated_out_of_range(self):
-        tab = TabulatedDrive(times=np.array([0.0, 1.0]), values=np.array([1.0, 1.0]))
-        with pytest.raises(DriveRangeError):
-            tab.tau(1.5)
-        with pytest.raises(DriveRangeError):
-            tab.integral(-0.1)
-
-    def test_tabulated_requires_increasing_times(self):
-        with pytest.raises(ValueError):
-            TabulatedDrive(times=np.array([0.0, 0.0, 1.0]), values=np.zeros(3))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("where", ["times", "values"])
-    def test_tabulated_requires_finite_samples(self, where, bad):
-        samples = {"times": np.linspace(0.0, 1.0, 5), "values": np.ones(5)}
-        samples[where][-1 if where == "times" else 2] = bad
-        with pytest.raises(ValueError, match="must be finite"):
-            TabulatedDrive(**samples)
-
-    def test_tabulated_integral_additivity(self):
-        grid = np.linspace(0.0, 3.0, 301)
-        tab = TabulatedDrive(times=grid, values=grid**2)
-        total = tab.integral(2.5)
-        mid = TabulatedDrive(times=grid, values=grid**2, t_ref=1.25)
-        assert total == pytest.approx(tab.integral(1.25) + mid.integral(2.5), abs=1e-12)
-
-    def test_constant_one_matches_unit_tabulated(self):
-        grid = np.linspace(0.0, 5.0, 11)
-        tab = TabulatedDrive(times=grid, values=np.ones_like(grid))
-        const = ConstantDrive()
-        for t in (0.0, 2.2, 5.0):
-            assert tab.integral(t) == pytest.approx(const.integral(t), abs=1e-12)
-
-    def test_tabulated_keeps_its_own_samples(self):
-        # np.asarray would alias a float64 input: tau would follow a later write
-        # while the antiderivative kept the stale cumulative sums
-        times = np.linspace(0.0, 1.0, 11)
-        values = np.ones_like(times)
-        tab = TabulatedDrive(times=times, values=values)
-        times[:] = np.linspace(0.0, 2.0, 11)
-        values[:] = 3.0
-        assert tab.tau(0.5) == 1.0
-        assert tab.integral(1.0) == pytest.approx(1.0, abs=1e-15)
-        assert not tab.covers(0.0, 2.0)
-        for array in (tab.times, tab.values, tab._cumulative):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0.5
