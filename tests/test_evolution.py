@@ -219,6 +219,8 @@ def relative_error(a, b):
 DRIVES = {
     "sine": SineDrive(amplitude=1.3, frequency=2.0),
     "constant": ConstantDrive(0.8),
+    # negative, faster and anchored away from zero: a third shape of tau
+    "sine-negative": SineDrive(amplitude=-0.9, frequency=3.0, t_ref=0.4),
 }
 PAIRS = {"pt": (2.0, 1.0), "broken": (0.8, 1.7)}
 EDGE_PAIRS = {
@@ -564,7 +566,7 @@ NON_FINITE_SPANS = {
 @pytest.mark.parametrize("span", NON_FINITE_SPANS)
 @pytest.mark.parametrize("drive", ["constant", "sine"])
 def test_non_finite_times_rejected(drive, span, monkeypatch):
-    # both drives cover every range, so only the time check stands in the way
+    # every drive is defined at every finite time, so only the time check stands in the way
     p = HamiltonianParams(1.0, 2.0, 1.0, drive=DRIVES[drive])
     t0, t1 = NON_FINITE_SPANS[span]
     with pytest.raises(ValueError, match="t0 and t1 must be finite"):

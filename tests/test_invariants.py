@@ -228,8 +228,8 @@ class TestPropagation:
     )
     @pytest.mark.parametrize(
         "drive",
-        [SineDrive(), ConstantDrive()],
-        ids=["sine", "constant"],
+        [SineDrive(), ConstantDrive(), SineDrive(amplitude=-0.9, frequency=3.0, t_ref=0.4)],
+        ids=["sine", "constant", "sine-negative"],
     )
     def test_same_scheme_as_sequential_product(self, drive, lam, kappa, forward):
         p = HamiltonianParams(1.0, lam, kappa, hbar=0.8, drive=drive)
@@ -277,6 +277,7 @@ class TestPropagation:
         p = HamiltonianParams(1.0, 2.0, 1.0, drive=drive)
         with pytest.raises(ValueError, match="t0 and t1 must be finite"):
             time_ordered_propagate(p, PAULI_Z.copy(), *span, 10)
+
 
 class TestPresets:
     @pytest.mark.parametrize("form,p", FORM_PARAMS)
@@ -384,6 +385,7 @@ ARRAY_DRIVES = {
     "constant-offset": ConstantDrive(0.7, t_ref=0.3),
     "sine": SineDrive(),
     "sine-fast": SineDrive(amplitude=1.3, frequency=2.0),
+    "sine-negative": SineDrive(amplitude=-0.9, frequency=3.0, t_ref=0.4),
 }
 # PT, broken, coalescent and next-to-coalescent pairs with every sign
 ARRAY_PAIRS = [(2.0, 0.7), (0.7, 1.9), (1.0, 1.0), (-1.3, 0.5), (0.5, -1.3), (-0.7, -0.7), (0.7 * (1 + 1e-12), 0.7)]

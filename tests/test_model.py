@@ -1,5 +1,6 @@
 """Hamiltonian family, drives, Pauli coefficients and parity-conjugation symmetry."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -43,8 +44,9 @@ def test_hamiltonian_sine_drive_vanishes_at_zero():
     [
         ConstantDrive(0.7),
         SineDrive(amplitude=1.3, frequency=0.9),
+        SineDrive(amplitude=-0.9, frequency=3.0, t_ref=0.4),
     ],
-    ids=["constant", "sine"],
+    ids=["constant", "sine", "sine-negative"],
 )
 @pytest.mark.parametrize("kappa", [0.8, -0.8, 0.0])
 def test_hamiltonian_at_matches_array_bit_for_bit(drive, kappa):
@@ -60,8 +62,9 @@ def test_hamiltonian_at_matches_array_bit_for_bit(drive, kappa):
     [
         ConstantDrive(0.7),
         SineDrive(amplitude=1.3, frequency=0.9),
+        SineDrive(amplitude=-0.9, frequency=3.0, t_ref=0.4),
     ],
-    ids=["constant", "sine"],
+    ids=["constant", "sine", "sine-negative"],
 )
 @pytest.mark.parametrize("lam, kappa", [(1.9, 0.8), (-1.9, 0.8), (0.6, -2.1), (-0.6, -2.1), (1.9, 0.0)])
 @pytest.mark.parametrize("hbar", [1.0, 1.3, 0.2])
@@ -81,8 +84,9 @@ def test_adjoint_is_parity_conjugate_exactly(drive, lam, kappa, hbar):
     [
         ConstantDrive(0.7),
         SineDrive(amplitude=1.3, frequency=0.9),
+        SineDrive(amplitude=-0.9, frequency=3.0, t_ref=0.4),
     ],
-    ids=["constant", "sine"],
+    ids=["constant", "sine", "sine-negative"],
 )
 @pytest.mark.parametrize("lam, kappa", [(1.9, 0.8), (-1.9, 0.8), (0.6, -2.1), (-0.6, -2.1), (1.9, 0.0), (1.1, 1.1)])
 def test_hamiltonian_is_in_the_span_of_identity_and_one_fixed_k(drive, lam, kappa):
@@ -189,6 +193,16 @@ def test_params_validation():
         HamiltonianParams(float("nan"), 1.0, 1.0)
 
 
+# each drive type at its defaults and away from them, negative values included
+DRIVE_SHAPES = {
+    "constant": ConstantDrive(),
+    "constant-offset": ConstantDrive(-0.7, t_ref=0.3),
+    "sine": SineDrive(),
+    "sine-fast": SineDrive(amplitude=1.3, frequency=2.0),
+    "sine-negative": SineDrive(amplitude=-0.9, frequency=3.0, t_ref=0.4),
+}
+
+
 class TestDrives:
     def test_constant_integral(self):
         d = ConstantDrive(value=2.0, t_ref=1.0)
@@ -208,3 +222,23 @@ class TestDrives:
             quad = np.trapezoid([d.tau(s) for s in grid], grid)
             assert d.integral(t) == pytest.approx(quad, abs=1e-7)
 
+    @pytest.mark.parametrize("drive", DRIVE_SHAPES)
+    def test_integral_additivity(self, drive):
+        # moving the anchor to m splits the integral at m
+        d = DRIVE_SHAPES[drive]
+        for m, t in ((1.25, 2.5), (-0.8, 0.6), (3.1, -1.7)):
+            moved = dataclasses.replace(d, t_ref=m)
+            assert moved.integral(m) == 0.0
+            assert d.integral(t) == pytest.approx(d.integral(m) + moved.integral(t), abs=1e-12)
+
+    @pytest.mark.parametrize("drive", DRIVE_SHAPES)
+    def test_scalar_forms_match_array_forms_at_non_finite_times(self, drive):
+        # math.sin and math.cos raise on an infinite argument where np.sin and
+        # np.cos give NaN; the scalar forms give the array forms' values
+        d = DRIVE_SHAPES[drive]
+        times = np.array([np.inf, -np.inf, np.nan])
+        with np.errstate(invalid="ignore"):
+            taus, integrals = d.tau_array(times), d.integral_array(times)
+        for t, tau, integral in zip(times, taus, integrals):
+            assert np.array_equal(d.tau(float(t)), tau, equal_nan=True)
+            assert np.array_equal(d.integral(float(t)), integral, equal_nan=True)
