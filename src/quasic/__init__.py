@@ -23,7 +23,6 @@ from .coperator import (
 from .errors import (
     BranchFlipError,
     DefectiveMatrixError,
-    InvalidSystemError,
     NearlyDefectiveError,
     NotHermitianError,
     NotPositiveDefiniteError,

@@ -38,7 +38,11 @@ import numpy as np
 from .errors import DefectiveMatrixError, NearlyDefectiveError
 from .linalg import DEFAULT_TOL, IDENTITY, _eigen_stack, frobenius_norm
 
-COND_LIMIT = 1e12
+#: Largest completeness residual ||sum_n |right_n><left_n| - I|| of a returned system.
+SYSTEM_TOL = 1e-8
+#: Largest eigenvector condition a system is built at: the completeness residual stays
+#: below 2 eps cond (pinned in tests/test_biortho.py), so this bounds it by SYSTEM_TOL.
+COND_LIMIT = SYSTEM_TOL / (2.0 * float(np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,8 @@ def biortho_system(a: np.ndarray, tol: float = DEFAULT_TOL) -> BiorthoSystem:
     vectors are their dual basis, the conjugated rows of V^-1 = adj(V) / det V
     for V = [right1 right2].  Raises DefectiveMatrixError at a coalescent
     (non-diagonalizable) point and NearlyDefectiveError when the
-    eigenvector matrix condition exceeds COND_LIMIT.
+    eigenvector matrix condition exceeds COND_LIMIT, so a returned system is
+    complete to SYSTEM_TOL.
 
     ``a`` is one 2x2 matrix, whose system has complex eigenvalues and (2,)
     vectors, or an (N, 2, 2) stack, whose system has pairs of (N,)
@@ -89,7 +94,7 @@ def biortho_system(a: np.ndarray, tol: float = DEFAULT_TOL) -> BiorthoSystem:
         where = "" if a.ndim == 2 else f" at sample {k}"
         if defective[k]:
             raise DefectiveMatrixError(f"source matrix is defective{where}")
-        raise NearlyDefectiveError(f"eigenvector condition {cond[k]:.3g} exceeds {COND_LIMIT:.0e}{where}")
+        raise NearlyDefectiveError(f"eigenvector condition {cond[k]:.3g} exceeds {COND_LIMIT:.3g}{where}")
 
     # the order key (sign class, -Re value, -Im value) of each pair, compared as a tuple
     class1, class2 = _sign_class(sq1, tol), _sign_class(sq2, tol)

@@ -25,10 +25,6 @@ class RegimeMismatchError(QuasiCError):
     """Closed form evaluated with parameters outside its validity regime."""
 
 
-class InvalidSystemError(QuasiCError):
-    """Biorthonormal system is incomplete, or its eigenvector rows do not diagonalize its source."""
-
-
 class OffGridError(QuasiCError):
     """Requested time is not a node of the evolution grid."""
 

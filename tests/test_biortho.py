@@ -8,6 +8,7 @@ import pytest
 
 from quasic.biortho import (
     COND_LIMIT,
+    SYSTEM_TOL,
     _condition_stack,
     _squared_moduli,
     biortho_system,
@@ -94,11 +95,13 @@ def test_defective_at_coalescence():
         biortho_system(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
-def test_nearly_defective():
+@pytest.mark.parametrize("b", [5e7, 5e8, 5e9, 5e10, 1e13])
+def test_nearly_defective(b):
     # eigenvalues 1 and 2 are distinct at tol=1e-14 but the eigenvectors are
-    # parallel to one part in 1e13, tripping the condition guard
-    with pytest.raises(NearlyDefectiveError):
-        biortho_system(np.array([[1.0, 1e13], [0.0, 2.0]]), tol=1e-14)
+    # parallel to about one part in b, condition ~2b (1e8 ... 1e11, and 2e13),
+    # tripping the condition guard
+    with pytest.raises(NearlyDefectiveError, match="eigenvector condition"):
+        biortho_system(np.array([[1.0, b], [0.0, 2.0]]), tol=1e-14)
 
 
 def mp_condition_number(v1, v2):
@@ -113,7 +116,8 @@ def mp_condition_number(v1, v2):
 
 def test_condition_number_against_mpmath():
     # unit vectors at angle 2 / c have condition ~c; det V rounds to a few
-    # eps against |det V| ~ 2 / cond, so the relative error is below 2 eps cond
+    # eps against |det V| ~ 2 / cond, so the relative error is below 2 eps cond,
+    # and outside that band around COND_LIMIT the guard's verdict is the true one
     eps = np.finfo(float).eps
     rng = np.random.default_rng(7)
     targets = 10.0 ** rng.uniform(2.0, 13.0, size=600)
@@ -129,28 +133,61 @@ def test_condition_number_against_mpmath():
     cond = _condition_stack(v1, v2, _squared_moduli(v1), _squared_moduli(v2), d)
     for x, y, got in zip(v1, v2, cond):
         want = mp_condition_number(tuple(x.tolist()), tuple(y.tolist()))
-        assert abs(got - want) <= 2.0 * eps * want * want, (want, got)
-        if want <= 5e11:
+        err = 2.0 * eps * want * want
+        assert abs(got - want) <= err, (want, got)
+        if want + err <= COND_LIMIT:
             assert got <= COND_LIMIT, (want, got)
-        if want >= 2e12:
+        if want - err > COND_LIMIT:
             assert got > COND_LIMIT, (want, got)
 
 
 def test_condition_guard_follows_the_true_condition():
-    # [[1, b], [0, 2]] has eigenvectors (1, 0) and ~(b, 1), condition ~2b
+    # [[1, b], [0, 2]] has eigenvectors (1, 0) and ~(b, 1), condition ~2b; the
+    # guard's condition of those vectors is within 2 eps cond^2 of the true one
+    eps = np.finfo(float).eps
     raised = passed = 0
-    for b in np.geomspace(50.0, 5e12, 80):
+    for b in np.geomspace(50.0, 100.0 * COND_LIMIT, 80):
         a = np.array([[1.0, b], [0.0, 2.0]])
         dec = eigen_2x2(a, tol=1e-14)
         cond = mp_condition_number(*(tuple(pr.vector.tolist()) for pr in dec.pairs))
-        if cond <= 5e11:
+        err = 2.0 * eps * cond * cond
+        if cond + err <= COND_LIMIT:
             biortho_system(a, tol=1e-14)
             passed += 1
-        elif cond >= 2e12:
+        elif cond - err > COND_LIMIT:
             with pytest.raises(NearlyDefectiveError, match="eigenvector condition"):
                 biortho_system(a, tol=1e-14)
             raised += 1
     assert passed > 50 and raised > 5, (passed, raised)
+
+
+def near_parallel_systems(draws):
+    """(a, tol, system) for each system built from [[1, b], [0, 2]] (200 b), each also turned, and ``draws`` random matrices.
+
+    A turned matrix is Q [[1, b], [0, 2]] Q^H with a random unitary Q: its
+    eigenvectors are still ~1 / b from parallel, and the rounding of its
+    entries reaches the completeness residual, as the triangle's exact
+    entries do not.  Each matrix is tried at tol 1e-10 and 1e-14; those that
+    raise (NearlyDefectiveError included) are left out.
+    """
+    rng = np.random.default_rng(2026)
+    mats = []
+    for b in np.geomspace(50.0, 5e12, 200):
+        triangle = np.array([[1.0, b], [0.0, 2.0]])
+        q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        mats += [triangle, q @ triangle @ adjoint(q)]
+    for _ in range(draws):
+        # eigenvectors parallel to 1e-15 ... 1e-8 before a is rounded
+        v1, w = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        v = np.column_stack([v1, v1 + 10.0 ** rng.uniform(-15, -8) * w])
+        mats.append(v @ np.diag([1.0, 2.0]) @ np.linalg.inv(v))
+    for a in mats:
+        for tol in (1e-10, 1e-14):
+            try:
+                sys_a = biortho_system(a, tol=tol)
+            except DefectiveMatrixError:
+                continue
+            yield a, tol, sys_a
 
 
 def test_condition_guard_bounds_the_overlap():
@@ -158,51 +195,38 @@ def test_condition_guard_bounds_the_overlap():
     # is the other right vector, so for unit vectors ||left_n|| = 1 / |det V| =
     # cond / hi <= cond: every system the condition guard lets through has
     # ||left_n|| <= COND_LIMIT
-    rng = np.random.default_rng(2026)
-    mats = [np.array([[1.0, b], [0.0, 2.0]]) for b in np.geomspace(50.0, 5e12, 200)]
-    for _ in range(1000):
-        # eigenvectors parallel to 1e-15 ... 1e-8 before a is rounded
-        v1, w = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        v = np.column_stack([v1, v1 + 10.0 ** rng.uniform(-15, -8) * w])
-        mats.append(v @ np.diag([1.0, 2.0]) @ np.linalg.inv(v))
     worst = 0.0
-    for a in mats:
-        for tol in (1e-10, 1e-14):
-            try:
-                sys_a = biortho_system(a, tol=tol)
-            except DefectiveMatrixError:  # NearlyDefectiveError included
-                continue
-            norm = max(float(np.linalg.norm(pair.left)) for pair in sys_a.pairs)
-            assert norm <= COND_LIMIT, (a, tol)
-            worst = max(worst, norm)
+    for a, tol, sys_a in near_parallel_systems(1000):
+        norm = max(float(np.linalg.norm(pair.left)) for pair in sys_a.pairs)
+        assert norm <= COND_LIMIT, (a, tol)
+        worst = max(worst, norm)
     # systems were built right up to the condition guard
-    assert worst > 1e11, worst
+    assert worst > 0.1 * COND_LIMIT, worst
 
 
 def test_completeness_residual_follows_the_condition():
     # sum_n |right_n><left_n| = V V^-1 with V^-1 = adj(V) / det V formed directly,
     # so each entry rounds at ~eps times |x0 y1| / |det V| <= cond; a left vector
     # from a second eigensolve, normalized by its overlap, reaches ~eps * cond^2
-    rng = np.random.default_rng(2026)
-    mats = [np.array([[1.0, b], [0.0, 2.0]]) for b in np.geomspace(50.0, 5e12, 200)]
-    for _ in range(400):
-        # eigenvectors parallel to 1e-15 ... 1e-8 before a is rounded
-        v1, w = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        v = np.column_stack([v1, v1 + 10.0 ** rng.uniform(-15, -8) * w])
-        mats.append(v @ np.diag([1.0, 2.0]) @ np.linalg.inv(v))
     eps = np.finfo(float).eps
     worst = 0.0
-    for a in mats:
-        for tol in (1e-10, 1e-14):
-            try:
-                sys_a = biortho_system(a, tol=tol)
-            except DefectiveMatrixError:  # NearlyDefectiveError included
-                continue
-            cond = mp_condition_number(*(tuple(pr.right.tolist()) for pr in sys_a.pairs))
-            assert completeness_residual(sys_a) <= 2.0 * eps * cond, (a, tol, cond)
-            worst = max(worst, cond)
+    for a, tol, sys_a in near_parallel_systems(400):
+        cond = mp_condition_number(*(tuple(pr.right.tolist()) for pr in sys_a.pairs))
+        assert completeness_residual(sys_a) <= 2.0 * eps * cond, (a, tol, cond)
+        worst = max(worst, cond)
     # systems were built right up to the condition guard
-    assert worst > 1e11, worst
+    assert worst > 0.1 * COND_LIMIT, worst
+
+
+def test_every_built_system_is_complete_to_system_tol():
+    # COND_LIMIT = SYSTEM_TOL / (2 eps), and the residual stays below 2 eps cond (above)
+    worst = 0.0
+    for a, tol, sys_a in near_parallel_systems(1000):
+        resid = completeness_residual(sys_a)
+        assert resid <= SYSTEM_TOL, (a, tol, resid)
+        worst = max(worst, resid)
+    # the turned matrices next to the guard come within a decade of the tolerance
+    assert worst > 0.1 * SYSTEM_TOL, worst
 
 
 def test_completeness_residual_detects_zeroed_left():

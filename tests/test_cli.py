@@ -23,7 +23,7 @@ from quasic.cli import build_parser, main
 from quasic.coperator import MetricForm, closed_form_metric, metric_form_for_regime, quasi_hermiticity_residual
 from quasic.invariants import lr_residual
 from quasic.linalg import IDENTITY, det, frobenius_norm, hermitian_eigenvalues_2x2
-from quasic.model import classify_regime
+from quasic.model import HamiltonianParams, classify_regime, hamiltonian_at
 from quasic.reporting import TOLERANCE_CEILING
 
 COLUMNS = ["t", "rho_eig_hi", "rho_eig_lo", "det_rho", "lr_residual", "quasi_residual", "c_sq_residual"]
@@ -55,33 +55,40 @@ FLOAT_OPTIONS = _float_options()
 _STATIC_CHECKS = ["completeness", "c_squared_identity", "pt_commutation", "h_commutation", "metric_hermiticity"]
 
 
+_DYSON_CHECKS = ["metric_positive_definite", "dyson_sqrt_hermitian_image", "dyson_rows_diagonalizes"]
+
+
 @pytest.mark.parametrize(
-    "lam, kappa, signature, code, later_checks",
+    "lam, kappa, signature, code, later_checks, failed",
     [
-        ("2", "1", "+-", 0, ["metric_positive_definite", "dyson_sqrt_hermitian_image", "dyson_rows_diagonalizes"]),
-        # ||[H, C]|| is not 0 here, so the bit-equality below compares rounded values
-        ("2", "1.5", "+-", 0, ["metric_positive_definite", "dyson_sqrt_hermitian_image", "dyson_rows_diagonalizes"]),
+        ("2", "1", "+-", 0, _DYSON_CHECKS, set()),
+        # ||[H, C]|| is not 0 here, so the scaled check value is a rounded quotient of the CSV's
+        ("2", "1.5", "+-", 0, _DYSON_CHECKS, set()),
+        # ||[H, C]|| is 2 and ||H|| 1e200: the checks that carry H pass on their relative size
+        ("1e200", "1", "+-", 0, _DYSON_CHECKS, set()),
         # broken regime: sigma_z C is not Hermitian, so there is no metric to check
-        ("1", "2", "+-", 1, []),
+        ("1", "2", "+-", 1, [], {"pt_commutation", "metric_hermiticity"}),
         # C = I: the metric sigma_z is indefinite and has no square-root Dyson map
-        ("2", "1", "++", 1, ["metric_positive_definite", "dyson_rows_diagonalizes"]),
+        ("2", "1", "++", 1, ["metric_positive_definite", "dyson_rows_diagonalizes"], {"metric_positive_definite"}),
     ],
 )
-def test_static_scenario_passes(tmp_path, lam, kappa, signature, code, later_checks):
+def test_static_scenario_passes(tmp_path, lam, kappa, signature, code, later_checks, failed):
     assert run(tmp_path, "static", "--omega", "1", "--lambda", lam, "--kappa", kappa, "--signature", signature) == code
     lines = read_report(tmp_path / "quasi_c_report.jsonl")
     kinds = {ln["type"] for ln in lines}
     assert kinds == {"metadata", "check", "summary"}
     checks = {ln["name"]: ln for ln in lines if ln["type"] == "check"}
     assert list(checks) == _STATIC_CHECKS + later_checks
-    for name in ("c_squared_identity", "h_commutation"):
-        assert checks[name]["pass"] is True
-    assert checks["pt_commutation"]["pass"] is (lam == "2")
+    assert {name for name, c in checks.items() if not c["pass"]} == failed
     assert lines[-1]["all_pass"] is (code == 0)
-    rows = read_csv(tmp_path / f"quasi_c_static_{lam}_{kappa}.csv")
+    rows = read_csv(tmp_path / f"quasi_c_static_{float(lam):g}_{float(kappa):g}.csv")
     assert list(rows[0].keys()) == COLUMNS
-    # the residual columns are the check values, bit for bit
-    assert bits(r["lr_residual"] for r in rows) == bits([checks["h_commutation"]["value"]] * len(rows))
+    # the CSV keeps the raw residuals: c_sq_residual is its check value, bit for bit,
+    # and lr_residual the h_commutation value times ||H|| floored at 1
+    h = hamiltonian_at(HamiltonianParams(1.0, float(lam), float(kappa)), 0.0)
+    scale = max(1.0, math.hypot(*np.abs(h).ravel()))
+    raw = checks["h_commutation"]["value"] * scale
+    assert all(float(r["lr_residual"]) == pytest.approx(raw, rel=4 * np.finfo(float).eps, abs=0.0) for r in rows)
     assert bits(r["c_sq_residual"] for r in rows) == bits([checks["c_squared_identity"]["value"]] * len(rows))
     if (lam, kappa, signature) == ("2", "1", "+-"):
         assert float(rows[0]["rho_eig_hi"]) == pytest.approx(3.0 / math.sqrt(3.0), abs=1e-12)
@@ -168,7 +175,9 @@ def test_aborted_time_dependent_run_names_its_stage(tmp_path, capsys, monkeypatc
         # every closed form overflows at hbar = 1e-300; Tier-1 turns any RuntimeWarning into an error
         (["full-td", "--hbar", "1e-300", "--samples", "5"], "non-finite samples (5 of 5 at lambda=2,kappa=1)"),
         # finite samples, but the propagation from the anchor -1e200 to t1 overflows
-        (["full-td", "--drive", "sin", "--t-ref=-1e200"], "non-finite propagated invariant at lambda=2,kappa=1"),
+        (["full-td", "--drive", "sin", "--t-ref=-1e200"], "non-finite check values at lambda=2,kappa=1"),
+        # the eigensystem of a static H with entries ~1e160 squares them: every check value is NaN
+        (["static", "--lambda", "1e160", "--kappa", "1e159"], "non-finite check values at lambda=1e+160,kappa=1e+159"),
     ],
 )
 def test_non_finite_run_reports_exit_code_three(tmp_path, capsys, argv, message):
@@ -178,14 +187,15 @@ def test_non_finite_run_reports_exit_code_three(tmp_path, capsys, argv, message)
     assert len(list(tmp_path.glob("*.csv"))) == 1
     lines = read_report(tmp_path / "quasi_c_report.jsonl")
     assert "failure" not in lines[0]
-    assert lines[-1] == {"type": "summary", "all_pass": False, "n_checks": 6, "exit_code": 3}
+    n_checks = 5 if argv[0] == "static" else 6
+    assert lines[-1] == {"type": "summary", "all_pass": False, "n_checks": n_checks, "exit_code": 3}
 
 
 def test_non_finite_propagated_invariants_are_named_per_pair(tmp_path, capsys):
     # every sample of both pairs is finite; each propagation from the anchor -1e200 overflows
     assert run(tmp_path, "full-td", "--drive", "sin", "--t-ref=-1e200", "--sweep", "2,1;1,2", "--samples", "5") == 3
     pairs = ("lambda=2,kappa=1", "lambda=1,kappa=2")
-    expected = "; ".join(f"non-finite propagated invariant at {pair}" for pair in pairs)
+    expected = "; ".join(f"non-finite check values at {pair}" for pair in pairs)
     assert capsys.readouterr().err.strip() == f"numerical failure: {expected}"
     assert len(list(tmp_path.glob("*.csv"))) == 2
     lines = read_report(tmp_path / "quasi_c_report.jsonl")

@@ -31,13 +31,22 @@ anchor of the propagation check.  Four fault classes, scaled by 1 + eps:
 Each smallest caught eps is pinned with exit 1 at it and one decade above
 it, with the check that catches it.  A change that raises a threshold fails
 here; one that lowers it may move the pin down.
+
+The static scenario verifies each identity of its eigensystem once, in its
+own checks.  Two faults planted in the published case (lambda, kappa) =
+(2, 1) must fail them with exit 1: Dyson rows turned by 1e-6 rad
+(``dyson_rows_diagonalizes``), and a left vector scaled by 1 + 2e-8
+(``completeness``).
 """
 
 import json
+import math
 
+import numpy as np
 import pytest
 
-from quasic import invariants
+from quasic import cli, invariants
+from quasic.biortho import BiorthoPair
 from quasic.cli import main
 
 PT_PAIR = (2.0, 1.0)
@@ -72,17 +81,19 @@ def scale_entry(index):
 scale_entry_d, scale_entry_x, scale_entry_y = (scale_entry(index) for index in range(3))
 
 
+def failed_checks(tmp_path, *argv):
+    """Exit code and names of the failed checks of a run."""
+    code = main([*argv, "--out-dir", str(tmp_path)])
+    records = [json.loads(line) for line in (tmp_path / "quasi_c_report.jsonl").read_text().splitlines()]
+    return code, {r["name"] for r in records if r["type"] == "check" and not r["pass"]}
+
+
 def run(tmp_path, pair):
     """Exit code and names of the failed checks of the full-td run on one pair."""
     lam, kappa = pair
-    code = main(
-        [
-            "full-td", "--drive", "sin", "--t1", "10", "--samples", "2000",
-            f"--lambda={lam!r}", f"--kappa={kappa!r}", "--out-dir", str(tmp_path),
-        ]
+    return failed_checks(
+        tmp_path, "full-td", "--drive", "sin", "--t1", "10", "--samples", "2000", f"--lambda={lam!r}", f"--kappa={kappa!r}"
     )
-    records = [json.loads(line) for line in (tmp_path / "quasi_c_report.jsonl").read_text().splitlines()]
-    return code, {r["name"] for r in records if r["type"] == "check" and not r["pass"]}
 
 
 @pytest.mark.parametrize("pair", [PT_PAIR, BROKEN_PAIR], ids=["pt", "broken"])
@@ -110,3 +121,31 @@ def test_planted_fault_fails(tmp_path, monkeypatch, pair, fault, eps, catching, 
     code, failed = run(tmp_path, pair)
     assert code == 1
     assert set(catching) <= failed, failed
+
+
+def test_tilted_dyson_rows_fail(tmp_path, monkeypatch):
+    # the first row turned by 1e-6 rad toward the second leaves an off-diagonal
+    # weight of ~1e-6 |lam1 - lam2| / ||H|| (~1e-6) after the similarity
+    rows = cli.dyson_from_eigenvectors
+
+    def tilted(sys_h):
+        eta = rows(sys_h)
+        return np.array([math.cos(1e-6) * eta[0] + math.sin(1e-6) * eta[1], eta[1]])
+
+    monkeypatch.setattr(cli, "dyson_from_eigenvectors", tilted)
+    assert failed_checks(tmp_path, "static") == (1, {"dyson_rows_diagonalizes"})
+
+
+def test_scaled_left_vector_fails_completeness(tmp_path, monkeypatch):
+    # scaling a left vector by 1 + d moves the completeness residual by d ||left|| (||right|| = 1)
+    build = cli.biortho_system
+
+    def scaled(h):
+        sys_h = build(h)
+        first, second = sys_h.pairs
+        first = BiorthoPair(first.eigenvalue, first.right, (1.0 + 2e-8) * first.left)
+        return type(sys_h)(pairs=(first, second), source=sys_h.source)
+
+    monkeypatch.setattr(cli, "biortho_system", scaled)
+    # C = sum_n s_n |right_n><left_n| squares to I only as far as the system is complete
+    assert failed_checks(tmp_path, "static") == (1, {"completeness", "c_squared_identity"})
