@@ -61,7 +61,6 @@ class BiorthoPair:
 @dataclass(frozen=True)
 class BiorthoSystem:
     pairs: tuple[BiorthoPair, BiorthoPair]
-    source: np.ndarray
 
 
 def biortho_system(a: np.ndarray, tol: float = DEFAULT_TOL) -> BiorthoSystem:
@@ -113,7 +112,7 @@ def biortho_system(a: np.ndarray, tol: float = DEFAULT_TOL) -> BiorthoSystem:
     pairs = (BiorthoPair(value1, right1, left1), BiorthoPair(value2, right2, left2))
     if a.ndim == 2:
         pairs = tuple(BiorthoPair(complex(pr.eigenvalue[0]), pr.right[0], pr.left[0]) for pr in pairs)
-    return BiorthoSystem(pairs=pairs, source=a)
+    return BiorthoSystem(pairs=pairs)
 
 
 def _dual_row(x0: np.ndarray, x1: np.ndarray, d: np.ndarray) -> np.ndarray:

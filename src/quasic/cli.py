@@ -76,6 +76,7 @@ from .linalg import (
     frobenius_norm_stack,
     hermitian_eigenvalues_2x2,
     hermitian_eigenvalues_stack,
+    hypot_norm_stack,
     psd_sqrt,
 )
 from .model import (
@@ -191,8 +192,8 @@ def _run_static_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, swee
     p = _params(cfg, lam, kappa)
     h = hamiltonian_at(p, cfg.t0)
     sys_h = biortho_system(h)
-    # hypot of the entries' moduli: ||H|| without squaring an entry, which overflows from ~1e154
-    scale = max(1.0, math.hypot(*np.abs(h).ravel()))
+    # ||H|| without squaring an entry, which overflows from ~1e154
+    scale = max(1.0, float(hypot_norm_stack(h)))
     add = _pair_checks(report, lam, kappa, sweeping)
     add("completeness", completeness_residual(sys_h), cfg.tol)
     c = c_from_system(sys_h, cfg.signature)
@@ -250,7 +251,8 @@ def _run_td_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, sweeping
     quasi = np.empty(cfg.samples)
     # non-finite samples are counted and reported below, so no stage warns about them
     with np.errstate(all="ignore"):
-        for k, t in enumerate(ts):
+        # Python floats: t +- fd_step in the residuals is then float arithmetic, with the same doubles
+        for k, t in enumerate(ts.tolist()):
             rho[k] = rho_at(t)
             cmat[k] = c_at(t)
             lr[k] = lr_residual(c_at, p, t)
@@ -263,10 +265,9 @@ def _run_td_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, sweeping
         columns = np.stack((ts, eig_hi, eig_lo, det_rho, lr, quasi, c_sq))
         # CSV keeps raw residuals; checks normalize by the metric scale,
         # whose hyperbolic growth sets the attainable floating-point floor.
-        # Python's scale**2 raised OverflowError where scale * scale is inf;
-        # as the norm is the square root of a finite sum of squares, that
-        # needs a sum within rounding of the largest double.
-        scale = _max1(frobenius_norm_stack(rho))
+        # The scale squares no entry, so it stays finite past ~1.3e154 and a
+        # finite residual does not read 0 there.
+        scale = _max1(hypot_norm_stack(rho))
         folds = np.stack((lr / scale, quasi / scale, c_sq / (scale * scale), np.abs(det_rho - 1.0), -eig_lo, eig_hi))
     # np.maximum and np.max propagate NaN, and np.argmax stops at the first
     # NaN, so a non-finite sample cannot vanish from a check or its location

@@ -26,12 +26,14 @@ from .linalg import (
     DEFAULT_TOL,
     IDENTITY,
     PAULI_Z,
+    _derivative_defect,
     _mat2,
     _mat2_stack,
+    _norm4,
     adjoint,
     frobenius_norm,
 )
-from .model import HamiltonianParams, Regime, hamiltonian_at
+from .model import HamiltonianParams, Regime, _hamiltonian_entries
 
 Signature = tuple[int, int]
 
@@ -117,12 +119,17 @@ def quasi_hermiticity_residual(
     rho = sigma_z C this defect is sigma_z times the conservation defect
     i*hbar dC/dt - [H, C] of ``invariants.lr_residual``, entry by entry up
     to sign, and the two residuals are the same number.  The command line
-    computes and writes both.
+    computes and writes both.  Both run ``linalg._derivative_defect``, this
+    one with H^dag on the left.  On rho = sigma_z C each product it forms is
+    the matching product of ``lr_residual`` on C or its exact negation, so
+    the two residuals agree to the bit.
     """
-    drho = (rho_at(t + fd_step) - rho_at(t - fd_step)) / (2.0 * fd_step)
-    h = hamiltonian_at(p, t)
-    rho = rho_at(t)
-    return frobenius_norm(1j * p.hbar * drho - (adjoint(h) @ rho - rho @ h))
+    plus, minus = rho_at(t + fd_step).tolist(), rho_at(t - fd_step).tolist()
+    h00, h01, h11 = _hamiltonian_entries(p, p.drive.tau(t))
+    h01_conj = h01.conjugate()
+    left = ((h00, h01_conj), (h01_conj, h11))
+    c = 1j * (0.5 * p.hbar / fd_step)
+    return _norm4(*_derivative_defect(plus, minus, rho_at(t).tolist(), left, ((h00, h01), (h01, h11)), c))
 
 
 #: The metric rho = sigma_z I has one closed form per invariant form.

@@ -57,8 +57,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import RegimeMismatchError
-from .linalg import IDENTITY, _expm1_pauli, _mat2, _mat2_stack, frobenius_norm
-from .model import HamiltonianParams, PauliCoefficients, Regime, hamiltonian_at
+from .linalg import IDENTITY, _derivative_defect, _expm1_pauli, _mat2, _mat2_stack, _norm4
+from .model import HamiltonianParams, PauliCoefficients, Regime, _hamiltonian_entries
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -304,9 +304,13 @@ def lr_residual(
     """Central-difference defect of the invariant equation at time t.
 
     || i*hbar (I(t+h) - I(t-h)) / 2h  -  [H(t), I(t)] ||
+
+    Formed by ``linalg._derivative_defect`` on the callback matrices'
+    ``tolist()``, with H's entries from the drive value.
     """
-    di = (invariant_at(t + fd_step) - invariant_at(t - fd_step)) / (2.0 * fd_step)
-    h = hamiltonian_at(p, t)
-    m = invariant_at(t)
-    return frobenius_norm(1j * p.hbar * di - (h @ m - m @ h))
+    plus, minus = invariant_at(t + fd_step).tolist(), invariant_at(t - fd_step).tolist()
+    h00, h01, h11 = _hamiltonian_entries(p, p.drive.tau(t))
+    h = ((h00, h01), (h01, h11))
+    c = 1j * (0.5 * p.hbar / fd_step)
+    return _norm4(*_derivative_defect(plus, minus, invariant_at(t).tolist(), h, h, c))
 

@@ -5,13 +5,16 @@ exponential, explicit Hermitian square root), so there are no iterative
 solvers and no convergence concerns.  Tolerances only enter predicates and
 degeneracy detection; they are relative to the matrix scale, floored at 1.
 
-``frobenius_norm`` of a 2x2 matrix, which the command line calls per
-sample, reads the four entries as Python scalars: numpy's per-call
-overhead is several microseconds, far more than the arithmetic on four
-numbers.  It keeps numpy's order of summation over a row-major matrix, so
-its results are numpy's on the C-contiguous copy to the bit (with OpenBLAS
-on x86-64; within 2 ulp wherever a BLAS sums in another order), whatever
-the memory layout of its argument.
+``frobenius_norm`` of a 2x2 matrix reads the four entries as Python
+scalars and sums them in ``_norm4``: numpy's per-call overhead is several
+microseconds, far more than the arithmetic on four numbers.  For the same
+reason the derivative residuals, which the command line evaluates per
+sample, form their defect entries in ``_derivative_defect`` on Python
+scalars and finish in ``_norm4``.  ``_norm4`` keeps numpy's order of
+summation over a row-major matrix, so ``frobenius_norm`` gives numpy's
+bits on the C-contiguous copy (with OpenBLAS on x86-64; within 2 ulp
+wherever a BLAS sums in another order), whatever the memory layout of its
+argument.
 
 The stacked kernels (``frobenius_norm_stack``,
 ``hermitian_eigenvalues_stack``, ``det_real_stack``) take (..., 2, 2)
@@ -116,6 +119,30 @@ def _norm4(a00: complex, a01: complex, a10: complex, a11: complex) -> float:
     return math.sqrt(re + im)
 
 
+def _derivative_defect(plus, minus, mid, left, right, c) -> tuple:
+    """The entries (e00, e01, e10, e11) of c (P - M) - (L X - X R) for 2x2 P, M, X, L and R.
+
+    Each matrix is given as its two rows, ((a00, a01), (a10, a11)): the
+    ``tolist()`` of a 2x2 array, whose Python scalars cost a fraction of a
+    numpy operation per entry, or a (2, 2, N) array of entry arrays, for
+    which every entry is an (N,) array.  Written entry by entry, with no
+    type test and no matrix product, so the one body serves both.  Python
+    complex arithmetic gives inf or NaN on non-finite entries and raises
+    nothing; numpy arrays follow their errstate.
+    """
+    (p00, p01), (p10, p11) = plus
+    (m00, m01), (m10, m11) = minus
+    (x00, x01), (x10, x11) = mid
+    (l00, l01), (l10, l11) = left
+    (r00, r01), (r10, r11) = right
+    return (
+        c * (p00 - m00) - ((l00 * x00 + l01 * x10) - (x00 * r00 + x01 * r10)),
+        c * (p01 - m01) - ((l00 * x01 + l01 * x11) - (x00 * r01 + x01 * r11)),
+        c * (p10 - m10) - ((l10 * x00 + l11 * x10) - (x10 * r00 + x11 * r10)),
+        c * (p11 - m11) - ((l10 * x01 + l11 * x11) - (x10 * r01 + x11 * r11)),
+    )
+
+
 def frobenius_norm(a: np.ndarray) -> float:
     a = np.asarray(a)
     if a.shape != (2, 2):
@@ -131,6 +158,17 @@ def frobenius_norm_stack(a: np.ndarray) -> np.ndarray:
     re = (sq_re[..., 0, 0] + sq_re[..., 1, 0]) + (sq_re[..., 0, 1] + sq_re[..., 1, 1])
     im = (sq_im[..., 0, 0] + sq_im[..., 1, 0]) + (sq_im[..., 0, 1] + sq_im[..., 1, 1])
     return np.sqrt(re + im)
+
+
+def hypot_norm_stack(a: np.ndarray) -> np.ndarray:
+    """Frobenius norms of a (..., 2, 2) stack as hypots of the entries' moduli.
+
+    No entry is squared, so a norm is finite wherever it is representable;
+    ``frobenius_norm_stack`` is inf once an entry passes ~1.3e154.  It
+    agrees with that norm to a few ulp, not to the bit.
+    """
+    m = np.hypot(a.real, a.imag)
+    return np.hypot(np.hypot(m[..., 0, 0], m[..., 1, 0]), np.hypot(m[..., 0, 1], m[..., 1, 1]))
 
 
 def det(a: np.ndarray) -> complex:
@@ -279,11 +317,14 @@ def _expm1_pauli(a1, a2, a3) -> np.ndarray:
     a1, a2, a3 = (np.asarray(c, dtype=complex) for c in (a1, a2, a3))
     r = np.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
     small = np.abs(r) < _SINHC_SWITCH
-    # sinh(r)/r = 1 + r^2/6 + r^4/120 + ... ; six terms leave relative error
-    # far below double precision at the switch point.  The safe divisor keeps
-    # the unused branch of np.where free of 0/0.
+    # sinh(r)/r = 1 + r^2/6 + r^4/120 + ...  For complex r the 1 does not
+    # absorb the imaginary part of the later terms, which keeps their full
+    # relative precision.  Below the switch the r^4 term is at most 5e-14 of
+    # the r^2 term and the r^6 term at most 2e-27 of it, under rounding, so
+    # the series stops at r^4.  The safe divisor keeps the unused branch of
+    # np.where free of 0/0.
     r2 = r * r
-    series = 1 + r2 / 6 * (1 + r2 / 20 * (1 + r2 / 42 * (1 + r2 / 72 * (1 + r2 / 110))))
+    series = 1 + r2 / 6 * (1 + r2 / 20)
     safe_r = np.where(small, 1.0, r)
     sinhc = np.where(small, series, np.sinh(safe_r) / safe_r)
     half = np.sinh(0.5 * r)

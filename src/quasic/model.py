@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import _mat2
+from .linalg import _mat2, _mat2_stack
 
 #: Relative band around |lam| = |kappa| that classify_regime calls the exceptional point.
 REGIME_TOL = 1e-12
@@ -129,21 +129,26 @@ class PauliCoefficients:
     c3: complex
 
 
+def _hamiltonian_entries(p: HamiltonianParams, tau):
+    """(h00, h01, h11) of H at the drive value tau, a float or an array; h10 = h01.
+
+    The one formula of H's entries: hamiltonian_at, hamiltonian_array and
+    the derivative residuals all take them from here.  The diagonal is
+    real and the off-diagonal imaginary.
+    """
+    return -0.5 * (p.omega + p.lam * tau), -0.5 * (1j * p.kappa * tau), -0.5 * (p.omega - p.lam * tau)
+
+
 def hamiltonian_at(p: HamiltonianParams, t: float) -> np.ndarray:
-    """H(t), entry by entry with the formula of hamiltonian_array (same bits)."""
-    tau = p.drive.tau(t)
-    off = -0.5 * (1j * p.kappa * tau)
-    return _mat2(-0.5 * (p.omega + p.lam * tau), off, off, -0.5 * (p.omega - p.lam * tau))
+    """H(t) as a 2x2 array."""
+    h00, h01, h11 = _hamiltonian_entries(p, p.drive.tau(t))
+    return _mat2(h00, h01, h01, h11)
 
 
 def hamiltonian_array(p: HamiltonianParams, t: np.ndarray) -> np.ndarray:
     """hamiltonian_at at every entry of a time array; shape t.shape + (2, 2)."""
-    tau = p.drive.tau_array(t)
-    out = np.empty(tau.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = -0.5 * (p.omega + p.lam * tau)
-    out[..., 1, 1] = -0.5 * (p.omega - p.lam * tau)
-    out[..., 0, 1] = out[..., 1, 0] = -0.5 * (1j * p.kappa * tau)
-    return out
+    h00, h01, h11 = _hamiltonian_entries(p, p.drive.tau_array(t))
+    return _mat2_stack(h00, h01, h01, h11)
 
 
 def hamiltonian_coefficients(p: HamiltonianParams, t: float) -> PauliCoefficients:

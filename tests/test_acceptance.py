@@ -319,7 +319,7 @@ def test_criterion_12_gauge_invariance():
                 )
                 for c, pr in zip(scales, sys_base.pairs)
             )
-            rescaled = BiorthoSystem(pairs=pairs, source=sys_base.source)
+            rescaled = BiorthoSystem(pairs=pairs)
             delta = frobenius_norm(c_from_system(rescaled, (1, -1)).matrix - base)
             assert delta <= 1e-12
     print("ACCEPTANCE 12 PASS: 200 biorthonormal rescalings leave C unchanged to 1e-12")

@@ -240,7 +240,6 @@ def test_completeness_residual_detects_zeroed_left():
             ),
             sys_z.pairs[1],
         ),
-        source=sys_z.source,
     )
     assert completeness_residual(broken) == pytest.approx(1.0)
 
@@ -322,7 +321,6 @@ def assert_slices_match_reference(stack, tol=1e-10):
     """Every slice of the stacked system is the numpy-scalar reference system of that matrix, to a few ulp, in its pair order."""
     sys_stack = biortho_system(stack, tol=tol)
     n = len(stack)
-    assert sys_stack.source.shape == (n, 2, 2)
     for pair in sys_stack.pairs:
         assert pair.eigenvalue.shape == (n,) and pair.right.shape == pair.left.shape == (n, 2)
     for k, a in enumerate(stack):

@@ -22,7 +22,7 @@ from quasic import cli
 from quasic.cli import build_parser, main
 from quasic.coperator import MetricForm, closed_form_metric, metric_form_for_regime, quasi_hermiticity_residual
 from quasic.invariants import lr_residual
-from quasic.linalg import IDENTITY, det, frobenius_norm, hermitian_eigenvalues_2x2
+from quasic.linalg import IDENTITY, det, frobenius_norm, hermitian_eigenvalues_2x2, hypot_norm_stack
 from quasic.model import HamiltonianParams, classify_regime, hamiltonian_at
 from quasic.reporting import TOLERANCE_CEILING
 
@@ -668,8 +668,8 @@ def per_sample_td_pair(cfg, lam, kappa):
         quasi = quasi_hermiticity_residual(rho_at, p, t)
         c_sq = frobenius_norm(cmat @ cmat - IDENTITY)
         rows.append([float(t), eig_hi, eig_lo, det_rho, lr, quasi, c_sq])
-        scale = max(1.0, frobenius_norm(rho))
-        folds.append((lr / scale, quasi / scale, c_sq / scale**2, abs(det_rho - 1.0), -eig_lo, eig_hi))
+        scale = max(1.0, float(hypot_norm_stack(rho)))
+        folds.append((lr / scale, quasi / scale, c_sq / (scale * scale), abs(det_rho - 1.0), -eig_lo, eig_hi))
     max_lr, max_quasi, max_csq, max_det_dev, max_neg, _ = np.maximum(
         np.max(folds, axis=0), (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
     ).tolist()

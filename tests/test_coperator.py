@@ -46,6 +46,7 @@ from quasic.model import (
 )
 
 SQRT2 = math.sqrt(2.0)
+EPS = float(np.finfo(float).eps)
 SQRT3 = math.sqrt(3.0)
 
 STATIC_PT = HamiltonianParams(1.0, 2.0, 1.0)
@@ -244,6 +245,74 @@ class TestQuasiHermiticity:
         resid = quasi_hermiticity_residual(lambda t: IDENTITY.copy(), p, 0.0)
         assert resid == pytest.approx(frobenius_norm(adjoint(h) - h), abs=1e-12)
         assert resid > 0.1
+
+
+def numpy_residuals(matrix_at, p, t, fd_step=1e-5):
+    """The numpy matrix expressions the entry-wise kernel replaced, and the scale of their terms.
+
+    Returns (lr, quasi, scale): the conservation defect of C = sigma_z rho,
+    the quasi-Hermiticity defect of rho = matrix_at(t), and the largest
+    Frobenius norm of the terms the two defects subtract.
+    """
+
+    def c_at(s):
+        return PAULI_Z @ matrix_at(s)
+
+    h = hamiltonian_at(p, t)
+    dc = (c_at(t + fd_step) - c_at(t - fd_step)) / (2.0 * fd_step)
+    drho = (matrix_at(t + fd_step) - matrix_at(t - fd_step)) / (2.0 * fd_step)
+    c, rho = c_at(t), matrix_at(t)
+    lr = frobenius_norm(1j * p.hbar * dc - (h @ c - c @ h))
+    quasi = frobenius_norm(1j * p.hbar * drho - (adjoint(h) @ rho - rho @ h))
+    scale = max(frobenius_norm(x) for x in (1j * p.hbar * dc, h @ c, c @ h, adjoint(h) @ rho, rho @ h))
+    return lr, quasi, scale
+
+
+RESIDUAL_CASES = [
+    pytest.param(form, lam, kappa, drive, id=f"{form.name}-{lam:g},{kappa:g}-{type(drive).__name__}")
+    for form, lam, kappa in (
+        (MetricForm.PT_SYMMETRIC, 2.3, 0.7),
+        (MetricForm.SPONTANEOUSLY_BROKEN, 0.7, 2.3),
+        (MetricForm.EXCEPTIONAL_POINT, 1.3, 1.3),
+        (MetricForm.FULL_TD, 2.3, 0.7),
+        (MetricForm.FULL_TD, -0.7, 2.3),
+        (MetricForm.FULL_TD, 1.3, -1.3),
+        (MetricForm.FULL_TD, 1.3, 1.3 * (1.0 + 1e-9)),
+    )
+    for drive in (ConstantDrive(), SineDrive(amplitude=0.8, frequency=1.3))
+    if form is MetricForm.FULL_TD or isinstance(drive, ConstantDrive)
+]
+
+
+class TestResidualKernel:
+    """lr_residual and quasi_hermiticity_residual against the numpy forms they replaced."""
+
+    @pytest.mark.parametrize("form, lam, kappa, drive", RESIDUAL_CASES)
+    def test_matches_the_numpy_matrix_expression(self, form, lam, kappa, drive):
+        p = HamiltonianParams(-0.6, lam, kappa, hbar=1.7, drive=drive)
+
+        def rho_at(t):
+            return closed_form_metric(form, p, t).matrix
+
+        def c_at(t):
+            return PAULI_Z @ rho_at(t)
+
+        for t in np.linspace(0.0, 6.0, 61).tolist():
+            lr, quasi, scale = numpy_residuals(rho_at, p, t)
+            got_lr, got_quasi = lr_residual(c_at, p, t), quasi_hermiticity_residual(rho_at, p, t)
+            assert abs(got_lr - lr) <= 4 * EPS * scale
+            assert abs(got_quasi - quasi) <= 4 * EPS * scale
+            # the products of the one differ from the other's by sign alone
+            assert got_quasi == got_lr
+
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan, complex(np.inf, np.nan), 1e300])
+    def test_silent_on_non_finite_entries(self, entry):
+        # RuntimeWarnings are errors in this suite, and Python complex arithmetic
+        # raises none, on non-finite entries or on products that overflow (1e300)
+        p = FULL_SINE
+        m = np.array([[1.0, entry], [0.5j, -1.0]], dtype=complex)
+        assert not math.isfinite(lr_residual(lambda t: m, p, 0.4))
+        assert not math.isfinite(quasi_hermiticity_residual(lambda t: m, p, 0.4))
 
 
 class TestClosedFormMetric:

@@ -144,7 +144,7 @@ def test_scaled_left_vector_fails_completeness(tmp_path, monkeypatch):
         sys_h = build(h)
         first, second = sys_h.pairs
         first = BiorthoPair(first.eigenvalue, first.right, (1.0 + 2e-8) * first.left)
-        return type(sys_h)(pairs=(first, second), source=sys_h.source)
+        return type(sys_h)(pairs=(first, second))
 
     monkeypatch.setattr(cli, "biortho_system", scaled)
     # C = sum_n s_n |right_n><left_n| squares to I only as far as the system is complete

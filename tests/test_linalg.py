@@ -13,6 +13,7 @@ from quasic.linalg import (
     PAULI_Y,
     PAULI_Z,
     _eigen_stack,
+    _expm1_pauli,
     adjoint,
     commutator,
     det,
@@ -22,12 +23,14 @@ from quasic.linalg import (
     frobenius_norm_stack,
     hermitian_eigenvalues_2x2,
     hermitian_eigenvalues_stack,
+    hypot_norm_stack,
     mat_exp,
     psd_sqrt,
 )
 from quasic.model import HamiltonianParams, hamiltonian_at
 
 RNG = np.random.default_rng(20240817)
+EPS = float(np.finfo(float).eps)
 
 
 def random_complex_matrix(scale=1.0):
@@ -310,6 +313,21 @@ class TestStackedKernels:
         squares = frobenius_norm_stack(np.matmul(a, a) - IDENTITY)
         assert squares.tolist() == [frobenius_norm(m @ m - IDENTITY) for m in a]
 
+    def test_hypot_norm_is_finite_past_the_squares_overflow(self):
+        a = self.stack()
+        # a metric-like matrix at 1e200, one large entry, and the largest norm below overflow
+        a[0] = 1e200 * np.array([[2.0, 0.6 + 0.8j], [0.6 - 0.8j, 2.0]])
+        a[1, 1, 0] = -3e250j
+        a[2] = 4e307
+        got = hypot_norm_stack(a)
+        with np.errstate(over="ignore"):
+            assert np.isinf(frobenius_norm_stack(a[:3])).all()
+        with mpmath.workdps(40):
+            for m, norm in zip(a, got.tolist()):
+                want = mpmath.sqrt(mpmath.fsum(abs(mpmath.mpc(complex(z))) ** 2 for z in m.ravel()))
+                assert math.isfinite(norm)
+                assert abs(norm - want) <= 4 * EPS * want
+
     def test_hermitian_eigenvalues(self):
         a = self.stack()
         h = a + a.conj().swapaxes(-1, -2)
@@ -362,6 +380,20 @@ class TestMatExp:
         # |r| below the series switch-over
         a = 1e-8 * (PAULI_X + 0.5 * PAULI_Y - 0.25 * PAULI_Z)
         assert np.abs(mat_exp(a) - expm_taylor_oracle(a)).max() < 5e-16
+
+    def test_small_r_series_against_mpmath(self):
+        # below the switch |r| < 1e-6 sinh(r)/r is its series, whose r^2/6 term
+        # is 1.7e-15 to 1.7e-13 relative for |r| in [1e-7, 1e-6], above rounding
+        rng = np.random.default_rng(11)
+        paulis = [mpmath.matrix(m.tolist()) for m in (PAULI_X, PAULI_Y, PAULI_Z)]
+        for modulus in 10.0 ** rng.uniform(-7, -6, size=100):
+            coeffs = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            coeffs *= modulus / abs(np.sqrt(np.sum(coeffs * coeffs)))
+            got = _expm1_pauli(*coeffs)
+            with mpmath.workdps(40):
+                gen = sum((mpmath.mpc(complex(c)) * m for c, m in zip(coeffs, paulis)), mpmath.zeros(2))
+                want = np.array((mpmath.expm(gen) - mpmath.eye(2)).tolist(), dtype=complex)
+            assert np.abs(got - want).max() <= 4 * EPS * np.abs(want).max()
 
     def test_branch_switch_is_continuous(self):
         direction = PAULI_X + 0.5 * PAULI_Y - 0.25 * PAULI_Z

@@ -117,7 +117,7 @@ def reference_biortho_system(a, tol=DEFAULT_TOL):
         left = np.conj(adj[n] / det_v)
         pairs.append(BiorthoPair(eigenvalue=pair.value, right=pair.vector, left=left))
     pairs.sort(key=lambda pr: reference_order_key(pr, tol))
-    return BiorthoSystem(pairs=(pairs[0], pairs[1]), source=a)
+    return BiorthoSystem(pairs=(pairs[0], pairs[1]))
 
 
 EPS = np.finfo(float).eps
@@ -134,7 +134,6 @@ def biortho_outcome(fn, a, tol):
         sys_a = fn(a, tol=tol)
     except QuasiCError as exc:
         return type(exc), str(exc)
-    assert sys_a.source.tobytes() == np.asarray(a, dtype=complex).tobytes()
     return [(pr.eigenvalue, pr.right, pr.left) for pr in sys_a.pairs]
 
 
