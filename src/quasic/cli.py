@@ -2,7 +2,10 @@
 
 Three scenarios: ``static`` (time-independent C-operator and metric),
 ``metric-picture`` (time-independent Hamiltonian, time-dependent metric) and
-``full-td`` (driven Hamiltonian).  Each run writes a CSV time series per
+``full-td`` (driven Hamiltonian).  Each scenario takes only the options it
+reads: ``static`` has no time and no drive but its constant value, and
+``metric-picture`` no drive options, since its closed forms assume the
+constant drive of value 1.  Each run writes a CSV time series per
 (lambda, kappa) pair and a JSON-lines verification report, prints one
 PASS/FAIL/INCONCLUSIVE line per check, and exits 0 when every check passes,
 1 when any fails or is inconclusive (a pass against a scale-derived
@@ -19,10 +22,11 @@ code, and a closed standard output (a reader that quit) does not change it.
 CSV columns: t, rho_eig_hi, rho_eig_lo, det_rho, lr_residual,
 quasi_residual, c_sq_residual.  Floats are written with 17 significant
 digits, so output files are bit-identical across runs of the same
-configuration.  A static pair repeats one row; its lr_residual and
-c_sq_residual are the raw values of its h_commutation and c_squared_identity
-checks.  The static checks that carry H (h_commutation and the two Dyson
-maps') are divided by ||H|| floored at 1.
+configuration.  A static pair writes one row, at t = 0, since its C and
+metric do not depend on time; its lr_residual and c_sq_residual are the raw
+values of its h_commutation and c_squared_identity checks.  The static
+checks that carry H (h_commutation and the two Dyson maps') are divided by
+||H|| floored at 1.
 
 A time-dependent pair samples the closed forms and the two residuals per
 sample, then derives the eigenvalues, det rho, ||C^2 - I||, the folded
@@ -44,7 +48,6 @@ import platform
 import re
 import sys
 import time
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +95,8 @@ _EPS64 = float(np.finfo(float).eps)
 PANEL_A = ((2.0, 1.0), (3.0, 1.0), (2.0, 1.5))
 PANEL_B = ((1.0, 2.0), (1.0, 3.0), (1.5, 2.0))
 
-_SIGNATURES = {"+-": (1, -1), "-+": (-1, 1), "++": (1, 1), "--": (-1, -1)}
+# (-1, -1) has no entry: argparse reads '--' as the end of the options
+_SIGNATURES = {"+-": (1, -1), "-+": (-1, 1), "++": (1, 1)}
 
 _COLUMNS = ("t", "rho_eig_hi", "rho_eig_lo", "det_rho", "lr_residual", "quasi_residual", "c_sq_residual")
 # the bytes csv.writer wrote for these cells: no quoting, \r\n line ends
@@ -101,51 +105,22 @@ _CSV_ROW = ",".join(["%.17g"] * len(_COLUMNS)) + "\r\n"
 _STAGES = ("static_checks", "sampling", "array_pass", "propagation", "csv_write")
 
 
-@dataclass
-class ScenarioConfig:
-    """A run's options under the parser's names; ``pairs`` resolves --lambda, --kappa and --sweep.
-
-    ``t_ref`` is the resolved drive anchor: --t-ref, or its default for the drive.
-
-    The report's metadata echoes every field but ``out_dir`` and ``prefix``.
-    """
-
-    scenario: str
-    omega: float
-    hbar: float
-    drive: str
-    drive_value: float
-    amplitude: float
-    frequency: float
-    t_ref: float
-    t0: float
-    t1: float
-    samples: int
-    steps_per_sample: int
-    signature: tuple[int, int]
-    tol: float
-    out_dir: Path
-    prefix: str
-    pairs: list[tuple[float, float]]
-
-    @property
-    def fd_tol(self) -> float:
-        return max(1e-8, self.tol)
+def _fd_tol(cfg: argparse.Namespace) -> float:
+    return max(1e-8, cfg.tol)
 
 
-def _drive(cfg: ScenarioConfig):
-    if cfg.drive == "sin":
-        return SineDrive(amplitude=cfg.amplitude, frequency=cfg.frequency, t_ref=cfg.t_ref)
-    return ConstantDrive(value=cfg.drive_value, t_ref=cfg.t_ref)
+def _params(cfg: argparse.Namespace, lam: float, kappa: float) -> HamiltonianParams:
+    """A time-dependent pair's H: metric-picture's constant drive of value 1, or full-td's --drive."""
+    drive = ConstantDrive()
+    if cfg.scenario == "full-td":
+        if cfg.drive == "sin":
+            drive = SineDrive(amplitude=cfg.amplitude, frequency=cfg.frequency, t_ref=cfg.t_ref)
+        else:
+            drive = ConstantDrive(value=cfg.drive_value, t_ref=cfg.t_ref)
+    return HamiltonianParams(omega=cfg.omega, lam=lam, kappa=kappa, hbar=cfg.hbar, drive=drive)
 
 
-def _params(cfg: ScenarioConfig, lam: float, kappa: float) -> HamiltonianParams:
-    return HamiltonianParams(
-        omega=cfg.omega, lam=lam, kappa=kappa, hbar=cfg.hbar, drive=_drive(cfg)
-    )
-
-
-def _csv_path(cfg: ScenarioConfig, lam: float, kappa: float) -> Path:
+def _csv_path(cfg: argparse.Namespace, lam: float, kappa: float) -> Path:
     return cfg.out_dir / f"{cfg.prefix}_{cfg.scenario}_{lam:g}_{kappa:g}.csv"
 
 
@@ -187,10 +162,9 @@ def _pair_checks(report: VerificationReport, lam: float, kappa: float, sweeping:
     return add
 
 
-def _run_static_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, sweeping: bool, clock: _StageClock):
+def _run_static_pair(cfg: argparse.Namespace, lam: float, kappa: float, report, sweeping: bool, clock: _StageClock):
     clock.enter("static_checks")
-    p = _params(cfg, lam, kappa)
-    h = hamiltonian_at(p, cfg.t0)
+    h = hamiltonian_at(HamiltonianParams(cfg.omega, lam, kappa, drive=ConstantDrive(cfg.drive_value)), 0.0)
     sys_h = biortho_system(h)
     # ||H|| without squaring an entry, which overflows from ~1e154
     scale = max(1.0, float(hypot_norm_stack(h)))
@@ -214,20 +188,18 @@ def _run_static_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, swee
         if eig_lo > 0:
             eta = psd_sqrt(metric.matrix)
             hmapped = eta @ h @ np.linalg.inv(eta)
-            add("dyson_sqrt_hermitian_image", frobenius_norm(hmapped - adjoint(hmapped)) / scale, cfg.fd_tol)
+            add("dyson_sqrt_hermitian_image", frobenius_norm(hmapped - adjoint(hmapped)) / scale, _fd_tol(cfg))
         rows_eta = dyson_from_eigenvectors(sys_h)
         diag = rows_eta @ h @ np.linalg.inv(rows_eta)
-        add("dyson_rows_diagonalizes", (abs(diag[0, 1]) + abs(diag[1, 0])) / scale, cfg.fd_tol)
+        add("dyson_rows_diagonalizes", (abs(diag[0, 1]) + abs(diag[1, 0])) / scale, _fd_tol(cfg))
 
     quasi = frobenius_norm(adjoint(h) @ rho_raw - rho_raw @ h)
     det_rho = float(np.real(det(rho_raw)))
-    columns = np.empty((len(_COLUMNS), cfg.samples))
-    columns[0] = np.linspace(cfg.t0, cfg.t1, cfg.samples)
-    columns[1:] = np.array([eig_hi, eig_lo, det_rho, lr, quasi, c_sq])[:, None]
-    return columns
+    # one row: C and the metric do not depend on time
+    return np.array([[0.0, eig_hi, eig_lo, det_rho, lr, quasi, c_sq]]).T
 
 
-def _run_td_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, sweeping: bool, clock: _StageClock):
+def _run_td_pair(cfg: argparse.Namespace, lam: float, kappa: float, report, sweeping: bool, clock: _StageClock):
     clock.enter("sampling")
     p = _params(cfg, lam, kappa)
     if cfg.scenario == "metric-picture":
@@ -280,8 +252,8 @@ def _run_td_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, sweeping
     report.metadata.setdefault("non_finite_samples", {})[_pair_name(lam, kappa)] = n_nonfinite
 
     add = _pair_checks(report, lam, kappa, sweeping)
-    add("lr_residual_max", max_lr, cfg.fd_tol, argmax_t=at_lr, n_nonfinite=bad_lr)
-    add("quasi_hermiticity_max", max_quasi, cfg.fd_tol, argmax_t=at_quasi, n_nonfinite=bad_quasi)
+    add("lr_residual_max", max_lr, _fd_tol(cfg), argmax_t=at_lr, n_nonfinite=bad_lr)
+    add("quasi_hermiticity_max", max_quasi, _fd_tol(cfg), argmax_t=at_quasi, n_nonfinite=bad_quasi)
     add("c_squared_identity_max", max_csq, cfg.tol, argmax_t=at_csq, n_nonfinite=bad_csq)
     # det roundoff also grows with the square of the entry scale
     det_tol = max(1e-9, 16.0 * _EPS64 * max_hi * max_hi)
@@ -291,7 +263,7 @@ def _run_td_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, sweeping
 
     # propagate the closed form from its anchor and compare with it at t1
     start = p.drive.t_ref if form is MetricForm.FULL_TD else 0.0
-    steps = max(1, cfg.samples * cfg.steps_per_sample)
+    steps = cfg.samples * cfg.steps_per_sample
     with np.errstate(all="ignore"):
         final = time_ordered_propagate(p, closed_form_invariant(form, p, start), start, cfg.t1, steps)
         target = c_at(cfg.t1)
@@ -300,10 +272,10 @@ def _run_td_pair(cfg: ScenarioConfig, lam: float, kappa: float, report, sweeping
     return columns
 
 
-def _report_skeleton(cfg: ScenarioConfig) -> VerificationReport:
+def _report_skeleton(cfg: argparse.Namespace) -> VerificationReport:
     return VerificationReport(
         metadata={
-            "config": {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in ("out_dir", "prefix")},
+            "config": {name: value for name, value in vars(cfg).items() if name not in ("out_dir", "prefix")},
             "stage_s": dict.fromkeys(_STAGES, 0.0),
             "versions": {
                 "quasic": __version__,
@@ -314,12 +286,20 @@ def _report_skeleton(cfg: ScenarioConfig) -> VerificationReport:
     )
 
 
-def run_scenario(cfg: ScenarioConfig) -> int:
+def run_scenario(cfg: argparse.Namespace) -> int:
     started = time.perf_counter()
+    # an unusable output location is a configuration error, refused before anything is computed
+    if os.path.basename(cfg.prefix) != cfg.prefix:
+        print(f"configuration error: --prefix {cfg.prefix!r} contains a path separator", file=sys.stderr)
+        return 2
+    try:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"configuration error: --out-dir {str(cfg.out_dir)!r} cannot be created: {exc.strerror}", file=sys.stderr)
+        return 2
     report = _report_skeleton(cfg)
     run_pair = _run_static_pair if cfg.scenario == "static" else _run_td_pair
     sweeping = len(cfg.pairs) > 1
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     clock = _StageClock(report)
     written = []
     failure = None
@@ -396,14 +376,15 @@ def _parse_sweep(text: str) -> list[tuple[float, float]]:
 
 # argparse's own negative-number pattern (-1, -1.5, -.5) has no exponent
 # form and no lists, so it would read the value of '--omega -1e-3' or
-# '--sweep -1,2;1,-2' as an option; no option of these parsers looks like a
-# number, so the wider pattern is unambiguous
+# '--sweep -1,2;1,-2' as an option, and '--signature -+' likewise; no option
+# of these parsers looks like a number or '-+', so the wider pattern is
+# unambiguous
 _NUMBER = r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?"
-_NEGATIVE_NUMBER = re.compile(rf"^-{_NUMBER}([,;][+-]?{_NUMBER})*$")
+_NEGATIVE_VALUE = re.compile(rf"^-{_NUMBER}([,;][+-]?{_NUMBER})*$|^-\+$")
 
 
 def _finite_float(text: str) -> float:
-    """Type of the float options but --tol (checked with QUASI_C_TOL); argparse names the option it refuses."""
+    """Type of the float options; argparse names the option it refuses."""
     try:
         value = float(text)
     except ValueError:
@@ -414,45 +395,51 @@ def _finite_float(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per scenario, with only the options that scenario reads."""
     parser = argparse.ArgumentParser(
         prog="quasi-c",
         description="C-operators, invariants and metrics for quasi-Hermitian two-level systems",
     )
     sub = parser.add_subparsers(dest="scenario", required=True)
-    for name, help_text in (
-        ("static", "time-independent C-operator, metric and Dyson maps"),
-        ("metric-picture", "time-independent Hamiltonian with time-dependent metric"),
-        ("full-td", "driven Hamiltonian with the drive-dependent metric"),
-    ):
-        s = sub.add_parser(name, help=help_text)
-        s._negative_number_matcher = _NEGATIVE_NUMBER
+    # no abbreviations: 'static --drive 2' would otherwise set --drive-value
+    static, picture, driven = scenarios = [
+        sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for name, help_text in (
+            ("static", "time-independent C-operator, metric and Dyson maps"),
+            ("metric-picture", "time-independent Hamiltonian with time-dependent metric"),
+            ("full-td", "driven Hamiltonian with the drive-dependent metric"),
+        )
+    ]
+    for s in scenarios:
+        s._negative_number_matcher = _NEGATIVE_VALUE
         s.add_argument("--omega", type=_finite_float, default=1.0, help="identity coefficient (default 1)")
         s.add_argument("--lambda", dest="lam", type=_finite_float, default=2.0, help="sigma_z coefficient (default 2)")
         s.add_argument("--kappa", type=_finite_float, default=1.0, help="imaginary sigma_x coefficient (default 1)")
+    for s in (picture, driven):
         s.add_argument("--hbar", type=_finite_float, default=1.0)
-        s.add_argument("--drive", choices=("const", "sin"), default="const")
+    # the fixed-regime closed forms solve the invariant equation for the constant drive of value 1 only
+    picture.add_argument("--drive", choices=("const",), default="const")
+    driven.add_argument("--drive", choices=("const", "sin"), default="const")
+    for s in (static, driven):
         s.add_argument("--drive-value", type=_finite_float, default=1.0, help="constant drive value")
-        s.add_argument("--amplitude", type=_finite_float, default=1.0, help="sine drive amplitude")
-        s.add_argument("--frequency", type=_finite_float, default=1.0, help="sine drive angular frequency")
-        s.add_argument(
-            "--t-ref",
-            type=_finite_float,
-            default=None,
-            help="antiderivative anchor (default: pi/2/frequency for sin, 0 for const)",
-        )
+    driven.add_argument("--amplitude", type=_finite_float, default=1.0, help="sine drive amplitude")
+    driven.add_argument("--frequency", type=_finite_float, default=1.0, help="sine drive angular frequency")
+    driven.add_argument(
+        "--t-ref",
+        type=_finite_float,
+        default=None,
+        help="antiderivative anchor (default: pi/2/frequency for sin, 0 for const)",
+    )
+    for s in (picture, driven):
         s.add_argument("--t0", type=_finite_float, default=0.0)
         s.add_argument("--t1", type=_finite_float, default=10.0)
         s.add_argument("--samples", type=int, default=200)
         s.add_argument("--steps-per-sample", type=int, default=20)
-        s.add_argument("--signature", choices=sorted(_SIGNATURES), default="+-")
-        s.add_argument(
-            "--tol",
-            type=float,
-            default=None,
-            help="algebraic tolerance (default: QUASI_C_TOL env var or 1e-10)",
-        )
+    static.add_argument("--signature", choices=list(_SIGNATURES), default="+-")
+    for s in scenarios:
+        s.add_argument("--tol", type=_finite_float, default=1e-10, help="algebraic tolerance, positive (default 1e-10)")
         s.add_argument("--out-dir", type=Path, default=Path("."))
-        s.add_argument("--prefix", default="quasi_c")
+        s.add_argument("--prefix", default="quasi_c", help="file name prefix, without a path separator")
         s.add_argument(
             "--sweep",
             default=None,
@@ -461,38 +448,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> ScenarioConfig:
-    if args.t1 <= args.t0:
-        parser.error("--t1 must be greater than --t0")
-    if not math.isfinite(args.t1 - args.t0):
-        parser.error("the time window --t1 - --t0 must be finite")
-    if args.samples < 2:
-        parser.error("--samples must be at least 2")
-    if args.steps_per_sample < 1:
-        parser.error("--steps-per-sample must be at least 1")
-    if args.hbar <= 0:
-        parser.error("--hbar must be positive")
-    if args.scenario in ("static", "metric-picture") and args.drive != "const":
-        parser.error(f"{args.scenario} requires the constant drive")
-    if args.scenario == "metric-picture" and args.drive_value != 1.0:
-        parser.error("metric-picture requires the drive value 1: its closed forms assume tau == 1")
-    if args.drive == "sin" and args.frequency == 0:
-        parser.error("--frequency must be non-zero for the sine drive")
-    t_ref = args.t_ref
-    if t_ref is None:
-        t_ref = math.pi / 2 / args.frequency if args.drive == "sin" else 0.0
-    # t1 is finite, so this also refuses an infinite anchor (pi/2 over a subnormal frequency)
-    if not math.isfinite(args.t1 - t_ref):
-        parser.error(f"the drive anchor --t-ref ({t_ref:g}) and the window --t1 - --t-ref must be finite")
-    tol = args.tol
-    if tol is None:
-        text = os.environ.get("QUASI_C_TOL", "1e-10")
-        try:
-            tol = float(text)
-        except ValueError:
-            parser.error(f"QUASI_C_TOL={text!r} is not a number")
-    if not (math.isfinite(tol) and tol > 0):
-        parser.error("the tolerance (--tol or QUASI_C_TOL) must be finite and positive")
+def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> argparse.Namespace:
+    """The run's configuration: the scenario's options, checked and resolved.
+
+    --lambda, --kappa and --sweep become ``pairs``, static's --signature its
+    pair of signs and full-td's ``t_ref`` the drive anchor (--t-ref, or its
+    default for the drive).  The report's metadata echoes every entry but
+    ``out_dir`` and ``prefix``.
+    """
+    if args.scenario == "static":
+        # argparse strips the value of '--signature=--' and passes [] ('--signature --' ends the options)
+        if args.signature == []:
+            parser.error(f"argument --signature: invalid choice: '--' (choose from {', '.join(map(repr, _SIGNATURES))})")
+        args.signature = _SIGNATURES[args.signature]
+    else:
+        if args.t1 <= args.t0:
+            parser.error("--t1 must be greater than --t0")
+        if not math.isfinite(args.t1 - args.t0):
+            parser.error("the time window --t1 - --t0 must be finite")
+        if args.samples < 2:
+            parser.error("--samples must be at least 2")
+        if args.steps_per_sample < 1:
+            parser.error("--steps-per-sample must be at least 1")
+        if args.hbar <= 0:
+            parser.error("--hbar must be positive")
+    if args.scenario == "full-td":
+        if args.drive == "sin" and args.frequency == 0:
+            parser.error("--frequency must be non-zero for the sine drive")
+        if args.t_ref is None:
+            args.t_ref = math.pi / 2 / args.frequency if args.drive == "sin" else 0.0
+        # t1 is finite, so this also refuses an infinite anchor (pi/2 over a subnormal frequency)
+        if not math.isfinite(args.t1 - args.t_ref):
+            parser.error(f"the drive anchor --t-ref ({args.t_ref:g}) and the window --t1 - --t-ref must be finite")
+    if args.tol <= 0:
+        parser.error("--tol must be positive")
     if args.sweep is not None:
         try:
             pairs = _parse_sweep(args.sweep)
@@ -507,10 +496,9 @@ def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace)
         if name in named:
             parser.error(f"sweep pairs {named[name]} and {pair} share the name {name} and would write one CSV file")
         named[name] = pair
-    options = vars(args) | {"t_ref": t_ref, "signature": _SIGNATURES[args.signature], "tol": tol, "pairs": pairs}
-    for dest in ("lam", "kappa", "sweep"):  # resolved into pairs
-        del options[dest]
-    return ScenarioConfig(**options)
+    args.pairs = pairs
+    del args.lam, args.kappa, args.sweep  # resolved into pairs
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import _mat2, _mat2_stack
+from .linalg import _mat2
 
 #: Relative band around |lam| = |kappa| that classify_regime calls the exceptional point.
 REGIME_TOL = 1e-12
@@ -132,9 +132,9 @@ class PauliCoefficients:
 def _hamiltonian_entries(p: HamiltonianParams, tau):
     """(h00, h01, h11) of H at the drive value tau, a float or an array; h10 = h01.
 
-    The one formula of H's entries: hamiltonian_at, hamiltonian_array and
-    the derivative residuals all take them from here.  The diagonal is
-    real and the off-diagonal imaginary.
+    The one formula of H's entries: hamiltonian_at and the derivative
+    residuals take them from here.  The diagonal is real and the
+    off-diagonal imaginary.
     """
     return -0.5 * (p.omega + p.lam * tau), -0.5 * (1j * p.kappa * tau), -0.5 * (p.omega - p.lam * tau)
 
@@ -143,12 +143,6 @@ def hamiltonian_at(p: HamiltonianParams, t: float) -> np.ndarray:
     """H(t) as a 2x2 array."""
     h00, h01, h11 = _hamiltonian_entries(p, p.drive.tau(t))
     return _mat2(h00, h01, h01, h11)
-
-
-def hamiltonian_array(p: HamiltonianParams, t: np.ndarray) -> np.ndarray:
-    """hamiltonian_at at every entry of a time array; shape t.shape + (2, 2)."""
-    h00, h01, h11 = _hamiltonian_entries(p, p.drive.tau_array(t))
-    return _mat2_stack(h00, h01, h01, h11)
 
 
 def hamiltonian_coefficients(p: HamiltonianParams, t: float) -> PauliCoefficients:

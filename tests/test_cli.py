@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -44,13 +45,14 @@ def run(tmp_path, *argv):
     return main([*argv, "--out-dir", str(tmp_path)])
 
 
-def _float_options():
-    """(dest, option string) of every float option; the three scenarios take the same options."""
+def _float_options(scenario):
+    """(dest, option string) of every float option of a scenario."""
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return [(a.dest, a.option_strings[0]) for a in sub.choices["full-td"]._actions if a.type in (float, cli._finite_float)]
+    return [(a.dest, a.option_strings[0]) for a in sub.choices[scenario]._actions if a.type in (float, cli._finite_float)]
 
 
-FLOAT_OPTIONS = _float_options()
+# full-td takes every float option
+FLOAT_OPTIONS = _float_options("full-td")
 
 _STATIC_CHECKS = ["completeness", "c_squared_identity", "pt_commutation", "h_commutation", "metric_hermiticity"]
 
@@ -82,6 +84,8 @@ def test_static_scenario_passes(tmp_path, lam, kappa, signature, code, later_che
     assert {name for name, c in checks.items() if not c["pass"]} == failed
     assert lines[-1]["all_pass"] is (code == 0)
     rows = read_csv(tmp_path / f"quasi_c_static_{float(lam):g}_{float(kappa):g}.csv")
+    # one row, at t = 0: the static C and metric do not depend on time
+    assert len(rows) == 1 and rows[0]["t"] == "0"
     assert list(rows[0].keys()) == COLUMNS
     # the CSV keeps the raw residuals: c_sq_residual is its check value, bit for bit,
     # and lr_residual the h_commutation value times ||H|| floored at 1
@@ -324,7 +328,7 @@ def test_static_sweep_writes_one_csv_per_pair(tmp_path, capsys):
     code = run(tmp_path, "static", "--sweep", "2,1;3,1")
     assert code == 0
     for lam, kappa in ((2, 1), (3, 1)):
-        assert len(read_csv(tmp_path / f"quasi_c_static_{lam}_{kappa}.csv")) == 200
+        assert len(read_csv(tmp_path / f"quasi_c_static_{lam}_{kappa}.csv")) == 1
     names = [ln["name"] for ln in read_report(tmp_path / "quasi_c_report.jsonl") if ln["type"] == "check"]
     assert len(names) == 2 * 8
     for pair in ("lambda=2,kappa=1", "lambda=3,kappa=1"):
@@ -444,7 +448,7 @@ def test_negative_sweep_end_to_end(tmp_path, capsys):
 def test_float_options_take_negative_exponent_form(text):
     parser = build_parser()
     for scenario in ("static", "metric-picture", "full-td"):
-        for dest, option in FLOAT_OPTIONS:
+        for dest, option in _float_options(scenario):
             assert getattr(parser.parse_args([scenario, option, text]), dest) == float(text)
 
 
@@ -455,8 +459,12 @@ def test_negative_exponent_form_end_to_end(tmp_path):
 
 def test_config_errors_exit_two(tmp_path):
     for argv in (
-        ["static", "--t0", "5", "--t1", "1"],
-        ["static", "--samples", "1"],
+        ["metric-picture", "--t0", "5", "--t1", "1"],
+        ["metric-picture", "--samples", "1"],
+        ["full-td", "--steps-per-sample", "0"],
+        ["static", "--tol", "0"],
+        ["full-td", "--tol=-1e-10"],
+        # the fixed-regime closed forms solve the invariant equation for the constant drive of value 1 only
         ["metric-picture", "--drive", "sin"],
         ["metric-picture", "--drive-value", "2"],
         ["full-td", "--sweep", "nonsense"],
@@ -475,6 +483,105 @@ def test_config_errors_exit_two(tmp_path):
         with pytest.raises(SystemExit) as err:
             main([*argv, "--out-dir", str(tmp_path)] if argv[0] != "unknown-scenario" else argv)
         assert err.value.code == 2
+
+
+_COMMON_OPTIONS = ["--omega", "--lambda", "--kappa", "--tol", "--out-dir", "--prefix", "--sweep"]
+_TIME_OPTIONS = ["--hbar", "--t0", "--t1", "--samples", "--steps-per-sample"]
+SCENARIO_OPTIONS = {
+    "static": {*_COMMON_OPTIONS, "--drive-value", "--signature"},
+    "metric-picture": {*_COMMON_OPTIONS, *_TIME_OPTIONS, "--drive"},
+    "full-td": {*_COMMON_OPTIONS, *_TIME_OPTIONS, "--drive", "--drive-value", "--amplitude", "--frequency", "--t-ref"},
+}
+
+
+@pytest.mark.parametrize("scenario", list(SCENARIO_OPTIONS))
+def test_each_scenario_takes_only_the_options_it_reads(scenario, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([scenario, "--help"])
+    assert err.value.code == 0
+    # one line per option, indented by two spaces; its help text is indented further
+    listed = re.findall(r"^  (?:-h, )?(--[\w-]+)", capsys.readouterr().out, re.M)
+    assert sorted(listed) == sorted(SCENARIO_OPTIONS[scenario] | {"--help"})
+
+
+_REMOVED = [
+    (scenario, option)
+    for scenario, options in SCENARIO_OPTIONS.items()
+    for option in sorted(set().union(*SCENARIO_OPTIONS.values()) - options)
+]
+
+
+@pytest.mark.parametrize("scenario, option", _REMOVED)
+def test_an_option_the_scenario_does_not_read_exits_two(tmp_path, capsys, scenario, option):
+    # no abbreviation either: static's '--drive 1' does not set --drive-value
+    value = "+-" if option == "--signature" else "1"
+    for argv in ([f"{option}={value}"], [option, value]):
+        with pytest.raises(SystemExit) as err:
+            run(tmp_path, scenario, *argv)
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["static"], {"drive_value", "signature"}),
+        (["metric-picture", "--t1", "2", "--samples", "20"], {"hbar", "drive", "t0", "t1", "samples", "steps_per_sample"}),
+        (
+            ["full-td", "--drive", "sin", "--t1", "2", "--samples", "20"],
+            {"hbar", "drive", "drive_value", "amplitude", "frequency", "t_ref", "t0", "t1", "samples", "steps_per_sample"},
+        ),
+    ],
+)
+def test_config_echo_lists_only_the_scenario_options(tmp_path, argv, keys):
+    assert run(tmp_path, *argv) == 0
+    config = read_report(tmp_path / "quasi_c_report.jsonl")[0]["config"]
+    assert set(config) == {"scenario", "omega", "tol", "pairs"} | keys
+
+
+def test_signature_minus_plus_parses_with_a_space(tmp_path):
+    assert build_parser().parse_args(["static", "--signature", "-+"]).signature == "-+"
+    # C = -C(+-): its metric -rho is negative definite, and only that check fails
+    assert run(tmp_path, "static", "--signature", "-+") == 1
+    lines = read_report(tmp_path / "quasi_c_report.jsonl")
+    assert lines[0]["config"]["signature"] == [-1, 1]
+    assert [c["name"] for c in lines if c["type"] == "check" and not c["pass"]] == ["metric_positive_definite"]
+
+
+@pytest.mark.parametrize("argv", [["--signature=--"], ["--signature", "--"]])
+def test_signature_that_argparse_cannot_deliver_exits_two(tmp_path, capsys, argv):
+    # argparse strips the value of '--signature=--', and '--signature --' ends the options
+    with pytest.raises(SystemExit) as err:
+        run(tmp_path, "static", *argv)
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert "argument --signature:" in err_text and "Traceback" not in err_text
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "where, message",
+    [
+        (["--prefix", "nodir/x"], "configuration error: --prefix 'nodir/x' contains a path separator"),
+        (["--prefix", "x/"], "configuration error: --prefix 'x/' contains a path separator"),
+        (["--out-dir", "{file}"], "configuration error: --out-dir '{file}' cannot be created: File exists"),
+        (["--out-dir", "{file}/sub"], "configuration error: --out-dir '{file}/sub' cannot be created: Not a directory"),
+    ],
+)
+def test_unusable_output_location_exits_two_before_any_work(tmp_path, capsys, monkeypatch, where, message):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("computed after a configuration error")
+
+    monkeypatch.setattr(cli, "biortho_system", forbidden)
+    out = tmp_path / "out"
+    out.mkdir()
+    file = tmp_path / "a-file"
+    file.write_text("")
+    argv = ["static", "--out-dir", str(out), *(arg.format(file=file) for arg in where)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [message.format(file=file)]
+    assert list(out.iterdir()) == [] and file.read_text() == ""
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -520,17 +627,18 @@ def test_sweep_pairs_with_one_file_name_exit_two(tmp_path, capsys, sweep, pairs)
     assert list(tmp_path.iterdir()) == []
 
 
-def test_tol_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("QUASI_C_TOL", "1e-30")
-    code = run(tmp_path, "static")
+@pytest.mark.parametrize("scenario", ["static", "metric-picture", "full-td"])
+def test_tol_option_sets_the_tolerance(tmp_path, scenario):
+    code = run(tmp_path, scenario, "--tol", "1e-30")
     assert code == 1  # machine-precision residuals cannot satisfy 1e-30
+    assert read_report(tmp_path / "quasi_c_report.jsonl")[0]["config"]["tol"] == 1e-30
 
 
-def test_unparsable_tol_env_exits_two(tmp_path, monkeypatch):
+def test_tolerance_comes_from_no_environment_variable(tmp_path, monkeypatch):
+    # the QUASI_C_TOL override is gone: --tol is the one way to set the tolerance
     monkeypatch.setenv("QUASI_C_TOL", "abc")
-    with pytest.raises(SystemExit) as err:
-        run(tmp_path, "static")
-    assert err.value.code == 2
+    assert run(tmp_path, "static") == 0
+    assert read_report(tmp_path / "quasi_c_report.jsonl")[0]["config"]["tol"] == 1e-10
 
 
 def test_non_finite_samples_exit_three_after_writing_outputs(tmp_path, capsys):
@@ -587,16 +695,10 @@ _EP_OFFSETS = st.one_of(
 )
 def test_exit_code_contract(scenario, omega, kappa, offset, t1, hbar):
     name, _, drive = scenario.partition(" ")
-    argv = [
-        name,
-        f"--omega={omega!r}",
-        f"--lambda={kappa * (1.0 + offset)!r}",
-        f"--kappa={kappa!r}",
-        f"--t1={t1!r}",
-        f"--hbar={hbar!r}",
-        "--samples=5",
-        "--steps-per-sample=2",
-    ]
+    argv = [name, f"--omega={omega!r}", f"--lambda={kappa * (1.0 + offset)!r}", f"--kappa={kappa!r}"]
+    # static has no time: it takes none of the time options
+    if name != "static":
+        argv += [f"--t1={t1!r}", f"--hbar={hbar!r}", "--samples=5", "--steps-per-sample=2"]
     if drive:
         argv.append(f"--drive={drive}")
     with tempfile.TemporaryDirectory() as out_dir:
@@ -809,7 +911,8 @@ def test_static_checks_carry_no_sample_time(tmp_path):
 
 @pytest.mark.parametrize("scenario", ["static", "metric-picture", "full-td"])
 def test_report_records_stage_times(tmp_path, scenario):
-    assert run(tmp_path, scenario, "--sweep", "2,1;1,2" if scenario != "static" else "2,1;3,1", "--t1", "3", "--samples", "30") == 0
+    argv = ["--sweep", "2,1;3,1"] if scenario == "static" else ["--sweep", "2,1;1,2", "--t1", "3", "--samples", "30"]
+    assert run(tmp_path, scenario, *argv) == 0
     stages = read_report(tmp_path / "quasi_c_report.jsonl")[0]["stage_s"]
     # sorted by json.dumps
     assert list(stages) == ["array_pass", "csv_write", "propagation", "sampling", "static_checks"]

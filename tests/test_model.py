@@ -8,19 +8,25 @@ import pytest
 
 from quasic.biortho import biortho_system
 from quasic.coperator import c_from_system, metric_from_c, pt_commutation_residual
-from quasic.linalg import IDENTITY, PAULI_X, PAULI_Y, PAULI_Z
+from quasic.linalg import IDENTITY, PAULI_X, PAULI_Y, PAULI_Z, _mat2_stack
 from quasic.model import (
     ConstantDrive,
     HamiltonianParams,
     Regime,
     SineDrive,
+    _hamiltonian_entries,
     classify_regime,
-    hamiltonian_array,
     hamiltonian_at,
     hamiltonian_coefficients,
 )
 
 RNG = np.random.default_rng(7)
+
+
+def hamiltonian_array(p, t):
+    """H at every entry of a time array, shape t.shape + (2, 2), from the one formula of its entries."""
+    h00, h01, h11 = _hamiltonian_entries(p, p.drive.tau_array(t))
+    return _mat2_stack(h00, h01, h01, h11)
 
 
 def test_hamiltonian_zero_params():
