@@ -3,14 +3,13 @@
 Three scenarios: ``static`` (time-independent C-operator and metric),
 ``metric-picture`` (time-independent Hamiltonian, time-dependent metric) and
 ``full-td`` (driven Hamiltonian).  Each scenario takes only the options it
-reads: ``static`` has no time and no drive but its constant value, and
-``metric-picture`` no drive options, since its closed forms assume the
-constant drive of value 1.  Each run writes a CSV time series per
-(lambda, kappa) pair and a JSON-lines verification report, prints one
-PASS/FAIL/INCONCLUSIVE line per check, and exits 0 when every check passes,
-1 when any fails or is inconclusive (a pass against a scale-derived
-tolerance above ``reporting.TOLERANCE_CEILING``), 2 on configuration errors
-and 3 on numerical failures (a defective or nearly defective eigensystem,
+reads: ``static`` has no time and no drive options and ``metric-picture``
+no drive options, since both assume the constant drive of value 1.  Each
+run writes a CSV time series per (lambda, kappa) pair and a JSON-lines
+verification report, prints one PASS/FAIL/INCONCLUSIVE line per check,
+and exits 0 when every check passes, 1 when any fails or is inconclusive
+(a pass against a scale-derived tolerance above
+``reporting.TOLERANCE_CEILING``), 2 on configuration errors and 3 on numerical failures (a defective or nearly defective eigensystem,
 lost positivity where the scenario requires it, or a non-finite check value
 of any pair in any scenario, reported after the CSVs and the report are
 written).  A failure
@@ -164,7 +163,7 @@ def _pair_checks(report: VerificationReport, lam: float, kappa: float, sweeping:
 
 def _run_static_pair(cfg: argparse.Namespace, lam: float, kappa: float, report, sweeping: bool, clock: _StageClock):
     clock.enter("static_checks")
-    h = hamiltonian_at(HamiltonianParams(cfg.omega, lam, kappa, drive=ConstantDrive(cfg.drive_value)), 0.0)
+    h = hamiltonian_at(HamiltonianParams(cfg.omega, lam, kappa), 0.0)
     sys_h = biortho_system(h)
     # ||H|| without squaring an entry, which overflows from ~1e154
     scale = max(1.0, float(hypot_norm_stack(h)))
@@ -401,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="C-operators, invariants and metrics for quasi-Hermitian two-level systems",
     )
     sub = parser.add_subparsers(dest="scenario", required=True)
-    # no abbreviations: 'static --drive 2' would otherwise set --drive-value
+    # no abbreviations: each option has one spelling ('static --t 1' would otherwise set --tol)
     static, picture, driven = scenarios = [
         sub.add_parser(name, help=help_text, allow_abbrev=False)
         for name, help_text in (
@@ -420,8 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the fixed-regime closed forms solve the invariant equation for the constant drive of value 1 only
     picture.add_argument("--drive", choices=("const",), default="const")
     driven.add_argument("--drive", choices=("const", "sin"), default="const")
-    for s in (static, driven):
-        s.add_argument("--drive-value", type=_finite_float, default=1.0, help="constant drive value")
+    driven.add_argument("--drive-value", type=_finite_float, default=1.0, help="constant drive value")
     driven.add_argument("--amplitude", type=_finite_float, default=1.0, help="sine drive amplitude")
     driven.add_argument("--frequency", type=_finite_float, default=1.0, help="sine drive angular frequency")
     driven.add_argument(

@@ -488,7 +488,7 @@ def test_config_errors_exit_two(tmp_path):
 _COMMON_OPTIONS = ["--omega", "--lambda", "--kappa", "--tol", "--out-dir", "--prefix", "--sweep"]
 _TIME_OPTIONS = ["--hbar", "--t0", "--t1", "--samples", "--steps-per-sample"]
 SCENARIO_OPTIONS = {
-    "static": {*_COMMON_OPTIONS, "--drive-value", "--signature"},
+    "static": {*_COMMON_OPTIONS, "--signature"},
     "metric-picture": {*_COMMON_OPTIONS, *_TIME_OPTIONS, "--drive"},
     "full-td": {*_COMMON_OPTIONS, *_TIME_OPTIONS, "--drive", "--drive-value", "--amplitude", "--frequency", "--t-ref"},
 }
@@ -513,7 +513,6 @@ _REMOVED = [
 
 @pytest.mark.parametrize("scenario, option", _REMOVED)
 def test_an_option_the_scenario_does_not_read_exits_two(tmp_path, capsys, scenario, option):
-    # no abbreviation either: static's '--drive 1' does not set --drive-value
     value = "+-" if option == "--signature" else "1"
     for argv in ([f"{option}={value}"], [option, value]):
         with pytest.raises(SystemExit) as err:
@@ -526,7 +525,7 @@ def test_an_option_the_scenario_does_not_read_exits_two(tmp_path, capsys, scenar
 @pytest.mark.parametrize(
     "argv, keys",
     [
-        (["static"], {"drive_value", "signature"}),
+        (["static"], {"signature"}),
         (["metric-picture", "--t1", "2", "--samples", "20"], {"hbar", "drive", "t0", "t1", "samples", "steps_per_sample"}),
         (
             ["full-td", "--drive", "sin", "--t1", "2", "--samples", "20"],
