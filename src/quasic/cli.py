@@ -9,7 +9,10 @@ run writes a CSV time series per (lambda, kappa) pair and a JSON-lines
 verification report, prints one PASS/FAIL/INCONCLUSIVE line per check,
 and exits 0 when every check passes, 1 when any fails or is inconclusive
 (a pass against a scale-derived tolerance above
-``reporting.TOLERANCE_CEILING``), 2 on configuration errors and 3 on numerical failures (a defective or nearly defective eigensystem,
+``reporting.TOLERANCE_CEILING``), 2 on configuration errors (among them an
+output file that cannot be written: the run stops at it, names it in one
+stderr line and, where it can, writes the report with a ``csv_write``
+failure) and 3 on numerical failures (a defective or nearly defective eigensystem,
 lost positivity where the scenario requires it, or a non-finite check value
 of any pair in any scenario, reported after the CSVs and the report are
 written).  A failure
@@ -28,7 +31,9 @@ checks that carry H (h_commutation and the two Dyson maps') are divided by
 ||H|| floored at 1.
 
 A time-dependent pair samples the closed forms and the two residuals per
-sample, then derives the eigenvalues, det rho, ||C^2 - I||, the folded
+sample, on the closed forms' ``rows`` of Python scalars (C is rho with its
+second row negated, exactly), writing each sample's rows into (N, 2, 2)
+arrays, then derives the eigenvalues, det rho, ||C^2 - I||, the folded
 check values and the non-finite count in one array pass; each of its check
 records carries ``argmax_t``, the sample time of the worst value (the first
 non-finite one, if any; t1 for the propagation check).  The metadata
@@ -69,6 +74,7 @@ from .invariants import closed_form_invariant, lr_residual, time_ordered_propaga
 from .linalg import (
     IDENTITY,
     PAULI_Z,
+    Rows,
     _max1,
     adjoint,
     commutator,
@@ -206,14 +212,13 @@ def _run_td_pair(cfg: argparse.Namespace, lam: float, kappa: float, report, swee
     else:
         form = MetricForm.FULL_TD
 
-    def rho_at(t: float) -> np.ndarray:
-        return closed_form_metric(form, p, t).matrix
+    def rho_at(t: float) -> Rows:
+        return closed_form_metric(form, p, t).rows
 
-    def c_at(t: float) -> np.ndarray:
+    def c_at(t: float) -> Rows:
         # sigma_z rho: the second row negated, which is exact
-        c = rho_at(t)
-        c[1] = -c[1]
-        return c
+        top, (a10, a11) = rho_at(t)
+        return top, (-a10, -a11)
 
     ts = np.linspace(cfg.t0, cfg.t1, cfg.samples)
     rho = np.empty((cfg.samples, 2, 2), dtype=complex)
@@ -265,7 +270,7 @@ def _run_td_pair(cfg: argparse.Namespace, lam: float, kappa: float, report, swee
     steps = cfg.samples * cfg.steps_per_sample
     with np.errstate(all="ignore"):
         final = time_ordered_propagate(p, closed_form_invariant(form, p, start), start, cfg.t1, steps)
-        target = c_at(cfg.t1)
+        target = np.array(c_at(cfg.t1), dtype=complex)
         prop_err = frobenius_norm(final - target) / max(1.0, frobenius_norm(target))
     add("propagation_consistency", prop_err, 1e-6, argmax_t=cfg.t1)
     return columns
@@ -301,15 +306,17 @@ def run_scenario(cfg: argparse.Namespace) -> int:
     sweeping = len(cfg.pairs) > 1
     clock = _StageClock(report)
     written = []
-    failure = None
+    failure = unwritable = None
     for lam, kappa in cfg.pairs:
         path = _csv_path(cfg, lam, kappa)
         try:
             columns = run_pair(cfg, lam, kappa, report, sweeping, clock)
             clock.enter("csv_write")
             _write_csv(path, columns)
-        except (QuasiCError, ArithmeticError) as exc:
+        except (QuasiCError, ArithmeticError, OSError) as exc:
             failure = exc
+            if isinstance(exc, OSError):
+                unwritable = path
             report.metadata["failure"] = {
                 "pair": _pair_name(lam, kappa),
                 "stage": clock.current,
@@ -325,16 +332,25 @@ def run_scenario(cfg: argparse.Namespace) -> int:
     non_finite = {pair: n for pair, n in report.metadata.get("non_finite_samples", {}).items() if n}
     diverged = list(dict.fromkeys(_pair_name(*c.pair) for c in report.checks if c.n_nonfinite))
     diverged = [pair for pair in diverged if pair not in non_finite]
-    if failure is not None or non_finite or diverged:
+    if unwritable is not None:
+        report.exit_code = 2
+    elif failure is not None or non_finite or diverged:
         report.exit_code = 3
     else:
         report.exit_code = 0 if n_fail == 0 else 1
     report.metadata["wall_time_s"] = time.perf_counter() - started
     report_path = cfg.out_dir / f"{cfg.prefix}_report.jsonl"
-    report.write_jsonl(report_path)
+    try:
+        report.write_jsonl(report_path)
+        written.append(report_path)
+    except OSError as exc:
+        # the run's outputs are incomplete, whatever its checks gave
+        report.exit_code = 2
+        if unwritable is None:
+            failure, unwritable = exc, report_path
 
     lines = [f"[{c.status.upper()}] {c.name}: {c.value:.3e} (tol {c.tolerance:.3e})" for c in report.checks]
-    lines += [f"wrote {path}" for path in (*written, report_path)]
+    lines += [f"wrote {path}" for path in written]
     n_inconclusive = sum(1 for c in report.checks if c.status == "inconclusive")
     inconclusive = f" ({n_inconclusive} inconclusive)" if n_inconclusive else ""
     lines.append(f"{len(report.checks) - n_fail}/{len(report.checks)} checks passed{inconclusive}")
@@ -344,7 +360,9 @@ def run_scenario(cfg: argparse.Namespace) -> int:
         # outputs and exit code stand; os.devnull takes the flush at exit (Python's SIGPIPE recipe)
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
-    if failure is not None:
+    if unwritable is not None:
+        print(f"configuration error: {str(unwritable)!r} cannot be written: {failure.strerror}", file=sys.stderr)
+    elif failure is not None:
         print(f"numerical failure: {failure}", file=sys.stderr)
     elif non_finite or diverged:
         where = "; ".join(f"{n} of {cfg.samples} at {pair}" for pair, n in non_finite.items())

@@ -26,6 +26,7 @@ from .linalg import (
     DEFAULT_TOL,
     IDENTITY,
     PAULI_Z,
+    Rows,
     _derivative_defect,
     _mat2,
     _mat2_stack,
@@ -50,17 +51,33 @@ class COperator:
 
 
 class MetricOperator:
-    """A metric rho as its 2x2 matrix, or an (N, 2, 2) stack of them, in ``matrix``, its one field.
+    """A metric rho as its 2x2 matrix, or an (N, 2, 2) stack of them, in ``matrix``.
+
+    A float evaluation of a closed form also carries ``rows``, the matrix as
+    two rows of Python complex scalars, ((a00, a01), (a10, a11)): the
+    ``ndarray.tolist()`` form, which the residuals' entry-wise kernel reads
+    directly.  Such an operator is built from its rows, and ``matrix`` is
+    built from them on its first read and kept, with the same bits as a
+    matrix built directly; the per-sample loop of the command line reads
+    only the rows.  Otherwise ``rows`` is None.
 
     A plain slotted class rather than a frozen dataclass: the closed forms
     build one per evaluation, and a frozen dataclass's ``__init__`` (which
     sets its field through ``object.__setattr__``) takes about twice as long.
     """
 
-    __slots__ = ("matrix",)
+    __slots__ = ("_matrix", "rows")
 
-    def __init__(self, matrix: np.ndarray) -> None:
-        self.matrix = matrix
+    def __init__(self, matrix: np.ndarray | None, rows: Rows | None = None) -> None:
+        self._matrix = matrix
+        self.rows = rows
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            (a00, a01), (a10, a11) = self.rows
+            self._matrix = _mat2(a00, a01, a10, a11)
+        return self._matrix
 
 
 def c_from_system(sys: BiorthoSystem, signature: Signature) -> COperator:
@@ -108,7 +125,7 @@ def metric_from_c(c: COperator, tol: float = DEFAULT_TOL) -> MetricOperator:
 
 
 def quasi_hermiticity_residual(
-    rho_at: Callable[[float], np.ndarray],
+    rho_at: Callable[[float], Rows],
     p: HamiltonianParams,
     t: float,
     fd_step: float = 1e-5,
@@ -123,13 +140,17 @@ def quasi_hermiticity_residual(
     one with H^dag on the left.  On rho = sigma_z C each product it forms is
     the matching product of ``lr_residual`` on C or its exact negation, so
     the two residuals agree to the bit.
+
+    ``rho_at`` returns the metric as its rows of Python scalars, the
+    ``ndarray.tolist()`` form: a closed form's ``rows``, or the ``tolist()``
+    of a matrix.
     """
-    plus, minus = rho_at(t + fd_step).tolist(), rho_at(t - fd_step).tolist()
+    plus, minus = rho_at(t + fd_step), rho_at(t - fd_step)
     h00, h01, h11 = _hamiltonian_entries(p, p.drive.tau(t))
     h01_conj = h01.conjugate()
     left = ((h00, h01_conj), (h01_conj, h11))
     c = 1j * (0.5 * p.hbar / fd_step)
-    return _norm4(*_derivative_defect(plus, minus, rho_at(t).tolist(), left, ((h00, h01), (h01, h11)), c))
+    return _norm4(*_derivative_defect(plus, minus, rho_at(t), left, ((h00, h01), (h01, h11)), c))
 
 
 #: The metric rho = sigma_z I has one closed form per invariant form.
@@ -144,12 +165,14 @@ def metric_form_for_regime(regime: Regime) -> MetricForm:
 def closed_form_metric(form: MetricForm, p: HamiltonianParams, t: float | np.ndarray) -> MetricOperator:
     """Published closed-form metric rho(t) = sigma_z * I(t) for the family.
 
-    I(t) is the closed-form invariant of the same form.  t is a float, or a
-    time array of shape (N,), for which ``matrix`` is the (N, 2, 2) stack
-    of the metrics at its entries.  The three drive-independent forms
-    assume tau == 1 and a parameter point inside their regime.  The
-    drive-dependent form FULL_TD holds on and next to the exceptional
-    points lam = +-kappa, where its entries take their coalescence limit.
+    I(t) is the closed-form invariant of the same form.  t is a float, for
+    which the result carries ``rows`` and builds ``matrix`` from them when
+    it is read, or a time array of shape (N,), for which ``matrix`` is the
+    (N, 2, 2) stack of the metrics at its entries.  The three
+    drive-independent forms assume tau == 1 and a parameter point inside
+    their regime.  The drive-dependent form FULL_TD holds on and next to
+    the exceptional points lam = +-kappa, where its entries take their
+    coalescence limit.
     """
     # sigma_z I(t) with I = [[-d, x + iy], [-x + iy, d]]: the second row negated, exactly
     if isinstance(t, np.ndarray):
@@ -158,7 +181,9 @@ def closed_form_metric(form: MetricForm, p: HamiltonianParams, t: float | np.nda
         return MetricOperator(_mat2_stack(-d, x + iy, x - iy, -d))
     d, x, y = _real_entries(form, p, t)
     iy = 1j * y
-    return MetricOperator(_mat2(-d, x + iy, x - iy, -d))
+    # a complex diagonal, so that negating a row gives numpy's signed zeros
+    nd = complex(-d)
+    return MetricOperator(None, ((nd, x + iy), (x - iy, nd)))
 
 
 def dyson_from_eigenvectors(sys: BiorthoSystem) -> np.ndarray:

@@ -57,7 +57,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import RegimeMismatchError
-from .linalg import IDENTITY, _derivative_defect, _expm1_pauli, _mat2, _mat2_stack, _norm4
+from .linalg import IDENTITY, Rows, _derivative_defect, _expm1_pauli, _mat2, _mat2_stack, _norm4
 from .model import HamiltonianParams, PauliCoefficients, Regime, _hamiltonian_entries
 
 _SQRT2 = math.sqrt(2.0)
@@ -296,7 +296,7 @@ def time_ordered_propagate(
 
 
 def lr_residual(
-    invariant_at: Callable[[float], np.ndarray],
+    invariant_at: Callable[[float], Rows],
     p: HamiltonianParams,
     t: float,
     fd_step: float = 1e-5,
@@ -305,12 +305,14 @@ def lr_residual(
 
     || i*hbar (I(t+h) - I(t-h)) / 2h  -  [H(t), I(t)] ||
 
-    Formed by ``linalg._derivative_defect`` on the callback matrices'
-    ``tolist()``, with H's entries from the drive value.
+    ``invariant_at`` returns the 2x2 matrix as its two rows of Python
+    scalars, ((a00, a01), (a10, a11)): the ``ndarray.tolist()`` form, or
+    the ``rows`` of a closed-form metric.  The defect is formed from them by
+    ``linalg._derivative_defect``, with H's entries from the drive value.
     """
-    plus, minus = invariant_at(t + fd_step).tolist(), invariant_at(t - fd_step).tolist()
+    plus, minus = invariant_at(t + fd_step), invariant_at(t - fd_step)
     h00, h01, h11 = _hamiltonian_entries(p, p.drive.tau(t))
     h = ((h00, h01), (h01, h11))
     c = 1j * (0.5 * p.hbar / fd_step)
-    return _norm4(*_derivative_defect(plus, minus, invariant_at(t).tolist(), h, h, c))
+    return _norm4(*_derivative_defect(plus, minus, invariant_at(t), h, h, c))
 

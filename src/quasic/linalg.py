@@ -51,6 +51,7 @@ of a01 and a10, which both eigenvalues' rows share, are taken once.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,9 @@ import numpy as np
 from .errors import NotHermitianError, NotPositiveDefiniteError
 
 DEFAULT_TOL = 1e-10
+
+#: A 2x2 matrix as its two rows of Python scalars, ((a00, a01), (a10, a11)): the form of ``ndarray.tolist()``
+Rows = Sequence[Sequence[complex]]
 
 # sinh(r)/r switches to its Taylor series below this modulus
 _SINHC_SWITCH = 1e-6
@@ -122,9 +126,10 @@ def _norm4(a00: complex, a01: complex, a10: complex, a11: complex) -> float:
 def _derivative_defect(plus, minus, mid, left, right, c) -> tuple:
     """The entries (e00, e01, e10, e11) of c (P - M) - (L X - X R) for 2x2 P, M, X, L and R.
 
-    Each matrix is given as its two rows, ((a00, a01), (a10, a11)): the
-    ``tolist()`` of a 2x2 array, whose Python scalars cost a fraction of a
-    numpy operation per entry, or a (2, 2, N) array of entry arrays, for
+    Each matrix is given as its two rows, ((a00, a01), (a10, a11)): Rows of
+    Python scalars, which cost a fraction of a numpy operation per entry
+    (the ``rows`` of a closed-form metric evaluated at a float, or the
+    ``tolist()`` of a 2x2 array), or a (2, 2, N) array of entry arrays, for
     which every entry is an (N,) array.  Written entry by entry, with no
     type test and no matrix product, so the one body serves both.  Python
     complex arithmetic gives inf or NaN on non-finite entries and raises

@@ -583,6 +583,48 @@ def test_unusable_output_location_exits_two_before_any_work(tmp_path, capsys, mo
     assert list(out.iterdir()) == [] and file.read_text() == ""
 
 
+def test_directory_at_a_csv_path_exits_two_with_a_report(tmp_path, capsys):
+    # the second pair's CSV cannot be written: the run stops there and says so
+    blocked = tmp_path / "quasi_c_static_3_1.csv"
+    blocked.mkdir()
+    assert run(tmp_path, "static", "--sweep", "2,1;3,1") == 2
+    out, err = capsys.readouterr()
+    assert err.splitlines() == [f"configuration error: {str(blocked)!r} cannot be written: Is a directory"]
+    report_path = tmp_path / "quasi_c_report.jsonl"
+    assert f"wrote {tmp_path / 'quasi_c_static_2_1.csv'}\nwrote {report_path}\n" in out
+    assert len(read_csv(tmp_path / "quasi_c_static_2_1.csv")) == 1 and list(blocked.iterdir()) == []
+    lines = read_report(report_path)
+    assert lines[0]["failure"] == {
+        "pair": "lambda=3,kappa=1",
+        "stage": "csv_write",
+        "exception": "IsADirectoryError",
+        "message": f"[Errno 21] Is a directory: {str(blocked)!r}",
+    }
+    assert sum(ln["type"] == "check" for ln in lines) == 16
+    assert lines[-1] == {"type": "summary", "all_pass": False, "n_checks": 16, "exit_code": 2}
+
+
+def test_prefix_past_the_file_name_limit_exits_two(tmp_path, capsys):
+    # neither the CSV nor the report can be created; the line names the first
+    prefix = "x" * os.pathconf(tmp_path, "PC_NAME_MAX")
+    assert run(tmp_path, "static", "--prefix", prefix) == 2
+    out, err = capsys.readouterr()
+    csv_path = tmp_path / f"{prefix}_static_2_1.csv"
+    assert err.splitlines() == [f"configuration error: {str(csv_path)!r} cannot be written: File name too long"]
+    assert "wrote" not in out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_directory_at_the_report_path_exits_two(tmp_path, capsys):
+    blocked = tmp_path / "quasi_c_report.jsonl"
+    blocked.mkdir()
+    assert run(tmp_path, "static") == 2
+    out, err = capsys.readouterr()
+    assert err.splitlines() == [f"configuration error: {str(blocked)!r} cannot be written: Is a directory"]
+    assert out.splitlines()[-2:] == [f"wrote {tmp_path / 'quasi_c_static_2_1.csv'}", "8/8 checks passed"]
+    assert list(blocked.iterdir()) == []
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("option", [option for _, option in FLOAT_OPTIONS])
 def test_non_finite_float_options_exit_two(tmp_path, capsys, option, value):
@@ -765,8 +807,8 @@ def per_sample_td_pair(cfg, lam, kappa):
         cmat = c_at(t)
         eig_hi, eig_lo = hermitian_eigenvalues_2x2(rho, tol=1e-8)
         det_rho = float(np.real(det(rho)))
-        lr = lr_residual(c_at, p, t)
-        quasi = quasi_hermiticity_residual(rho_at, p, t)
+        lr = lr_residual(lambda s: c_at(s).tolist(), p, t)
+        quasi = quasi_hermiticity_residual(lambda s: rho_at(s).tolist(), p, t)
         c_sq = frobenius_norm(cmat @ cmat - IDENTITY)
         rows.append([float(t), eig_hi, eig_lo, det_rho, lr, quasi, c_sq])
         scale = max(1.0, float(hypot_norm_stack(rho)))

@@ -23,12 +23,13 @@ from quasic.errors import (
     NotPositiveDefiniteError,
     RegimeMismatchError,
 )
-from quasic.invariants import InvariantForm, closed_form_invariant, lr_residual
+from quasic.invariants import InvariantForm, _real_entries, closed_form_invariant, lr_residual
 from quasic.linalg import (
     DEFAULT_TOL,
     IDENTITY,
     PAULI_X,
     PAULI_Z,
+    _mat2,
     adjoint,
     commutator,
     det,
@@ -143,7 +144,7 @@ class TestTdSuite:
 
         for t in (0.0, 1.1, 3.6, 5.0):
             assert involution_residual(COperator(matrix=c_at(t))) <= 1e-10
-            assert lr_residual(c_at, p, t, fd_step=1e-5) <= 1e-8
+            assert lr_residual(lambda s: c_at(s).tolist(), p, t, fd_step=1e-5) <= 1e-8
 
     def test_antilinear_commutation_is_a_time_reflection(self):
         # sigma_z conj(.) sigma_z negates the real off-diagonal part of the
@@ -157,7 +158,7 @@ class TestTdSuite:
         anchor = math.pi / 2
         assert involution_residual(COperator(matrix=c_at(anchor))) <= 1e-10
         assert pt_commutation_residual(c_at(anchor)) <= 1e-10
-        assert lr_residual(c_at, p, anchor, fd_step=1e-5) <= 1e-8
+        assert lr_residual(lambda s: c_at(s).tolist(), p, anchor, fd_step=1e-5) <= 1e-8
         away = pt_commutation_residual(c_at(1.1))
         x = float(np.real(c_at(1.1)[0, 1]))
         assert away == pytest.approx(2.0 * SQRT2 * abs(x), rel=1e-10)
@@ -168,13 +169,13 @@ class TestTdSuite:
         # C-operator commutes with H(t) for every tau
         p = FULL_SINE
         static_c = c_from_system(biortho_system(hamiltonian_at(STATIC_PT, 0.0)), (1, -1)).matrix
-        assert lr_residual(lambda t: static_c, p, 1.0, fd_step=1e-5) <= 1e-8
+        assert lr_residual(lambda t: static_c.tolist(), p, 1.0, fd_step=1e-5) <= 1e-8
 
     def test_parity_operator_not_conserved_under_drive(self):
         p = FULL_SINE
         assert involution_residual(COperator(matrix=PAULI_Z)) <= 1e-10
         assert pt_commutation_residual(PAULI_Z) <= 1e-10
-        conservation = lr_residual(lambda t: PAULI_Z.copy(), p, 1.0, fd_step=1e-5)
+        conservation = lr_residual(lambda t: PAULI_Z.tolist(), p, 1.0, fd_step=1e-5)
         assert conservation > 1e-8
         # residual equals ||tau(t) * sigma_y||
         expected = abs(math.sin(1.0)) * SQRT2
@@ -186,7 +187,7 @@ class TestTdSuite:
             c = sign * IDENTITY
             assert involution_residual(COperator(matrix=c)) <= 1e-10
             assert pt_commutation_residual(c) <= 1e-10
-            assert lr_residual(lambda t: c, p, 0.7) <= 1e-8
+            assert lr_residual(lambda t: c.tolist(), p, 0.7) <= 1e-8
 
 
 class TestMetric:
@@ -226,7 +227,7 @@ class TestQuasiHermiticity:
         p = FULL_SINE
 
         def rho_at(t):
-            return closed_form_metric(MetricForm.FULL_TD, p, t).matrix
+            return closed_form_metric(MetricForm.FULL_TD, p, t).rows
 
         for t in (0.0, 0.8, 2.9, 5.0):
             assert quasi_hermiticity_residual(rho_at, p, t, fd_step=1e-5) < 1e-8
@@ -237,12 +238,12 @@ class TestQuasiHermiticity:
         h = hamiltonian_at(STATIC_PT, 0.0)
         assert frobenius_norm(adjoint(h) @ rho - rho @ h) < 1e-10
         # constant provider: the time-derivative term drops out
-        assert quasi_hermiticity_residual(lambda t: rho, STATIC_PT, 0.5) < 1e-10
+        assert quasi_hermiticity_residual(lambda t: rho.tolist(), STATIC_PT, 0.5) < 1e-10
 
     def test_identity_metric_with_non_hermitian_h(self):
         p = STATIC_PT
         h = hamiltonian_at(p, 0.0)
-        resid = quasi_hermiticity_residual(lambda t: IDENTITY.copy(), p, 0.0)
+        resid = quasi_hermiticity_residual(lambda t: IDENTITY.tolist(), p, 0.0)
         assert resid == pytest.approx(frobenius_norm(adjoint(h) - h), abs=1e-12)
         assert resid > 0.1
 
@@ -299,7 +300,8 @@ class TestResidualKernel:
 
         for t in np.linspace(0.0, 6.0, 61).tolist():
             lr, quasi, scale = numpy_residuals(rho_at, p, t)
-            got_lr, got_quasi = lr_residual(c_at, p, t), quasi_hermiticity_residual(rho_at, p, t)
+            got_lr = lr_residual(lambda s: c_at(s).tolist(), p, t)
+            got_quasi = quasi_hermiticity_residual(lambda s: rho_at(s).tolist(), p, t)
             assert abs(got_lr - lr) <= 4 * EPS * scale
             assert abs(got_quasi - quasi) <= 4 * EPS * scale
             # the products of the one differ from the other's by sign alone
@@ -310,9 +312,64 @@ class TestResidualKernel:
         # RuntimeWarnings are errors in this suite, and Python complex arithmetic
         # raises none, on non-finite entries or on products that overflow (1e300)
         p = FULL_SINE
-        m = np.array([[1.0, entry], [0.5j, -1.0]], dtype=complex)
+        m = np.array([[1.0, entry], [0.5j, -1.0]], dtype=complex).tolist()
         assert not math.isfinite(lr_residual(lambda t: m, p, 0.4))
         assert not math.isfinite(quasi_hermiticity_residual(lambda t: m, p, 0.4))
+
+
+ROWS_CASES = [
+    pytest.param(form, lam, kappa, drive, id=f"{form.name}-{lam:g},{kappa:g}-{type(drive).__name__}")
+    for form, (lam, kappa) in (
+        (MetricForm.PT_SYMMETRIC, (2.3, 0.7)),
+        (MetricForm.SPONTANEOUSLY_BROKEN, (0.7, 2.3)),
+        (MetricForm.EXCEPTIONAL_POINT, (1.3, 1.3)),
+        (MetricForm.FULL_TD, (2.3, 0.7)),
+        (MetricForm.FULL_TD, (0.7, 2.3)),
+        (MetricForm.FULL_TD, (1.3, 1.3)),
+    )
+    for lam_sign in (1.0, -1.0)
+    for kappa_sign in (1.0, -1.0)
+    for lam, kappa in [(lam_sign * lam, kappa_sign * kappa)]
+    for drive in (ConstantDrive(), SineDrive(amplitude=0.8, frequency=1.3))
+    if form is MetricForm.FULL_TD or isinstance(drive, ConstantDrive)
+]
+
+
+def row_negated(m):
+    """sigma_z m as numpy forms it on the command line's arrays: the second row negated."""
+    c = m.copy()
+    c[1] = -c[1]
+    return c
+
+
+class TestMetricRows:
+    """A float evaluation carries its rows of Python complex, and builds ``matrix`` from them with the same bits."""
+
+    @pytest.mark.parametrize("form, lam, kappa, drive", ROWS_CASES)
+    def test_rows_and_matrix_are_the_direct_construction_bits(self, form, lam, kappa, drive):
+        p = HamiltonianParams(-0.6, lam, kappa, hbar=1.7, drive=drive)
+        # 1e308 overflows the phase: non-finite entries keep their bits too
+        for t in (*np.linspace(-3.0, 7.0, 41).tolist(), p.drive.t_ref, 0.0, -0.0, 1e308):
+            with np.errstate(all="ignore"):
+                rho = closed_form_metric(form, p, t)
+                d, x, y = _real_entries(form, p, t)
+            iy = 1j * y
+            direct = _mat2(-d, x + iy, x - iy, -d)
+            assert all(type(a) is complex for row in rho.rows for a in row)
+            m = rho.matrix
+            assert m is rho.matrix
+            assert m.tobytes() == direct.tobytes()
+            # numpy stores a Python complex exactly, so equal bytes are equal bits, signed zeros included
+            assert np.array(rho.rows, dtype=complex).tobytes() == np.array(m.tolist(), dtype=complex).tobytes()
+            top, (a10, a11) = rho.rows
+            negated = np.array((top, (-a10, -a11)), dtype=complex)
+            assert negated.tobytes() == row_negated(m).tobytes()
+
+    def test_only_float_evaluations_carry_rows(self):
+        assert closed_form_metric(MetricForm.FULL_TD, FULL_SINE, np.linspace(0.0, 1.0, 3)).rows is None
+        c = c_from_system(biortho_system(hamiltonian_at(STATIC_PT, 0.0)), (1, -1))
+        rho = metric_from_c(c)
+        assert rho.rows is None and rho.matrix is rho.matrix
 
 
 class TestClosedFormMetric:
@@ -378,7 +435,7 @@ class TestClosedFormMetric:
             return PAULI_Z @ closed_form_metric(MetricForm.FULL_TD, p, t).matrix
 
         for t in (0.0, 1.0, 2.9):
-            assert lr_residual(c_at, p, t, fd_step=1e-5) < 1e-8
+            assert lr_residual(lambda s: c_at(s).tolist(), p, t, fd_step=1e-5) < 1e-8
             m = c_at(t)
             assert frobenius_norm(m @ m - IDENTITY) < 1e-12
 

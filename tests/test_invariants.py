@@ -408,7 +408,14 @@ def per_sample(fn, times):
 
 
 class TestTimeArrays:
-    """A time array gives, element by element, the closed forms of its entries."""
+    """A time array gives, element by element, the closed forms of its entries.
+
+    A float evaluation of closed_form_metric builds its matrix from its
+    rows (test_coperator.py::TestMetricRows pins those bits to the direct
+    construction); the stacks below are held to the float matrices at the
+    same bounds: equal bits for FULL_TD, 8 ulp of |d| for the fixed-regime
+    forms.
+    """
 
     @pytest.mark.parametrize("drive", ARRAY_DRIVES)
     def test_integral_array_same_bits(self, drive):
@@ -481,12 +488,12 @@ class TestLrResidual:
             return closed_form_invariant(form, p, t)
 
         for t in np.linspace(0.0, 5.0, 11):
-            assert lr_residual(inv_at, p, t, fd_step=1e-5) < 1e-8
+            assert lr_residual(lambda s: inv_at(s).tolist(), p, t, fd_step=1e-5) < 1e-8
 
     def test_commuting_case_is_exact(self):
         p = HamiltonianParams(1.0, 0.0, 0.0)
         const = np.array([[1.0, 0.5], [0.5j, -1.0]])
-        assert lr_residual(lambda t: const, p, 0.9) < 1e-15
+        assert lr_residual(lambda t: const.tolist(), p, 0.9) < 1e-15
 
     def test_detects_corrupted_invariant(self):
         p = PT_PARAMS
@@ -494,7 +501,7 @@ class TestLrResidual:
         def corrupted(t):
             m = closed_form_invariant(InvariantForm.PT_SYMMETRIC, p, t).copy()
             m[0, 1] += 0.1
-            return m
+            return m.tolist()
 
         assert lr_residual(corrupted, p, 1.0) > 0.01
 
@@ -502,7 +509,7 @@ class TestLrResidual:
         p = PT_PARAMS
 
         def inv_at(t):
-            return closed_form_invariant(InvariantForm.PT_SYMMETRIC, p, t)
+            return closed_form_invariant(InvariantForm.PT_SYMMETRIC, p, t).tolist()
 
         coarse = lr_residual(inv_at, p, 1.3, fd_step=2e-3)
         fine = lr_residual(inv_at, p, 1.3, fd_step=1e-3)
