@@ -41,6 +41,9 @@ record's ``stage_s`` holds the wall time of five stages summed over the
 pairs: ``static_checks`` (the whole of a static pair before its CSV),
 ``sampling`` (the per-sample loop), ``array_pass``, ``propagation`` and
 ``csv_write``.  A stage that aborts adds the time up to its failure.
+``stage_work`` holds the work of three stages summed over the pairs, added
+when the stage completes: ``sampling`` ``samples``, ``propagation``
+``steps`` and ``csv_write`` ``rows`` and ``bytes``.
 """
 
 from __future__ import annotations
@@ -129,19 +132,21 @@ def _csv_path(cfg: argparse.Namespace, lam: float, kappa: float) -> Path:
     return cfg.out_dir / f"{cfg.prefix}_{cfg.scenario}_{lam:g}_{kappa:g}.csv"
 
 
-def _write_csv(path: Path, columns: np.ndarray) -> None:
-    """Write the (7, samples) column array, one row per sample, in one call."""
+def _write_csv(path: Path, columns: np.ndarray) -> int:
+    """Write the (7, samples) column array, one row per sample, in one call; return its bytes."""
     cells = columns.T.ravel().tolist()
     text = _CSV_HEADER + (_CSV_ROW * columns.shape[1]) % tuple(cells)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(text)
+        # ASCII only: one byte per character
+        return fh.write(text)
 
 
 class _StageClock:
-    """Wall time per stage into a report's ``stage_s``; ``current`` names the stage in progress."""
+    """Wall time and work per stage into a report's ``stage_s`` and ``stage_work``; ``current`` names the stage in progress."""
 
     def __init__(self, report: VerificationReport):
         self._stage_s = report.metadata["stage_s"]
+        self._stage_work = report.metadata["stage_work"]
         self.current: str | None = None
         self._started = 0.0
 
@@ -151,6 +156,11 @@ class _StageClock:
         if self.current is not None:
             self._stage_s[self.current] += now - self._started
         self.current, self._started = stage, now
+
+    def count(self, **work: int) -> None:
+        """Add the work of the stage in progress."""
+        for name, n in work.items():
+            self._stage_work[self.current][name] += n
 
 
 def _pair_name(lam: float, kappa: float) -> str:
@@ -233,6 +243,7 @@ def _run_td_pair(cfg: argparse.Namespace, lam: float, kappa: float, report, swee
             cmat[k] = c_at(t)
             lr[k] = lr_residual(c_at, p, t)
             quasi[k] = quasi_hermiticity_residual(rho_at, p, t)
+        clock.count(samples=cfg.samples)
         clock.enter("array_pass")
 
         eig_hi, eig_lo = hermitian_eigenvalues_stack(rho, tol=1e-8)
@@ -272,6 +283,7 @@ def _run_td_pair(cfg: argparse.Namespace, lam: float, kappa: float, report, swee
         final = time_ordered_propagate(p, closed_form_invariant(form, p, start), start, cfg.t1, steps)
         target = np.array(c_at(cfg.t1), dtype=complex)
         prop_err = frobenius_norm(final - target) / max(1.0, frobenius_norm(target))
+    clock.count(steps=steps)
     add("propagation_consistency", prop_err, 1e-6, argmax_t=cfg.t1)
     return columns
 
@@ -281,6 +293,7 @@ def _report_skeleton(cfg: argparse.Namespace) -> VerificationReport:
         metadata={
             "config": {name: value for name, value in vars(cfg).items() if name not in ("out_dir", "prefix")},
             "stage_s": dict.fromkeys(_STAGES, 0.0),
+            "stage_work": {"sampling": {"samples": 0}, "propagation": {"steps": 0}, "csv_write": {"rows": 0, "bytes": 0}},
             "versions": {
                 "quasic": __version__,
                 "numpy": np.__version__,
@@ -312,7 +325,7 @@ def run_scenario(cfg: argparse.Namespace) -> int:
         try:
             columns = run_pair(cfg, lam, kappa, report, sweeping, clock)
             clock.enter("csv_write")
-            _write_csv(path, columns)
+            clock.count(rows=columns.shape[1], bytes=_write_csv(path, columns))
         except (QuasiCError, ArithmeticError, OSError) as exc:
             failure = exc
             if isinstance(exc, OSError):

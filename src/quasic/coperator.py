@@ -21,7 +21,7 @@ import numpy as np
 
 from .biortho import BiorthoSystem
 from .errors import NotHermitianError
-from .invariants import InvariantForm, _real_entries
+from .invariants import InvariantForm, _bound_entries, _real_entries
 from .linalg import (
     DEFAULT_TOL,
     IDENTITY,
@@ -168,7 +168,10 @@ def closed_form_metric(form: MetricForm, p: HamiltonianParams, t: float | np.nda
     I(t) is the closed-form invariant of the same form.  t is a float, for
     which the result carries ``rows`` and builds ``matrix`` from them when
     it is read, or a time array of shape (N,), for which ``matrix`` is the
-    (N, 2, 2) stack of the metrics at its entries.  The three
+    (N, 2, 2) stack of the metrics at its entries.  A float evaluation runs
+    the form's evaluator bound once per parameter set, like ``p.regime``
+    (``invariants._bound_entries``), which does only the t-dependent
+    arithmetic.  The three
     drive-independent forms assume tau == 1 and a parameter point inside
     their regime.  The drive-dependent form FULL_TD holds on and next to
     the exceptional points lam = +-kappa, where its entries take their
@@ -176,10 +179,10 @@ def closed_form_metric(form: MetricForm, p: HamiltonianParams, t: float | np.nda
     """
     # sigma_z I(t) with I = [[-d, x + iy], [-x + iy, d]]: the second row negated, exactly
     if isinstance(t, np.ndarray):
-        d, x, y = _real_entries(form, p, t, stack=True)
+        d, x, y = _real_entries(form, p, np)(t)
         iy = 1j * y
         return MetricOperator(_mat2_stack(-d, x + iy, x - iy, -d))
-    d, x, y = _real_entries(form, p, t)
+    d, x, y = _bound_entries(form, p)(t)
     iy = 1j * y
     # a complex diagonal, so that negating a row gives numpy's signed zeros
     nd = complex(-d)

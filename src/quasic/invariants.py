@@ -138,37 +138,34 @@ def _drive_entries(p: HamiltonianParams, m, sinhc) -> tuple:
     return -1.0 - kap * kap * half, kap * m * sinhc(xi * mm), kap * lam * half
 
 
-def _real_entries(form: InvariantForm, p: HamiltonianParams, t: float | np.ndarray, stack: bool = False) -> tuple:
-    """(d, x, y) of the closed-form invariant [[-d, x + iy], [-x + iy, d]] at time t.
+def _real_entries(form: InvariantForm, p: HamiltonianParams, fn=math) -> Callable:
+    """The evaluator t -> (d, x, y) of the closed-form invariant [[-d, x + iy], [-x + iy, d]] on p.
 
-    t is a float, or with ``stack`` a time array, for which d, x and y are
-    arrays of its shape.  The public callers test isinstance(t, np.ndarray)
-    once and pass the result: on the per-sample path of the command line
-    every further test costs time.  Real float arithmetic throughout.  The
-    drive-dependent form evaluates its entire closed form, which holds
-    through the exceptional point; on an array it is the same formula
-    through the drive's integral_array and _sinhc_array, with the scalar
-    path's bits for the constant and sine drives.
+    The time-independent work is done here, once: the regime test
+    (RegimeMismatchError for a fixed-regime form outside its regime),
+    |lam|, |kappa|, xi, the signs and the functions.  With fn = math the
+    evaluator takes a float t, as a Python float (numpy scalar arithmetic
+    costs several times more); _bound_entries keeps it on p.  With fn = np
+    it takes a time array and returns arrays of its shape through the numpy
+    ufuncs, whose cosh and sinh differ from math's by up to 1 ulp: an array
+    entry is the float one to within a few ulp of |d| >= 1 (measured: 3,
+    and 6 at a relative 1e-9 from coalescence, where the terms exceed |d|).
+
+    The drive-dependent form evaluates its entire closed form, which holds
+    through the exceptional point, through the module's _drive_entries at
+    every evaluation; on an array through the drive's integral_array and
+    _sinhc_array, with the float path's bits for the constant and sine
+    drives.
 
     The fixed-regime forms give their published parts (xi, delta, real,
-    imag), and d = delta/xi, x = real/xi, y = imag/xi.  They test their
-    regime by identity once per call, for a float or a whole array: a lookup in an enum-keyed dict runs
-    Enum.__hash__ in Python, and this is on the path of every sample.  They
-    solve i hbar dI/dt = [H, I] for a constant H, so time enters as t / hbar,
-    taken as a Python float: callers pass numpy scalars from time grids,
-    whose arithmetic costs several times more.  A float goes through
-    math.sin and its kin, an array through the numpy ufuncs, whose cosh and
-    sinh differ from math's by up to 1 ulp.  The sums carry that ulp of
-    their largest term, so an array entry is the scalar one to within a few
-    ulp of |d| >= 1 (measured: 3, and 6 at a relative 1e-9 from
-    coalescence, where the terms exceed |d|).
-
+    imag), and d = delta/xi, x = real/xi, y = imag/xi.  They solve
+    i hbar dI/dt = [H, I] for a constant H, so time enters as t / hbar.
     The parts are published for lam, kappa > 0.  The family's symmetries
     carry them to the other signs: sigma_x H(lam, kappa) sigma_x
     = H(-lam, kappa), whose invariant -sigma_x I sigma_x has imag negated,
     and sigma_z H(lam, kappa) sigma_z = H(lam, -kappa), whose invariant
     sigma_z I sigma_z has real and imag negated.  So the parts are evaluated
-    at (|lam|, |kappa|) and the signs flipped before the division.
+    at (|lam|, |kappa|) and real and imag divided by xi with those signs.
 
     Outside classify_regime's exceptional-point band
     ||lam| - |kappa|| > 1e-12, so the PT and broken forms divide by
@@ -177,47 +174,74 @@ def _real_entries(form: InvariantForm, p: HamiltonianParams, t: float | np.ndarr
     cancellation between them, so the forms lose digits; the drive-dependent
     form is the one that holds there.
     """
+    hbar = p.hbar
+    scalar = fn is math
     if form is InvariantForm.FULL_TD:
-        if stack:
-            return _drive_entries(p, p.drive.integral_array(t) / p.hbar, _sinhc_array)
-        # a float, not a numpy scalar, so that the drive's arithmetic runs on Python floats (same bits)
-        return _drive_entries(p, p.drive.integral(float(t)) / p.hbar, _sinhc)
+        if scalar:
+            integral = p.drive.integral
+            # a float, not a numpy scalar, so that the drive's arithmetic runs on Python floats (same bits)
+            return lambda t: _drive_entries(p, integral(float(t)) / hbar, _sinhc)
+        integral = p.drive.integral_array
+        return lambda t: _drive_entries(p, integral(t) / hbar, _sinhc_array)
+    as_float = float if scalar else (lambda t: np.asarray(t, dtype=float))
     lam, kap = abs(p.lam), abs(p.kappa)
-    if stack:
-        fn, s = np, np.asarray(t, dtype=float) / p.hbar
-    else:
-        fn, s = math, float(t) / p.hbar
-    if form is InvariantForm.PT_SYMMETRIC:
-        _require_regime(form, p, Regime.PT_SYMMETRIC)
-        xi = math.sqrt(lam * lam - kap * kap)
-        try:
-            sin, cos = fn.sin(xi * s), fn.cos(xi * s)
-        except ValueError:  # math.sin of an infinite phase: NaN, as np.sin gives
-            sin = cos = math.nan
-        delta = -_SQRT2 * lam - kap * sin
-        real = xi * cos
-        imag = _SQRT2 * kap + lam * sin
-    elif form is InvariantForm.SPONTANEOUSLY_BROKEN:
-        _require_regime(form, p, Regime.SPONTANEOUSLY_BROKEN)
-        xi = math.sqrt(kap * kap - lam * lam)
-        try:
-            cosh, sinh = fn.cosh(xi * s), fn.sinh(xi * s)
-        except OverflowError:  # math.cosh and math.sinh of a huge phase: inf, as np.cosh gives
-            cosh, sinh = math.inf, math.copysign(math.inf, s)
-        delta = lam - _SQRT2 * kap * cosh
-        real = _SQRT2 * xi * sinh
-        imag = _SQRT2 * lam * cosh - kap
-    else:
-        _require_regime(form, p, Regime.EXCEPTIONAL_POINT)
+    _require_regime(form, p, Regime(form.value))
+    if form is InvariantForm.EXCEPTIONAL_POINT:
         xi = 1.0
-        delta = -(kap * kap) * (s * s) / _SQRT2 - kap * s - _SQRT2
-        real = 1.0 + _SQRT2 * kap * s
-        imag = kap * kap * (s * s) / _SQRT2 + kap * s
-    if p.kappa < 0:
-        real, imag = -real, -imag
-    if p.lam < 0:
-        imag = -imag
-    return delta / xi, real / xi, imag / xi
+    elif form is InvariantForm.PT_SYMMETRIC:
+        xi = math.sqrt(lam * lam - kap * kap)
+    else:
+        xi = math.sqrt(kap * kap - lam * lam)
+    # x and y divided by xi with their signs: -(a / xi) is a / -xi, to the bit
+    x_div = -xi if p.kappa < 0 else xi
+    y_div = -x_div if p.lam < 0 else x_div
+    if form is InvariantForm.PT_SYMMETRIC:
+        sin, cos = fn.sin, fn.cos
+        d0, y0 = -_SQRT2 * lam, _SQRT2 * kap
+
+        def entries(t):
+            phase = xi * (as_float(t) / hbar)
+            try:
+                sn, cs = sin(phase), cos(phase)
+            except ValueError:  # math.sin of an infinite phase: NaN, as np.sin gives
+                sn = cs = math.nan
+            return (d0 - kap * sn) / xi, xi * cs / x_div, (y0 + lam * sn) / y_div
+
+    elif form is InvariantForm.SPONTANEOUSLY_BROKEN:
+        cosh, sinh = fn.cosh, fn.sinh
+        d1, x1, y1 = _SQRT2 * kap, _SQRT2 * xi, _SQRT2 * lam
+
+        def entries(t):
+            phase = xi * (as_float(t) / hbar)
+            try:
+                ch, sh = cosh(phase), sinh(phase)
+            except OverflowError:  # math.cosh and math.sinh of a huge phase: inf, as np.cosh gives
+                ch, sh = math.inf, math.copysign(math.inf, phase)
+            return (lam - d1 * ch) / xi, x1 * sh / x_div, (y1 * ch - kap) / y_div
+
+    else:
+        kk, x1 = kap * kap, _SQRT2 * kap
+
+        # xi = 1: d is delta itself
+        def entries(t):
+            s = as_float(t) / hbar
+            ss = s * s
+            return -kk * ss / _SQRT2 - kap * s - _SQRT2, (1.0 + x1 * s) / x_div, (kk * ss / _SQRT2 + kap * s) / y_div
+
+    return entries
+
+
+def _bound_entries(form: InvariantForm, p: HamiltonianParams) -> Callable:
+    """_real_entries(form, p) for a float t, bound on first use and kept on p, like p.regime.
+
+    p keeps the form it last bound, so a form that is already bound costs one
+    identity test; a RegimeMismatchError is raised again on every call.
+    """
+    bound_form, entries = p._bound
+    if bound_form is not form:
+        entries = _real_entries(form, p)
+        object.__setattr__(p, "_bound", (form, entries))
+    return entries
 
 
 def closed_form_invariant(form: InvariantForm, p: HamiltonianParams, t: float | np.ndarray) -> np.ndarray:
@@ -230,10 +254,10 @@ def closed_form_invariant(form: InvariantForm, p: HamiltonianParams, t: float | 
     FULL_TD accepts any parameters and drive.
     """
     if isinstance(t, np.ndarray):
-        d, x, y = _real_entries(form, p, t, stack=True)
+        d, x, y = _real_entries(form, p, np)(t)
         iy = 1j * y
         return _mat2_stack(-d, x + iy, -x + iy, d)
-    d, x, y = _real_entries(form, p, t)
+    d, x, y = _bound_entries(form, p)(t)
     iy = 1j * y
     return _mat2(-d, x + iy, -x + iy, d)
 

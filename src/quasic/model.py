@@ -59,6 +59,15 @@ class SineDrive:
     amplitude: float = 1.0
     frequency: float = 1.0
     t_ref: float = math.pi / 2
+    #: cos(frequency * t_ref), the anchor term of the integral, computed once
+    _cos_ref: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        try:
+            cos_ref = math.cos(self.frequency * self.t_ref)
+        except ValueError:  # an infinite phase: NaN, as np.cos gives
+            cos_ref = math.nan
+        object.__setattr__(self, "_cos_ref", cos_ref)
 
     def tau(self, t: float) -> float:
         try:
@@ -73,14 +82,14 @@ class SineDrive:
     def integral(self, t: float) -> float:
         w = self.frequency
         try:
-            return self.amplitude * (math.cos(w * self.t_ref) - math.cos(w * t)) / w
+            return self.amplitude * (self._cos_ref - math.cos(w * t)) / w
         except ValueError:  # math.cos of an infinite argument: NaN, as np.cos gives
             return math.nan
 
     def integral_array(self, t: np.ndarray) -> np.ndarray:
         """integral at every entry of a time array; np.cos gives math.cos's bits."""
         w = self.frequency
-        return self.amplitude * (math.cos(w * self.t_ref) - np.cos(w * np.asarray(t, dtype=float))) / w
+        return self.amplitude * (self._cos_ref - np.cos(w * np.asarray(t, dtype=float))) / w
 
 
 Drive = ConstantDrive | SineDrive
@@ -95,6 +104,8 @@ class HamiltonianParams:
     drive: Drive = ConstantDrive()
     #: classify_regime of lam and kappa, fixed for the parameter set and computed once
     regime: Regime = field(init=False, repr=False, compare=False)
+    #: (form, t -> (d, x, y)): the closed form last bound to this set by invariants._bound_entries
+    _bound: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.hbar > 0):
@@ -103,6 +114,10 @@ class HamiltonianParams:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         object.__setattr__(self, "regime", classify_regime(self))
+
+    def __getstate__(self):
+        # the bound evaluator is a closure, which does not pickle: a copy binds its own
+        return {**self.__dict__, "_bound": (None, None)}
 
 
 class Regime(Enum):

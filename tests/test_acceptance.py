@@ -160,7 +160,7 @@ def test_criterion_06_eigenvalue_signature_identity():
             for form, drive in forms:
                 p = HamiltonianParams(1.0, lam, kappa, drive=drive)
                 for t in (0.0, 0.7, 1.5, 3.0):
-                    d, x, y = _real_entries(form, p, t)
+                    d, x, y = _real_entries(form, p)(t)
                     assert abs(d * d - x * x - y * y - 1.0) <= 1e-9, (form, lam, kappa, t)
                     checked += 1
     assert checked == 84  # 3 coalescent pairs x 4 times + 6 pairs x 3 forms x 4 times

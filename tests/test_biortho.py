@@ -351,7 +351,7 @@ class TestStackedSystem:
         # v = (1 - d, -x + iy) and left vector u = (1 - d, x - iy) / (2 (1 - d)), <u|v> = 1
         p = HamiltonianParams(1.0, lam, kappa, drive=SineDrive())
         grid = np.linspace(0.0, 3.0, 601)
-        d, x, y = _real_entries(InvariantForm.FULL_TD, p, grid, stack=True)
+        d, x, y = _real_entries(InvariantForm.FULL_TD, p, np)(grid)
         v = np.stack((1.0 - d, -x + 1j * y), axis=-1)
         u = np.stack((1.0 - d, x - 1j * y), axis=-1) / (2.0 * (1.0 - d))[:, None]
         first, second = biortho_system(closed_form_invariant(InvariantForm.FULL_TD, p, grid)).pairs

@@ -701,6 +701,25 @@ def test_non_finite_samples_exit_three_after_writing_outputs(tmp_path, capsys):
     assert lines[-1]["all_pass"] is False
 
 
+@pytest.mark.parametrize(
+    "argv, code, inconclusive",
+    [
+        # within a relative 1e-9 of lambda = kappa the fixed-regime forms grow like 1/xi
+        (["metric-picture", "--lambda", "1", "--kappa", "1.000000001"], 1, {"det_rho_unit_max_dev"}),
+        # the drive-dependent form holds there
+        (["full-td", "--drive", "const", "--lambda", "1", "--kappa", "1.000000001"], 0, set()),
+        # a broken-regime metric scale of ~1e27 by t = 30
+        (["metric-picture", "--lambda", "1", "--kappa", "2", "--t1", "30"], 1, {"det_rho_unit_max_dev", "metric_positive_definite"}),
+    ],
+    ids=["near-coalescence-fixed-form", "near-coalescence-drive-form", "broken-t30"],
+)
+def test_documented_known_limits_fail_closed(tmp_path, argv, code, inconclusive):
+    assert run(tmp_path, *argv) == code
+    checks = [ln for ln in read_report(tmp_path / "quasi_c_report.jsonl") if ln["type"] == "check"]
+    assert {c["name"] for c in checks if c["status"] == "inconclusive"} == inconclusive
+    assert all(c["status"] == "pass" for c in checks if c["name"] not in inconclusive)
+
+
 def test_tolerance_scaled_past_the_ceiling_is_inconclusive(tmp_path, capsys):
     # by t = 30 the broken-regime metric scale is ~5e22: the det and
     # positivity tolerances (~8.6e30 and ~7e8) would pass anything
@@ -965,3 +984,30 @@ def test_report_records_stage_times(tmp_path, scenario):
     else:
         assert stages["static_checks"] == 0.0
         assert min(v for k, v in stages.items() if k != "static_checks") > 0.0
+
+
+@pytest.mark.parametrize("scenario", ["static", "metric-picture", "full-td"])
+def test_report_records_stage_work(tmp_path, scenario):
+    argv = ["--sweep", "2,1;3,1"] if scenario == "static" else ["--sweep", "2,1;1,2", "--t1", "3", "--samples", "30"]
+    assert run(tmp_path, scenario, *argv) == 0
+    work = read_report(tmp_path / "quasi_c_report.jsonl")[0]["stage_work"]
+    csvs = sorted(tmp_path.glob("*.csv"))
+    rows = sum(len(read_csv(path)) for path in csvs)
+    assert work["csv_write"] == {"rows": rows, "bytes": sum(path.stat().st_size for path in csvs)}
+    if scenario == "static":
+        assert rows == 2
+        assert work["sampling"] == {"samples": 0} and work["propagation"] == {"steps": 0}
+    else:
+        # 20 steps per sample by default
+        assert rows == 60
+        assert work["sampling"] == {"samples": 60} and work["propagation"] == {"steps": 1200}
+
+
+def test_stage_work_counts_only_completed_stages(tmp_path, monkeypatch):
+    def planted(*args, **kwargs):
+        raise _Planted("planted in propagation")
+
+    monkeypatch.setattr(cli, "time_ordered_propagate", planted)
+    assert run(tmp_path, "full-td", "--sweep", "2,1;1,2", "--t1", "3", "--samples", "30") == 3
+    work = read_report(tmp_path / "quasi_c_report.jsonl")[0]["stage_work"]
+    assert work == {"sampling": {"samples": 30}, "propagation": {"steps": 0}, "csv_write": {"rows": 0, "bytes": 0}}

@@ -352,7 +352,7 @@ class TestMetricRows:
         for t in (*np.linspace(-3.0, 7.0, 41).tolist(), p.drive.t_ref, 0.0, -0.0, 1e308):
             with np.errstate(all="ignore"):
                 rho = closed_form_metric(form, p, t)
-                d, x, y = _real_entries(form, p, t)
+                d, x, y = _real_entries(form, p)(t)
             iy = 1j * y
             direct = _mat2(-d, x + iy, x - iy, -d)
             assert all(type(a) is complex for row in rho.rows for a in row)

@@ -296,7 +296,7 @@ class TestPresets:
 def assert_unit_signature(form, p, times):
     """det I = -1 and d^2 - x^2 - y^2 = 1 for the real entries, each within 1e-9."""
     for t in times:
-        d, x, y = _real_entries(form, p, t)
+        d, x, y = _real_entries(form, p)(t)
         assert abs(d * d - x * x - y * y - 1.0) < 1e-9, (form, p, t)
         assert abs(det(closed_form_invariant(form, p, t)) + 1.0) < 1e-9, (form, p, t)
 

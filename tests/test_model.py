@@ -237,6 +237,25 @@ class TestDrives:
             assert moved.integral(m) == 0.0
             assert d.integral(t) == pytest.approx(d.integral(m) + moved.integral(t), abs=1e-12)
 
+    def test_sine_anchor_term_is_computed_once_with_its_bits(self):
+        # integral reads cos(frequency * t_ref) from the drive: the same bits as
+        # computing it per call, recomputed by dataclasses.replace, and no part
+        # of equality, hash or repr
+        d = SineDrive(amplitude=1.4, frequency=0.8, t_ref=0.3)
+        for drive in (d, dataclasses.replace(d, t_ref=-2.1), dataclasses.replace(d, frequency=3.7)):
+            w = drive.frequency
+            for t in (-4.0, 0.0, 0.3, 1.9, 6.0):
+                assert drive.integral(t) == drive.amplitude * (math.cos(w * drive.t_ref) - math.cos(w * t)) / w
+            assert drive.integral(drive.t_ref) == 0.0
+        assert dataclasses.replace(d, t_ref=-2.1) == SineDrive(amplitude=1.4, frequency=0.8, t_ref=-2.1)
+        assert hash(d) == hash(SineDrive(1.4, 0.8, 0.3)) and repr(d) == "SineDrive(amplitude=1.4, frequency=0.8, t_ref=0.3)"
+
+    @pytest.mark.parametrize("drive", [SineDrive(t_ref=math.inf), SineDrive(frequency=1e300, t_ref=1e300)])
+    def test_sine_infinite_anchor_phase_gives_nan(self, drive):
+        # math.cos of the infinite anchor phase raises; the integral is NaN, as np.cos gives
+        assert math.isnan(drive.integral(1.0))
+        assert np.isnan(drive.integral_array(np.array([0.0, 1.0]))).all()
+
     @pytest.mark.parametrize("drive", DRIVE_SHAPES)
     def test_scalar_forms_match_array_forms_at_non_finite_times(self, drive):
         # math.sin and math.cos raise on an infinite argument where np.sin and

@@ -1,4 +1,4 @@
-"""Closed-form invariant entries in real arithmetic against two oracles.
+"""Closed-form invariant entries in real arithmetic against two oracles, and their binding.
 
 ``reference_real_entries`` is the complex recombination that ``_real_entries``
 used before the entries moved to real arithmetic, with the fixed-regime
@@ -9,7 +9,10 @@ complex template evaluated in ``mpmath`` at 40 digits from the same double
 drive integral.
 """
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import mpmath
 import numpy as np
@@ -17,7 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasic.invariants import InvariantForm, _real_entries, _require_regime
+from quasic import invariants
+from quasic.coperator import closed_form_metric
+from quasic.errors import RegimeMismatchError
+from quasic.invariants import InvariantForm, _real_entries, _require_regime, closed_form_invariant
 from quasic.model import ConstantDrive, HamiltonianParams, Regime, SineDrive, classify_regime
 
 _SQRT2 = math.sqrt(2.0)
@@ -89,7 +95,7 @@ def test_fixed_regime_entries_same_bits(hbar):
                 form = _FIXED_FORMS[classify_regime(p)]
                 for t in _TIMES:
                     want = np.array(reference_real_entries(form, p, t))
-                    got = np.array(_real_entries(form, p, t))
+                    got = np.array(_real_entries(form, p)(t))
                     assert got.tobytes() == want.tobytes(), (form, lam_, kappa_, t, hbar)
                     checked[form] += 1
     assert all(n > 500 for n in checked.values()), checked
@@ -144,7 +150,7 @@ def test_drive_dependent_entries_match_mpmath_template(
     lam = lam_sign * kappa * ratio
     drive_obj = ConstantDrive() if drive == "const" else SineDrive()
     p = HamiltonianParams(1.0, lam, kappa_sign * kappa, hbar=hbar, drive=drive_obj)
-    got = _real_entries(InvariantForm.FULL_TD, p, t)
+    got = _real_entries(InvariantForm.FULL_TD, p)(t)
     m = float(p.drive.integral(t)) / p.hbar
     want = mp_drive_entries(p.kappa, p.lam, m)
     scale = max(1.0, *(abs(v) for v in got))
@@ -164,9 +170,9 @@ def test_fixed_regime_overflow_gives_the_array_path_values(lam, kappa):
     form = _FIXED_FORMS[classify_regime(p)]
     times = [1e3, -1e3, 1e200, -1e200, 5e307, -5e307, 1e308]
     with np.errstate(over="ignore", invalid="ignore"):
-        stacked = np.array(_real_entries(form, p, np.array(times), stack=True))
+        stacked = np.array(_real_entries(form, p, np)(np.array(times)))
     for k, t in enumerate(times):
-        got = np.array(_real_entries(form, p, t))
+        got = np.array(_real_entries(form, p)(t))
         want = stacked[:, k]
         finite = np.isfinite(want)
         assert np.array_equal(np.isfinite(got), finite), (t, got, want)
@@ -174,3 +180,81 @@ def test_fixed_regime_overflow_gives_the_array_path_values(lam, kappa):
         assert np.allclose(got[finite], want[finite], rtol=1e-14, atol=0.0), (t, got, want)
     # the last time, 1e308, overflows on every pair
     assert not np.isfinite(got).all()
+
+
+class TestBoundEntries:
+    """A float evaluation binds the form to its parameter set once and keeps the evaluator on it."""
+
+    FORM_CASES = [
+        (InvariantForm.PT_SYMMETRIC, 2.3, -0.7, ConstantDrive()),
+        (InvariantForm.SPONTANEOUSLY_BROKEN, -0.7, 2.3, ConstantDrive()),
+        (InvariantForm.EXCEPTIONAL_POINT, 1.3, -1.3, ConstantDrive()),
+        (InvariantForm.FULL_TD, 0.7, 2.3, SineDrive(amplitude=0.8, frequency=1.7, t_ref=0.3)),
+    ]
+    TIMES = (-2.0, 0.0, 0.7, 3.1)
+
+    @staticmethod
+    def rows_bytes(form, p, t):
+        return np.array(closed_form_metric(form, p, t).rows, dtype=complex).tobytes()
+
+    @pytest.mark.parametrize("form", [InvariantForm.PT_SYMMETRIC, InvariantForm.EXCEPTIONAL_POINT])
+    def test_mismatched_form_raises_on_every_call_and_is_not_kept(self, form):
+        p = HamiltonianParams(1.0, 0.7, 2.3)  # broken regime
+        for _ in range(3):
+            with pytest.raises(RegimeMismatchError):
+                closed_form_metric(form, p, 0.5)
+            with pytest.raises(RegimeMismatchError):
+                closed_form_invariant(form, p, 0.5)
+            assert p._bound == (None, None)
+        # a form bound before keeps its binding through a failed one
+        closed_form_metric(InvariantForm.SPONTANEOUSLY_BROKEN, p, 0.5)
+        kept = p._bound
+        with pytest.raises(RegimeMismatchError):
+            closed_form_metric(form, p, 0.5)
+        assert p._bound is kept
+
+    @pytest.mark.parametrize("form, lam, kappa, drive", FORM_CASES)
+    def test_evaluation_leaves_equality_hash_and_repr(self, form, lam, kappa, drive):
+        p = HamiltonianParams(1.0, lam, kappa, hbar=1.7, drive=drive)
+        twin = HamiltonianParams(1.0, lam, kappa, hbar=1.7, drive=drive)
+        before = (hash(p), repr(p))
+        closed_form_metric(form, p, 0.5)
+        assert p._bound[0] is form and twin._bound == (None, None)
+        assert p == twin and (hash(p), repr(p)) == before == (hash(twin), repr(twin))
+        assert "_bound" not in repr(p)
+
+    @pytest.mark.parametrize("form, lam, kappa, drive", FORM_CASES)
+    def test_replaced_parameters_bind_their_own_constants(self, form, lam, kappa, drive):
+        p = HamiltonianParams(1.0, lam, kappa, hbar=1.7, drive=drive)
+        closed_form_metric(form, p, 0.5)
+        # scaled together, lam and kappa stay in their regime
+        changes = {"lam": 1.5 * lam, "kappa": 1.5 * kappa, "hbar": 0.6}
+        q = dataclasses.replace(p, **changes)
+        fresh = HamiltonianParams(1.0, drive=drive, **changes)
+        assert q._bound == (None, None)
+        for t in self.TIMES:
+            assert self.rows_bytes(form, q, t) == self.rows_bytes(form, fresh, t)
+            # the exceptional-point form is -sqrt(2) sigma_z + sigma_x at t = 0 for every pair
+            assert (self.rows_bytes(form, q, t) == self.rows_bytes(form, p, t)) == (t == 0.0 and form is InvariantForm.EXCEPTIONAL_POINT)
+
+    @pytest.mark.parametrize("copy_of", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy, copy.copy])
+    @pytest.mark.parametrize("form, lam, kappa, drive", FORM_CASES)
+    def test_copies_of_an_evaluated_set_bind_afresh_with_the_same_bits(self, copy_of, form, lam, kappa, drive):
+        p = HamiltonianParams(1.0, lam, kappa, hbar=1.7, drive=drive)
+        want = [self.rows_bytes(form, p, t) for t in self.TIMES]
+        q = copy_of(p)
+        assert q == p and q._bound == (None, None) and p._bound[0] is form
+        assert [self.rows_bytes(form, q, t) for t in self.TIMES] == want
+
+    def test_drive_entries_patched_after_binding_reach_later_evaluations(self, monkeypatch):
+        # the constant drive anchored at 0: doubling m is doubling t
+        p = HamiltonianParams(1.0, 2.0, 1.0)
+        at_half = closed_form_invariant(InvariantForm.FULL_TD, p, 0.5)
+        at_one = closed_form_invariant(InvariantForm.FULL_TD, p, 1.0)
+        entries = invariants._drive_entries
+        monkeypatch.setattr(invariants, "_drive_entries", lambda p, m, sinhc: entries(p, 2.0 * m, sinhc))
+        assert not np.array_equal(at_half, at_one)
+        assert closed_form_invariant(InvariantForm.FULL_TD, p, 0.5).tobytes() == at_one.tobytes()
+        # I = sigma_z rho: the metric's second row negated
+        top, (a10, a11) = closed_form_metric(InvariantForm.FULL_TD, p, 0.5).rows
+        assert np.array_equal(np.array((top, (-a10, -a11))), at_one)
