@@ -54,7 +54,6 @@ from .linalg import (
     PAULI_Z,
     adjoint,
     commutator,
-    det,
     eigen_2x2,
     frobenius_norm,
     hermitian_eigenvalues_2x2,

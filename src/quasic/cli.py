@@ -4,9 +4,11 @@ Three scenarios: ``static`` (time-independent C-operator and metric),
 ``metric-picture`` (time-independent Hamiltonian, time-dependent metric) and
 ``full-td`` (driven Hamiltonian).  Each scenario takes only the options it
 reads: ``static`` has no time and no drive options and ``metric-picture``
-no drive options, since both assume the constant drive of value 1.  Each
-run writes a CSV time series per (lambda, kappa) pair and a JSON-lines
-verification report, prints one PASS/FAIL/INCONCLUSIVE line per check,
+only ``--drive const``, since both take the constant drive tau = 1.
+``full-td``'s drive options set only the drive's shape: a drive scaled by
+a is the pair (a lambda, a kappa).  Each run writes a CSV time series per
+(lambda, kappa) pair and a JSON-lines verification report, prints one
+PASS/FAIL/INCONCLUSIVE line per check,
 and exits 0 when every check passes, 1 when any fails or is inconclusive
 (a pass against a scale-derived tolerance above
 ``reporting.TOLERANCE_CEILING``), 2 on configuration errors (among them an
@@ -81,7 +83,6 @@ from .linalg import (
     _max1,
     adjoint,
     commutator,
-    det,
     det_real_stack,
     frobenius_norm,
     frobenius_norm_stack,
@@ -118,13 +119,13 @@ def _fd_tol(cfg: argparse.Namespace) -> float:
 
 
 def _params(cfg: argparse.Namespace, lam: float, kappa: float) -> HamiltonianParams:
-    """A time-dependent pair's H: metric-picture's constant drive of value 1, or full-td's --drive."""
+    """A time-dependent pair's H: metric-picture's constant drive, or full-td's --drive."""
     drive = ConstantDrive()
     if cfg.scenario == "full-td":
         if cfg.drive == "sin":
-            drive = SineDrive(amplitude=cfg.amplitude, frequency=cfg.frequency, t_ref=cfg.t_ref)
+            drive = SineDrive(frequency=cfg.frequency, t_ref=cfg.t_ref)
         else:
-            drive = ConstantDrive(value=cfg.drive_value, t_ref=cfg.t_ref)
+            drive = ConstantDrive(t_ref=cfg.t_ref)
     return HamiltonianParams(omega=cfg.omega, lam=lam, kappa=kappa, hbar=cfg.hbar, drive=drive)
 
 
@@ -209,7 +210,7 @@ def _run_static_pair(cfg: argparse.Namespace, lam: float, kappa: float, report, 
         add("dyson_rows_diagonalizes", (abs(diag[0, 1]) + abs(diag[1, 0])) / scale, _fd_tol(cfg))
 
     quasi = frobenius_norm(adjoint(h) @ rho_raw - rho_raw @ h)
-    det_rho = float(np.real(det(rho_raw)))
+    det_rho = float(det_real_stack(rho_raw))
     # one row: C and the metric do not depend on time
     return np.array([[0.0, eig_hi, eig_lo, det_rho, lr, quasi, c_sq]]).T
 
@@ -399,8 +400,6 @@ def _parse_sweep(text: str) -> list[tuple[float, float]]:
         if not all(math.isfinite(x) for x in pair):
             raise ValueError(f"bad sweep entry {chunk!r}; lambda and kappa must be finite")
         pairs.append(pair)
-    if not pairs:
-        raise ValueError("empty sweep")
     return pairs
 
 
@@ -447,11 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--kappa", type=_finite_float, default=1.0, help="imaginary sigma_x coefficient (default 1)")
     for s in (picture, driven):
         s.add_argument("--hbar", type=_finite_float, default=1.0)
-    # the fixed-regime closed forms solve the invariant equation for the constant drive of value 1 only
+    # the fixed-regime closed forms solve the invariant equation for the constant drive only
     picture.add_argument("--drive", choices=("const",), default="const")
     driven.add_argument("--drive", choices=("const", "sin"), default="const")
-    driven.add_argument("--drive-value", type=_finite_float, default=1.0, help="constant drive value")
-    driven.add_argument("--amplitude", type=_finite_float, default=1.0, help="sine drive amplitude")
     driven.add_argument("--frequency", type=_finite_float, default=1.0, help="sine drive angular frequency")
     driven.add_argument(
         "--t-ref",

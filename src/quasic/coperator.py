@@ -28,7 +28,6 @@ from .linalg import (
     PAULI_Z,
     Rows,
     _derivative_defect,
-    _mat2,
     _mat2_stack,
     _norm4,
     adjoint,
@@ -76,7 +75,7 @@ class MetricOperator:
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
             (a00, a01), (a10, a11) = self.rows
-            self._matrix = _mat2(a00, a01, a10, a11)
+            self._matrix = _mat2_stack(a00, a01, a10, a11)
         return self._matrix
 
 
@@ -172,8 +171,9 @@ def closed_form_metric(form: MetricForm, p: HamiltonianParams, t: float | np.nda
     the form's evaluator bound once per parameter set, like ``p.regime``
     (``invariants._bound_entries``), which does only the t-dependent
     arithmetic.  The three
-    drive-independent forms assume tau == 1 and a parameter point inside
-    their regime.  The drive-dependent form FULL_TD holds on and next to
+    fixed-regime forms require the constant drive and a parameter point
+    inside their regime (RegimeMismatchError otherwise).  The
+    drive-dependent form FULL_TD holds on and next to
     the exceptional points lam = +-kappa, where its entries take their
     coalescence limit.
     """

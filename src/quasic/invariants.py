@@ -41,7 +41,9 @@ have the form
     I(t) = [[-d, x + iy], [-x + iy, d]]
 
 with real entries and d^2 - x^2 - y^2 = 1, so det I = -1 and the
-eigenvalues are +-1.  closed_form_invariant evaluates the entries in real
+eigenvalues are +-1.  The three fixed-regime forms are invariants under
+the constant drive tau = 1 only and refuse any other drive
+(RegimeMismatchError).  closed_form_invariant evaluates the entries in real
 arithmetic; for the drive-dependent form they are entire in
 xi = kappa^2 - lam^2 and hold through the exceptional point.  It takes a
 float t or a time array, for which it returns the (N, 2, 2) stack in one
@@ -57,8 +59,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import RegimeMismatchError
-from .linalg import IDENTITY, Rows, _derivative_defect, _expm1_pauli, _mat2, _mat2_stack, _norm4
-from .model import HamiltonianParams, PauliCoefficients, Regime, _hamiltonian_entries
+from .linalg import IDENTITY, Rows, _derivative_defect, _expm1_pauli, _mat2_stack, _norm4
+from .model import ConstantDrive, HamiltonianParams, PauliCoefficients, Regime, _hamiltonian_entries
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -141,15 +143,16 @@ def _drive_entries(p: HamiltonianParams, m, sinhc) -> tuple:
 def _real_entries(form: InvariantForm, p: HamiltonianParams, fn=math) -> Callable:
     """The evaluator t -> (d, x, y) of the closed-form invariant [[-d, x + iy], [-x + iy, d]] on p.
 
-    The time-independent work is done here, once: the regime test
-    (RegimeMismatchError for a fixed-regime form outside its regime),
-    |lam|, |kappa|, xi, the signs and the functions.  With fn = math the
-    evaluator takes a float t, as a Python float (numpy scalar arithmetic
-    costs several times more); _bound_entries keeps it on p.  With fn = np
-    it takes a time array and returns arrays of its shape through the numpy
-    ufuncs, whose cosh and sinh differ from math's by up to 1 ulp: an array
-    entry is the float one to within a few ulp of |d| >= 1 (measured: 3,
-    and 6 at a relative 1e-9 from coalescence, where the terms exceed |d|).
+    The time-independent work is done here, once: the drive and regime
+    tests (RegimeMismatchError for a fixed-regime form under any drive but
+    the constant one, or outside its regime), |lam|, |kappa|, xi, the signs
+    and the functions.  With fn = math the evaluator takes a float t, as a
+    Python float (numpy scalar arithmetic costs several times more);
+    _bound_entries keeps it on p.  With fn = np it takes a time array and
+    returns arrays of its shape through the numpy ufuncs, whose cosh and
+    sinh differ from math's by up to 1 ulp: an array entry is the float one
+    to within a few ulp of |d| >= 1 (measured: 3, and 6 at a relative 1e-9
+    from coalescence, where the terms exceed |d|).
 
     The drive-dependent form evaluates its entire closed form, which holds
     through the exceptional point, through the module's _drive_entries at
@@ -159,13 +162,14 @@ def _real_entries(form: InvariantForm, p: HamiltonianParams, fn=math) -> Callabl
 
     The fixed-regime forms give their published parts (xi, delta, real,
     imag), and d = delta/xi, x = real/xi, y = imag/xi.  They solve
-    i hbar dI/dt = [H, I] for a constant H, so time enters as t / hbar.
-    The parts are published for lam, kappa > 0.  The family's symmetries
-    carry them to the other signs: sigma_x H(lam, kappa) sigma_x
-    = H(-lam, kappa), whose invariant -sigma_x I sigma_x has imag negated,
-    and sigma_z H(lam, kappa) sigma_z = H(lam, -kappa), whose invariant
-    sigma_z I sigma_z has real and imag negated.  So the parts are evaluated
-    at (|lam|, |kappa|) and real and imag divided by xi with those signs.
+    i hbar dI/dt = [H, I] for the H of the constant drive only, so time
+    enters as t / hbar.  The parts are published for lam, kappa > 0.  The
+    family's symmetries carry them to the other signs: sigma_x H(lam, kappa)
+    sigma_x = H(-lam, kappa), whose invariant -sigma_x I sigma_x has imag
+    negated, and sigma_z H(lam, kappa) sigma_z = H(lam, -kappa), whose
+    invariant sigma_z I sigma_z has real and imag negated.  So the parts are
+    evaluated at (|lam|, |kappa|) and real and imag divided by xi with those
+    signs.
 
     Outside classify_regime's exceptional-point band
     ||lam| - |kappa|| > 1e-12, so the PT and broken forms divide by
@@ -183,9 +187,11 @@ def _real_entries(form: InvariantForm, p: HamiltonianParams, fn=math) -> Callabl
             return lambda t: _drive_entries(p, integral(float(t)) / hbar, _sinhc)
         integral = p.drive.integral_array
         return lambda t: _drive_entries(p, integral(t) / hbar, _sinhc_array)
+    if not isinstance(p.drive, ConstantDrive):
+        raise RegimeMismatchError(f"{form.value} form requires the constant drive")
+    _require_regime(form, p, Regime(form.value))
     as_float = float if scalar else (lambda t: np.asarray(t, dtype=float))
     lam, kap = abs(p.lam), abs(p.kappa)
-    _require_regime(form, p, Regime(form.value))
     if form is InvariantForm.EXCEPTIONAL_POINT:
         xi = 1.0
     elif form is InvariantForm.PT_SYMMETRIC:
@@ -249,9 +255,9 @@ def closed_form_invariant(form: InvariantForm, p: HamiltonianParams, t: float | 
 
     t is a float, giving a 2x2 matrix, or a time array of shape (N,), giving
     the (N, 2, 2) stack of the matrices at its entries.  The three
-    drive-independent forms assume tau == 1 and a parameter point inside
-    their regime (RegimeMismatchError otherwise); the drive-dependent form
-    FULL_TD accepts any parameters and drive.
+    fixed-regime forms require the constant drive and a parameter point
+    inside their regime (RegimeMismatchError otherwise); the drive-dependent
+    form FULL_TD accepts any parameters and drive.
     """
     if isinstance(t, np.ndarray):
         d, x, y = _real_entries(form, p, np)(t)
@@ -259,7 +265,7 @@ def closed_form_invariant(form: InvariantForm, p: HamiltonianParams, t: float | 
         return _mat2_stack(-d, x + iy, -x + iy, d)
     d, x, y = _bound_entries(form, p)(t)
     iy = 1j * y
-    return _mat2(-d, x + iy, -x + iy, d)
+    return _mat2_stack(-d, x + iy, -x + iy, d)
 
 
 def coefficient_matrix(h: PauliCoefficients) -> np.ndarray:

@@ -18,8 +18,9 @@ argument.
 
 The stacked kernels (``frobenius_norm_stack``,
 ``hermitian_eigenvalues_stack``, ``det_real_stack``) take (..., 2, 2)
-arrays and give, element by element, the bits of ``frobenius_norm``,
-``det`` and numpy's scalar ``abs`` on each matrix.  Four measured facts
+arrays and give, element by element, the bits of ``frobenius_norm``, of
+numpy's scalar determinant a00 a11 - a01 a10 and of its scalar ``abs`` on
+each matrix.  Four measured facts
 (numpy 2.4, 20,000 random complex 2x2 inputs each) decide how they are
 written.  Batched ``np.matmul`` equals the per-matrix ``a @ b`` (0 of
 20,000 differ), so C^2 of a stack is one ``np.matmul``.  ``np.abs`` of a complex array differs from the scalar
@@ -73,18 +74,8 @@ def _frozen(rows) -> np.ndarray:
     return m
 
 
-def _mat2(a00: complex, a01: complex, a10: complex, a11: complex) -> np.ndarray:
-    """The complex 2x2 array [[a00, a01], [a10, a11]] (faster than np.array of nested lists)."""
-    m = np.empty((2, 2), dtype=complex)
-    m[0, 0] = a00
-    m[0, 1] = a01
-    m[1, 0] = a10
-    m[1, 1] = a11
-    return m
-
-
 def _mat2_stack(a00, a01, a10, a11) -> np.ndarray:
-    """The complex (..., 2, 2) stack of [[a00, a01], [a10, a11]] from arrays of entries."""
+    """The complex (..., 2, 2) stack of [[a00, a01], [a10, a11]]; scalar entries give one 2x2 matrix."""
     m = np.empty(np.shape(a00) + (2, 2), dtype=complex)
     m[..., 0, 0] = a00
     m[..., 0, 1] = a01
@@ -176,12 +167,8 @@ def hypot_norm_stack(a: np.ndarray) -> np.ndarray:
     return np.hypot(np.hypot(m[..., 0, 0], m[..., 1, 0]), np.hypot(m[..., 0, 1], m[..., 1, 1]))
 
 
-def det(a: np.ndarray) -> complex:
-    return complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-
-
 def det_real_stack(a: np.ndarray) -> np.ndarray:
-    """Real parts of the determinants of a (..., 2, 2) stack, each equal to ``det(a).real``."""
+    """Real parts of the determinants of a (..., 2, 2) stack, each equal to numpy's scalar (a00 a11 - a01 a10).real."""
     a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
     return (a00.real * a11.real - a00.imag * a11.imag) - (a01.real * a10.real - a01.imag * a10.imag)
 

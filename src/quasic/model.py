@@ -4,8 +4,9 @@ The Hamiltonian family is
 
     H(t) = -1/2 (omega*I + lam*tau(t)*sigma_z + i*kappa*tau(t)*sigma_x)
 
-with real omega, lam, kappa and a real scalar drive tau(t).  tau == 1
-recovers the time-independent member.  Every H in the family commutes with
+with real omega, lam, kappa and a real scalar drive tau(t) that carries
+only its shape: a drive scaled by a is the pair (a lam, a kappa).  The
+constant drive tau == 1 recovers the time-independent member.  Every H in the family commutes with
 the antilinear parity-conjugation symmetry sigma_z * K, which
 ``coperator.pt_commutation_residual`` checks in its linear form.
 """
@@ -18,45 +19,44 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import _mat2
+from .linalg import _mat2_stack
 
 #: Relative band around |lam| = |kappa| that classify_regime calls the exceptional point.
 REGIME_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ConstantDrive:
-    """tau(t) = value; antiderivative anchored at t_ref."""
+    """tau(t) = 1; antiderivative anchored at t_ref."""
 
-    value: float = 1.0
     t_ref: float = 0.0
 
     def tau(self, t: float) -> float:
-        return self.value
+        return 1.0
 
     def tau_array(self, t: np.ndarray) -> np.ndarray:
         """tau at every entry of a time array."""
-        return np.full(np.shape(t), float(self.value))
+        return np.ones(np.shape(t))
 
     def integral(self, t: float) -> float:
         """Integral of tau from t_ref to t."""
-        return self.value * (t - self.t_ref)
+        return t - self.t_ref
 
     def integral_array(self, t: np.ndarray) -> np.ndarray:
         """integral at every entry of a time array, with the same bits."""
-        return self.value * (np.asarray(t, dtype=float) - self.t_ref)
+        return np.asarray(t, dtype=float) - self.t_ref
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SineDrive:
-    """tau(t) = amplitude * sin(frequency * t).
+    """tau(t) = sin(frequency * t).
 
-    t_ref defaults to pi/2 so the anchored antiderivative vanishes at
-    t = pi/2 + n*pi for the unit-frequency drive, which is where the
-    time-dependent metric collapses to the identity.
+    t_ref defaults to pi/2 at every frequency (the command line's default
+    is pi/2 / frequency): for the unit frequency the anchored antiderivative
+    then vanishes at t = pi/2 + n*pi, where the time-dependent metric
+    collapses to the identity.
     """
 
-    amplitude: float = 1.0
     frequency: float = 1.0
     t_ref: float = math.pi / 2
     #: cos(frequency * t_ref), the anchor term of the integral, computed once
@@ -71,25 +71,25 @@ class SineDrive:
 
     def tau(self, t: float) -> float:
         try:
-            return self.amplitude * math.sin(self.frequency * t)
+            return math.sin(self.frequency * t)
         except ValueError:  # math.sin of an infinite argument: NaN, as np.sin gives
             return math.nan
 
     def tau_array(self, t: np.ndarray) -> np.ndarray:
         """tau at every entry of a time array."""
-        return self.amplitude * np.sin(self.frequency * np.asarray(t, dtype=float))
+        return np.sin(self.frequency * np.asarray(t, dtype=float))
 
     def integral(self, t: float) -> float:
         w = self.frequency
         try:
-            return self.amplitude * (self._cos_ref - math.cos(w * t)) / w
+            return (self._cos_ref - math.cos(w * t)) / w
         except ValueError:  # math.cos of an infinite argument: NaN, as np.cos gives
             return math.nan
 
     def integral_array(self, t: np.ndarray) -> np.ndarray:
         """integral at every entry of a time array; np.cos gives math.cos's bits."""
         w = self.frequency
-        return self.amplitude * (self._cos_ref - np.cos(w * np.asarray(t, dtype=float))) / w
+        return (self._cos_ref - np.cos(w * np.asarray(t, dtype=float))) / w
 
 
 Drive = ConstantDrive | SineDrive
@@ -157,7 +157,7 @@ def _hamiltonian_entries(p: HamiltonianParams, tau):
 def hamiltonian_at(p: HamiltonianParams, t: float) -> np.ndarray:
     """H(t) as a 2x2 array."""
     h00, h01, h11 = _hamiltonian_entries(p, p.drive.tau(t))
-    return _mat2(h00, h01, h01, h11)
+    return _mat2_stack(h00, h01, h01, h11)
 
 
 def hamiltonian_coefficients(p: HamiltonianParams, t: float) -> PauliCoefficients:

@@ -30,7 +30,7 @@ from quasic.invariants import (
     time_ordered_propagate,
 )
 from quasic.invariants import _real_entries
-from quasic.linalg import IDENTITY, commutator, det, frobenius_norm, hermitian_eigenvalues_2x2
+from quasic.linalg import IDENTITY, commutator, frobenius_norm, hermitian_eigenvalues_2x2
 from quasic.model import (
     ConstantDrive,
     HamiltonianParams,
@@ -131,7 +131,7 @@ def test_criterion_05_determinant_conservation():
     ]
     for form, p in det_cases:
         for t in np.linspace(0.0, 10.0, 101):
-            assert abs(det(closed_form_invariant(form, p, t)) + 1.0) <= 1e-9
+            assert abs(np.linalg.det(closed_form_invariant(form, p, t)) + 1.0) <= 1e-9
     metric_cases = [
         (MetricForm.PT_SYMMETRIC, HamiltonianParams(1.0, 2.0, 1.0)),
         (MetricForm.SPONTANEOUSLY_BROKEN, HamiltonianParams(1.0, 1.0, 1.2)),
@@ -139,7 +139,7 @@ def test_criterion_05_determinant_conservation():
     ]
     for form, p in metric_cases:
         for t in np.linspace(0.0, 10.0, 101):
-            assert abs(det(closed_form_metric(form, p, t).matrix).real - 1.0) <= 1e-9
+            assert abs(np.linalg.det(closed_form_metric(form, p, t).matrix).real - 1.0) <= 1e-9
     print("ACCEPTANCE 5 PASS: det I = -1 and det rho = 1 within 1e-9 over [0, 10]")
 
 

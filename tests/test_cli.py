@@ -23,7 +23,7 @@ from quasic import cli
 from quasic.cli import build_parser, main
 from quasic.coperator import MetricForm, closed_form_metric, metric_form_for_regime, quasi_hermiticity_residual
 from quasic.invariants import lr_residual
-from quasic.linalg import IDENTITY, det, frobenius_norm, hermitian_eigenvalues_2x2, hypot_norm_stack
+from quasic.linalg import IDENTITY, frobenius_norm, hermitian_eigenvalues_2x2, hypot_norm_stack
 from quasic.model import HamiltonianParams, classify_regime, hamiltonian_at
 from quasic.reporting import TOLERANCE_CEILING
 
@@ -359,6 +359,18 @@ def test_sweep_panel_a(tmp_path):
         assert (tmp_path / f"quasi_c_full-td_{lam:g}_{kappa:g}.csv").exists()
 
 
+def test_sweep_panel_b(tmp_path):
+    code = run(
+        tmp_path,
+        "full-td", "--drive", "sin", "--t1", "3", "--samples", "30", "--sweep", "panel-b",
+    )
+    assert code == 0
+    pairs = [(1.0, 2.0), (1.0, 3.0), (1.5, 2.0)]
+    assert read_report(tmp_path / "quasi_c_report.jsonl")[0]["config"]["pairs"] == [list(pair) for pair in pairs]
+    for lam, kappa in pairs:
+        assert (tmp_path / f"quasi_c_full-td_{lam:g}_{kappa:g}.csv").exists()
+
+
 def test_sweep_custom_pairs(tmp_path):
     code = run(
         tmp_path,
@@ -490,8 +502,10 @@ _TIME_OPTIONS = ["--hbar", "--t0", "--t1", "--samples", "--steps-per-sample"]
 SCENARIO_OPTIONS = {
     "static": {*_COMMON_OPTIONS, "--signature"},
     "metric-picture": {*_COMMON_OPTIONS, *_TIME_OPTIONS, "--drive"},
-    "full-td": {*_COMMON_OPTIONS, *_TIME_OPTIONS, "--drive", "--drive-value", "--amplitude", "--frequency", "--t-ref"},
+    "full-td": {*_COMMON_OPTIONS, *_TIME_OPTIONS, "--drive", "--frequency", "--t-ref"},
 }
+# the drive scale duplicated lambda and kappa: no scenario takes these any more
+_DELETED_OPTIONS = {"--drive-value", "--amplitude"}
 
 
 @pytest.mark.parametrize("scenario", list(SCENARIO_OPTIONS))
@@ -507,7 +521,7 @@ def test_each_scenario_takes_only_the_options_it_reads(scenario, capsys):
 _REMOVED = [
     (scenario, option)
     for scenario, options in SCENARIO_OPTIONS.items()
-    for option in sorted(set().union(*SCENARIO_OPTIONS.values()) - options)
+    for option in sorted(set().union(_DELETED_OPTIONS, *SCENARIO_OPTIONS.values()) - options)
 ]
 
 
@@ -529,7 +543,7 @@ def test_an_option_the_scenario_does_not_read_exits_two(tmp_path, capsys, scenar
         (["metric-picture", "--t1", "2", "--samples", "20"], {"hbar", "drive", "t0", "t1", "samples", "steps_per_sample"}),
         (
             ["full-td", "--drive", "sin", "--t1", "2", "--samples", "20"],
-            {"hbar", "drive", "drive_value", "amplitude", "frequency", "t_ref", "t0", "t1", "samples", "steps_per_sample"},
+            {"hbar", "drive", "frequency", "t_ref", "t0", "t1", "samples", "steps_per_sample"},
         ),
     ],
 )
@@ -632,6 +646,16 @@ def test_non_finite_float_options_exit_two(tmp_path, capsys, option, value):
         run(tmp_path, "full-td", f"{option}={value}")
     assert err.value.code == 2
     assert option in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("scenario, option", [(sc, option) for sc in SCENARIO_OPTIONS for _, option in _float_options(sc)])
+def test_non_numeric_float_options_exit_two(tmp_path, capsys, scenario, option):
+    with pytest.raises(SystemExit) as err:
+        run(tmp_path, scenario, f"{option}=abc")
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert f"argument {option}: invalid float value: 'abc'" in err_text and "Traceback" not in err_text
     assert list(tmp_path.iterdir()) == []
 
 
@@ -825,7 +849,7 @@ def per_sample_td_pair(cfg, lam, kappa):
         rho = rho_at(t)
         cmat = c_at(t)
         eig_hi, eig_lo = hermitian_eigenvalues_2x2(rho, tol=1e-8)
-        det_rho = float(np.real(det(rho)))
+        det_rho = float((rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]).real)
         lr = lr_residual(lambda s: c_at(s).tolist(), p, t)
         quasi = quasi_hermiticity_residual(lambda s: rho_at(s).tolist(), p, t)
         c_sq = frobenius_norm(cmat @ cmat - IDENTITY)

@@ -29,10 +29,8 @@ from quasic.linalg import (
     IDENTITY,
     PAULI_X,
     PAULI_Z,
-    _mat2,
     adjoint,
     commutator,
-    det,
     frobenius_norm,
     hermitian_eigenvalues_2x2,
     psd_sqrt,
@@ -199,7 +197,7 @@ class TestMetric:
         hi, lo = hermitian_eigenvalues_2x2(rho.matrix, tol=1e-8)
         assert hi == pytest.approx(3.0 / SQRT3, abs=1e-12)
         assert lo == pytest.approx(1.0 / SQRT3, abs=1e-12)
-        assert det(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.det(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
 
     def test_full_td_metric_is_identity_at_anchor(self):
         inv = closed_form_invariant(InvariantForm.FULL_TD, FULL_SINE, math.pi / 2)
@@ -269,8 +267,11 @@ def numpy_residuals(matrix_at, p, t, fd_step=1e-5):
     return lr, quasi, scale
 
 
+# each drive shape with the scale that lambda and kappa carry for it
+SCALED_DRIVES = ((ConstantDrive(), 1.0), (SineDrive(frequency=1.3), 0.8))
+
 RESIDUAL_CASES = [
-    pytest.param(form, lam, kappa, drive, id=f"{form.name}-{lam:g},{kappa:g}-{type(drive).__name__}")
+    pytest.param(form, a * lam, a * kappa, drive, id=f"{form.name}-{lam:g},{kappa:g}-{type(drive).__name__}")
     for form, lam, kappa in (
         (MetricForm.PT_SYMMETRIC, 2.3, 0.7),
         (MetricForm.SPONTANEOUSLY_BROKEN, 0.7, 2.3),
@@ -280,7 +281,7 @@ RESIDUAL_CASES = [
         (MetricForm.FULL_TD, 1.3, -1.3),
         (MetricForm.FULL_TD, 1.3, 1.3 * (1.0 + 1e-9)),
     )
-    for drive in (ConstantDrive(), SineDrive(amplitude=0.8, frequency=1.3))
+    for drive, a in SCALED_DRIVES
     if form is MetricForm.FULL_TD or isinstance(drive, ConstantDrive)
 ]
 
@@ -318,7 +319,7 @@ class TestResidualKernel:
 
 
 ROWS_CASES = [
-    pytest.param(form, lam, kappa, drive, id=f"{form.name}-{lam:g},{kappa:g}-{type(drive).__name__}")
+    pytest.param(form, a * lam, a * kappa, drive, id=f"{form.name}-{lam:g},{kappa:g}-{type(drive).__name__}")
     for form, (lam, kappa) in (
         (MetricForm.PT_SYMMETRIC, (2.3, 0.7)),
         (MetricForm.SPONTANEOUSLY_BROKEN, (0.7, 2.3)),
@@ -330,7 +331,7 @@ ROWS_CASES = [
     for lam_sign in (1.0, -1.0)
     for kappa_sign in (1.0, -1.0)
     for lam, kappa in [(lam_sign * lam, kappa_sign * kappa)]
-    for drive in (ConstantDrive(), SineDrive(amplitude=0.8, frequency=1.3))
+    for drive, a in SCALED_DRIVES
     if form is MetricForm.FULL_TD or isinstance(drive, ConstantDrive)
 ]
 
@@ -354,7 +355,7 @@ class TestMetricRows:
                 rho = closed_form_metric(form, p, t)
                 d, x, y = _real_entries(form, p)(t)
             iy = 1j * y
-            direct = _mat2(-d, x + iy, x - iy, -d)
+            direct = np.array([[-d, x + iy], [x - iy, -d]], dtype=complex)
             assert all(type(a) is complex for row in rho.rows for a in row)
             m = rho.matrix
             assert m is rho.matrix
@@ -404,7 +405,7 @@ class TestClosedFormMetric:
         for t in np.linspace(0.0, 10.0, 41):
             rho = closed_form_metric(metric_form, p, t)
             scale = max(1.0, frobenius_norm(rho.matrix))
-            assert abs(det(rho.matrix).real - 1.0) < max(1e-9, 1e-13 * scale**2)
+            assert abs(np.linalg.det(rho.matrix).real - 1.0) < max(1e-9, 1e-13 * scale**2)
             hi, lo = hermitian_eigenvalues_2x2(rho.matrix, tol=1e-8)
             assert lo > 0
 

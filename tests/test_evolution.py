@@ -283,11 +283,12 @@ def relative_error(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
 
 
+# each drive shape with the scale that lambda and kappa carry for it
 DRIVES = {
-    "sine": SineDrive(amplitude=1.3, frequency=2.0),
-    "constant": ConstantDrive(0.8),
+    "sine": (SineDrive(frequency=2.0), 1.3),
+    "constant": (ConstantDrive(), 0.8),
     # negative, faster and anchored away from zero: a third shape of tau
-    "sine-negative": SineDrive(amplitude=-0.9, frequency=3.0, t_ref=0.4),
+    "sine-negative": (SineDrive(frequency=3.0, t_ref=0.4), -0.9),
 }
 PAIRS = {"pt": (2.0, 1.0), "broken": (0.8, 1.7)}
 EDGE_PAIRS = {
@@ -297,6 +298,13 @@ EDGE_PAIRS = {
     "negative-kappa": (0.8, -1.7),
 }
 SPANS = {"forward": (0.0, 1.5), "backward": (1.5, 0.0)}
+
+
+def driven(omega, pair, drive, **kwargs):
+    """H at (lambda, kappa) = pair under the drive shape DRIVES[drive], the pair scaled by its scale."""
+    shape, scale = DRIVES[drive]
+    lam, kappa = pair
+    return HamiltonianParams(omega, scale * lam, scale * kappa, drive=shape, **kwargs)
 
 
 def assert_matches_per_step(p, t0, t1, steps):
@@ -342,7 +350,7 @@ class TestPrefixScanRK4:
         # a small block puts every boundary case within a cheap oracle run
         block = 16
         monkeypatch.setattr(evolution, "RK4_BLOCK", block)
-        p = HamiltonianParams(0.7, *PAIRS[pair], hbar=1.3, drive=DRIVES[drive])
+        p = driven(0.7, PAIRS[pair], drive, hbar=1.3)
         for steps in (1, 2, block - 1, block, block + 1, 4 * block + 1):
             assert_matches_per_step(p, *SPANS[span], steps)
 
@@ -353,14 +361,14 @@ class TestPrefixScanRK4:
     def test_edge_pairs(self, drive, pair, monkeypatch):
         block = 16
         monkeypatch.setattr(evolution, "RK4_BLOCK", block)
-        p = HamiltonianParams(0.7, *EDGE_PAIRS[pair], hbar=1.3, drive=DRIVES[drive])
+        p = driven(0.7, EDGE_PAIRS[pair], drive, hbar=1.3)
         for span in SPANS.values():
             for steps in (1, block + 1, 4 * block + 1):
                 assert_matches_per_step(p, *span, steps)
 
     @pytest.mark.parametrize("span", SPANS)
     def test_production_block(self, span):
-        p = HamiltonianParams(0.7, *PAIRS["broken"], drive=DRIVES["sine"])
+        p = driven(0.7, PAIRS["broken"], "sine")
         block = evolution.RK4_BLOCK
         for steps in (block - 1, block, block + 1, 4 * block + 1):
             assert_matches_per_step(p, *SPANS[span], steps)
@@ -421,7 +429,7 @@ class TestParityShortcut:
     @pytest.mark.parametrize("block", [16, evolution.RK4_BLOCK])
     def test_same_bits_as_two_sided_scan(self, block, drive, pair, span, hbar, monkeypatch):
         monkeypatch.setattr(evolution, "RK4_BLOCK", block)
-        p = HamiltonianParams(0.7, *PAIRS[pair], hbar=hbar, drive=DRIVES[drive])
+        p = driven(0.7, PAIRS[pair], drive, hbar=hbar)
         psi0 = np.array([0.6 + 0.2j, -0.3 + 0.7j])
         phi0 = np.array([0.4 - 0.5j, 0.9 + 0.1j])
         for steps in (1, 2, block - 1, block, block + 1, 4 * block + 1):
@@ -468,7 +476,7 @@ class TestPropagatorCache:
     @pytest.mark.parametrize("block", [16, evolution.RK4_BLOCK])
     def test_hit_has_cold_bits(self, block, drive, pair, span, hbar, monkeypatch):
         monkeypatch.setattr(evolution, "RK4_BLOCK", block)
-        p = HamiltonianParams(0.7, *PAIRS[pair], hbar=hbar, drive=DRIVES[drive])
+        p = driven(0.7, PAIRS[pair], drive, hbar=hbar)
         for steps in (1, block + 1, 4 * block + 1):
             tdse_integrate(p, PSI_A, PHI_A, *SPANS[span], steps)
             entry = evolution._last_propagator
@@ -493,7 +501,7 @@ class TestPropagatorCache:
         ["equal-p", "t0", "t1", "signed-zero-t0", "signed-zero-t1", "steps", "block"],
     )
     def test_changed_key_misses(self, change, monkeypatch):
-        p = HamiltonianParams(0.7, 0.8, 1.7, hbar=1.3, drive=SineDrive(amplitude=1.3, frequency=2.0))
+        p = driven(0.7, (0.8, 1.7), "sine", hbar=1.3)
         first = {"signed-zero-t0": (-0.0, 1.5, 65), "signed-zero-t1": (1.5, -0.0, 65)}.get(change, (0.0, 1.5, 65))
         second = {
             "t0": (0.25, 1.5, 65),
@@ -634,7 +642,7 @@ NON_FINITE_SPANS = {
 @pytest.mark.parametrize("drive", ["constant", "sine"])
 def test_non_finite_times_rejected(drive, span, monkeypatch):
     # every drive is defined at every finite time, so only the time check stands in the way
-    p = HamiltonianParams(1.0, 2.0, 1.0, drive=DRIVES[drive])
+    p = driven(1.0, (2.0, 1.0), drive)
     t0, t1 = NON_FINITE_SPANS[span]
     with pytest.raises(ValueError, match="t0 and t1 must be finite"):
         cold_tdse(p, PSI_A, PHI_A, t0, t1, 10)

@@ -21,7 +21,7 @@ from quasic import model
 from quasic.biortho import biortho_system
 from quasic.coperator import c_from_system, closed_form_metric, metric_from_c
 from quasic.invariants import _real_entries
-from quasic.linalg import IDENTITY, PAULI_X, PAULI_Y, PAULI_Z, adjoint, det, frobenius_norm, psd_sqrt
+from quasic.linalg import IDENTITY, PAULI_X, PAULI_Y, PAULI_Z, adjoint, frobenius_norm, psd_sqrt
 from quasic.model import (
     ConstantDrive,
     HamiltonianParams,
@@ -213,7 +213,7 @@ class TestPropagation:
         for t1 in np.linspace(1.0, 10.0, 10):
             state = time_ordered_propagate(p, state, t0, t1, 500)
             t0 = t1
-            assert abs(det(state) + 1.0) < 1e-9
+            assert abs(np.linalg.det(state) + 1.0) < 1e-9
 
     def test_backward_propagation_inverts(self):
         p = FULL_SINE_PARAMS
@@ -227,12 +227,13 @@ class TestPropagation:
         "lam,kappa", [(2.0, 1.0), (0.5, 1.0), (1.0, 1.0)], ids=["pt", "broken", "ep"]
     )
     @pytest.mark.parametrize(
-        "drive",
-        [SineDrive(), ConstantDrive(), SineDrive(amplitude=-0.9, frequency=3.0, t_ref=0.4)],
+        "drive, scale",
+        [(SineDrive(), 1.0), (ConstantDrive(), 1.0), (SineDrive(frequency=3.0, t_ref=0.4), -0.9)],
         ids=["sine", "constant", "sine-negative"],
     )
-    def test_same_scheme_as_sequential_product(self, drive, lam, kappa, forward):
-        p = HamiltonianParams(1.0, lam, kappa, hbar=0.8, drive=drive)
+    def test_same_scheme_as_sequential_product(self, drive, scale, lam, kappa, forward):
+        # the scale of the drive shape is carried by lambda and kappa
+        p = HamiltonianParams(1.0, scale * lam, scale * kappa, hbar=0.8, drive=drive)
         # a scalar part of 0.5 rides along: conjugation keeps it
         init = pauli_compose(PauliCoefficients(0.5, 0.3 + 0.1j, 1j, 1.2))
         t0, t1 = (0.3, 2.3) if forward else (2.3, 0.3)
@@ -249,7 +250,7 @@ class TestPropagation:
     )
     def test_constant_drive_result_does_not_depend_on_steps(self, lam, kappa):
         # for a constant drive the midpoint scheme is exact at any step count
-        p = HamiltonianParams(1.0, lam, kappa, hbar=0.8, drive=ConstantDrive(0.8))
+        p = HamiltonianParams(1.0, 0.8 * lam, 0.8 * kappa, hbar=0.8, drive=ConstantDrive())
         init = pauli_compose(PauliCoefficients(0.5, 0.3 + 0.1j, 1j, 1.2))
         ref = time_ordered_propagate(p, init, 0.3, 2.3, 1)
         for steps in (7, 4097):
@@ -272,11 +273,16 @@ class TestPropagation:
         [(np.nan, 1.0), (0.0, np.nan), (np.inf, 1.0), (0.0, np.inf), (-np.inf, 1.0), (0.0, -np.inf)],
         ids=["nan-t0", "nan-t1", "inf-t0", "inf-t1", "-inf-t0", "-inf-t1"],
     )
-    @pytest.mark.parametrize("drive", [ConstantDrive(0.8), SineDrive()], ids=["constant", "sine"])
+    @pytest.mark.parametrize("drive", [ConstantDrive(), SineDrive()], ids=["constant", "sine"])
     def test_non_finite_times_rejected(self, drive, span):
         p = HamiltonianParams(1.0, 2.0, 1.0, drive=drive)
         with pytest.raises(ValueError, match="t0 and t1 must be finite"):
             time_ordered_propagate(p, PAULI_Z.copy(), *span, 10)
+
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_steps_below_one_rejected(self, steps):
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            time_ordered_propagate(FULL_SINE_PARAMS, PAULI_Z.copy(), 0.0, 1.0, steps)
 
 
 class TestPresets:
@@ -298,7 +304,7 @@ def assert_unit_signature(form, p, times):
     for t in times:
         d, x, y = _real_entries(form, p)(t)
         assert abs(d * d - x * x - y * y - 1.0) < 1e-9, (form, p, t)
-        assert abs(det(closed_form_invariant(form, p, t)) + 1.0) < 1e-9, (form, p, t)
+        assert abs(np.linalg.det(closed_form_invariant(form, p, t)) + 1.0) < 1e-9, (form, p, t)
 
 
 # PT and broken pairs with entries from 1e-14 to 10 and every sign.
@@ -370,6 +376,31 @@ class TestClosedForms:
                 j = closed_form_invariant(InvariantForm.FULL_TD, p, t)
                 assert frobenius_norm(PAULI_Z @ adjoint(j) @ PAULI_Z - j) < 1e-10
 
+    @pytest.mark.parametrize("path", ["float", "array"])
+    @pytest.mark.parametrize("drive", [SineDrive(), SineDrive(frequency=2.0, t_ref=0.3)], ids=["sine", "sine-fast"])
+    @pytest.mark.parametrize("form,p", FORM_PARAMS[:3], ids=["pt", "broken", "ep"])
+    def test_fixed_regime_forms_refuse_a_non_constant_drive(self, form, p, drive, path):
+        # they solve the invariant equation for tau = 1 only: under another
+        # drive they are not invariants (evaluated anyway, the PT form's
+        # lr_residual over t in [0, 5] reads 5.6 under SineDrive() against
+        # 2.6e-10 under the constant drive), so they raise on every call and
+        # bind nothing
+        q = dataclasses.replace(p, drive=drive)
+        t = 0.7 if path == "float" else np.linspace(0.0, 3.0, 5)
+        for _ in range(2):
+            with pytest.raises(RegimeMismatchError, match="requires the constant drive"):
+                closed_form_invariant(form, q, t)
+            with pytest.raises(RegimeMismatchError, match="requires the constant drive"):
+                closed_form_metric(form, q, t)
+        assert q._bound == (None, None)
+
+    @pytest.mark.parametrize("form,p", FORM_PARAMS[:3], ids=["pt", "broken", "ep"])
+    def test_fixed_regime_forms_take_the_constant_drive_at_any_anchor(self, form, p):
+        # the anchor moves only the drive integral, which the fixed-regime forms do not read
+        q = dataclasses.replace(p, drive=ConstantDrive(t_ref=0.7))
+        for t in (0.7, np.linspace(0.0, 3.0, 5)):
+            assert closed_form_invariant(form, q, t).tobytes() == closed_form_invariant(form, p, t).tobytes()
+
     def test_regime_mismatch(self):
         with pytest.raises(RegimeMismatchError):
             closed_form_invariant(InvariantForm.PT_SYMMETRIC, BROKEN_PARAMS, 0.0)
@@ -380,12 +411,13 @@ class TestClosedForms:
 
 
 ARRAY_TIMES = np.concatenate((np.linspace(-3.0, 10.0, 1301), [0.0, 1e-300, 30.0]))
+# each drive shape with the scale that lambda and kappa carry for it
 ARRAY_DRIVES = {
-    "constant": ConstantDrive(),
-    "constant-offset": ConstantDrive(0.7, t_ref=0.3),
-    "sine": SineDrive(),
-    "sine-fast": SineDrive(amplitude=1.3, frequency=2.0),
-    "sine-negative": SineDrive(amplitude=-0.9, frequency=3.0, t_ref=0.4),
+    "constant": (ConstantDrive(), 1.0),
+    "constant-offset": (ConstantDrive(t_ref=0.3), 0.7),
+    "sine": (SineDrive(), 1.0),
+    "sine-fast": (SineDrive(frequency=2.0), 1.3),
+    "sine-negative": (SineDrive(frequency=3.0, t_ref=0.4), -0.9),
 }
 # PT, broken, coalescent and next-to-coalescent pairs with every sign
 ARRAY_PAIRS = [(2.0, 0.7), (0.7, 1.9), (1.0, 1.0), (-1.3, 0.5), (0.5, -1.3), (-0.7, -0.7), (0.7 * (1 + 1e-12), 0.7)]
@@ -419,7 +451,7 @@ class TestTimeArrays:
 
     @pytest.mark.parametrize("drive", ARRAY_DRIVES)
     def test_integral_array_same_bits(self, drive):
-        d = ARRAY_DRIVES[drive]
+        d, _ = ARRAY_DRIVES[drive]
         times = ARRAY_TIMES
         got = d.integral_array(times)
         assert got.shape == times.shape
@@ -429,8 +461,9 @@ class TestTimeArrays:
     @pytest.mark.parametrize("drive", ARRAY_DRIVES)
     def test_full_td_same_bits(self, drive, hbar):
         times = ARRAY_TIMES
+        shape, scale = ARRAY_DRIVES[drive]
         for lam, kappa in ARRAY_PAIRS:
-            p = HamiltonianParams(1.0, lam, kappa, hbar=hbar, drive=ARRAY_DRIVES[drive])
+            p = HamiltonianParams(1.0, scale * lam, scale * kappa, hbar=hbar, drive=shape)
             invariant = closed_form_invariant(InvariantForm.FULL_TD, p, times)
             assert invariant.shape == (times.size, 2, 2)
             expected = per_sample(lambda t: closed_form_invariant(InvariantForm.FULL_TD, p, t), times)

@@ -22,6 +22,15 @@ from quasic.model import (
 
 RNG = np.random.default_rng(7)
 
+# a drive shape with the scale that lambda and kappa carry for it; the
+# negative scale flips the signs of both couplings
+SCALED_DRIVES = [
+    (ConstantDrive(), 0.7),
+    (SineDrive(frequency=0.9), 1.3),
+    (SineDrive(frequency=3.0, t_ref=0.4), -0.9),
+]
+SCALED_DRIVE_IDS = ["constant", "sine", "sine-negative"]
+
 
 def hamiltonian_array(p, t):
     """H at every entry of a time array, shape t.shape + (2, 2), from the one formula of its entries."""
@@ -45,61 +54,38 @@ def test_hamiltonian_sine_drive_vanishes_at_zero():
     assert np.allclose(hamiltonian_at(p, 0.0), -0.5 * IDENTITY)
 
 
-@pytest.mark.parametrize(
-    "drive",
-    [
-        ConstantDrive(0.7),
-        SineDrive(amplitude=1.3, frequency=0.9),
-        SineDrive(amplitude=-0.9, frequency=3.0, t_ref=0.4),
-    ],
-    ids=["constant", "sine", "sine-negative"],
-)
+@pytest.mark.parametrize("drive, scale", SCALED_DRIVES, ids=SCALED_DRIVE_IDS)
 @pytest.mark.parametrize("kappa", [0.8, -0.8, 0.0])
-def test_hamiltonian_at_matches_array_bit_for_bit(drive, kappa):
-    p = HamiltonianParams(0.7, 1.9, kappa, drive=drive)
+def test_hamiltonian_at_matches_array_bit_for_bit(drive, scale, kappa):
+    p = HamiltonianParams(0.7, scale * 1.9, scale * kappa, drive=drive)
     t = np.linspace(0.0, 4.0, 41)  # includes tau(0) = 0 for the sine drive
     stack = hamiltonian_array(p, t)
     for k, tk in enumerate(t):
         assert hamiltonian_at(p, float(tk)).tobytes() == stack[k].tobytes()
 
 
-@pytest.mark.parametrize(
-    "drive",
-    [
-        ConstantDrive(0.7),
-        SineDrive(amplitude=1.3, frequency=0.9),
-        SineDrive(amplitude=-0.9, frequency=3.0, t_ref=0.4),
-    ],
-    ids=["constant", "sine", "sine-negative"],
-)
+@pytest.mark.parametrize("drive, scale", SCALED_DRIVES, ids=SCALED_DRIVE_IDS)
 @pytest.mark.parametrize("lam, kappa", [(1.9, 0.8), (-1.9, 0.8), (0.6, -2.1), (-0.6, -2.1), (1.9, 0.0)])
 @pytest.mark.parametrize("hbar", [1.0, 1.3, 0.2])
-def test_adjoint_is_parity_conjugate_exactly(drive, lam, kappa, hbar):
+def test_adjoint_is_parity_conjugate_exactly(drive, scale, lam, kappa, hbar):
     # H^dag = sigma_z H sigma_z entry for entry, with no rounding (a zero
     # imaginary part may differ in sign, which array_equal ignores): the paired
     # evolution gets its left states from the right propagator through it
-    p = HamiltonianParams(0.7, lam, kappa, hbar=hbar, drive=drive)
+    p = HamiltonianParams(0.7, scale * lam, scale * kappa, hbar=hbar, drive=drive)
     t = np.array([[0.0], [0.5], [1.0]]) * 0.01 + np.linspace(0.0, 4.0, 41)  # RK4 stage times
     h = hamiltonian_array(p, t)
     assert h.shape == (3, 41, 2, 2)
     assert np.array_equal(h.conj().swapaxes(-1, -2), PAULI_Z @ h @ PAULI_Z)
 
 
-@pytest.mark.parametrize(
-    "drive",
-    [
-        ConstantDrive(0.7),
-        SineDrive(amplitude=1.3, frequency=0.9),
-        SineDrive(amplitude=-0.9, frequency=3.0, t_ref=0.4),
-    ],
-    ids=["constant", "sine", "sine-negative"],
-)
+@pytest.mark.parametrize("drive, scale", SCALED_DRIVES, ids=SCALED_DRIVE_IDS)
 @pytest.mark.parametrize("lam, kappa", [(1.9, 0.8), (-1.9, 0.8), (0.6, -2.1), (-0.6, -2.1), (1.9, 0.0), (1.1, 1.1)])
-def test_hamiltonian_is_in_the_span_of_identity_and_one_fixed_k(drive, lam, kappa):
+def test_hamiltonian_is_in_the_span_of_identity_and_one_fixed_k(drive, scale, lam, kappa):
     # H(t) = -1/2 (omega I + tau(t) K) with K = lam sigma_z + i kappa sigma_x
     # entry for entry, with no rounding (a zero imaginary part may differ in
     # sign, which array_equal ignores), and K^2 = (lam - kappa)(lam + kappa) I:
     # the RK4 propagator computes in span{I, K} on these two facts
+    lam, kappa = scale * lam, scale * kappa
     p = HamiltonianParams(0.7, lam, kappa, drive=drive)
     t = np.array([[0.0], [0.5], [1.0]]) * 0.01 + np.linspace(0.0, 4.0, 41)  # RK4 stage times
     k = lam * PAULI_Z + 1j * kappa * PAULI_X
@@ -175,7 +161,7 @@ def test_pt_symmetry_residual_vanishes_for_family():
         (2.0, 1.0, ConstantDrive()),
         (1.0, 2.0, ConstantDrive()),
         (1.0, 1.0, SineDrive()),
-        (0.5, 2.0, SineDrive(amplitude=1.5, frequency=2.0)),
+        (0.75, 3.0, SineDrive(frequency=2.0)),
     ]:
         p = HamiltonianParams(1.0, lam, kappa, drive=drive)
         for t in (0.0, 0.7, 2.3):
@@ -199,22 +185,40 @@ def test_params_validation():
         HamiltonianParams(float("nan"), 1.0, 1.0)
 
 
-# each drive type at its defaults and away from them, negative values included
+# each drive type at its defaults and away from them, a negative frequency included
 DRIVE_SHAPES = {
     "constant": ConstantDrive(),
-    "constant-offset": ConstantDrive(-0.7, t_ref=0.3),
+    "constant-offset": ConstantDrive(t_ref=0.3),
     "sine": SineDrive(),
-    "sine-fast": SineDrive(amplitude=1.3, frequency=2.0),
-    "sine-negative": SineDrive(amplitude=-0.9, frequency=3.0, t_ref=0.4),
+    "sine-fast": SineDrive(frequency=2.0),
+    "sine-negative": SineDrive(frequency=-3.0, t_ref=0.4),
 }
 
 
 class TestDrives:
     def test_constant_integral(self):
-        d = ConstantDrive(value=2.0, t_ref=1.0)
-        assert d.tau(12.3) == 2.0
-        assert d.integral(3.0) == pytest.approx(4.0)
+        d = ConstantDrive(t_ref=1.0)
+        assert d.tau(12.3) == 1.0
+        assert d.integral(3.0) == 2.0
         assert d.integral(1.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ConstantDrive(0.8),
+            lambda: SineDrive(1.0),
+            lambda: SineDrive(1.0, 0.3),
+            lambda: ConstantDrive(value=2.0),
+            lambda: SineDrive(amplitude=2.0),
+        ],
+        ids=["constant-positional", "sine-positional", "sine-two-positional", "constant-value", "sine-amplitude"],
+    )
+    def test_drives_take_only_their_shape_by_keyword(self, make):
+        # a drive has no scale (lambda and kappa carry it: a drive scaled by a is
+        # the pair (a lambda, a kappa)), and a positional value, such as such a
+        # scale, is refused instead of landing in the anchor or the frequency
+        with pytest.raises(TypeError):
+            make()
 
     def test_sine_default_anchor_zeroes(self):
         d = SineDrive()
@@ -222,7 +226,7 @@ class TestDrives:
             assert d.integral(math.pi / 2 + n * math.pi) == pytest.approx(0.0, abs=1e-15)
 
     def test_sine_integral_against_quadrature(self):
-        d = SineDrive(amplitude=1.4, frequency=0.8, t_ref=0.3)
+        d = SineDrive(frequency=0.8, t_ref=0.3)
         for t in (0.5, 1.9, 6.0):
             grid = np.linspace(d.t_ref, t, 20001)
             quad = np.trapezoid([d.tau(s) for s in grid], grid)
@@ -241,14 +245,14 @@ class TestDrives:
         # integral reads cos(frequency * t_ref) from the drive: the same bits as
         # computing it per call, recomputed by dataclasses.replace, and no part
         # of equality, hash or repr
-        d = SineDrive(amplitude=1.4, frequency=0.8, t_ref=0.3)
+        d = SineDrive(frequency=0.8, t_ref=0.3)
         for drive in (d, dataclasses.replace(d, t_ref=-2.1), dataclasses.replace(d, frequency=3.7)):
             w = drive.frequency
             for t in (-4.0, 0.0, 0.3, 1.9, 6.0):
-                assert drive.integral(t) == drive.amplitude * (math.cos(w * drive.t_ref) - math.cos(w * t)) / w
+                assert drive.integral(t) == (math.cos(w * drive.t_ref) - math.cos(w * t)) / w
             assert drive.integral(drive.t_ref) == 0.0
-        assert dataclasses.replace(d, t_ref=-2.1) == SineDrive(amplitude=1.4, frequency=0.8, t_ref=-2.1)
-        assert hash(d) == hash(SineDrive(1.4, 0.8, 0.3)) and repr(d) == "SineDrive(amplitude=1.4, frequency=0.8, t_ref=0.3)"
+        assert dataclasses.replace(d, t_ref=-2.1) == SineDrive(frequency=0.8, t_ref=-2.1)
+        assert hash(d) == hash(SineDrive(frequency=0.8, t_ref=0.3)) and repr(d) == "SineDrive(frequency=0.8, t_ref=0.3)"
 
     @pytest.mark.parametrize("drive", [SineDrive(t_ref=math.inf), SineDrive(frequency=1e300, t_ref=1e300)])
     def test_sine_infinite_anchor_phase_gives_nan(self, drive):

@@ -189,7 +189,8 @@ class TestBoundEntries:
         (InvariantForm.PT_SYMMETRIC, 2.3, -0.7, ConstantDrive()),
         (InvariantForm.SPONTANEOUSLY_BROKEN, -0.7, 2.3, ConstantDrive()),
         (InvariantForm.EXCEPTIONAL_POINT, 1.3, -1.3, ConstantDrive()),
-        (InvariantForm.FULL_TD, 0.7, 2.3, SineDrive(amplitude=0.8, frequency=1.7, t_ref=0.3)),
+        # the sine shape scaled by 0.8 at (0.7, 2.3): the couplings carry the scale
+        (InvariantForm.FULL_TD, 0.56, 1.84, SineDrive(frequency=1.7, t_ref=0.3)),
     ]
     TIMES = (-2.0, 0.0, 0.7, 3.1)
 

@@ -33,7 +33,6 @@ from quasic.linalg import (
     EigenDecomposition,
     EigenPair,
     adjoint,
-    det,
     eigen_2x2,
     frobenius_norm,
     hermitian_eigenvalues_2x2,
@@ -81,10 +80,15 @@ def reference_eigen_2x2(a, tol=DEFAULT_TOL):
     )
 
 
+def det2(v):
+    """numpy's scalar determinant of a 2x2 array, as a Python complex."""
+    return complex(v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0])
+
+
 def reference_condition_number(v1, v2):
     v = np.column_stack([v1, v2])
     hi, _ = hermitian_eigenvalues_2x2(adjoint(v) @ v, tol=1e-8)
-    d = abs(det(v))
+    d = abs(det2(v))
     return hi / d if d else np.inf
 
 
@@ -105,7 +109,7 @@ def reference_biortho_system(a, tol=DEFAULT_TOL):
     if right_dec.defective:
         raise DefectiveMatrixError("source matrix is defective")
     v = np.column_stack([right_dec.first.vector, right_dec.second.vector])
-    det_v = det(v)
+    det_v = det2(v)
     cond = reference_condition_number(right_dec.first.vector, right_dec.second.vector)
     if cond > COND_LIMIT:
         raise NearlyDefectiveError(f"eigenvector condition {cond:.3g} exceeds {COND_LIMIT:.3g}")
