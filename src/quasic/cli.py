@@ -278,7 +278,7 @@ def _run_td_pair(cfg: argparse.Namespace, lam: float, kappa: float, report, swee
     clock.enter("propagation")
 
     # propagate the closed form from its anchor and compare with it at t1
-    start = p.drive.t_ref if form is MetricForm.FULL_TD else 0.0
+    start = p.drive.t_ref
     steps = cfg.samples * cfg.steps_per_sample
     with np.errstate(all="ignore"):
         final = time_ordered_propagate(p, closed_form_invariant(form, p, start), start, cfg.t1, steps)

@@ -23,7 +23,7 @@ prefix scan of them in that commutative algebra (Hillis & Steele, CACM
 29(12), 1986; Blelloch, CMU-CS-90-190, 1990), with each step carried as its
 deviation from the identity.  The eigenpairs of an evolved C(t) = sum_n s_n
 |psi_n(t)><phi_n(t)| share H(t) and the grid, so the last propagator is
-kept for the next call (see ``tdse_integrate``).
+memoized by value for the next call (see ``tdse_integrate``).
 
 Phase reconstruction takes its eigenstates and metrics from two callbacks,
 ``state_at`` and ``rho_at``, and calls each once, with the whole time grid
@@ -45,8 +45,8 @@ the (N, 2, 2) Hamiltonian stack.
 
 from __future__ import annotations
 
+import functools
 import math
-import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -123,11 +123,7 @@ def _prefix_scan(deltas: np.ndarray, q: float) -> np.ndarray:
     return src
 
 
-#: The last propagator _rk4_prefixes built, as (p, (t0 and t1 bits, steps,
-#: block), prefix stack); None when empty.  One tuple, replaced whole.
-_last_propagator: tuple | None = None
-
-
+@functools.lru_cache(maxsize=1)
 def _rk4_prefixes(p: HamiltonianParams, t0: float, t1: float, steps: int, block: int) -> np.ndarray:
     """Per-block prefix products of the RK4 propagator for H, as one read-only (2, steps) array.
 
@@ -135,18 +131,10 @@ def _rk4_prefixes(p: HamiltonianParams, t0: float, t1: float, steps: int, block:
     step k of the grid t0 + (t1 - t0)/steps * k, where s is the first step
     of k's block of ``block`` steps and K = lam sigma_z + i kappa sigma_x.
     One array rather than one per block keeps the peak memory lower.  The
-    last propagator is kept, keyed on p by identity (the entry holds a
-    reference, so its id is not reused), on the bits of t0 and t1 (so -0.0
-    and 0.0 differ), on steps and on block; a repeated call returns the same
-    array without evaluating the drive.
+    last result is memoized by value, so an equal call returns the same
+    array without evaluating the drive.  Equal arguments whose zeros differ
+    in sign build arrays that differ at most in the signs of zeros.
     """
-    global _last_propagator
-    key = (struct.pack("<2d", t0, t1), steps, block)
-    last = _last_propagator
-    if last is not None and last[0] is p and last[1] == key:
-        return last[2]
-    # the old array would only add to the peak memory of the build
-    _last_propagator = None
     dt = (t1 - t0) / steps
     half, sixth = 0.5 * dt, dt / 6.0
     grid = t0 + dt * np.arange(steps + 1)
@@ -167,7 +155,6 @@ def _rk4_prefixes(p: HamiltonianParams, t0: float, t1: float, steps: int, block:
         deltas = np.stack((sixth * (alpha + 2.0 * x2 + 2.0 * x3 + x4), sixth * (b_a + 2.0 * y2 + 2.0 * y3 + y4)))
         stacks[:, start:stop] = _prefix_scan(deltas, q)
     stacks.setflags(write=False)
-    _last_propagator = (p, key, stacks)
     return stacks
 
 
@@ -246,16 +233,17 @@ def tdse_integrate(
     the scan and so changes the bits of every run over 2048 steps.
 
     The eigenpairs of one C(t) evolve under the same H(t) on the same grid,
-    so they share the scanned coordinates.  ``_rk4_prefixes`` keeps the last
-    propagator it built, keyed on p by identity, on the bits of t0 and t1,
-    on steps and on RK4_BLOCK.  A call that repeats all five skips the drive
-    evaluation, the RK4 build and the scan, and applies the kept array to
-    its own initial states, with the bits of a cold call.  t0 and t1 are
-    read as floats, so the bits compared are the bits computed with.  The
-    argument checks run before the lookup, so a repeated call still rejects
-    bad input.  The kept entry holds 32 B per step, half the returned state
-    arrays.  On the dynamics job the +- eigenpairs repeat their propagator,
-    20,000 of its 46,000 steps.
+    so they share the scanned coordinates.  ``_rk4_prefixes`` memoizes the
+    last propagator it built (``functools.lru_cache(maxsize=1)``), keyed by
+    value on p, t0, t1, steps and RK4_BLOCK.  A call equal in all five skips
+    the drive evaluation, the RK4 build and the scan, and applies the kept
+    array to its own initial states, with the bits of a cold call; on a span
+    from one signed zero to the other, dt = +-0 and a zero state entry can
+    take the other sign.  The argument checks run before the lookup, so a
+    repeated call still rejects bad input.  The kept entry holds 32 B per
+    step, half the returned state arrays, and stays alive while the next
+    miss builds its own.  On the dynamics job the +- eigenpairs repeat
+    their propagator, 20,000 of its 46,000 steps.
 
     RK4 is a fourth-order polynomial in dt A, not a product of exponentials,
     so it stays independent of the midpoint exponential product in

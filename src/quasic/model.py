@@ -54,7 +54,7 @@ class SineDrive:
     t_ref defaults to pi/2 at every frequency (the command line's default
     is pi/2 / frequency): for the unit frequency the anchored antiderivative
     then vanishes at t = pi/2 + n*pi, where the time-dependent metric
-    collapses to the identity.
+    collapses to the identity.  A zero frequency raises ValueError.
     """
 
     frequency: float = 1.0
@@ -63,6 +63,8 @@ class SineDrive:
     _cos_ref: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.frequency == 0:
+            raise ValueError("frequency must be non-zero: the integral divides by it")
         try:
             cos_ref = math.cos(self.frequency * self.t_ref)
         except ValueError:  # an infinite phase: NaN, as np.cos gives

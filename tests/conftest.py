@@ -7,5 +7,5 @@ from quasic import evolution
 
 @pytest.fixture(autouse=True)
 def empty_propagator_cache():
-    """Start each test with no cached RK4 propagator, so no result depends on test order."""
-    evolution._last_propagator = None
+    """Start each test with no memoized RK4 propagator, so no result depends on test order."""
+    evolution._rk4_prefixes.cache_clear()

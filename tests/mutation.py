@@ -1,16 +1,21 @@
-"""Mutation run over the closed forms: every small fault in them must fail a command-line run.
+"""Mutation run over the closed forms and the check kernels: every small fault in them must fail a command-line run.
 
 Run from the repository root (it imports the package from ``src/``):
 
     python tests/mutation.py
 
-A mutant changes one operator or literal of ``_drive_entries``,
-``_real_entries``, ``_sinhc`` or ``_sinhc_array`` in ``quasic.invariants``:
-+ <-> -, * <-> /, a dropped unary minus (written as a unary plus), or a
-float literal scaled by 1 + 1e-6.  A literal that the scaling leaves equal,
-such as 0.0, gives no mutant.  The mutated function is compiled in the
-module's namespace and rebound in every ``quasic`` module that holds the
-original (``coperator`` imports ``_real_entries`` by name).  Then
+A mutant changes one operator or literal of a function in ``TARGETS``:
+the closed forms (``_drive_entries``, ``_real_entries``, ``_sinhc`` and
+``_sinhc_array`` in ``quasic.invariants``), the kernels that the checks of
+a command-line run compute with (``_derivative_defect``, the norm, det and
+eigenvalue stacks, ``_max1`` and ``_expm1_pauli`` in ``quasic.linalg``),
+the propagator ``time_ordered_propagate`` and H's entries
+(``quasic.model._hamiltonian_entries``).  The changes are + <-> -,
+* <-> /, a dropped unary minus (written as a unary plus), or a float
+literal scaled by 1 + 1e-6.  A literal that the scaling leaves equal, such
+as 0.0, gives no mutant.  The mutated function is compiled in its module's
+namespace and rebound in every ``quasic`` module that holds the original
+(``coperator`` imports ``_real_entries`` by name, ``cli`` the kernels).  Then
 ``quasic.cli.main`` runs in process on non-unit pairs of every regime and
 sign, at hbar = 1.7, under metric-picture and both full-td drives.  At a
 unit lambda or kappa, products such as kappa * kappa and kappa / kappa are
@@ -41,13 +46,29 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from types import ModuleType
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from quasic import cli, invariants  # noqa: E402
+from quasic import cli, invariants, linalg, model  # noqa: E402
 
-TARGETS = ("_drive_entries", "_real_entries", "_sinhc", "_sinhc_array")
+# (module, function); the function names are distinct, so a mutant is named by its function
+TARGETS = (
+    (invariants, "_drive_entries"),
+    (invariants, "_real_entries"),
+    (invariants, "_sinhc"),
+    (invariants, "_sinhc_array"),
+    (invariants, "time_ordered_propagate"),
+    (linalg, "_derivative_defect"),
+    (linalg, "frobenius_norm_stack"),
+    (linalg, "hypot_norm_stack"),
+    (linalg, "det_real_stack"),
+    (linalg, "hermitian_eigenvalues_stack"),
+    (linalg, "_max1"),
+    (linalg, "_expm1_pauli"),
+    (model, "_hamiltonian_entries"),
+)
 SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult}
 LITERAL_SCALE = 1.0 + 1e-6
 
@@ -60,6 +81,10 @@ RUNS = (
     ["full-td", "--drive", "const", *RUN_OPTIONS],
 )
 
+# below the switch |r| < 1e-6 the r^4 term of sinh(r)/r = 1 + r^2/6 (1 + r^2/20) is at most 8.4e-27;
+# these mutants move the sum by at most 3.4e-24, over 6e7 times below an ulp of 1
+_R4_TERM = "only the r^4 term changes, and it moves sinh(r)/r by at most 3.4e-24, so no output bit depends on it"
+
 EQUIVALENT = {
     "_real_entries: (1.0 + x1 * s) / x_div -> (1.0 + x1 * s) * x_div": (
         "the exceptional-point form has xi = 1, so x_div is +-1 and a / x_div equals a * x_div to the bit"
@@ -67,20 +92,59 @@ EQUIVALENT = {
     "_real_entries: (kk * ss / _SQRT2 + kap * s) / y_div -> (kk * ss / _SQRT2 + kap * s) * y_div": (
         "the exceptional-point form has xi = 1, so y_div is +-1 and a / y_div equals a * y_div to the bit"
     ),
+    "_expm1_pauli: r2 / 6 * (1 + r2 / 20) -> r2 / 6 / (1 + r2 / 20)": _R4_TERM,
+    "_expm1_pauli: 1 + r2 / 20 -> 1 - r2 / 20": _R4_TERM,
+    "_expm1_pauli: r2 / 20 -> r2 * 20": _R4_TERM,
+    "_expm1_pauli: 1.0 -> 1.000001": "the placeholder divisor of the np.where branch that is discarded below the switch",
 }
 
-# no command-line run evaluates a closed form on a time array
+_TIME_ARRAYS = "tests/test_invariants.py::TestTimeArrays::test_full_td_same_bits"
+_SEQUENTIAL_PRODUCT = "tests/test_invariants.py::TestPropagation::test_same_scheme_as_sequential_product[sine-pt-forward]"
+_NORM_AND_DET = "tests/test_linalg.py::TestStackedKernels::test_frobenius_norm_and_det"
+_HERMITIAN_EIGENVALUES = "tests/test_linalg.py::TestScalarKernels::test_hermitian_eigenvalues_same_as_numpy_form"
+_MAX1 = "tests/test_linalg.py::TestStackedKernels::test_max1_is_pythons_max"
+_SMALL_R = "tests/test_linalg.py::TestMatExp::test_small_r_series_against_mpmath"
+_TAYLOR = "tests/test_linalg.py::TestMatExp::test_against_taylor_oracle"
+
+# No command-line run evaluates a closed form on a time array.  Every run
+# anchors the sine drive at its default pi/2, about which tau is symmetric,
+# calls _expm1_pauli with a2 = 0, and samples Hermitian metrics, whose
+# eigenvalues are both positive and whose diagonals are real.
 TIER1_KILLERS = {
-    "_real_entries: integral(t) / hbar -> integral(t) * hbar": (
-        "tests/test_invariants.py::TestTimeArrays::test_full_td_same_bits"
+    "_real_entries: integral(t) / hbar -> integral(t) * hbar": _TIME_ARRAYS,
+    "_sinhc_array: np.sinh(r) / r -> np.sinh(r) * r": _TIME_ARRAYS,
+    "_sinhc_array: np.sin(r) / r -> np.sin(r) * r": _TIME_ARRAYS,
+    "_sinhc_array: -q[neg] -> +q[neg]": _TIME_ARRAYS,
+    (
+        "time_ordered_propagate: t0 + (np.arange(start, min(start + PROPAGATION_BLOCK, steps)) + 0.5) * dt"
+        " -> t0 - (np.arange(start, min(start + PROPAGATION_BLOCK, steps)) + 0.5) * dt"
+    ): _SEQUENTIAL_PRODUCT,
+    # the midpoints moved by 5e-7 dt: an O(dt) error far below propagation_consistency's 1e-6
+    "time_ordered_propagate: 0.5 -> 0.5000005 #2": _SEQUENTIAL_PRODUCT,
+    (
+        "frobenius_norm_stack: sq_im[..., 0, 0] + sq_im[..., 1, 0] + (sq_im[..., 0, 1] + sq_im[..., 1, 1])"
+        " -> sq_im[..., 0, 0] + sq_im[..., 1, 0] - (sq_im[..., 0, 1] + sq_im[..., 1, 1])"
+    ): _NORM_AND_DET,
+    "frobenius_norm_stack: sq_re[..., 0, 0] + sq_re[..., 1, 0] -> sq_re[..., 0, 0] - sq_re[..., 1, 0]": _NORM_AND_DET,
+    "frobenius_norm_stack: sq_im[..., 0, 0] + sq_im[..., 1, 0] -> sq_im[..., 0, 0] - sq_im[..., 1, 0]": _NORM_AND_DET,
+    "frobenius_norm_stack: sq_im[..., 0, 1] + sq_im[..., 1, 1] -> sq_im[..., 0, 1] - sq_im[..., 1, 1]": _NORM_AND_DET,
+    "det_real_stack: a00.real * a11.real - a00.imag * a11.imag -> a00.real * a11.real + a00.imag * a11.imag": (
+        _NORM_AND_DET
     ),
-    "_sinhc_array: np.sinh(r) / r -> np.sinh(r) * r": (
-        "tests/test_invariants.py::TestTimeArrays::test_full_td_same_bits"
+    "hermitian_eigenvalues_stack: 0.5 -> 0.5000005": _HERMITIAN_EIGENVALUES,
+    "hermitian_eigenvalues_stack: 0.5 -> 0.5000005 #2": _HERMITIAN_EIGENVALUES,
+    "hermitian_eigenvalues_stack: mid + rad -> mid - rad": _HERMITIAN_EIGENVALUES,
+    "hermitian_eigenvalues_stack: mid - rad -> mid + rad": _HERMITIAN_EIGENVALUES,
+    "hermitian_eigenvalues_stack: tol * scale -> tol / scale": (
+        "tests/test_linalg.py::TestScalarKernels::test_not_hermitian_still_raised"
     ),
-    "_sinhc_array: np.sin(r) / r -> np.sin(r) * r": (
-        "tests/test_invariants.py::TestTimeArrays::test_full_td_same_bits"
-    ),
-    "_sinhc_array: -q[neg] -> +q[neg]": "tests/test_invariants.py::TestTimeArrays::test_full_td_same_bits",
+    "_max1: 1.0 -> 1.000001": _MAX1,
+    "_max1: 1.0 -> 1.000001 #2": _MAX1,
+    "_expm1_pauli: 1 + r2 / 6 * (1 + r2 / 20) -> 1 - r2 / 6 * (1 + r2 / 20)": _SMALL_R,
+    "_expm1_pauli: r2 / 6 -> r2 * 6": _SMALL_R,
+    "_expm1_pauli: a1 - 1j * a2 -> a1 + 1j * a2": _TAYLOR,
+    "_expm1_pauli: a1 + 1j * a2 -> a1 - 1j * a2": _TAYLOR,
+    "_expm1_pauli: a1 * a1 + a2 * a2 -> a1 * a1 - a2 * a2": _TAYLOR,
 }
 
 
@@ -106,13 +170,12 @@ def _mutate(node: ast.AST) -> None:
         node.value = node.value * LITERAL_SCALE
 
 
-def mutants() -> dict[str, tuple[str, ast.FunctionDef]]:
-    """Every mutant by name, 'function: original -> mutated', as (function name, mutated definition)."""
-    tree = ast.parse(Path(invariants.__file__).read_text(encoding="utf-8"))
+def mutants() -> dict[str, tuple[ModuleType, ast.FunctionDef]]:
+    """Every mutant by name, 'function: original -> mutated', as (its module, the mutated definition)."""
     found = {}
-    for function in tree.body:
-        if not (isinstance(function, ast.FunctionDef) and function.name in TARGETS):
-            continue
+    for module, target in TARGETS:
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        (function,) = (node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == target)
         for k in range(len(_sites(function))):
             mutated = copy.deepcopy(function)
             node = _sites(mutated)[k]
@@ -123,23 +186,19 @@ def mutants() -> dict[str, tuple[str, ast.FunctionDef]]:
             while repeat in found:
                 n += 1
                 repeat = f"{name} #{n}"
-            found[repeat] = (function.name, mutated)
+            found[repeat] = (module, mutated)
     return found
 
 
-def compiled(definition: ast.FunctionDef):
-    """The function of a definition, with the globals of quasic.invariants."""
-    module = ast.fix_missing_locations(ast.Module(body=[definition], type_ignores=[]))
-    code = compile(module, invariants.__file__, "exec", flags=__future__.annotations.compiler_flag, dont_inherit=True)
-    scope: dict = {}
-    exec(code, vars(invariants), scope)
-    return scope[definition.name]
-
-
 @contextlib.contextmanager
-def rebound(name: str, replacement):
-    """Bind ``name`` to ``replacement`` in every quasic module that holds the original."""
-    original = getattr(invariants, name)
+def rebound(module: ModuleType, definition: ast.FunctionDef):
+    """Compile ``definition`` with the globals of ``module`` and bind it in every quasic module that holds the original."""
+    tree = ast.fix_missing_locations(ast.Module(body=[definition], type_ignores=[]))
+    code = compile(tree, module.__file__, "exec", flags=__future__.annotations.compiler_flag, dont_inherit=True)
+    scope: dict = {}
+    exec(code, vars(module), scope)
+    name = definition.name
+    replacement, original = scope[name], getattr(module, name)
     holders = [
         module
         for key, module in list(sys.modules.items())
@@ -182,8 +241,7 @@ def tier1_kills(name: str, test_id: str) -> bool:
 def run_pytest_under(name: str, test_id: str) -> int:
     import pytest
 
-    function, definition = mutants()[name]
-    with rebound(function, compiled(definition)):
+    with rebound(*mutants()[name]):
         return int(pytest.main(["-q", "-x", "-p", "no:cacheprovider", test_id]))
 
 
@@ -202,8 +260,8 @@ def judge() -> int:
         survivors = []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            for name, (function, definition) in found.items():
-                with rebound(function, compiled(definition)):
+            for name, (module, definition) in found.items():
+                with rebound(module, definition):
                     if killing_run(out_dir) is None:
                         survivors.append(name)
     allowed = 0

@@ -32,6 +32,25 @@ Each smallest caught eps is pinned with exit 1 at it and one decade above
 it, with the check that catches it.  A change that raises a threshold fails
 here; one that lowers it may move the pin down.
 
+The same classes are planted off the unit pairs and at hbar = 1.7, on the
+PT pair (2.3, 0.7) and the broken pair (0.7, 2.3):
+
+- ``full-td --drive sin --t1 10 --samples 2000``, through
+  ``_drive_entries`` as above: m from 1e-7 (PT) and 1e-8 (broken), caught
+  by both derivative residuals; d from 1e-10 on both pairs (C^2 = I); x
+  from 1e-9 (C^2 = I on the PT pair, both algebraic checks on the broken
+  pair); y from 1e-8 on both pairs (both algebraic checks).
+- ``metric-picture --t1 3 --samples 2000``, whose fixed-regime forms have
+  no drive integral: d, x or y scaled in the evaluator that
+  ``invariants._real_entries`` binds.  On the PT pair d from 1e-10 (C^2 =
+  I), x and y from 1e-9 (both algebraic checks); on the broken pair d and x
+  from 1e-12 and y from 1e-11 (det rho = 1).  The window is shorter than
+  full-td's because by t = 10 the broken form's metric scale (~1e5) leaves
+  det rho = 1 inconclusive with no fault (a known limit).
+
+At each of these thresholds the catching check reads 1.02 to 7 times its
+tolerance, and one decade below every check passes.
+
 The static scenario verifies each identity of its eigensystem once, in its
 own checks.  Two faults planted in the published case (lambda, kappa) =
 (2, 1) must fail them with exit 1: Dyson rows turned by 1e-6 rad
@@ -79,6 +98,31 @@ def scale_entry(index):
 
 
 scale_entry_d, scale_entry_x, scale_entry_y = (scale_entry(index) for index in range(3))
+
+
+_real_entries = invariants._real_entries
+
+
+def scale_bound_entry(index):
+    """Fault class that scales entry ``index`` of the (d, x, y) that the evaluators of _real_entries return."""
+
+    def scaled(eps):
+        def fault(form, p, fn=math):
+            entries = _real_entries(form, p, fn)
+
+            def faulty(t):
+                out = list(entries(t))
+                out[index] = out[index] * (1.0 + eps)
+                return tuple(out)
+
+            return faulty
+
+        return fault
+
+    return scaled
+
+
+scale_bound_d, scale_bound_x, scale_bound_y = (scale_bound_entry(index) for index in range(3))
 
 
 def failed_checks(tmp_path, *argv):
@@ -149,3 +193,52 @@ def test_scaled_left_vector_fails_completeness(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "biortho_system", scaled)
     # C = sum_n s_n |right_n><left_n| squares to I only as far as the system is complete
     assert failed_checks(tmp_path, "static") == (1, {"completeness", "c_squared_identity"})
+
+
+PT_OFF_UNIT = (2.3, 0.7)
+BROKEN_OFF_UNIT = (0.7, 2.3)
+# each scenario's run, and the name in invariants whose faults it is planted with
+OFF_UNIT_RUNS = {
+    "full-td": (("full-td", "--drive", "sin", "--t1", "10", "--samples", "2000", "--hbar", "1.7"), "_drive_entries"),
+    "metric-picture": (("metric-picture", "--t1", "3", "--samples", "2000", "--hbar", "1.7"), "_real_entries"),
+}
+C_SQUARED, DET = ("c_squared_identity_max",), ("det_rho_unit_max_dev",)
+
+
+def run_off_unit(tmp_path, scenario, pair):
+    lam, kappa = pair
+    return failed_checks(tmp_path, *OFF_UNIT_RUNS[scenario][0], f"--lambda={lam!r}", f"--kappa={kappa!r}")
+
+
+@pytest.mark.parametrize("pair", [PT_OFF_UNIT, BROKEN_OFF_UNIT], ids=["pt", "broken"])
+@pytest.mark.parametrize("scenario", OFF_UNIT_RUNS)
+def test_unfaulted_off_unit_run_passes(tmp_path, scenario, pair):
+    assert run_off_unit(tmp_path, scenario, pair) == (0, set())
+
+
+# (scenario, pair, fault, smallest eps caught, checks that catch it there)
+OFF_UNIT_THRESHOLDS = [
+    pytest.param("full-td", PT_OFF_UNIT, scale_drive_integral, 1e-7, DERIVATIVE_CHECKS, id="td-pt-m"),
+    pytest.param("full-td", BROKEN_OFF_UNIT, scale_drive_integral, 1e-8, DERIVATIVE_CHECKS, id="td-broken-m"),
+    pytest.param("full-td", PT_OFF_UNIT, scale_entry_d, 1e-10, C_SQUARED, id="td-pt-d"),
+    pytest.param("full-td", BROKEN_OFF_UNIT, scale_entry_d, 1e-10, C_SQUARED, id="td-broken-d"),
+    pytest.param("full-td", PT_OFF_UNIT, scale_entry_x, 1e-9, C_SQUARED, id="td-pt-x"),
+    pytest.param("full-td", BROKEN_OFF_UNIT, scale_entry_x, 1e-9, ALGEBRAIC_CHECKS, id="td-broken-x"),
+    pytest.param("full-td", PT_OFF_UNIT, scale_entry_y, 1e-8, ALGEBRAIC_CHECKS, id="td-pt-y"),
+    pytest.param("full-td", BROKEN_OFF_UNIT, scale_entry_y, 1e-8, ALGEBRAIC_CHECKS, id="td-broken-y"),
+    pytest.param("metric-picture", PT_OFF_UNIT, scale_bound_d, 1e-10, C_SQUARED, id="mp-pt-d"),
+    pytest.param("metric-picture", BROKEN_OFF_UNIT, scale_bound_d, 1e-12, DET, id="mp-broken-d"),
+    pytest.param("metric-picture", PT_OFF_UNIT, scale_bound_x, 1e-9, ALGEBRAIC_CHECKS, id="mp-pt-x"),
+    pytest.param("metric-picture", BROKEN_OFF_UNIT, scale_bound_x, 1e-12, DET, id="mp-broken-x"),
+    pytest.param("metric-picture", PT_OFF_UNIT, scale_bound_y, 1e-9, ALGEBRAIC_CHECKS, id="mp-pt-y"),
+    pytest.param("metric-picture", BROKEN_OFF_UNIT, scale_bound_y, 1e-11, DET, id="mp-broken-y"),
+]
+
+
+@pytest.mark.parametrize("decades", [0, 1], ids=["at-threshold", "decade-above"])
+@pytest.mark.parametrize("scenario, pair, fault, eps, catching", OFF_UNIT_THRESHOLDS)
+def test_planted_fault_fails_off_unit(tmp_path, monkeypatch, scenario, pair, fault, eps, catching, decades):
+    monkeypatch.setattr(invariants, OFF_UNIT_RUNS[scenario][1], fault(eps * 10.0**decades))
+    code, failed = run_off_unit(tmp_path, scenario, pair)
+    assert code == 1
+    assert set(catching) <= failed, failed

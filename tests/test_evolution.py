@@ -450,9 +450,15 @@ class TestParityShortcut:
 
 
 def cold_tdse(p, psi0, phi0, t0, t1, steps):
-    """tdse_integrate with the propagator cache emptied first."""
-    evolution._last_propagator = None
+    """tdse_integrate with the propagator memo emptied first."""
+    evolution._rk4_prefixes.cache_clear()
     return tdse_integrate(p, psi0, phi0, t0, t1, steps)
+
+
+def lookups():
+    """(hits, misses) of the propagator memo so far."""
+    info = evolution._rk4_prefixes.cache_info()
+    return info.hits, info.misses
 
 
 def assert_same_bits(ev, ref):
@@ -464,6 +470,23 @@ def assert_same_bits(ev, ref):
 
 PSI_A, PHI_A = np.array([0.6 + 0.2j, -0.3 + 0.7j]), np.array([0.4 - 0.5j, 0.9 + 0.1j])
 PSI_B, PHI_B = np.array([-0.1 + 0.8j, 0.5 - 0.2j]), np.array([0.7 + 0.3j, -0.2 - 0.6j])
+
+
+def zero_twins(field, sign):
+    """Calls (p, t0, t1) equal as values, as (firsts, seconds), one per drive shape.
+
+    ``field`` is zero in both, with the sign ``sign`` in the first call and
+    the other sign in the second; "equal-p" changes nothing but the objects.
+    """
+    # a zero t1 ends a backward span; "all" makes the span (0, 0) too
+    values = {"omega": 0.7, "lam": 1.3, "kappa": 0.9, "t_ref": 0.4, "t0": 1.5 if field == "t1" else 0.0, "t1": 1.5}
+    calls = []
+    for zero in (sign * 0.0, -sign * 0.0):
+        v = {**values, **{name: zero for name in values if field in (name, "all")}}
+        for shape in (ConstantDrive(t_ref=v["t_ref"]), SineDrive(frequency=2.0, t_ref=v["t_ref"])):
+            p = HamiltonianParams(v["omega"], v["lam"], v["kappa"], hbar=1.3, drive=shape)
+            calls.append((p, v["t0"], v["t1"]))
+    return calls[:2], calls[2:]
 
 
 class TestPropagatorCache:
@@ -479,9 +502,9 @@ class TestPropagatorCache:
         p = driven(0.7, PAIRS[pair], drive, hbar=hbar)
         for steps in (1, block + 1, 4 * block + 1):
             tdse_integrate(p, PSI_A, PHI_A, *SPANS[span], steps)
-            entry = evolution._last_propagator
+            hits, misses = lookups()
             hit = tdse_integrate(p, PSI_B, PHI_B, *SPANS[span], steps)
-            assert evolution._last_propagator is entry
+            assert lookups() == (hits + 1, misses)
             assert_same_bits(hit, cold_tdse(p, PSI_B, PHI_B, *SPANS[span], steps))
 
     def test_hit_builds_nothing(self, monkeypatch):
@@ -493,31 +516,38 @@ class TestPropagatorCache:
         monkeypatch.setattr(SineDrive, "tau_array", forbidden)
         monkeypatch.setattr(evolution, "_prefix_scan", forbidden)
         hit = tdse_integrate(DRIVEN, PSI_B, PHI_B, 0.0, 1.5, 100)
+        assert lookups() == (1, 1)
         monkeypatch.undo()
         assert_same_bits(hit, cold_tdse(DRIVEN, PSI_B, PHI_B, 0.0, 1.5, 100))
 
-    @pytest.mark.parametrize(
-        "change",
-        ["equal-p", "t0", "t1", "signed-zero-t0", "signed-zero-t1", "steps", "block"],
-    )
+    # the key is the value: an equal parameter set built anew, and twins whose
+    # zeros have the other sign, hit, and the hit has the bits of a cold call
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus-first", "minus-first"])
+    @pytest.mark.parametrize("field", ["equal-p", "omega", "lam", "kappa", "t_ref", "t0", "t1", "all"])
+    def test_equal_key_hits(self, field, sign):
+        for first, second in zip(*zero_twins(field, sign)):
+            p, t0, t1 = second
+            if field == "equal-p":
+                assert first == second and first[0] is not p
+            for steps in (1, 7, 3000):
+                evolution._rk4_prefixes.cache_clear()
+                tdse_integrate(first[0], PSI_A, PHI_A, *first[1:], steps)
+                hit = tdse_integrate(p, PSI_B, PHI_B, t0, t1, steps)
+                assert lookups() == (1, 1)
+                assert_same_bits(hit, cold_tdse(p, PSI_B, PHI_B, t0, t1, steps))
+
+    @pytest.mark.parametrize("change", ["hbar", "t0", "t1", "steps", "block"])
     def test_changed_key_misses(self, change, monkeypatch):
         p = driven(0.7, (0.8, 1.7), "sine", hbar=1.3)
-        first = {"signed-zero-t0": (-0.0, 1.5, 65), "signed-zero-t1": (1.5, -0.0, 65)}.get(change, (0.0, 1.5, 65))
-        second = {
-            "t0": (0.25, 1.5, 65),
-            "t1": (0.0, 1.25, 65),
-            "signed-zero-t0": (0.0, 1.5, 65),
-            "signed-zero-t1": (1.5, 0.0, 65),
-            "steps": (0.0, 1.5, 64),
-        }.get(change, first)
+        first = (0.0, 1.5, 65)
+        second = {"t0": (0.25, 1.5, 65), "t1": (0.0, 1.25, 65), "steps": (0.0, 1.5, 64)}.get(change, first)
         tdse_integrate(p, PSI_A, PHI_A, *first)
-        entry = evolution._last_propagator
-        if change == "equal-p":
-            p = HamiltonianParams(p.omega, p.lam, p.kappa, hbar=p.hbar, drive=p.drive)
+        if change == "hbar":
+            p = HamiltonianParams(p.omega, p.lam, p.kappa, hbar=1.25, drive=p.drive)
         if change == "block":
             monkeypatch.setattr(evolution, "RK4_BLOCK", 16)
         miss = tdse_integrate(p, PSI_B, PHI_B, *second)
-        assert evolution._last_propagator is not entry
+        assert lookups() == (0, 2)
         assert_same_bits(miss, cold_tdse(p, PSI_B, PHI_B, *second))
 
     def test_hit_still_rejects_bad_initial_states(self):
@@ -533,40 +563,29 @@ class TestPropagatorCache:
         for array in (ev.grid, ev.right_states, ev.left_states):
             array[...] = 7.0
         again = tdse_integrate(DRIVEN, PSI_A, PHI_A, 0.0, 1.5, 40)
+        assert lookups() == (1, 1)
         assert_same_bits(again, cold_tdse(DRIVEN, PSI_A, PHI_A, 0.0, 1.5, 40))
 
     def test_cached_stacks_are_read_only(self):
-        tdse_integrate(DRIVEN, PSI_A, PHI_A, 0.0, 1.5, 40)
+        stacks = evolution._rk4_prefixes(DRIVEN, 0.0, 1.5, 40, evolution.RK4_BLOCK)
         with pytest.raises(ValueError, match="read-only"):
-            evolution._last_propagator[-1][0, 0] = 0.0
-
-    def test_miss_releases_the_old_entry_before_building(self, monkeypatch):
-        tdse_integrate(DRIVEN, PSI_A, PHI_A, 0.0, 1.5, 40)
-        held = []
-        scan = evolution._prefix_scan
-
-        def watching_scan(*args):
-            held.append(evolution._last_propagator)
-            return scan(*args)
-
-        monkeypatch.setattr(evolution, "_prefix_scan", watching_scan)
-        tdse_integrate(DRIVEN, PSI_A, PHI_A, 0.0, 1.5, 41)
-        assert held == [None]
+            stacks[0, 0] = 0.0
 
     def test_one_entry_retained(self):
-        first = HamiltonianParams(1.0, 2.0, 1.0, drive=SineDrive())
+        first = HamiltonianParams(1.0, 2.5, 1.0, drive=SineDrive())
         released = weakref.ref(first)
-        tdse_integrate(first, PSI_A, PHI_A, 0.0, 1.5, 300)
-        entry = evolution._last_propagator
+        stacks = evolution._rk4_prefixes(first, 0.0, 1.5, 300, evolution.RK4_BLOCK)
         # two contiguous rows of complex coordinates, 32 B per step
-        assert entry[0] is first and entry[-1].shape == (2, 300) and entry[-1].nbytes == 32 * 300
-        assert entry[-1].flags.c_contiguous
-        del first, entry
+        assert stacks.shape == (2, 300) and stacks.nbytes == 32 * 300 and stacks.flags.c_contiguous
+        del first, stacks
+        gc.collect()
+        assert released() is not None
         tdse_integrate(DRIVEN, PSI_A, PHI_A, 0.0, 1.5, 40)
         gc.collect()
         assert released() is None
-        assert evolution._last_propagator[0] is DRIVEN
-        assert evolution._last_propagator[-1].shape == (2, 40)
+        assert evolution._rk4_prefixes.cache_info().currsize == 1
+        tdse_integrate(DRIVEN, PSI_B, PHI_B, 0.0, 1.5, 40)
+        assert lookups() == (1, 2)
 
 
 def index_of_by_argmin(ev, t):
@@ -646,14 +665,15 @@ def test_non_finite_times_rejected(drive, span, monkeypatch):
     t0, t1 = NON_FINITE_SPANS[span]
     with pytest.raises(ValueError, match="t0 and t1 must be finite"):
         cold_tdse(p, PSI_A, PHI_A, t0, t1, 10)
-    # an entry for the same p stays in place
+    # the check runs before the lookup: the memo sees no call and keeps its entry
     tdse_integrate(p, PSI_A, PHI_A, 0.0, 1.0, 10)
-    entry = evolution._last_propagator
+    before = evolution._rk4_prefixes.cache_info()
     with pytest.raises(ValueError, match="t0 and t1 must be finite"):
         tdse_integrate(p, PSI_A, PHI_A, t0, t1, 10)
-    assert evolution._last_propagator is entry
-    # the check runs before the lookup: a lookup that always hits changes nothing
-    monkeypatch.setattr(evolution, "_rk4_prefixes", lambda *args: entry[-1])
+    assert evolution._rk4_prefixes.cache_info() == before
+    # and a lookup that always hits changes nothing
+    stacks = evolution._rk4_prefixes(p, 0.0, 1.0, 10, evolution.RK4_BLOCK)
+    monkeypatch.setattr(evolution, "_rk4_prefixes", lambda *args: stacks)
     with pytest.raises(ValueError, match="t0 and t1 must be finite"):
         tdse_integrate(p, PSI_A, PHI_A, t0, t1, 10)
 

@@ -14,6 +14,7 @@ from quasic.linalg import (
     PAULI_Z,
     _eigen_stack,
     _expm1_pauli,
+    _max1,
     adjoint,
     commutator,
     det_real_stack,
@@ -312,6 +313,12 @@ class TestStackedKernels:
         # C^2 - I of a stack by batched matmul, as the command line forms it
         squares = frobenius_norm_stack(np.matmul(a, a) - IDENTITY)
         assert squares.tolist() == [frobenius_norm(m @ m - IDENTITY) for m in a]
+
+    def test_max1_is_pythons_max(self):
+        # the floor of every check's scale: Python's max(1.0, x) to the bit, at
+        # 1 and its neighbours, below and above it, and at the non-finite values
+        x = np.array([1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0), 0.5, 0.0, -3.0, 7.25, math.inf, -math.inf, math.nan])
+        assert _max1(x).tobytes() == np.array([max(1.0, v) for v in x.tolist()]).tobytes()
 
     def test_hypot_norm_is_finite_past_the_squares_overflow(self):
         a = self.stack()

@@ -254,6 +254,15 @@ class TestDrives:
         assert dataclasses.replace(d, t_ref=-2.1) == SineDrive(frequency=0.8, t_ref=-2.1)
         assert hash(d) == hash(SineDrive(frequency=0.8, t_ref=0.3)) and repr(d) == "SineDrive(frequency=0.8, t_ref=0.3)"
 
+    @pytest.mark.parametrize("zero", [0.0, -0.0, 0])
+    def test_sine_zero_frequency_refused(self, zero):
+        # the integral divides by the frequency: refused at construction, never a
+        # ZeroDivisionError from the float integral or NaN from the array one
+        with pytest.raises(ValueError, match="frequency must be non-zero"):
+            SineDrive(frequency=zero)
+        with pytest.raises(ValueError, match="frequency must be non-zero"):
+            dataclasses.replace(SineDrive(frequency=0.8, t_ref=0.3), frequency=zero)
+
     @pytest.mark.parametrize("drive", [SineDrive(t_ref=math.inf), SineDrive(frequency=1e300, t_ref=1e300)])
     def test_sine_infinite_anchor_phase_gives_nan(self, drive):
         # math.cos of the infinite anchor phase raises; the integral is NaN, as np.cos gives
