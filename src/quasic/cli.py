@@ -238,7 +238,7 @@ def _run_td_pair(cfg: argparse.Namespace, lam: float, kappa: float, report, swee
     quasi = np.empty(cfg.samples)
     # non-finite samples are counted and reported below, so no stage warns about them
     with np.errstate(all="ignore"):
-        # Python floats: t +- fd_step in the residuals is then float arithmetic, with the same doubles
+        # Python floats: t +- FD_STEP in the residuals is then float arithmetic, with the same doubles
         for k, t in enumerate(ts.tolist()):
             rho[k] = rho_at(t)
             cmat[k] = c_at(t)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .biortho import BiorthoSystem
 from .errors import NotHermitianError
-from .invariants import InvariantForm, _bound_entries, _real_entries
+from .invariants import FD_STEP, InvariantForm, _bound_entries, _real_entries
 from .linalg import (
     DEFAULT_TOL,
     IDENTITY,
@@ -127,9 +127,8 @@ def quasi_hermiticity_residual(
     rho_at: Callable[[float], Rows],
     p: HamiltonianParams,
     t: float,
-    fd_step: float = 1e-5,
 ) -> float:
-    """|| i*hbar d(rho)/dt - H(t)^dag rho + rho H(t) || by central differences.
+    """|| i*hbar d(rho)/dt - H(t)^dag rho + rho H(t) || by central differences, of half-span FD_STEP.
 
     Every member of the family has sigma_z H sigma_z = H^dag, so for
     rho = sigma_z C this defect is sigma_z times the conservation defect
@@ -144,11 +143,11 @@ def quasi_hermiticity_residual(
     ``ndarray.tolist()`` form: a closed form's ``rows``, or the ``tolist()``
     of a matrix.
     """
-    plus, minus = rho_at(t + fd_step), rho_at(t - fd_step)
+    plus, minus = rho_at(t + FD_STEP), rho_at(t - FD_STEP)
     h00, h01, h11 = _hamiltonian_entries(p, p.drive.tau(t))
     h01_conj = h01.conjugate()
     left = ((h00, h01_conj), (h01_conj, h11))
-    c = 1j * (0.5 * p.hbar / fd_step)
+    c = 1j * (0.5 * p.hbar / FD_STEP)
     return _norm4(*_derivative_defect(plus, minus, rho_at(t), left, ((h00, h01), (h01, h11)), c))
 
 

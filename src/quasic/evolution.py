@@ -17,13 +17,14 @@ Time is an array axis, and the propagator lives in the family's algebra.
 Every H of the family is -1/2 (omega I + tau(t) K) with one fixed K = lam
 sigma_z + i kappa sigma_x and K^2 = (lam - kappa)(lam + kappa) I, so every
 RK4 step matrix, and every product of them, is x I + y K for two complex
-coordinates (x, y).  ``tdse_integrate`` builds the coordinates of RK4_BLOCK
-steps from the drive alone and gets every grid state from an inclusive
-prefix scan of them in that commutative algebra (Hillis & Steele, CACM
-29(12), 1986; Blelloch, CMU-CS-90-190, 1990), with each step carried as its
-deviation from the identity.  The eigenpairs of an evolved C(t) = sum_n s_n
-|psi_n(t)><phi_n(t)| share H(t) and the grid, so the last propagator is
-memoized by value for the next call (see ``tdse_integrate``).
+coordinates (x, y).  ``tdse_integrate`` builds the coordinates of every
+step from the drive alone and gets every grid state from one inclusive
+prefix scan of them over the whole grid in that commutative algebra
+(Hillis & Steele, CACM 29(12), 1986; Blelloch, CMU-CS-90-190, 1990), with
+each step carried as its deviation from the identity.  The eigenpairs of
+an evolved C(t) = sum_n s_n |psi_n(t)><phi_n(t)| share H(t) and the grid,
+so the last propagator is memoized by value for the next call (see
+``tdse_integrate``).
 
 Phase reconstruction takes its eigenstates and metrics from two callbacks,
 ``state_at`` and ``rho_at``, and calls each once, with the whole time grid
@@ -40,7 +41,8 @@ The two metric forms they take, the metric norm <v|rho v> and alpha_dot
 out entry by entry over (N,) arrays (``_metric_form``): at N = 3001 numpy's three-operand einsum takes 0.14 ms
 and the entry-wise form 0.04 ms (best of 300, 2-CPU VM, numpy 2.4).  H v
 comes from the drive alone, as -1/2 (omega v + tau K v), without building
-the (N, 2, 2) Hamiltonian stack.
+the (N, 2, 2) Hamiltonian stack; K v is ``_k_action``, which the RK4
+propagation applies too.
 """
 
 from __future__ import annotations
@@ -55,11 +57,6 @@ import numpy as np
 from .coperator import COperator, Signature, validate_signature
 from .errors import BranchFlipError, OffGridError
 from .model import HamiltonianParams
-
-#: Steps whose RK4 coordinates are built and scanned as one array (see
-#: tdse_integrate for the measurements behind the size).
-RK4_BLOCK = 2048
-
 
 @dataclass(frozen=True, eq=False)
 class EvolvedState:
@@ -123,37 +120,38 @@ def _prefix_scan(deltas: np.ndarray, q: float) -> np.ndarray:
     return src
 
 
-@functools.lru_cache(maxsize=1)
-def _rk4_prefixes(p: HamiltonianParams, t0: float, t1: float, steps: int, block: int) -> np.ndarray:
-    """Per-block prefix products of the RK4 propagator for H, as one read-only (2, steps) array.
+def _k_action(p: HamiltonianParams, v: np.ndarray) -> np.ndarray:
+    """K v for states v of shape (..., 2), with K = lam sigma_z + i kappa sigma_x."""
+    ik = 1j * p.kappa
+    return np.stack((p.lam * v[..., 0] + ik * v[..., 1], ik * v[..., 0] - p.lam * v[..., 1]), axis=-1)
 
-    Column k holds the coordinates (x, y) of M_k ... M_s - I = x I + y K for
-    step k of the grid t0 + (t1 - t0)/steps * k, where s is the first step
-    of k's block of ``block`` steps and K = lam sigma_z + i kappa sigma_x.
-    One array rather than one per block keeps the peak memory lower.  The
-    last result is memoized by value, so an equal call returns the same
-    array without evaluating the drive.  Equal arguments whose zeros differ
-    in sign build arrays that differ at most in the signs of zeros.
+
+@functools.lru_cache(maxsize=1)
+def _rk4_prefixes(p: HamiltonianParams, t0: float, t1: float, steps: int) -> np.ndarray:
+    """Prefix products of the RK4 propagator for H, as one read-only (2, steps) array.
+
+    Column k holds the coordinates (x, y) of M_k ... M_0 - I = x I + y K for
+    step k of the grid t0 + (t1 - t0)/steps * k, with K = lam sigma_z + i
+    kappa sigma_x.  The last result is memoized by value, so an equal call
+    returns the same array without evaluating the drive.
     """
     dt = (t1 - t0) / steps
     half, sixth = 0.5 * dt, dt / 6.0
-    grid = t0 + dt * np.arange(steps + 1)
     # A = -i H / hbar = alpha I + beta(t) K, and K^2 = q I, factored to ~1 ulp relative next to coalescence
     coeff = 0.5j / p.hbar
     alpha = coeff * p.omega
     q = (p.lam - p.kappa) * (p.lam + p.kappa)
     stage_times = np.array([[0.0], [0.5], [1.0]]) * dt
-    stacks = np.empty((2, steps), dtype=complex)
-    for start in range(0, steps, block):
-        stop = min(start + block, steps)
-        b_a, b_m, b_b = coeff * p.drive.tau_array(grid[start:stop] + stage_times)
-        # K_j = x_j I + y_j K from beta at t, t + dt/2 and t + dt: K1 = (alpha, b_a), and each
-        # A (I + h K_j), h = dt/2 or dt, is written out in the algebra, every product in one operand order
-        x2, y2 = alpha + half * (alpha * alpha + b_m * b_a * q), b_m + half * (alpha * b_a + b_m * alpha)
-        x3, y3 = alpha + half * (alpha * x2 + b_m * y2 * q), b_m + half * (alpha * y2 + b_m * x2)
-        x4, y4 = alpha + dt * (alpha * x3 + b_b * y3 * q), b_b + dt * (alpha * y3 + b_b * x3)
-        deltas = np.stack((sixth * (alpha + 2.0 * x2 + 2.0 * x3 + x4), sixth * (b_a + 2.0 * y2 + 2.0 * y3 + y4)))
-        stacks[:, start:stop] = _prefix_scan(deltas, q)
+    b_a, b_m, b_b = coeff * p.drive.tau_array(t0 + dt * np.arange(steps) + stage_times)
+    # K_j = x_j I + y_j K from beta at t, t + dt/2 and t + dt: K1 = (alpha, b_a), and each
+    # A (I + h K_j), h = dt/2 or dt, is written out in the algebra, every product in one operand order
+    x2, y2 = alpha + half * (alpha * alpha + b_m * b_a * q), b_m + half * (alpha * b_a + b_m * alpha)
+    x3, y3 = alpha + half * (alpha * x2 + b_m * y2 * q), b_m + half * (alpha * y2 + b_m * x2)
+    x4, y4 = alpha + dt * (alpha * x3 + b_b * y3 * q), b_b + dt * (alpha * y3 + b_b * x3)
+    deltas = np.stack((sixth * (alpha + 2.0 * x2 + 2.0 * x3 + x4), sixth * (b_a + 2.0 * y2 + 2.0 * y3 + y4)))
+    # the stages are no longer needed: free them before the scan takes its buffers
+    del b_a, b_m, b_b, x2, y2, x3, y3, x4, y4
+    stacks = _prefix_scan(deltas, q)
     stacks.setflags(write=False)
     return stacks
 
@@ -196,54 +194,48 @@ def tdse_integrate(
     K^dag, so the RK4 matrix of A_L is x I + y K^dag = sigma_z M sigma_z
     with the same coordinates.  The propagator for H is applied to psi0 and
     sigma_z phi0, and flipping the sign of the second component of the
-    latter gives the left states.  Sign flips are exact: at equal RK4_BLOCK
-    both state arrays equal those of the same coordinates applied with K to
-    psi0 and with K^dag to phi0.
+    latter gives the left states.  Sign flips are exact: both state arrays
+    equal those of the same coordinates applied with K to psi0 and with
+    K^dag to phi0.
 
-    For each block of RK4_BLOCK steps the drive is evaluated once on the
-    grid at t, t + dt/2 and t + dt (as computed: the last t + dt may round
-    past t1, where both drives are defined), every step's coordinates of
-    M - I are built from those (n,) rows with alpha one complex scalar, and
-    a prefix scan of them (see ``_prefix_scan``) gives the coordinates of
-    M_j ... M_0 for every step j of the block, kept as one contiguous
-    (2, steps) array.
-    Applied to a block's first state v they give the block's states as
-    v + (x v + y K v), one (side, component) column at a time, with K v
-    formed once per block; its end states start the next block.  A scan
-    pass is six array operations into preallocated (2, n) buffers.  numpy's
-    complex multiply rounds through fused multiply-adds, so a b and b a can
-    differ in the last bit: every product keeps one operand order.  The
-    block size trades the log2(block) scan passes against the fixed cost of
-    a block's array operations, and it groups the scan, so it sets the bits.
-    On the benchmark's dynamics job (two pairs of 10,000-step runs;
-    ``bench/run.py --workload dynamics --seconds 10``, seeds 1-3, medians of
-    three alternating rounds, 2-CPU VM, numpy 2.4):
+    The drive is evaluated once, on the (3, steps) grid of t, t + dt/2 and
+    t + dt (as computed: the last t + dt may round past t1, where both
+    drives are defined), every step's coordinates of M - I are built from
+    those rows with alpha one complex scalar, and one prefix scan of them
+    (see ``_prefix_scan``) gives the coordinates of M_k ... M_0 for every
+    step k, as one contiguous (2, steps) array.  Applied to the start
+    states v they give every state as v + (x v + y K v), in one broadcast
+    pass over (side, step, component).  A scan pass is six array operations
+    into preallocated (2, steps) buffers.  numpy's complex multiply rounds
+    through fused multiply-adds, so a b and b a can differ in the last bit:
+    every product keeps one operand order.
 
-        ==========  =======  ===========
-        RK4_BLOCK   run_s    peak_rss_mb
-        ==========  =======  ===========
-        512         0.0323   38.92
-        1024        0.0285   38.93
-        2048        0.0260   38.93
-        4096        0.0245   39.03
-        ==========  =======  ===========
-
-    2048 is the largest block that does not raise the peak memory.  4096
-    runs 6% faster; it is not taken because another block size regroups
-    the scan and so changes the bits of every run over 2048 steps.
+    One scan over the whole grid holds every step's coordinates and the
+    scan's three buffers, and then a (2, steps, 2) product: O(steps) memory
+    beyond the returned states, where a scan restarted every 2048 steps
+    held O(2048).  On the benchmark's dynamics job (two pairs of 10,000-step
+    runs; ``bench/run.py --workload dynamics --seconds 10``, seeds 1-3, six
+    alternating pairs, 2-CPU VM, numpy 2.4) the median peak resident memory
+    is 39.12 MB against 39.04 MB for the restarted scan, and run_s 0.0250
+    against 0.0246, within its IQR of 0.0018.  For the +- pair of one C(t)
+    at 1e6 steps the tracemalloc peak is 240 MB against 176 MB, of which
+    the two results and the memo entry are 176 MB.  Up to 2048 steps the
+    bits are those of the restarted scan; above, the regrouped scan moved
+    the states by up to 3.2e-15 of their largest entry (2,049 to 100,000
+    steps).
 
     The eigenpairs of one C(t) evolve under the same H(t) on the same grid,
     so they share the scanned coordinates.  ``_rk4_prefixes`` memoizes the
     last propagator it built (``functools.lru_cache(maxsize=1)``), keyed by
-    value on p, t0, t1, steps and RK4_BLOCK.  A call equal in all five skips
-    the drive evaluation, the RK4 build and the scan, and applies the kept
-    array to its own initial states, with the bits of a cold call; on a span
-    from one signed zero to the other, dt = +-0 and a zero state entry can
-    take the other sign.  The argument checks run before the lookup, so a
-    repeated call still rejects bad input.  The kept entry holds 32 B per
-    step, half the returned state arrays, and stays alive while the next
-    miss builds its own.  On the dynamics job the +- eigenpairs repeat
-    their propagator, 20,000 of its 46,000 steps.
+    value on p, t0, t1 and steps.  A call equal in all four skips the drive
+    evaluation, the RK4 build and the scan, and applies the kept array to
+    its own initial states, with the bits of a cold call: t0 and t1 are
+    taken as float(t) + 0.0, so a zero of either sign is +0.0 before the
+    lookup.  The argument checks run before the lookup, so a repeated call
+    still rejects bad input.  The kept entry holds 32 B per step, half the
+    returned state arrays, and stays alive while the next miss builds its
+    own.  On the dynamics job the +- eigenpairs repeat their propagator,
+    20,000 of its 46,000 steps.
 
     RK4 is a fourth-order polynomial in dt A, not a product of exponentials,
     so it stays independent of the midpoint exponential product in
@@ -251,32 +243,25 @@ def tdse_integrate(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    t0, t1 = float(t0), float(t1)
+    # + 0.0 makes a zero +0.0, so a memo hit has the bits of a cold call
+    t0, t1 = float(t0) + 0.0, float(t1) + 0.0
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError(f"t0 and t1 must be finite, got {t0} and {t1}")
     psi0, phi0 = np.asarray(psi0, dtype=complex), np.asarray(phi0, dtype=complex)
     for name, v in (("psi0", psi0), ("phi0", phi0)):
         if v.shape != (2,) or not np.isfinite(v).all():
             raise ValueError(f"{name} must be a finite state of shape (2,)")
-    block = RK4_BLOCK
-    stacks = _rk4_prefixes(p, t0, t1, steps, block)
+    x, y = _rk4_prefixes(p, t0, t1, steps)
     grid = t0 + (t1 - t0) / steps * np.arange(steps + 1)
     # axis 0: psi under H, and sigma_z phi under H, which sigma_z maps to phi under H^dag
     states = np.empty((2, steps + 1, 2), dtype=complex)
-    states[0, 0] = psi0
-    states[1, 0] = phi0[0], -phi0[1]
-    ik = 1j * p.kappa
-    for start in range(0, steps, block):
-        stop = min(start + block, steps)
-        v = states[:, start]
-        # K v, with K = lam sigma_z + i kappa sigma_x
-        kv = np.stack((p.lam * v[:, 0] + ik * v[:, 1], ik * v[:, 0] - p.lam * v[:, 1]), axis=-1)
-        x, y = stacks[:, start:stop]
-        # v + (x v + y K v), one (side, component) column at a time
-        for side, comp in np.ndindex(2, 2):
-            out = np.multiply(x, v[side, comp], out=states[side, start + 1 : stop + 1, comp])
-            out += y * kv[side, comp]
-            out += v[side, comp]
+    v = states[:, 0]
+    v[0] = psi0
+    v[1] = phi0[0], -phi0[1]
+    # v + (x v + y K v), over axes (side, step, component)
+    rest = np.multiply(x[:, None], v[:, None], out=states[:, 1:])
+    rest += y[:, None] * _k_action(p, v)[:, None]
+    rest += v[:, None]
     np.negative(states[1, :, 1], out=states[1, :, 1])
     return EvolvedState(grid=grid, right_states=states[0], left_states=states[1])
 
@@ -433,12 +418,8 @@ def phase_alpha(
 
     # H v = -1/2 (omega v + tau K v) with K = lam sigma_z + i kappa sigma_x
     tau = p.drive.tau_array(grid)
-    ik = 1j * p.kappa
-    kv = np.empty_like(states)
-    kv[:, 0] = p.lam * states[:, 0] + ik * states[:, 1]
-    kv[:, 1] = ik * states[:, 0] - p.lam * states[:, 1]
     # i dv/dt - H v / hbar
-    ket = 1j * dstates + (0.5 / p.hbar) * (p.omega * states + tau[:, None] * kv)
+    ket = 1j * dstates + (0.5 / p.hbar) * (p.omega * states + tau[:, None] * _k_action(p, states))
     bras = states.conj()
     alpha_dot = _metric_form(bras, rhos, ket)
     bad = ~np.isfinite(alpha_dot)

@@ -67,6 +67,9 @@ _SQRT2 = math.sqrt(2.0)
 #: Steps whose drive samples are evaluated and summed as one array.
 PROPAGATION_BLOCK = 4096
 
+#: Half the span of the central differences in the derivative residuals.
+FD_STEP = 1e-5
+
 
 class InvariantForm(Enum):
     PT_SYMMETRIC = "pt-symmetric"
@@ -329,20 +332,19 @@ def lr_residual(
     invariant_at: Callable[[float], Rows],
     p: HamiltonianParams,
     t: float,
-    fd_step: float = 1e-5,
 ) -> float:
     """Central-difference defect of the invariant equation at time t.
 
-    || i*hbar (I(t+h) - I(t-h)) / 2h  -  [H(t), I(t)] ||
+    || i*hbar (I(t+h) - I(t-h)) / 2h  -  [H(t), I(t)] ||, with h = FD_STEP
 
     ``invariant_at`` returns the 2x2 matrix as its two rows of Python
     scalars, ((a00, a01), (a10, a11)): the ``ndarray.tolist()`` form, or
     the ``rows`` of a closed-form metric.  The defect is formed from them by
     ``linalg._derivative_defect``, with H's entries from the drive value.
     """
-    plus, minus = invariant_at(t + fd_step), invariant_at(t - fd_step)
+    plus, minus = invariant_at(t + FD_STEP), invariant_at(t - FD_STEP)
     h00, h01, h11 = _hamiltonian_entries(p, p.drive.tau(t))
     h = ((h00, h01), (h01, h11))
-    c = 1j * (0.5 * p.hbar / fd_step)
+    c = 1j * (0.5 * p.hbar / FD_STEP)
     return _norm4(*_derivative_defect(plus, minus, invariant_at(t), h, h, c))
 

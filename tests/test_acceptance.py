@@ -116,7 +116,7 @@ def test_criterion_04_lewis_riesenfeld_residual():
         def inv_at(t, form=form, p=p):
             return closed_form_invariant(form, p, t).tolist()
 
-        worst = max(lr_residual(inv_at, p, t, fd_step=1e-5) for t in np.linspace(0.0, 5.0, 50))
+        worst = max(lr_residual(inv_at, p, t) for t in np.linspace(0.0, 5.0, 50))
         assert worst <= 1e-8, (form, worst)
     print("ACCEPTANCE 4 PASS: conservation-law residual <= 1e-8 at 50 times for every closed form")
 

@@ -23,7 +23,7 @@ from quasic.errors import (
     NotPositiveDefiniteError,
     RegimeMismatchError,
 )
-from quasic.invariants import InvariantForm, _real_entries, closed_form_invariant, lr_residual
+from quasic.invariants import FD_STEP, InvariantForm, _real_entries, closed_form_invariant, lr_residual
 from quasic.linalg import (
     DEFAULT_TOL,
     IDENTITY,
@@ -142,7 +142,7 @@ class TestTdSuite:
 
         for t in (0.0, 1.1, 3.6, 5.0):
             assert involution_residual(COperator(matrix=c_at(t))) <= 1e-10
-            assert lr_residual(lambda s: c_at(s).tolist(), p, t, fd_step=1e-5) <= 1e-8
+            assert lr_residual(lambda s: c_at(s).tolist(), p, t) <= 1e-8
 
     def test_antilinear_commutation_is_a_time_reflection(self):
         # sigma_z conj(.) sigma_z negates the real off-diagonal part of the
@@ -156,7 +156,7 @@ class TestTdSuite:
         anchor = math.pi / 2
         assert involution_residual(COperator(matrix=c_at(anchor))) <= 1e-10
         assert pt_commutation_residual(c_at(anchor)) <= 1e-10
-        assert lr_residual(lambda s: c_at(s).tolist(), p, anchor, fd_step=1e-5) <= 1e-8
+        assert lr_residual(lambda s: c_at(s).tolist(), p, anchor) <= 1e-8
         away = pt_commutation_residual(c_at(1.1))
         x = float(np.real(c_at(1.1)[0, 1]))
         assert away == pytest.approx(2.0 * SQRT2 * abs(x), rel=1e-10)
@@ -167,13 +167,13 @@ class TestTdSuite:
         # C-operator commutes with H(t) for every tau
         p = FULL_SINE
         static_c = c_from_system(biortho_system(hamiltonian_at(STATIC_PT, 0.0)), (1, -1)).matrix
-        assert lr_residual(lambda t: static_c.tolist(), p, 1.0, fd_step=1e-5) <= 1e-8
+        assert lr_residual(lambda t: static_c.tolist(), p, 1.0) <= 1e-8
 
     def test_parity_operator_not_conserved_under_drive(self):
         p = FULL_SINE
         assert involution_residual(COperator(matrix=PAULI_Z)) <= 1e-10
         assert pt_commutation_residual(PAULI_Z) <= 1e-10
-        conservation = lr_residual(lambda t: PAULI_Z.tolist(), p, 1.0, fd_step=1e-5)
+        conservation = lr_residual(lambda t: PAULI_Z.tolist(), p, 1.0)
         assert conservation > 1e-8
         # residual equals ||tau(t) * sigma_y||
         expected = abs(math.sin(1.0)) * SQRT2
@@ -228,7 +228,7 @@ class TestQuasiHermiticity:
             return closed_form_metric(MetricForm.FULL_TD, p, t).rows
 
         for t in (0.0, 0.8, 2.9, 5.0):
-            assert quasi_hermiticity_residual(rho_at, p, t, fd_step=1e-5) < 1e-8
+            assert quasi_hermiticity_residual(rho_at, p, t) < 1e-8
 
     def test_static_relation(self):
         c = c_from_system(biortho_system(hamiltonian_at(STATIC_PT, 0.0)), (1, -1))
@@ -246,7 +246,7 @@ class TestQuasiHermiticity:
         assert resid > 0.1
 
 
-def numpy_residuals(matrix_at, p, t, fd_step=1e-5):
+def numpy_residuals(matrix_at, p, t):
     """The numpy matrix expressions the entry-wise kernel replaced, and the scale of their terms.
 
     Returns (lr, quasi, scale): the conservation defect of C = sigma_z rho,
@@ -258,8 +258,8 @@ def numpy_residuals(matrix_at, p, t, fd_step=1e-5):
         return PAULI_Z @ matrix_at(s)
 
     h = hamiltonian_at(p, t)
-    dc = (c_at(t + fd_step) - c_at(t - fd_step)) / (2.0 * fd_step)
-    drho = (matrix_at(t + fd_step) - matrix_at(t - fd_step)) / (2.0 * fd_step)
+    dc = (c_at(t + FD_STEP) - c_at(t - FD_STEP)) / (2.0 * FD_STEP)
+    drho = (matrix_at(t + FD_STEP) - matrix_at(t - FD_STEP)) / (2.0 * FD_STEP)
     c, rho = c_at(t), matrix_at(t)
     lr = frobenius_norm(1j * p.hbar * dc - (h @ c - c @ h))
     quasi = frobenius_norm(1j * p.hbar * drho - (adjoint(h) @ rho - rho @ h))
@@ -436,7 +436,7 @@ class TestClosedFormMetric:
             return PAULI_Z @ closed_form_metric(MetricForm.FULL_TD, p, t).matrix
 
         for t in (0.0, 1.0, 2.9):
-            assert lr_residual(lambda s: c_at(s).tolist(), p, t, fd_step=1e-5) < 1e-8
+            assert lr_residual(lambda s: c_at(s).tolist(), p, t) < 1e-8
             m = c_at(t)
             assert frobenius_norm(m @ m - IDENTITY) < 1e-12
 

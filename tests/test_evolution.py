@@ -21,7 +21,7 @@ from quasic.evolution import (
     tdse_integrate,
 )
 from quasic.invariants import InvariantForm, closed_form_invariant
-from quasic.linalg import IDENTITY, _expm1_pauli, _mat2_stack, frobenius_norm, mat_exp
+from quasic.linalg import IDENTITY, PAULI_X, PAULI_Z, _expm1_pauli, _mat2_stack, frobenius_norm, mat_exp
 from quasic.model import (
     ConstantDrive,
     HamiltonianParams,
@@ -256,27 +256,34 @@ def test_non_finite_time_is_off_grid(t):
 
 
 def rk4_per_step(p, psi0, phi0, t0, t1, steps):
-    """The per-step RK4 loop that the prefix scan replaced, kept as its oracle."""
+    """The per-step RK4 loop that the prefix scan replaced, kept as its oracle.
+
+    The textbook stage recursion, one step at a time on Python complex
+    scalars, with H's entries at each stage time from the drive's scalar
+    tau.  H is symmetric (h10 = h01), so H^dag, which the left states
+    evolve under, is H with every entry conjugated.
+    """
     dt = (t1 - t0) / steps
     grid = t0 + dt * np.arange(steps + 1)
-    rights = np.empty((steps + 1, 2), dtype=complex)
-    lefts = np.empty((steps + 1, 2), dtype=complex)
-    rights[0] = np.asarray(psi0, dtype=complex)
-    lefts[0] = np.asarray(phi0, dtype=complex)
-    coeff = -1j / p.hbar
-    for k in range(steps):
-        t = grid[k]
-        ha = hamiltonian_at(p, t)
-        hm = hamiltonian_at(p, t + 0.5 * dt)
-        hb = hamiltonian_at(p, t + dt)
-        for states, hs in ((rights, (ha, hm, hb)), (lefts, (ha.conj().T, hm.conj().T, hb.conj().T))):
-            v = states[k]
-            k1 = coeff * (hs[0] @ v)
-            k2 = coeff * (hs[1] @ (v + 0.5 * dt * k1))
-            k3 = coeff * (hs[1] @ (v + 0.5 * dt * k2))
-            k4 = coeff * (hs[2] @ (v + dt * k3))
-            states[k + 1] = v + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return grid, rights, lefts
+    c, half, sixth = -1j / p.hbar, 0.5 * dt, dt / 6.0
+
+    def step(v0, v1, ha, hm, hb):
+        (a00, a01, a11), (m00, m01, m11), (b00, b01, b11) = ha, hm, hb
+        k10, k11 = c * (a00 * v0 + a01 * v1), c * (a01 * v0 + a11 * v1)
+        u0, u1 = v0 + half * k10, v1 + half * k11
+        k20, k21 = c * (m00 * u0 + m01 * u1), c * (m01 * u0 + m11 * u1)
+        u0, u1 = v0 + half * k20, v1 + half * k21
+        k30, k31 = c * (m00 * u0 + m01 * u1), c * (m01 * u0 + m11 * u1)
+        u0, u1 = v0 + dt * k30, v1 + dt * k31
+        k40, k41 = c * (b00 * u0 + b01 * u1), c * (b01 * u0 + b11 * u1)
+        return v0 + sixth * (k10 + 2.0 * k20 + 2.0 * k30 + k40), v1 + sixth * (k11 + 2.0 * k21 + 2.0 * k31 + k41)
+
+    rights, lefts = [np.asarray(psi0, dtype=complex).tolist()], [np.asarray(phi0, dtype=complex).tolist()]
+    for t in grid[:-1].tolist():
+        hs = [_hamiltonian_entries(p, p.drive.tau(s)) for s in (t, t + half, t + dt)]
+        rights.append(step(*rights[-1], *hs))
+        lefts.append(step(*lefts[-1], *[[e.conjugate() for e in h] for h in hs]))
+    return grid, np.array(rights), np.array(lefts)
 
 
 def relative_error(a, b):
@@ -298,6 +305,8 @@ EDGE_PAIRS = {
     "negative-kappa": (0.8, -1.7),
 }
 SPANS = {"forward": (0.0, 1.5), "backward": (1.5, 0.0)}
+# around the scan's powers of two, where the number of its doubling passes changes
+STEP_COUNTS = (1, 2, 3, 15, 16, 17, 65, 2047, 2048, 2049, 8193)
 
 
 def driven(omega, pair, drive, **kwargs):
@@ -320,7 +329,7 @@ def assert_matches_per_step(p, t0, t1, steps):
 
 
 class TestPrefixScanRK4:
-    """The block prefix scan is the per-step RK4 recursion, up to roundoff."""
+    """The prefix scan is the per-step RK4 recursion, up to roundoff."""
 
     # factors I + x I + y K with random coordinates and K^2 = q I, multiplied
     # out as 2x2 matrices in time order; q = 0 makes K nilpotent
@@ -346,32 +355,20 @@ class TestPrefixScanRK4:
     @pytest.mark.parametrize("span", SPANS)
     @pytest.mark.parametrize("pair", PAIRS)
     @pytest.mark.parametrize("drive", DRIVES)
-    def test_block_boundaries(self, drive, pair, span, monkeypatch):
-        # a small block puts every boundary case within a cheap oracle run
-        block = 16
-        monkeypatch.setattr(evolution, "RK4_BLOCK", block)
+    def test_step_counts(self, drive, pair, span):
         p = driven(0.7, PAIRS[pair], drive, hbar=1.3)
-        for steps in (1, 2, block - 1, block, block + 1, 4 * block + 1):
+        for steps in STEP_COUNTS:
             assert_matches_per_step(p, *SPANS[span], steps)
 
     # q = (lam - kappa)(lam + kappa) = 0 makes K nilpotent; next to it q is
     # ~1e-9 of lam^2; the signs of lam and kappa enter K, not q
     @pytest.mark.parametrize("pair", EDGE_PAIRS)
     @pytest.mark.parametrize("drive", DRIVES)
-    def test_edge_pairs(self, drive, pair, monkeypatch):
-        block = 16
-        monkeypatch.setattr(evolution, "RK4_BLOCK", block)
+    def test_edge_pairs(self, drive, pair):
         p = driven(0.7, EDGE_PAIRS[pair], drive, hbar=1.3)
         for span in SPANS.values():
-            for steps in (1, block + 1, 4 * block + 1):
+            for steps in STEP_COUNTS:
                 assert_matches_per_step(p, *span, steps)
-
-    @pytest.mark.parametrize("span", SPANS)
-    def test_production_block(self, span):
-        p = driven(0.7, PAIRS["broken"], "sine")
-        block = evolution.RK4_BLOCK
-        for steps in (block - 1, block, block + 1, 4 * block + 1):
-            assert_matches_per_step(p, *SPANS[span], steps)
 
     def test_steps_below_one_rejected(self):
         e1 = np.array([1.0, 0.0], dtype=complex)
@@ -379,8 +376,19 @@ class TestPrefixScanRK4:
             tdse_integrate(STATIC, e1, e1, 0.0, 1.0, 0)
 
 
-def reference_two_sided_tdse(p, psi0, phi0, t0, t1, steps, block):
-    """The two-sided block scan that the parity shortcut replaced, kept as its oracle.
+@pytest.mark.parametrize("lam, kappa", [(2.0, 1.0), (-0.8, 1.7), (1.1, 1.1), (0.0, -0.6)])
+def test_k_action_is_the_matrix_product(lam, kappa):
+    # over a (side, step, component) stack of states, as the RK4 propagation applies it
+    p = HamiltonianParams(0.7, lam, kappa)
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal((2, 5, 2)) + 1j * rng.standard_normal((2, 5, 2))
+    k = p.lam * PAULI_Z + 1j * p.kappa * PAULI_X
+    want = np.einsum("ij,...j->...i", k, v)
+    assert np.abs(evolution._k_action(p, v) - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
+
+
+def reference_two_sided_tdse(p, psi0, phi0, t0, t1, steps):
+    """The two-sided scan that the parity shortcut replaced, kept as its oracle.
 
     Right states evolve under A = alpha I + beta K and left states under
     A_L = -i H^dag / hbar = alpha I + beta K^dag.  K^dag^2 = K^2 = q I, so each
@@ -397,26 +405,25 @@ def reference_two_sided_tdse(p, psi0, phi0, t0, t1, steps, block):
     sides = []
     # K^dag = lam sigma_z - i kappa sigma_x; -i H^dag / hbar = coeff (omega I + tau K^dag)
     for v0, kappa in ((psi0, p.kappa), (phi0, -p.kappa)):
-        states = np.empty((steps + 1, 2), dtype=complex)
-        states[0] = np.asarray(v0, dtype=complex)
-        for start in range(0, steps, block):
-            stop = min(start + block, steps)
-            b_a, b_m, b_b = coeff * p.drive.tau_array(grid[start:stop] + stage_times)
-            x1, y1 = alpha, b_a
-            x2 = alpha + 0.5 * dt * (alpha * x1 + q * (b_m * y1))
-            y2 = b_m + 0.5 * dt * (alpha * y1 + b_m * x1)
-            x3 = alpha + 0.5 * dt * (alpha * x2 + q * (b_m * y2))
-            y3 = b_m + 0.5 * dt * (alpha * y2 + b_m * x2)
-            x4 = alpha + dt * (alpha * x3 + q * (b_b * y3))
-            y4 = b_b + dt * (alpha * y3 + b_b * x3)
-            x, y = evolution._prefix_scan(
-                np.stack((dt / 6.0 * (x1 + 2.0 * x2 + 2.0 * x3 + x4), dt / 6.0 * (y1 + 2.0 * y2 + 2.0 * y3 + y4))), q
-            )
-            v = states[start]
-            kv = np.array([p.lam * v[0] + 1j * kappa * v[1], 1j * kappa * v[0] - p.lam * v[1]])
-            states[start + 1 : stop + 1] = v + (x[:, None] * v + y[:, None] * kv)
-        sides.append(states)
+        b_a, b_m, b_b = coeff * p.drive.tau_array(grid[:-1] + stage_times)
+        x1, y1 = alpha, b_a
+        x2 = alpha + 0.5 * dt * (alpha * x1 + q * (b_m * y1))
+        y2 = b_m + 0.5 * dt * (alpha * y1 + b_m * x1)
+        x3 = alpha + 0.5 * dt * (alpha * x2 + q * (b_m * y2))
+        y3 = b_m + 0.5 * dt * (alpha * y2 + b_m * x2)
+        x4 = alpha + dt * (alpha * x3 + q * (b_b * y3))
+        y4 = b_b + dt * (alpha * y3 + b_b * x3)
+        x, y = evolution._prefix_scan(
+            np.stack((dt / 6.0 * (x1 + 2.0 * x2 + 2.0 * x3 + x4), dt / 6.0 * (y1 + 2.0 * y2 + 2.0 * y3 + y4))), q
+        )
+        v = np.asarray(v0, dtype=complex)
+        kv = np.array([p.lam * v[0] + 1j * kappa * v[1], 1j * kappa * v[0] - p.lam * v[1]])
+        sides.append(np.concatenate([v[None], v + (x[:, None] * v + y[:, None] * kv)]))
     return grid, sides[0], sides[1]
+
+
+# STEP_COUNTS in two groups: up to 65 steps, and from 2047 on
+SHORT_AND_LONG = (STEP_COUNTS[:7], STEP_COUNTS[7:])
 
 
 class TestParityShortcut:
@@ -426,15 +433,14 @@ class TestParityShortcut:
     @pytest.mark.parametrize("span", SPANS)
     @pytest.mark.parametrize("pair", PAIRS)
     @pytest.mark.parametrize("drive", DRIVES)
-    @pytest.mark.parametrize("block", [16, evolution.RK4_BLOCK])
-    def test_same_bits_as_two_sided_scan(self, block, drive, pair, span, hbar, monkeypatch):
-        monkeypatch.setattr(evolution, "RK4_BLOCK", block)
+    @pytest.mark.parametrize("counts", SHORT_AND_LONG, ids=["short", "long"])
+    def test_same_bits_as_two_sided_scan(self, counts, drive, pair, span, hbar):
         p = driven(0.7, PAIRS[pair], drive, hbar=hbar)
         psi0 = np.array([0.6 + 0.2j, -0.3 + 0.7j])
         phi0 = np.array([0.4 - 0.5j, 0.9 + 0.1j])
-        for steps in (1, 2, block - 1, block, block + 1, 4 * block + 1):
+        for steps in counts:
             ev = tdse_integrate(p, psi0, phi0, *SPANS[span], steps)
-            grid, rights, lefts = reference_two_sided_tdse(p, psi0, phi0, *SPANS[span], steps, block)
+            grid, rights, lefts = reference_two_sided_tdse(p, psi0, phi0, *SPANS[span], steps)
             assert np.array_equal(ev.grid, grid)
             assert np.array_equal(ev.right_states, rights)
             assert np.array_equal(ev.left_states, lefts)
@@ -470,6 +476,7 @@ def assert_same_bits(ev, ref):
 
 PSI_A, PHI_A = np.array([0.6 + 0.2j, -0.3 + 0.7j]), np.array([0.4 - 0.5j, 0.9 + 0.1j])
 PSI_B, PHI_B = np.array([-0.1 + 0.8j, 0.5 - 0.2j]), np.array([0.7 + 0.3j, -0.2 - 0.6j])
+UNIT_0, UNIT_1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
 
 
 def zero_twins(field, sign):
@@ -478,11 +485,15 @@ def zero_twins(field, sign):
     ``field`` is zero in both, with the sign ``sign`` in the first call and
     the other sign in the second; "equal-p" changes nothing but the objects.
     """
-    # a zero t1 ends a backward span; "all" makes the span (0, 0) too
+    # a zero t1 ends a backward span; "all" makes the span (0, 0) too; "span"
+    # runs from one signed zero to the other, (0, -0) against (-0, 0), under
+    # omega = -0.0, where the signs of zero state entries follow the sign of dt
     values = {"omega": 0.7, "lam": 1.3, "kappa": 0.9, "t_ref": 0.4, "t0": 1.5 if field == "t1" else 0.0, "t1": 1.5}
     calls = []
     for zero in (sign * 0.0, -sign * 0.0):
         v = {**values, **{name: zero for name in values if field in (name, "all")}}
+        if field == "span":
+            v.update(omega=-0.0, t0=zero, t1=-zero)
         for shape in (ConstantDrive(t_ref=v["t_ref"]), SineDrive(frequency=2.0, t_ref=v["t_ref"])):
             p = HamiltonianParams(v["omega"], v["lam"], v["kappa"], hbar=1.3, drive=shape)
             calls.append((p, v["t0"], v["t1"]))
@@ -496,11 +507,10 @@ class TestPropagatorCache:
     @pytest.mark.parametrize("span", SPANS)
     @pytest.mark.parametrize("pair", PAIRS)
     @pytest.mark.parametrize("drive", DRIVES)
-    @pytest.mark.parametrize("block", [16, evolution.RK4_BLOCK])
-    def test_hit_has_cold_bits(self, block, drive, pair, span, hbar, monkeypatch):
-        monkeypatch.setattr(evolution, "RK4_BLOCK", block)
+    @pytest.mark.parametrize("counts", SHORT_AND_LONG, ids=["short", "long"])
+    def test_hit_has_cold_bits(self, counts, drive, pair, span, hbar):
         p = driven(0.7, PAIRS[pair], drive, hbar=hbar)
-        for steps in (1, block + 1, 4 * block + 1):
+        for steps in counts:
             tdse_integrate(p, PSI_A, PHI_A, *SPANS[span], steps)
             hits, misses = lookups()
             hit = tdse_integrate(p, PSI_B, PHI_B, *SPANS[span], steps)
@@ -521,31 +531,31 @@ class TestPropagatorCache:
         assert_same_bits(hit, cold_tdse(DRIVEN, PSI_B, PHI_B, 0.0, 1.5, 100))
 
     # the key is the value: an equal parameter set built anew, and twins whose
-    # zeros have the other sign, hit, and the hit has the bits of a cold call
+    # zeros have the other sign, hit, and the hit has the bits of a cold call,
+    # also for unit states, whose zero entries keep the sign of their products
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus-first", "minus-first"])
-    @pytest.mark.parametrize("field", ["equal-p", "omega", "lam", "kappa", "t_ref", "t0", "t1", "all"])
+    @pytest.mark.parametrize("field", ["equal-p", "omega", "lam", "kappa", "t_ref", "t0", "t1", "all", "span"])
     def test_equal_key_hits(self, field, sign):
         for first, second in zip(*zero_twins(field, sign)):
             p, t0, t1 = second
             if field == "equal-p":
                 assert first == second and first[0] is not p
             for steps in (1, 7, 3000):
-                evolution._rk4_prefixes.cache_clear()
-                tdse_integrate(first[0], PSI_A, PHI_A, *first[1:], steps)
-                hit = tdse_integrate(p, PSI_B, PHI_B, t0, t1, steps)
-                assert lookups() == (1, 1)
-                assert_same_bits(hit, cold_tdse(p, PSI_B, PHI_B, t0, t1, steps))
+                for psi0, phi0 in ((PSI_B, PHI_B), (UNIT_0, UNIT_0), (UNIT_0, UNIT_1), (UNIT_1, UNIT_0)):
+                    evolution._rk4_prefixes.cache_clear()
+                    tdse_integrate(first[0], PSI_A, PHI_A, *first[1:], steps)
+                    hit = tdse_integrate(p, psi0, phi0, t0, t1, steps)
+                    assert lookups() == (1, 1)
+                    assert_same_bits(hit, cold_tdse(p, psi0, phi0, t0, t1, steps))
 
-    @pytest.mark.parametrize("change", ["hbar", "t0", "t1", "steps", "block"])
-    def test_changed_key_misses(self, change, monkeypatch):
+    @pytest.mark.parametrize("change", ["hbar", "t0", "t1", "steps"])
+    def test_changed_key_misses(self, change):
         p = driven(0.7, (0.8, 1.7), "sine", hbar=1.3)
         first = (0.0, 1.5, 65)
         second = {"t0": (0.25, 1.5, 65), "t1": (0.0, 1.25, 65), "steps": (0.0, 1.5, 64)}.get(change, first)
         tdse_integrate(p, PSI_A, PHI_A, *first)
         if change == "hbar":
             p = HamiltonianParams(p.omega, p.lam, p.kappa, hbar=1.25, drive=p.drive)
-        if change == "block":
-            monkeypatch.setattr(evolution, "RK4_BLOCK", 16)
         miss = tdse_integrate(p, PSI_B, PHI_B, *second)
         assert lookups() == (0, 2)
         assert_same_bits(miss, cold_tdse(p, PSI_B, PHI_B, *second))
@@ -567,14 +577,14 @@ class TestPropagatorCache:
         assert_same_bits(again, cold_tdse(DRIVEN, PSI_A, PHI_A, 0.0, 1.5, 40))
 
     def test_cached_stacks_are_read_only(self):
-        stacks = evolution._rk4_prefixes(DRIVEN, 0.0, 1.5, 40, evolution.RK4_BLOCK)
+        stacks = evolution._rk4_prefixes(DRIVEN, 0.0, 1.5, 40)
         with pytest.raises(ValueError, match="read-only"):
             stacks[0, 0] = 0.0
 
     def test_one_entry_retained(self):
         first = HamiltonianParams(1.0, 2.5, 1.0, drive=SineDrive())
         released = weakref.ref(first)
-        stacks = evolution._rk4_prefixes(first, 0.0, 1.5, 300, evolution.RK4_BLOCK)
+        stacks = evolution._rk4_prefixes(first, 0.0, 1.5, 300)
         # two contiguous rows of complex coordinates, 32 B per step
         assert stacks.shape == (2, 300) and stacks.nbytes == 32 * 300 and stacks.flags.c_contiguous
         del first, stacks
@@ -672,7 +682,7 @@ def test_non_finite_times_rejected(drive, span, monkeypatch):
         tdse_integrate(p, PSI_A, PHI_A, t0, t1, 10)
     assert evolution._rk4_prefixes.cache_info() == before
     # and a lookup that always hits changes nothing
-    stacks = evolution._rk4_prefixes(p, 0.0, 1.0, 10, evolution.RK4_BLOCK)
+    stacks = evolution._rk4_prefixes(p, 0.0, 1.0, 10)
     monkeypatch.setattr(evolution, "_rk4_prefixes", lambda *args: stacks)
     with pytest.raises(ValueError, match="t0 and t1 must be finite"):
         tdse_integrate(p, PSI_A, PHI_A, t0, t1, 10)

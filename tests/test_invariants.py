@@ -17,7 +17,7 @@ from quasic.invariants import (
     lr_residual,
     time_ordered_propagate,
 )
-from quasic import model
+from quasic import invariants, model
 from quasic.biortho import biortho_system
 from quasic.coperator import c_from_system, closed_form_metric, metric_from_c
 from quasic.invariants import _real_entries
@@ -521,7 +521,7 @@ class TestLrResidual:
             return closed_form_invariant(form, p, t)
 
         for t in np.linspace(0.0, 5.0, 11):
-            assert lr_residual(lambda s: inv_at(s).tolist(), p, t, fd_step=1e-5) < 1e-8
+            assert lr_residual(lambda s: inv_at(s).tolist(), p, t) < 1e-8
 
     def test_commuting_case_is_exact(self):
         p = HamiltonianParams(1.0, 0.0, 0.0)
@@ -538,14 +538,16 @@ class TestLrResidual:
 
         assert lr_residual(corrupted, p, 1.0) > 0.01
 
-    def test_step_halving_reduces_residual_quadratically(self):
+    def test_step_halving_reduces_residual_quadratically(self, monkeypatch):
         p = PT_PARAMS
 
         def inv_at(t):
             return closed_form_invariant(InvariantForm.PT_SYMMETRIC, p, t).tolist()
 
-        coarse = lr_residual(inv_at, p, 1.3, fd_step=2e-3)
-        fine = lr_residual(inv_at, p, 1.3, fd_step=1e-3)
+        monkeypatch.setattr(invariants, "FD_STEP", 2e-3)
+        coarse = lr_residual(inv_at, p, 1.3)
+        monkeypatch.setattr(invariants, "FD_STEP", 1e-3)
+        fine = lr_residual(inv_at, p, 1.3)
         assert 3.0 < coarse / fine < 5.0
 
 
