@@ -118,6 +118,18 @@ def _fd_tol(cfg: argparse.Namespace) -> float:
     return max(1e-8, cfg.tol)
 
 
+def _positivity_defect(rho: np.ndarray, hi, lo):
+    """-lo, or |hi + lo - tr rho| where that is larger, for the eigenvalues (hi, lo) of each metric rho.
+
+    hi + lo is twice the computed half trace, so it matches tr rho to a few
+    ulp of the eigenvalues; a defect within the positivity check's roundoff
+    bound says that lo is positive and that the pair sums to the trace.
+    np.maximum propagates NaN.
+    """
+    trace = rho[..., 0, 0].real + rho[..., 1, 1].real
+    return np.maximum(-lo, np.abs(hi + lo - trace))
+
+
 def _params(cfg: argparse.Namespace, lam: float, kappa: float) -> HamiltonianParams:
     """A time-dependent pair's H: metric-picture's constant drive, or full-td's --drive."""
     drive = ConstantDrive()
@@ -200,7 +212,8 @@ def _run_static_pair(cfg: argparse.Namespace, lam: float, kappa: float, report, 
     if herm <= cfg.tol:
         metric = metric_from_c(c, tol=cfg.tol)
         eig_hi, eig_lo = hermitian_eigenvalues_2x2(metric.matrix, tol=1e-8)
-        add("metric_positive_definite", -eig_lo, 64.0 * _EPS64 * max(1.0, abs(eig_hi)), scaled=True)
+        positivity = float(_positivity_defect(metric.matrix, eig_hi, eig_lo))
+        add("metric_positive_definite", positivity, 64.0 * _EPS64 * max(1.0, abs(eig_hi)), scaled=True)
         if eig_lo > 0:
             eta = psd_sqrt(metric.matrix)
             hmapped = eta @ h @ np.linalg.inv(eta)
@@ -256,7 +269,8 @@ def _run_td_pair(cfg: argparse.Namespace, lam: float, kappa: float, report, swee
         # The scale squares no entry, so it stays finite past ~1.3e154 and a
         # finite residual does not read 0 there.
         scale = _max1(hypot_norm_stack(rho))
-        folds = np.stack((lr / scale, quasi / scale, c_sq / (scale * scale), np.abs(det_rho - 1.0), -eig_lo, eig_hi))
+        positivity = _positivity_defect(rho, eig_hi, eig_lo)
+        folds = np.stack((lr / scale, quasi / scale, c_sq / (scale * scale), np.abs(det_rho - 1.0), positivity, eig_hi))
     # np.maximum and np.max propagate NaN, and np.argmax stops at the first
     # NaN, so a non-finite sample cannot vanish from a check or its location
     max_lr, max_quasi, max_csq, max_det_dev, max_neg, max_hi = np.maximum(

@@ -204,25 +204,20 @@ def tdse_integrate(
     those rows with alpha one complex scalar, and one prefix scan of them
     (see ``_prefix_scan``) gives the coordinates of M_k ... M_0 for every
     step k, as one contiguous (2, steps) array.  Applied to the start
-    states v they give every state as v + (x v + y K v), in one broadcast
-    pass over (side, step, component).  A scan pass is six array operations
+    states v they give every state as v + (x v + y K v): x v in one
+    broadcast pass over (side, step, component), and y K v one side at a
+    time, into one (steps, 2) buffer.  A scan pass is six array operations
     into preallocated (2, steps) buffers.  numpy's complex multiply rounds
     through fused multiply-adds, so a b and b a can differ in the last bit:
     every product keeps one operand order.
 
-    One scan over the whole grid holds every step's coordinates and the
-    scan's three buffers, and then a (2, steps, 2) product: O(steps) memory
-    beyond the returned states, where a scan restarted every 2048 steps
-    held O(2048).  On the benchmark's dynamics job (two pairs of 10,000-step
-    runs; ``bench/run.py --workload dynamics --seconds 10``, seeds 1-3, six
-    alternating pairs, 2-CPU VM, numpy 2.4) the median peak resident memory
-    is 39.12 MB against 39.04 MB for the restarted scan, and run_s 0.0250
-    against 0.0246, within its IQR of 0.0018.  For the +- pair of one C(t)
-    at 1e6 steps the tracemalloc peak is 240 MB against 176 MB, of which
-    the two results and the memo entry are 176 MB.  Up to 2048 steps the
-    bits are those of the restarted scan; above, the regrouped scan moved
-    the states by up to 3.2e-15 of their largest entry (2,049 to 100,000
-    steps).
+    Memory: a cold call peaks at ~208 B per step while it builds the
+    coordinates (the drive rows and RK4 stages, then the scan's buffers).
+    Applying them holds, beyond the returned grid and states (72 B per
+    step) and the memo entry (32 B per step), the one buffer (32 B per
+    step).  For the +- pair of one C(t) at 1e5 steps, the tracemalloc peak
+    of the second call is 21.1 MB: 17.6 MB of the two results and the memo
+    entry, 3.2 MB of buffer and ~0.3 MB of numpy's own.
 
     The eigenpairs of one C(t) evolve under the same H(t) on the same grid,
     so they share the scanned coordinates.  ``_rk4_prefixes`` memoizes the
@@ -258,9 +253,11 @@ def tdse_integrate(
     v = states[:, 0]
     v[0] = psi0
     v[1] = phi0[0], -phi0[1]
-    # v + (x v + y K v), over axes (side, step, component)
+    # v + (x v + y K v), over axes (side, step, component); y K v one side at a time, into one buffer
     rest = np.multiply(x[:, None], v[:, None], out=states[:, 1:])
-    rest += y[:, None] * _k_action(p, v)[:, None]
+    buffer = np.empty((steps, 2), dtype=complex)
+    for side, kv in zip(rest, _k_action(p, v)):
+        side += np.multiply(y[:, None], kv, out=buffer)
     rest += v[:, None]
     np.negative(states[1, :, 1], out=states[1, :, 1])
     return EvolvedState(grid=grid, right_states=states[0], left_states=states[1])
@@ -388,8 +385,8 @@ def phase_alpha(
     alpha_dot(t) = <v| rho (i d/dt - H/hbar) |v> / <v| rho |v> is evaluated
     on the aligned trace, whose states the alignment has scaled to metric
     norm <v| rho |v> = 1, so alpha_dot is the numerator alone.  It is
-    evaluated with second-order finite differences and integrated by the
-    trapezoid rule, with alpha(t0) = 0.  The imaginary part of
+    evaluated with second-order finite differences (``np.gradient``, one-sided
+    at the two ends) and integrated by the trapezoid rule, with alpha(t0) = 0.  The imaginary part of
     alpha_dot must stay negligible (it is reported); alpha itself is real.
     ``state_at`` and ``rho_at`` follow aligned_eigenstate_trace's contract:
     each is called once, with the grid np.linspace(t0, t1, steps + 1), and
@@ -410,11 +407,7 @@ def phase_alpha(
     grid = np.linspace(t0, t1, steps + 1)
     states, rhos = _aligned_trace(state_at, rho_at, grid)
     dt = grid[1] - grid[0]
-
-    dstates = np.empty_like(states)
-    dstates[1:-1] = (states[2:] - states[:-2]) / (2.0 * dt)
-    dstates[0] = (-3.0 * states[0] + 4.0 * states[1] - states[2]) / (2.0 * dt)
-    dstates[-1] = (3.0 * states[-1] - 4.0 * states[-2] + states[-3]) / (2.0 * dt)
+    dstates = np.gradient(states, dt, axis=0, edge_order=2)
 
     # H v = -1/2 (omega v + tau K v) with K = lam sigma_z + i kappa sigma_x
     tau = p.drive.tau_array(grid)

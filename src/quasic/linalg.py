@@ -140,10 +140,8 @@ def _derivative_defect(plus, minus, mid, left, right, c) -> tuple:
 
 
 def frobenius_norm(a: np.ndarray) -> float:
-    a = np.asarray(a)
-    if a.shape != (2, 2):
-        return float(np.linalg.norm(a))
-    (a00, a01), (a10, a11) = a.tolist()
+    """Frobenius norm of a 2x2 matrix, with the bits of np.linalg.norm (see ``_norm4``)."""
+    (a00, a01), (a10, a11) = np.asarray(a).tolist()
     return _norm4(a00, a01, a10, a11)
 
 

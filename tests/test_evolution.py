@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import warnings
 import weakref
 
@@ -597,6 +598,25 @@ class TestPropagatorCache:
         tdse_integrate(DRIVEN, PSI_B, PHI_B, 0.0, 1.5, 40)
         assert lookups() == (1, 2)
 
+    def test_hit_peak_is_the_results_the_memo_and_one_buffer(self):
+        # the +- pair of one C(t): y K v is formed one side at a time in one (steps, 2) buffer,
+        # where a (2, steps, 2) temporary held twice that
+        steps = 100_000
+        tracemalloc.start()
+        try:
+            first = tdse_integrate(DRIVEN, PSI_A, PHI_A, 0.0, 1.5, steps)
+            tracemalloc.reset_peak()
+            second = tdse_integrate(DRIVEN, PSI_B, PHI_B, 0.0, 1.5, steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lookups() == (1, 1)
+        results = sum(a.nbytes for ev in (first, second) for a in (ev.grid, ev.right_states, ev.left_states))
+        memo = evolution._rk4_prefixes(DRIVEN, 0.0, 1.5, steps).nbytes
+        buffer = 32 * steps
+        # numpy's own small allocations stay far below one buffer
+        assert peak <= results + memo + buffer + 2**20
+
 
 def index_of_by_argmin(ev, t):
     """The whole-grid argmin lookup that the arithmetic one replaced, kept as its oracle."""
@@ -894,9 +914,12 @@ class TestPhaseArrayPass:
         first = np.linspace(0.0, 1.0, 41)[31]
         with pytest.raises(ArithmeticError, match=f"alpha_dot is not finite at t={first}$"):
             phase_alpha(lambda t: e1, p, lambda t: IDENTITY.copy(), 0.0, 1.0, 40)
-        # the finite part of the same drive passes
+        # the finite part of the same drive passes; the imaginary residue of the
+        # constant state is np.gradient's one-sided derivative at the ends, whose
+        # coefficients -1.5/dt, 2/dt and -0.5/dt cancel only to rounding
         trace = phase_alpha(lambda t: e1, p, lambda t: IDENTITY.copy(), 0.0, 0.75, 40)
-        assert np.isfinite(trace.alpha).all() and trace.imag_residue == 0.0
+        dt = trace.grid[1] - trace.grid[0]
+        assert np.isfinite(trace.alpha).all() and trace.imag_residue <= 4.0 * np.finfo(float).eps / dt
 
     def test_non_positive_metric_norm_rejected(self):
         e1 = np.array([1.0, 0.0], dtype=complex)

@@ -250,9 +250,11 @@ class TestScalarKernels:
             for m in (a.T, adjoint(a), np.asfortranarray(a)):
                 assert frobenius_norm(m) == frobenius_norm(np.ascontiguousarray(m))
 
-    def test_frobenius_norm_other_shapes_use_numpy(self):
-        for m in (np.arange(3.0), RNG.standard_normal((3, 3)), RNG.standard_normal((2, 2, 2))):
-            assert frobenius_norm(m) == float(np.linalg.norm(m))
+    def test_frobenius_norm_refuses_other_shapes(self):
+        # a 2x2 kernel: a vector or a 3x3 matrix does not unpack into its two rows
+        for m in (np.arange(3.0), RNG.standard_normal((3, 3))):
+            with pytest.raises(ValueError):
+                frobenius_norm(m)
 
     def test_frobenius_norm_non_finite(self):
         assert frobenius_norm(np.array([[np.inf, 0], [0, 1]], dtype=complex)) == np.inf
