@@ -157,10 +157,14 @@ def _sign_class(sq: np.ndarray, tol: float) -> np.ndarray:
     return np.where(w > tol, 0, np.where(w < -tol, 2, 1))
 
 
-def completeness_residual(sys: BiorthoSystem) -> float:
-    """Norm of sum_n |right_n><left_n| - identity."""
+def _projector_sum(sys: BiorthoSystem, signature: tuple[int, int]) -> np.ndarray:
+    """sum_n s_n |right_n><left_n| over the pairs of a single-matrix system, with s_n from ``signature``."""
     acc = np.zeros((2, 2), dtype=complex)
-    for pair in sys.pairs:
-        acc += np.outer(pair.right, np.conj(pair.left))
-    return frobenius_norm(acc - IDENTITY)
+    for s, pair in zip(signature, sys.pairs):
+        acc += s * np.outer(pair.right, np.conj(pair.left))
+    return acc
 
+
+def completeness_residual(sys: BiorthoSystem) -> float:
+    """Norm of sum_n |right_n><left_n| - identity: the projector sum of signature (+1, +1), less I."""
+    return frobenius_norm(_projector_sum(sys, (1, 1)) - IDENTITY)

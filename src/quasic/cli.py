@@ -6,31 +6,33 @@ Three scenarios: ``static`` (time-independent C-operator and metric),
 reads: ``static`` has no time and no drive options and ``metric-picture``
 only ``--drive const``, since both take the constant drive tau = 1.
 ``full-td``'s drive options set only the drive's shape: a drive scaled by
-a is the pair (a lambda, a kappa).  Each run writes a CSV time series per
-(lambda, kappa) pair and a JSON-lines verification report, prints one
-PASS/FAIL/INCONCLUSIVE line per check,
-and exits 0 when every check passes, 1 when any fails or is inconclusive
-(a pass against a scale-derived tolerance above
-``reporting.TOLERANCE_CEILING``), 2 on configuration errors (among them an
-output file that cannot be written: the run stops at it, names it in one
-stderr line and, where it can, writes the report with a ``csv_write``
-failure) and 3 on numerical failures (a defective or nearly defective eigensystem,
-lost positivity where the scenario requires it, or a non-finite check value
-of any pair in any scenario, reported after the CSVs and the report are
-written).  A failure
-that aborts a pair still writes the report, with the checks made so far
-and a ``failure`` record naming the pair, the stage it aborted in, the
-exception and its message.  The report's summary record carries the exit
-code, and a closed standard output (a reader that quit) does not change it.
+a is the pair (a lambda, a kappa), and ``--frequency`` is taken by the sine
+drive only.  Each run writes a CSV time series per (lambda, kappa) pair and
+a JSON-lines verification report, prints one PASS/FAIL/INCONCLUSIVE line
+per check, and exits 0 when every check passes, 1 when any fails or is
+inconclusive (a pass against a scale-derived tolerance above
+``reporting.TOLERANCE_CEILING``), 2 on configuration errors (among them a
+``--tol`` above that ceiling, against which a pass would verify nothing,
+and an output file that cannot be written: the run stops at it, names it
+in one stderr line and, where it can, writes the report with a
+``csv_write`` failure) and 3 on numerical failures (a defective or nearly
+defective eigensystem, lost positivity where the scenario requires it, or
+a non-finite check value of any pair in any scenario, reported after the
+CSVs and the report are written).  A failure that aborts a pair still
+writes the report, with the checks made so far and a ``failure`` record
+naming the pair, the stage it aborted in, the exception and its message.
+The report's summary record carries the exit code, and a closed standard
+output (a reader that quit) does not change it.
 
 CSV columns: t, rho_eig_hi, rho_eig_lo, det_rho, lr_residual,
 quasi_residual, c_sq_residual.  Floats are written with 17 significant
 digits, so output files are bit-identical across runs of the same
 configuration.  A static pair writes one row, at t = 0, since its C and
-metric do not depend on time; its lr_residual and c_sq_residual are the raw
-values of its h_commutation and c_squared_identity checks.  The static
-checks that carry H (h_commutation and the two Dyson maps') are divided by
-||H|| floored at 1.
+metric do not depend on time; its lr_residual and quasi_residual are both
+the raw h_commutation value ||[H, C]|| (H^dag rho - rho H = sigma_z [H, C],
+as H^dag = sigma_z H sigma_z) and its c_sq_residual the raw
+c_squared_identity value.  The static checks that carry H (h_commutation
+and the two Dyson maps') are divided by ||H|| floored at 1.
 
 A time-dependent pair samples the closed forms and the two residuals per
 sample, on the closed forms' ``rows`` of Python scalars (C is rho with its
@@ -53,7 +55,6 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import platform
 import re
 import sys
 import time
@@ -64,6 +65,7 @@ import numpy as np
 from . import __version__
 from .coperator import (
     MetricForm,
+    _sigma_z_rows,
     c_from_system,
     closed_form_metric,
     dyson_from_eigenvectors,
@@ -97,7 +99,7 @@ from .model import (
     SineDrive,
     hamiltonian_at,
 )
-from .reporting import VerificationReport
+from .reporting import TOLERANCE_CEILING, VerificationReport
 
 _EPS64 = float(np.finfo(float).eps)
 
@@ -222,10 +224,9 @@ def _run_static_pair(cfg: argparse.Namespace, lam: float, kappa: float, report, 
         diag = rows_eta @ h @ np.linalg.inv(rows_eta)
         add("dyson_rows_diagonalizes", (abs(diag[0, 1]) + abs(diag[1, 0])) / scale, _fd_tol(cfg))
 
-    quasi = frobenius_norm(adjoint(h) @ rho_raw - rho_raw @ h)
     det_rho = float(det_real_stack(rho_raw))
-    # one row: C and the metric do not depend on time
-    return np.array([[0.0, eig_hi, eig_lo, det_rho, lr, quasi, c_sq]]).T
+    # one row: C and the metric do not depend on time; the quasi-Hermiticity residual is lr (module docstring)
+    return np.array([[0.0, eig_hi, eig_lo, det_rho, lr, lr, c_sq]]).T
 
 
 def _run_td_pair(cfg: argparse.Namespace, lam: float, kappa: float, report, sweeping: bool, clock: _StageClock):
@@ -240,9 +241,7 @@ def _run_td_pair(cfg: argparse.Namespace, lam: float, kappa: float, report, swee
         return closed_form_metric(form, p, t).rows
 
     def c_at(t: float) -> Rows:
-        # sigma_z rho: the second row negated, which is exact
-        top, (a10, a11) = rho_at(t)
-        return top, (-a10, -a11)
+        return _sigma_z_rows(closed_form_metric(form, p, t).rows)
 
     ts = np.linspace(cfg.t0, cfg.t1, cfg.samples)
     rho = np.empty((cfg.samples, 2, 2), dtype=complex)
@@ -312,7 +311,7 @@ def _report_skeleton(cfg: argparse.Namespace) -> VerificationReport:
             "versions": {
                 "quasic": __version__,
                 "numpy": np.__version__,
-                "python": platform.python_version(),
+                "python": sys.version.split()[0],
             },
         }
     )
@@ -463,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the fixed-regime closed forms solve the invariant equation for the constant drive only
     picture.add_argument("--drive", choices=("const",), default="const")
     driven.add_argument("--drive", choices=("const", "sin"), default="const")
-    driven.add_argument("--frequency", type=_finite_float, default=1.0, help="sine drive angular frequency")
+    driven.add_argument("--frequency", type=_finite_float, default=None, help="sine drive angular frequency (default 1)")
     driven.add_argument(
         "--t-ref",
         type=_finite_float,
@@ -477,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--steps-per-sample", type=int, default=20)
     static.add_argument("--signature", choices=list(_SIGNATURES), default="+-")
     for s in scenarios:
-        s.add_argument("--tol", type=_finite_float, default=1e-10, help="algebraic tolerance, positive (default 1e-10)")
+        s.add_argument("--tol", type=_finite_float, default=1e-10, help="algebraic tolerance in (0, 1e-6] (default 1e-10)")
         s.add_argument("--out-dir", type=Path, default=Path("."))
         s.add_argument("--prefix", default="quasi_c", help="file name prefix, without a path separator")
         s.add_argument(
@@ -493,8 +492,10 @@ def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace)
 
     --lambda, --kappa and --sweep become ``pairs``, static's --signature its
     pair of signs and full-td's ``t_ref`` the drive anchor (--t-ref, or its
-    default for the drive).  The report's metadata echoes every entry but
-    ``out_dir`` and ``prefix``.
+    default for the drive).  full-td's ``frequency`` is the sine drive's, 1
+    by default; the constant drive reads none, so a const run refuses
+    --frequency and drops the entry.  The report's metadata echoes every
+    entry but ``out_dir`` and ``prefix``.
     """
     if args.scenario == "static":
         # argparse strips the value of '--signature=--' and passes [] ('--signature --' ends the options)
@@ -513,15 +514,21 @@ def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace)
         if args.hbar <= 0:
             parser.error("--hbar must be positive")
     if args.scenario == "full-td":
-        if args.drive == "sin" and args.frequency == 0:
-            parser.error("--frequency must be non-zero for the sine drive")
+        if args.drive == "sin":
+            args.frequency = 1.0 if args.frequency is None else args.frequency
+            if args.frequency == 0:
+                parser.error("--frequency must be non-zero for the sine drive")
+        elif args.frequency is not None:
+            parser.error("--frequency sets the sine drive; the constant drive has none")
+        else:
+            del args.frequency
         if args.t_ref is None:
             args.t_ref = math.pi / 2 / args.frequency if args.drive == "sin" else 0.0
         # t1 is finite, so this also refuses an infinite anchor (pi/2 over a subnormal frequency)
         if not math.isfinite(args.t1 - args.t_ref):
             parser.error(f"the drive anchor --t-ref ({args.t_ref:g}) and the window --t1 - --t-ref must be finite")
-    if args.tol <= 0:
-        parser.error("--tol must be positive")
+    if not 0 < args.tol <= TOLERANCE_CEILING:
+        parser.error(f"--tol must be positive and at most {TOLERANCE_CEILING:g}, the loosest tolerance of any check")
     if args.sweep is not None:
         try:
             pairs = _parse_sweep(args.sweep)

@@ -19,21 +19,19 @@ from typing import Callable
 
 import numpy as np
 
-from .biortho import BiorthoSystem
+from .biortho import BiorthoSystem, _projector_sum
 from .errors import NotHermitianError
-from .invariants import FD_STEP, InvariantForm, _bound_entries, _real_entries
+from .invariants import FD_STEP, InvariantForm, _bound_entries, _conservation_residual, _real_entries
 from .linalg import (
     DEFAULT_TOL,
     IDENTITY,
     PAULI_Z,
     Rows,
-    _derivative_defect,
     _mat2_stack,
-    _norm4,
     adjoint,
     frobenius_norm,
 )
-from .model import HamiltonianParams, Regime, _hamiltonian_entries
+from .model import HamiltonianParams, Regime
 
 Signature = tuple[int, int]
 
@@ -88,11 +86,7 @@ def c_from_system(sys: BiorthoSystem, signature: Signature) -> COperator:
     complete to ``biortho.SYSTEM_TOL``, and the command line's static
     scenario reports the residual as its ``completeness`` check.
     """
-    signature = validate_signature(signature)
-    acc = np.zeros((2, 2), dtype=complex)
-    for s, pair in zip(signature, sys.pairs):
-        acc += s * np.outer(pair.right, np.conj(pair.left))
-    return COperator(matrix=acc)
+    return COperator(matrix=_projector_sum(sys, validate_signature(signature)))
 
 
 def involution_residual(c: COperator) -> float:
@@ -123,6 +117,12 @@ def metric_from_c(c: COperator, tol: float = DEFAULT_TOL) -> MetricOperator:
     return MetricOperator(matrix=0.5 * (rho + adjoint(rho)))
 
 
+def _sigma_z_rows(rows: Rows) -> Rows:
+    """sigma_z times a 2x2 matrix given as its rows: the second row negated, which is exact."""
+    top, (a10, a11) = rows
+    return top, (-a10, -a11)
+
+
 def quasi_hermiticity_residual(
     rho_at: Callable[[float], Rows],
     p: HamiltonianParams,
@@ -130,25 +130,14 @@ def quasi_hermiticity_residual(
 ) -> float:
     """|| i*hbar d(rho)/dt - H(t)^dag rho + rho H(t) || by central differences, of half-span FD_STEP.
 
-    Every member of the family has sigma_z H sigma_z = H^dag, so for
-    rho = sigma_z C this defect is sigma_z times the conservation defect
-    i*hbar dC/dt - [H, C] of ``invariants.lr_residual``, entry by entry up
-    to sign, and the two residuals are the same number.  The command line
-    computes and writes both.  Both run ``linalg._derivative_defect``, this
-    one with H^dag on the left.  On rho = sigma_z C each product it forms is
-    the matching product of ``lr_residual`` on C or its exact negation, so
-    the two residuals agree to the bit.
-
-    ``rho_at`` returns the metric as its rows of Python scalars, the
-    ``ndarray.tolist()`` form: a closed form's ``rows``, or the ``tolist()``
-    of a matrix.
+    Every member of the family has H^dag = sigma_z H sigma_z, so this defect
+    is sigma_z times the conservation defect i*hbar dC/dt - [H, C] of
+    C = sigma_z rho, of the same norm: it is computed as such, by the body
+    of ``invariants.lr_residual`` on the rows of sigma_z rho.  ``rho_at``
+    returns the metric as its rows of Python scalars, the ``tolist()`` form.
     """
-    plus, minus = rho_at(t + FD_STEP), rho_at(t - FD_STEP)
-    h00, h01, h11 = _hamiltonian_entries(p, p.drive.tau(t))
-    h01_conj = h01.conjugate()
-    left = ((h00, h01_conj), (h01_conj, h11))
-    c = 1j * (0.5 * p.hbar / FD_STEP)
-    return _norm4(*_derivative_defect(plus, minus, rho_at(t), left, ((h00, h01), (h01, h11)), c))
+    plus, minus = _sigma_z_rows(rho_at(t + FD_STEP)), _sigma_z_rows(rho_at(t - FD_STEP))
+    return _conservation_residual(plus, minus, _sigma_z_rows(rho_at(t)), p, t)
 
 
 #: The metric rho = sigma_z I has one closed form per invariant form.

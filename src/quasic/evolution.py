@@ -144,13 +144,17 @@ def _rk4_prefixes(p: HamiltonianParams, t0: float, t1: float, steps: int) -> np.
     stage_times = np.array([[0.0], [0.5], [1.0]]) * dt
     b_a, b_m, b_b = coeff * p.drive.tau_array(t0 + dt * np.arange(steps) + stage_times)
     # K_j = x_j I + y_j K from beta at t, t + dt/2 and t + dt: K1 = (alpha, b_a), and each
-    # A (I + h K_j), h = dt/2 or dt, is written out in the algebra, every product in one operand order
-    x2, y2 = alpha + half * (alpha * alpha + b_m * b_a * q), b_m + half * (alpha * b_a + b_m * alpha)
-    x3, y3 = alpha + half * (alpha * x2 + b_m * y2 * q), b_m + half * (alpha * y2 + b_m * x2)
-    x4, y4 = alpha + dt * (alpha * x3 + b_b * y3 * q), b_b + dt * (alpha * y3 + b_b * x3)
-    deltas = np.stack((sixth * (alpha + 2.0 * x2 + 2.0 * x3 + x4), sixth * (b_a + 2.0 * y2 + 2.0 * y3 + y4)))
-    # the stages are no longer needed: free them before the scan takes its buffers
-    del b_a, b_m, b_b, x2, y2, x3, y3, x4, y4
+    # A (I + h K_j), h = dt/2 or dt, is written out in the algebra, every product in one operand order.
+    # Each stage is summed into deltas = dt/6 (K1 + 2 K2 + 2 K3 + K4), left to right, then replaced
+    x, y = deltas = np.empty((2, steps), dtype=complex)
+    x[:], y[:] = xs, ys = alpha, b_a
+    for h, b, last in ((half, b_m, False), (half, b_m, False), (dt, b_b, True)):
+        xs, ys = alpha + h * (alpha * xs + b * ys * q), b + h * (alpha * ys + b * xs)
+        x += xs if last else 2.0 * xs
+        y += ys if last else 2.0 * ys
+    np.multiply(sixth, deltas, out=deltas)
+    # free the last stage and the drive rows (one buffer, which b also holds) before the scan
+    del b_a, b_m, b_b, b, xs, ys
     stacks = _prefix_scan(deltas, q)
     stacks.setflags(write=False)
     return stacks
@@ -211,8 +215,9 @@ def tdse_integrate(
     through fused multiply-adds, so a b and b a can differ in the last bit:
     every product keeps one operand order.
 
-    Memory: a cold call peaks at ~208 B per step while it builds the
-    coordinates (the drive rows and RK4 stages, then the scan's buffers).
+    Memory: a cold call peaks at ~160 B per step while it builds the
+    coordinates (the drive rows, the coordinates each RK4 stage is summed
+    into as it is formed, and one stage; the scan's buffers then hold 128 B).
     Applying them holds, beyond the returned grid and states (72 B per
     step) and the memo entry (32 B per step), the one buffer (32 B per
     step).  For the +- pair of one C(t) at 1e5 steps, the tracemalloc peak

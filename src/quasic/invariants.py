@@ -342,9 +342,11 @@ def lr_residual(
     the ``rows`` of a closed-form metric.  The defect is formed from them by
     ``linalg._derivative_defect``, with H's entries from the drive value.
     """
-    plus, minus = invariant_at(t + FD_STEP), invariant_at(t - FD_STEP)
-    h00, h01, h11 = _hamiltonian_entries(p, p.drive.tau(t))
-    h = ((h00, h01), (h01, h11))
-    c = 1j * (0.5 * p.hbar / FD_STEP)
-    return _norm4(*_derivative_defect(plus, minus, invariant_at(t), h, h, c))
+    return _conservation_residual(invariant_at(t + FD_STEP), invariant_at(t - FD_STEP), invariant_at(t), p, t)
 
+
+def _conservation_residual(plus: Rows, minus: Rows, mid: Rows, p: HamiltonianParams, t: float) -> float:
+    """``lr_residual`` of the rows at t + FD_STEP, t - FD_STEP and t; the quasi residual shares it."""
+    h00, h01, h11 = _hamiltonian_entries(p, p.drive.tau(t))
+    c = 1j * (0.5 * p.hbar / FD_STEP)
+    return _norm4(*_derivative_defect(plus, minus, mid, ((h00, h01), (h01, h11)), c))

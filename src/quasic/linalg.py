@@ -64,9 +64,6 @@ DEFAULT_TOL = 1e-10
 #: A 2x2 matrix as its two rows of Python scalars, ((a00, a01), (a10, a11)): the form of ``ndarray.tolist()``
 Rows = Sequence[Sequence[complex]]
 
-# sinh(r)/r switches to its Taylor series below this modulus
-_SINHC_SWITCH = 1e-6
-
 
 def _frozen(rows) -> np.ndarray:
     m = np.array(rows, dtype=complex)
@@ -114,8 +111,8 @@ def _norm4(a00: complex, a01: complex, a10: complex, a11: complex) -> float:
     return math.sqrt(re + im)
 
 
-def _derivative_defect(plus, minus, mid, left, right, c) -> tuple:
-    """The entries (e00, e01, e10, e11) of c (P - M) - (L X - X R) for 2x2 P, M, X, L and R.
+def _derivative_defect(plus, minus, mid, h, c) -> tuple:
+    """The entries (e00, e01, e10, e11) of c (P - M) - (H X - X H) for 2x2 P, M, X and H.
 
     Each matrix is given as its two rows, ((a00, a01), (a10, a11)): Rows of
     Python scalars, which cost a fraction of a numpy operation per entry
@@ -129,13 +126,12 @@ def _derivative_defect(plus, minus, mid, left, right, c) -> tuple:
     (p00, p01), (p10, p11) = plus
     (m00, m01), (m10, m11) = minus
     (x00, x01), (x10, x11) = mid
-    (l00, l01), (l10, l11) = left
-    (r00, r01), (r10, r11) = right
+    (h00, h01), (h10, h11) = h
     return (
-        c * (p00 - m00) - ((l00 * x00 + l01 * x10) - (x00 * r00 + x01 * r10)),
-        c * (p01 - m01) - ((l00 * x01 + l01 * x11) - (x00 * r01 + x01 * r11)),
-        c * (p10 - m10) - ((l10 * x00 + l11 * x10) - (x10 * r00 + x11 * r10)),
-        c * (p11 - m11) - ((l10 * x01 + l11 * x11) - (x10 * r01 + x11 * r11)),
+        c * (p00 - m00) - ((h00 * x00 + h01 * x10) - (x00 * h00 + x01 * h10)),
+        c * (p01 - m01) - ((h00 * x01 + h01 * x11) - (x00 * h01 + x01 * h11)),
+        c * (p10 - m10) - ((h10 * x00 + h11 * x10) - (x10 * h00 + x11 * h10)),
+        c * (p11 - m11) - ((h10 * x01 + h11 * x11) - (x10 * h01 + x11 * h11)),
     )
 
 
@@ -306,17 +302,11 @@ def _expm1_pauli(a1, a2, a3) -> np.ndarray:
     """
     a1, a2, a3 = (np.asarray(c, dtype=complex) for c in (a1, a2, a3))
     r = np.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
-    small = np.abs(r) < _SINHC_SWITCH
-    # sinh(r)/r = 1 + r^2/6 + r^4/120 + ...  Below the switch |r^4/120| is at
-    # most 8.4e-27, over 2e10 times below an ulp of 1, so the series stops at
-    # r^2.  The dropped term moves an entry by at most 8.4e-27 times the
-    # coefficients it multiplies; only the small imaginary part of sinh(r)/r
-    # for complex r sees it, by at most r^2/20 <= 5e-14 of that part.  The
-    # safe divisor keeps the unused branch of np.where free of 0/0.
-    r2 = r * r
-    series = 1 + r2 / 6
-    safe_r = np.where(small, 1.0, r)
-    sinhc = np.where(small, series, np.sinh(safe_r) / safe_r)
+    # the quotient sinh(r)/r subtracts nothing, so it keeps its relative
+    # precision as r -> 0; r = 0 (a nilpotent generator) takes the limit 1, and
+    # there the divisor is a placeholder that keeps the discarded quotient free of 0/0
+    zero = r == 0
+    sinhc = np.where(zero, 1.0, np.sinh(r) / np.where(zero, 1.0, r))
     half = np.sinh(0.5 * r)
     coshm1 = 2.0 * half * half
     out = np.empty(r.shape + (2, 2), dtype=complex)

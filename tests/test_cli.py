@@ -476,6 +476,9 @@ def test_config_errors_exit_two(tmp_path):
         ["full-td", "--steps-per-sample", "0"],
         ["static", "--tol", "0"],
         ["full-td", "--tol=-1e-10"],
+        # a tolerance above reporting.TOLERANCE_CEILING would let a check pass that verified nothing
+        ["full-td", "--drive", "sin", "--tol", "10"],
+        ["static", "--tol", "1.0000001e-6"],
         # the fixed-regime closed forms solve the invariant equation for the constant drive of value 1 only
         ["metric-picture", "--drive", "sin"],
         ["metric-picture", "--drive-value", "2"],
@@ -483,6 +486,9 @@ def test_config_errors_exit_two(tmp_path):
         ["full-td", "--omega", "nan"],
         ["full-td", "--hbar", "0"],
         ["full-td", "--drive", "sin", "--frequency", "0"],
+        # the constant drive reads no frequency
+        ["full-td", "--drive", "const", "--frequency", "5"],
+        ["full-td", "--frequency", "1"],
         ["full-td", "--sweep", "2,1;1,inf"],
         # finite ends whose difference overflows
         ["full-td", "--drive", "sin", "--t0=-1e308", "--t1", "1e308", "--samples", "3"],
@@ -545,6 +551,8 @@ def test_an_option_the_scenario_does_not_read_exits_two(tmp_path, capsys, scenar
             ["full-td", "--drive", "sin", "--t1", "2", "--samples", "20"],
             {"hbar", "drive", "frequency", "t_ref", "t0", "t1", "samples", "steps_per_sample"},
         ),
+        # the constant drive reads no frequency
+        (["full-td", "--drive", "const", "--t1", "2", "--samples", "20"], {"hbar", "drive", "t_ref", "t0", "t1", "samples", "steps_per_sample"}),
     ],
 )
 def test_config_echo_lists_only_the_scenario_options(tmp_path, argv, keys):
@@ -917,24 +925,26 @@ def test_array_pass_matches_the_per_sample_loop(argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, n_pairs",
     [
-        ["full-td", "--drive", "sin", "--sweep=2,1;-1,2;1.5,-1.5", "--t1", "4"],
-        ["full-td", "--drive", "const", "--omega=-2", "--hbar", "1.6", "--sweep=-2,-1;1,-2;-1.5,-1.5", "--t1", "4"],
-        ["metric-picture", "--hbar", "1.7", "--sweep=-2,1;1,-2;1.5,1.5", "--t1", "4"],
-        ["metric-picture", "--omega", "3", "--sweep=2,-1;-1,-2;-1.5,1.5", "--t1", "4"],
+        (["full-td", "--drive", "sin", "--sweep=2,1;-1,2;1.5,-1.5", "--t1", "4", "--samples", "100"], 3),
+        (["full-td", "--drive", "const", "--omega=-2", "--hbar", "1.6", "--sweep=-2,-1;1,-2;-1.5,-1.5", "--t1", "4", "--samples", "100"], 3),
+        (["metric-picture", "--hbar", "1.7", "--sweep=-2,1;1,-2;1.5,1.5", "--t1", "4", "--samples", "100"], 3),
+        (["metric-picture", "--omega", "3", "--sweep=2,-1;-1,-2;-1.5,1.5", "--t1", "4", "--samples", "100"], 3),
+        (["static", "--sweep", "2,1;3,1"], 2),
+        (["static", "--lambda=-2", "--kappa", "1"], 1),
     ],
 )
-def test_residual_columns_are_one_number(tmp_path, argv):
+def test_residual_columns_are_one_number(tmp_path, argv, n_pairs):
     # sigma_z H sigma_z = H^dag for every member of the family and rho = sigma_z C,
     # so the quasi-Hermiticity defect of rho is sigma_z times the conservation
     # defect of C, entry by entry up to sign
-    assert run(tmp_path, *argv, "--samples", "100") == 0
+    assert run(tmp_path, *argv) == 0
     paths = sorted(tmp_path.glob("*.csv"))
-    assert len(paths) == 3
+    assert len(paths) == n_pairs
     for path in paths:
         rows = read_csv(path)
-        assert len(rows) == 100
+        assert len(rows) == (1 if argv[0] == "static" else 100)
         assert all(r["lr_residual"] == r["quasi_residual"] for r in rows)
 
 

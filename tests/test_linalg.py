@@ -385,33 +385,27 @@ class TestMatExp:
             a *= 5.0 / max(1.0, frobenius_norm(a))
             assert frobenius_norm(mat_exp(a) @ mat_exp(-a) - IDENTITY) < 1e-12
 
-    def test_small_generator_branch(self):
-        # |r| below the series switch-over
-        a = 1e-8 * (PAULI_X + 0.5 * PAULI_Y - 0.25 * PAULI_Z)
-        assert np.abs(mat_exp(a) - expm_taylor_oracle(a)).max() < 5e-16
-
-    def test_small_r_series_against_mpmath(self):
-        # below the switch |r| < 1e-6 sinh(r)/r is its series, whose r^2/6 term
-        # is 1.7e-15 to 1.7e-13 relative for |r| in [1e-7, 1e-6], above rounding
+    def test_small_r_against_mpmath(self):
+        # the quotient sinh(r)/r keeps full precision as r -> 0: |r| from 1e-12 to 1e-3,
+        # and the exact nilpotent generator
         rng = np.random.default_rng(11)
         paulis = [mpmath.matrix(m.tolist()) for m in (PAULI_X, PAULI_Y, PAULI_Z)]
-        for modulus in 10.0 ** rng.uniform(-7, -6, size=100):
+        cases = []
+        for modulus in 10.0 ** rng.uniform(-12, -3, size=200):
             coeffs = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             coeffs *= modulus / abs(np.sqrt(np.sum(coeffs * coeffs)))
+            cases.append(coeffs)
+        # sigma_x + i sigma_z squares to 0: r is exactly 0, and exp - I is the generator itself
+        nilpotent = np.array([1.0, 0.0, 1j])
+        assert np.sqrt(np.sum(nilpotent * nilpotent)) == 0
+        cases.append(nilpotent)
+        for coeffs in cases:
             got = _expm1_pauli(*coeffs)
             with mpmath.workdps(40):
                 gen = sum((mpmath.mpc(complex(c)) * m for c, m in zip(coeffs, paulis)), mpmath.zeros(2))
                 want = np.array((mpmath.expm(gen) - mpmath.eye(2)).tolist(), dtype=complex)
             assert np.abs(got - want).max() <= 4 * EPS * np.abs(want).max()
-
-    def test_branch_switch_is_continuous(self):
-        direction = PAULI_X + 0.5 * PAULI_Y - 0.25 * PAULI_Z
-        scale = 1e-6 / np.sqrt(abs(1.0 + 0.5**2 - (-0.25) ** 2 * 0 + 0.25**2))
-        below = mat_exp(0.999 * scale * direction)
-        above = mat_exp(1.001 * scale * direction)
-        # both sides of the switch agree with the oracle to full precision
-        for got, gen in ((below, 0.999 * scale * direction), (above, 1.001 * scale * direction)):
-            assert np.abs(got - expm_taylor_oracle(gen)).max() < 5e-16
+        assert np.array_equal(_expm1_pauli(*nilpotent), [[1j, 1.0], [1.0, -1j]])
 
 
 class TestPsdSqrt:
