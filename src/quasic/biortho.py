@@ -31,6 +31,7 @@ mask test and no copies.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,14 +158,18 @@ def _sign_class(sq: np.ndarray, tol: float) -> np.ndarray:
     return np.where(w > tol, 0, np.where(w < -tol, 2, 1))
 
 
-def _projector_sum(sys: BiorthoSystem, signature: tuple[int, int]) -> np.ndarray:
-    """sum_n s_n |right_n><left_n| over the pairs of a single-matrix system, with s_n from ``signature``."""
+def _projector_sum(pairs: Iterable[tuple[np.ndarray, np.ndarray]], signature: tuple[int, int]) -> np.ndarray:
+    """sum_n s_n |right_n><left_n| over (2,) vector pairs (right_n, left_n), with s_n from ``signature``.
+
+    The pairs of a single-matrix system, or evolved pairs at one grid time.
+    """
     acc = np.zeros((2, 2), dtype=complex)
-    for s, pair in zip(signature, sys.pairs):
-        acc += s * np.outer(pair.right, np.conj(pair.left))
+    for s, (right, left) in zip(signature, pairs):
+        acc += s * np.outer(right, np.conj(left))
     return acc
 
 
 def completeness_residual(sys: BiorthoSystem) -> float:
     """Norm of sum_n |right_n><left_n| - identity: the projector sum of signature (+1, +1), less I."""
-    return frobenius_norm(_projector_sum(sys, (1, 1)) - IDENTITY)
+    pairs = ((pair.right, pair.left) for pair in sys.pairs)
+    return frobenius_norm(_projector_sum(pairs, (1, 1)) - IDENTITY)

@@ -86,7 +86,8 @@ def c_from_system(sys: BiorthoSystem, signature: Signature) -> COperator:
     complete to ``biortho.SYSTEM_TOL``, and the command line's static
     scenario reports the residual as its ``completeness`` check.
     """
-    return COperator(matrix=_projector_sum(sys, validate_signature(signature)))
+    pairs = ((pair.right, pair.left) for pair in sys.pairs)
+    return COperator(matrix=_projector_sum(pairs, validate_signature(signature)))
 
 
 def involution_residual(c: COperator) -> float:

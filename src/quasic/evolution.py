@@ -24,7 +24,17 @@ prefix scan of them over the whole grid in that commutative algebra
 each step carried as its deviation from the identity.  The eigenpairs of
 an evolved C(t) = sum_n s_n |psi_n(t)><phi_n(t)| share H(t) and the grid,
 so the last propagator is memoized by value for the next call (see
-``tdse_integrate``).
+``tdse_integrate``).  A cold call peaks at 136 B per step, and the second
+call of such a pair at 1e5 steps at 19.2 MB, 17.6 MB of it the results and
+the memo entry.  The evolved C(t) is ``biortho._projector_sum`` of the
+evolved pairs at one grid node, the body that ``c_from_system`` uses.
+
+Every array pass runs along the step or sample axis, one state component
+at a time: over a trailing axis of length 2, numpy's inner loop runs two
+elements at a time.  Applying the propagator to the start states took
+0.64 ms per 10,000-step call as a broadcast over (side, step, component),
+and takes 0.19 ms as four column passes (best of 50, one pinned CPU of a
+2-CPU VM, numpy 2.4).
 
 Phase reconstruction takes its eigenstates and metrics from two callbacks,
 ``state_at`` and ``rho_at``, and calls each once, with the whole time grid
@@ -35,7 +45,8 @@ and ``rho_at(grid)`` the (N, 2, 2) metrics; a provider that returns one
 accept the grid and return such stacks, so a provider written for one time
 t, such as ``biortho_system(closed_form_invariant(form, p, t)).pairs[0].right``,
 serves the whole grid unchanged.  The alignment that fixes the gauge of the
-samples and ``phase_alpha``'s alpha_dot are array passes over the grid.
+samples and ``phase_alpha``'s alpha_dot are (N,) passes over the grid, one
+component at a time.
 The two metric forms they take, the metric norm <v|rho v> and alpha_dot
 (over states of unit metric norm, so it has no denominator), are written
 out entry by entry over (N,) arrays (``_metric_form``): at N = 3001 numpy's three-operand einsum takes 0.14 ms
@@ -54,6 +65,7 @@ from typing import Callable
 
 import numpy as np
 
+from .biortho import _projector_sum
 from .coperator import COperator, Signature, validate_signature
 from .errors import BranchFlipError, OffGridError
 from .model import HamiltonianParams
@@ -120,10 +132,10 @@ def _prefix_scan(deltas: np.ndarray, q: float) -> np.ndarray:
     return src
 
 
-def _k_action(p: HamiltonianParams, v: np.ndarray) -> np.ndarray:
-    """K v for states v of shape (..., 2), with K = lam sigma_z + i kappa sigma_x."""
+def _k_action(p: HamiltonianParams, v0: np.ndarray, v1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The components of K v from the components v0, v1 of v, with K = lam sigma_z + i kappa sigma_x."""
     ik = 1j * p.kappa
-    return np.stack((p.lam * v[..., 0] + ik * v[..., 1], ik * v[..., 0] - p.lam * v[..., 1]), axis=-1)
+    return p.lam * v0 + ik * v1, ik * v0 - p.lam * v1
 
 
 @functools.lru_cache(maxsize=1)
@@ -141,20 +153,27 @@ def _rk4_prefixes(p: HamiltonianParams, t0: float, t1: float, steps: int) -> np.
     coeff = 0.5j / p.hbar
     alpha = coeff * p.omega
     q = (p.lam - p.kappa) * (p.lam + p.kappa)
-    stage_times = np.array([[0.0], [0.5], [1.0]]) * dt
-    b_a, b_m, b_b = coeff * p.drive.tau_array(t0 + dt * np.arange(steps) + stage_times)
-    # K_j = x_j I + y_j K from beta at t, t + dt/2 and t + dt: K1 = (alpha, b_a), and each
+    grid = t0 + dt * np.arange(steps)
+
+    def beta(offset: float) -> np.ndarray:
+        # one drive row at a time, at t + offset dt, so each is freed once its stages are formed
+        return coeff * p.drive.tau_array(grid + offset * dt)
+
+    # K_j = x_j I + y_j K from beta at t, t + dt/2 and t + dt: K1 = (alpha, beta(0)), and each
     # A (I + h K_j), h = dt/2 or dt, is written out in the algebra, every product in one operand order.
     # Each stage is summed into deltas = dt/6 (K1 + 2 K2 + 2 K3 + K4), left to right, then replaced
     x, y = deltas = np.empty((2, steps), dtype=complex)
-    x[:], y[:] = xs, ys = alpha, b_a
-    for h, b, last in ((half, b_m, False), (half, b_m, False), (dt, b_b, True)):
+    x[:], y[:] = xs, ys = alpha, beta(0.0)
+    b = beta(0.5)
+    for h, last in ((half, False), (half, False), (dt, True)):
+        if last:
+            b = beta(1.0)
         xs, ys = alpha + h * (alpha * xs + b * ys * q), b + h * (alpha * ys + b * xs)
         x += xs if last else 2.0 * xs
         y += ys if last else 2.0 * ys
     np.multiply(sixth, deltas, out=deltas)
-    # free the last stage and the drive rows (one buffer, which b also holds) before the scan
-    del b_a, b_m, b_b, b, xs, ys
+    # free the last stage, the last drive row and the grid before the scan
+    del grid, b, xs, ys
     stacks = _prefix_scan(deltas, q)
     stacks.setflags(write=False)
     return stacks
@@ -202,27 +221,30 @@ def tdse_integrate(
     equal those of the same coordinates applied with K to psi0 and with
     K^dag to phi0.
 
-    The drive is evaluated once, on the (3, steps) grid of t, t + dt/2 and
-    t + dt (as computed: the last t + dt may round past t1, where both
-    drives are defined), every step's coordinates of M - I are built from
-    those rows with alpha one complex scalar, and one prefix scan of them
-    (see ``_prefix_scan``) gives the coordinates of M_k ... M_0 for every
-    step k, as one contiguous (2, steps) array.  Applied to the start
-    states v they give every state as v + (x v + y K v): x v in one
-    broadcast pass over (side, step, component), and y K v one side at a
-    time, into one (steps, 2) buffer.  A scan pass is six array operations
-    into preallocated (2, steps) buffers.  numpy's complex multiply rounds
-    through fused multiply-adds, so a b and b a can differ in the last bit:
-    every product keeps one operand order.
+    The drive is evaluated one row at a time, at t, t + dt/2 and t + dt
+    of one step grid t (as computed: the last t + dt may round past t1,
+    where both drives are defined), every step's coordinates of M - I are
+    built from those rows with alpha one complex scalar, and one prefix
+    scan of them (see ``_prefix_scan``) gives the coordinates of M_k ...
+    M_0 for every step k, as one contiguous (2, steps) array.  Applied to
+    the start states v they give every state as v + (x v + y K v), one
+    (side, component) column at a time, each pass along the steps: x v
+    into the column, y K v into one (steps,) buffer and added, then v
+    added.  A scan pass is six array operations into preallocated (2,
+    steps) buffers.  numpy's complex multiply rounds through fused
+    multiply-adds, so a b and b a can differ in the last bit: every product
+    keeps one operand order.
 
-    Memory: a cold call peaks at ~160 B per step while it builds the
-    coordinates (the drive rows, the coordinates each RK4 stage is summed
-    into as it is formed, and one stage; the scan's buffers then hold 128 B).
-    Applying them holds, beyond the returned grid and states (72 B per
-    step) and the memo entry (32 B per step), the one buffer (32 B per
-    step).  For the +- pair of one C(t) at 1e5 steps, the tracemalloc peak
-    of the second call is 21.1 MB: 17.6 MB of the two results and the memo
-    entry, 3.2 MB of buffer and ~0.3 MB of numpy's own.
+    Memory: a cold call peaks at 136 B per step while it builds the
+    coordinates (the step grid, one or two drive rows, the coordinates each
+    RK4 stage is summed into as it is formed, and one stage; the scan's
+    buffers then hold 128 B).  Applying them holds, beyond the returned
+    grid and states (72 B per step) and the memo entry (32 B per step), the
+    one buffer (16 B per step).  For the +- pair of one C(t) at 1e5 steps,
+    the tracemalloc peak of the second call is 19.2 MB: 17.6 MB of the two
+    results and the memo entry, 1.6 MB of buffer and a few kB of numpy's
+    own.  The three drive rows as one (3, steps) array peaked at 160 B per
+    step cold, and a (steps, 2) buffer at 21.1 MB on the second call.
 
     The eigenpairs of one C(t) evolve under the same H(t) on the same grid,
     so they share the scanned coordinates.  ``_rk4_prefixes`` memoizes the
@@ -258,12 +280,14 @@ def tdse_integrate(
     v = states[:, 0]
     v[0] = psi0
     v[1] = phi0[0], -phi0[1]
-    # v + (x v + y K v), over axes (side, step, component); y K v one side at a time, into one buffer
-    rest = np.multiply(x[:, None], v[:, None], out=states[:, 1:])
-    buffer = np.empty((steps, 2), dtype=complex)
-    for side, kv in zip(rest, _k_action(p, v)):
-        side += np.multiply(y[:, None], kv, out=buffer)
-    rest += v[:, None]
+    # v + (x v + y K v), one (side, component) column at a time along the steps; y K v into one buffer
+    buffer = np.empty(steps, dtype=complex)
+    for c, kv in enumerate(_k_action(p, v[:, 0], v[:, 1])):
+        for side in range(2):
+            col = states[side, 1:, c]
+            np.multiply(x, v[side, c], out=col)
+            col += np.multiply(y, kv[side], out=buffer)
+            col += v[side, c]
     np.negative(states[1, :, 1], out=states[1, :, 1])
     return EvolvedState(grid=grid, right_states=states[0], left_states=states[1])
 
@@ -283,9 +307,8 @@ def c_from_evolution(
     signature = validate_signature(signature)
     i = plus.index_of(t)
     j = minus.index_of(t)
-    acc = signature[0] * np.outer(plus.right_states[i], np.conj(plus.left_states[i]))
-    acc += signature[1] * np.outer(minus.right_states[j], np.conj(minus.left_states[j]))
-    return COperator(matrix=acc)
+    pairs = ((plus.right_states[i], plus.left_states[i]), (minus.right_states[j], minus.left_states[j]))
+    return COperator(matrix=_projector_sum(pairs, signature))
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,18 +329,20 @@ def phase_factor(trace: PhaseTrace, hbar: float = 1.0) -> np.ndarray:
     return np.exp(1j * trace.alpha)
 
 
-def _metric_form(bras: np.ndarray, rhos: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """<u_k| rho_k |v_k> for each k, from the (N, 2) bras conj(u), (N, 2, 2) rho and (N, 2) kets v.
+def _metric_form(
+    bras: tuple[np.ndarray, np.ndarray], rhos: np.ndarray, kets: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """<u_k| rho_k |v_k> for each k, from the (N,) components of conj(u) and of v, and the (N, 2, 2) rho.
 
     Written out entry by entry, bra_0 (rho_00 v_0 + rho_01 v_1) + bra_1
     (rho_10 v_0 + rho_11 v_1), over (N,) arrays.  Silent on non-finite
     entries, which the callers test for and report with their sample time.
     """
-    v0, v1 = kets[:, 0], kets[:, 1]
+    v0, v1 = kets
     with np.errstate(invalid="ignore", over="ignore"):
         row0 = rhos[:, 0, 0] * v0 + rhos[:, 0, 1] * v1
         row1 = rhos[:, 1, 0] * v0 + rhos[:, 1, 1] * v1
-        return bras[:, 0] * row0 + bras[:, 1] * row1
+        return bras[0] * row0 + bras[1] * row1
 
 
 def _aligned_trace(
@@ -327,7 +352,7 @@ def _aligned_trace(
 ) -> tuple[np.ndarray, np.ndarray]:
     """aligned_eigenstate_trace, plus the metric samples rho(t) it evaluated.
 
-    One call of each provider on the whole grid; the rest are array passes.
+    One call of each provider on the whole grid; the rest are (N,) passes.
     Sample k is v_k / sqrt(<v_k|rho_k v_k>) times the running product of
     conj(o_j) / |o_j| over j <= k, where o_j = <v_{j-1}|v_j> of the
     normalized samples: rotating each sample so that its overlap with the
@@ -339,15 +364,17 @@ def _aligned_trace(
     n = len(grid)
     states = np.broadcast_to(np.asarray(state_at(grid), dtype=complex), (n, 2))
     rhos = np.broadcast_to(np.asarray(rho_at(grid), dtype=complex), (n, 2, 2))
-    norm_sq = _metric_form(states.conj(), rhos, states).real
+    s0, s1 = states[:, 0], states[:, 1]
+    norm_sq = _metric_form((s0.conj(), s1.conj()), rhos, (s0, s1)).real
     bad = ~((norm_sq > 0) & (norm_sq < np.inf))
     if bad.any():
         k = int(np.argmax(bad))
         raise ValueError(f"state has non-positive metric norm {norm_sq[k]:.3g} at t={grid[k]}")
-    states = states / np.sqrt(norm_sq)[:, None]
-    ov = np.einsum("ki,ki->k", states[:-1].conj(), states[1:])
+    norm = np.sqrt(norm_sq)
+    s0, s1 = s0 / norm, s1 / norm
+    ov = s0[:-1].conj() * s0[1:] + s1[:-1].conj() * s1[1:]
     modulus = np.abs(ov)
-    norms = np.hypot(np.abs(states[:, 0]), np.abs(states[:, 1]))
+    norms = np.hypot(np.abs(s0), np.abs(s1))
     rel = modulus / (norms[:-1] * norms[1:])
     flips = ~(rel >= 0.5)
     if flips.any():
@@ -355,7 +382,10 @@ def _aligned_trace(
         raise BranchFlipError(f"overlap modulus {rel[k]:.3f} below 0.5 at t={grid[k + 1]}")
     phase = np.ones(n, dtype=complex)
     np.cumprod(ov.conj() / modulus, out=phase[1:])
-    return states * phase[:, None], rhos
+    aligned = np.empty((n, 2), dtype=complex)
+    np.multiply(s0, phase, out=aligned[:, 0])
+    np.multiply(s1, phase, out=aligned[:, 1])
+    return aligned, rhos
 
 
 def aligned_eigenstate_trace(
@@ -416,10 +446,12 @@ def phase_alpha(
 
     # H v = -1/2 (omega v + tau K v) with K = lam sigma_z + i kappa sigma_x
     tau = p.drive.tau_array(grid)
-    # i dv/dt - H v / hbar
-    ket = 1j * dstates + (0.5 / p.hbar) * (p.omega * states + tau[:, None] * _k_action(p, states))
-    bras = states.conj()
-    alpha_dot = _metric_form(bras, rhos, ket)
+    v0, v1 = states[:, 0], states[:, 1]
+    kv0, kv1 = _k_action(p, v0, v1)
+    # i dv/dt - H v / hbar, one component at a time
+    ket0 = 1j * dstates[:, 0] + (0.5 / p.hbar) * (p.omega * v0 + tau * kv0)
+    ket1 = 1j * dstates[:, 1] + (0.5 / p.hbar) * (p.omega * v1 + tau * kv1)
+    alpha_dot = _metric_form((v0.conj(), v1.conj()), rhos, (ket0, ket1))
     bad = ~np.isfinite(alpha_dot)
     if bad.any():
         raise ArithmeticError(f"alpha_dot is not finite at t={grid[int(np.argmax(bad))]}")

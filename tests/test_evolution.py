@@ -213,6 +213,17 @@ def test_c_from_evolution_at_start_matches_system():
     assert frobenius_norm(c0.matrix - ref.matrix) < 1e-12
 
 
+@pytest.mark.parametrize("signature", [(1, -1), (-1, 1), (1, 1), (-1, -1)])
+@pytest.mark.parametrize("lam, kappa", [(2.0, 1.0), (0.8, 1.7), (1.3, 0.0)])
+def test_c_from_evolution_at_start_has_the_system_bits(lam, kappa, signature):
+    # node 0 holds the start states exactly, and both sums run through one body, so even the signs
+    # of zero entries agree; kappa = 0 gives eigenvectors with zero components
+    sys0 = biortho_system(hamiltonian_at(HamiltonianParams(1.0, lam, kappa), 0.0))
+    evs = [tdse_integrate(DRIVEN, pr.right, pr.left, 0.0, 1.0, 10) for pr in sys0.pairs]
+    got = c_from_evolution(evs[0], evs[1], signature, 0.0).matrix
+    assert got.tobytes() == c_from_system(sys0, signature).matrix.tobytes()
+
+
 @pytest.mark.parametrize("hbar", [1.0, 2.0, 0.5])
 def test_evolved_c_matches_invariant(hbar):
     p = HamiltonianParams(1.0, 2.0, 1.0, hbar=hbar, drive=SineDrive())
@@ -379,13 +390,14 @@ class TestPrefixScanRK4:
 
 @pytest.mark.parametrize("lam, kappa", [(2.0, 1.0), (-0.8, 1.7), (1.1, 1.1), (0.0, -0.6)])
 def test_k_action_is_the_matrix_product(lam, kappa):
-    # over a (side, step, component) stack of states, as the RK4 propagation applies it
+    # over (side, step) arrays of each component, as the RK4 propagation and phase_alpha apply it
     p = HamiltonianParams(0.7, lam, kappa)
     rng = np.random.default_rng(7)
     v = rng.standard_normal((2, 5, 2)) + 1j * rng.standard_normal((2, 5, 2))
     k = p.lam * PAULI_Z + 1j * p.kappa * PAULI_X
     want = np.einsum("ij,...j->...i", k, v)
-    assert np.abs(evolution._k_action(p, v) - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
+    got = np.stack(evolution._k_action(p, v[..., 0], v[..., 1]), axis=-1)
+    assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
 
 
 def reference_two_sided_tdse(p, psi0, phi0, t0, t1, steps):
@@ -599,8 +611,8 @@ class TestPropagatorCache:
         assert lookups() == (1, 2)
 
     def test_hit_peak_is_the_results_the_memo_and_one_buffer(self):
-        # the +- pair of one C(t): y K v is formed one side at a time in one (steps, 2) buffer,
-        # where a (2, steps, 2) temporary held twice that
+        # the +- pair of one C(t): y K v is formed one (side, component) column at a time in one
+        # (steps,) buffer, where a (steps, 2) buffer held twice that and a (2, steps, 2) temporary four times
         steps = 100_000
         tracemalloc.start()
         try:
@@ -613,13 +625,14 @@ class TestPropagatorCache:
         assert lookups() == (1, 1)
         results = sum(a.nbytes for ev in (first, second) for a in (ev.grid, ev.right_states, ev.left_states))
         memo = evolution._rk4_prefixes(DRIVEN, 0.0, 1.5, steps).nbytes
-        buffer = 32 * steps
+        buffer = 16 * steps
         # numpy's own small allocations stay far below one buffer
         assert peak <= results + memo + buffer + 2**20
 
-    def test_cold_peak_is_at_most_170_bytes_per_step(self):
-        # the RK4 stages are summed into the coordinates as each is formed, so a cold call holds the
-        # drive rows, the coordinates and one stage at a time; stacking all stages first peaked at 208 B
+    def test_cold_peak_is_at_most_140_bytes_per_step(self):
+        # the RK4 stages are summed into the coordinates as each is formed, and the drive is evaluated
+        # one row at a time, so a cold call holds one or two drive rows, the coordinates and one stage;
+        # the three drive rows as one (3, steps) array peaked at 160 B, and stacking all stages at 208 B
         steps = 100_000
         tracemalloc.start()
         try:
@@ -628,7 +641,7 @@ class TestPropagatorCache:
         finally:
             tracemalloc.stop()
         assert lookups() == (0, 1)
-        assert peak <= 170 * steps
+        assert peak <= 140 * steps
 
 
 def index_of_by_argmin(ev, t):
