@@ -70,7 +70,6 @@ from .coperator import (
     closed_form_metric,
     dyson_from_eigenvectors,
     involution_residual,
-    metric_form_for_regime,
     metric_from_c,
     pt_commutation_residual,
     quasi_hermiticity_residual,
@@ -233,7 +232,7 @@ def _run_td_pair(cfg: argparse.Namespace, lam: float, kappa: float, report, swee
     clock.enter("sampling")
     p = _params(cfg, lam, kappa)
     if cfg.scenario == "metric-picture":
-        form = metric_form_for_regime(p.regime)
+        form = p.regime
     else:
         form = MetricForm.FULL_TD
 

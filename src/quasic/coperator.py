@@ -31,7 +31,7 @@ from .linalg import (
     adjoint,
     frobenius_norm,
 )
-from .model import HamiltonianParams, Regime
+from .model import HamiltonianParams
 
 Signature = tuple[int, int]
 
@@ -143,11 +143,6 @@ def quasi_hermiticity_residual(
 
 #: The metric rho = sigma_z I has one closed form per invariant form.
 MetricForm = InvariantForm
-
-
-def metric_form_for_regime(regime: Regime) -> MetricForm:
-    """The fixed-regime form of a regime; the three regimes share their forms' values."""
-    return MetricForm(regime.value)
 
 
 def closed_form_metric(form: MetricForm, p: HamiltonianParams, t: float | np.ndarray) -> MetricOperator:

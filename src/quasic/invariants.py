@@ -53,14 +53,13 @@ array pass.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import Callable
 
 import numpy as np
 
 from .errors import RegimeMismatchError
 from .linalg import IDENTITY, Rows, _derivative_defect, _expm1_pauli, _mat2_stack, _norm4
-from .model import ConstantDrive, HamiltonianParams, PauliCoefficients, Regime, _hamiltonian_entries
+from .model import ConstantDrive, HamiltonianParams, InvariantForm, PauliCoefficients, _hamiltonian_entries
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -69,18 +68,6 @@ PROPAGATION_BLOCK = 4096
 
 #: Half the span of the central differences in the derivative residuals.
 FD_STEP = 1e-5
-
-
-class InvariantForm(Enum):
-    PT_SYMMETRIC = "pt-symmetric"
-    SPONTANEOUSLY_BROKEN = "spontaneously-broken"
-    EXCEPTIONAL_POINT = "exceptional-point"
-    FULL_TD = "full-td"
-
-
-def _require_regime(form: InvariantForm, p: HamiltonianParams, required: Regime) -> None:
-    if p.regime is not required:
-        raise RegimeMismatchError(f"{form.value} form requires the {required.value} regime")
 
 
 def _sinhc(q: float) -> float:
@@ -192,7 +179,8 @@ def _real_entries(form: InvariantForm, p: HamiltonianParams, fn=math) -> Callabl
         return lambda t: _drive_entries(p, integral(t) / hbar, _sinhc_array)
     if not isinstance(p.drive, ConstantDrive):
         raise RegimeMismatchError(f"{form.value} form requires the constant drive")
-    _require_regime(form, p, Regime(form.value))
+    if p.regime is not form:
+        raise RegimeMismatchError(f"{form.value} form requires the {form.value} regime")
     as_float = float if scalar else (lambda t: np.asarray(t, dtype=float))
     lam, kap = abs(p.lam), abs(p.kappa)
     if form is InvariantForm.EXCEPTIONAL_POINT:

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -167,27 +166,6 @@ def det_real_stack(a: np.ndarray) -> np.ndarray:
     return (a00.real * a11.real - a00.imag * a11.imag) - (a01.real * a10.real - a01.imag * a10.imag)
 
 
-@dataclass(frozen=True)
-class EigenPair:
-    """One eigenvalue with a unit-norm right eigenvector."""
-
-    value: complex
-    vector: np.ndarray
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    first: EigenPair
-    second: EigenPair
-    #: True when the eigenvalue is coalescent and only one eigenvector exists
-    #: (both pairs then carry the same value and vector); callers must handle.
-    defective: bool = False
-
-    @property
-    def pairs(self) -> tuple[EigenPair, EigenPair]:
-        return (self.first, self.second)
-
-
 def _max1(x: np.ndarray) -> np.ndarray:
     """Python's max(1.0, x) element by element: a NaN gives 1, as it does there."""
     return np.where(x > 1.0, x, 1.0)
@@ -248,20 +226,17 @@ def _eigen_stack(a: np.ndarray, tol: float):
     return (lam1, v1), (lam2, v2), coalescent & ~identity
 
 
-def eigen_2x2(a: np.ndarray, tol: float = DEFAULT_TOL) -> EigenDecomposition:
-    """Closed-form eigendecomposition of one matrix: ``_eigen_stack`` on a stack of one.
+def eigen_2x2(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
+    """Closed-form eigensystem of one matrix: ``_eigen_stack`` on a stack of one.
 
-    Pairs are ordered by descending (Re, Im) of the eigenvalue.  When the
-    discriminant vanishes within tol the matrix is either a multiple of the
-    identity (two canonical eigenvectors, not defective) or defective, in
-    which case the single eigenvalue/eigenvector is returned as both pairs
-    with the ``defective`` flag set.
+    Returns ``((lam1, v1), (lam2, v2), defective)``: two complex
+    eigenvalues in descending (Re, Im), their unit (2,) right vectors and a
+    bool.  When the discriminant vanishes within tol the matrix is either a
+    multiple of the identity (the canonical vectors, not defective) or
+    defective, with one eigenvalue and one eigenvector given twice.
     """
     (lam1, v1), (lam2, v2), defective = _eigen_stack(np.asarray(a, dtype=complex)[None], tol)
-    first = EigenPair(complex(lam1[0]), v1[0])
-    if defective[0]:
-        return EigenDecomposition(first, first, defective=True)
-    return EigenDecomposition(first, EigenPair(complex(lam2[0]), v2[0]))
+    return (complex(lam1[0]), v1[0]), (complex(lam2[0]), v2[0]), bool(defective[0])
 
 
 def hermitian_eigenvalues_stack(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -25,11 +25,30 @@ from .linalg import _mat2_stack
 REGIME_TOL = 1e-12
 
 
+class InvariantForm(Enum):
+    """The closed-form invariants: the fixed form of each regime (``classify_regime``), and FULL_TD for any drive."""
+
+    PT_SYMMETRIC = "pt-symmetric"
+    SPONTANEOUSLY_BROKEN = "spontaneously-broken"
+    EXCEPTIONAL_POINT = "exceptional-point"
+    FULL_TD = "full-td"
+
+
+def _require_finite(obj, *names: str) -> None:
+    """ValueError naming the first of obj's fields that is not finite."""
+    for name in names:
+        if not math.isfinite(getattr(obj, name)):
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True, kw_only=True)
 class ConstantDrive:
-    """tau(t) = 1; antiderivative anchored at t_ref."""
+    """tau(t) = 1; antiderivative anchored at t_ref, which must be finite."""
 
     t_ref: float = 0.0
+
+    def __post_init__(self):
+        _require_finite(self, "t_ref")
 
     def tau(self, t: float) -> float:
         return 1.0
@@ -54,7 +73,8 @@ class SineDrive:
     t_ref defaults to pi/2 at every frequency (the command line's default
     is pi/2 / frequency): for the unit frequency the anchored antiderivative
     then vanishes at t = pi/2 + n*pi, where the time-dependent metric
-    collapses to the identity.  A zero frequency raises ValueError.
+    collapses to the identity.  A zero or non-finite frequency and a
+    non-finite t_ref raise ValueError.
     """
 
     frequency: float = 1.0
@@ -63,11 +83,12 @@ class SineDrive:
     _cos_ref: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _require_finite(self, "frequency", "t_ref")
         if self.frequency == 0:
             raise ValueError("frequency must be non-zero: the integral divides by it")
         try:
             cos_ref = math.cos(self.frequency * self.t_ref)
-        except ValueError:  # an infinite phase: NaN, as np.cos gives
+        except ValueError:  # a finite product that overflows to an infinite phase: NaN, as np.cos gives
             cos_ref = math.nan
         object.__setattr__(self, "_cos_ref", cos_ref)
 
@@ -105,16 +126,14 @@ class HamiltonianParams:
     hbar: float = 1.0
     drive: Drive = ConstantDrive()
     #: classify_regime of lam and kappa, fixed for the parameter set and computed once
-    regime: Regime = field(init=False, repr=False, compare=False)
+    regime: InvariantForm = field(init=False, repr=False, compare=False)
     #: (form, t -> (d, x, y)): the closed form last bound to this set by invariants._bound_entries
     _bound: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.hbar > 0):
             raise ValueError("hbar must be positive")
-        for name in ("omega", "lam", "kappa", "hbar"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        _require_finite(self, "omega", "lam", "kappa", "hbar")
         object.__setattr__(self, "regime", classify_regime(self))
 
     def __getstate__(self):
@@ -122,18 +141,12 @@ class HamiltonianParams:
         return {**self.__dict__, "_bound": (None, None)}
 
 
-class Regime(Enum):
-    PT_SYMMETRIC = "pt-symmetric"
-    SPONTANEOUSLY_BROKEN = "spontaneously-broken"
-    EXCEPTIONAL_POINT = "exceptional-point"
-
-
-def classify_regime(p: HamiltonianParams) -> Regime:
+def classify_regime(p: HamiltonianParams) -> InvariantForm:
     """|lam| > |kappa|: real spectrum; < : conjugate pair; = (within REGIME_TOL): coalescence."""
     la, ka = abs(p.lam), abs(p.kappa)
     if abs(la - ka) <= REGIME_TOL * max(la, ka, 1.0):
-        return Regime.EXCEPTIONAL_POINT
-    return Regime.PT_SYMMETRIC if la > ka else Regime.SPONTANEOUSLY_BROKEN
+        return InvariantForm.EXCEPTIONAL_POINT
+    return InvariantForm.PT_SYMMETRIC if la > ka else InvariantForm.SPONTANEOUSLY_BROKEN
 
 
 @dataclass(frozen=True)

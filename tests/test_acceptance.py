@@ -34,9 +34,7 @@ from quasic.linalg import IDENTITY, commutator, frobenius_norm, hermitian_eigenv
 from quasic.model import (
     ConstantDrive,
     HamiltonianParams,
-    Regime,
     SineDrive,
-    classify_regime,
     hamiltonian_at,
 )
 
@@ -147,14 +145,9 @@ def test_criterion_06_eigenvalue_signature_identity():
     checked = 0
     for lam in PARAM_GRID:
         for kappa in PARAM_GRID:
-            regime = classify_regime(HamiltonianParams(1.0, lam, kappa))
-            static_forms = {
-                Regime.PT_SYMMETRIC: InvariantForm.PT_SYMMETRIC,
-                Regime.SPONTANEOUSLY_BROKEN: InvariantForm.SPONTANEOUSLY_BROKEN,
-                Regime.EXCEPTIONAL_POINT: InvariantForm.EXCEPTIONAL_POINT,
-            }
-            forms = [(static_forms[regime], ConstantDrive())]
-            if regime is not Regime.EXCEPTIONAL_POINT:
+            regime = HamiltonianParams(1.0, lam, kappa).regime
+            forms = [(regime, ConstantDrive())]
+            if regime is not InvariantForm.EXCEPTIONAL_POINT:
                 forms.append((InvariantForm.FULL_TD, ConstantDrive()))
                 forms.append((InvariantForm.FULL_TD, SineDrive()))
             for form, drive in forms:

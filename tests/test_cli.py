@@ -21,10 +21,10 @@ from hypothesis import strategies as st
 
 from quasic import cli
 from quasic.cli import build_parser, main
-from quasic.coperator import MetricForm, closed_form_metric, metric_form_for_regime, quasi_hermiticity_residual
+from quasic.coperator import MetricForm, closed_form_metric, quasi_hermiticity_residual
 from quasic.invariants import lr_residual
 from quasic.linalg import IDENTITY, frobenius_norm, hermitian_eigenvalues_2x2, hypot_norm_stack
-from quasic.model import HamiltonianParams, classify_regime, hamiltonian_at
+from quasic.model import HamiltonianParams, hamiltonian_at
 from quasic.reporting import TOLERANCE_CEILING
 
 COLUMNS = ["t", "rho_eig_hi", "rho_eig_lo", "det_rho", "lr_residual", "quasi_residual", "c_sq_residual"]
@@ -786,23 +786,39 @@ _EP_OFFSETS = st.one_of(
 )
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# magnitudes from the smallest subnormal to 1e300, so that runs reach overflow and underflow
+_POSITIVE = st.one_of(st.sampled_from([5e-324, 1e-300, 1e300]), st.floats(1e-3, 1e3))
+_NONZERO = st.builds(lambda sign, x: sign * x, st.sampled_from([1.0, -1.0]), _POSITIVE)
+_SIGNED = st.one_of(st.sampled_from([0.0, -0.0]), _NONZERO)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(
     scenario=st.sampled_from(["static", "metric-picture", "full-td const", "full-td sin"]),
-    omega=st.floats(-3.0, 3.0),
-    kappa=st.floats(0.05, 3.0),
-    offset=_EP_OFFSETS,
-    t1=st.floats(0.05, 40.0),
-    hbar=st.one_of(st.just(1.0), st.floats(0.1, 5.0)),
+    omega=_SIGNED,
+    kappa=_SIGNED,
+    lam=_SIGNED,
+    offset=st.one_of(st.none(), _EP_OFFSETS),
+    t1=_POSITIVE,
+    hbar=_POSITIVE,
+    frequency=_NONZERO,
+    t_ref=st.one_of(st.none(), _SIGNED),
 )
-def test_exit_code_contract(scenario, omega, kappa, offset, t1, hbar):
+def test_exit_code_contract(scenario, omega, kappa, lam, offset, t1, hbar, frequency, t_ref):
     name, _, drive = scenario.partition(" ")
-    argv = [name, f"--omega={omega!r}", f"--lambda={kappa * (1.0 + offset)!r}", f"--kappa={kappa!r}"]
+    # with an offset, lambda = kappa * (1 + offset) lies on, next to or across the exceptional point
+    if offset is not None:
+        lam = kappa * (1.0 + offset)
+    argv = [name, f"--omega={omega!r}", f"--lambda={lam!r}", f"--kappa={kappa!r}"]
     # static has no time: it takes none of the time options
     if name != "static":
         argv += [f"--t1={t1!r}", f"--hbar={hbar!r}", "--samples=5", "--steps-per-sample=2"]
     if drive:
         argv.append(f"--drive={drive}")
+    if drive == "sin":
+        argv.append(f"--frequency={frequency!r}")
+        if t_ref is not None:
+            argv.append(f"--t-ref={t_ref!r}")
     with tempfile.TemporaryDirectory() as out_dir:
         sink = io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
@@ -849,7 +865,7 @@ def per_sample_td_pair(cfg, lam, kappa):
     """
     p = cli._params(cfg, lam, kappa)
     if cfg.scenario == "metric-picture":
-        form = metric_form_for_regime(classify_regime(p))
+        form = p.regime
     else:
         form = MetricForm.FULL_TD
 
@@ -956,7 +972,7 @@ def test_checks_locate_their_worst_sample(tmp_path):
     # positivity's worst sample is that of the larger of -lo and |hi + lo - tr rho|,
     # with tr rho from the closed form at each sample time, as the command line samples it
     p = HamiltonianParams(1.0, 1.0, 2.0)
-    form = metric_form_for_regime(p.regime)
+    form = p.regime
     positivity = []
     for r, t in zip(rows, times):
         rho = closed_form_metric(form, p, t).matrix

@@ -13,7 +13,6 @@ from quasic.coperator import (
     closed_form_metric,
     dyson_from_eigenvectors,
     involution_residual,
-    metric_form_for_regime,
     metric_from_c,
     pt_commutation_residual,
     quasi_hermiticity_residual,
@@ -38,9 +37,7 @@ from quasic.linalg import (
 from quasic.model import (
     ConstantDrive,
     HamiltonianParams,
-    Regime,
     SineDrive,
-    classify_regime,
     hamiltonian_at,
 )
 
@@ -381,10 +378,6 @@ class TestClosedFormMetric:
         expected = np.array([[diag, off], [np.conj(off), diag]])
         assert np.abs(rho.matrix - expected).max() < 1e-12
 
-    def test_form_for_regime_mapping(self):
-        assert metric_form_for_regime(Regime.PT_SYMMETRIC) is MetricForm.PT_SYMMETRIC
-        assert metric_form_for_regime(Regime.EXCEPTIONAL_POINT) is MetricForm.EXCEPTIONAL_POINT
-
     def test_full_td_identity_at_anchor(self):
         rho = closed_form_metric(MetricForm.FULL_TD, FULL_SINE, math.pi / 2)
         assert np.allclose(rho.matrix, IDENTITY, atol=1e-14)
@@ -413,7 +406,7 @@ class TestClosedFormMetric:
         for lam in (0.5, 1.0, 2.0):
             for kappa in (0.5, 1.0, 2.0):
                 p = HamiltonianParams(1.0, lam, kappa)
-                form = metric_form_for_regime(classify_regime(p))
+                form = p.regime
                 for t in np.linspace(0.0, 5.0, 11):
                     hi, lo = hermitian_eigenvalues_2x2(closed_form_metric(form, p, t).matrix, tol=1e-8)
                     assert lo > 0
@@ -455,17 +448,17 @@ class TestClosedFormMetric:
 
     def test_fixed_regime_forms_check_the_regime(self):
         points = {
-            Regime.PT_SYMMETRIC: HamiltonianParams(1.0, 2.0, 1.0),
-            Regime.SPONTANEOUSLY_BROKEN: HamiltonianParams(1.0, 0.5, 1.0),
-            Regime.EXCEPTIONAL_POINT: HamiltonianParams(1.0, 1.0, 1.0),
+            MetricForm.PT_SYMMETRIC: HamiltonianParams(1.0, 2.0, 1.0),
+            MetricForm.SPONTANEOUSLY_BROKEN: HamiltonianParams(1.0, 0.5, 1.0),
+            MetricForm.EXCEPTIONAL_POINT: HamiltonianParams(1.0, 1.0, 1.0),
         }
-        for form_regime in points:
-            form = metric_form_for_regime(form_regime)
+        for form in points:
             for regime, p in points.items():
-                if regime is form_regime:
+                assert p.regime is regime
+                if regime is form:
                     closed_form_metric(form, p, 0.3)
                 else:
-                    with pytest.raises(RegimeMismatchError):
+                    with pytest.raises(RegimeMismatchError, match=f"^{form.value} form requires the {form.value} regime$"):
                         closed_form_metric(form, p, 0.3)
 
 

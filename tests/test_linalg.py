@@ -73,8 +73,8 @@ class TestBasics:
     def test_det_trace(self):
         assert det_real_stack(PAULI_Z) == -1
         # the trace is the sum of the eigenvalues
-        dec = eigen_2x2(PAULI_X)
-        assert dec.first.value + dec.second.value == 0
+        (lam1, _), (lam2, _), _ = eigen_2x2(PAULI_X)
+        assert lam1 + lam2 == 0
 
     def test_predicates(self):
         # Hermiticity and positivity are tested where a routine requires them
@@ -91,43 +91,43 @@ class TestBasics:
 
 class TestEigen:
     def test_identity(self):
-        dec = eigen_2x2(IDENTITY)
-        assert not dec.defective
-        assert dec.first.value == 1 and dec.second.value == 1
-        assert abs(np.vdot(dec.first.vector, dec.second.vector)) < 1e-14
+        (lam1, v1), (lam2, v2), defective = eigen_2x2(IDENTITY)
+        assert not defective
+        assert lam1 == 1 and lam2 == 1
+        assert abs(np.vdot(v1, v2)) < 1e-14
 
     def test_sigma_z(self):
-        dec = eigen_2x2(PAULI_Z)
-        assert dec.first.value == 1 and dec.second.value == -1
-        assert np.allclose(np.abs(dec.first.vector), [1, 0])
-        assert np.allclose(np.abs(dec.second.vector), [0, 1])
+        (lam1, v1), (lam2, v2), _ = eigen_2x2(PAULI_Z)
+        assert lam1 == 1 and lam2 == -1
+        assert np.allclose(np.abs(v1), [1, 0])
+        assert np.allclose(np.abs(v2), [0, 1])
 
     def test_model_hamiltonian_eigenvalues(self):
         # closed form -omega/2 +- sqrt(lam^2 - kappa^2)/2 at (1, 2, 1)
         h = -0.5 * np.array([[3.0, 1j], [1j, -1.0]])
-        dec = eigen_2x2(h)
+        (lam1, _), (lam2, _), _ = eigen_2x2(h)
         root = math.sqrt(3.0) / 2.0
-        assert dec.first.value == pytest.approx(-0.5 + root, abs=1e-14)
-        assert dec.second.value == pytest.approx(-0.5 - root, abs=1e-14)
+        assert lam1 == pytest.approx(-0.5 + root, abs=1e-14)
+        assert lam2 == pytest.approx(-0.5 - root, abs=1e-14)
 
     def test_residual_bound(self):
         for _ in range(50):
             a = random_complex_matrix(scale=RNG.uniform(0.1, 10))
-            dec = eigen_2x2(a)
-            if dec.defective:
+            *pairs, defective = eigen_2x2(a)
+            if defective:
                 continue
-            for pair in dec.pairs:
-                resid = np.linalg.norm(a @ pair.vector - pair.value * pair.vector)
-                assert resid <= 1e-10 * frobenius_norm(a) * np.linalg.norm(pair.vector)
+            for value, vector in pairs:
+                resid = np.linalg.norm(a @ vector - value * vector)
+                assert resid <= 1e-10 * frobenius_norm(a) * np.linalg.norm(vector)
 
     def test_reconstruction(self):
         for _ in range(50):
             a = random_complex_matrix()
-            dec = eigen_2x2(a)
-            if dec.defective:
+            (lam1, v1), (lam2, v2), defective = eigen_2x2(a)
+            if defective:
                 continue
-            v = np.column_stack([dec.first.vector, dec.second.vector])
-            lam = np.diag([dec.first.value, dec.second.value])
+            v = np.column_stack([v1, v2])
+            lam = np.diag([lam1, lam2])
             assert frobenius_norm(v @ lam @ np.linalg.inv(v) - a) <= 1e-10
 
     def test_vectors_are_the_better_normed_adjugate_row(self):
@@ -146,25 +146,26 @@ class TestEigen:
         for a in cases:
             a = np.asarray(a, dtype=complex)
             scale = max(1.0, frobenius_norm(a))
-            for pair in eigen_2x2(a).pairs:
-                assert np.abs(pair.vector - reference(a, pair.value, scale)).max() <= 1e-15
+            *pairs, _ = eigen_2x2(a)
+            for value, vector in pairs:
+                assert np.abs(vector - reference(a, value, scale)).max() <= 1e-15
 
     def test_ordering_descending(self):
         a = np.diag([1.0 - 2j, 1.0 + 3j])
-        dec = eigen_2x2(a)
-        assert dec.first.value.imag > dec.second.value.imag
+        (lam1, _), (lam2, _), _ = eigen_2x2(a)
+        assert lam1.imag > lam2.imag
 
     def test_defective_jordan_block(self):
-        dec = eigen_2x2(np.array([[1.0, 1.0], [0.0, 1.0]]))
-        assert dec.defective
-        assert dec.first.value == pytest.approx(1.0)
-        assert dec.first.vector is dec.second.vector
+        (lam1, v1), (_, v2), defective = eigen_2x2(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        assert defective
+        assert lam1 == pytest.approx(1.0)
+        assert np.array_equal(v1, v2)
 
     def test_defective_exceptional_point(self):
         h = -0.5 * np.array([[1 + 1.0, 1j], [1j, 1 - 1.0]])  # lam = kappa = 1
-        dec = eigen_2x2(h)
-        assert dec.defective
-        assert dec.first.value == pytest.approx(-0.5)
+        (lam1, _), _, defective = eigen_2x2(h)
+        assert defective
+        assert lam1 == pytest.approx(-0.5)
 
     def test_split_next_to_coalescence_against_mpmath(self):
         # H = -1/2 [[omega + lam, i kappa], [i kappa, omega - lam]] with |lam| within
@@ -190,19 +191,19 @@ class TestEigen:
         for tol in (1e-10, 1e-15):
             (stack1, _), (stack2, _), stack_defective = _eigen_stack(np.array(matrices), tol)
             for k, (h, (s, terms)) in enumerate(zip(matrices, exact)):
-                dec = eigen_2x2(h, tol=tol)
-                assert dec.defective == stack_defective[k]
+                (lam1, _), (lam2, _), defective = eigen_2x2(h, tol=tol)
+                assert defective == stack_defective[k]
                 limit = tol * scale[k]
                 if abs(s) <= 0.5 * limit:
-                    assert dec.defective
+                    assert defective
                 elif abs(s) >= 2.0 * limit:
-                    assert not dec.defective
+                    assert not defective
                     m = abs(0.5 * (h[0, 0] + h[1, 1]))
                     bound = 4.0 * eps * (m + terms / abs(s))
-                    for lam1, lam2 in ((dec.first.value, dec.second.value), (stack1[k], stack2[k])):
-                        split = lam1 - lam2
+                    for first, second in ((lam1, lam2), (stack1[k], stack2[k])):
+                        split = first - second
                         assert abs(split - 2.0 * s) <= bound or abs(split + 2.0 * s) <= bound, (h, s)
-                seen[dec.defective] += 1
+                seen[defective] += 1
         # both sides of the coalescence test ran
         assert min(seen.values()) > 50, seen
 

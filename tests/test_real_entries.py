@@ -23,17 +23,17 @@ from hypothesis import strategies as st
 from quasic import invariants
 from quasic.coperator import closed_form_metric
 from quasic.errors import RegimeMismatchError
-from quasic.invariants import InvariantForm, _real_entries, _require_regime, closed_form_invariant
-from quasic.model import ConstantDrive, HamiltonianParams, Regime, SineDrive, classify_regime
+from quasic.invariants import InvariantForm, _real_entries, closed_form_invariant
+from quasic.model import ConstantDrive, HamiltonianParams, SineDrive
 
 _SQRT2 = math.sqrt(2.0)
 
 
 def reference_fixed_template(form, p, t):
     """The template at (|lam|, |kappa|); reference_real_entries flips its signs."""
+    assert p.regime is form, (form, p)
     lam, kap = abs(p.lam), abs(p.kappa)
     if form is InvariantForm.PT_SYMMETRIC:
-        _require_regime(form, p, Regime.PT_SYMMETRIC)
         s = float(t) / p.hbar
         xi = math.sqrt(lam**2 - kap**2)
         delta = -_SQRT2 * lam - kap * math.sin(xi * s)
@@ -41,14 +41,12 @@ def reference_fixed_template(form, p, t):
         real = xi * math.cos(xi * s)
         return xi, delta, real + 1j * imag, -real + 1j * imag
     if form is InvariantForm.SPONTANEOUSLY_BROKEN:
-        _require_regime(form, p, Regime.SPONTANEOUSLY_BROKEN)
         s = float(t) / p.hbar
         xi = math.sqrt(kap**2 - lam**2)
         delta = lam - _SQRT2 * kap * math.cosh(xi * s)
         imag = _SQRT2 * lam * math.cosh(xi * s) - kap
         real = _SQRT2 * xi * math.sinh(xi * s)
         return xi, delta, real + 1j * imag, -real + 1j * imag
-    _require_regime(form, p, Regime.EXCEPTIONAL_POINT)
     s = float(t) / p.hbar
     delta = -(kap**2) * s**2 / _SQRT2 - kap * s - _SQRT2
     imag = kap**2 * s**2 / _SQRT2 + kap * s
@@ -74,11 +72,7 @@ def reference_real_entries(form, p, t):
     return d, x, y
 
 
-_FIXED_FORMS = {
-    Regime.PT_SYMMETRIC: InvariantForm.PT_SYMMETRIC,
-    Regime.SPONTANEOUSLY_BROKEN: InvariantForm.SPONTANEOUSLY_BROKEN,
-    Regime.EXCEPTIONAL_POINT: InvariantForm.EXCEPTIONAL_POINT,
-}
+_FIXED_FORMS = (InvariantForm.PT_SYMMETRIC, InvariantForm.SPONTANEOUSLY_BROKEN, InvariantForm.EXCEPTIONAL_POINT)
 _VALUES = (-2.5, -1.3, -0.7, -0.05, 0.0, 0.05, 0.7, 1.3, 2.5)
 _TIMES = np.concatenate((np.linspace(-3.0, 10.0, 53), [np.float64(1e-300), 30.0]))
 _HBARS = (1.0, 0.5, 2.0, 3.7)
@@ -86,13 +80,13 @@ _HBARS = (1.0, 0.5, 2.0, 3.7)
 
 @pytest.mark.parametrize("hbar", _HBARS)
 def test_fixed_regime_entries_same_bits(hbar):
-    checked = {form: 0 for form in _FIXED_FORMS.values()}
+    checked = {form: 0 for form in _FIXED_FORMS}
     for lam in _VALUES:
         for kappa in _VALUES:
             pairs = [(lam, kappa), (kappa, kappa), (-kappa, kappa)]  # EP on both signs
             for lam_, kappa_ in pairs:
                 p = HamiltonianParams(1.0, lam_, kappa_, hbar=hbar)
-                form = _FIXED_FORMS[classify_regime(p)]
+                form = p.regime
                 for t in _TIMES:
                     want = np.array(reference_real_entries(form, p, t))
                     got = np.array(_real_entries(form, p)(t))
@@ -167,7 +161,7 @@ def test_fixed_regime_overflow_gives_the_array_path_values(lam, kappa):
     # past 1.3e154; the scalar path must give inf or NaN there, as the
     # numpy array path does, so that a run reports non-finite samples
     p = HamiltonianParams(1.0, lam, kappa)
-    form = _FIXED_FORMS[classify_regime(p)]
+    form = p.regime
     times = [1e3, -1e3, 1e200, -1e200, 5e307, -5e307, 1e308]
     with np.errstate(over="ignore", invalid="ignore"):
         stacked = np.array(_real_entries(form, p, np)(np.array(times)))

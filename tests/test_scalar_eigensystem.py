@@ -30,8 +30,6 @@ from quasic.linalg import (
     DEFAULT_TOL,
     IDENTITY,
     PAULI_Z,
-    EigenDecomposition,
-    EigenPair,
     adjoint,
     eigen_2x2,
     frobenius_norm,
@@ -55,6 +53,7 @@ def reference_eigvec(a, lam, scale):
 
 
 def reference_eigen_2x2(a, tol=DEFAULT_TOL):
+    """``eigen_2x2``'s ((lam1, v1), (lam2, v2), defective) on numpy scalars."""
     a = np.asarray(a, dtype=complex)
     scale = max(1.0, frobenius_norm(a))
     m = 0.5 * (a[0, 0] + a[1, 1])
@@ -67,17 +66,12 @@ def reference_eigen_2x2(a, tol=DEFAULT_TOL):
         s = -s
     if abs(s) <= tol * scale:
         if frobenius_norm(a - m * IDENTITY) <= tol * scale:
-            return EigenDecomposition(
-                EigenPair(complex(m), np.array([1.0, 0.0], dtype=complex)),
-                EigenPair(complex(m), np.array([0.0, 1.0], dtype=complex)),
-            )
-        pair = EigenPair(complex(m), reference_eigvec(a, m, scale))
-        return EigenDecomposition(pair, pair, defective=True)
+            e0, e1 = np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)
+            return (complex(m), e0), (complex(m), e1), False
+        pair = (complex(m), reference_eigvec(a, m, scale))
+        return pair, pair, True
     lam1, lam2 = complex(m + s), complex(m - s)
-    return EigenDecomposition(
-        EigenPair(lam1, reference_eigvec(a, lam1, scale)),
-        EigenPair(lam2, reference_eigvec(a, lam2, scale)),
-    )
+    return (lam1, reference_eigvec(a, lam1, scale)), (lam2, reference_eigvec(a, lam2, scale)), False
 
 
 def det2(v):
@@ -105,21 +99,22 @@ def reference_order_key(pair, tol):
 
 def reference_biortho_system(a, tol=DEFAULT_TOL):
     a = np.asarray(a, dtype=complex)
-    right_dec = reference_eigen_2x2(a, tol=tol)
-    if right_dec.defective:
+    *right_pairs, defective = reference_eigen_2x2(a, tol=tol)
+    if defective:
         raise DefectiveMatrixError("source matrix is defective")
-    v = np.column_stack([right_dec.first.vector, right_dec.second.vector])
+    (_, right1), (_, right2) = right_pairs
+    v = np.column_stack([right1, right2])
     det_v = det2(v)
-    cond = reference_condition_number(right_dec.first.vector, right_dec.second.vector)
+    cond = reference_condition_number(right1, right2)
     if cond > COND_LIMIT:
         raise NearlyDefectiveError(f"eigenvector condition {cond:.3g} exceeds {COND_LIMIT:.3g}")
 
     # V^-1 = adj(V) / det V; left vector n is the conjugate of row n
     adj = np.array([[v[1, 1], -v[0, 1]], [-v[1, 0], v[0, 0]]])
     pairs = []
-    for n, pair in enumerate(right_dec.pairs):
+    for n, (value, right) in enumerate(right_pairs):
         left = np.conj(adj[n] / det_v)
-        pairs.append(BiorthoPair(eigenvalue=pair.value, right=pair.vector, left=left))
+        pairs.append(BiorthoPair(eigenvalue=value, right=right, left=left))
     pairs.sort(key=lambda pr: reference_order_key(pr, tol))
     return BiorthoSystem(pairs=(pairs[0], pairs[1]))
 
@@ -128,8 +123,8 @@ EPS = np.finfo(float).eps
 
 
 def eigen_outcome(fn, a, tol):
-    dec = fn(a, tol=tol)
-    return dec.defective, [(pr.value, pr.vector, None) for pr in dec.pairs]
+    *pairs, defective = fn(a, tol=tol)
+    return defective, [(value, vector, None) for value, vector in pairs]
 
 
 def biortho_outcome(fn, a, tol):
@@ -236,7 +231,7 @@ def test_invariant_and_hamiltonian_samples(form, lam, kappa, drive):
 def test_multiples_of_the_identity():
     for c in (0.0, 1.0, 2.5, -3j, 1e-300, 1e150 + 1e150j):
         assert_same(c * np.eye(2))
-        assert not eigen_2x2(c * np.eye(2)).defective
+        assert not eigen_2x2(c * np.eye(2))[2]
 
 
 def test_non_finite_entries():
